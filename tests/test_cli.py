@@ -1,8 +1,9 @@
 """End-to-end checks of the command-line driver.
 
 Commands are run in-process via main(argv); outputs land in tmp_path.
-Golden files pin the three equilibrium modes on the 2x2 fixture and
-the corpus sweep table byte-for-byte.
+Golden files pin the three equilibrium modes on the 2x2 fixture, the
+corpus sweep table, a seeded simulation, and a Monte-Carlo revenue run
+byte-for-byte.
 """
 
 import json
@@ -16,6 +17,7 @@ DATA = Path(__file__).parent / "data"
 SCENARIO = str(DATA / "scenario_2x2.json")
 BIDS = str(DATA / "bids_2x2.json")
 BAYES = str(DATA / "bayes_1x1.json")
+BAYES_3X3 = str(DATA / "bayes_3x3.json")
 CORPUS = str(DATA / "corpus")
 GOLDEN = DATA / "golden"
 
@@ -70,6 +72,27 @@ def test_expressiveness_matches_golden(tmp_path):
     assert prop[0] == "market,theta,kappa,alpha,beta,gamma,holds"
     assert len(prop) > 1
     assert all(line.endswith("true") for line in prop[1:])
+
+
+def test_simulate_matches_golden(tmp_path):
+    code = run("simulate", "--scenario", SCENARIO, "--bids", BIDS,
+               "--rounds", 500, "--seed", 5, "--out", tmp_path)
+    assert code == 0
+    assert (tmp_path / "rounds.csv").read_bytes() == \
+        (GOLDEN / "simulate_rounds.csv").read_bytes()
+    assert (tmp_path / "summary.json").read_bytes() == \
+        (GOLDEN / "simulate_summary.json").read_bytes()
+
+
+def test_revenue_matches_golden(tmp_path):
+    # three advertisers, three keywords sharing queries, kappa = 1, two slots
+    code = run("revenue", "--scenario", BAYES_3X3, "--samples", 300,
+               "--out", tmp_path)
+    assert code == 0
+    assert (tmp_path / "revenue.csv").read_bytes() == \
+        (GOLDEN / "revenue.csv").read_bytes()
+    assert (tmp_path / "reserves.json").read_bytes() == \
+        (GOLDEN / "reserves.json").read_bytes()
 
 
 # ----------------------------------------------------------------- simulate
