@@ -20,16 +20,17 @@ import numpy as np
 
 from .analysis import (counterexample_scenario, empirical_poa,
                        empirical_revenue_ratio, homogeneity, ratio_csv)
-from .equilibrium import (best_response_dynamics, default_epsilon,
-                          enumerate_pure_nash, estimate_bne_regret,
-                          make_grid, single_slot_dominant_profile,
+from .equilibrium import (EquilibriumReport, best_response_dynamics,
+                          default_epsilon, enumerate_pure_nash,
+                          estimate_bne_regret, make_grid,
+                          single_slot_dominant_profile,
                           truthful_keyword_strategy, verify_epsilon_nash)
 from .errors import BmLabError, ValidationError
 from .expressiveness import (DEFAULT_THETA_GRID, expressiveness_sweep,
                              extract_micro_markets, kl_expressiveness,
-                             load_corpus, degree_bound_check, similarity)
+                             load_corpus, degree_bound_check, market_positive_sets)
 from .market import scenario_from_json
-from .mechanisms import (load_bid_profile, pbm_expected_revenue,
+from .mechanisms import (draw, load_bid_profile, pbm_expected_revenue,
                          pbm_expected_welfare, pbm_run_round)
 from .reserves import (bayes_scenario_from_json, induced_keyword_distribution,
                        mhr_bounded_derivative_check, myerson_reserve)
@@ -167,8 +168,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     welfare_sum = 0.0
     revenue_sum = 0.0
     for t in range(cfg.rounds):
-        q = queries[rng.choice(len(queries), p=probs)] if len(queries) > 1 \
-            else queries[0]
+        q = draw(rng, queries, probs)
         outcome = pbm_run_round(sc, bids, q, rng)
         welfare_sum += outcome.welfare
         revenue_sum += outcome.revenue
@@ -233,9 +233,8 @@ def cmd_equilibrium(cfg: RunConfig) -> int:
         profile = single_slot_dominant_profile(sc)
         regrets = verify_epsilon_nash(sc, profile, grid,
                                       conservative=cfg.conservative)
-        obj["profile"] = {i: dict(row) for i, row in profile.items()}
-        obj["regrets"] = regrets
-        obj["welfare"] = pbm_expected_welfare(sc, profile)
+        obj.update(_report_obj(EquilibriumReport(
+            profile, regrets, True, 0, eps, pbm_expected_welfare(sc, profile))))
     _write(_outdir(cfg) / "equilibrium.json", _json_text(obj))
     return 0
 
@@ -363,25 +362,19 @@ def cmd_counterexample(cfg: RunConfig) -> int:
 def cmd_expressiveness(cfg: RunConfig) -> int:
     corpus = load_corpus(_need(cfg, "corpus", "--corpus"))
     thetas = cfg.thetas if cfg.thetas is not None else DEFAULT_THETA_GRID
-    table = expressiveness_sweep(corpus, thetas=thetas, kappas=cfg.kappas)
+    markets = extract_micro_markets(corpus)
+    table = expressiveness_sweep(corpus, thetas=thetas, kappas=cfg.kappas,
+                                 markets=markets)
     out = _outdir(cfg)
     _write(out / "expressiveness.csv", table.to_csv())
 
     prop_lines = ["market,theta,kappa,alpha,beta,gamma,holds"]
     skipped = list(table.skipped)
-    for market in extract_micro_markets(corpus):
+    for market in markets:
         for theta in thetas:
-            sets = {}
-            for adv in sorted(corpus.bids):
-                kws = corpus.bids[adv] & set(market.keywords)
-                if not kws:
-                    continue
-                # the degree-bound sandwich presumes positive queries are
-                # reachable through the graph, so isolated ones are left out
-                sets[adv] = frozenset(
-                    q for q in market.queries
-                    if market.graph.query_neighbors(q)
-                    and any(similarity(q, s) > theta for s in kws))
+            # the degree-bound sandwich presumes positive queries are
+            # reachable through the graph, so isolated ones are left out
+            sets = market_positive_sets(corpus, market, theta, reachable_only=True)
             if not sets:
                 continue
             try:

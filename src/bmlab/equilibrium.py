@@ -23,13 +23,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import NotSingleSlot, TooLarge, ValidationError
-from .market import (
-    BayesScenario,
-    Scenario,
-    keyword_mass,
-    keyword_value,
-    positive_keywords,
-)
+from .market import BayesScenario, Scenario
+from .mechanisms import outranks, pbm_expected_welfare
 
 _TRUTHFUL_TOL = 1e-9
 
@@ -60,7 +55,7 @@ def make_grid(scenario: Scenario, delta: float, caps=None) -> BidGrid:
     """Default grid: each keyword capped at the largest keyword value
     any advertiser has for it (bidding above is weakly dominated)."""
     if caps is None:
-        caps = {s: max(keyword_value(scenario, i, s) for i in scenario.advertisers)
+        caps = {s: max(scenario.kw_values[i][s] for i in scenario.advertisers)
                 for s in scenario.graph.keywords}
     return BidGrid(delta=float(delta), caps=dict(caps))
 
@@ -72,7 +67,7 @@ def bid_menu(scenario: Scenario, grid: BidGrid, advertiser, keyword,
     conservative restricts to bids at most the keyword value; the exact
     truthful value is spliced in (deduplicated) unless disabled.
     """
-    v = keyword_value(scenario, advertiser, keyword)
+    v = scenario.kw_values[advertiser][keyword]
     pts = [b for b in grid.points(keyword) if not conservative or b <= v + 1e-12]
     if include_truthful:
         pts.append(v)
@@ -93,15 +88,30 @@ def _slot_utility(own_bid, advertiser, opponents, weights, mass, value):
     """u_i^s for one bid against fixed positive opponent bids."""
     if own_bid <= 0.0:
         return 0.0
-    rank = sum(1 for j, b in opponents
-               if b > own_bid or (b == own_bid and j < advertiser))
-    wk = weights.weight(rank)
+    above = [outranks(b, j, own_bid, advertiser) for j, b in opponents]
+    wk = weights.weight(sum(above))
     if wk <= 0.0:
         return 0.0
-    price = max((b for j, b in opponents
-                 if b < own_bid or (b == own_bid and j > advertiser)),
+    price = max((b for (_, b), up in zip(opponents, above) if not up),
                 default=0.0)
     return mass * wk * (value - price)
+
+
+def _select_keywords(menus, utility, kappa):
+    """Best-response selection: on each keyword's sorted menu the lowest
+    bid of maximal utility(s, b) (bid 0 when nothing gains), keywords
+    ranked by (-utility, keyword).  Returns the ranked (u, s, b) list
+    and its top-kappa entries with positive utility."""
+    ranked = []
+    for s, menu in menus.items():
+        best_u, best_b = 0.0, 0.0
+        for b in menu:
+            u = utility(s, b)
+            if u > best_u:           # strict: keeps the lowest maximizing bid
+                best_u, best_b = u, b
+        ranked.append((best_u, s, best_b))
+    ranked.sort(key=lambda usb: (-usb[0], usb[1]))
+    return ranked, [usb for usb in ranked[:kappa] if usb[0] > 0.0]
 
 
 # ------------------------------------------------------------ best response
@@ -116,30 +126,21 @@ def best_response(scenario: Scenario, bids, advertiser, grid: BidGrid,
     bids prefers the lowest, then the lexicographically first keyword.
     Returns (bid row, total utility).
     """
-    pool = sorted(positive_keywords(scenario, advertiser))
+    pool = sorted(scenario.kw_positive[advertiser])
     if len(pool) > max_keywords:
         raise TooLarge(f"{len(pool)} candidate keywords exceeds the "
                        f"best-response cap {max_keywords}")
     if scenario.kappa > max_kappa:
         raise TooLarge(f"kappa = {scenario.kappa} exceeds the best-response "
                        f"cap {max_kappa}")
-    per_keyword = []
-    for s in pool:
-        mass = keyword_mass(scenario, s)
-        value = keyword_value(scenario, advertiser, s)
-        opponents = _opponent_bids(bids, advertiser, s)
-        best_u, best_b = 0.0, 0.0
-        for b in bid_menu(scenario, grid, advertiser, s, conservative,
-                          include_truthful):
-            u = _slot_utility(b, advertiser, opponents, scenario.weights,
-                              mass, value)
-            if u > best_u:           # strict: keeps the lowest maximizing bid
-                best_u, best_b = u, b
-        per_keyword.append((best_u, s, best_b))
-    per_keyword.sort(key=lambda usb: (-usb[0], usb[1]))
-    row = {s: b for u, s, b in per_keyword[: scenario.kappa] if u > 0.0}
-    total = sum(u for u, _, _ in per_keyword[: scenario.kappa] if u > 0.0)
-    return row, total
+    values = scenario.kw_values[advertiser]
+    opponents = {s: _opponent_bids(bids, advertiser, s) for s in pool}
+    menus = {s: bid_menu(scenario, grid, advertiser, s, conservative, include_truthful)
+             for s in pool}
+    _, kept = _select_keywords(menus, lambda s, b: _slot_utility(
+        b, advertiser, opponents[s], scenario.weights, scenario.kw_masses[s], values[s]),
+        scenario.kappa)
+    return {s: b for _, s, b in kept}, sum(u for u, _, _ in kept)
 
 
 def _profile_utility(scenario, bids, advertiser):
@@ -152,8 +153,8 @@ def _profile_utility(scenario, bids, advertiser):
             continue
         total += _slot_utility(b, advertiser,
                                _opponent_bids(bids, advertiser, s),
-                               scenario.weights, keyword_mass(scenario, s),
-                               keyword_value(scenario, advertiser, s))
+                               scenario.weights, scenario.kw_masses[s],
+                               scenario.kw_values[advertiser][s])
     return total
 
 
@@ -210,8 +211,6 @@ def best_response_dynamics(scenario: Scenario, initial, grid: BidGrid,
                                       include_truthful)
     else:
         converged = max_iters > 0 and max(regrets.values(), default=0.0) <= eps
-    from .mechanisms import pbm_expected_welfare
-
     return EquilibriumReport(profile=profile, regrets=regrets,
                              converged=converged, iterations=iterations,
                              epsilon=eps,
@@ -241,7 +240,7 @@ def strategy_rows(scenario, grid, advertiser, conservative=False,
     Rows are generated by keyword subset then menu product, so only
     feasible rows are ever materialized.
     """
-    pool = sorted(positive_keywords(scenario, advertiser))
+    pool = sorted(scenario.kw_positive[advertiser])
     menus = [bid_menu(scenario, grid, advertiser, s, conservative,
                       include_truthful) for s in pool]
     positive = [m[1:] for m in menus]      # menus always start at 0.0
@@ -267,7 +266,7 @@ def estimate_joint_size(scenario, grid, conservative=False,
     """Exact number of joint grid profiles the enumerator would scan."""
     joint = 1
     for i in scenario.advertisers:
-        pool = sorted(positive_keywords(scenario, i))
+        pool = sorted(scenario.kw_positive[i])
         sizes = [len(bid_menu(scenario, grid, i, s, conservative,
                               include_truthful)) - 1 for s in pool]
         joint *= _count_rows(sizes, scenario.kappa)
@@ -320,13 +319,13 @@ def enumerate_pure_nash(scenario: Scenario, grid: BidGrid, epsilon=None,
     truthful_violation = np.zeros(full_shape, dtype=bool)
 
     for s in scenario.graph.keywords:
-        mass = keyword_mass(scenario, s)
+        mass = scenario.kw_masses[s]
         participants = [a for a, pool in enumerate(pools) if s in pool]
         if not participants:
             continue
         cols = {a: axis_view(arrays[a][:, pools[a].index(s)], a)
                 for a in participants}
-        vals = {a: keyword_value(scenario, advs[a], s) for a in participants}
+        vals = {a: scenario.kw_values[advs[a]][s] for a in participants}
         for a in participants:
             c_a = cols[a]
             rank = np.zeros((1,) * n, dtype=np.int64)
@@ -335,7 +334,7 @@ def enumerate_pure_nash(scenario: Scenario, grid: BidGrid, epsilon=None,
                 if b == a:
                     continue
                 c_b = cols[b]
-                above = (c_b > c_a) | ((c_b == c_a) & (b < a))
+                above = outranks(c_b, b, c_a, a)
                 rank = rank + above
                 price = np.maximum(price, np.where(~above, c_b, 0.0))
             slot_w = w_padded[np.minimum(rank, n)]
@@ -375,6 +374,11 @@ def enumerate_pure_nash(scenario: Scenario, grid: BidGrid, epsilon=None,
 
 # ---------------------------------------------------- dominant strategies
 
+def _top_by_value(values, keywords, kappa):
+    """The top-kappa keywords by value, ties to the smaller keyword."""
+    return sorted(keywords, key=lambda s: (-values[s], s))[:kappa]
+
+
 def single_slot_dominant_profile(scenario: Scenario, chosen=None) -> dict:
     """Truthful keyword-value bids, the weakly dominant play when only
     one slot has positive weight.  chosen: optional {advertiser:
@@ -386,14 +390,13 @@ def single_slot_dominant_profile(scenario: Scenario, chosen=None) -> dict:
         if chosen is not None and i in chosen:
             picks = list(chosen[i])
         else:
-            pool = sorted(positive_keywords(scenario, i))
-            pool.sort(key=lambda s: (-keyword_value(scenario, i, s), s))
-            picks = pool[: scenario.kappa]
+            picks = _top_by_value(scenario.kw_values[i], scenario.kw_positive[i],
+                                  scenario.kappa)
         if len(picks) > scenario.kappa:
             raise ValidationError(
                 f"{len(picks)} chosen keywords for {i!r} exceeds kappa = "
                 f"{scenario.kappa}")
-        profile[i] = {s: keyword_value(scenario, i, s) for s in picks}
+        profile[i] = {s: scenario.kw_values[i][s] for s in picks}
     return profile
 
 
@@ -404,14 +407,9 @@ def truthful_keyword_strategy(bayes: BayesScenario) -> Callable:
     on the top-kappa positive keywords (by value)."""
 
     def strategy(advertiser, values_row):
-        sc = bayes.to_scenario({advertiser: values_row})
-        cands = []
-        for s in bayes.graph.keywords:
-            v = keyword_value(sc, advertiser, s)
-            if v > 0.0:
-                cands.append((-v, s, v))
-        cands.sort()
-        return {s: v for _, s, v in cands[: bayes.kappa]}
+        row = bayes.to_scenario({advertiser: values_row}).kw_values[advertiser]
+        picks = _top_by_value(row, [s for s, v in row.items() if v > 0.0], bayes.kappa)
+        return {s: row[s] for s in picks}
 
     return strategy
 
@@ -452,32 +450,27 @@ def estimate_bne_regret(bayes: BayesScenario, strategy: Callable, n_types: int,
                 sample = bayes.sample_valuations(rng)
                 opp_draws.append({j: strategy(j, sample[j])
                                   for j in advertisers if j != i})
-            sc = bayes.to_scenario({i: own})
+            values = bayes.to_scenario({i: own}).kw_values[i]
             played = strategy(i, own)
-            per_kw = []
-            for s in bayes.graph.keywords:
-                value = keyword_value(sc, i, s)
-                mass = keyword_mass(sc, s)
-                menu = {k * deviation_delta
-                        for k in range(int(value / deviation_delta + 1e-9) + 1)}
-                menu |= {0.0, value, played.get(s, 0.0)}
-                best_u, best_b = 0.0, 0.0
-                played_u = 0.0
-                for b in sorted(menu):
-                    u = 0.0
-                    for opp in opp_draws:
-                        u += _slot_utility(b, i, _opponent_bids(opp, i, s),
-                                           bayes.weights, mass, value)
-                    u /= n_opponent_draws
-                    if u > best_u:
-                        best_u, best_b = u, b
-                    if b == played.get(s, 0.0):
-                        played_u = u
-                per_kw.append((best_u, s, best_b, played_u))
-            per_kw.sort(key=lambda t: (-t[0], t[1]))
-            best_total = sum(u for u, _, _, _ in per_kw[: bayes.kappa]
-                             if u > 0.0)
-            played_total = sum(pu for _, _, _, pu in per_kw)
+            grid = BidGrid(deviation_delta, values)
+            menus = {s: sorted({*grid.points(s), 0.0, v, played.get(s, 0.0)})
+                     for s, v in values.items()}
+            opponents = {s: [_opponent_bids(opp, i, s) for opp in opp_draws]
+                         for s in menus}
+            seen = {}   # (keyword, bid) -> mean utility over the draws
+
+            def utility(s, b):
+                u = 0.0
+                for opp in opponents[s]:
+                    u += _slot_utility(b, i, opp, bayes.weights,
+                                       bayes.kw_masses[s], values[s])
+                u /= n_opponent_draws
+                seen[s, b] = u
+                return u
+
+            ranked, kept = _select_keywords(menus, utility, bayes.kappa)
+            best_total = sum(u for u, _, _ in kept)
+            played_total = sum(seen[s, played.get(s, 0.0)] for _, s, _ in ranked)
             gaps.append(max(0.0, best_total - played_total))
         arr = np.asarray(gaps)
         out[i] = RegretEstimate(mean=float(arr.mean()),

@@ -22,6 +22,7 @@ import itertools
 import math
 import string
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .errors import (
@@ -30,7 +31,7 @@ from .errors import (
     Uncoverable,
     ValidationError,
 )
-from .market import BayesScenario, BipartiteGraph, Scenario, positive_keywords
+from .market import BayesScenario, BipartiteGraph, Scenario
 
 EXACT_COVER_CANDIDATE_CAP = 25
 EXACT_ALPHA_QUERY_CAP = 20
@@ -74,13 +75,12 @@ def tokenize(text: str, stop_words=()) -> tuple:
 
 # ------------------------------------------------------- positive queries
 
-def positive_queries(keywords, query_pool, theta) -> frozenset:
-    """Queries similar to at least one bid keyword: Sim(q, s) > theta."""
+def positive_queries(keywords, query_pool, theta, sim=similarity) -> frozenset:
+    """Queries similar to at least one bid keyword: sim(q, s) > theta."""
     if not 0.0 <= theta < 1.0:
         raise ValidationError(f"theta must lie in [0, 1), got {theta}")
     kws = tuple(keywords)
-    return frozenset(q for q in query_pool
-                     if any(similarity(q, s) > theta for s in kws))
+    return frozenset(q for q in query_pool if any(sim(q, s) > theta for s in kws))
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,10 @@ def build_footprint(advertiser, keywords, query_pool, theta) -> AdvertiserFootpr
 
 # ------------------------------------------------- keyword-level beta
 
-def _beta_from_counts(counts, kappa) -> float:
+def _beta(graph, positive_sets, kappa) -> float:
+    """min over positive query sets of min(1, kappa / #keywords whose
+    neighborhood meets the set); 1.0 when no set meets any keyword."""
+    counts = [len(graph.keywords_meeting(pos)) for pos in positive_sets]
     vals = [min(1.0, kappa / c) for c in counts if c > 0]
     return min(vals) if vals else 1.0
 
@@ -107,32 +110,21 @@ def _beta_from_counts(counts, kappa) -> float:
 def kl_expressiveness(source, kappa=None, graph=None) -> float:
     """beta: min over advertisers of min(1, kappa / #positive keywords).
 
-    `source` is either a Scenario (kappa defaults to the scenario's) or
-    an iterable of AdvertiserFootprint, in which case `graph` and
-    `kappa` are required and a keyword counts as positive when its
-    neighborhood meets the footprint's positive query set.
+    `source` is either a Scenario (kappa defaults to the scenario's),
+    a BayesScenario (a query with a value distribution counts as
+    positive), or an iterable of AdvertiserFootprint, in which case
+    `graph` and `kappa` are required and a keyword counts as positive
+    when its neighborhood meets the footprint's positive query set.
     """
     if isinstance(source, Scenario):
-        k = source.kappa if kappa is None else kappa
-        counts = [len(positive_keywords(source, i))
-                  for i in source.advertisers]
-        return _beta_from_counts(counts, k)
-    if isinstance(source, BayesScenario):
-        k = source.kappa if kappa is None else kappa
-        counts = []
-        for i in source.advertisers:
-            row = source.value_dists[i]
-            counts.append(sum(1 for s in source.graph.keywords
-                              if any(q in row
-                                     for q in source.graph.keyword_neighbors(s))))
-        return _beta_from_counts(counts, k)
-    if kappa is None or graph is None:
+        sets = [source.valuations.positive_queries(i) for i in source.advertisers]
+    elif isinstance(source, BayesScenario):
+        sets = [source.value_dists[i].keys() for i in source.advertisers]
+    elif kappa is None or graph is None:
         raise ValidationError("footprint form needs kappa and graph")
-    counts = []
-    for fp in source:
-        counts.append(sum(1 for s in graph.keywords
-                          if fp.positive.intersection(graph.keyword_neighbors(s))))
-    return _beta_from_counts(counts, kappa)
+    else:
+        return _beta(graph, [fp.positive for fp in source], kappa)
+    return _beta(source.graph, sets, source.kappa if kappa is None else kappa)
 
 
 # ------------------------------------------------------------- set cover
@@ -150,26 +142,34 @@ def _cover_search(universe, cov_sets, cap=None) -> int | None:
     """
     if not universe:
         return 0
-    labels = sorted(cov_sets)
-    cover = {s: frozenset(cov_sets[s]) & universe for s in labels}
-    cover = {s: c for s, c in cover.items() if c}
-    covered = frozenset().union(*cover.values()) if cover else frozenset()
-    if covered != universe:
-        raise Uncoverable(sorted(universe - covered))
-
-    # greedy upper bound (most new coverage, lex tie-break)
-    best = 0
-    left = set(universe)
-    while left:
-        pick = min(cover, key=lambda s: (-len(cover[s] & left), s))
-        left -= cover[pick]
-        best += 1
+    cover = _traces(universe, cov_sets)
+    best = _greedy_cover_size(universe, cover)
     if cap is not None and best <= cap:
         return best if best == 1 else _cover_search_exact(universe, cover, best)
     exact = _cover_search_exact(universe, cover, best)
     if cap is not None and exact > cap:
         return None
     return exact
+
+
+def _traces(universe, sets) -> dict:
+    """The nonempty traces of `sets` on `universe`, which they must cover."""
+    traces = {s: c for s in sorted(sets) if (c := frozenset(sets[s]) & universe)}
+    missing = universe.difference(*traces.values())
+    if missing:
+        raise Uncoverable(sorted(missing))
+    return traces
+
+
+def _greedy_cover_size(universe, cover) -> int:
+    """Greedy cover size (most new coverage, lex tie-break), an upper bound."""
+    size = 0
+    left = set(universe)
+    while left:
+        pick = min(cover, key=lambda s: (-len(cover[s] & left), s))
+        left -= cover[pick]
+        size += 1
+    return size
 
 
 def _cover_search_exact(universe, cover, upper) -> int:
@@ -205,22 +205,11 @@ def min_cover_size(graph, queries, candidates=None, exact=True,
     universe = frozenset(queries)
     if candidates is None:
         candidates = graph.keywords
-    cov_sets = {s: frozenset(graph.keyword_neighbors(s)) & universe
-                for s in candidates}
-    cov_sets = {s: c for s, c in cov_sets.items() if c}
     if not universe:
         return CoverResult(0, True)
-    covered = frozenset().union(*cov_sets.values()) if cov_sets else frozenset()
-    if covered != universe:
-        raise Uncoverable(sorted(universe - covered))
+    cov_sets = _traces(universe, {s: graph.keyword_neighbors(s) for s in candidates})
     if not exact:
-        size = 0
-        left = set(universe)
-        while left:
-            pick = min(cov_sets, key=lambda s: (-len(cov_sets[s] & left), s))
-            left -= cov_sets[pick]
-            size += 1
-        return CoverResult(size, False)
+        return CoverResult(_greedy_cover_size(universe, cov_sets), False)
     if len(cov_sets) > max_candidates:
         raise TooLarge(f"{len(cov_sets)} cover candidates "
                        f"(exact cap {max_candidates})")
@@ -257,11 +246,9 @@ def advertiser_alpha(graph, queries, kappa, candidates=None,
     if len(candidates) > EXACT_COVER_CANDIDATE_CAP:
         raise TooLarge(f"{len(candidates)} cover candidates "
                        f"(exact cap {EXACT_COVER_CANDIDATE_CAP})")
-    cov_sets = {s: frozenset(graph.keyword_neighbors(s)) & universe
-                for s in candidates}
-    cov_sets = {s: c for s, c in cov_sets.items() if c}
-    covered = frozenset().union(*cov_sets.values()) if cov_sets else frozenset()
-    if covered != universe:
+    try:
+        cov_sets = _traces(universe, {s: graph.keyword_neighbors(s) for s in candidates})
+    except Uncoverable:
         # some query is coverable by nothing, so already singletons fail
         return 0.0, 1
     if _coverable(universe, cov_sets, kappa):
@@ -308,12 +295,7 @@ def degree_bound_check(graph, positive_sets, kappa, tol=1e-12) -> DegreeBoundRep
     """
     gamma = graph.max_degree()
     alpha = ql_expressiveness(graph, positive_sets, kappa)
-    counts = []
-    for adv in positive_sets:
-        pos = frozenset(positive_sets[adv])
-        counts.append(sum(1 for s in graph.keywords
-                          if pos.intersection(graph.keyword_neighbors(s))))
-    beta = _beta_from_counts(counts, kappa)
+    beta = _beta(graph, positive_sets.values(), kappa)
     lower = alpha / gamma**2 if gamma else 0.0
     upper = gamma * alpha
     holds = (lower <= beta + tol) and (beta <= upper + tol)
@@ -384,6 +366,11 @@ class MicroMarket:
     def size(self):
         return len(self.keywords)
 
+    @cached_property
+    def similarities(self) -> dict:
+        """Sim(q, s) for every (query, keyword) pair of the market."""
+        return {(q, s): similarity(q, s) for q in self.queries for s in self.keywords}
+
 
 def containment_graph(queries, keywords, stop_words=()) -> BipartiteGraph:
     """Edge (q, s) when every token of s appears among q's tokens."""
@@ -450,44 +437,41 @@ class ExpressivenessTable:
 DEFAULT_THETA_GRID = tuple(round(0.9 - 0.1 * j, 1) for j in range(10))
 
 
-def _market_metrics(corpus, market, theta, kappa, sims):
-    """(alpha, beta) over the advertisers active in one market."""
-    positive_sets = {}
-    counts = []
+def market_positive_sets(corpus, market, theta, reachable_only=False) -> dict:
+    """{advertiser: positive queries} for every advertiser bidding in the
+    market, from its similarity table; reachable_only leaves out queries
+    with no keyword neighbor."""
+    pool = [q for q in market.queries
+            if not reachable_only or market.graph.query_neighbors(q)]
+    sims = market.similarities
+    sets = {}
     for adv in sorted(corpus.bids):
         kws = corpus.bids[adv] & set(market.keywords)
-        if not kws:
-            continue
-        pos = frozenset(q for q in market.queries
-                        if any(sims[q, s] > theta for s in kws))
-        positive_sets[adv] = pos
-        counts.append(sum(1 for s in market.keywords
-                          if pos.intersection(market.graph.keyword_neighbors(s))))
-    alpha = ql_expressiveness(market.graph, positive_sets, kappa)
-    beta = _beta_from_counts(counts, kappa)
-    return alpha, beta
+        if kws:
+            sets[adv] = positive_queries(kws, pool, theta, lambda q, s: sims[q, s])
+    return sets
 
 
 def expressiveness_sweep(corpus: Corpus, thetas=DEFAULT_THETA_GRID,
-                         kappas=None) -> ExpressivenessTable:
+                         kappas=None, markets=None) -> ExpressivenessTable:
     """Tabulate mean alpha and beta per (theta, kappa/size decile).
 
     kappas defaults to 1..size per market.  Markets where exact alpha
-    is out of reach are skipped and logged in the table.
+    is out of reach are skipped and logged in the table.  markets
+    defaults to extract_micro_markets(corpus).
     """
     cells = {}
     skipped = []
-    for market in extract_micro_markets(corpus):
-        sims = {(q, s): similarity(q, s)
-                for q in market.queries for s in market.keywords}
+    for market in extract_micro_markets(corpus) if markets is None else markets:
         grid = kappas if kappas is not None else range(1, market.size + 1)
         try:
             for theta in thetas:
+                sets = market_positive_sets(corpus, market, theta)
                 for kappa in grid:
                     if not 1 <= kappa <= market.size:
                         continue
-                    alpha, beta = _market_metrics(corpus, market, theta,
-                                                  kappa, sims)
+                    alpha = ql_expressiveness(market.graph, sets, kappa)
+                    beta = _beta(market.graph, sets.values(), kappa)
                     kb = math.ceil(10 * kappa / market.size) / 10
                     key = (f"{theta:.1f}", f"{kb:.1f}")
                     cells.setdefault(key, []).append((alpha, beta))

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -75,6 +76,11 @@ class BipartiteGraph:
 
     def has_edge(self, q, s):
         return (q, s) in self.edges
+
+    def keywords_meeting(self, queries):
+        """Keywords whose neighborhood meets the query set, in declared order."""
+        queries = frozenset(queries)
+        return tuple(s for s in self.keywords if not queries.isdisjoint(self._s_nbrs[s]))
 
     def max_degree(self):
         degs = [len(v) for v in self._q_nbrs.values()]
@@ -151,6 +157,15 @@ class SlotWeights:
     def as_tuple(self):
         return self._w
 
+    def click_sum(self, amounts):
+        """Sum of w_k * amounts[k] over the clicked positions, in slot order."""
+        total = 0.0
+        for wk, x in zip(self._w, amounts):
+            if wk <= 0.0:
+                break
+            total += wk * x
+        return total
+
     def __len__(self):
         return len(self._w)
 
@@ -168,8 +183,9 @@ class ValuationProfile:
             row = {}
             for q, v in values[i].items():
                 v = float(v)
-                if v < 0.0:
-                    raise ValidationError(f"valuation of {i!r} on {q!r} is negative")
+                if not (math.isfinite(v) and v >= 0.0):
+                    raise ValidationError(
+                        f"valuation of {i!r} on {q!r} must be finite and >= 0, got {v}")
                 if v > 0.0:
                     row[q] = v
             self._values[i] = row
@@ -185,11 +201,19 @@ class ValuationProfile:
         return dict(self._values[advertiser])
 
 
+def _keyword_masses(graph, p, pi) -> dict:
+    """Traffic mass of every keyword: sum of P(q)*pi_q(s) over q in N(s)."""
+    return {s: math.fsum(p.mass(q) * pi.mass(q, s) for q in graph.keyword_neighbors(s))
+            for s in graph.keywords}
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A fully specified market instance.  Use build_scenario for the
     validated path; direct construction skips cross-checks (used for
-    sampled valuation profiles that may not meet the positivity rule)."""
+    sampled valuation profiles that may not meet the positivity rule).
+    The kw_* tables are in index order (advertisers sorted, keywords as
+    declared); kw_masses may be handed in by a shared skeleton."""
 
     graph: BipartiteGraph
     p: QueryDistribution
@@ -197,61 +221,109 @@ class Scenario:
     weights: SlotWeights
     valuations: ValuationProfile
     kappa: int
+    kw_masses: Mapping = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.kw_masses is None:
+            object.__setattr__(self, "kw_masses",
+                               _keyword_masses(self.graph, self.p, self.pi))
 
     @property
     def advertisers(self):
         return self.valuations.advertisers
 
+    @cached_property
+    def kw_values(self) -> dict:
+        """{advertiser: {keyword: expected per-click value}}: the traffic-
+        weighted average of the advertiser's query values over the
+        keyword's neighborhood.  Bidding above it is weakly dominated, so
+        it is the natural conservative cap."""
+        table = {}
+        for i in self.advertisers:
+            row = {}
+            for s in self.graph.keywords:
+                num = 0.0
+                den = 0.0
+                for q in self.graph.keyword_neighbors(s):
+                    m = self.p.mass(q) * self.pi.mass(q, s)
+                    num += m * self.valuations.value(i, q)
+                    den += m
+                if den <= 0.0:
+                    raise ValidationError(f"keyword {s!r} has zero traffic mass")
+                row[s] = num / den
+            table[i] = row
+        return table
 
-def build_scenario(graph, p, pi, weights, valuations, kappa) -> Scenario:
-    """Validate cross-component invariants and assemble a Scenario."""
+    @cached_property
+    def kw_positive(self) -> dict:
+        """{advertiser: keywords whose neighborhood meets its positive queries}."""
+        return {i: frozenset(self.graph.keywords_meeting(self.valuations.positive_queries(i)))
+                for i in self.advertisers}
+
+
+def _check_skeleton(graph, p, pi, kappa, valued) -> int:
+    """Cross-checks every scenario shares: kappa, the query supports of
+    p and pi, pi_q supported on exactly N(q), and values only on declared
+    queries (valued: {advertiser: queries}).  Returns int kappa."""
     if int(kappa) != kappa or kappa < 1:
         raise ValidationError(f"kappa must be a positive integer, got {kappa!r}")
-    if set(p.queries) != set(graph.queries):
-        missing = set(graph.queries) ^ set(p.queries)
-        raise ValidationError(f"query distribution support mismatch on {sorted(missing)!r}")
-    if set(pi.queries) != set(graph.queries):
-        missing = set(graph.queries) ^ set(pi.queries)
-        raise ValidationError(f"matching policy missing/extra queries {sorted(missing)!r}")
+    for what, queries in (("query distribution support mismatch on", p.queries),
+                          ("matching policy missing/extra queries", pi.queries)):
+        if set(queries) != set(graph.queries):
+            raise ValidationError(f"{what} {sorted(set(graph.queries) ^ set(queries))!r}")
     for q in graph.queries:
         if set(pi.support(q)) != set(graph.query_neighbors(q)):
             raise SupportMismatch(q)
-    for i in valuations.advertisers:
-        extra = valuations.positive_queries(i) - set(graph.queries)
+    for i, queries in valued.items():
+        extra = set(queries) - set(graph.queries)
         if extra:
             raise ValidationError(f"advertiser {i!r} values unknown queries {sorted(extra)!r}")
+    return int(kappa)
+
+
+def build_scenario(graph, p, pi, weights, valuations, kappa) -> Scenario:
+    """Validate cross-component invariants and assemble a Scenario."""
+    kappa = _check_skeleton(graph, p, pi, kappa, {
+        i: valuations.positive_queries(i) for i in valuations.advertisers})
     for q in graph.queries:
         if not any(valuations.value(i, q) > 0.0 for i in valuations.advertisers):
             raise NoPositiveAdvertiser(q)
-    return Scenario(graph, p, pi, weights, valuations, int(kappa))
+    return Scenario(graph, p, pi, weights, valuations, kappa)
 
 
-_SCENARIO_KEYS = {"queries", "keywords", "edges", "query_dist", "matching",
-                  "slot_weights", "valuations", "kappa"}
+_SKELETON_KEYS = {"queries", "keywords", "edges", "query_dist", "matching",
+                  "slot_weights", "kappa"}
 
 
-def scenario_from_json(source) -> Scenario:
-    """Load a scenario from a JSON file path or an already-parsed dict.
-
-    Unknown top-level keys are rejected so typos fail loudly.
-    """
-    obj = _load_json_obj(source, "scenario")
-    unknown = set(obj) - _SCENARIO_KEYS
+def _load_skeleton(source, what, values_key, parse_values):
+    """The JSON loading every scenario format shares: exact top-level keys
+    (typos fail loudly), then (graph, p, pi, weights, kappa, values) with
+    obj[values_key] parsed by parse_values; not yet cross-checked."""
+    obj = _load_json_obj(source, what)
+    keys = _SKELETON_KEYS | {values_key}
+    unknown = set(obj) - keys
     if unknown:
-        raise ValidationError(f"unknown scenario key(s): {sorted(unknown)!r}")
-    missing = _SCENARIO_KEYS - set(obj)
+        raise ValidationError(f"unknown {what} key(s): {sorted(unknown)!r}")
+    missing = keys - set(obj)
     if missing:
-        raise ValidationError(f"scenario is missing key(s): {sorted(missing)!r}")
+        raise ValidationError(f"{what} is missing key(s): {sorted(missing)!r}")
     try:
         graph = BipartiteGraph(obj["queries"], obj["keywords"],
                                [tuple(e) for e in obj["edges"]])
         p = QueryDistribution(obj["query_dist"])
         pi = MatchingPolicy(obj["matching"])
         weights = SlotWeights(obj["slot_weights"])
-        valuations = ValuationProfile(obj["valuations"])
+        values = parse_values(obj[values_key])
     except (TypeError, AttributeError) as exc:
-        raise ValidationError(f"malformed scenario field: {exc}") from exc
-    return build_scenario(graph, p, pi, weights, valuations, obj["kappa"])
+        raise ValidationError(f"malformed {what} field: {exc}") from exc
+    return graph, p, pi, weights, obj["kappa"], values
+
+
+def scenario_from_json(source) -> Scenario:
+    """Load a scenario from a JSON file path or an already-parsed dict."""
+    graph, p, pi, weights, kappa, valuations = _load_skeleton(
+        source, "scenario", "valuations", ValuationProfile)
+    return build_scenario(graph, p, pi, weights, valuations, kappa)
 
 
 def _load_json_obj(source, what):
@@ -268,51 +340,32 @@ def _load_json_obj(source, what):
 
 def keyword_mass(scenario: Scenario, keyword) -> float:
     """Traffic mass of a keyword: sum of P(q)*pi_q(s) over q in N(s)."""
-    return math.fsum(scenario.p.mass(q) * scenario.pi.mass(q, keyword)
-                     for q in scenario.graph.keyword_neighbors(keyword))
+    return scenario.kw_masses[keyword]
 
 
 def keyword_value(scenario: Scenario, advertiser, keyword) -> float:
-    """Expected per-click value of a keyword for one advertiser.
-
-    This is the traffic-weighted average of the advertiser's query
-    values over the keyword's neighborhood; bidding above it is weakly
-    dominated, so it is the natural conservative cap.
-    """
-    num = 0.0
-    den = 0.0
-    for q in scenario.graph.keyword_neighbors(keyword):
-        m = scenario.p.mass(q) * scenario.pi.mass(q, keyword)
-        num += m * scenario.valuations.value(advertiser, q)
-        den += m
-    if den <= 0.0:
-        raise ValidationError(f"keyword {keyword!r} has zero traffic mass")
-    return num / den
+    """Expected per-click value of a keyword for one advertiser."""
+    return scenario.kw_values[advertiser][keyword]
 
 
 def keyword_values(scenario: Scenario) -> dict:
     """All keyword values as {advertiser: {keyword: value}}."""
-    return {i: {s: keyword_value(scenario, i, s) for s in scenario.graph.keywords}
-            for i in scenario.advertisers}
+    return {i: dict(row) for i, row in scenario.kw_values.items()}
 
 
 def positive_keywords(scenario: Scenario, advertiser) -> frozenset:
     """Keywords whose neighborhood meets the advertiser's positive queries."""
-    pos_q = scenario.valuations.positive_queries(advertiser)
-    return frozenset(s for s in scenario.graph.keywords
-                     if pos_q.intersection(scenario.graph.keyword_neighbors(s)))
+    return scenario.kw_positive[advertiser]
 
 
 def optimal_welfare(scenario: Scenario) -> float:
     """Welfare of the omniscient per-query allocation: for every query,
     the k-th slot goes to the k-th highest per-click value."""
-    w = scenario.weights.as_tuple()
     total = 0.0
     for q in scenario.graph.queries:
         vals = sorted((scenario.valuations.value(i, q) for i in scenario.advertisers),
                       reverse=True)
-        contrib = sum(wk * v for wk, v in zip(w, vals))
-        total += scenario.p.mass(q) * contrib
+        total += scenario.p.mass(q) * scenario.weights.click_sum(vals)
     return total
 
 
@@ -321,19 +374,16 @@ class BayesScenario:
     distributions.  Missing entries mean the value is identically 0."""
 
     def __init__(self, graph, p, pi, weights, kappa, value_dists):
-        if int(kappa) != kappa or kappa < 1:
-            raise ValidationError(f"kappa must be a positive integer, got {kappa!r}")
+        self.kappa = _check_skeleton(graph, p, pi, kappa, value_dists)
         self.graph = graph
         self.p = p
         self.pi = pi
         self.weights = weights
-        self.kappa = int(kappa)
+        self.kw_masses = _keyword_masses(graph, p, pi)
         self.value_dists = {i: dict(row) for i, row in sorted(value_dists.items())}
         self.advertisers = tuple(self.value_dists)
         for i, row in self.value_dists.items():
             for q, dist in row.items():
-                if q not in set(graph.queries):
-                    raise ValidationError(f"distribution for unknown query {q!r}")
                 lo, _ = dist.support
                 if lo < 0.0:
                     raise ValidationError(
@@ -351,6 +401,7 @@ class BayesScenario:
 
     def to_scenario(self, valuations: Mapping[str, Mapping[str, float]]) -> Scenario:
         """Bind sampled values into a Scenario (no positivity cross-check:
-        a draw may legitimately produce zeros)."""
+        a draw may legitimately produce zeros).  Every bound scenario
+        shares this skeleton's keyword masses."""
         return Scenario(self.graph, self.p, self.pi, self.weights,
-                        ValuationProfile(valuations), self.kappa)
+                        ValuationProfile(valuations), self.kappa, self.kw_masses)

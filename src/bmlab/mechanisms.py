@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ValidationError
-from .market import Scenario, keyword_mass, keyword_value
+from .market import Scenario
 
 _NO_RESERVE: Mapping[str, float] = {}
 
@@ -103,11 +103,15 @@ def gsp_rank(bids: Mapping[str, float], weights, reserve=0.0, keyword=None,
     lexicographically smaller advertiser id, or uniformly at random
     with tie="random" and an explicit rng.
     """
-    if reserve < 0.0:
+    if not reserve >= 0.0:
         raise ValidationError(f"reserve must be >= 0, got {reserve}")
+    if not all(map(math.isfinite, bids.values())):
+        bad = next(adv for adv, b in bids.items() if not math.isfinite(b))
+        raise ValidationError(f"bid of {bad!r} must be finite, got {bids[bad]}")
     entrants = [(adv, float(b)) for adv, b in bids.items()
                 if b > 0.0 and b >= reserve]
     if tie == "lex":
+        # descending bid, then the smaller id: the order `outranks` defines
         entrants.sort(key=lambda ab: (-ab[1], ab[0]))
     elif tie == "random":
         if rng is None:
@@ -122,6 +126,12 @@ def gsp_rank(bids: Mapping[str, float], weights, reserve=0.0, keyword=None,
     prices = tuple(max(reserve, bvals[k + 1]) if k + 1 < len(bvals) else reserve
                    for k in range(len(bvals)))
     return KeywordRanking(keyword=keyword, ranked=ranked, bids=bvals, prices=prices)
+
+
+def outranks(b_j, j, b_i, i):
+    """The lex GSP order: j (bid b_j) ranks above i (bid b_i) on a higher
+    bid, or an equal bid and smaller id.  Scalars or numpy arrays."""
+    return (b_j > b_i) | ((b_j == b_i) & (j < i))
 
 
 def _keyword_bids(bids, s):
@@ -146,18 +156,24 @@ class AuctionOutcome:
 
 def _outcome(scenario, query, keyword, ranking) -> AuctionOutcome:
     w = scenario.weights
-    rows = []
-    welfare = 0.0
-    revenue = 0.0
-    for k, adv in enumerate(ranking.ranked):
-        wk = w.weight(k)
-        if wk <= 0.0:
-            break
-        rows.append((k + 1, adv, ranking.prices[k], wk))
-        welfare += wk * scenario.valuations.value(adv, query)
-        revenue += wk * ranking.prices[k]
+    rows = tuple((k + 1, adv, ranking.prices[k], wk) for k, (adv, wk)
+                 in enumerate(zip(ranking.ranked, w.as_tuple())) if wk > 0.0)
     return AuctionOutcome(query=query, sampled_keyword=keyword, ranking=ranking,
-                          assignments=tuple(rows), welfare=welfare, revenue=revenue)
+                          assignments=rows,
+                          welfare=_ranked_value(scenario, ranking, query),
+                          revenue=w.click_sum(ranking.prices))
+
+
+def _ranked_value(scenario, ranking, query) -> float:
+    """Click-weighted query value of a ranking's clicked positions."""
+    return scenario.weights.click_sum(scenario.valuations.value(adv, query)
+                                      for adv in ranking.ranked)
+
+
+def draw(rng, items, probs):
+    """One item drawn with the given probabilities; a lone item costs no
+    random number."""
+    return items[rng.choice(len(items), p=probs)] if len(items) > 1 else items[0]
 
 
 def pbm_run_round(scenario: Scenario, bids, query, rng, reserves=_NO_RESERVE,
@@ -165,21 +181,19 @@ def pbm_run_round(scenario: Scenario, bids, query, rng, reserves=_NO_RESERVE,
     """One probabilistic-match round for an arriving query: sample a
     keyword from the matching policy, then GSP among its bidders."""
     keywords = scenario.pi.support(query)
-    if len(keywords) > 1:
-        masses = [scenario.pi.mass(query, s) for s in keywords]
-        keyword = keywords[rng.choice(len(keywords), p=masses)]
-    else:
-        keyword = keywords[0]
-    ranking = gsp_rank(_keyword_bids(bids, keyword), scenario.weights,
-                       reserve=reserves.get(keyword, 0.0), keyword=keyword,
-                       tie=tie, rng=rng)
+    keyword = draw(rng, keywords, [scenario.pi.mass(query, s) for s in keywords])
+    ranking = _rank_keyword(scenario, bids, keyword, reserves, tie=tie, rng=rng)
     return _outcome(scenario, query, keyword, ranking)
 
 
+def _rank_keyword(scenario, bids, s, reserves, tie="lex", rng=None):
+    """GSP among the bidders on keyword s, under its reserve."""
+    return gsp_rank(_keyword_bids(bids, s), scenario.weights,
+                    reserve=reserves.get(s, 0.0), keyword=s, tie=tie, rng=rng)
+
+
 def _rankings_by_keyword(scenario, bids, reserves):
-    return {s: gsp_rank(_keyword_bids(bids, s), scenario.weights,
-                        reserve=reserves.get(s, 0.0), keyword=s)
-            for s in scenario.graph.keywords}
+    return {s: _rank_keyword(scenario, bids, s, reserves) for s in scenario.graph.keywords}
 
 
 def pbm_expected_welfare(scenario: Scenario, bids, reserves=_NO_RESERVE) -> float:
@@ -187,7 +201,6 @@ def pbm_expected_welfare(scenario: Scenario, bids, reserves=_NO_RESERVE) -> floa
     slots of P(q) * pi_q(s) * w_k * (query value of the ranked
     advertiser)."""
     rankings = _rankings_by_keyword(scenario, bids, reserves)
-    w = scenario.weights
     total = 0.0
     for q in scenario.graph.queries:
         pq = scenario.p.mass(q)
@@ -195,11 +208,7 @@ def pbm_expected_welfare(scenario: Scenario, bids, reserves=_NO_RESERVE) -> floa
             mqs = scenario.pi.mass(q, s)
             if mqs <= 0.0:
                 continue
-            ranking = rankings[s]
-            contrib = sum(w.weight(k) * scenario.valuations.value(adv, q)
-                          for k, adv in enumerate(ranking.ranked)
-                          if w.weight(k) > 0.0)
-            total += pq * mqs * contrib
+            total += pq * mqs * _ranked_value(scenario, rankings[s], q)
     return total
 
 
@@ -207,14 +216,11 @@ def pbm_expected_revenue(scenario: Scenario, bids, reserves=_NO_RESERVE) -> floa
     """Exact expected revenue under per-keyword reserves: traffic-mass
     weighted sum of w_k * price_k over keyword rankings."""
     total = 0.0
-    w = scenario.weights
     for s in scenario.graph.keywords:
-        ranking = gsp_rank(_keyword_bids(bids, s), scenario.weights,
-                           reserve=reserves.get(s, 0.0), keyword=s)
-        per_click = sum(w.weight(k) * ranking.prices[k]
-                        for k in range(len(ranking.ranked)) if w.weight(k) > 0.0)
+        per_click = scenario.weights.click_sum(
+            _rank_keyword(scenario, bids, s, reserves).prices)
         if per_click > 0.0:
-            total += keyword_mass(scenario, s) * per_click
+            total += scenario.kw_masses[s] * per_click
     return total
 
 
@@ -245,17 +251,15 @@ def pbm_keyword_utility(scenario: Scenario, bids, advertiser, keyword,
     """The advertiser's utility from one keyword's auction: traffic
     mass times w_k * (keyword value - price).  Summing over keywords
     recovers pbm_utility exactly."""
-    ranking = gsp_rank(_keyword_bids(bids, keyword), scenario.weights,
-                       reserve=reserves.get(keyword, 0.0), keyword=keyword)
+    ranking = _rank_keyword(scenario, bids, keyword, reserves)
     k = ranking.position(advertiser)
     if k is None:
         return 0.0
     wk = scenario.weights.weight(k)
     if wk <= 0.0:
         return 0.0
-    mass = keyword_mass(scenario, keyword)
-    return mass * wk * (keyword_value(scenario, advertiser, keyword)
-                        - ranking.prices[k])
+    return scenario.kw_masses[keyword] * wk * (
+        scenario.kw_values[advertiser][keyword] - ranking.prices[k])
 
 
 def sbm_query_bid(bids, advertiser, query, graph) -> float:
@@ -278,21 +282,11 @@ def sbm_rank_query(scenario: Scenario, bids, query, tie="lex",
 def sbm_expected_welfare(scenario: Scenario, bids) -> float:
     """Expected welfare of the max-transform baseline: per-query GSP on
     transformed bids, crediting query values."""
-    w = scenario.weights
     total = 0.0
     for q in scenario.graph.queries:
         ranking = sbm_rank_query(scenario, bids, q)
-        contrib = sum(w.weight(k) * scenario.valuations.value(adv, q)
-                      for k, adv in enumerate(ranking.ranked)
-                      if w.weight(k) > 0.0)
-        total += scenario.p.mass(q) * contrib
+        total += scenario.p.mass(q) * _ranked_value(scenario, ranking, q)
     return total
-
-
-def revenue_with_reserve(scenario: Scenario, bids, reserves=_NO_RESERVE) -> float:
-    """Alias for the exact expected-revenue functional (kept for the
-    reserve-study call sites)."""
-    return pbm_expected_revenue(scenario, bids, reserves)
 
 
 def vcg_slot_payments(values, weights, reserve=0.0):
@@ -345,5 +339,5 @@ def vcg_with_reserve(scenario: Scenario, kw_values, reserves=_NO_RESERVE):
         if not winners:
             continue
         payments = vcg_slot_payments([v for v, _ in vals], w, r)
-        revenue += keyword_mass(scenario, s) * sum(payments)
+        revenue += scenario.kw_masses[s] * sum(payments)
     return allocation, revenue

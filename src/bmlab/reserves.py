@@ -334,6 +334,8 @@ class Empirical(ValueDistribution):
         arr = np.sort(np.asarray(samples, dtype=float))
         if arr.size == 0:
             raise ValidationError("empirical distribution needs at least one sample")
+        if not np.isfinite(arr).all():
+            raise ValidationError("empirical samples must be finite")
         self.samples = arr
 
     @property
@@ -585,35 +587,17 @@ def plateau_then_spike_density(eps, m_exp) -> PiecewiseDensity:
     return dist
 
 
-_BAYES_KEYS = {"queries", "keywords", "edges", "query_dist", "matching",
-               "slot_weights", "kappa", "value_dists"}
-
-
 def bayes_scenario_from_json(source):
     """Load a BayesScenario from a JSON file path or parsed dict.
 
     Same shape as the deterministic scenario format except `valuations`
     is replaced by `value_dists`: {advertiser: {query: {"family": ...,
-    "params": {...}}}}.
+    "params": {...}}}}.  It gets the same cross-checks.
     """
-    from .market import (BayesScenario, BipartiteGraph, MatchingPolicy,
-                         QueryDistribution, SlotWeights, _load_json_obj)
+    from .market import BayesScenario, _load_skeleton
 
-    obj = _load_json_obj(source, "bayes scenario")
-    unknown = set(obj) - _BAYES_KEYS
-    if unknown:
-        raise ValidationError(f"unknown bayes scenario key(s): {sorted(unknown)!r}")
-    missing = _BAYES_KEYS - set(obj)
-    if missing:
-        raise ValidationError(f"bayes scenario is missing key(s): {sorted(missing)!r}")
-    try:
-        graph = BipartiteGraph(obj["queries"], obj["keywords"],
-                               [tuple(e) for e in obj["edges"]])
-        p = QueryDistribution(obj["query_dist"])
-        pi = MatchingPolicy(obj["matching"])
-        weights = SlotWeights(obj["slot_weights"])
-        dists = {i: {q: dist_from_json(d) for q, d in row.items()}
-                 for i, row in obj["value_dists"].items()}
-    except (TypeError, AttributeError) as exc:
-        raise ValidationError(f"malformed bayes scenario field: {exc}") from exc
-    return BayesScenario(graph, p, pi, weights, obj["kappa"], dists)
+    def parse(table):
+        return {i: {q: dist_from_json(d) for q, d in row.items()}
+                for i, row in table.items()}
+
+    return BayesScenario(*_load_skeleton(source, "bayes scenario", "value_dists", parse))

@@ -192,6 +192,19 @@ def test_too_large_exit_code_reports_size(tmp_path, capsys):
     assert "profiles" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("query_dist", {"q1": 0.3, "q2": 0.2, "q3": 0.25, "q4": 0.15, "q5": 0.1}),
+    ("matching", {"q1": {"s1": 0.5, "s2": 0.5}, "q2": {"s1": 0.5, "s2": 0.5},
+                  "q3": {"s2": 0.25, "s3": 0.75}, "q4": {"s3": 1.0}}),
+])
+def test_revenue_rejects_inconsistent_bayes_scenario(tmp_path, key, value):
+    obj = json.loads(Path(BAYES_3X3).read_text())
+    obj[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert run("revenue", "--scenario", bad, "--samples", 10, "--out", tmp_path) == 2
+
+
 def test_parameter_range_exit_code(tmp_path, capsys):
     assert run("counterexample", "--eps1", "0.5", "--out", tmp_path) == 4
     assert "eps1" in capsys.readouterr().err

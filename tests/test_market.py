@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -240,3 +241,9 @@ def test_bayes_scenario_sampling_shapes():
     assert 0.0 <= draw["a1"]["q1"] <= 1.0
     sc = bs.to_scenario(draw)
     assert sc.kappa == 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_valuation_profile_rejects_non_finite(bad):
+    with pytest.raises(ValidationError, match="finite"):
+        ValuationProfile({"a1": {"q1": 2.0, "q2": bad}})

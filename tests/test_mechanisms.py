@@ -21,7 +21,6 @@ from bmlab.mechanisms import (
     pbm_keyword_utility,
     pbm_run_round,
     pbm_utility,
-    revenue_with_reserve,
     sbm_expected_welfare,
     sbm_query_bid,
     validate_bid_profile,
@@ -89,6 +88,17 @@ def test_gsp_price_never_exceeds_own_bid(bids, reserve):
         assert r.bids[k] >= reserve
         assert bids[adv] == r.bids[k]
     assert tuple(sorted(r.bids, reverse=True)) == r.bids
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_gsp_rank_rejects_non_finite_bids(bad):
+    with pytest.raises(ValidationError, match="finite"):
+        gsp_rank({"A": 5.0, "B": bad}, W1)
+
+
+def test_gsp_rank_rejects_nan_reserve():
+    with pytest.raises(ValidationError, match="reserve"):
+        gsp_rank({"A": 5.0}, W1, reserve=math.nan)
 
 
 # --------------------------------------------------------------- bid files
@@ -309,9 +319,9 @@ def test_revenue_examples():
     sc = single_keyword_scenario({"a1": 9.0, "a2": 9.0})
     bids = {"a1": {"s": 5.0}, "a2": {"s": 3.0}}
     mass = keyword_mass(sc, "s")
-    assert revenue_with_reserve(sc, bids) == pytest.approx(3.0 * mass)
-    assert revenue_with_reserve(sc, bids, {"s": 4.0}) == pytest.approx(4.0 * mass)
-    assert revenue_with_reserve(sc, bids, {"s": 6.0}) == 0.0
+    assert pbm_expected_revenue(sc, bids) == pytest.approx(3.0 * mass)
+    assert pbm_expected_revenue(sc, bids, {"s": 4.0}) == pytest.approx(4.0 * mass)
+    assert pbm_expected_revenue(sc, bids, {"s": 6.0}) == 0.0
 
 
 def test_revenue_below_welfare_single_slot_conservative():
@@ -319,7 +329,7 @@ def test_revenue_below_welfare_single_slot_conservative():
     for _ in range(40):
         sc = random_scenario(rng)          # single slot by default
         bids = random_bid_profile(rng, sc)  # conservative: b <= value
-        assert revenue_with_reserve(sc, bids) <= \
+        assert pbm_expected_revenue(sc, bids) <= \
             pbm_expected_welfare(sc, bids) + 1e-9
 
 

@@ -266,3 +266,37 @@ def test_dist_json_rejects_unknown():
         dist_from_json({"family": "pareto", "params": {}})
     with pytest.raises(ValidationError, match="unknown"):
         dist_from_json({"family": "uniform", "params": {"lo": 0, "hi": 1}, "x": 1})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_empirical_rejects_non_finite_samples(bad):
+    with pytest.raises(ValidationError, match="finite"):
+        Empirical([1.0, bad, 2.0])
+
+
+def _two_keyword_bayes_obj():
+    uniform = {"family": "uniform", "params": {"lo": 0.0, "hi": 1.0}}
+    return {
+        "queries": ["q1", "q2"], "keywords": ["s1", "s2"],
+        "edges": [["q1", "s1"], ["q2", "s2"]],
+        "query_dist": {"q1": 0.5, "q2": 0.5},
+        "matching": {"q1": {"s1": 1.0}, "q2": {"s2": 1.0}},
+        "slot_weights": [1.0], "kappa": 1,
+        "value_dists": {"a": {"q1": uniform, "q2": uniform}},
+    }
+
+
+@pytest.mark.parametrize("key, value", [
+    # traffic on a query the graph does not declare
+    ("query_dist", {"q1": 0.5, "q2": 0.25, "q3": 0.25}),
+    # q1 matched onto s2, which is not one of its neighbors
+    ("matching", {"q1": {"s1": 0.5, "s2": 0.5}, "q2": {"s2": 1.0}}),
+])
+def test_bayes_scenario_gets_the_scenario_cross_checks(key, value):
+    from bmlab.reserves import bayes_scenario_from_json
+
+    obj = _two_keyword_bayes_obj()
+    assert bayes_scenario_from_json(obj).kappa == 1
+    obj[key] = value
+    with pytest.raises(ValidationError):
+        bayes_scenario_from_json(obj)
