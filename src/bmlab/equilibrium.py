@@ -86,15 +86,17 @@ def _opponent_bids(bids, advertiser, keyword):
 
 def _slot_utility(own_bid, advertiser, opponents, weights, mass, value):
     """u_i^s for one bid against fixed positive opponent bids."""
-    if own_bid <= 0.0:
+    if own_bid <= 0.0 or weights.weight(0) <= 0.0:
         return 0.0
-    above = [outranks(b, j, own_bid, advertiser) for j, b in opponents]
-    wk = weights.weight(sum(above))
-    if wk <= 0.0:
-        return 0.0
-    price = max((b for (_, b), up in zip(opponents, above) if not up),
-                default=0.0)
-    return mass * wk * (value - price)
+    rank, price = 0, 0.0       # price: the highest bid ranked below own_bid
+    for j, b in opponents:
+        if outranks(b, j, own_bid, advertiser):
+            rank += 1
+            if weights.weight(rank) <= 0.0:      # weights never increase
+                return 0.0
+        elif b > price:
+            price = b
+    return mass * weights.weight(rank) * (value - price)
 
 
 def _select_keywords(menus, utility, kappa):

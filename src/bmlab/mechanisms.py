@@ -156,18 +156,12 @@ class AuctionOutcome:
 
 def _outcome(scenario, query, keyword, ranking) -> AuctionOutcome:
     w = scenario.weights
-    rows = tuple((k + 1, adv, ranking.prices[k], wk) for k, (adv, wk)
-                 in enumerate(zip(ranking.ranked, w.as_tuple())) if wk > 0.0)
+    rows = [(k + 1, adv, ranking.prices[k], wk) for k, (adv, wk)
+            in enumerate(zip(ranking.ranked, w.as_tuple())) if wk > 0.0]
+    values = [scenario.valuations.value(adv, query) for _, adv, _, _ in rows]
     return AuctionOutcome(query=query, sampled_keyword=keyword, ranking=ranking,
-                          assignments=rows,
-                          welfare=_ranked_value(scenario, ranking, query),
+                          assignments=tuple(rows), welfare=w.click_sum(values),
                           revenue=w.click_sum(ranking.prices))
-
-
-def _ranked_value(scenario, ranking, query) -> float:
-    """Click-weighted query value of a ranking's clicked positions."""
-    return scenario.weights.click_sum(scenario.valuations.value(adv, query)
-                                      for adv in ranking.ranked)
 
 
 def draw(rng, items, probs):
@@ -208,7 +202,8 @@ def pbm_expected_welfare(scenario: Scenario, bids, reserves=_NO_RESERVE) -> floa
             mqs = scenario.pi.mass(q, s)
             if mqs <= 0.0:
                 continue
-            total += pq * mqs * _ranked_value(scenario, rankings[s], q)
+            total += pq * mqs * scenario.weights.click_sum(
+                scenario.valuations.value(adv, q) for adv in rankings[s].ranked)
     return total
 
 
@@ -285,7 +280,8 @@ def sbm_expected_welfare(scenario: Scenario, bids) -> float:
     total = 0.0
     for q in scenario.graph.queries:
         ranking = sbm_rank_query(scenario, bids, q)
-        total += scenario.p.mass(q) * _ranked_value(scenario, ranking, q)
+        total += scenario.p.mass(q) * scenario.weights.click_sum(
+            scenario.valuations.value(adv, q) for adv in ranking.ranked)
     return total
 
 
