@@ -80,7 +80,8 @@ def positive_queries(keywords, query_pool, theta, sim=similarity) -> frozenset:
     if not 0.0 <= theta < 1.0:
         raise ValidationError(f"theta must lie in [0, 1), got {theta}")
     kws = tuple(keywords)
-    return frozenset(q for q in query_pool if any(sim(q, s) > theta for s in kws))
+    return frozenset(q for q in query_pool
+                     if any(sim(q, s) > theta for s in kws))
 
 
 @dataclass(frozen=True)
