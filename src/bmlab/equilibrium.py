@@ -15,6 +15,7 @@ joint profiles with broadcast numpy tensors, one axis per advertiser.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -23,8 +24,13 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import NotSingleSlot, TooLarge, ValidationError
-from .market import BayesScenario, Scenario
-from .mechanisms import outranks, pbm_expected_welfare
+from .market import BayesScenario, Scenario, keyword_value_tensor
+from .mechanisms import (
+    outranks,
+    pbm_expected_welfare,
+    require_finite_bid_tensor,
+    require_finite_profile,
+)
 
 _TRUTHFUL_TOL = 1e-9
 
@@ -80,6 +86,8 @@ def bid_menu(scenario: Scenario, grid: BidGrid, advertiser, keyword,
 # ----------------------------------------------------- per-keyword utility
 
 def _opponent_bids(bids, advertiser, keyword):
+    """Opponents' positive bids on a keyword as (j, bid); callers check
+    the profile for NaN and infinite bids first."""
     return [(j, row[keyword]) for j, row in bids.items()
             if j != advertiser and row.get(keyword, 0.0) > 0.0]
 
@@ -135,6 +143,7 @@ def best_response(scenario: Scenario, bids, advertiser, grid: BidGrid,
     if scenario.kappa > max_kappa:
         raise TooLarge(f"kappa = {scenario.kappa} exceeds the best-response "
                        f"cap {max_kappa}")
+    require_finite_profile(bids)
     values = scenario.kw_values[advertiser]
     opponents = {s: _opponent_bids(bids, advertiser, s) for s in pool}
     menus = {s: bid_menu(scenario, grid, advertiser, s, conservative, include_truthful)
@@ -406,14 +415,49 @@ def single_slot_dominant_profile(scenario: Scenario, chosen=None) -> dict:
 
 def truthful_keyword_strategy(bayes: BayesScenario) -> Callable:
     """Strategy mapping a realized type to truthful keyword-value bids
-    on the top-kappa positive keywords (by value)."""
+    on the top-kappa positive keywords (by value).  Its `bid_tensor`
+    attribute is the same strategy on a whole value tensor."""
 
     def strategy(advertiser, values_row):
         row = bayes.to_scenario({advertiser: values_row}).kw_values[advertiser]
         picks = _top_by_value(row, [s for s, v in row.items() if v > 0.0], bayes.kappa)
         return {s: row[s] for s in picks}
 
+    strategy.bid_tensor = functools.partial(truthful_bid_tensor, bayes)
     return strategy
+
+
+def truthful_bid_tensor(bayes: BayesScenario, values) -> np.ndarray:
+    """Truthful keyword bids for every profile of an (n, |A|, |Q|) value
+    tensor, as an (n, |A|, |S|) bid tensor: each advertiser bids its
+    keyword value on its top-kappa positive keywords and 0 elsewhere.  A
+    keyword's rank counts the keywords that outrank it on (value, name),
+    the order _top_by_value sorts by."""
+    kv = keyword_value_tensor(bayes, values)
+    by_name = {s: r for r, s in enumerate(sorted(bayes.graph.keywords))}
+    names = [by_name[s] for s in bayes.graph.keywords]
+    rank = np.stack([sum(outranks(kv[..., j], nj, kv[..., k], nk) for j, nj in enumerate(names))
+                     for k, nk in enumerate(names)], axis=-1)
+    return np.where((rank < bayes.kappa) & (kv > 0.0), kv, 0.0)
+
+
+def strategy_bid_tensor(bayes: BayesScenario, strategy: Callable, values) -> np.ndarray:
+    """The bids of `strategy` for every profile of an (n, |A|, |Q|) value
+    tensor, as an (n, |A|, |S|) tensor: the strategy's own `bid_tensor`
+    when it has one, else one call per profile and advertiser on the
+    profile's valuations_at view.  Bids on keywords outside the graph are
+    dropped, as the revenue functionals never read them."""
+    kernel = getattr(strategy, "bid_tensor", None)
+    if kernel is not None:
+        return kernel(values)
+    col = {s: k for k, s in enumerate(bayes.graph.keywords)}
+    bids = np.zeros(values.shape[:2] + (len(col),))
+    for t, profile in enumerate(values):
+        for a, (i, row) in enumerate(bayes.valuations_at(profile).items()):
+            for s, b in strategy(i, row).items():
+                if s in col:
+                    bids[t, a, col[s]] = b
+    return bids
 
 
 @dataclass(frozen=True)
@@ -435,28 +479,32 @@ def estimate_bne_regret(bayes: BayesScenario, strategy: Callable, n_types: int,
     {0, delta, ...} capped at the realized keyword value plus the exact
     truthful point, and the reported regret is the estimated gain of
     the best deviation over the strategy's own play, averaged over
-    types, with its standard error.
+    types, with its standard error.  Each advertiser's profiles come from
+    one sample_values call, a type's own profile followed by its
+    opponent profiles, and are bid through strategy_bid_tensor.
     """
     if n_types < 1:
         raise ValidationError("n_types must be >= 1")
     if not deviation_delta > 0.0:
         raise ValidationError("deviation_delta must be positive")
-    advertisers = bayes.advertisers
+    advertisers, keywords = bayes.advertisers, bayes.graph.keywords
+    rows = 1 + n_opponent_draws      # a type's own profile, then its opponents'
     out = {}
-    for i in advertisers:
+    for a, i in enumerate(advertisers):
+        draws = bayes.sample_values(rng, n_types * rows)
+        bids = strategy_bid_tensor(bayes, strategy, draws)
+        require_finite_bid_tensor(bayes, bids)
+        own_values = keyword_value_tensor(bayes, draws[::rows, a]).tolist()
         gaps = []
-        for _ in range(n_types):
-            own = bayes.sample_valuations(rng)[i]
-            opp_draws = []
-            for _ in range(n_opponent_draws):
-                sample = bayes.sample_valuations(rng)
-                opp_draws.append({j: strategy(j, sample[j])
-                                  for j in advertisers if j != i})
-            values = bayes.to_scenario({i: own}).kw_values[i]
-            played = strategy(i, own)
+        for t in range(n_types):
+            own_bids, *opp_bids = bids[t * rows:(t + 1) * rows].tolist()
+            values = dict(zip(keywords, own_values[t]))
+            played = dict(zip(keywords, own_bids[a]))
             grid = BidGrid(deviation_delta, values)
-            menus = {s: sorted({*grid.points(s), 0.0, v, played.get(s, 0.0)})
+            menus = {s: sorted({*grid.points(s), 0.0, v, played[s]})
                      for s, v in values.items()}
+            opp_draws = [dict(zip(advertisers, (dict(zip(keywords, row)) for row in draw)))
+                         for draw in opp_bids]
             opponents = {s: [_opponent_bids(opp, i, s) for opp in opp_draws]
                          for s in menus}
             seen = {}   # (keyword, bid) -> mean utility over the draws
@@ -472,7 +520,7 @@ def estimate_bne_regret(bayes: BayesScenario, strategy: Callable, n_types: int,
 
             ranked, kept = _select_keywords(menus, utility, bayes.kappa)
             best_total = sum(u for u, _, _ in kept)
-            played_total = sum(seen[s, played.get(s, 0.0)] for _, s, _ in ranked)
+            played_total = sum(seen[s, played[s]] for _, s, _ in ranked)
             gaps.append(max(0.0, best_total - played_total))
         arr = np.asarray(gaps)
         out[i] = RegretEstimate(mean=float(arr.mean()),

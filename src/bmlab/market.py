@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import (
     EmptyNeighborhood,
     MassNotOne,
@@ -238,27 +240,44 @@ class Scenario:
         weighted average of the advertiser's query values over the
         keyword's neighborhood.  Bidding above it is weakly dominated, so
         it is the natural conservative cap."""
-        table = {}
-        for i in self.advertisers:
-            row = {}
-            for s in self.graph.keywords:
-                num = 0.0
-                den = 0.0
-                for q in self.graph.keyword_neighbors(s):
-                    m = self.p.mass(q) * self.pi.mass(q, s)
-                    num += m * self.valuations.value(i, q)
-                    den += m
-                if den <= 0.0:
-                    raise ValidationError(f"keyword {s!r} has zero traffic mass")
-                row[s] = num / den
-            table[i] = row
-        return table
+        table = keyword_value_tensor(self, self.value_matrix).tolist()
+        return {i: dict(zip(self.graph.keywords, row))
+                for i, row in zip(self.advertisers, table)}
+
+    @cached_property
+    def value_matrix(self) -> np.ndarray:
+        """(|A|, |Q|) per-click values, advertisers sorted, queries in
+        graph order: one profile in the layout of sample_values."""
+        return np.array([[self.valuations.value(i, q) for q in self.graph.queries]
+                         for i in self.advertisers]).reshape(-1, len(self.graph.queries))
 
     @cached_property
     def kw_positive(self) -> dict:
         """{advertiser: keywords whose neighborhood meets its positive queries}."""
         return {i: frozenset(self.graph.keywords_meeting(self.valuations.positive_queries(i)))
                 for i in self.advertisers}
+
+
+def keyword_value_tensor(market, values) -> np.ndarray:
+    """Keyword values of a value array (..., |Q|) -> (..., |S|), queries
+    and keywords in graph order: for each keyword, num += m * v and
+    den += m over its neighbors q in order, m = P(q) * pi_q(s), then
+    num / den.  Elementwise, so every entry is the float the scalar loop
+    gives (a matrix product would reorder the sums)."""
+    graph = market.graph
+    col = {q: j for j, q in enumerate(graph.queries)}
+    out = np.empty(values.shape[:-1] + (len(graph.keywords),))
+    for k, s in enumerate(graph.keywords):
+        num = np.zeros(values.shape[:-1])
+        den = 0.0
+        for q in graph.keyword_neighbors(s):
+            m = market.p.mass(q) * market.pi.mass(q, s)
+            num += m * values[..., col[q]]
+            den += m
+        if den <= 0.0:
+            raise ValidationError(f"keyword {s!r} has zero traffic mass")
+        out[..., k] = num / den
+    return out
 
 
 def _check_skeleton(graph, p, pi, kappa, valued) -> int:
@@ -361,11 +380,17 @@ def positive_keywords(scenario: Scenario, advertiser) -> frozenset:
 def optimal_welfare(scenario: Scenario) -> float:
     """Welfare of the omniscient per-query allocation: for every query,
     the k-th slot goes to the k-th highest per-click value."""
-    total = 0.0
-    for q in scenario.graph.queries:
-        vals = sorted((scenario.valuations.value(i, q) for i in scenario.advertisers),
-                      reverse=True)
-        total += scenario.p.mass(q) * scenario.weights.click_sum(vals)
+    return float(optimal_welfare_batch(scenario, scenario.value_matrix[None])[0])
+
+
+def optimal_welfare_batch(market, values) -> np.ndarray:
+    """optimal_welfare of every profile in an (n, |A|, |Q|) value tensor:
+    per query, the values sorted high to low, click-weighted in slot
+    order, times P(q), summed over queries in graph order."""
+    ranked = np.sort(values, axis=1)[:, ::-1, :]
+    total = np.zeros(values.shape[0])
+    for j, q in enumerate(market.graph.queries):
+        total += market.p.mass(q) * market.weights.click_sum(ranked[:, :, j].T)
     return total
 
 
@@ -388,16 +413,38 @@ class BayesScenario:
                 if lo < 0.0:
                     raise ValidationError(
                         f"value distribution of {i!r} on {q!r} allows negative values")
+        col = {q: j for j, q in enumerate(graph.queries)}
+        # {advertiser: ((query, column), ...)} and the (advertiser index,
+        # column, distribution) pairs, both in value_dists order
+        self._rows = {i: tuple((q, col[q]) for q in row)
+                      for i, row in self.value_dists.items()}
+        self._pairs = tuple((a, col[q], row[q]) for a, (i, row)
+                            in enumerate(self.value_dists.items()) for q in row)
 
     def dist(self, advertiser, query):
         return self.value_dists[advertiser].get(query)
 
+    def sample_values(self, rng, n) -> np.ndarray:
+        """Draw n valuation profiles as an (n, |A|, |Q|) tensor (advertisers
+        sorted, queries in graph order, 0 where no distribution is given).
+        Each profile takes one uniform per (advertiser, query) pair, in
+        value_dists order, through the pair's quantile: the stream n
+        successive sample_valuations calls consume."""
+        u = rng.random((n, len(self._pairs)))
+        out = np.zeros((n, len(self.advertisers), len(self.graph.queries)))
+        for k, (a, j, dist) in enumerate(self._pairs):
+            out[:, a, j] = dist.quantile(u[:, k])
+        return out
+
+    def valuations_at(self, values) -> dict:
+        """One (|A|, |Q|) profile of sample_values as {advertiser: {query:
+        value}}, over the queries each advertiser has distributions for."""
+        return {i: {q: float(values[a, j]) for q, j in row}
+                for a, (i, row) in enumerate(self._rows.items())}
+
     def sample_valuations(self, rng) -> dict:
         """Draw one valuation profile; independent across (i, q)."""
-        out = {}
-        for i, row in self.value_dists.items():
-            out[i] = {q: float(dist.sample(rng, 1)[0]) for q, dist in row.items()}
-        return out
+        return self.valuations_at(self.sample_values(rng, 1)[0])
 
     def to_scenario(self, valuations: Mapping[str, Mapping[str, float]]) -> Scenario:
         """Bind sampled values into a Scenario (no positivity cross-check:

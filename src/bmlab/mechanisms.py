@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from .errors import ValidationError
 from .market import Scenario
 
@@ -103,11 +105,10 @@ def gsp_rank(bids: Mapping[str, float], weights, reserve=0.0, keyword=None,
     lexicographically smaller advertiser id, or uniformly at random
     with tie="random" and an explicit rng.
     """
-    if not reserve >= 0.0:
-        raise ValidationError(f"reserve must be >= 0, got {reserve}")
+    _check_reserve(reserve)
     if not all(map(math.isfinite, bids.values())):
         bad = next(adv for adv, b in bids.items() if not math.isfinite(b))
-        raise ValidationError(f"bid of {bad!r} must be finite, got {bids[bad]}")
+        raise _non_finite_bid(bad, bids[bad])
     entrants = [(adv, float(b)) for adv, b in bids.items()
                 if b > 0.0 and b >= reserve]
     if tie == "lex":
@@ -128,6 +129,33 @@ def gsp_rank(bids: Mapping[str, float], weights, reserve=0.0, keyword=None,
     return KeywordRanking(keyword=keyword, ranked=ranked, bids=bvals, prices=prices)
 
 
+def _check_reserve(reserve):
+    if not reserve >= 0.0:
+        raise ValidationError(f"reserve must be >= 0, got {reserve}")
+
+
+def _non_finite_bid(advertiser, bid):
+    return ValidationError(f"bid of {advertiser!r} must be finite, got {bid}")
+
+
+def require_finite_profile(bids):
+    """Reject a profile {advertiser: {keyword: bid}} holding a NaN or
+    infinite bid, with gsp_rank's message."""
+    for adv, row in bids.items():
+        if not all(map(math.isfinite, row.values())):
+            raise _non_finite_bid(adv, next(b for b in row.values() if not math.isfinite(b)))
+
+
+def require_finite_bid_tensor(market, bids):
+    """The same check on an (n, |A|, |S|) bid tensor, naming the first
+    non-finite bid by profile, then keyword, then advertiser: the one
+    gsp_rank would meet first pricing the profiles in order."""
+    bad = ~np.isfinite(bids)
+    if bad.any():
+        t, k, a = np.argwhere(bad.transpose(0, 2, 1))[0]
+        raise _non_finite_bid(market.advertisers[a], float(bids[t, a, k]))
+
+
 def outranks(b_j, j, b_i, i):
     """The lex GSP order: j (bid b_j) ranks above i (bid b_i) on a higher
     bid, or an equal bid and smaller id.  Scalars or numpy arrays."""
@@ -135,8 +163,9 @@ def outranks(b_j, j, b_i, i):
 
 
 def _keyword_bids(bids, s):
-    """Column of the sparse profile: advertiser -> bid on keyword s."""
-    return {adv: row[s] for adv, row in bids.items() if row.get(s, 0.0) > 0.0}
+    """Column of the sparse profile: advertiser -> nonzero bid on keyword s
+    (NaN included, so that gsp_rank rejects it)."""
+    return {adv: row[s] for adv, row in bids.items() if row.get(s, 0.0) != 0.0}
 
 
 @dataclass(frozen=True)
@@ -216,6 +245,35 @@ def pbm_expected_revenue(scenario: Scenario, bids, reserves=_NO_RESERVE) -> floa
             _rank_keyword(scenario, bids, s, reserves).prices)
         if per_click > 0.0:
             total += scenario.kw_masses[s] * per_click
+    return total
+
+
+def pbm_expected_revenue_batch(market, bids, reserves=_NO_RESERVE) -> np.ndarray:
+    """pbm_expected_revenue of every profile in an (n, |A|, |S|) bid tensor
+    (advertisers sorted, keywords in graph order), with the same sums in
+    the same order.  Per keyword: entrants bid > 0 and >= the reserve; a
+    stable sort on -bid ranks them, so equal bids keep advertiser index
+    order, which is the lex order of `outranks`; the price at a position
+    is max(reserve, next bid), or the reserve for the last entrant."""
+    n, n_adv, _ = bids.shape
+    keywords = market.graph.keywords
+    for s in keywords:
+        _check_reserve(reserves.get(s, 0.0))
+    require_finite_bid_tensor(market, bids)
+    total = np.zeros(n)
+    for k, s in enumerate(keywords):
+        r = reserves.get(s, 0.0)
+        col = bids[:, :, k]
+        enters = (col > 0.0) & (col >= r)
+        order = np.argsort(np.where(enters, -col, np.inf), axis=1, kind="stable")
+        ranked = np.take_along_axis(col, order, axis=1)
+        count = enters.sum(axis=1)
+        # price by position: the next entrant's bid (at least r, so it is
+        # max(r, next bid)), r for the last entrant, 0 past the entrants
+        prices = (np.where(pos + 1 < count, ranked[:, min(pos + 1, n_adv - 1)],
+                           np.where(pos < count, r, 0.0)) for pos in range(n_adv))
+        per_click = market.weights.click_sum(prices)
+        total += np.where(per_click > 0.0, market.kw_masses[s] * per_click, 0.0)
     return total
 
 

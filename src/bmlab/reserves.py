@@ -305,17 +305,25 @@ class PiecewiseDensity(ValueDistribution):
         u = np.atleast_1d(np.clip(u, 0.0, 1.0))
         pidx = np.clip(np.searchsorted(self._cum, u, side="right") - 1, 0,
                        len(self.pieces) - 1)
-        lo = np.array([self.pieces[i].lo for i in pidx])
-        hi = np.array([self.pieces[i].hi for i in pidx])
-        # vectorized bisection on the cdf inside each piece
+        # elements sorted by piece, so that each piece's cdf is one array call
+        order = np.argsort(pidx, kind="stable")
+        pidx, u = pidx[order], u[order]
+        starts = np.searchsorted(pidx, np.arange(len(self.pieces) + 1))
+        groups = [(slice(a, b), self._cum[k], piece) for k, (piece, a, b)
+                  in enumerate(zip(self.pieces, starts, starts[1:])) if b > a]
+        lo = np.array([p.lo for p in self.pieces])[pidx]
+        hi = np.array([p.hi for p in self.pieces])[pidx]
+        cm = np.empty_like(u)
+        # bisection on the cdf inside each piece
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            cm = np.array([self._cum[i] + self.pieces[i].mass_to(m)
-                           for m, i in zip(mid, pidx)])
+            for sl, base, piece in groups:
+                cm[sl] = base + piece.mass_to(mid[sl])
             go_right = cm < u
             lo = np.where(go_right, mid, lo)
             hi = np.where(go_right, hi, mid)
-        out = 0.5 * (lo + hi)
+        out = np.empty_like(u)
+        out[order] = 0.5 * (lo + hi)
         return float(out[0]) if scalar else out
 
     def to_json(self):
@@ -357,8 +365,9 @@ class Empirical(ValueDistribution):
         out = self.samples[idx]
         return out if out.ndim else float(out)
 
-    def sample(self, rng, size):
-        return rng.choice(self.samples, size=size, replace=True)
+    # draws through quantile like every family; the class keeps its own
+    # entry because perfbench/spans.py times Empirical.sample by name
+    sample = ValueDistribution.sample
 
     def to_json(self):
         return {"family": "empirical", "params": {"samples": self.samples.tolist()}}

@@ -238,3 +238,55 @@ def canonical_profiles(profiles):
                      for i, row in p.items()))
         for p in profiles
     }
+
+
+def per_sample_revenue_welfare_stats(bayes, strategy, reserves, n_samples, rng):
+    """Oracle: the one-profile-at-a-time Monte-Carlo revenue loop that the
+    batched analysis.revenue_welfare_stats replaces, kept verbatim."""
+    from bmlab.analysis import RevenueStats
+    from bmlab.market import optimal_welfare
+    from bmlab.mechanisms import pbm_expected_revenue
+
+    revs = np.empty(n_samples)
+    opts = np.empty(n_samples)
+    revs0 = np.empty(n_samples)
+    for t in range(n_samples):
+        vals = bayes.sample_valuations(rng)
+        sc = bayes.to_scenario(vals)
+        bids = {i: strategy(i, vals[i]) for i in bayes.advertisers}
+        revs[t] = pbm_expected_revenue(sc, bids, reserves)
+        revs0[t] = pbm_expected_revenue(sc, bids)
+        opts[t] = optimal_welfare(sc)
+    return RevenueStats(
+        revenue=float(revs.mean()),
+        revenue_se=float(revs.std(ddof=1) / math.sqrt(n_samples)),
+        optimal=float(opts.mean()),
+        optimal_se=float(opts.std(ddof=1) / math.sqrt(n_samples)),
+        zero_reserve_revenue=float(revs0.mean()),
+        n_samples=n_samples,
+    )
+
+
+def per_draw_valuations(bayes, rng):
+    """Oracle: one valuation profile drawn one (advertiser, query) pair at
+    a time through each distribution's own sample method."""
+    return {i: {q: float(dist.sample(rng, 1)[0]) for q, dist in row.items()}
+            for i, row in bayes.value_dists.items()}
+
+
+def scalar_piecewise_quantile(dist, u):
+    """Oracle: PiecewiseDensity quantile by 80 bisection steps with one
+    scalar cdf evaluation per element and step."""
+    u = np.atleast_1d(np.clip(np.asarray(u, dtype=float), 0.0, 1.0))
+    pidx = np.clip(np.searchsorted(dist._cum, u, side="right") - 1, 0,
+                   len(dist.pieces) - 1)
+    lo = np.array([dist.pieces[i].lo for i in pidx])
+    hi = np.array([dist.pieces[i].hi for i in pidx])
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        cm = np.array([dist._cum[i] + dist.pieces[i].mass_to(m)
+                       for m, i in zip(mid, pidx)])
+        go_right = cm < u
+        lo = np.where(go_right, mid, lo)
+        hi = np.where(go_right, hi, mid)
+    return 0.5 * (lo + hi)

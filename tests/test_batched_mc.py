@@ -1,0 +1,320 @@
+"""The batched Monte-Carlo path against its one-profile-at-a-time oracles:
+value tensors, the piecewise quantile, the truthful-bid and GSP revenue
+kernels, and the estimators built on them."""
+
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bmlab.analysis import _MC_CHUNK, revenue_welfare_stats
+from bmlab.equilibrium import (
+    estimate_bne_regret,
+    strategy_bid_tensor,
+    truthful_keyword_strategy,
+)
+from bmlab.errors import ValidationError
+from bmlab.market import (
+    BayesScenario,
+    BipartiteGraph,
+    MatchingPolicy,
+    QueryDistribution,
+    SlotWeights,
+)
+from bmlab.mechanisms import gsp_rank, pbm_expected_revenue_batch
+from bmlab.reserves import (
+    Empirical,
+    Exponential,
+    Piece,
+    PiecewiseDensity,
+    PointMass,
+    TruncatedExponential,
+    Uniform,
+    plateau_then_spike_density,
+    bayes_scenario_from_json,
+    ramp_then_plateau_density,
+)
+
+from helpers import (
+    per_draw_valuations,
+    per_sample_revenue_welfare_stats,
+    scalar_piecewise_quantile,
+)
+
+DATA = Path(__file__).parent / "data"
+FAMILIES = ("uniform", "exponential", "truncated_exponential", "piecewise",
+            "empirical", "point", "missing")
+
+
+def random_piecewise(rng) -> PiecewiseDensity:
+    """Contiguous random pieces scaled to total mass 1."""
+    n = int(rng.integers(1, 5))
+    breaks = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 3.0, n))])
+    raw = [dict(const=float(rng.uniform(0.05, 1.0)),
+                slope=float(rng.uniform(0.0, 1.0)) * (rng.random() < 0.5),
+                ramp=float(rng.uniform(0.0, 2.0)) * (rng.random() < 0.6),
+                power=float(rng.uniform(1.0, 8.0))) for _ in range(n)]
+    total = math.fsum(Piece(float(lo), float(hi), **c).mass
+                      for lo, hi, c in zip(breaks, breaks[1:], raw))
+    return PiecewiseDensity([
+        Piece(float(lo), float(hi), const=c["const"] / total, slope=c["slope"] / total,
+              ramp=c["ramp"] / total, power=c["power"])
+        for lo, hi, c in zip(breaks, breaks[1:], raw)])
+
+
+def random_dist(rng, family):
+    if family == "uniform":
+        lo = float(rng.choice([0.0, 0.5, 1.0]))
+        return Uniform(lo, lo + float(rng.uniform(0.5, 4.0)))
+    if family == "exponential":
+        return Exponential(float(rng.uniform(0.2, 2.0)))
+    if family == "truncated_exponential":
+        return TruncatedExponential(float(rng.uniform(0.2, 2.0)), float(rng.uniform(1.0, 5.0)))
+    if family == "piecewise":
+        return (ramp_then_plateau_density(float(rng.uniform(0.01, 0.4)))
+                if rng.random() < 0.3 else random_piecewise(rng))
+    if family == "empirical":
+        # few distinct values, so that equal bids are common
+        return Empirical(rng.choice([0.0, 0.5, 1.0, 2.0], size=int(rng.integers(1, 6))))
+    if family == "point":
+        return PointMass(float(rng.choice([0.0, 1.0, 2.0])))
+    return None
+
+
+def random_bayes(rng) -> BayesScenario:
+    """Small random Bayes scenario: every family, missing distributions
+    (value 0), point-mass ties, trailing zero slot weights, kappa < |S|."""
+    n_q, n_s, n_a = (int(rng.integers(1, 4)), int(rng.integers(1, 4)),
+                     int(rng.integers(1, 5)))
+    queries = [f"q{j}" for j in range(n_q)]
+    keywords = [f"s{j}" for j in range(n_s)][::-1]   # declared order != name order
+    edges = {(q, keywords[int(rng.integers(n_s))]) for q in queries}
+    edges |= {(queries[int(rng.integers(n_q))], s) for s in keywords}
+    edges |= {(q, s) for q in queries for s in keywords if rng.random() < 0.3}
+    graph = BipartiteGraph(queries, keywords, sorted(edges))
+    p_raw = rng.uniform(0.2, 1.0, n_q)
+    pi = {}
+    for q in queries:
+        nbrs = graph.query_neighbors(q)
+        raw = rng.uniform(0.2, 1.0, len(nbrs))
+        pi[q] = {s: float(x / raw.sum()) for s, x in zip(nbrs, raw)}
+    weights = sorted(rng.choice([1.0, 0.7, 0.4, 0.0], size=int(rng.integers(1, 4))),
+                     reverse=True)
+    dists = {}
+    for a in range(n_a):
+        row = {}
+        for q in rng.permutation(queries):      # value_dists order != graph order
+            dist = random_dist(rng, FAMILIES[int(rng.integers(len(FAMILIES)))])
+            if dist is not None:
+                row[str(q)] = dist
+        dists[f"a{a}"] = row
+    return BayesScenario(graph, QueryDistribution(dict(zip(queries, p_raw / p_raw.sum()))),
+                         MatchingPolicy(pi), SlotWeights(weights),
+                         int(rng.integers(1, n_s + 1)), dists)
+
+
+def random_reserves(rng, bayes) -> dict:
+    """Reserves absent, zero, below, at (1.0 and 2.0 are point and
+    empirical values) and above typical draws."""
+    out = {}
+    for s in bayes.graph.keywords:
+        r = rng.choice([-1.0, 0.0, 0.3, 1.0, 2.0, 6.0])
+        if r >= 0.0:
+            out[s] = float(r)
+    return out
+
+
+def untagged(strategy):
+    """The same strategy without its bid kernel, so that the estimator
+    fills the bid tensor one strategy call at a time."""
+    return lambda advertiser, values_row: strategy(advertiser, values_row)
+
+
+# ---------------------------------------------------------- value tensors
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 20))
+def test_sample_values_is_the_per_draw_stream(seed, n):
+    bayes = random_bayes(np.random.default_rng(seed))
+    rng, twin = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    values = bayes.sample_values(rng, n)
+    assert values.shape == (n, len(bayes.advertisers), len(bayes.graph.queries))
+    for t in range(n):
+        assert bayes.valuations_at(values[t]) == per_draw_valuations(bayes, twin)
+    assert rng.random() == twin.random()
+    # pairs without a distribution are zero
+    for a, i in enumerate(bayes.advertisers):
+        for j, q in enumerate(bayes.graph.queries):
+            if bayes.dist(i, q) is None:
+                assert not values[:, a, j].any()
+
+
+def test_sample_valuations_is_one_row_of_sample_values():
+    bayes = random_bayes(np.random.default_rng(3))
+    rng, twin = np.random.default_rng(9), np.random.default_rng(9)
+    rows = bayes.sample_values(twin, 5)
+    for t in range(5):
+        assert bayes.sample_valuations(rng) == bayes.valuations_at(rows[t])
+
+
+def test_empirical_draws_through_its_quantile():
+    dist = Empirical([3.0, 1.0, 2.0, 2.0])
+    rng, twin = np.random.default_rng(4), np.random.default_rng(4)
+    draws = dist.sample(rng, 1000)
+    assert np.array_equal(draws, dist.quantile(twin.random(1000)))
+    assert set(draws.tolist()) == {1.0, 2.0, 3.0}
+
+
+# ------------------------------------------------------ piecewise quantile
+
+
+def _check_quantile(dist, u, rel=4e-16):
+    fast = dist.quantile(u)
+    slow = scalar_piecewise_quantile(dist, u)
+    # numpy's array pow may differ from libm's scalar pow by one ulp, which
+    # can flip a late bisection step: the quantiles then differ by at most
+    # two ulps (0.07 % of 300 000 random-piece quantiles moved, none more)
+    gap = np.abs(fast - slow)
+    assert (gap <= 2.0 * np.spacing(np.abs(slow))).all()
+    if rel is not None:
+        assert (gap <= rel * np.abs(slow)).all()
+    # the cdf at the quantile is u, up to the cdf's rise over the two
+    # floats around x (near-vertical on the spike density's top piece)
+    for x, ui in zip(fast, u):
+        step = 2.0 * max(dist.pdf(x), dist.pdf(x - np.spacing(x))) * np.spacing(x)
+        assert abs(dist.cdf(x) - ui) <= 1e-12 + step
+
+
+@pytest.mark.parametrize("eps1", [0.05, 0.0595, 0.01, 0.002])
+def test_piecewise_quantile_on_the_counterexample_densities(eps1):
+    u = np.random.default_rng(1).random(600)
+    _check_quantile(ramp_then_plateau_density(eps1), u)
+    _check_quantile(plateau_then_spike_density(eps1 * eps1 / 12.5, 11), u)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_piecewise_quantile_on_random_pieces(seed):
+    rng = np.random.default_rng(seed)
+    dist = random_piecewise(rng)
+    u = np.concatenate([rng.random(100), [0.0, 1.0], dist._cum])
+    # two ulps is 4.4e-16 relative at the bottom of a binade
+    _check_quantile(dist, np.clip(u, 0.0, 1.0), rel=None)
+
+
+def test_piecewise_quantile_keeps_scalars_and_order():
+    dist = ramp_then_plateau_density(0.05)
+    u = np.array([0.9, 0.01, 0.5, 0.01])
+    out = dist.quantile(u)
+    assert [dist.quantile(x) for x in u] == out.tolist()
+    assert isinstance(dist.quantile(0.3), float)
+
+
+# ------------------------------------------------------------ MC revenue
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30))
+def test_batched_revenue_stats_equal_the_per_sample_loop(seed, n):
+    rng = np.random.default_rng(seed)
+    bayes = random_bayes(rng)
+    reserves = random_reserves(rng, bayes)
+    truthful = truthful_keyword_strategy(bayes)
+    for strategy in (truthful, untagged(truthful)):
+        got = revenue_welfare_stats(bayes, strategy, reserves, n,
+                                    np.random.default_rng(seed + 1))
+        want = per_sample_revenue_welfare_stats(bayes, strategy, reserves, n,
+                                                np.random.default_rng(seed + 1))
+        assert got == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_batched_revenue_stats_equal_the_loop_for_any_strategy(seed):
+    rng = np.random.default_rng(seed)
+    bayes = random_bayes(rng)
+    reserves = random_reserves(rng, bayes)
+    truthful = truthful_keyword_strategy(bayes)
+
+    def shaded(advertiser, values_row):
+        # every positive keyword at half its value, ignoring kappa, plus a
+        # bid on a keyword outside the graph that pricing never reads
+        row = {s: 0.5 * b for s, b in truthful(advertiser, values_row).items()}
+        row["elsewhere"] = 1.0
+        return row
+
+    got = revenue_welfare_stats(bayes, shaded, reserves, 12, np.random.default_rng(seed))
+    want = per_sample_revenue_welfare_stats(bayes, shaded, reserves, 12,
+                                            np.random.default_rng(seed))
+    assert got == want
+
+
+def test_batched_revenue_stats_across_chunks():
+    bayes = bayes_scenario_from_json(DATA / "bayes_3x3.json")
+    reserves = {"s1": 1.0, "s2": 0.6, "s3": 0.45}
+    n = _MC_CHUNK + 37
+    strategy = truthful_keyword_strategy(bayes)
+    got = revenue_welfare_stats(bayes, strategy, reserves, n, np.random.default_rng(5))
+    want = per_sample_revenue_welfare_stats(bayes, strategy, reserves, n,
+                                            np.random.default_rng(5))
+    assert got == want
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_revenue_kernel_rejects_non_finite_bids_like_gsp_rank(bad):
+    bayes = random_bayes(np.random.default_rng(2))
+    bids = np.ones((4, len(bayes.advertisers), len(bayes.graph.keywords)))
+    bids[2, -1, -1] = bad
+    bids[3, 0, 0] = bad
+    with pytest.raises(ValidationError) as expected:
+        gsp_rank({bayes.advertisers[-1]: bad}, bayes.weights)
+    with pytest.raises(ValidationError) as got:
+        pbm_expected_revenue_batch(bayes, bids)
+    assert str(got.value) == str(expected.value)
+
+
+def test_revenue_kernel_rejects_a_negative_reserve():
+    bayes = random_bayes(np.random.default_rng(2))
+    bids = np.ones((2, len(bayes.advertisers), len(bayes.graph.keywords)))
+    with pytest.raises(ValidationError, match="reserve"):
+        pbm_expected_revenue_batch(bayes, bids, {bayes.graph.keywords[0]: -1.0})
+
+
+def test_strategy_bid_tensor_uses_the_truthful_kernel():
+    bayes = random_bayes(np.random.default_rng(8))
+    values = bayes.sample_values(np.random.default_rng(1), 50)
+    truthful = truthful_keyword_strategy(bayes)
+    kernel = strategy_bid_tensor(bayes, truthful, values)
+    rows = strategy_bid_tensor(bayes, untagged(truthful), values)
+    assert np.array_equal(kernel, rows)
+    assert ((kernel > 0.0).sum(axis=2) <= bayes.kappa).all()
+
+
+# ------------------------------------------------------------- BNE regret
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_bne_regret_is_the_same_with_and_without_the_kernel(seed):
+    bayes = random_bayes(np.random.default_rng(seed))
+    truthful = truthful_keyword_strategy(bayes)
+    got = estimate_bne_regret(bayes, truthful, 3, 0.5, np.random.default_rng(seed),
+                              n_opponent_draws=3)
+    want = estimate_bne_regret(bayes, untagged(truthful), 3, 0.5,
+                               np.random.default_rng(seed), n_opponent_draws=3)
+    assert got == want
+
+
+def test_bne_regret_rejects_a_strategy_that_bids_nan():
+    bayes = bayes_scenario_from_json(DATA / "bayes_3x3.json")
+
+    def broken(advertiser, values_row):
+        return {"s2": math.nan} if advertiser == "b" else {}
+
+    with pytest.raises(ValidationError, match=r"bid of 'b' must be finite, got nan"):
+        estimate_bne_regret(bayes, broken, 2, 0.5, np.random.default_rng(0),
+                            n_opponent_draws=2)

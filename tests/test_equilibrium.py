@@ -110,6 +110,20 @@ def test_best_response_guards():
         best_response(sc, {}, "a1", grid, max_kappa=1)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_best_response_rejects_non_finite_opponent_bid(bad):
+    sc = five_three()
+    grid = make_grid(sc, delta=1.0)
+    with pytest.raises(ValidationError, match=r"bid of 'b' must be finite"):
+        best_response(sc, {"a": {}, "b": {"s": bad}}, "a", grid)
+
+
+def test_verify_rejects_non_finite_own_bid():
+    sc = single_keyword_scenario({"a": 5.0})
+    with pytest.raises(ValidationError, match=r"bid of 'a' must be finite"):
+        verify_epsilon_nash(sc, {"a": {"s": float("nan")}}, make_grid(sc, delta=1.0))
+
+
 def test_best_response_matches_joint_oracle():
     """Separable search equals full joint enumeration (acceptance-grade
     oracle equivalence at small scale)."""

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from bmlab.market import (
     keyword_value,
     keyword_values,
     optimal_welfare,
+    scenario_from_json,
 )
 from bmlab.mechanisms import (
     gsp_rank,
@@ -38,6 +40,7 @@ from helpers import (
 )
 
 W1 = SlotWeights([1.0])
+DATA = Path(__file__).parent / "data"
 
 
 # ---------------------------------------------------------------- gsp_rank
@@ -99,6 +102,30 @@ def test_gsp_rank_rejects_non_finite_bids(bad):
 def test_gsp_rank_rejects_nan_reserve():
     with pytest.raises(ValidationError, match="reserve"):
         gsp_rank({"A": 5.0}, W1, reserve=math.nan)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("functional", [pbm_expected_revenue, pbm_expected_welfare])
+def test_exact_functionals_reject_non_finite_library_bids(functional, bad):
+    # library callers skip load_bid_profile: the bid must still reach
+    # gsp_rank's check instead of being dropped as a non-positive bid
+    sc = scenario_from_json(DATA / "scenario_2x2.json")
+    with pytest.raises(ValidationError, match=r"bid of 'a' must be finite"):
+        functional(sc, {"a": {"s1": bad}, "b": {"s1": 2.0}})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_pbm_utility_rejects_non_finite_library_bids(bad):
+    sc = scenario_from_json(DATA / "scenario_2x2.json")
+    with pytest.raises(ValidationError, match="finite"):
+        pbm_utility(sc, {"a": {"s2": 1.0}, "b": {"s2": bad}}, "a")
+
+
+def test_keyword_bids_keep_zero_and_negative_bids_out_of_the_ranking():
+    sc = scenario_from_json(DATA / "scenario_2x2.json")
+    bids = {"a": {"s1": 2.0, "s2": 0.0}, "b": {"s1": -1.0}}
+    assert pbm_expected_revenue(sc, bids) == 0.0
+    assert pbm_expected_welfare(sc, bids) == pytest.approx(0.6 * 0.5 * 5.0)
 
 
 # --------------------------------------------------------------- bid files
