@@ -85,11 +85,17 @@ def bid_menu(scenario: Scenario, grid: BidGrid, advertiser, keyword,
 
 # ----------------------------------------------------- per-keyword utility
 
-def _opponent_bids(bids, advertiser, keyword):
-    """Opponents' positive bids on a keyword as (j, bid); callers check
-    the profile for NaN and infinite bids first."""
-    return [(j, row[keyword]) for j, row in bids.items()
-            if j != advertiser and row.get(keyword, 0.0) > 0.0]
+def _opponent_bids(bids, advertiser, keywords):
+    """{keyword: [(j, bid), ...]}: the opponents' positive bids on each of
+    the keywords, in profile order, from one pass over the profile.
+    Callers check the profile for NaN and infinite bids first."""
+    out = {s: [] for s in keywords}
+    for j, row in bids.items():
+        if j != advertiser:
+            for s, b in row.items():
+                if b > 0.0 and s in out:
+                    out[s].append((j, b))
+    return out
 
 
 def _slot_utility(own_bid, advertiser, opponents, weights, mass, value):
@@ -143,9 +149,9 @@ def best_response(scenario: Scenario, bids, advertiser, grid: BidGrid,
     if scenario.kappa > max_kappa:
         raise TooLarge(f"kappa = {scenario.kappa} exceeds the best-response "
                        f"cap {max_kappa}")
-    require_finite_profile(bids)
+    require_finite_profile(bids)      # a NaN bid would silently never outrank
     values = scenario.kw_values[advertiser]
-    opponents = {s: _opponent_bids(bids, advertiser, s) for s in pool}
+    opponents = _opponent_bids(bids, advertiser, pool)
     menus = {s: bid_menu(scenario, grid, advertiser, s, conservative, include_truthful)
              for s in pool}
     _, kept = _select_keywords(menus, lambda s, b: _slot_utility(
@@ -156,14 +162,15 @@ def best_response(scenario: Scenario, bids, advertiser, grid: BidGrid,
 
 def _profile_utility(scenario, bids, advertiser):
     """Current utility via the same per-keyword evaluation used by the
-    search (exact, but cheaper than the integral form)."""
+    search (exact, but cheaper than the integral form).  The profile is
+    the one best_response has just checked."""
     total = 0.0
     row = bids.get(advertiser, {})
+    opponents = _opponent_bids(bids, advertiser, row)
     for s, b in row.items():
         if b <= 0.0:
             continue
-        total += _slot_utility(b, advertiser,
-                               _opponent_bids(bids, advertiser, s),
+        total += _slot_utility(b, advertiser, opponents[s],
                                scenario.weights, scenario.kw_masses[s],
                                scenario.kw_values[advertiser][s])
     return total
@@ -505,8 +512,8 @@ def estimate_bne_regret(bayes: BayesScenario, strategy: Callable, n_types: int,
                      for s, v in values.items()}
             opp_draws = [dict(zip(advertisers, (dict(zip(keywords, row)) for row in draw)))
                          for draw in opp_bids]
-            opponents = {s: [_opponent_bids(opp, i, s) for opp in opp_draws]
-                         for s in menus}
+            by_draw = [_opponent_bids(opp, i, menus) for opp in opp_draws]
+            opponents = {s: [opp[s] for opp in by_draw] for s in menus}
             seen = {}   # (keyword, bid) -> mean utility over the draws
 
             def utility(s, b):
