@@ -10,8 +10,12 @@ default); off-grid deviations are covered by the continuity slack
 Utilities are separable across keywords (u_i = sum_s u_i^s), which the
 best-response search exploits: each keyword is optimized independently
 and the top-kappa keywords by achieved utility are kept.  The pure-Nash
-enumerator builds per-advertiser strategy arrays and evaluates all
-joint profiles with broadcast numpy tensors, one axis per advertiser.
+enumerator builds per-advertiser strategy arrays and scans the joint
+grid (one axis per advertiser) in bounded chunks of advertiser 0's rows,
+in two passes: the first finds advertiser 0's best responses, the second
+every other advertiser's and the stable profiles.  No array spans the
+whole grid, so its memory stays about one chunk's plus one entry per
+opponent profile however large the grid grows.
 """
 from __future__ import annotations
 
@@ -279,16 +283,66 @@ def strategy_rows(scenario, grid, advertiser, conservative=False,
     return pool, rows
 
 
-def estimate_joint_size(scenario, grid, conservative=False,
-                        include_truthful=True) -> int:
-    """Exact number of joint grid profiles the enumerator would scan."""
-    joint = 1
+def _row_counts(scenario, grid, conservative, include_truthful) -> list:
+    """Number of strategy rows of each advertiser, in advertiser order."""
+    counts = []
     for i in scenario.advertisers:
         pool = sorted(scenario.kw_positive[i])
         sizes = [len(bid_menu(scenario, grid, i, s, conservative,
                               include_truthful)) - 1 for s in pool]
-        joint *= _count_rows(sizes, scenario.kappa)
-    return joint
+        counts.append(_count_rows(sizes, scenario.kappa))
+    return counts
+
+
+def estimate_joint_size(scenario, grid, conservative=False,
+                        include_truthful=True) -> int:
+    """Exact number of joint grid profiles the enumerator would scan."""
+    return math.prod(_row_counts(scenario, grid, conservative, include_truthful))
+
+
+# Joint profiles per chunk of the enumerator's scan.  A chunk is a run of
+# advertiser 0's rows (axis 0) crossed with every opponent row, so it
+# holds one row at least, however many profiles that row has.
+_CHUNK_PROFILES = 1 << 16
+# Bytes per chunk profile beyond the n float64 utility accumulators: a
+# keyword's utilities spread along the last axis and gathered onto the
+# chunk, the Nash mask and its comparisons, and, when a keyword's grid of
+# distinct bids is as large as the chunk (one keyword, rows = bids), the
+# temporaries of the GSP outcome on it.  Measured with tracemalloc: 40 B
+# on a 3-keyword market, under 60 B on one-keyword markets.
+_CHUNK_BYTES_PER_PROFILE = 96
+
+
+def _chunk_rows(counts) -> int:
+    """Rows of axis 0 per chunk, for the per-advertiser row counts."""
+    return max(1, _CHUNK_PROFILES // math.prod(counts[1:]))
+
+
+def _peak_bytes(counts) -> int:
+    """Estimated peak bytes of the enumerator's scan: one chunk's
+    utilities and temporaries plus advertiser 0's best-response table."""
+    table = math.prod(counts[1:])
+    chunk = min(counts[0], _chunk_rows(counts)) * table
+    return chunk * (8 * len(counts) + _CHUNK_BYTES_PER_PROFILE) + 8 * table
+
+
+def _keyword_outcome(cols, a, w_padded):
+    """(slot weight, active, price) of participant a on one keyword, where
+    cols maps each participant's advertiser index to its bids, arrays
+    that broadcast against each other; ranks follow the lex GSP order,
+    the smaller index winning ties."""
+    n = len(w_padded) - 1
+    c_a = cols[a]
+    rank = np.zeros((1,) * c_a.ndim, dtype=np.int64)
+    price = np.zeros((1,) * c_a.ndim)
+    for b, c_b in cols.items():
+        if b == a:
+            continue
+        above = outranks(c_b, b, c_a, a)
+        rank = rank + above
+        price = np.maximum(price, np.where(~above, c_b, 0.0))
+    slot_w = w_padded[np.minimum(rank, n)]
+    return slot_w, (c_a > 0.0) & (slot_w > 0.0), price
 
 
 def enumerate_pure_nash(scenario: Scenario, grid: BidGrid, epsilon=None,
@@ -302,6 +356,20 @@ def enumerate_pure_nash(scenario: Scenario, grid: BidGrid, epsilon=None,
     keyword never strictly gains, so the Nash set over the restricted
     space certifies the Nash condition over the full space.
 
+    The joint grid has one axis per advertiser and is scanned twice, in
+    chunks of advertiser 0's rows (axis 0) crossed with every opponent
+    row.  The first pass keeps advertiser 0's best utility against each
+    opponent profile.  The second computes every advertiser's utility
+    on the chunk, takes each other advertiser's best response within
+    it, and keeps the profiles where no one gains more than epsilon.
+    Within a chunk, a keyword's utilities are computed once per
+    combination of the participants' distinct bids and gathered onto
+    the chunk's profiles.  Peak memory is one chunk's arrays
+    (_CHUNK_PROFILES profiles, or one row of axis 0 if that is more)
+    plus advertiser 0's best-response table, one entry per opponent
+    profile, plus the equilibria found.  A grid of more than max_joint
+    profiles raises TooLarge, naming that estimate of the peak.
+
     winner_truthful keeps only equilibria in which every slot winner
     bids exactly their keyword value on the winning keyword.  Reports
     are ordered by joint row-major strategy index; each carries exact
@@ -310,11 +378,14 @@ def enumerate_pure_nash(scenario: Scenario, grid: BidGrid, epsilon=None,
     eps = default_epsilon(scenario) if epsilon is None else epsilon
     advs = scenario.advertisers
     n = len(advs)
-    joint = estimate_joint_size(scenario, grid, conservative,
-                                include_truthful)
+    if n == 0:      # the empty profile is the one profile, and stable
+        return [EquilibriumReport(profile={}, regrets={}, converged=True,
+                                  iterations=0, epsilon=eps, welfare=0.0)]
+    counts = _row_counts(scenario, grid, conservative, include_truthful)
+    joint = math.prod(counts)
     if joint > max_joint:
-        raise TooLarge(f"joint strategy space has {joint} profiles "
-                       f"(cap {max_joint})")
+        raise TooLarge(f"joint strategy space has {joint} profiles, about "
+                       f"{_peak_bytes(counts)} bytes at peak (cap {max_joint})")
     pools, arrays = [], []
     for i in advs:
         pool, rows = strategy_rows(scenario, grid, i, conservative,
@@ -325,68 +396,91 @@ def enumerate_pure_nash(scenario: Scenario, grid: BidGrid, epsilon=None,
     w_padded = np.zeros(n + 1)
     for k in range(n + 1):
         w_padded[k] = scenario.weights.weight(k)
-
-    def axis_view(vec, axis):
-        shape = [1] * n
-        shape[axis] = vec.shape[0]
-        return vec.reshape(shape)
-
-    full_shape = tuple(rows.shape[0] for rows in arrays)
-    utilities = [np.zeros(full_shape) for _ in advs]
-    welfare = np.zeros(full_shape)
-    truthful_violation = np.zeros(full_shape, dtype=bool)
-
+    # per keyword: {participant: column of the keyword in its rows}, in
+    # advertiser order, and the distinct bids of each participant other
+    # than advertiser 0 with the index of every row's bid among them
+    keywords = []
     for s in scenario.graph.keywords:
-        mass = scenario.kw_masses[s]
-        participants = [a for a, pool in enumerate(pools) if s in pool]
-        if not participants:
-            continue
-        cols = {a: axis_view(arrays[a][:, pools[a].index(s)], a)
-                for a in participants}
-        vals = {a: scenario.kw_values[advs[a]][s] for a in participants}
-        for a in participants:
-            c_a = cols[a]
-            rank = np.zeros((1,) * n, dtype=np.int64)
-            price = np.zeros((1,) * n)
-            for b in participants:
-                if b == a:
-                    continue
-                c_b = cols[b]
-                above = outranks(c_b, b, c_a, a)
-                rank = rank + above
-                price = np.maximum(price, np.where(~above, c_b, 0.0))
-            slot_w = w_padded[np.minimum(rank, n)]
-            active = (c_a > 0.0) & (slot_w > 0.0)
-            util = np.where(active, mass * slot_w * (vals[a] - price), 0.0)
-            np.add(utilities[a], util, out=utilities[a])
-            np.add(welfare, np.where(active, mass * slot_w * vals[a], 0.0),
-                   out=welfare)
-            if winner_truthful:
-                bad = active & (np.abs(c_a - vals[a]) > _TRUTHFUL_TOL)
-                truthful_violation |= bad
+        parts = {a: pools[a].index(s) for a in range(n) if s in pools[a]}
+        if parts:
+            keywords.append((s, parts, {a: np.unique(arrays[a][:, j], return_inverse=True)
+                                        for a, j in parts.items() if a != 0}))
+    last = n - 1
 
-    mask = np.ones(full_shape, dtype=bool)
-    best = []
-    for a in range(n):
-        m = utilities[a].max(axis=a, keepdims=True)
-        best.append(m)
-        mask &= utilities[a] >= m - eps
-    if winner_truthful:
-        mask &= ~truthful_violation
+    def chunk_utilities(rows0, who):
+        """{a: a's utility on every profile of the chunk of advertiser 0's
+        rows rows0}, for a in who.  Per keyword, a's utility is computed
+        on the grid of the participants' distinct bids, spread along the
+        last axis to that advertiser's rows, and then copied onto the
+        chunk one last-axis line at a time: `line` indexes the grid
+        row-major over the other participants."""
+        shape = (rows0.stop - rows0.start,) + tuple(counts[1:])
+        acc = {a: np.zeros(shape) for a in who}
+        for s, parts, distinct in keywords:
+            if acc.keys().isdisjoint(parts):
+                continue
+            levels, line = {}, np.zeros((1,) * last, dtype=np.intp)
+            for p, a in enumerate(parts):
+                lv, inv = distinct[a] if a != 0 else np.unique(arrays[0][rows0, parts[0]],
+                                                               return_inverse=True)
+                levels[a] = lv.reshape([-1 if q == p else 1 for q in range(len(parts))])
+                if a == last:
+                    spread = inv
+                else:
+                    view = [1] * last
+                    view[a] = len(inv)
+                    line = line * len(lv) + inv.reshape(view)
+            mass = scenario.kw_masses[s]
+            for a in parts:
+                if a not in acc:
+                    continue
+                slot_w, active, price = _keyword_outcome(levels, a, w_padded)
+                value = scenario.kw_values[advs[a]][s]
+                util = np.where(active, mass * slot_w * (value - price), 0.0)
+                util = np.take(util, spread, axis=-1) if last in parts else util[..., None]
+                acc[a] += np.take(util.reshape(-1, util.shape[-1]), line, axis=0)
+        return acc
+
+    step = _chunk_rows(counts)
+    chunks = [slice(lo, min(lo + step, counts[0])) for lo in range(0, counts[0], step)]
+    best0 = np.full((1,) + tuple(counts[1:]), -np.inf)
+    for rows0 in chunks:
+        np.maximum(best0, chunk_utilities(rows0, [0])[0].max(axis=0, keepdims=True),
+                   out=best0)
+
+    found, regrets = [], [[] for _ in advs]   # per chunk: stable profiles, regrets
+    for rows0 in chunks:
+        utilities = chunk_utilities(rows0, range(n))
+        best = [best0] + [utilities[a].max(axis=a, keepdims=True) for a in range(1, n)]
+        mask = utilities[0] >= best0 - eps
+        for a in range(1, n):
+            mask &= utilities[a] >= best[a] - eps
+        hits = np.nonzero(mask)
+        for a in range(n):
+            regrets[a].append(best[a][hits[:a] + (0,) + hits[a + 1:]] - utilities[a][hits])
+        found.append(np.stack((hits[0] + rows0.start,) + hits[1:], axis=1))
+    hits = np.concatenate(found)
+    regrets = [np.concatenate(r) for r in regrets]
+
+    # welfare, and winner truthfulness, of the stable profiles only
+    welfare = np.zeros(len(hits))
+    keep = np.ones(len(hits), dtype=bool)
+    for s, parts, _ in keywords:
+        cols = {a: arrays[a][hits[:, a], j] for a, j in parts.items()}
+        for a in parts:
+            value = scenario.kw_values[advs[a]][s]
+            slot_w, active, _ = _keyword_outcome(cols, a, w_padded)
+            welfare += np.where(active, scenario.kw_masses[s] * slot_w * value, 0.0)
+            if winner_truthful:
+                keep &= ~(active & (np.abs(cols[a] - value) > _TRUTHFUL_TOL))
 
     reports = []
-    for idx in np.argwhere(mask):
-        profile = {}
-        regrets = {}
-        for a, i in enumerate(advs):
-            row = arrays[a][idx[a]]
-            profile[i] = {s: float(b) for s, b in zip(pools[a], row) if b > 0.0}
-            regrets[i] = float(best[a][tuple(0 if k == a else idx[k]
-                                             for k in range(n))]
-                               - utilities[a][tuple(idx)])
+    for h in np.flatnonzero(keep):
+        profile = {i: {s: float(b) for s, b in zip(pools[a], arrays[a][hits[h, a]]) if b > 0.0}
+                   for a, i in enumerate(advs)}
         reports.append(EquilibriumReport(
-            profile=profile, regrets=regrets, converged=True, iterations=0,
-            epsilon=eps, welfare=float(welfare[tuple(idx)])))
+            profile=profile, regrets={i: float(regrets[a][h]) for a, i in enumerate(advs)},
+            converged=True, iterations=0, epsilon=eps, welfare=float(welfare[h])))
     return reports
 
 

@@ -1,6 +1,10 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from bmlab import equilibrium
 from bmlab.equilibrium import (
     BidGrid,
     best_response,
@@ -9,6 +13,7 @@ from bmlab.equilibrium import (
     default_epsilon,
     enumerate_pure_nash,
     estimate_bne_regret,
+    estimate_joint_size,
     make_grid,
     single_slot_dominant_profile,
     truthful_keyword_strategy,
@@ -243,12 +248,13 @@ def test_enumerate_single_advertiser_indifference():
     assert all(r.welfare == pytest.approx(4.0) for r in reports)
 
 
-def test_enumerate_matches_slow_oracle():
-    """Vectorized enumeration equals the definitional oracle."""
+def slow_oracle_markets():
+    """Six small random markets, with their grids, epsilons and menus,
+    whose joint grids the definitional oracle can walk."""
     rng = np.random.default_rng(55)
-    done = 0
+    markets = []
     for _ in range(200):
-        if done >= 6:
+        if len(markets) >= 6:
             break
         sc = random_scenario(rng, max_adv=2, max_kw=2, max_q=3,
                              weights=(1.0, 0.5), kappa=1)
@@ -267,12 +273,18 @@ def test_enumerate_matches_slow_oracle():
             joint *= rows
         if joint > 800:
             continue
+        markets.append((sc, grid, eps, menus_by_adv))
+    assert len(markets) >= 6
+    return markets
+
+
+def test_enumerate_matches_slow_oracle():
+    """Vectorized enumeration equals the definitional oracle."""
+    for sc, grid, eps, menus_by_adv in slow_oracle_markets():
         fast = canonical_profiles(
             [r.profile for r in enumerate_pure_nash(sc, grid, epsilon=eps)])
         slow = canonical_profiles(slow_pure_nash_oracle(sc, menus_by_adv, eps))
         assert fast == slow
-        done += 1
-    assert done >= 6
 
 
 def test_enumerate_too_large():
@@ -283,6 +295,12 @@ def test_enumerate_too_large():
         enumerate_pure_nash(sc, grid)
 
 
+def report_fingerprint(reports):
+    """Reports in order, with regrets and welfare as exact float bits."""
+    return [(r.profile, {i: x.hex() for i, x in r.regrets.items()}, r.welfare.hex())
+            for r in reports]
+
+
 def test_enumerate_deterministic():
     sc = five_three()
     grid = make_grid(sc, delta=0.5)
@@ -290,6 +308,162 @@ def test_enumerate_deterministic():
     b = enumerate_pure_nash(sc, grid, conservative=True)
     assert [r.profile for r in a] == [r.profile for r in b]
     assert [r.regrets for r in a] == [r.regrets for r in b]
+    assert [r.welfare for r in a] == [r.welfare for r in b]
+    assert report_fingerprint(a) == report_fingerprint(b)
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        sc = random_scenario(rng, max_adv=3, max_kw=2, max_q=3,
+                             weights=(1.0, 0.5), kappa=2)
+        grid = make_grid(sc, delta=max(make_grid(sc, 1.0).caps.values()) / 3)
+        first = report_fingerprint(enumerate_pure_nash(sc, grid))
+        assert first and first == report_fingerprint(enumerate_pure_nash(sc, grid))
+
+
+# ----------------------------------------------------------- chunked scan
+
+def row_counts(sc, grid, conservative=False):
+    return equilibrium._row_counts(sc, grid, conservative, True)
+
+
+def enumerate_in_chunks(monkeypatch, sc, grid, rows_per_chunk, **kwargs):
+    """enumerate_pure_nash with chunks of rows_per_chunk rows of axis 0."""
+    counts = row_counts(sc, grid, kwargs.get("conservative", False))
+    monkeypatch.setattr(equilibrium, "_CHUNK_PROFILES",
+                        rows_per_chunk * math.prod(counts[1:]))
+    return enumerate_pure_nash(sc, grid, **kwargs)
+
+
+def assert_chunking_invisible(monkeypatch, sc, grid, **kwargs):
+    """One chunk, one profile's budget (a row per chunk) and a split of
+    axis 0 into unequal chunks all give the same reports, bit for bit."""
+    rows0 = row_counts(sc, grid, kwargs.get("conservative", False))[0]
+    whole = report_fingerprint(enumerate_in_chunks(monkeypatch, sc, grid, rows0, **kwargs))
+    monkeypatch.setattr(equilibrium, "_CHUNK_PROFILES", 1)
+    assert report_fingerprint(enumerate_pure_nash(sc, grid, **kwargs)) == whole
+    uneven = next((k for k in range(2, rows0) if rows0 % k), 1)
+    assert report_fingerprint(
+        enumerate_in_chunks(monkeypatch, sc, grid, uneven, **kwargs)) == whole
+    return whole
+
+
+@pytest.mark.parametrize("conservative", [True, False])
+def test_chunking_invisible_on_random_markets(monkeypatch, conservative):
+    rng = np.random.default_rng(77)
+    found = 0
+    for _ in range(12):
+        sc = random_scenario(rng, max_adv=3, max_kw=3, max_q=3,
+                             weights=(1.0, 0.5), kappa=2)
+        grid = make_grid(sc, delta=max(make_grid(sc, 1.0).caps.values()) / 3)
+        if estimate_joint_size(sc, grid, conservative) > 20_000:
+            continue
+        found += len(assert_chunking_invisible(monkeypatch, sc, grid,
+                                               conservative=conservative))
+    assert found > 0
+
+
+def test_chunking_invisible_winner_truthful(monkeypatch):
+    sc = five_three()
+    whole = assert_chunking_invisible(monkeypatch, sc, make_grid(sc, delta=0.5),
+                                      conservative=True, winner_truthful=True)
+    assert len(whole) == 7                   # a bids 5, b any of 0, 0.5, ..., 3
+    sc = simple_scenario({"a1": {"q1": 4.0, "q2": 2.0}, "a2": {"q1": 3.0, "q2": 2.5},
+                          "a3": {"q1": 1.5, "q2": 3.5}}, weights=(1.0, 0.5), kappa=1)
+    assert_chunking_invisible(monkeypatch, sc, make_grid(sc, delta=0.5),
+                              winner_truthful=True)
+
+
+def test_chunking_invisible_single_advertiser(monkeypatch):
+    sc = single_keyword_scenario({"a": 4.0})
+    assert len(assert_chunking_invisible(monkeypatch, sc, make_grid(sc, delta=1.0),
+                                         conservative=True)) == 4
+    sc = simple_scenario({"a1": {"q1": 4.0, "q2": 2.5, "q3": 1.0}}, kappa=2)
+    assert assert_chunking_invisible(monkeypatch, sc, make_grid(sc, delta=0.5))
+
+
+@pytest.mark.parametrize("idle", ["a0", "a2"])
+def test_chunking_invisible_advertiser_without_keywords(monkeypatch, idle):
+    """An advertiser with no positive keyword has the one all-zero row;
+    as advertiser 0 it makes axis 0 a single row."""
+    values = {"a0": {"q1": 4.0, "q2": 2.0}, "a1": {"q1": 3.0, "q2": 2.5},
+              "a2": {"q1": 1.5, "q2": 3.5}}
+    values[idle] = {}
+    sc = simple_scenario(values, weights=(1.0, 0.5), kappa=1)
+    grid = make_grid(sc, delta=0.5)
+    assert row_counts(sc, grid)[sc.advertisers.index(idle)] == 1
+    whole = assert_chunking_invisible(monkeypatch, sc, grid)
+    assert whole and all(profile[idle] == {} for profile, _, _ in whole)
+
+
+def test_enumerate_matches_slow_oracle_in_one_row_chunks(monkeypatch):
+    monkeypatch.setattr(equilibrium, "_CHUNK_PROFILES", 1)
+    for sc, grid, eps, menus_by_adv in slow_oracle_markets():
+        fast = enumerate_pure_nash(sc, grid, epsilon=eps)
+        slow = canonical_profiles(slow_pure_nash_oracle(sc, menus_by_adv, eps))
+        assert canonical_profiles([r.profile for r in fast]) == slow
+        assert report_fingerprint(fast) == assert_chunking_invisible(
+            monkeypatch, sc, grid, epsilon=eps)
+
+
+def million_market():
+    """Three advertisers, three keywords, kappa 3, unit grid: 1.25 M
+    conservative joint profiles and 8 pure-Nash equilibria."""
+    sc = simple_scenario({"a0": {"q1": 4.0, "q2": 3.7, "q3": 3.4},
+                          "a1": {"q1": 3.6, "q2": 4.0, "q3": 3.2},
+                          "a2": {"q1": 2.9, "q2": 2.5, "q3": 3.9}}, weights=(1.0, 0.6))
+    return sc, make_grid(sc, delta=1.0)
+
+
+def chunk_profiles(counts):
+    """Profiles in one chunk of the scan: the rows of axis 0 that fit
+    the budget (one at least) times the opponent profiles."""
+    table = math.prod(counts[1:])
+    return min(counts[0], max(1, equilibrium._CHUNK_PROFILES // table)) * table
+
+
+def test_enumerate_too_large_reports_bytes():
+    sc = five_three()
+    grid = make_grid(sc, delta=1.0)
+    counts = row_counts(sc, grid, conservative=True)
+    assert counts == [6, 4]
+    with pytest.raises(TooLarge) as exc:
+        enumerate_pure_nash(sc, grid, conservative=True, max_joint=23)
+    peak = equilibrium._peak_bytes(counts)
+    assert str(exc.value) == (f"joint strategy space has 24 profiles, about {peak} "
+                              f"bytes at peak (cap 23)")
+    # the whole grid is one chunk: at least its two utility tensors and the table
+    assert peak >= 8 * (2 * 24 + 4)
+
+    sc, grid = million_market()
+    counts = row_counts(sc, grid, conservative=True)
+    peak = equilibrium._peak_bytes(counts)
+    with pytest.raises(TooLarge, match=rf"^joint strategy space has 1250000 profiles, "
+                                       rf"about {peak} bytes at peak \(cap 1000000\)$"):
+        enumerate_pure_nash(sc, grid, conservative=True, max_joint=1_000_000)
+    # the estimate follows the chunk and the table, not the whole grid
+    table = math.prod(counts[1:])
+    assert 8 * 3 * chunk_profiles(counts) + 8 * table <= peak <= 10 * 1_250_000
+
+
+def test_enumerate_memory_bounded_by_the_chunk():
+    """Peak traced allocation on a 1.25 M-profile grid stays within one
+    chunk at 128 B a profile, the best-response table and 1 MB for the
+    strategy rows and reports, and within the TooLarge estimate plus
+    that 1 MB.  Whole-grid tensors took about 80 B per profile, 100 MB
+    here."""
+    sc, grid = million_market()
+    counts = row_counts(sc, grid, conservative=True)
+    table = math.prod(counts[1:])
+    bound = 128 * chunk_profiles(counts) + 8 * table + (1 << 20)
+    assert bound < 10 * 1_250_000
+    tracemalloc.start()
+    try:
+        reports = enumerate_pure_nash(sc, grid, conservative=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == 8
+    assert peak <= bound
+    assert peak <= equilibrium._peak_bytes(counts) + (1 << 20)
 
 
 # ------------------------------------------------------ dominant strategies
