@@ -51,19 +51,22 @@ def homogeneity(scenario) -> float:
     c = max over keywords s, advertisers i, ordered pairs (q1, q2) in
     N(s)^2 with v_i(q2) > 0 of v_i(q1) / v_i(q2).  A positive and a zero
     value inside one neighborhood makes this infinite; the non-finite
-    value is reported as is.
+    value is reported as is.  The one-profile case of homogeneity_batch.
     """
-    c = 1.0
-    for s in scenario.graph.keywords:
-        nbrs = scenario.graph.keyword_neighbors(s)
-        for i in scenario.advertisers:
-            vals = [scenario.valuations.value(i, q) for q in nbrs]
-            pos = [v for v in vals if v > 0.0]
-            if not pos:
-                continue
-            if len(pos) < len(vals):
-                return math.inf
-            c = max(c, max(pos) / min(pos))
+    return float(homogeneity_batch(scenario, scenario.value_matrix[None])[0])
+
+
+def homogeneity_batch(market, values) -> np.ndarray:
+    """homogeneity of every profile in an (n, |A|, |Q|) value tensor."""
+    col = {q: j for j, q in enumerate(market.graph.queries)}
+    c = np.ones(len(values))
+    for s in market.graph.keywords:
+        nbr = values[:, :, [col[q] for q in market.graph.keyword_neighbors(s)]]
+        pos = nbr > 0.0
+        ratio = (nbr.max(axis=2, initial=0.0)
+                 / np.where(pos, nbr, np.inf).min(axis=2, initial=np.inf))
+        ratio = np.where(pos.any(axis=2), np.where(pos.all(axis=2), ratio, np.inf), 1.0)
+        c = np.maximum(c, ratio.max(axis=1, initial=1.0))
     return c
 
 

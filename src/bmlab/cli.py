@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (counterexample_scenario, empirical_poa,
-                       empirical_revenue_ratio, homogeneity, ratio_csv)
+                       empirical_revenue_ratio, homogeneity_batch, ratio_csv)
 from .equilibrium import (EquilibriumReport, best_response_dynamics,
                           default_epsilon, enumerate_pure_nash,
                           estimate_bne_regret, make_grid,
@@ -270,12 +269,7 @@ def _bayes_eta(bayes) -> float:
 
 
 def _realized_homogeneity(bayes, rng, draws=1000) -> float:
-    c = 1.0
-    for _ in range(draws):
-        c = max(c, homogeneity(bayes.to_scenario(bayes.sample_valuations(rng))))
-        if math.isinf(c):
-            break
-    return c
+    return float(homogeneity_batch(bayes, bayes.sample_values(rng, draws)).max(initial=1.0))
 
 
 def cmd_revenue(cfg: RunConfig) -> int:

@@ -15,7 +15,8 @@ grid (one axis per advertiser) in bounded chunks of advertiser 0's rows,
 in two passes: the first finds advertiser 0's best responses, the second
 every other advertiser's and the stable profiles.  No array spans the
 whole grid, so its memory stays about one chunk's plus one entry per
-opponent profile however large the grid grows.
+opponent profile however large the grid grows.  The Bayes-Nash regret
+estimate prices its deviation menus with the enumerator's GSP kernel.
 """
 from __future__ import annotations
 
@@ -117,16 +118,15 @@ def _slot_utility(own_bid, advertiser, opponents, weights, mass, value):
     return mass * weights.weight(rank) * (value - price)
 
 
-def _select_keywords(menus, utility, kappa):
+def _select_keywords(menus, utilities, kappa):
     """Best-response selection: on each keyword's sorted menu the lowest
-    bid of maximal utility(s, b) (bid 0 when nothing gains), keywords
-    ranked by (-utility, keyword).  Returns the ranked (u, s, b) list
-    and its top-kappa entries with positive utility."""
+    bid of maximal utility (bid 0 when nothing gains; utilities(s) yields
+    the menu's utilities in order), keywords ranked by (-utility, keyword).
+    Returns the ranked (u, s, b) list and its top-kappa positive entries."""
     ranked = []
     for s, menu in menus.items():
         best_u, best_b = 0.0, 0.0
-        for b in menu:
-            u = utility(s, b)
+        for b, u in zip(menu, utilities(s)):
             if u > best_u:           # strict: keeps the lowest maximizing bid
                 best_u, best_b = u, b
         ranked.append((best_u, s, best_b))
@@ -158,9 +158,9 @@ def best_response(scenario: Scenario, bids, advertiser, grid: BidGrid,
     opponents = _opponent_bids(bids, advertiser, pool)
     menus = {s: bid_menu(scenario, grid, advertiser, s, conservative, include_truthful)
              for s in pool}
-    _, kept = _select_keywords(menus, lambda s, b: _slot_utility(
-        b, advertiser, opponents[s], scenario.weights, scenario.kw_masses[s], values[s]),
-        scenario.kappa)
+    _, kept = _select_keywords(menus, lambda s: (_slot_utility(
+        b, advertiser, opponents[s], scenario.weights, scenario.kw_masses[s], values[s])
+        for b in menus[s]), scenario.kappa)
     return {s: b for _, s, b in kept}, sum(u for u, _, _ in kept)
 
 
@@ -582,14 +582,18 @@ def estimate_bne_regret(bayes: BayesScenario, strategy: Callable, n_types: int,
     the best deviation over the strategy's own play, averaged over
     types, with its standard error.  Each advertiser's profiles come from
     one sample_values call, a type's own profile followed by its
-    opponent profiles, and are bid through strategy_bid_tensor.
+    opponent profiles, and are bid through strategy_bid_tensor.  A
+    keyword's menu meets all the opponent draws in one _keyword_outcome.
     """
     if n_types < 1:
         raise ValidationError("n_types must be >= 1")
     if not deviation_delta > 0.0:
         raise ValidationError("deviation_delta must be positive")
+    if n_opponent_draws < 1:
+        raise ValidationError("n_opponent_draws must be >= 1")
     advertisers, keywords = bayes.advertisers, bayes.graph.keywords
     rows = 1 + n_opponent_draws      # a type's own profile, then its opponents'
+    w_padded = np.array([bayes.weights.weight(k) for k in range(len(advertisers) + 1)])
     out = {}
     for a, i in enumerate(advertisers):
         draws = bayes.sample_values(rng, n_types * rows)
@@ -598,30 +602,24 @@ def estimate_bne_regret(bayes: BayesScenario, strategy: Callable, n_types: int,
         own_values = keyword_value_tensor(bayes, draws[::rows, a]).tolist()
         gaps = []
         for t in range(n_types):
-            own_bids, *opp_bids = bids[t * rows:(t + 1) * rows].tolist()
             values = dict(zip(keywords, own_values[t]))
-            played = dict(zip(keywords, own_bids[a]))
+            played = dict(zip(keywords, bids[t * rows, a].tolist()))
+            opp_bids = bids[t * rows + 1:(t + 1) * rows]
             grid = BidGrid(deviation_delta, values)
             menus = {s: sorted({*grid.points(s), 0.0, v, played[s]})
                      for s, v in values.items()}
-            opp_draws = [dict(zip(advertisers, (dict(zip(keywords, row)) for row in draw)))
-                         for draw in opp_bids]
-            by_draw = [_opponent_bids(opp, i, menus) for opp in opp_draws]
-            opponents = {s: [opp[s] for opp in by_draw] for s in menus}
-            seen = {}   # (keyword, bid) -> mean utility over the draws
-
-            def utility(s, b):
-                u = 0.0
-                for opp in opponents[s]:
-                    u += _slot_utility(b, i, opp, bayes.weights,
-                                       bayes.kw_masses[s], values[s])
-                u /= n_opponent_draws
-                seen[s, b] = u
-                return u
-
-            ranked, kept = _select_keywords(menus, utility, bayes.kappa)
+            utilities = {}      # keyword -> mean utility of each menu bid over the draws
+            for k, (s, menu) in enumerate(menus.items()):
+                cols = {j: opp_bids[:, j, k] for j in range(len(advertisers))}
+                cols[a] = np.array(menu)[:, None]
+                slot_w, active, price = _keyword_outcome(cols, a, w_padded)
+                util = np.where(active, bayes.kw_masses[s] * slot_w * (values[s] - price), 0.0)
+                # builtin sum: the draws' columns added in order (ndarray.sum pairs them)
+                utilities[s] = (sum(np.broadcast_to(util, (len(menu), n_opponent_draws)).T)
+                                / n_opponent_draws).tolist()
+            ranked, kept = _select_keywords(menus, utilities.get, bayes.kappa)
             best_total = sum(u for u, _, _ in kept)
-            played_total = sum(seen[s, played[s]] for _, s, _ in ranked)
+            played_total = sum(utilities[s][menus[s].index(played[s])] for _, s, _ in ranked)
             gaps.append(max(0.0, best_total - played_total))
         arr = np.asarray(gaps)
         out[i] = RegretEstimate(mean=float(arr.mean()),

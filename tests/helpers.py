@@ -290,3 +290,97 @@ def scalar_piecewise_quantile(dist, u):
         lo = np.where(go_right, mid, lo)
         hi = np.where(go_right, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def per_draw_bne_regret(bayes, strategy, n_types, deviation_delta, rng,
+                        n_opponent_draws=32):
+    """Oracle: estimate_bne_regret as one scalar utility call per menu bid
+    and opponent draw, on per-draw dict profiles, kept verbatim with its
+    keyword selection inlined."""
+    from bmlab.equilibrium import (BidGrid, RegretEstimate, _opponent_bids,
+                                   _slot_utility, strategy_bid_tensor)
+    from bmlab.market import keyword_value_tensor
+    from bmlab.mechanisms import require_finite_bid_tensor
+
+    def select_keywords(menus, utility, kappa):
+        ranked = []
+        for s, menu in menus.items():
+            best_u, best_b = 0.0, 0.0
+            for b in menu:
+                u = utility(s, b)
+                if u > best_u:
+                    best_u, best_b = u, b
+            ranked.append((best_u, s, best_b))
+        ranked.sort(key=lambda usb: (-usb[0], usb[1]))
+        return ranked, [usb for usb in ranked[:kappa] if usb[0] > 0.0]
+
+    advertisers, keywords = bayes.advertisers, bayes.graph.keywords
+    rows = 1 + n_opponent_draws
+    out = {}
+    for a, i in enumerate(advertisers):
+        draws = bayes.sample_values(rng, n_types * rows)
+        bids = strategy_bid_tensor(bayes, strategy, draws)
+        require_finite_bid_tensor(bayes, bids)
+        own_values = keyword_value_tensor(bayes, draws[::rows, a]).tolist()
+        gaps = []
+        for t in range(n_types):
+            own_bids, *opp_bids = bids[t * rows:(t + 1) * rows].tolist()
+            values = dict(zip(keywords, own_values[t]))
+            played = dict(zip(keywords, own_bids[a]))
+            grid = BidGrid(deviation_delta, values)
+            menus = {s: sorted({*grid.points(s), 0.0, v, played[s]})
+                     for s, v in values.items()}
+            opp_draws = [dict(zip(advertisers, (dict(zip(keywords, row)) for row in draw)))
+                         for draw in opp_bids]
+            by_draw = [_opponent_bids(opp, i, menus) for opp in opp_draws]
+            opponents = {s: [opp[s] for opp in by_draw] for s in menus}
+            seen = {}
+
+            def utility(s, b):
+                u = 0.0
+                for opp in opponents[s]:
+                    u += _slot_utility(b, i, opp, bayes.weights,
+                                       bayes.kw_masses[s], values[s])
+                u /= n_opponent_draws
+                seen[s, b] = u
+                return u
+
+            ranked, kept = select_keywords(menus, utility, bayes.kappa)
+            best_total = sum(u for u, _, _ in kept)
+            played_total = sum(seen[s, played[s]] for _, s, _ in ranked)
+            gaps.append(max(0.0, best_total - played_total))
+        arr = np.asarray(gaps)
+        out[i] = RegretEstimate(mean=float(arr.mean()),
+                                stderr=float(arr.std(ddof=1) / math.sqrt(n_types))
+                                if n_types > 1 else 0.0,
+                                n_types=n_types, per_type=tuple(arr.tolist()))
+    return out
+
+
+def scalar_homogeneity(scenario):
+    """Oracle: homogeneity by a scalar loop over keywords, advertisers and
+    neighborhood values."""
+    c = 1.0
+    for s in scenario.graph.keywords:
+        nbrs = scenario.graph.keyword_neighbors(s)
+        for i in scenario.advertisers:
+            vals = [scenario.valuations.value(i, q) for q in nbrs]
+            pos = [v for v in vals if v > 0.0]
+            if not pos:
+                continue
+            if len(pos) < len(vals):
+                return math.inf
+            c = max(c, max(pos) / min(pos))
+    return c
+
+
+def per_draw_realized_homogeneity(bayes, rng, draws=1000):
+    """Oracle: the revenue command's realized homogeneity, one drawn
+    profile bound into a Scenario at a time, stopping at the first
+    infinite value."""
+    c = 1.0
+    for _ in range(draws):
+        c = max(c, scalar_homogeneity(bayes.to_scenario(bayes.sample_valuations(rng))))
+        if math.isinf(c):
+            break
+    return c

@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmlab.analysis import _MC_CHUNK, revenue_welfare_stats
+from bmlab.analysis import (
+    _MC_CHUNK,
+    counterexample_scenario,
+    homogeneity,
+    homogeneity_batch,
+    revenue_welfare_stats,
+)
+from bmlab.cli import _realized_homogeneity
 from bmlab.equilibrium import (
     estimate_bne_regret,
     strategy_bid_tensor,
@@ -22,7 +29,9 @@ from bmlab.market import (
     BipartiteGraph,
     MatchingPolicy,
     QueryDistribution,
+    Scenario,
     SlotWeights,
+    ValuationProfile,
 )
 from bmlab.mechanisms import gsp_rank, pbm_expected_revenue_batch
 from bmlab.reserves import (
@@ -39,8 +48,11 @@ from bmlab.reserves import (
 )
 
 from helpers import (
+    per_draw_bne_regret,
+    per_draw_realized_homogeneity,
     per_draw_valuations,
     per_sample_revenue_welfare_stats,
+    scalar_homogeneity,
     scalar_piecewise_quantile,
 )
 
@@ -318,3 +330,122 @@ def test_bne_regret_rejects_a_strategy_that_bids_nan():
     with pytest.raises(ValidationError, match=r"bid of 'b' must be finite, got nan"):
         estimate_bne_regret(bayes, broken, 2, 0.5, np.random.default_rng(0),
                             n_opponent_draws=2)
+
+
+def below_and_at_zero(bayes):
+    """A strategy without a bid kernel that bids truthful values shaded
+    down past zero, exact zeros and -0.0: none of them may outrank a
+    positive bid or set its price."""
+    truthful = truthful_keyword_strategy(bayes)
+
+    def strategy(advertiser, values_row):
+        row = {s: 0.6 * b - 0.4 for s, b in truthful(advertiser, values_row).items()}
+        for k, s in enumerate(bayes.graph.keywords):
+            row.setdefault(s, (0.0, -0.0, -1.5)[k % 3])
+        return row
+    return strategy
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_types=st.integers(1, 4),
+       draws=st.integers(1, 4), delta=st.sampled_from([0.1, 0.25, 0.5, 1.0]))
+def test_bne_regret_equals_the_per_draw_loop(seed, n_types, draws, delta):
+    bayes = random_bayes(np.random.default_rng(seed))
+    truthful = truthful_keyword_strategy(bayes)
+    for strategy in (truthful, untagged(truthful), below_and_at_zero(bayes)):
+        got = estimate_bne_regret(bayes, strategy, n_types, delta,
+                                  np.random.default_rng(seed + 1), n_opponent_draws=draws)
+        want = per_draw_bne_regret(bayes, strategy, n_types, delta,
+                                   np.random.default_rng(seed + 1), n_opponent_draws=draws)
+        assert got == want
+
+
+@pytest.mark.parametrize("name", ["bayes_1x1.json", "bayes_3x3.json"])
+def test_bne_regret_equals_the_per_draw_loop_on_fixtures(name):
+    bayes = bayes_scenario_from_json(DATA / name)
+    truthful = truthful_keyword_strategy(bayes)
+    for strategy in (truthful, below_and_at_zero(bayes)):
+        got = estimate_bne_regret(bayes, strategy, 8, 0.25, np.random.default_rng(3),
+                                  n_opponent_draws=16)
+        want = per_draw_bne_regret(bayes, strategy, 8, 0.25, np.random.default_rng(3),
+                                   n_opponent_draws=16)
+        assert got == want
+
+
+def test_bne_regret_equals_the_per_draw_loop_without_opponents():
+    # one advertiser, so the kernel sees no opponent column at all, and a
+    # menu of about 8 000 bids on the spike keyword
+    bayes, _ = counterexample_scenario(0.01, 1e-5, 11)
+    truthful = truthful_keyword_strategy(bayes)
+    got = estimate_bne_regret(bayes, truthful, 2, 0.25, np.random.default_rng(0),
+                              n_opponent_draws=3)
+    want = per_draw_bne_regret(bayes, truthful, 2, 0.25, np.random.default_rng(0),
+                               n_opponent_draws=3)
+    assert got == want
+
+
+def test_bne_regret_needs_an_opponent_draw():
+    bayes = bayes_scenario_from_json(DATA / "bayes_1x1.json")
+    with pytest.raises(ValidationError, match="n_opponent_draws"):
+        estimate_bne_regret(bayes, truthful_keyword_strategy(bayes), 2, 0.5,
+                            np.random.default_rng(0), n_opponent_draws=0)
+
+
+# ------------------------------------------------------------ homogeneity
+
+
+def bound(bayes, values) -> Scenario:
+    """One (|A|, |Q|) profile over every query as a Scenario."""
+    return Scenario(bayes.graph, bayes.p, bayes.pi, bayes.weights,
+                    ValuationProfile({i: dict(zip(bayes.graph.queries, row))
+                                      for i, row in zip(bayes.advertisers, values.tolist())}),
+                    bayes.kappa)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_homogeneity_batch_equals_the_scalar_loop(seed):
+    rng = np.random.default_rng(seed)
+    bayes = random_bayes(rng)
+    # exact zeros, -0.0, a subnormal and a huge value (their ratio
+    # overflows to inf), and whole profiles of zeros
+    levels = [0.0, -0.0, 0.0, 5e-324, 1e308, 0.5, 1.0, 2.5, 7.25]
+    values = rng.choice(levels, size=(30, len(bayes.advertisers), len(bayes.graph.queries)))
+    values[rng.random(30) < 0.2] = 0.0
+    values[rng.random(30) < 0.3] = rng.uniform(0.1, 3.0, size=values.shape[1:])
+    got = homogeneity_batch(bayes, values)
+    for t in range(len(values)):
+        sc = bound(bayes, values[t])
+        assert got[t] == homogeneity(sc) == scalar_homogeneity(sc)
+
+
+def test_homogeneity_without_advertisers_or_neighbors():
+    graph = BipartiteGraph(["q1"], ["s1", "s2"], [("q1", "s1")], strict=False)
+    sc = Scenario(graph, QueryDistribution({"q1": 1.0}), MatchingPolicy({"q1": {"s1": 1.0}}),
+                  SlotWeights([1.0]), ValuationProfile({}), 1)
+    assert homogeneity(sc) == scalar_homogeneity(sc) == 1.0
+    assert homogeneity_batch(sc, np.zeros((3, 0, 1))).tolist() == [1.0] * 3
+    lone = Scenario(graph, sc.p, sc.pi, sc.weights, ValuationProfile({"a": {"q1": 2.0}}), 1)
+    assert homogeneity(lone) == scalar_homogeneity(lone) == 1.0
+
+
+@pytest.mark.parametrize("name", ["bayes_1x1.json", "bayes_3x3.json", "counterexample"])
+def test_realized_homogeneity_equals_the_per_draw_loop(name):
+    bayes = (counterexample_scenario(0.01, 1e-5, 11)[0] if name == "counterexample"
+             else bayes_scenario_from_json(DATA / name))
+    rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+    got = _realized_homogeneity(bayes, rng)
+    assert got == per_draw_realized_homogeneity(bayes, twin)
+    assert math.isfinite(got) and rng.random() == twin.random()
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), draws=st.integers(0, 60))
+def test_realized_homogeneity_equals_the_per_draw_loop_on_random_scenarios(seed, draws):
+    bayes = random_bayes(np.random.default_rng(seed))
+    rng, twin = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    got = _realized_homogeneity(bayes, rng, draws)
+    assert got == per_draw_realized_homogeneity(bayes, twin, draws)
+    if math.isfinite(got):      # the loop stops drawing at its first inf
+        assert rng.random() == twin.random()
