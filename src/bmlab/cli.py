@@ -36,6 +36,7 @@ from .reserves import (bayes_scenario_from_json, induced_keyword_distribution,
 
 COMMANDS = ("simulate", "equilibrium", "poa", "revenue", "counterexample",
             "expressiveness")
+MODES = ("dynamics", "enumerate", "single-slot-dominant")
 
 DEFAULTS = dict(
     scenario=None, bids=None, corpus=None, config=None,
@@ -93,8 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--epsilon", type=float)
     parser.add_argument("--conservative", action="store_true", default=None)
     parser.add_argument("--out", help="output directory (created if absent)")
-    parser.add_argument("--mode",
-                        choices=("dynamics", "enumerate", "single-slot-dominant"))
+    parser.add_argument("--mode", choices=MODES)
     parser.add_argument("--max-iters", type=int)
     parser.add_argument("--eps1", type=float)
     parser.add_argument("--eps2", type=float)
@@ -103,6 +103,33 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--thetas", help="comma-separated theta grid")
     parser.add_argument("--kappas", help="comma-separated kappa grid")
     return parser
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _is_grid(element_ok):
+    return lambda v: isinstance(v, str) or isinstance(v, list) and all(map(element_ok, v))
+
+
+# What a config-file value must be: what its flag parses to.  A key whose
+# default is None may also be null.
+_CONFIG_CHECKS = {
+    **dict.fromkeys(("scenario", "bids", "corpus", "config", "out"),
+                    (lambda v: isinstance(v, str), "a string")),
+    **dict.fromkeys(("rounds", "seed", "max_iters", "m_exp", "samples"),
+                    (_is_int, "an integer")),
+    **dict.fromkeys(("grid_delta", "epsilon", "eps1", "eps2"), (_is_number, "a number")),
+    "conservative": (lambda v: isinstance(v, bool), "true or false"),
+    "mode": (lambda v: v in MODES, f"one of {', '.join(MODES)}"),
+    "thetas": (_is_grid(_is_number), "a comma-separated string or a list of numbers"),
+    "kappas": (_is_grid(_is_int), "a comma-separated string or a list of integers"),
+}
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
@@ -114,9 +141,15 @@ def load_config(args: argparse.Namespace) -> RunConfig:
                 file_conf = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ValidationError(f"cannot read config {args.config}: {exc}") from exc
+        if not isinstance(file_conf, dict):
+            raise ValidationError(f"config {args.config} must be a JSON object")
         unknown = set(file_conf) - set(DEFAULTS)
         if unknown:
             raise ValidationError(f"unknown config key(s): {sorted(unknown)!r}")
+        for key, value in file_conf.items():
+            ok, what = _CONFIG_CHECKS[key]
+            if not (ok(value) or value is None and DEFAULTS[key] is None):
+                raise ValidationError(f"config value {key!r} must be {what}, got {value!r}")
         merged.update(file_conf)
     for key in DEFAULTS:
         flag_val = getattr(args, key, None)

@@ -284,7 +284,11 @@ def _check_skeleton(graph, p, pi, kappa, valued) -> int:
     """Cross-checks every scenario shares: kappa, the query supports of
     p and pi, pi_q supported on exactly N(q), and values only on declared
     queries (valued: {advertiser: queries}).  Returns int kappa."""
-    if int(kappa) != kappa or kappa < 1:
+    try:
+        whole = int(kappa) == kappa >= 1
+    except (TypeError, ValueError, OverflowError):      # "abc", null, inf, nan
+        whole = False
+    if not whole:
         raise ValidationError(f"kappa must be a positive integer, got {kappa!r}")
     for what, queries in (("query distribution support mismatch on", p.queries),
                           ("matching policy missing/extra queries", pi.queries)):
@@ -333,7 +337,7 @@ def _load_skeleton(source, what, values_key, parse_values):
         pi = MatchingPolicy(obj["matching"])
         weights = SlotWeights(obj["slot_weights"])
         values = parse_values(obj[values_key])
-    except (TypeError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError) as exc:
         raise ValidationError(f"malformed {what} field: {exc}") from exc
     return graph, p, pi, weights, obj["kappa"], values
 

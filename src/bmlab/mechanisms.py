@@ -69,7 +69,10 @@ def load_bid_profile(source, scenario: Scenario):
         raise ValidationError(f"malformed bid profile JSON: {exc}") from exc
     if not isinstance(obj, dict) or not all(isinstance(r, dict) for r in obj.values()):
         raise ValidationError("bid profile must be a JSON object of objects")
-    bids = {adv: {s: float(b) for s, b in row.items()} for adv, row in obj.items()}
+    try:
+        bids = {adv: {s: float(b) for s, b in row.items()} for adv, row in obj.items()}
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"bid profile holds a non-numeric bid: {exc}") from exc
     return validate_bid_profile(scenario, bids)
 
 

@@ -423,7 +423,7 @@ def dist_from_json(obj) -> ValueDistribution:
         raise ValidationError(f"unknown distribution family {fam!r}")
     try:
         return _FAMILIES[fam](obj.get("params", {}))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad parameters for family {fam!r}: {exc}") from exc
 
 

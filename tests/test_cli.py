@@ -173,6 +173,78 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "rouns" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("conf", [
+    {"samples": "abc"},
+    {"rounds": 1.5},
+    {"seed": True},
+    {"grid_delta": "0.25"},
+    {"conservative": "false"},
+    {"mode": "enumerat"},
+    {"scenario": 5},
+    {"samples": None},
+    {"thetas": ["a"]},
+    {"kappas": [1.5]},
+    ["samples", 5],
+])
+def test_config_values_are_typed_like_their_flags(tmp_path, capsys, conf):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(conf))
+    command = "equilibrium" if "mode" in conf else "simulate"
+    assert run(command, "--config", path, "--scenario", SCENARIO, "--bids", BIDS,
+               "--out", tmp_path) == 2
+    assert "config" in capsys.readouterr().err
+
+
+def test_config_accepts_nulls_lists_and_json_types(tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({
+        "scenario": SCENARIO, "epsilon": None, "grid_delta": 1, "conservative": True,
+        "mode": "single-slot-dominant", "thetas": [0.5], "kappas": "1,2",
+        "out": str(tmp_path / "o")}))
+    assert run("equilibrium", "--config", conf) == 0
+    obj = json.loads((tmp_path / "o" / "equilibrium.json").read_text())
+    assert obj["mode"] == "single-slot-dominant" and obj["conservative"] is True
+
+
+def _edited(tmp_path, source, edit):
+    obj = json.loads(Path(source).read_text())
+    edit(obj)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+@pytest.mark.parametrize("edit", [
+    lambda o: o.update(query_dist={q: "abc" for q in o["query_dist"]}),
+    lambda o: o.update(kappa="abc"),
+    lambda o: o.update(kappa=None),
+    lambda o: o.update(slot_weights=["abc"]),
+    lambda o: o["valuations"]["a"].update(q1="abc"),
+])
+def test_non_numeric_scenario_field_is_a_validation_error(tmp_path, edit):
+    bad = _edited(tmp_path, SCENARIO, edit)
+    assert run("equilibrium", "--scenario", bad, "--out", tmp_path) == 2
+
+
+@pytest.mark.parametrize("params", [
+    {"family": "uniform", "params": {"lo": "abc", "hi": 1.0}},
+    {"family": "truncated_exponential", "params": {"rate": 1.0, "hi": "abc"}},
+    {"family": "empirical", "params": {"samples": ["abc"]}},
+    {"family": "point", "params": {"value": "abc"}},
+])
+def test_non_numeric_distribution_parameter_is_a_validation_error(tmp_path, params):
+    bad = _edited(tmp_path, BAYES, lambda o: o["value_dists"]["a"].update(q=params))
+    assert run("revenue", "--scenario", bad, "--samples", 10, "--out", tmp_path) == 2
+
+
+@pytest.mark.parametrize("bid", ["abc", None, [1.0]])
+def test_non_numeric_bid_is_a_validation_error(tmp_path, capsys, bid):
+    bad = _edited(tmp_path, BIDS, lambda o: o["a"].update(s1=bid))
+    assert run("simulate", "--scenario", SCENARIO, "--bids", bad, "--rounds", 3,
+               "--out", tmp_path) == 2
+    assert "non-numeric bid" in capsys.readouterr().err
+
+
 def test_malformed_scenario_names_offending_key(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"queries": ["q"], "bogus_key": 1}))
