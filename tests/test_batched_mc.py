@@ -394,7 +394,7 @@ def test_bne_regret_needs_an_opponent_draw():
 # ------------------------------------------------------------ homogeneity
 
 
-def bound(bayes, values) -> Scenario:
+def as_scenario(bayes, values) -> Scenario:
     """One (|A|, |Q|) profile over every query as a Scenario."""
     return Scenario(bayes.graph, bayes.p, bayes.pi, bayes.weights,
                     ValuationProfile({i: dict(zip(bayes.graph.queries, row))
@@ -416,7 +416,7 @@ def test_homogeneity_batch_equals_the_scalar_loop(seed):
     values[rng.random(30) < 0.3] = rng.uniform(0.1, 3.0, size=values.shape[1:])
     got = homogeneity_batch(bayes, values)
     for t in range(len(values)):
-        sc = bound(bayes, values[t])
+        sc = as_scenario(bayes, values[t])
         assert got[t] == homogeneity(sc) == scalar_homogeneity(sc)
 
 
