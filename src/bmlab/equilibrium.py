@@ -15,8 +15,8 @@ grid (one axis per advertiser) in bounded chunks of advertiser 0's rows,
 in two passes: the first finds advertiser 0's best responses, the second
 every other advertiser's and the stable profiles.  No array spans the
 whole grid, so its memory stays about one chunk's plus one entry per
-opponent profile however large the grid grows.  The Bayes-Nash regret
-estimate prices its deviation menus with the enumerator's GSP kernel.
+opponent profile however large the grid grows.  One GSP kernel,
+_gsp_outcome, prices the keyword auctions of every solver here.
 """
 from __future__ import annotations
 
@@ -88,34 +88,20 @@ def bid_menu(scenario: Scenario, grid: BidGrid, advertiser, keyword,
     return tuple(menu)
 
 
-# ----------------------------------------------------- per-keyword utility
+# ------------------------------------------------------------- GSP kernel
 
-def _opponent_bids(bids, advertiser, keywords):
-    """{keyword: [(j, bid), ...]}: the opponents' positive bids on each of
-    the keywords, in profile order, from one pass over the profile.
-    Callers check the profile for NaN and infinite bids first."""
-    out = {s: [] for s in keywords}
-    for j, row in bids.items():
-        if j != advertiser:
-            for s, b in row.items():
-                if b > 0.0 and s in out:
-                    out[s].append((j, b))
-    return out
-
-
-def _slot_utility(own_bid, advertiser, opponents, weights, mass, value):
-    """u_i^s for one bid against fixed positive opponent bids."""
-    if own_bid <= 0.0 or weights.weight(0) <= 0.0:
-        return 0.0
-    rank, price = 0, 0.0       # price: the highest bid ranked below own_bid
-    for j, b in opponents:
-        if outranks(b, j, own_bid, advertiser):
-            rank += 1
-            if weights.weight(rank) <= 0.0:      # weights never increase
-                return 0.0
-        elif b > price:
-            price = b
-    return mass * weights.weight(rank) * (value - price)
+def _gsp_outcome(own, a, opp, ids, w_padded):
+    """(slot weight, active, price) of advertiser index a bidding `own` on
+    one keyword against the opponents on opp's last axis, whose advertiser
+    indices are ids; own broadcasts against opp without that axis.  Ranks
+    follow the lex GSP order, the smaller index winning ties, and the
+    price is the highest opponent bid ranked below own (0 when none is).
+    w_padded holds the slot weights of positions 0..n, n >= opponents."""
+    above = outranks(opp, ids, own[..., None], a)
+    rank = above.sum(axis=-1)
+    price = np.max(np.where(above, 0.0, opp), axis=-1, initial=0.0)
+    slot_w = w_padded[np.minimum(rank, len(w_padded) - 1)]
+    return slot_w, (own > 0.0) & (slot_w > 0.0), price
 
 
 def _select_keywords(menus, utilities, kappa):
@@ -136,6 +122,47 @@ def _select_keywords(menus, utilities, kappa):
 
 # ------------------------------------------------------------ best response
 
+def _respond(scenario, bids, advertiser, grid, conservative, include_truthful,
+             max_keywords=20, max_kappa=4):
+    """(best row, its utility, utility of the advertiser's current row)
+    against the opponents' bids.  Every pool keyword's menu and the
+    current row's positive bids form one flat own-bid vector, priced in
+    one _gsp_outcome call against its keyword's opponent bids."""
+    pool = sorted(scenario.kw_positive[advertiser])
+    if len(pool) > max_keywords:
+        raise TooLarge(f"{len(pool)} candidate keywords exceeds the "
+                       f"best-response cap {max_keywords}")
+    if scenario.kappa > max_kappa:
+        raise TooLarge(f"kappa = {scenario.kappa} exceeds the best-response "
+                       f"cap {max_kappa}")
+    require_finite_profile(bids)      # a NaN bid would silently never outrank
+    menus = {s: bid_menu(scenario, grid, advertiser, s, conservative, include_truthful)
+             for s in pool}
+    # the menus, then the current row's positive bids, one bid per entry
+    entries = [*menus.items(), *((s, (b,)) for s, b in bids.get(advertiser, {}).items()
+                                 if b > 0.0)]
+    col = {s: k for k, s in enumerate(dict.fromkeys(s for s, _ in entries))}
+    at = np.array([col[s] for s, menu in entries for _ in menu], dtype=np.intp)
+    opp = np.zeros((len(scenario.advertisers), len(col)))     # (advertiser, keyword)
+    for j, i in enumerate(scenario.advertisers):
+        for s, b in bids.get(i, {}).items() if i != advertiser else ():
+            if s in col:
+                opp[j, col[s]] = b
+    ids = np.flatnonzero((opp > 0.0).any(axis=1))
+    w_padded = np.array([scenario.weights.weight(k) for k in range(len(ids) + 1)])
+    slot_w, active, price = _gsp_outcome(np.array([b for _, menu in entries for b in menu]),
+                                         scenario.advertisers.index(advertiser),
+                                         opp[ids][:, at].T, ids, w_padded)
+    mass = np.array([scenario.kw_masses[s] for s in col])[at]
+    value = np.array([scenario.kw_values[advertiser][s] for s in col])[at]
+    util = np.where(active, mass * slot_w * (value - price), 0.0).tolist()
+    utilities, lo = {}, 0
+    for s, menu in menus.items():
+        utilities[s], lo = util[lo:lo + len(menu)], lo + len(menu)
+    _, kept = _select_keywords(menus, utilities.__getitem__, scenario.kappa)
+    return {s: b for _, s, b in kept}, sum(u for u, _, _ in kept), sum(util[lo:], 0.0)
+
+
 def best_response(scenario: Scenario, bids, advertiser, grid: BidGrid,
                   conservative=False, include_truthful=True,
                   max_keywords=20, max_kappa=4):
@@ -146,38 +173,9 @@ def best_response(scenario: Scenario, bids, advertiser, grid: BidGrid,
     bids prefers the lowest, then the lexicographically first keyword.
     Returns (bid row, total utility).
     """
-    pool = sorted(scenario.kw_positive[advertiser])
-    if len(pool) > max_keywords:
-        raise TooLarge(f"{len(pool)} candidate keywords exceeds the "
-                       f"best-response cap {max_keywords}")
-    if scenario.kappa > max_kappa:
-        raise TooLarge(f"kappa = {scenario.kappa} exceeds the best-response "
-                       f"cap {max_kappa}")
-    require_finite_profile(bids)      # a NaN bid would silently never outrank
-    values = scenario.kw_values[advertiser]
-    opponents = _opponent_bids(bids, advertiser, pool)
-    menus = {s: bid_menu(scenario, grid, advertiser, s, conservative, include_truthful)
-             for s in pool}
-    _, kept = _select_keywords(menus, lambda s: (_slot_utility(
-        b, advertiser, opponents[s], scenario.weights, scenario.kw_masses[s], values[s])
-        for b in menus[s]), scenario.kappa)
-    return {s: b for _, s, b in kept}, sum(u for u, _, _ in kept)
-
-
-def _profile_utility(scenario, bids, advertiser):
-    """Current utility via the same per-keyword evaluation used by the
-    search (exact, but cheaper than the integral form).  The profile is
-    the one best_response has just checked."""
-    total = 0.0
-    row = bids.get(advertiser, {})
-    opponents = _opponent_bids(bids, advertiser, row)
-    for s, b in row.items():
-        if b <= 0.0:
-            continue
-        total += _slot_utility(b, advertiser, opponents[s],
-                               scenario.weights, scenario.kw_masses[s],
-                               scenario.kw_values[advertiser][s])
-    return total
+    row, best, _ = _respond(scenario, bids, advertiser, grid, conservative,
+                            include_truthful, max_keywords, max_kappa)
+    return row, best
 
 
 def default_epsilon(scenario: Scenario) -> float:
@@ -203,9 +201,9 @@ def verify_epsilon_nash(scenario: Scenario, bids, grid: BidGrid,
     """Per-advertiser regret of a profile against grid deviations."""
     regrets = {}
     for i in scenario.advertisers:
-        _, best = best_response(scenario, bids, i, grid, conservative,
-                                include_truthful)
-        regrets[i] = max(0.0, best - _profile_utility(scenario, bids, i))
+        _, best, current = _respond(scenario, bids, i, grid, conservative,
+                                    include_truthful)
+        regrets[i] = max(0.0, best - current)
     return regrets
 
 
@@ -307,10 +305,11 @@ _CHUNK_PROFILES = 1 << 16
 # Bytes per chunk profile beyond the n float64 utility accumulators: a
 # keyword's utilities spread along the last axis and gathered onto the
 # chunk, the Nash mask and its comparisons, and, when a keyword's grid of
-# distinct bids is as large as the chunk (one keyword, rows = bids), the
-# temporaries of the GSP outcome on it.  Measured with tracemalloc: 40 B
-# on a 3-keyword market, under 60 B on one-keyword markets.
-_CHUNK_BYTES_PER_PROFILE = 96
+# distinct bids is as large as the chunk (one keyword, rows = bids), its
+# bid stack and the temporaries of the GSP outcome on it.  Measured with
+# tracemalloc (peak less the accumulators and the best-response table):
+# 34 B on a 3-keyword market, 100-125 B on one-keyword markets.
+_CHUNK_BYTES_PER_PROFILE = 128
 
 
 def _chunk_rows(counts) -> int:
@@ -324,25 +323,6 @@ def _peak_bytes(counts) -> int:
     table = math.prod(counts[1:])
     chunk = min(counts[0], _chunk_rows(counts)) * table
     return chunk * (8 * len(counts) + _CHUNK_BYTES_PER_PROFILE) + 8 * table
-
-
-def _keyword_outcome(cols, a, w_padded):
-    """(slot weight, active, price) of participant a on one keyword, where
-    cols maps each participant's advertiser index to its bids, arrays
-    that broadcast against each other; ranks follow the lex GSP order,
-    the smaller index winning ties."""
-    n = len(w_padded) - 1
-    c_a = cols[a]
-    rank = np.zeros((1,) * c_a.ndim, dtype=np.int64)
-    price = np.zeros((1,) * c_a.ndim)
-    for b, c_b in cols.items():
-        if b == a:
-            continue
-        above = outranks(c_b, b, c_a, a)
-        rank = rank + above
-        price = np.maximum(price, np.where(~above, c_b, 0.0))
-    slot_w = w_padded[np.minimum(rank, n)]
-    return slot_w, (c_a > 0.0) & (slot_w > 0.0), price
 
 
 def enumerate_pure_nash(scenario: Scenario, grid: BidGrid, epsilon=None,
@@ -397,14 +377,15 @@ def enumerate_pure_nash(scenario: Scenario, grid: BidGrid, epsilon=None,
     for k in range(n + 1):
         w_padded[k] = scenario.weights.weight(k)
     # per keyword: {participant: column of the keyword in its rows}, in
-    # advertiser order, and the distinct bids of each participant other
-    # than advertiser 0 with the index of every row's bid among them
+    # advertiser order, their indices, and the distinct bids of each but
+    # advertiser 0 with the index of every row's bid among them
     keywords = []
     for s in scenario.graph.keywords:
         parts = {a: pools[a].index(s) for a in range(n) if s in pools[a]}
         if parts:
-            keywords.append((s, parts, {a: np.unique(arrays[a][:, j], return_inverse=True)
-                                        for a, j in parts.items() if a != 0}))
+            keywords.append((s, parts, np.array(list(parts)),
+                             {a: np.unique(arrays[a][:, j], return_inverse=True)
+                              for a, j in parts.items() if a != 0}))
     last = n - 1
 
     def chunk_utilities(rows0, who):
@@ -416,14 +397,16 @@ def enumerate_pure_nash(scenario: Scenario, grid: BidGrid, epsilon=None,
         row-major over the other participants."""
         shape = (rows0.stop - rows0.start,) + tuple(counts[1:])
         acc = {a: np.zeros(shape) for a in who}
-        for s, parts, distinct in keywords:
+        for s, parts, ids, distinct in keywords:
             if acc.keys().isdisjoint(parts):
                 continue
-            levels, line = {}, np.zeros((1,) * last, dtype=np.intp)
-            for p, a in enumerate(parts):
-                lv, inv = distinct[a] if a != 0 else np.unique(arrays[0][rows0, parts[0]],
-                                                               return_inverse=True)
-                levels[a] = lv.reshape([-1 if q == p else 1 for q in range(len(parts))])
+            levels = [distinct[a] if a != 0 else np.unique(arrays[0][rows0, parts[0]],
+                                                           return_inverse=True)
+                      for a in parts]
+            line = np.zeros((1,) * last, dtype=np.intp)
+            stack = np.empty([len(lv) for lv, _ in levels] + [len(parts)])
+            for p, (a, (lv, inv)) in enumerate(zip(parts, levels)):
+                stack[..., p] = lv.reshape([-1 if q == p else 1 for q in range(len(parts))])
                 if a == last:
                     spread = inv
                 else:
@@ -431,10 +414,11 @@ def enumerate_pure_nash(scenario: Scenario, grid: BidGrid, epsilon=None,
                     view[a] = len(inv)
                     line = line * len(lv) + inv.reshape(view)
             mass = scenario.kw_masses[s]
-            for a in parts:
+            for p, a in enumerate(parts):
                 if a not in acc:
                     continue
-                slot_w, active, price = _keyword_outcome(levels, a, w_padded)
+                slot_w, active, price = _gsp_outcome(stack[..., p], a, np.delete(stack, p, -1),
+                                                     np.delete(ids, p), w_padded)
                 value = scenario.kw_values[advs[a]][s]
                 util = np.where(active, mass * slot_w * (value - price), 0.0)
                 util = np.take(util, spread, axis=-1) if last in parts else util[..., None]
@@ -465,14 +449,15 @@ def enumerate_pure_nash(scenario: Scenario, grid: BidGrid, epsilon=None,
     # welfare, and winner truthfulness, of the stable profiles only
     welfare = np.zeros(len(hits))
     keep = np.ones(len(hits), dtype=bool)
-    for s, parts, _ in keywords:
-        cols = {a: arrays[a][hits[:, a], j] for a, j in parts.items()}
-        for a in parts:
+    for s, parts, ids, _ in keywords:
+        stack = np.stack([arrays[a][hits[:, a], j] for a, j in parts.items()], axis=-1)
+        for p, a in enumerate(parts):
             value = scenario.kw_values[advs[a]][s]
-            slot_w, active, _ = _keyword_outcome(cols, a, w_padded)
+            slot_w, active, _ = _gsp_outcome(stack[:, p], a, np.delete(stack, p, -1),
+                                             np.delete(ids, p), w_padded)
             welfare += np.where(active, scenario.kw_masses[s] * slot_w * value, 0.0)
             if winner_truthful:
-                keep &= ~(active & (np.abs(cols[a] - value) > _TRUTHFUL_TOL))
+                keep &= ~(active & (np.abs(stack[:, p] - value) > _TRUTHFUL_TOL))
 
     reports = []
     for h in np.flatnonzero(keep):
@@ -583,7 +568,7 @@ def estimate_bne_regret(bayes: BayesScenario, strategy: Callable, n_types: int,
     types, with its standard error.  Each advertiser's profiles come from
     one sample_values call, a type's own profile followed by its
     opponent profiles, and are bid through strategy_bid_tensor.  A
-    keyword's menu meets all the opponent draws in one _keyword_outcome.
+    keyword's menu meets all the opponent draws in one _gsp_outcome.
     """
     if n_types < 1:
         raise ValidationError("n_types must be >= 1")
@@ -596,6 +581,8 @@ def estimate_bne_regret(bayes: BayesScenario, strategy: Callable, n_types: int,
     w_padded = np.array([bayes.weights.weight(k) for k in range(len(advertisers) + 1)])
     out = {}
     for a, i in enumerate(advertisers):
+        others = np.delete(np.arange(len(advertisers)), a)
+        priced = slice(None if len(others) else 1)     # no opponents: every draw alike
         draws = bayes.sample_values(rng, n_types * rows)
         bids = strategy_bid_tensor(bayes, strategy, draws)
         require_finite_bid_tensor(bayes, bids)
@@ -610,9 +597,8 @@ def estimate_bne_regret(bayes: BayesScenario, strategy: Callable, n_types: int,
                      for s, v in values.items()}
             utilities = {}      # keyword -> mean utility of each menu bid over the draws
             for k, (s, menu) in enumerate(menus.items()):
-                cols = {j: opp_bids[:, j, k] for j in range(len(advertisers))}
-                cols[a] = np.array(menu)[:, None]
-                slot_w, active, price = _keyword_outcome(cols, a, w_padded)
+                slot_w, active, price = _gsp_outcome(np.array(menu)[:, None], a,
+                                                     opp_bids[priced, others, k], others, w_padded)
                 util = np.where(active, bayes.kw_masses[s] * slot_w * (values[s] - price), 0.0)
                 # builtin sum: the draws' columns added in order (ndarray.sum pairs them)
                 utilities[s] = (sum(np.broadcast_to(util, (len(menu), n_opponent_draws)).T)

@@ -292,27 +292,84 @@ def scalar_piecewise_quantile(dist, u):
     return 0.5 * (lo + hi)
 
 
+def opponent_bids(bids, advertiser, keywords):
+    """{keyword: [(j, bid), ...]}: the opponents' positive bids on each of
+    the keywords, in profile order, from one pass over the profile.
+    Callers check the profile for NaN and infinite bids first."""
+    out = {s: [] for s in keywords}
+    for j, row in bids.items():
+        if j != advertiser:
+            for s, b in row.items():
+                if b > 0.0 and s in out:
+                    out[s].append((j, b))
+    return out
+
+
+def slot_utility(own_bid, advertiser, opponents, weights, mass, value):
+    """Oracle: u_i^s for one bid against fixed positive opponent bids, by a
+    scalar scan in the lex GSP order."""
+    from bmlab.mechanisms import outranks
+
+    if own_bid <= 0.0 or weights.weight(0) <= 0.0:
+        return 0.0
+    rank, price = 0, 0.0       # price: the highest bid ranked below own_bid
+    for j, b in opponents:
+        if outranks(b, j, own_bid, advertiser):
+            rank += 1
+            if weights.weight(rank) <= 0.0:      # weights never increase
+                return 0.0
+        elif b > price:
+            price = b
+    return mass * weights.weight(rank) * (value - price)
+
+
+def select_keywords(menus, utility, kappa):
+    """Best-response keyword selection with a scalar utility(s, b): each
+    keyword's lowest bid of maximal utility, keywords ranked by
+    (-utility, keyword); the ranked list and its top-kappa positive part."""
+    ranked = []
+    for s, menu in menus.items():
+        best_u, best_b = 0.0, 0.0
+        for b in menu:
+            u = utility(s, b)
+            if u > best_u:
+                best_u, best_b = u, b
+        ranked.append((best_u, s, best_b))
+    ranked.sort(key=lambda usb: (-usb[0], usb[1]))
+    return ranked, [usb for usb in ranked[:kappa] if usb[0] > 0.0]
+
+
+def scalar_best_response(scenario, bids, advertiser, grid, conservative=False,
+                         include_truthful=True):
+    """Oracle: (best row, its utility, utility of the current row) by one
+    scalar slot_utility call per menu bid and per current bid."""
+    from bmlab.equilibrium import bid_menu
+
+    values = scenario.kw_values[advertiser]
+    menus = {s: bid_menu(scenario, grid, advertiser, s, conservative, include_truthful)
+             for s in sorted(scenario.kw_positive[advertiser])}
+    row = bids.get(advertiser, {})
+    opponents = opponent_bids(bids, advertiser, set(menus) | set(row))
+
+    def utility(s, b):
+        return slot_utility(b, advertiser, opponents[s], scenario.weights,
+                            scenario.kw_masses[s], values[s])
+
+    _, kept = select_keywords(menus, utility, scenario.kappa)
+    current = 0.0
+    for s, b in row.items():
+        if b > 0.0:
+            current += utility(s, b)
+    return {s: b for _, s, b in kept}, sum(u for u, _, _ in kept), current
+
+
 def per_draw_bne_regret(bayes, strategy, n_types, deviation_delta, rng,
                         n_opponent_draws=32):
     """Oracle: estimate_bne_regret as one scalar utility call per menu bid
-    and opponent draw, on per-draw dict profiles, kept verbatim with its
-    keyword selection inlined."""
-    from bmlab.equilibrium import (BidGrid, RegretEstimate, _opponent_bids,
-                                   _slot_utility, strategy_bid_tensor)
+    and opponent draw, on per-draw dict profiles, kept verbatim."""
+    from bmlab.equilibrium import BidGrid, RegretEstimate, strategy_bid_tensor
     from bmlab.market import keyword_value_tensor
     from bmlab.mechanisms import require_finite_bid_tensor
-
-    def select_keywords(menus, utility, kappa):
-        ranked = []
-        for s, menu in menus.items():
-            best_u, best_b = 0.0, 0.0
-            for b in menu:
-                u = utility(s, b)
-                if u > best_u:
-                    best_u, best_b = u, b
-            ranked.append((best_u, s, best_b))
-        ranked.sort(key=lambda usb: (-usb[0], usb[1]))
-        return ranked, [usb for usb in ranked[:kappa] if usb[0] > 0.0]
 
     advertisers, keywords = bayes.advertisers, bayes.graph.keywords
     rows = 1 + n_opponent_draws
@@ -332,14 +389,14 @@ def per_draw_bne_regret(bayes, strategy, n_types, deviation_delta, rng,
                      for s, v in values.items()}
             opp_draws = [dict(zip(advertisers, (dict(zip(keywords, row)) for row in draw)))
                          for draw in opp_bids]
-            by_draw = [_opponent_bids(opp, i, menus) for opp in opp_draws]
+            by_draw = [opponent_bids(opp, i, menus) for opp in opp_draws]
             opponents = {s: [opp[s] for opp in by_draw] for s in menus}
             seen = {}
 
             def utility(s, b):
                 u = 0.0
                 for opp in opponents[s]:
-                    u += _slot_utility(b, i, opp, bayes.weights,
+                    u += slot_utility(b, i, opp, bayes.weights,
                                        bayes.kw_masses[s], values[s])
                 u /= n_opponent_draws
                 seen[s, b] = u

@@ -36,6 +36,7 @@ from helpers import (
     joint_best_response_oracle,
     random_bid_profile,
     random_scenario,
+    scalar_best_response,
     simple_scenario,
     single_keyword_scenario,
     slow_pure_nash_oracle,
@@ -151,6 +152,41 @@ def test_best_response_matches_joint_oracle():
             assert pbm_utility(sc, trial, i) == pytest.approx(u, abs=1e-9)
             checked += 1
     assert checked >= 25
+
+
+@pytest.mark.parametrize("weights", [(1.0,), (1.0, 0.6), (1.0, 0.6, 0.0), (0.0,)])
+def test_best_response_and_regrets_bit_identical_to_scalar_oracle(weights):
+    """best_response rows and utilities and verify_epsilon_nash regrets
+    equal the scalar slot_utility oracle's floats bit for bit, with
+    overbids, ties with grid bids and current rows bidding on a
+    zero-value keyword."""
+    rng = np.random.default_rng([606, len(weights), int(weights[0])])
+    zero_value_rows = 0
+    for t in range(60):
+        sc = random_scenario(rng, max_adv=4, max_kw=3, max_q=4, weights=weights)
+        grid = make_grid(sc, delta=max(make_grid(sc, 1.0).caps.values()) / 4)
+        bids = random_bid_profile(rng, sc, overbid=0.5 if t % 2 else 0.0)
+        if t % 3 == 0:      # bids on grid points, which menu bids tie with
+            bids = {i: {s: k * grid.delta for s, b in row.items() if (k := round(b / grid.delta))}
+                    for i, row in bids.items()}
+        for i in sc.advertisers:
+            zero = sorted(set(sc.graph.keywords) - sc.kw_positive[i])
+            if zero:    # keep kappa - 1 of its bids and add one on a zero-value keyword
+                bids[i] = dict(list(bids[i].items())[:sc.kappa - 1]) | {zero[0]: 1.25}
+                zero_value_rows += 1
+                break
+        for conservative in (False, True):
+            oracle_regrets = {}
+            for i in sc.advertisers:
+                row, u = best_response(sc, bids, i, grid, conservative)
+                o_row, o_best, o_current = scalar_best_response(sc, bids, i, grid, conservative)
+                assert {s: b.hex() for s, b in row.items()} == \
+                    {s: b.hex() for s, b in o_row.items()}
+                assert float(u).hex() == float(o_best).hex()
+                oracle_regrets[i] = max(0.0, o_best - o_current).hex()
+            regrets = verify_epsilon_nash(sc, bids, grid, conservative)
+            assert {i: r.hex() for i, r in regrets.items()} == oracle_regrets
+    assert zero_value_rows >= 10
 
 
 # ---------------------------------------------------------------- dynamics
