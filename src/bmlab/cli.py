@@ -19,8 +19,8 @@ import numpy as np
 
 from .analysis import (counterexample_scenario, empirical_poa,
                        empirical_revenue_ratio, homogeneity_batch, ratio_csv)
-from .equilibrium import (EquilibriumReport, best_response_dynamics,
-                          default_epsilon, enumerate_pure_nash,
+from .equilibrium import (EquilibriumReport, _resolve_epsilon, best_response_dynamics,
+                          enumerate_pure_nash,
                           estimate_bne_regret, make_grid,
                           single_slot_dominant_profile,
                           truthful_keyword_strategy, verify_epsilon_nash)
@@ -237,7 +237,7 @@ def _report_obj(report) -> dict:
 def cmd_equilibrium(cfg: RunConfig) -> int:
     sc = scenario_from_json(_need(cfg, "scenario", "--scenario"))
     grid = make_grid(sc, cfg.grid_delta)
-    eps = cfg.epsilon if cfg.epsilon is not None else default_epsilon(sc)
+    eps = _resolve_epsilon(sc, cfg.epsilon)
     obj = {"mode": cfg.mode, "grid_delta": cfg.grid_delta, "epsilon": eps,
            "conservative": cfg.conservative}
     if cfg.mode == "dynamics":

@@ -186,6 +186,15 @@ def default_epsilon(scenario: Scenario) -> float:
     return 1e-9 * max(top, 1.0)
 
 
+def _resolve_epsilon(scenario: Scenario, epsilon) -> float:
+    """epsilon, or default_epsilon when None; NaN (no profile would be
+    stable), infinite and negative thresholds are rejected."""
+    eps = default_epsilon(scenario) if epsilon is None else epsilon
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise ValidationError(f"epsilon must be finite and >= 0, got {eps}")
+    return eps
+
+
 @dataclass(frozen=True)
 class EquilibriumReport:
     profile: dict
@@ -212,7 +221,9 @@ def best_response_dynamics(scenario: Scenario, initial, grid: BidGrid,
                            include_truthful=True) -> EquilibriumReport:
     """Round-robin best responses until max regret <= epsilon or the
     iteration cap; non-convergence is a report state, not an error."""
-    eps = default_epsilon(scenario) if epsilon is None else epsilon
+    eps = _resolve_epsilon(scenario, epsilon)
+    if max_iters < 0:
+        raise ValidationError(f"max_iters must be >= 0, got {max_iters}")
     profile = {i: dict(initial.get(i, {})) for i in scenario.advertisers}
     regrets = verify_epsilon_nash(scenario, profile, grid, conservative,
                                   include_truthful)
@@ -355,7 +366,7 @@ def enumerate_pure_nash(scenario: Scenario, grid: BidGrid, epsilon=None,
     are ordered by joint row-major strategy index; each carries exact
     regret and expected welfare.
     """
-    eps = default_epsilon(scenario) if epsilon is None else epsilon
+    eps = _resolve_epsilon(scenario, epsilon)
     advs = scenario.advertisers
     n = len(advs)
     if n == 0:      # the empty profile is the one profile, and stable

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import NoRoot, ValidationError, ZeroDensity
+from .errors import NoRoot, ParameterRange, ValidationError, ZeroDensity
 
 _MASS_TOL = 1e-9
 _TAIL_QUANTILE = 1.0 - 1e-12  # finite surrogate for unbounded supports
@@ -566,11 +566,17 @@ def plateau_then_spike_density(eps, m_exp) -> PiecewiseDensity:
     2**m_exp - eps/2, then a quadratic spike holding the remaining
     1 - eps mass.  Nondecreasing and continuous throughout."""
     eps, m_exp = float(eps), int(m_exp)
-    top = 2.0 ** m_exp
     if not 0.0 < eps < 0.5:
         raise ValidationError(f"spike construction needs 0 < eps < 1/2, got {eps}")
+    try:
+        top = 2.0 ** m_exp
+    except OverflowError:
+        raise ParameterRange(f"2**{m_exp} overflows a float") from None
     x1 = top - eps
     x2 = top - eps / 2.0
+    if not x1 < x2 < top:
+        raise ParameterRange(f"the spike window of width {eps} below 2**{m_exp} "
+                             f"is finer than float spacing there")
     d1 = 2.0 ** (-(m_exp + 1))
     d2 = 2.0 ** (-m_exp)
     ramp_w = min(x1 / 2.0, eps / d1)

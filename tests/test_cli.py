@@ -282,6 +282,38 @@ def test_parameter_range_exit_code(tmp_path, capsys):
     assert "eps1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("m_exp, message", [
+    (40, "finer than float spacing"),      # 2**40 - eps2/2 rounds onto a neighbour
+    (2000, "overflows a float"),
+])
+def test_unrepresentable_m_exp_is_parameter_range(tmp_path, capsys, m_exp, message):
+    assert run("counterexample", "--m-exp", m_exp, "--out", tmp_path) == 4
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["enumerate", "dynamics", "single-slot-dominant"])
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-0.5"])
+def test_bad_epsilon_is_validation_error(tmp_path, capsys, mode, epsilon):
+    code = run("equilibrium", "--scenario", SCENARIO, "--mode", mode,
+               "--grid-delta", 1, "--epsilon", epsilon, "--out", tmp_path)
+    assert code == 2
+    assert "epsilon must be finite and >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "equilibrium.json").exists()
+
+
+def test_poa_rejects_nan_epsilon(tmp_path, capsys):
+    assert run("poa", "--scenario", SCENARIO, "--grid-delta", 1,
+               "--epsilon", "nan", "--out", tmp_path) == 2
+    assert "epsilon must be finite" in capsys.readouterr().err
+
+
+def test_negative_max_iters_is_validation_error(tmp_path, capsys):
+    code = run("equilibrium", "--scenario", SCENARIO, "--mode", "dynamics",
+               "--grid-delta", 1, "--max-iters", -5, "--out", tmp_path)
+    assert code == 2
+    assert "max_iters must be >= 0, got -5" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------ ratio reports
 
 

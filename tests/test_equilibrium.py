@@ -203,6 +203,22 @@ def test_dynamics_truthful_single_slot_converges_immediately():
     assert rep.welfare == pytest.approx(5.0)
 
 
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -1e-9])
+def test_bad_epsilon_rejected(epsilon):
+    sc = five_three()
+    grid = make_grid(sc, delta=1.0)
+    with pytest.raises(ValidationError, match="epsilon must be finite and >= 0"):
+        enumerate_pure_nash(sc, grid, epsilon=epsilon)
+    with pytest.raises(ValidationError, match="epsilon must be finite and >= 0"):
+        best_response_dynamics(sc, {}, grid, epsilon=epsilon)
+
+
+def test_dynamics_negative_max_iters_rejected():
+    sc = five_three()
+    with pytest.raises(ValidationError, match="max_iters must be >= 0, got -5"):
+        best_response_dynamics(sc, {}, make_grid(sc, delta=1.0), max_iters=-5)
+
+
 def test_dynamics_zero_iters_not_converged():
     sc = five_three()
     grid = make_grid(sc, delta=1.0)
