@@ -138,16 +138,17 @@ def _respond(scenario, bids, advertiser, grid, conservative, include_truthful,
     require_finite_profile(bids)      # a NaN bid would silently never outrank
     menus = {s: bid_menu(scenario, grid, advertiser, s, conservative, include_truthful)
              for s in pool}
-    # the menus, then the current row's positive bids, one bid per entry
+    # (keyword, bids): each menu, then each positive bid of the current row
     entries = [*menus.items(), *((s, (b,)) for s, b in bids.get(advertiser, {}).items()
                                  if b > 0.0)]
     col = {s: k for k, s in enumerate(dict.fromkeys(s for s, _ in entries))}
     at = np.array([col[s] for s, menu in entries for _ in menu], dtype=np.intp)
     opp = np.zeros((len(scenario.advertisers), len(col)))     # (advertiser, keyword)
     for j, i in enumerate(scenario.advertisers):
-        for s, b in bids.get(i, {}).items() if i != advertiser else ():
-            if s in col:
-                opp[j, col[s]] = b
+        if i != advertiser:
+            for s, b in bids.get(i, {}).items():
+                if s in col:
+                    opp[j, col[s]] = b
     ids = np.flatnonzero((opp > 0.0).any(axis=1))
     w_padded = np.array([scenario.weights.weight(k) for k in range(len(ids) + 1)])
     slot_w, active, price = _gsp_outcome(np.array([b for _, menu in entries for b in menu]),
