@@ -24,13 +24,13 @@ from .equilibrium import (EquilibriumReport, _resolve_epsilon, best_response_dyn
                           estimate_bne_regret, make_grid,
                           single_slot_dominant_profile,
                           truthful_keyword_strategy, verify_epsilon_nash)
-from .errors import BmLabError, ValidationError
+from .errors import BmLabError, ParameterRange, ValidationError
 from .expressiveness import (DEFAULT_THETA_GRID, expressiveness_sweep,
                              extract_micro_markets, kl_expressiveness,
                              load_corpus, degree_bound_check, market_positive_sets)
 from .market import scenario_from_json
-from .mechanisms import (draw, load_bid_profile, pbm_expected_revenue,
-                         pbm_expected_welfare, pbm_run_round)
+from .mechanisms import (load_bid_profile, pbm_expected_revenue,
+                         pbm_expected_welfare, pbm_simulate)
 from .reserves import (bayes_scenario_from_json, induced_keyword_distribution,
                        mhr_bounded_derivative_check, myerson_reserve)
 
@@ -193,20 +193,17 @@ def cmd_simulate(cfg: RunConfig) -> int:
     bids = load_bid_profile(_need(cfg, "bids", "--bids"), sc)
     if cfg.rounds < 0:
         raise ValidationError(f"--rounds must be >= 0, got {cfg.rounds}")
-    rng = np.random.default_rng(cfg.seed)
-    queries = tuple(sc.p.queries)
-    probs = np.array([sc.p.mass(q) for q in queries])
+    outcomes, welfare_sum, revenue_sum = pbm_simulate(
+        sc, bids, cfg.rounds, np.random.default_rng(cfg.seed))
+    rows = {}       # (query, keyword) -> its CSV lines after the round number
     lines = [ROUND_HEADER]
-    welfare_sum = 0.0
-    revenue_sum = 0.0
-    for t in range(cfg.rounds):
-        q = draw(rng, queries, probs)
-        outcome = pbm_run_round(sc, bids, q, rng)
-        welfare_sum += outcome.welfare
-        revenue_sum += outcome.revenue
-        for slot, adv, price, w in outcome.assignments:
-            lines.append(f"{t},{q},{outcome.sampled_keyword},{slot},{adv},"
-                         f"{price:.9g},{w:.9g}")
+    for t, outcome in enumerate(outcomes):
+        key = (outcome.query, outcome.sampled_keyword)
+        if key not in rows:
+            rows[key] = [f",{outcome.query},{outcome.sampled_keyword},{slot},{adv},"
+                         f"{price:.9g},{w:.9g}"
+                         for slot, adv, price, w in outcome.assignments]
+        lines.extend(f"{t}{row}" for row in rows[key])
     exact_welfare = pbm_expected_welfare(sc, bids)
     exact_revenue = pbm_expected_revenue(sc, bids)
     summary = {
@@ -364,9 +361,16 @@ def cmd_counterexample(cfg: RunConfig) -> int:
     print(f"revenue/optimal ratio = {rep.ratio:.6g}")
     trend = []
     for eps1 in TREND_EPS1:
-        _, t = counterexample_scenario(eps1, eps1 ** 2 / 10.0, cfg.m_exp)
-        trend.append({"eps1": eps1, "eps2": eps1 ** 2 / 10.0,
-                      "ratio": t.ratio})
+        eps2 = eps1 ** 2 / 10.0
+        # the trend's narrower spikes may not fit below 2**m_exp where the
+        # main instance's does: such a row is reported, not fatal
+        try:
+            _, t = counterexample_scenario(eps1, eps2, cfg.m_exp)
+        except ParameterRange as exc:
+            trend.append({"eps1": eps1, "eps2": eps2, "ratio": None, "skipped": str(exc)})
+            print(f"trend eps1={eps1:g} skipped: {exc}")
+            continue
+        trend.append({"eps1": eps1, "eps2": eps2, "ratio": t.ratio})
         print(f"trend eps1={eps1:g} ratio={t.ratio:.6g}")
     obj = {
         "eps1": rep.eps1, "eps2": rep.eps2, "m_exp": rep.m_exp,

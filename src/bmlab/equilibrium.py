@@ -122,12 +122,11 @@ def _select_keywords(menus, utilities, kappa):
 
 # ------------------------------------------------------------ best response
 
-def _respond(scenario, bids, advertiser, grid, conservative, include_truthful,
-             max_keywords=20, max_kappa=4):
-    """(best row, its utility, utility of the advertiser's current row)
-    against the opponents' bids.  Every pool keyword's menu and the
-    current row's positive bids form one flat own-bid vector, priced in
-    one _gsp_outcome call against its keyword's opponent bids."""
+def _pool_menus(scenario, grid, advertiser, conservative, include_truthful,
+                max_keywords=20, max_kappa=4):
+    """{keyword: bid menu} over the advertiser's positive keywords, the
+    search space of its best response; a pool over max_keywords or a
+    kappa over max_kappa raises TooLarge."""
     pool = sorted(scenario.kw_positive[advertiser])
     if len(pool) > max_keywords:
         raise TooLarge(f"{len(pool)} candidate keywords exceeds the "
@@ -135,9 +134,25 @@ def _respond(scenario, bids, advertiser, grid, conservative, include_truthful,
     if scenario.kappa > max_kappa:
         raise TooLarge(f"kappa = {scenario.kappa} exceeds the best-response "
                        f"cap {max_kappa}")
-    require_finite_profile(bids)      # a NaN bid would silently never outrank
-    menus = {s: bid_menu(scenario, grid, advertiser, s, conservative, include_truthful)
-             for s in pool}
+    return {s: bid_menu(scenario, grid, advertiser, s, conservative, include_truthful)
+            for s in pool}
+
+
+def _all_pool_menus(scenario, bids, grid, conservative, include_truthful):
+    """{advertiser: _pool_menus}, the caps checked first, then the profile
+    checked for a non-finite bid, which would silently never outrank."""
+    menus = {i: _pool_menus(scenario, grid, i, conservative, include_truthful)
+             for i in scenario.advertisers}
+    require_finite_profile(bids)
+    return menus
+
+
+def _respond(scenario, bids, advertiser, menus):
+    """(best row, its utility, utility of the advertiser's current row)
+    against the opponents' bids of a finite profile, over the menus of
+    _pool_menus.  Every menu and the current row's positive bids form one
+    flat own-bid vector, priced in one _gsp_outcome call against its
+    keyword's opponent bids."""
     # (keyword, bids): each menu, then each positive bid of the current row
     entries = [*menus.items(), *((s, (b,)) for s, b in bids.get(advertiser, {}).items()
                                  if b > 0.0)]
@@ -174,8 +189,10 @@ def best_response(scenario: Scenario, bids, advertiser, grid: BidGrid,
     bids prefers the lowest, then the lexicographically first keyword.
     Returns (bid row, total utility).
     """
-    row, best, _ = _respond(scenario, bids, advertiser, grid, conservative,
-                            include_truthful, max_keywords, max_kappa)
+    menus = _pool_menus(scenario, grid, advertiser, conservative, include_truthful,
+                        max_keywords, max_kappa)
+    require_finite_profile(bids)      # a NaN bid would silently never outrank
+    row, best, _ = _respond(scenario, bids, advertiser, menus)
     return row, best
 
 
@@ -209,10 +226,15 @@ class EquilibriumReport:
 def verify_epsilon_nash(scenario: Scenario, bids, grid: BidGrid,
                         conservative=False, include_truthful=True) -> dict:
     """Per-advertiser regret of a profile against grid deviations."""
+    return _regrets(scenario, bids, _all_pool_menus(scenario, bids, grid, conservative,
+                                                    include_truthful))
+
+
+def _regrets(scenario, bids, menus):
+    """verify_epsilon_nash over the menus of _all_pool_menus."""
     regrets = {}
     for i in scenario.advertisers:
-        _, best, current = _respond(scenario, bids, i, grid, conservative,
-                                    include_truthful)
+        _, best, current = _respond(scenario, bids, i, menus[i])
         regrets[i] = max(0.0, best - current)
     return regrets
 
@@ -226,8 +248,10 @@ def best_response_dynamics(scenario: Scenario, initial, grid: BidGrid,
     if max_iters < 0:
         raise ValidationError(f"max_iters must be >= 0, got {max_iters}")
     profile = {i: dict(initial.get(i, {})) for i in scenario.advertisers}
-    regrets = verify_epsilon_nash(scenario, profile, grid, conservative,
-                                  include_truthful)
+    # the menus depend only on (advertiser, keyword), so they are built once;
+    # every row a best response writes is finite, so one check suffices
+    menus = _all_pool_menus(scenario, profile, grid, conservative, include_truthful)
+    regrets = _regrets(scenario, profile, menus)
     converged = False
     iterations = 0
     for it in range(1, max_iters + 1):
@@ -236,11 +260,8 @@ def best_response_dynamics(scenario: Scenario, initial, grid: BidGrid,
             converged = True
             break
         for i in scenario.advertisers:
-            row, _ = best_response(scenario, profile, i, grid, conservative,
-                                   include_truthful)
-            profile[i] = row
-        regrets = verify_epsilon_nash(scenario, profile, grid, conservative,
-                                      include_truthful)
+            profile[i], _, _ = _respond(scenario, profile, i, menus[i])
+        regrets = _regrets(scenario, profile, menus)
     else:
         converged = max_iters > 0 and max(regrets.values(), default=0.0) <= eps
     return EquilibriumReport(profile=profile, regrets=regrets,

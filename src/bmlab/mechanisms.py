@@ -15,6 +15,7 @@ supplies the revenue benchmark.
 """
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -210,6 +211,62 @@ def pbm_run_round(scenario: Scenario, bids, query, rng, reserves=_NO_RESERVE,
     keyword = draw(rng, keywords, [scenario.pi.mass(query, s) for s in keywords])
     ranking = _rank_keyword(scenario, bids, keyword, reserves, tie=tie, rng=rng)
     return _outcome(scenario, query, keyword, ranking)
+
+
+def _cdf(probs):
+    """The cumulative distribution Generator.choice searches: a running
+    sum scaled so that its last entry is 1.  choice(n, p=probs) draws
+    cdf.searchsorted(random(), "right"), which bisect_right finds too."""
+    cdf = np.array(probs, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def pbm_simulate(scenario: Scenario, bids, rounds, rng):
+    """`rounds` probabilistic-match rounds under lex ties: each round draws
+    a query from p, then a keyword from the matching policy, as
+    draw and pbm_run_round do, from the same uniforms in the same order,
+    so the rounds and rng's final state equal the per-round loop's.
+
+    A keyword's lex ranking is the same in every round, so each keyword is
+    ranked once and each (query, keyword) pair priced once, on first use.
+    Uniforms come in blocks of one per round left, this one included:
+    once a round needs a uniform every later round needs one too (each
+    draws a query, or each draws a keyword of the one query), so no block
+    is overdrawn.  Returns (outcomes, welfare_sum, revenue_sum): one
+    AuctionOutcome per round, shared by the rounds of a pair, and the
+    rounds' welfare and revenue added in round order."""
+    queries = scenario.p.queries
+    q_cdf = _cdf([scenario.p.mass(q) for q in queries])
+    supports = {q: scenario.pi.support(q) for q in queries}
+    kw_cdfs = {q: _cdf([scenario.pi.mass(q, s) for s in supports[q]]) for q in queries}
+    block, used = [], 0
+
+    def pick(items, cdf, t):
+        """items[index drawn from cdf]; a lone item costs no uniform."""
+        nonlocal block, used
+        if len(items) == 1:
+            return items[0]
+        if used == len(block):
+            block, used = rng.random(rounds - t).tolist(), 0
+        used += 1
+        return items[bisect.bisect_right(cdf, block[used - 1])]
+
+    rankings, pairs = {}, {}        # keyword -> ranking, (query, keyword) -> outcome
+    outcomes = []
+    welfare_sum = revenue_sum = 0.0
+    for t in range(rounds):
+        q = pick(queries, q_cdf, t)
+        s = pick(supports[q], kw_cdfs[q], t)
+        outcome = pairs.get((q, s))
+        if outcome is None:
+            if s not in rankings:
+                rankings[s] = _rank_keyword(scenario, bids, s, _NO_RESERVE)
+            outcome = pairs[q, s] = _outcome(scenario, q, s, rankings[s])
+        outcomes.append(outcome)
+        welfare_sum += outcome.welfare
+        revenue_sum += outcome.revenue
+    return outcomes, welfare_sum, revenue_sum
 
 
 def _rank_keyword(scenario, bids, s, reserves, tie="lex", rng=None):

@@ -363,6 +363,59 @@ def scalar_best_response(scenario, bids, advertiser, grid, conservative=False,
     return {s: b for _, s, b in kept}, sum(u for u, _, _ in kept), current
 
 
+def per_call_dynamics(scenario, initial, grid, epsilon, max_iters, conservative=False,
+                      include_truthful=True):
+    """Oracle: best-response dynamics as the round-robin loop of one
+    scalar_best_response call per advertiser, for the best responses and
+    for the regrets alike.  Returns (profile, regrets, converged,
+    iterations)."""
+
+    def regrets_of(profile):
+        regrets = {}
+        for i in scenario.advertisers:
+            _, best, current = scalar_best_response(scenario, profile, i, grid,
+                                                    conservative, include_truthful)
+            regrets[i] = max(0.0, best - current)
+        return regrets
+
+    profile = {i: dict(initial.get(i, {})) for i in scenario.advertisers}
+    regrets = regrets_of(profile)
+    converged = False
+    iterations = 0
+    for it in range(1, max_iters + 1):
+        iterations = it
+        if max(regrets.values(), default=0.0) <= epsilon:
+            converged = True
+            break
+        for i in scenario.advertisers:
+            profile[i], _, _ = scalar_best_response(scenario, profile, i, grid,
+                                                    conservative, include_truthful)
+        regrets = regrets_of(profile)
+    else:
+        converged = max_iters > 0 and max(regrets.values(), default=0.0) <= epsilon
+    return profile, regrets, converged, iterations
+
+
+def per_round_simulate(scenario, bids, rounds, rng):
+    """Oracle: the simulate command's per-round loop, kept verbatim: a
+    query by draw, then pbm_run_round, welfare and revenue added with +=.
+    Returns (outcomes, welfare_sum, revenue_sum)."""
+    from bmlab.mechanisms import draw, pbm_run_round
+
+    queries = tuple(scenario.p.queries)
+    probs = np.array([scenario.p.mass(q) for q in queries])
+    outcomes = []
+    welfare_sum = 0.0
+    revenue_sum = 0.0
+    for _ in range(rounds):
+        q = draw(rng, queries, probs)
+        outcome = pbm_run_round(scenario, bids, q, rng)
+        welfare_sum += outcome.welfare
+        revenue_sum += outcome.revenue
+        outcomes.append(outcome)
+    return outcomes, welfare_sum, revenue_sum
+
+
 def per_draw_bne_regret(bayes, strategy, n_types, deviation_delta, rng,
                         n_opponent_draws=32):
     """Oracle: estimate_bne_regret as one scalar utility call per menu bid

@@ -291,6 +291,27 @@ def test_unrepresentable_m_exp_is_parameter_range(tmp_path, capsys, m_exp, messa
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("m_exp, code", [(35, 0), (32, 1)])
+def test_unrepresentable_trend_instance_is_skipped(tmp_path, capsys, m_exp, code):
+    """The trend instance eps1 = 0.002 (eps2 = 4e-7) does not fit below
+    2**32..2**35 where the main instance (eps2 = 1e-5) does: its row is
+    skipped with the reason, and the main instance's checks set the exit
+    code (at 2**32 its large reserve misses the spike)."""
+    assert run("counterexample", "--m-exp", m_exp, "--out", tmp_path) == code
+    out = capsys.readouterr().out
+    assert f"trend eps1=0.002 skipped: the spike window of width 4e-07 below 2**{m_exp}" in out
+    obj = json.loads((tmp_path / "counterexample.json").read_text())
+    assert obj["checks_pass"] is (code == 0)
+    assert [row["ratio"] is None for row in obj["trend"]] == [False, False, True]
+    assert "finer than float spacing" in obj["trend"][2]["skipped"]
+
+
+def test_unrepresentable_main_instance_still_exits_4(tmp_path, capsys):
+    assert run("counterexample", "--m-exp", 36, "--out", tmp_path) == 4
+    assert "width 1e-05 below 2**36" in capsys.readouterr().err
+    assert not (tmp_path / "counterexample.json").exists()
+
+
 @pytest.mark.parametrize("mode", ["enumerate", "dynamics", "single-slot-dominant"])
 @pytest.mark.parametrize("epsilon", ["nan", "inf", "-0.5"])
 def test_bad_epsilon_is_validation_error(tmp_path, capsys, mode, epsilon):

@@ -34,6 +34,7 @@ from bmlab.reserves import Uniform
 from helpers import (
     canonical_profiles,
     joint_best_response_oracle,
+    per_call_dynamics,
     random_bid_profile,
     random_scenario,
     scalar_best_response,
@@ -239,6 +240,49 @@ def test_dynamics_converged_reports_verify():
             regrets = verify_epsilon_nash(sc, rep.profile, grid,
                                           conservative=True)
             assert max(regrets.values()) <= rep.epsilon
+
+
+def _hex_rows(profile):
+    return {i: [(s, b.hex()) for s, b in row.items()] for i, row in profile.items()}
+
+
+@pytest.mark.parametrize("weights", [(1.0,), (1.0, 0.6), (1.0, 0.6, 0.0)])
+def test_dynamics_bit_identical_to_per_call_oracle(weights):
+    """best_response_dynamics, with its menus built once, reports the
+    profile, regrets, iterations and convergence of the round-robin loop
+    of one scalar best response per advertiser, bit for bit."""
+    rng = np.random.default_rng([707, len(weights)])
+    for t in range(25):
+        sc = random_scenario(rng, max_adv=4, max_kw=3, max_q=4, weights=weights)
+        grid = make_grid(sc, delta=max(make_grid(sc, 1.0).caps.values()) / 4)
+        initial = random_bid_profile(rng, sc, overbid=0.5) if t % 2 else {}
+        conservative, max_iters = bool(t % 3), int(rng.integers(0, 8))
+        eps = default_epsilon(sc)
+        rep = best_response_dynamics(sc, initial, grid, max_iters=max_iters,
+                                     conservative=conservative)
+        profile, regrets, converged, iterations = per_call_dynamics(
+            sc, initial, grid, eps, max_iters, conservative)
+        assert _hex_rows(rep.profile) == _hex_rows(profile)
+        assert {i: r.hex() for i, r in rep.regrets.items()} == \
+            {i: r.hex() for i, r in regrets.items()}
+        assert (rep.iterations, rep.converged) == (iterations, converged)
+
+
+def test_dynamics_rejects_nan_initial_bid():
+    sc = five_three()
+    with pytest.raises(ValidationError, match=r"bid of 'b' must be finite"):
+        best_response_dynamics(sc, {"a": {"s": 2.0}, "b": {"s": float("nan")}},
+                               make_grid(sc, delta=1.0))
+
+
+def test_dynamics_keyword_cap_precedes_nan_check():
+    """A market over the best-response keyword cap raises TooLarge before
+    a NaN initial bid is looked at."""
+    n = 21
+    queries = [f"q{j}" for j in range(n)]
+    sc = simple_scenario({"a": {q: 1.0 for q in queries}}, kappa=1, queries=queries)
+    with pytest.raises(TooLarge, match="21 candidate keywords exceeds"):
+        best_response_dynamics(sc, {"a": {"s1": float("nan")}}, make_grid(sc, delta=1.0))
 
 
 # -------------------------------------------------------------- enumerate

@@ -22,6 +22,7 @@ from bmlab.mechanisms import (
     pbm_expected_welfare,
     pbm_keyword_utility,
     pbm_run_round,
+    pbm_simulate,
     pbm_utility,
     sbm_expected_welfare,
     sbm_query_bid,
@@ -32,6 +33,7 @@ from bmlab.mechanisms import (
 from bmlab.market import SlotWeights
 
 from helpers import (
+    per_round_simulate,
     random_bid_profile,
     random_scenario,
     simple_scenario,
@@ -190,6 +192,108 @@ def test_run_round_nonbidder_never_wins():
         out = pbm_run_round(sc, bids, "q1", rng)
         winner = out.assignments[0][1]
         assert winner == ("a1" if out.sampled_keyword == "s1" else "a2")
+
+
+@st.composite
+def simulated_markets(draw):
+    """(scenario, bids): a single query, only one-keyword queries, or
+    queries with one or several keywords, with ties among the bids."""
+    shape = draw(st.sampled_from(["single query", "one keyword each", "mixed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_q = 1 if shape == "single query" else int(rng.integers(2, 5))
+    n_s = int(rng.integers(1, (n_q if shape == "one keyword each" else 3) + 1))
+    queries = [f"q{j}" for j in range(n_q)]
+    keywords = [f"s{k}" for k in range(n_s)]
+    if shape == "one keyword each":
+        edges = {(q, keywords[j % n_s]) for j, q in enumerate(queries)}
+    else:
+        edges = {(q, keywords[k]) for q in queries
+                 for k in rng.choice(n_s, int(rng.integers(1, n_s + 1)), replace=False)}
+        edges |= {(queries[int(rng.integers(n_q))], s) for s in keywords
+                  if not any(e[1] == s for e in edges)}
+    p_raw = rng.uniform(0.1, 1.0, size=n_q)
+    nbrs = {q: sorted(s for e, s in edges if e == q) for q in queries}
+    pi = {}
+    for q in queries:
+        raw = rng.uniform(0.1, 1.0, size=len(nbrs[q]))
+        pi[q] = dict(zip(nbrs[q], (raw / raw.sum()).tolist()))
+    values = {f"a{j}": {q: float(rng.uniform(0.5, 5.0)) for q in queries}
+              for j in range(int(rng.integers(1, 5)))}
+    weights = draw(st.sampled_from([(1.0,), (1.0, 0.5), (1.0, 0.6, 0.0)]))
+    sc = simple_scenario(values, weights=weights, queries=queries, keywords=keywords,
+                         edges=sorted(edges), p=dict(zip(queries, (p_raw / p_raw.sum()).tolist())),
+                         pi=pi)
+    bids = random_bid_profile(rng, sc)
+    if rng.random() < 0.5:      # bids on halves, so that some tie
+        bids = {i: {s: b for s, b in ((s, round(b * 2) / 2) for s, b in row.items()) if b > 0.0}
+                for i, row in bids.items()}
+    return sc, bids
+
+
+def _rounds_view(outcomes):
+    return [(o.query, o.sampled_keyword, o.assignments, o.welfare.hex(), o.revenue.hex())
+            for o in outcomes]
+
+
+@given(simulated_markets(), st.sampled_from([0, 1, 2, 3, 17, 64, 301]),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_simulate_keeps_the_per_round_stream(market, rounds, seed):
+    """pbm_simulate plays the rounds of the per-round loop (draw, then
+    pbm_run_round) from the same uniforms: equal rounds, bit-equal welfare,
+    revenue and sums, and the generator left in the same state."""
+    sc, bids = market
+    fast_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    outcomes, welfare_sum, revenue_sum = pbm_simulate(sc, bids, rounds, fast_rng)
+    want, want_welfare, want_revenue = per_round_simulate(sc, bids, rounds, loop_rng)
+    assert _rounds_view(outcomes) == _rounds_view(want)
+    assert welfare_sum.hex() == want_welfare.hex()
+    assert revenue_sum.hex() == want_revenue.hex()
+    assert fast_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+class _CountingRng:
+    """A generator that counts its blocks of uniforms."""
+
+    def __init__(self, seed):
+        self.rng, self.blocks = np.random.default_rng(seed), 0
+
+    def random(self, size):
+        self.blocks += 1
+        return self.rng.random(size)
+
+
+def test_simulate_refills_its_uniforms_and_matches_the_loop():
+    """On queries of several keywords a round may draw two uniforms, so
+    the first block of one per round runs out: the stream must survive
+    several refills."""
+    sc = simple_scenario({"a1": {"q1": 5.0, "q2": 2.0}, "a2": {"q1": 3.0, "q2": 4.0}},
+                         weights=(1.0, 0.5), queries=["q1", "q2"], keywords=["s1", "s2"],
+                         edges=[("q1", "s1"), ("q1", "s2"), ("q2", "s2")],
+                         pi={"q1": {"s1": 0.3, "s2": 0.7}, "q2": {"s2": 1.0}})
+    bids = {"a1": {"s1": 2.0, "s2": 1.0}, "a2": {"s1": 1.0, "s2": 1.0}}
+    counting = _CountingRng(9)
+    outcomes, welfare_sum, _ = pbm_simulate(sc, bids, 500, counting)
+    loop_rng = np.random.default_rng(9)
+    want, want_welfare, _ = per_round_simulate(sc, bids, 500, loop_rng)
+    assert counting.blocks > 2
+    assert _rounds_view(outcomes) == _rounds_view(want)
+    assert welfare_sum.hex() == want_welfare.hex()
+    assert counting.rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+def test_simulate_single_pair_draws_nothing():
+    """One query with one keyword: the loop draws no uniform, nor may the
+    simulator."""
+    sc = single_keyword_scenario({"a1": 5.0, "a2": 3.0}, weights=(1.0, 0.5))
+    rng = np.random.default_rng(4)
+    before = rng.bit_generator.state
+    outcomes, welfare_sum, revenue_sum = pbm_simulate(
+        sc, {"a1": {"s": 4.0}, "a2": {"s": 3.0}}, 5, rng)
+    assert rng.bit_generator.state == before
+    assert len(outcomes) == 5 and len({id(o) for o in outcomes}) == 1
+    assert welfare_sum == 5 * (5.0 + 0.5 * 3.0)
+    assert revenue_sum == 5 * (3.0 + 0.0)
 
 
 # ----------------------------------------------------------------- welfare
