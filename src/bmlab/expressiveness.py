@@ -21,6 +21,7 @@ import csv
 import itertools
 import math
 import string
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -40,18 +41,38 @@ EXACT_ALPHA_QUERY_CAP = 20
 # --------------------------------------------------------------- string side
 
 def levenshtein(a: str, b: str) -> int:
-    """Unit-cost edit distance (insert / delete / substitute)."""
+    """Unit-cost edit distance (insert / delete / substitute).
+
+    Myers' bit-parallel algorithm (J. ACM 46(3), 1999) in Hyyro's
+    formulation: one column of the DP table's vertical deltas lives in
+    two Python ints, one bit per character of the longer string, so each
+    character of the shorter one costs a dozen integer operations at any
+    length.
+    """
     if len(a) < len(b):
         a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        for j, cb in enumerate(b, start=1):
-            cur.append(min(prev[j] + 1,
-                           cur[j - 1] + 1,
-                           prev[j - 1] + (ca != cb)))
-        prev = cur
-    return prev[-1]
+    peq = {}
+    bit = 1
+    for ch in a:
+        peq[ch] = peq.get(ch, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    pv, mv, dist = mask, 0, len(a)
+    for ch in b:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            dist += 1
+        elif mh & last:
+            dist -= 1
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | ~(xv | ph)) & mask
+        mv = ph & xv
+    return dist
 
 
 def similarity(q: str, s: str) -> float:
@@ -136,26 +157,19 @@ class CoverResult:
     exact: bool
 
 
-def _cover_search(universe, cov_sets, cap=None) -> int | None:
+def _cover_search(universe, cov_sets) -> int:
     """Minimum number of cov_sets whose union is `universe`, by branch
-    and bound (greedy upper bound, counting lower bound).  With a cap,
-    returns None as soon as the minimum provably exceeds it.
-    """
+    and bound (greedy upper bound, counting lower bound)."""
     if not universe:
         return 0
     cover = _traces(universe, cov_sets)
     best = _greedy_cover_size(universe, cover)
-    if cap is not None and best <= cap:
-        return best if best == 1 else _cover_search_exact(universe, cover, best)
-    exact = _cover_search_exact(universe, cover, best)
-    if cap is not None and exact > cap:
-        return None
-    return exact
+    return best if best == 1 else _cover_search_exact(universe, cover, best)
 
 
 def _traces(universe, sets) -> dict:
     """The nonempty traces of `sets` on `universe`, which they must cover."""
-    traces = {s: c for s in sorted(sets) if (c := frozenset(sets[s]) & universe)}
+    traces = {s: c for s in sorted(sets) if (c := universe.intersection(sets[s]))}
     missing = universe.difference(*traces.values())
     if missing:
         raise Uncoverable(sorted(missing))
@@ -217,13 +231,32 @@ def min_cover_size(graph, queries, candidates=None, exact=True,
     return CoverResult(_cover_search(universe, cov_sets), True)
 
 
-def _coverable(universe, cov_sets, budget) -> bool:
-    """Can `universe` be covered by at most `budget` of the cov_sets?"""
-    try:
-        size = _cover_search(universe, cov_sets, cap=budget)
-    except Uncoverable:
-        return False
-    return size is not None
+class _CoverNumbers:
+    """Minimum-cover numbers of query sets over one candidate list of one
+    graph, each searched once.  A query set is keyed by the bitmask of its
+    queries' declared indices; None marks a set no candidate covers."""
+
+    def __init__(self, graph, candidates):
+        self.bit = {q: 1 << i for i, q in enumerate(graph.queries)}
+        self.cov_sets = {s: graph.keyword_neighbors(s) for s in candidates}
+        self.sizes = {}
+
+    def __call__(self, queries):
+        try:
+            key = sum(map(self.bit.__getitem__, queries))
+        except KeyError:
+            return None  # a query outside the graph has no neighbor
+        if key not in self.sizes:
+            try:
+                self.sizes[key] = _cover_search(frozenset(queries), self.cov_sets)
+            except Uncoverable:
+                self.sizes[key] = None
+        return self.sizes[key]
+
+
+# default-candidate cover numbers per graph, shared by every kappa, theta
+# and pass over it, and dropped with the graph
+_COVER_NUMBERS = weakref.WeakKeyDictionary()
 
 
 # ---------------------------------------------------------- query-level alpha
@@ -235,6 +268,8 @@ def advertiser_alpha(graph, queries, kappa, candidates=None,
     m* is the smallest subset size whose minimum cover exceeds kappa;
     alpha_i = (m* - 1) / |Q_i|, or 1.0 with m* = None when every subset
     is coverable.  Empty query sets are vacuously fully expressive.
+    Cover numbers over the graph's own keywords are remembered per graph;
+    an explicit candidate list is searched afresh.
     """
     universe = frozenset(queries)
     n = len(universe)
@@ -242,22 +277,26 @@ def advertiser_alpha(graph, queries, kappa, candidates=None,
         return 1.0, None
     if n > max_queries:
         raise TooLarge(f"|Q_i| = {n} (exact alpha cap {max_queries})")
-    if candidates is None:
-        candidates = graph.keywords
-    if len(candidates) > EXACT_COVER_CANDIDATE_CAP:
-        raise TooLarge(f"{len(candidates)} cover candidates "
+    n_candidates = len(graph.keywords if candidates is None else candidates)
+    if n_candidates > EXACT_COVER_CANDIDATE_CAP:
+        raise TooLarge(f"{n_candidates} cover candidates "
                        f"(exact cap {EXACT_COVER_CANDIDATE_CAP})")
-    try:
-        cov_sets = _traces(universe, {s: graph.keyword_neighbors(s) for s in candidates})
-    except Uncoverable:
+    if candidates is not None:
+        cover = _CoverNumbers(graph, candidates)
+    elif graph in _COVER_NUMBERS:
+        cover = _COVER_NUMBERS[graph]
+    else:
+        cover = _COVER_NUMBERS[graph] = _CoverNumbers(graph, graph.keywords)
+    whole = cover(universe)
+    if whole is None:
         # some query is coverable by nothing, so already singletons fail
         return 0.0, 1
-    if _coverable(universe, cov_sets, kappa):
+    if whole <= kappa:
         return 1.0, None
     # every query is individually coverable, so sizes <= kappa hold
     for size in range(kappa + 1, n + 1):
         for subset in itertools.combinations(sorted(universe), size):
-            if not _coverable(frozenset(subset), cov_sets, kappa):
+            if cover(subset) > kappa:
                 return (size - 1) / n, size
     raise AssertionError("whole set failed earlier, a subset must fail")
 

@@ -40,28 +40,31 @@ class BipartiteGraph:
     def __init__(self, queries, keywords, edges, strict=True):
         self.queries = tuple(dict.fromkeys(queries))
         self.keywords = tuple(dict.fromkeys(keywords))
-        qset, sset = set(self.queries), set(self.keywords)
-        if strict and qset & sset:
+        q_rank = {q: i for i, q in enumerate(self.queries)}
+        s_rank = {s: j for j, s in enumerate(self.keywords)}
+        both = q_rank.keys() & s_rank.keys()
+        if strict and both:
             # auction scenarios key lookups by name across both sides;
             # corpus graphs legitimately repeat a string as query and keyword
-            raise ValidationError(f"ids used on both sides: {sorted(qset & sset)!r}")
+            raise ValidationError(f"ids used on both sides: {sorted(both)!r}")
         seen = set()
-        for q, s in edges:
-            if q not in qset:
-                raise ValidationError(f"edge endpoint {q!r} is not a declared query")
-            if s not in sset:
-                raise ValidationError(f"edge endpoint {s!r} is not a declared keyword")
-            seen.add((q, s))
-        self.edges = frozenset(seen)
         q_nbrs = {q: [] for q in self.queries}
         s_nbrs = {s: [] for s in self.keywords}
-        for q in self.queries:
-            for s in self.keywords:
-                if (q, s) in self.edges:
-                    q_nbrs[q].append(s)
-                    s_nbrs[s].append(q)
-        self._q_nbrs = {q: tuple(v) for q, v in q_nbrs.items()}
-        self._s_nbrs = {s: tuple(v) for s, v in s_nbrs.items()}
+        for q, s in edges:
+            if q not in q_rank:
+                raise ValidationError(f"edge endpoint {q!r} is not a declared query")
+            if s not in s_rank:
+                raise ValidationError(f"edge endpoint {s!r} is not a declared keyword")
+            if (q, s) not in seen:
+                seen.add((q, s))
+                q_nbrs[q].append(s)
+                s_nbrs[s].append(q)
+        self.edges = frozenset(seen)
+        # neighbors in declared order: lookups, goldens and RNG draws rely on it
+        self._q_nbrs = {q: tuple(sorted(v, key=s_rank.__getitem__))
+                        for q, v in q_nbrs.items()}
+        self._s_nbrs = {s: tuple(sorted(v, key=q_rank.__getitem__))
+                        for s, v in s_nbrs.items()}
         if strict:
             for q in self.queries:
                 if not self._q_nbrs[q]:

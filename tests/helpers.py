@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 
+from bmlab.errors import TooLarge
+from bmlab.expressiveness import EXACT_ALPHA_QUERY_CAP, EXACT_COVER_CANDIDATE_CAP
 from bmlab.market import (
     BipartiteGraph,
     MatchingPolicy,
@@ -144,6 +146,59 @@ def exhaustive_min_cover(keyword_neighbors, query_set):
             if covered == queries:
                 return size
     return None
+
+
+def probing_neighbors(queries, keywords, edges):
+    """Oracle: BipartiteGraph's neighbor tables by probing every declared
+    (query, keyword) pair for an edge, in declared order."""
+    queries = tuple(dict.fromkeys(queries))
+    keywords = tuple(dict.fromkeys(keywords))
+    edge_set = frozenset(edges)
+    q_nbrs = {q: tuple(s for s in keywords if (q, s) in edge_set) for q in queries}
+    s_nbrs = {s: tuple(q for q in queries if (q, s) in edge_set) for s in keywords}
+    return q_nbrs, s_nbrs
+
+
+def dp_levenshtein(a: str, b: str) -> int:
+    """Oracle: unit-cost edit distance by the row-by-row DP table."""
+    if len(a) < len(b):
+        a, b = b, a
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        cur = [i]
+        for j, cb in enumerate(b, start=1):
+            cur.append(min(prev[j] + 1,
+                           cur[j - 1] + 1,
+                           prev[j - 1] + (ca != cb)))
+        prev = cur
+    return prev[-1]
+
+
+def subset_alpha_oracle(graph, queries, kappa, candidates=None,
+                        max_queries=EXACT_ALPHA_QUERY_CAP):
+    """Oracle: advertiser_alpha's (alpha_i, m*) by enumerating query
+    subsets of growing size and testing each against every union of at
+    most kappa candidate neighborhoods, with nothing remembered between
+    subsets or calls.  Raises TooLarge under the same caps."""
+    universe = frozenset(queries)
+    n = len(universe)
+    if n == 0:
+        return 1.0, None
+    if n > max_queries:
+        raise TooLarge(f"|Q_i| = {n} (exact alpha cap {max_queries})")
+    if candidates is None:
+        candidates = graph.keywords
+    if len(candidates) > EXACT_COVER_CANDIDATE_CAP:
+        raise TooLarge(f"{len(candidates)} cover candidates "
+                       f"(exact cap {EXACT_COVER_CANDIDATE_CAP})")
+    nbrs = [frozenset(graph.keyword_neighbors(s)) for s in candidates]
+    unions = [frozenset().union(*combo) for size in range(kappa + 1)
+              for combo in itertools.combinations(nbrs, size)]
+    for size in range(1, n + 1):
+        for subset in itertools.combinations(sorted(universe), size):
+            if not any(u.issuperset(subset) for u in unions):
+                return (size - 1) / n, size
+    return 1.0, None
 
 
 def vcg_payment_oracle(values, weights, reserve=0.0):

@@ -68,6 +68,8 @@ def test_expressiveness_matches_golden(tmp_path):
     assert code == 0
     got = (tmp_path / "expressiveness.csv").read_bytes()
     assert got == (GOLDEN / "expressiveness.csv").read_bytes()
+    assert (tmp_path / "degree_bound.csv").read_bytes() == \
+        (GOLDEN / "degree_bound.csv").read_bytes()
     prop = (tmp_path / "degree_bound.csv").read_text().splitlines()
     assert prop[0] == "market,theta,kappa,alpha,beta,gamma,holds"
     assert len(prop) > 1

@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bmlab.errors import (EmptyStrings, TooLarge, Uncoverable,
@@ -16,7 +16,8 @@ from bmlab.expressiveness import (AdvertiserFootprint, Corpus,
                                   positive_queries, degree_bound_check,
                                   ql_expressiveness, similarity, tokenize)
 from bmlab.market import BipartiteGraph
-from helpers import exhaustive_min_cover, simple_scenario
+from helpers import (dp_levenshtein, exhaustive_min_cover, simple_scenario,
+                     subset_alpha_oracle)
 
 # ----------------------------------------------------------------- strings
 
@@ -48,6 +49,24 @@ def test_levenshtein_matches_recursive_oracle(a, b):
 def test_levenshtein_symmetry_and_triangle(a, b, c):
     assert levenshtein(a, b) == levenshtein(b, a)
     assert levenshtein(a, c) <= levenshtein(a, b) + levenshtein(b, c)
+
+
+# empty, ASCII, accented, CJK and non-BMP characters; lengths past the
+# 64- and 128-bit word boundaries of the bit-parallel kernel
+_EDIT_TEXT = st.text(alphabet="ab \u00e9\u4e2d\U0001F600", max_size=150)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EDIT_TEXT, _EDIT_TEXT)
+@example("", "")
+@example("", "\U0001F600" * 3)
+@example("a" * 200, "a" * 200)
+@example("a" * 64, "a" * 65)
+@example("ab" * 70, "ba" * 70)
+@example("\U0001F600" * 129, "\U0001F600" * 64 + "a" * 65)
+@example("x" * 128 + "y", "y" + "x" * 128)
+def test_levenshtein_matches_dp_table(a, b):
+    assert levenshtein(a, b) == dp_levenshtein(a, b)
 
 
 def test_similarity_values():
@@ -227,8 +246,14 @@ def test_alpha_isolated_query_is_zero():
 def test_alpha_too_large():
     queries = [f"q{j}" for j in range(21)]
     g = cover_graph({"s": queries}, queries)
-    with pytest.raises(TooLarge):
-        advertiser_alpha(g, queries, kappa=1)
+    many = cover_graph({f"s{j}": ["q0"] for j in range(26)}, ["q0"])
+    for alpha in (advertiser_alpha, subset_alpha_oracle):
+        with pytest.raises(TooLarge):
+            alpha(g, queries, kappa=1)
+        with pytest.raises(TooLarge):
+            alpha(many, ["q0"], kappa=1)
+        assert alpha(many, ["q0"], kappa=1, candidates=["s0"]) == (1.0, None)
+    assert advertiser_alpha(g, queries, kappa=1, max_queries=21) == (1.0, None)
 
 
 def test_alpha_subset_coverability_from_m_star():
@@ -255,6 +280,67 @@ def test_alpha_subset_coverability_from_m_star():
         failing = [sub for sub in itertools.combinations(queries, m_star)
                    if (exhaustive_min_cover(cover, sub) or float("inf")) > kappa]
         assert failing
+
+
+def alpha_oracle_graphs(rng):
+    """Random graphs, plus every r-subset of n queries as a keyword, whose
+    m* lies far above kappa + 1 (every set of r queries is 1-coverable)."""
+    for n in range(2, 7):
+        for r in range(1, n + 1):
+            queries = [f"q{k}" for k in range(n)]
+            cover = {f"s{j}": list(c)
+                     for j, c in enumerate(itertools.combinations(queries, r))}
+            if len(cover) <= 10:
+                yield cover_graph(cover, queries), queries
+    for _ in range(300):
+        n_q = int(rng.integers(1, 10))
+        p = rng.uniform(0.15, 0.6)
+        cover = {f"s{j}": [f"q{k}" for k in np.flatnonzero(rng.random(n_q) < p)]
+                 for j in range(int(rng.integers(1, 8)))}
+        queries = [f"q{k}" for k in range(n_q)]
+        yield cover_graph(cover, queries), [q for q in queries if rng.random() < 0.8]
+
+
+def test_alpha_matches_subset_oracle_for_every_kappa():
+    rng = np.random.default_rng(23)
+    paths = {"empty": 0, "uncoverable": 0, "full": 0, "m* > kappa + 2": 0}
+    for g, picked in alpha_oracle_graphs(rng):
+        for kappa in range(1, len(g.keywords) + 2):
+            got = advertiser_alpha(g, picked, kappa)
+            assert got == subset_alpha_oracle(g, picked, kappa), (picked, kappa)
+            if not picked:
+                paths["empty"] += 1
+            elif got[1] == 1:
+                paths["uncoverable"] += 1
+            elif got[1] is None:
+                paths["full"] += 1
+            elif got[1] > kappa + 2:
+                paths["m* > kappa + 2"] += 1
+    assert all(paths.values()), paths
+
+
+def test_alpha_memo_is_per_graph():
+    """Same query names, different edges: no cover number is shared."""
+    queries = ["q1", "q2", "q3"]
+    star = cover_graph({"s1": queries, "s2": ["q1"]}, queries)
+    split = cover_graph({"s1": ["q1"], "s2": ["q2", "q3"]}, queries)
+    for _ in range(2):
+        assert advertiser_alpha(star, queries, kappa=1) == (1.0, None)
+        assert advertiser_alpha(split, queries, kappa=1) == (1 / 3, 2)
+        assert advertiser_alpha(star, ["q2", "q3"], kappa=1) == (1.0, None)
+        assert advertiser_alpha(split, ["q2", "q3"], kappa=1) == (1.0, None)
+
+
+def test_alpha_explicit_candidates_bypass_default_memo():
+    queries = ["q1", "q2", "q3"]
+    g = cover_graph({"s1": queries, "s2": ["q1"], "s3": ["q2"]}, queries)
+    # the default candidates fill the memo with cover number 1 for every set
+    assert advertiser_alpha(g, queries, kappa=1) == (1.0, None)
+    assert advertiser_alpha(g, ["q1", "q2"], kappa=1) == (1.0, None)
+    narrow = ["s2", "s3"]
+    assert advertiser_alpha(g, ["q1", "q2"], kappa=1, candidates=narrow) == (0.5, 2)
+    assert advertiser_alpha(g, queries, kappa=1, candidates=narrow) == (0.0, 1)
+    assert advertiser_alpha(g, ["q1", "q2"], kappa=1) == (1.0, None)
 
 
 def test_ql_expressiveness_min_over_advertisers():

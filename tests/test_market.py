@@ -29,7 +29,8 @@ from bmlab.market import (
     scenario_from_json,
 )
 
-from helpers import brute_force_optimal_welfare, random_scenario, simple_scenario
+from helpers import (brute_force_optimal_welfare, probing_neighbors, random_scenario,
+                     simple_scenario)
 
 
 def test_graph_neighborhoods_and_degree():
@@ -51,6 +52,27 @@ def test_graph_rejects_isolated_vertex():
 def test_graph_rejects_unknown_edge_endpoint():
     with pytest.raises(ValidationError):
         BipartiteGraph(["q1"], ["s1"], [("q1", "sX")])
+
+
+def test_graph_build_matches_probing_oracle():
+    """Neighbor lists from the edges equal the all-pairs probe, in declared
+    order, with duplicate edges, undeclared-order edge lists, isolated
+    vertices and a string that is both a query and a keyword."""
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        queries = [f"t{j}" for j in rng.permutation(n)[:int(rng.integers(1, n + 1))]]
+        keywords = [f"t{j}" for j in rng.permutation(n)[:int(rng.integers(1, n + 1))]]
+        queries += queries[:int(rng.integers(0, 2))]  # a repeated declaration
+        edges = [(queries[int(rng.integers(len(queries)))],
+                  keywords[int(rng.integers(len(keywords)))])
+                 for _ in range(int(rng.integers(0, 3 * n)))]
+        edges += edges[:int(rng.integers(0, len(edges) + 1))]
+        g = BipartiteGraph(queries, keywords, edges, strict=False)
+        q_nbrs, s_nbrs = probing_neighbors(queries, keywords, edges)
+        assert {q: g.query_neighbors(q) for q in g.queries} == q_nbrs
+        assert {s: g.keyword_neighbors(s) for s in g.keywords} == s_nbrs
+        assert g.edges == frozenset(edges)
 
 
 def test_query_distribution_must_sum_to_one():
