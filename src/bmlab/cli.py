@@ -28,7 +28,7 @@ from .errors import BmLabError, ParameterRange, ValidationError
 from .expressiveness import (DEFAULT_THETA_GRID, expressiveness_sweep,
                              extract_micro_markets, kl_expressiveness,
                              load_corpus, degree_bound_check, market_positive_sets)
-from .market import scenario_from_json
+from .market import _load_json_obj, scenario_from_json
 from .mechanisms import (load_bid_profile, pbm_expected_revenue,
                          pbm_expected_welfare, pbm_simulate)
 from .reserves import (bayes_scenario_from_json, induced_keyword_distribution,
@@ -136,13 +136,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults < config file < explicit flags."""
     merged = dict(DEFAULTS)
     if args.config is not None:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                file_conf = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValidationError(f"cannot read config {args.config}: {exc}") from exc
-        if not isinstance(file_conf, dict):
-            raise ValidationError(f"config {args.config} must be a JSON object")
+        file_conf = _load_json_obj(args.config, "config")
         unknown = set(file_conf) - set(DEFAULTS)
         if unknown:
             raise ValidationError(f"unknown config key(s): {sorted(unknown)!r}")
@@ -238,10 +232,7 @@ def cmd_equilibrium(cfg: RunConfig) -> int:
     obj = {"mode": cfg.mode, "grid_delta": cfg.grid_delta, "epsilon": eps,
            "conservative": cfg.conservative}
     if cfg.mode == "dynamics":
-        if cfg.bids is not None:
-            initial = load_bid_profile(cfg.bids, sc)
-        else:
-            initial = {i: {} for i in sc.advertisers}
+        initial = load_bid_profile(cfg.bids, sc) if cfg.bids is not None else {}
         report = best_response_dynamics(sc, initial, grid, epsilon=eps,
                                         max_iters=cfg.max_iters,
                                         conservative=cfg.conservative)

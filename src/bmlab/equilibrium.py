@@ -38,6 +38,9 @@ from .mechanisms import (
 )
 
 _TRUTHFUL_TOL = 1e-9
+# best_response's search limits: positive keywords per advertiser, and kappa
+_MAX_KEYWORDS = 20
+_MAX_KAPPA = 4
 
 
 # ------------------------------------------------------------------ grids
@@ -72,20 +75,15 @@ def make_grid(scenario: Scenario, delta: float, caps=None) -> BidGrid:
 
 
 def bid_menu(scenario: Scenario, grid: BidGrid, advertiser, keyword,
-             conservative=False, include_truthful=True):
+             conservative=False):
     """Sorted bid menu for one (advertiser, keyword) pair.
 
-    conservative restricts to bids at most the keyword value; the exact
-    truthful value is spliced in (deduplicated) unless disabled.
+    conservative restricts to bids at most the keyword value; 0 and the
+    exact truthful value are spliced in (deduplicated).
     """
     v = scenario.kw_values[advertiser][keyword]
     pts = [b for b in grid.points(keyword) if not conservative or b <= v + 1e-12]
-    if include_truthful:
-        pts.append(v)
-    menu = sorted(set(pts))
-    if not menu or menu[0] > 0.0:
-        menu.insert(0, 0.0)
-    return tuple(menu)
+    return tuple(sorted({0.0, v, *pts}))
 
 
 # ------------------------------------------------------------- GSP kernel
@@ -122,27 +120,32 @@ def _select_keywords(menus, utilities, kappa):
 
 # ------------------------------------------------------------ best response
 
-def _pool_menus(scenario, grid, advertiser, conservative, include_truthful,
-                max_keywords=20, max_kappa=4):
-    """{keyword: bid menu} over the advertiser's positive keywords, the
-    search space of its best response; a pool over max_keywords or a
-    kappa over max_kappa raises TooLarge."""
-    pool = sorted(scenario.kw_positive[advertiser])
-    if len(pool) > max_keywords:
+def _menus(scenario, grid, advertiser, conservative):
+    """{keyword: bid_menu} over the advertiser's positive keywords in
+    sorted order: the space its best response searches and its strategy
+    rows span."""
+    return {s: bid_menu(scenario, grid, advertiser, s, conservative)
+            for s in sorted(scenario.kw_positive[advertiser])}
+
+
+def _pool_menus(scenario, grid, advertiser, conservative):
+    """_menus, the search space of the advertiser's best response; more
+    than _MAX_KEYWORDS positive keywords or a kappa over _MAX_KAPPA
+    raises TooLarge."""
+    pool = scenario.kw_positive[advertiser]
+    if len(pool) > _MAX_KEYWORDS:
         raise TooLarge(f"{len(pool)} candidate keywords exceeds the "
-                       f"best-response cap {max_keywords}")
-    if scenario.kappa > max_kappa:
+                       f"best-response cap {_MAX_KEYWORDS}")
+    if scenario.kappa > _MAX_KAPPA:
         raise TooLarge(f"kappa = {scenario.kappa} exceeds the best-response "
-                       f"cap {max_kappa}")
-    return {s: bid_menu(scenario, grid, advertiser, s, conservative, include_truthful)
-            for s in pool}
+                       f"cap {_MAX_KAPPA}")
+    return _menus(scenario, grid, advertiser, conservative)
 
 
-def _all_pool_menus(scenario, bids, grid, conservative, include_truthful):
+def _all_pool_menus(scenario, bids, grid, conservative):
     """{advertiser: _pool_menus}, the caps checked first, then the profile
     checked for a non-finite bid, which would silently never outrank."""
-    menus = {i: _pool_menus(scenario, grid, i, conservative, include_truthful)
-             for i in scenario.advertisers}
+    menus = {i: _pool_menus(scenario, grid, i, conservative) for i in scenario.advertisers}
     require_finite_profile(bids)
     return menus
 
@@ -180,8 +183,7 @@ def _respond(scenario, bids, advertiser, menus):
 
 
 def best_response(scenario: Scenario, bids, advertiser, grid: BidGrid,
-                  conservative=False, include_truthful=True,
-                  max_keywords=20, max_kappa=4):
+                  conservative=False):
     """Exact best response of one advertiser on the grid.
 
     Searches every keyword independently (utility separability), keeps
@@ -189,8 +191,7 @@ def best_response(scenario: Scenario, bids, advertiser, grid: BidGrid,
     bids prefers the lowest, then the lexicographically first keyword.
     Returns (bid row, total utility).
     """
-    menus = _pool_menus(scenario, grid, advertiser, conservative, include_truthful,
-                        max_keywords, max_kappa)
+    menus = _pool_menus(scenario, grid, advertiser, conservative)
     require_finite_profile(bids)      # a NaN bid would silently never outrank
     row, best, _ = _respond(scenario, bids, advertiser, menus)
     return row, best
@@ -224,10 +225,9 @@ class EquilibriumReport:
 
 
 def verify_epsilon_nash(scenario: Scenario, bids, grid: BidGrid,
-                        conservative=False, include_truthful=True) -> dict:
+                        conservative=False) -> dict:
     """Per-advertiser regret of a profile against grid deviations."""
-    return _regrets(scenario, bids, _all_pool_menus(scenario, bids, grid, conservative,
-                                                    include_truthful))
+    return _regrets(scenario, bids, _all_pool_menus(scenario, bids, grid, conservative))
 
 
 def _regrets(scenario, bids, menus):
@@ -240,8 +240,8 @@ def _regrets(scenario, bids, menus):
 
 
 def best_response_dynamics(scenario: Scenario, initial, grid: BidGrid,
-                           epsilon=None, max_iters=50, conservative=False,
-                           include_truthful=True) -> EquilibriumReport:
+                           epsilon=None, max_iters=50,
+                           conservative=False) -> EquilibriumReport:
     """Round-robin best responses until max regret <= epsilon or the
     iteration cap; non-convergence is a report state, not an error."""
     eps = _resolve_epsilon(scenario, epsilon)
@@ -250,7 +250,7 @@ def best_response_dynamics(scenario: Scenario, initial, grid: BidGrid,
     profile = {i: dict(initial.get(i, {})) for i in scenario.advertisers}
     # the menus depend only on (advertiser, keyword), so they are built once;
     # every row a best response writes is finite, so one check suffices
-    menus = _all_pool_menus(scenario, profile, grid, conservative, include_truthful)
+    menus = _all_pool_menus(scenario, profile, grid, conservative)
     regrets = _regrets(scenario, profile, menus)
     converged = False
     iterations = 0
@@ -272,12 +272,13 @@ def best_response_dynamics(scenario: Scenario, initial, grid: BidGrid,
 
 # --------------------------------------------------------- Nash enumeration
 
-def _count_rows(sizes, kappa):
-    """Number of bid rows with at most kappa positive entries, where
-    keyword j offers sizes[j] positive bid levels: the truncated
-    elementary-symmetric sum, computed exactly by DP."""
+def _count_rows(menus, kappa):
+    """Number of bid rows over the menus with at most kappa positive
+    bids, where a keyword's menu offers all but its leading 0.0: the
+    truncated elementary-symmetric sum, computed exactly by DP."""
     coeffs = [1]
-    for m in sizes:
+    for menu in menus.values():
+        m = len(menu) - 1
         new = coeffs + [0] if len(coeffs) <= kappa else coeffs
         for k in range(len(new) - 1, 0, -1):
             new[k] = (coeffs[k] if k < len(coeffs) else 0) + m * coeffs[k - 1]
@@ -285,26 +286,24 @@ def _count_rows(sizes, kappa):
     return sum(coeffs)
 
 
-def strategy_rows(scenario, grid, advertiser, conservative=False,
-                  include_truthful=True, max_rows=200_000):
-    """All feasible bid rows of one advertiser over their positive
-    keywords (at most kappa positive bids), as (keyword list, array).
+def strategy_rows(menus, kappa, advertiser, max_rows=200_000):
+    """All feasible bid rows of one advertiser over its menus of _menus
+    (at most kappa positive bids), as (keyword list, array).  More than
+    max_rows rows raises TooLarge.
 
     Rows are generated by keyword subset then menu product, so only
     feasible rows are ever materialized.
     """
-    pool = sorted(scenario.kw_positive[advertiser])
-    menus = [bid_menu(scenario, grid, advertiser, s, conservative,
-                      include_truthful) for s in pool]
-    positive = [m[1:] for m in menus]      # menus always start at 0.0
-    n_rows = _count_rows([len(p) for p in positive], scenario.kappa)
+    pool = list(menus)
+    positive = [m[1:] for m in menus.values()]      # menus always start at 0.0
+    n_rows = _count_rows(menus, kappa)
     if n_rows > max_rows:
         raise TooLarge(f"advertiser {advertiser!r} has {n_rows} grid rows "
                        f"(cap {max_rows})")
     K = len(pool)
     rows = np.zeros((n_rows, K))
     r = 0
-    for size in range(0, min(scenario.kappa, K) + 1):
+    for size in range(0, min(kappa, K) + 1):
         for subset in itertools.combinations(range(K), size):
             for combo in itertools.product(*(positive[j] for j in subset)):
                 for j, b in zip(subset, combo):
@@ -314,21 +313,10 @@ def strategy_rows(scenario, grid, advertiser, conservative=False,
     return pool, rows
 
 
-def _row_counts(scenario, grid, conservative, include_truthful) -> list:
-    """Number of strategy rows of each advertiser, in advertiser order."""
-    counts = []
-    for i in scenario.advertisers:
-        pool = sorted(scenario.kw_positive[i])
-        sizes = [len(bid_menu(scenario, grid, i, s, conservative,
-                              include_truthful)) - 1 for s in pool]
-        counts.append(_count_rows(sizes, scenario.kappa))
-    return counts
-
-
-def estimate_joint_size(scenario, grid, conservative=False,
-                        include_truthful=True) -> int:
+def estimate_joint_size(scenario, grid, conservative=False) -> int:
     """Exact number of joint grid profiles the enumerator would scan."""
-    return math.prod(_row_counts(scenario, grid, conservative, include_truthful))
+    return math.prod(_count_rows(_menus(scenario, grid, i, conservative), scenario.kappa)
+                     for i in scenario.advertisers)
 
 
 # Joint profiles per chunk of the enumerator's scan.  A chunk is a run of
@@ -360,7 +348,6 @@ def _peak_bytes(counts) -> int:
 
 def enumerate_pure_nash(scenario: Scenario, grid: BidGrid, epsilon=None,
                         conservative=False, winner_truthful=False,
-                        include_truthful=True,
                         max_joint=10_000_000) -> list[EquilibriumReport]:
     """Exhaustive pure-Nash enumeration over the joint grid.
 
@@ -394,17 +381,14 @@ def enumerate_pure_nash(scenario: Scenario, grid: BidGrid, epsilon=None,
     if n == 0:      # the empty profile is the one profile, and stable
         return [EquilibriumReport(profile={}, regrets={}, converged=True,
                                   iterations=0, epsilon=eps, welfare=0.0)]
-    counts = _row_counts(scenario, grid, conservative, include_truthful)
+    menus = [_menus(scenario, grid, i, conservative) for i in advs]
+    counts = [_count_rows(m, scenario.kappa) for m in menus]
     joint = math.prod(counts)
     if joint > max_joint:
         raise TooLarge(f"joint strategy space has {joint} profiles, about "
                        f"{_peak_bytes(counts)} bytes at peak (cap {max_joint})")
-    pools, arrays = [], []
-    for i in advs:
-        pool, rows = strategy_rows(scenario, grid, i, conservative,
-                                   include_truthful, max_rows=max_joint)
-        pools.append(pool)
-        arrays.append(rows)
+    pools, arrays = zip(*(strategy_rows(m, scenario.kappa, i, max_rows=max_joint)
+                          for m, i in zip(menus, advs)))
 
     w_padded = np.zeros(n + 1)
     for k in range(n + 1):
@@ -509,25 +493,16 @@ def _top_by_value(values, keywords, kappa):
     return sorted(keywords, key=lambda s: (-values[s], s))[:kappa]
 
 
-def single_slot_dominant_profile(scenario: Scenario, chosen=None) -> dict:
-    """Truthful keyword-value bids, the weakly dominant play when only
-    one slot has positive weight.  chosen: optional {advertiser:
-    keywords}; defaults to the top-kappa positive keywords by value."""
+def single_slot_dominant_profile(scenario: Scenario) -> dict:
+    """Truthful keyword-value bids on the top-kappa positive keywords by
+    value, the weakly dominant play when only one slot has positive
+    weight."""
     if not scenario.weights.is_single_slot:
         raise NotSingleSlot()
-    profile = {}
-    for i in scenario.advertisers:
-        if chosen is not None and i in chosen:
-            picks = list(chosen[i])
-        else:
-            picks = _top_by_value(scenario.kw_values[i], scenario.kw_positive[i],
-                                  scenario.kappa)
-        if len(picks) > scenario.kappa:
-            raise ValidationError(
-                f"{len(picks)} chosen keywords for {i!r} exceeds kappa = "
-                f"{scenario.kappa}")
-        profile[i] = {s: scenario.kw_values[i][s] for s in picks}
-    return profile
+    return {i: {s: scenario.kw_values[i][s]
+                for s in _top_by_value(scenario.kw_values[i], scenario.kw_positive[i],
+                                       scenario.kappa)}
+            for i in scenario.advertisers}
 
 
 # ------------------------------------------------- Bayes-Nash verification

@@ -121,12 +121,18 @@ def build_footprint(advertiser, keywords, query_pool, theta) -> AdvertiserFootpr
 
 # ------------------------------------------------- keyword-level beta
 
-def _beta(graph, positive_sets, kappa) -> float:
-    """min over positive query sets of min(1, kappa / #keywords whose
-    neighborhood meets the set); 1.0 when no set meets any keyword."""
-    counts = [len(graph.keywords_meeting(pos)) for pos in positive_sets]
-    vals = [min(1.0, kappa / c) for c in counts if c > 0]
-    return min(vals) if vals else 1.0
+def _max_meeting(graph, positive_sets) -> int:
+    """The largest number of keywords whose neighborhood meets one of the
+    positive query sets; 0 when none meets any keyword."""
+    return max((len(graph.keywords_meeting(pos)) for pos in positive_sets), default=0)
+
+
+def _beta(max_meeting, kappa) -> float:
+    """min over positive query sets of min(1, kappa / #keywords meeting
+    the set), from the largest count c: min(1, kappa / c) is that minimum
+    bit for bit for kappa >= 0, as correctly rounded division is monotone;
+    1.0 when no set meets any keyword."""
+    return min(1.0, kappa / max_meeting) if max_meeting else 1.0
 
 
 def kl_expressiveness(source, kappa=None, graph=None) -> float:
@@ -145,8 +151,8 @@ def kl_expressiveness(source, kappa=None, graph=None) -> float:
     elif kappa is None or graph is None:
         raise ValidationError("footprint form needs kappa and graph")
     else:
-        return _beta(graph, [fp.positive for fp in source], kappa)
-    return _beta(source.graph, sets, source.kappa if kappa is None else kappa)
+        return _beta(_max_meeting(graph, [fp.positive for fp in source]), kappa)
+    return _beta(_max_meeting(source.graph, sets), source.kappa if kappa is None else kappa)
 
 
 # ------------------------------------------------------------- set cover
@@ -335,7 +341,7 @@ def degree_bound_check(graph, positive_sets, kappa, tol=1e-12) -> DegreeBoundRep
     """
     gamma = graph.max_degree()
     alpha = ql_expressiveness(graph, positive_sets, kappa)
-    beta = _beta(graph, positive_sets.values(), kappa)
+    beta = _beta(_max_meeting(graph, positive_sets.values()), kappa)
     lower = alpha / gamma**2 if gamma else 0.0
     upper = gamma * alpha
     holds = (lower <= beta + tol) and (beta <= upper + tol)
@@ -364,6 +370,8 @@ def _read_rows(path, expected_header):
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8: {exc}") from exc
     if not rows or [h.strip() for h in rows[0]] != list(expected_header):
         raise ValidationError(
             f"{path} must start with header {','.join(expected_header)!r}")
@@ -507,11 +515,12 @@ def expressiveness_sweep(corpus: Corpus, thetas=DEFAULT_THETA_GRID,
         try:
             for theta in thetas:
                 sets = market_positive_sets(corpus, market, theta)
+                widest = _max_meeting(market.graph, sets.values())
                 for kappa in grid:
                     if not 1 <= kappa <= market.size:
                         continue
                     alpha = ql_expressiveness(market.graph, sets, kappa)
-                    beta = _beta(market.graph, sets.values(), kappa)
+                    beta = _beta(widest, kappa)
                     kb = math.ceil(10 * kappa / market.size) / 10
                     key = (f"{theta:.1f}", f"{kb:.1f}")
                     cells.setdefault(key, []).append((alpha, beta))

@@ -352,16 +352,24 @@ def scenario_from_json(source) -> Scenario:
     return build_scenario(graph, p, pi, weights, valuations, kappa)
 
 
-def _load_json_obj(source, what):
+def _load_json_obj(source, what) -> dict:
+    """The one JSON reader: the object in the UTF-8 JSON file at path
+    source, or a copy of source when it is already a mapping.  A file that
+    cannot be read, is not UTF-8 or not JSON, or holds anything but an
+    object raises ValidationError naming the file."""
     if isinstance(source, Mapping):
         return dict(source)
     try:
         with open(source, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed {what} JSON in {source}: {exc}") from exc
+            obj = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {what} file {source}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:     # not UTF-8, not JSON, nested too deep
+        raise ValidationError(f"malformed {what} JSON in {source}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} file {source} must hold a JSON object, "
+                              f"not {type(obj).__name__}")
+    return obj
 
 
 def keyword_mass(scenario: Scenario, keyword) -> float:

@@ -16,7 +16,6 @@ supplies the revenue benchmark.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -24,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ValidationError
-from .market import Scenario
+from .market import Scenario, _load_json_obj
 
 _NO_RESERVE: Mapping[str, float] = {}
 
@@ -57,19 +56,11 @@ def validate_bid_profile(scenario: Scenario, bids: Mapping[str, Mapping[str, flo
     return bids
 
 
-def load_bid_profile(source, scenario: Scenario):
-    """Read a bid profile from a JSON file path or file object."""
-    if hasattr(source, "read"):
-        raw = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-    try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed bid profile JSON: {exc}") from exc
-    if not isinstance(obj, dict) or not all(isinstance(r, dict) for r in obj.values()):
-        raise ValidationError("bid profile must be a JSON object of objects")
+def load_bid_profile(path, scenario: Scenario):
+    """Read a bid profile {advertiser: {keyword: bid}} from a JSON file."""
+    obj = _load_json_obj(path, "bid profile")
+    if not all(isinstance(r, dict) for r in obj.values()):
+        raise ValidationError(f"bid profile {path} must be a JSON object of objects")
     try:
         bids = {adv: {s: float(b) for s, b in row.items()} for adv, row in obj.items()}
     except (TypeError, ValueError) as exc:
@@ -95,19 +86,15 @@ class KeywordRanking:
         except ValueError:
             return None
 
-    def price(self, k):
-        return self.prices[k] if 0 <= k < len(self.prices) else 0.0
 
-
-def gsp_rank(bids: Mapping[str, float], weights, reserve=0.0, keyword=None,
-             tie="lex", rng=None) -> KeywordRanking:
+def gsp_rank(bids: Mapping[str, float], weights, reserve=0.0,
+             keyword=None) -> KeywordRanking:
     """Rank one keyword's bids by GSP with an optional reserve.
 
     Advertisers with a zero bid or a bid below the reserve do not
     participate.  Price at position k is max{reserve, next bid down},
     which never exceeds the bid at k.  Ties break toward the
-    lexicographically smaller advertiser id, or uniformly at random
-    with tie="random" and an explicit rng.
+    lexicographically smaller advertiser id.
     """
     _check_reserve(reserve)
     if not all(map(math.isfinite, bids.values())):
@@ -115,17 +102,8 @@ def gsp_rank(bids: Mapping[str, float], weights, reserve=0.0, keyword=None,
         raise _non_finite_bid(bad, bids[bad])
     entrants = [(adv, float(b)) for adv, b in bids.items()
                 if b > 0.0 and b >= reserve]
-    if tie == "lex":
-        # descending bid, then the smaller id: the order `outranks` defines
-        entrants.sort(key=lambda ab: (-ab[1], ab[0]))
-    elif tie == "random":
-        if rng is None:
-            raise ValidationError("tie='random' needs an rng")
-        shaken = [(adv, b, rng.random()) for adv, b in entrants]
-        shaken.sort(key=lambda abu: (-abu[1], abu[2]))
-        entrants = [(adv, b) for adv, b, _ in shaken]
-    else:
-        raise ValidationError(f"unknown tie rule {tie!r}")
+    # descending bid, then the smaller id: the order `outranks` defines
+    entrants.sort(key=lambda ab: (-ab[1], ab[0]))
     ranked = tuple(adv for adv, _ in entrants)
     bvals = tuple(b for _, b in entrants)
     prices = tuple(max(reserve, bvals[k + 1]) if k + 1 < len(bvals) else reserve
@@ -203,13 +181,13 @@ def draw(rng, items, probs):
     return items[rng.choice(len(items), p=probs)] if len(items) > 1 else items[0]
 
 
-def pbm_run_round(scenario: Scenario, bids, query, rng, reserves=_NO_RESERVE,
-                  tie="lex") -> AuctionOutcome:
+def pbm_run_round(scenario: Scenario, bids, query, rng,
+                  reserves=_NO_RESERVE) -> AuctionOutcome:
     """One probabilistic-match round for an arriving query: sample a
     keyword from the matching policy, then GSP among its bidders."""
     keywords = scenario.pi.support(query)
     keyword = draw(rng, keywords, [scenario.pi.mass(query, s) for s in keywords])
-    ranking = _rank_keyword(scenario, bids, keyword, reserves, tie=tie, rng=rng)
+    ranking = _rank_keyword(scenario, bids, keyword, reserves)
     return _outcome(scenario, query, keyword, ranking)
 
 
@@ -223,12 +201,12 @@ def _cdf(probs):
 
 
 def pbm_simulate(scenario: Scenario, bids, rounds, rng):
-    """`rounds` probabilistic-match rounds under lex ties: each round draws
+    """`rounds` probabilistic-match rounds: each round draws
     a query from p, then a keyword from the matching policy, as
     draw and pbm_run_round do, from the same uniforms in the same order,
     so the rounds and rng's final state equal the per-round loop's.
 
-    A keyword's lex ranking is the same in every round, so each keyword is
+    A keyword's ranking is the same in every round, so each keyword is
     ranked once and each (query, keyword) pair priced once, on first use.
     Uniforms come in blocks of one per round left, this one included:
     once a round needs a uniform every later round needs one too (each
@@ -269,10 +247,10 @@ def pbm_simulate(scenario: Scenario, bids, rounds, rng):
     return outcomes, welfare_sum, revenue_sum
 
 
-def _rank_keyword(scenario, bids, s, reserves, tie="lex", rng=None):
+def _rank_keyword(scenario, bids, s, reserves):
     """GSP among the bidders on keyword s, under its reserve."""
     return gsp_rank(_keyword_bids(bids, s), scenario.weights,
-                    reserve=reserves.get(s, 0.0), keyword=s, tie=tie, rng=rng)
+                    reserve=reserves.get(s, 0.0), keyword=s)
 
 
 def _rankings_by_keyword(scenario, bids, reserves):
@@ -383,13 +361,12 @@ def sbm_query_bid(bids, advertiser, query, graph) -> float:
                default=0.0)
 
 
-def sbm_rank_query(scenario: Scenario, bids, query, tie="lex",
-                   rng=None) -> KeywordRanking:
+def sbm_rank_query(scenario: Scenario, bids, query) -> KeywordRanking:
     """Per-query GSP of the standard baseline: every advertiser enters
     with their max-transformed bid; price is the next transformed bid."""
     transformed = {adv: sbm_query_bid(bids, adv, query, scenario.graph)
                    for adv in bids}
-    return gsp_rank(transformed, scenario.weights, keyword=None, tie=tie, rng=rng)
+    return gsp_rank(transformed, scenario.weights)
 
 
 def sbm_expected_welfare(scenario: Scenario, bids) -> float:

@@ -9,7 +9,6 @@ reserve is its root, found by bisection.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -413,8 +412,8 @@ _FAMILIES = {
 
 def dist_from_json(obj) -> ValueDistribution:
     """Build a distribution from {"family": ..., "params": {...}}."""
-    if isinstance(obj, str):
-        obj = json.loads(obj)
+    if not isinstance(obj, Mapping):
+        raise ValidationError(f"a value distribution must be an object, got {obj!r}")
     unknown = set(obj) - {"family", "params"}
     if unknown:
         raise ValidationError(f"unknown distribution key(s): {sorted(unknown)!r}")

@@ -394,14 +394,13 @@ def select_keywords(menus, utility, kappa):
     return ranked, [usb for usb in ranked[:kappa] if usb[0] > 0.0]
 
 
-def scalar_best_response(scenario, bids, advertiser, grid, conservative=False,
-                         include_truthful=True):
+def scalar_best_response(scenario, bids, advertiser, grid, conservative=False):
     """Oracle: (best row, its utility, utility of the current row) by one
     scalar slot_utility call per menu bid and per current bid."""
     from bmlab.equilibrium import bid_menu
 
     values = scenario.kw_values[advertiser]
-    menus = {s: bid_menu(scenario, grid, advertiser, s, conservative, include_truthful)
+    menus = {s: bid_menu(scenario, grid, advertiser, s, conservative)
              for s in sorted(scenario.kw_positive[advertiser])}
     row = bids.get(advertiser, {})
     opponents = opponent_bids(bids, advertiser, set(menus) | set(row))
@@ -418,8 +417,7 @@ def scalar_best_response(scenario, bids, advertiser, grid, conservative=False,
     return {s: b for _, s, b in kept}, sum(u for u, _, _ in kept), current
 
 
-def per_call_dynamics(scenario, initial, grid, epsilon, max_iters, conservative=False,
-                      include_truthful=True):
+def per_call_dynamics(scenario, initial, grid, epsilon, max_iters, conservative=False):
     """Oracle: best-response dynamics as the round-robin loop of one
     scalar_best_response call per advertiser, for the best responses and
     for the regrets alike.  Returns (profile, regrets, converged,
@@ -429,7 +427,7 @@ def per_call_dynamics(scenario, initial, grid, epsilon, max_iters, conservative=
         regrets = {}
         for i in scenario.advertisers:
             _, best, current = scalar_best_response(scenario, profile, i, grid,
-                                                    conservative, include_truthful)
+                                                    conservative)
             regrets[i] = max(0.0, best - current)
         return regrets
 
@@ -444,7 +442,7 @@ def per_call_dynamics(scenario, initial, grid, epsilon, max_iters, conservative=
             break
         for i in scenario.advertisers:
             profile[i], _, _ = scalar_best_response(scenario, profile, i, grid,
-                                                    conservative, include_truthful)
+                                                    conservative)
         regrets = regrets_of(profile)
     else:
         converged = max_iters > 0 and max(regrets.values(), default=0.0) <= epsilon

@@ -254,6 +254,60 @@ def test_malformed_scenario_names_offending_key(tmp_path, capsys):
     assert "bogus_key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["simulate"], ["equilibrium", "--mode", "dynamics"]],
+                         ids=["simulate", "dynamics"])
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_bids_file_exits_2(tmp_path, capsys, command, kind):
+    bids = tmp_path / kind
+    if kind == "directory":
+        bids.mkdir()
+    assert run(*command, "--scenario", SCENARIO, "--bids", bids, "--out", tmp_path) == 2
+    assert str(bids) in capsys.readouterr().err
+
+
+# argv of a run that reads the file BAD first among its JSON inputs
+_READS_BAD = {
+    "scenario": ["simulate", "--scenario", "BAD", "--bids", BIDS],
+    "bids": ["simulate", "--scenario", SCENARIO, "--bids", "BAD"],
+    "config": ["simulate", "--config", "BAD"],
+    "bayes": ["revenue", "--scenario", "BAD", "--samples", 10],
+}
+
+
+def _run_on_bad(tmp_path, role, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    argv = [bad if a == "BAD" else a for a in _READS_BAD[role]]
+    return bad, run(*argv, "--rounds", 3, "--out", tmp_path / "out")
+
+
+@pytest.mark.parametrize("role", list(_READS_BAD))
+def test_non_utf8_input_exits_2(tmp_path, capsys, role):
+    bad, code = _run_on_bad(tmp_path, role, b'{"queries": ["q\xff"]}')
+    assert code == 2
+    assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("role", list(_READS_BAD))
+@pytest.mark.parametrize("content", [b"3", b'"text"', b"[1, 2]", b"[" * 100_000],
+                         ids=["number", "string", "list", "nested-too-deep"])
+def test_json_input_that_is_not_an_object_exits_2(tmp_path, capsys, role, content):
+    bad, code = _run_on_bad(tmp_path, role, content)
+    assert code == 2
+    assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["bids.csv", "queries.csv"])
+def test_non_utf8_corpus_exits_2(tmp_path, capsys, name):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for part in ("bids.csv", "queries.csv"):
+        (corpus / part).write_bytes((Path(CORPUS) / part).read_bytes())
+    (corpus / name).write_bytes((corpus / name).read_bytes() + b"\xff,1\n")
+    assert run("expressiveness", "--corpus", corpus, "--out", tmp_path / "out") == 2
+    assert name in capsys.readouterr().err
+
+
 def test_missing_required_flag_is_validation_error(capsys):
     assert run("simulate", "--bids", BIDS) == 2
     assert "--scenario" in capsys.readouterr().err

@@ -68,9 +68,6 @@ def test_bid_menu_conservative_and_truthful():
     assert menu == (0.0, 1.0, 2.0, 2.5)      # truthful 2.5 spliced in
     menu = bid_menu(sc, grid, "a2", "s1", conservative=False)
     assert menu == (0.0, 1.0, 2.0, 2.5, 3.0, 4.0)
-    menu = bid_menu(sc, grid, "a2", "s1", conservative=True,
-                    include_truthful=False)
-    assert menu == (0.0, 1.0, 2.0)
 
 
 # ----------------------------------------------------------- best response
@@ -109,12 +106,18 @@ def test_best_response_top_kappa_selection():
 
 
 def test_best_response_guards():
-    sc = simple_scenario({"a1": {"q1": 4.0, "q2": 7.0}}, kappa=2)
-    grid = make_grid(sc, delta=1.0)
-    with pytest.raises(TooLarge):
-        best_response(sc, {}, "a1", grid, max_keywords=1)
-    with pytest.raises(TooLarge):
-        best_response(sc, {}, "a1", grid, max_kappa=1)
+    def respond(n_keywords, kappa):
+        sc = simple_scenario({"a1": {f"q{k:02d}": 1.0 + k for k in range(n_keywords)}},
+                             kappa=kappa)
+        return best_response(sc, {}, "a1", make_grid(sc, delta=1.0))
+
+    with pytest.raises(TooLarge, match="21 candidate keywords exceeds the best-response cap 20"):
+        respond(21, kappa=2)
+    with pytest.raises(TooLarge, match="kappa = 5 exceeds the best-response cap 4"):
+        respond(5, kappa=5)
+    for n_keywords in (4, 20):      # at both caps: the top four keywords, bid 1 each
+        row, u = respond(n_keywords, kappa=4)
+        assert list(row.values()) == [1.0] * 4 and u > 0.0
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -418,7 +421,8 @@ def test_enumerate_deterministic():
 # ----------------------------------------------------------- chunked scan
 
 def row_counts(sc, grid, conservative=False):
-    return equilibrium._row_counts(sc, grid, conservative, True)
+    return [equilibrium._count_rows(equilibrium._menus(sc, grid, i, conservative), sc.kappa)
+            for i in sc.advertisers]
 
 
 def enumerate_in_chunks(monkeypatch, sc, grid, rows_per_chunk, **kwargs):
