@@ -105,6 +105,7 @@ def expected_homogeneity(bayes: BayesScenario) -> float:
 
 _GSP_LAMBDA = 1.0 - 1.0 / math.e
 _GSP_MU = 1.0
+_POA_TOL = 1e-9   # float slack when a PoA ratio is compared with its bound
 
 
 @dataclass(frozen=True)
@@ -192,8 +193,7 @@ def ratio_csv(reports) -> str:
     return buf.getvalue()
 
 
-def empirical_poa(scenario, reports, grid=None, label="scenario",
-                  exhaustive=True, tol=1e-9) -> RatioReport:
+def empirical_poa(scenario, reports, grid=None, label="scenario") -> RatioReport:
     """Worst-found equilibrium welfare against the applicable PoA bound.
 
     The bound slackens by one grid step of welfare, (max click weight)
@@ -211,8 +211,7 @@ def empirical_poa(scenario, reports, grid=None, label="scenario",
     beta = kl_expressiveness(scenario)
     single = scenario.weights.is_single_slot
     eps_cont = scenario.weights.weight(0) * grid.delta if grid is not None else 0.0
-    notes = [f"{'exhaustive' if exhaustive else 'heuristic (PoA lower bound)'}",
-             f"n_equilibria={len(reports)}", f"beta={beta:.6g}",
+    notes = ["exhaustive", f"n_equilibria={len(reports)}", f"beta={beta:.6g}",
              f"grid_slack={eps_cont:.6g}"]
     if not math.isfinite(c):
         bound = math.inf
@@ -225,7 +224,7 @@ def empirical_poa(scenario, reports, grid=None, label="scenario",
         return RatioReport(label, "pure_poa", opt, worst, math.inf, bound,
                            False, "; ".join(["zero-welfare equilibrium"] + notes))
     ratio = opt / worst
-    satisfied = ratio <= bound + eps_cont + tol
+    satisfied = ratio <= bound + eps_cont + _POA_TOL
     return RatioReport(label, "pure_poa", opt, worst, ratio, bound,
                        satisfied, "; ".join(notes))
 

@@ -26,8 +26,7 @@ from .equilibrium import (EquilibriumReport, _resolve_epsilon, best_response_dyn
                           truthful_keyword_strategy, verify_epsilon_nash)
 from .errors import BmLabError, ParameterRange, ValidationError
 from .expressiveness import (DEFAULT_THETA_GRID, expressiveness_sweep,
-                             extract_micro_markets, kl_expressiveness,
-                             load_corpus, degree_bound_check, market_positive_sets)
+                             kl_expressiveness, load_corpus)
 from .market import _load_json_obj, scenario_from_json
 from .mechanisms import (load_bid_profile, pbm_expected_revenue,
                          pbm_expected_welfare, pbm_simulate)
@@ -157,12 +156,18 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 
 def _outdir(cfg: RunConfig) -> Path:
     d = Path(cfg.out)
-    d.mkdir(parents=True, exist_ok=True)
+    try:
+        d.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create output directory {d}: {exc}") from exc
     return d
 
 
 def _write(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8")
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
     print(f"wrote {path}")
 
 
@@ -384,32 +389,13 @@ def cmd_counterexample(cfg: RunConfig) -> int:
 def cmd_expressiveness(cfg: RunConfig) -> int:
     corpus = load_corpus(_need(cfg, "corpus", "--corpus"))
     thetas = cfg.thetas if cfg.thetas is not None else DEFAULT_THETA_GRID
-    markets = extract_micro_markets(corpus)
-    table = expressiveness_sweep(corpus, thetas=thetas, kappas=cfg.kappas,
-                                 markets=markets)
+    table = expressiveness_sweep(corpus, thetas=thetas, kappas=cfg.kappas)
     out = _outdir(cfg)
     _write(out / "expressiveness.csv", table.to_csv())
-
-    prop_lines = ["market,theta,kappa,alpha,beta,gamma,holds"]
-    skipped = list(table.skipped)
-    for market in markets:
-        for theta in thetas:
-            # the degree-bound sandwich presumes positive queries are
-            # reachable through the graph, so isolated ones are left out
-            sets = market_positive_sets(corpus, market, theta, reachable_only=True)
-            if not sets:
-                continue
-            try:
-                rep = degree_bound_check(market.graph, sets, kappa=1)
-            except BmLabError as exc:
-                skipped.append((market.term, str(exc)))
-                continue
-            prop_lines.append(f"{market.term},{theta:.1f},1,{rep.alpha:.6f},"
-                              f"{rep.beta:.6f},{rep.gamma},"
-                              f"{str(rep.holds).lower()}")
-    _write(out / "degree_bound.csv", "\n".join(prop_lines) + "\n")
+    _write(out / "degree_bound.csv", table.degree_bound_csv())
     print(f"beta > alpha/3 in {table.beta_exceeds_third_alpha():.1%} "
           f"of cells (descriptive)")
+    skipped = table.skipped + table.degree_skipped
     if skipped:
         print(f"skipped {len(skipped)} market(s): "
               + "; ".join(f"{t}: {r}" for t, r in skipped))

@@ -32,10 +32,11 @@ from .errors import (
     Uncoverable,
     ValidationError,
 )
-from .market import BayesScenario, BipartiteGraph, Scenario
+from .market import BayesScenario, BipartiteGraph
 
 EXACT_COVER_CANDIDATE_CAP = 25
 EXACT_ALPHA_QUERY_CAP = 20
+_DEGREE_BOUND_TOL = 1e-12   # float slack on both sides of the sandwich
 
 
 # --------------------------------------------------------------- string side
@@ -86,37 +87,9 @@ def similarity(q: str, s: str) -> float:
 _PUNCT_TO_SPACE = str.maketrans({ch: " " for ch in string.punctuation})
 
 
-def tokenize(text: str, stop_words=()) -> tuple:
+def tokenize(text: str) -> tuple:
     """Lowercase terms with punctuation treated as whitespace."""
-    toks = text.lower().translate(_PUNCT_TO_SPACE).split()
-    if stop_words:
-        toks = [t for t in toks if t not in stop_words]
-    return tuple(toks)
-
-
-# ------------------------------------------------------- positive queries
-
-def positive_queries(keywords, query_pool, theta, sim=similarity) -> frozenset:
-    """Queries similar to at least one bid keyword: sim(q, s) > theta."""
-    if not 0.0 <= theta < 1.0:
-        raise ValidationError(f"theta must lie in [0, 1), got {theta}")
-    kws = tuple(keywords)
-    return frozenset(q for q in query_pool
-                     if any(sim(q, s) > theta for s in kws))
-
-
-@dataclass(frozen=True)
-class AdvertiserFootprint:
-    """An advertiser's bid keywords and inferred positive query set."""
-    advertiser: str
-    keywords: frozenset
-    positive: frozenset
-
-
-def build_footprint(advertiser, keywords, query_pool, theta) -> AdvertiserFootprint:
-    kws = frozenset(keywords)
-    return AdvertiserFootprint(advertiser, kws,
-                               positive_queries(kws, query_pool, theta))
+    return tuple(text.lower().translate(_PUNCT_TO_SPACE).split())
 
 
 # ------------------------------------------------- keyword-level beta
@@ -135,24 +108,15 @@ def _beta(max_meeting, kappa) -> float:
     return min(1.0, kappa / max_meeting) if max_meeting else 1.0
 
 
-def kl_expressiveness(source, kappa=None, graph=None) -> float:
-    """beta: min over advertisers of min(1, kappa / #positive keywords).
-
-    `source` is either a Scenario (kappa defaults to the scenario's),
-    a BayesScenario (a query with a value distribution counts as
-    positive), or an iterable of AdvertiserFootprint, in which case
-    `graph` and `kappa` are required and a keyword counts as positive
-    when its neighborhood meets the footprint's positive query set.
-    """
-    if isinstance(source, Scenario):
-        sets = [source.valuations.positive_queries(i) for i in source.advertisers]
-    elif isinstance(source, BayesScenario):
+def kl_expressiveness(source) -> float:
+    """beta: min over advertisers of min(1, kappa / #positive keywords)
+    of a Scenario, or of a BayesScenario, where a query with a value
+    distribution counts as positive."""
+    if isinstance(source, BayesScenario):
         sets = [source.value_dists[i].keys() for i in source.advertisers]
-    elif kappa is None or graph is None:
-        raise ValidationError("footprint form needs kappa and graph")
     else:
-        return _beta(_max_meeting(graph, [fp.positive for fp in source]), kappa)
-    return _beta(_max_meeting(source.graph, sets), source.kappa if kappa is None else kappa)
+        sets = [source.valuations.positive_queries(i) for i in source.advertisers]
+    return _beta(_max_meeting(source.graph, sets), source.kappa)
 
 
 # ------------------------------------------------------------- set cover
@@ -238,13 +202,13 @@ def min_cover_size(graph, queries, candidates=None, exact=True,
 
 
 class _CoverNumbers:
-    """Minimum-cover numbers of query sets over one candidate list of one
-    graph, each searched once.  A query set is keyed by the bitmask of its
-    queries' declared indices; None marks a set no candidate covers."""
+    """Minimum-cover numbers of query sets over one graph's keywords, each
+    searched once.  A query set is keyed by the bitmask of its queries'
+    declared indices; None marks a set no keyword covers."""
 
-    def __init__(self, graph, candidates):
+    def __init__(self, graph):
         self.bit = {q: 1 << i for i, q in enumerate(graph.queries)}
-        self.cov_sets = {s: graph.keyword_neighbors(s) for s in candidates}
+        self.cov_sets = {s: graph.keyword_neighbors(s) for s in graph.keywords}
         self.sizes = {}
 
     def __call__(self, queries):
@@ -260,39 +224,33 @@ class _CoverNumbers:
         return self.sizes[key]
 
 
-# default-candidate cover numbers per graph, shared by every kappa, theta
-# and pass over it, and dropped with the graph
+# cover numbers per graph, shared by every kappa and theta over it, and
+# dropped with the graph
 _COVER_NUMBERS = weakref.WeakKeyDictionary()
 
 
 # ---------------------------------------------------------- query-level alpha
 
-def advertiser_alpha(graph, queries, kappa, candidates=None,
-                     max_queries=EXACT_ALPHA_QUERY_CAP):
+def advertiser_alpha(graph, queries, kappa):
     """(alpha_i, m*) for one positive query set.
 
-    m* is the smallest subset size whose minimum cover exceeds kappa;
-    alpha_i = (m* - 1) / |Q_i|, or 1.0 with m* = None when every subset
-    is coverable.  Empty query sets are vacuously fully expressive.
-    Cover numbers over the graph's own keywords are remembered per graph;
-    an explicit candidate list is searched afresh.
+    m* is the smallest subset size whose minimum cover by the graph's
+    keywords exceeds kappa; alpha_i = (m* - 1) / |Q_i|, or 1.0 with
+    m* = None when every subset is coverable.  Empty query sets are
+    vacuously fully expressive.  Cover numbers are remembered per graph.
     """
     universe = frozenset(queries)
     n = len(universe)
     if n == 0:
         return 1.0, None
-    if n > max_queries:
-        raise TooLarge(f"|Q_i| = {n} (exact alpha cap {max_queries})")
-    n_candidates = len(graph.keywords if candidates is None else candidates)
-    if n_candidates > EXACT_COVER_CANDIDATE_CAP:
-        raise TooLarge(f"{n_candidates} cover candidates "
+    if n > EXACT_ALPHA_QUERY_CAP:
+        raise TooLarge(f"|Q_i| = {n} (exact alpha cap {EXACT_ALPHA_QUERY_CAP})")
+    if len(graph.keywords) > EXACT_COVER_CANDIDATE_CAP:
+        raise TooLarge(f"{len(graph.keywords)} cover candidates "
                        f"(exact cap {EXACT_COVER_CANDIDATE_CAP})")
-    if candidates is not None:
-        cover = _CoverNumbers(graph, candidates)
-    elif graph in _COVER_NUMBERS:
-        cover = _COVER_NUMBERS[graph]
-    else:
-        cover = _COVER_NUMBERS[graph] = _CoverNumbers(graph, graph.keywords)
+    cover = _COVER_NUMBERS.get(graph)
+    if cover is None:
+        cover = _COVER_NUMBERS[graph] = _CoverNumbers(graph)
     whole = cover(universe)
     if whole is None:
         # some query is coverable by nothing, so already singletons fail
@@ -307,13 +265,11 @@ def advertiser_alpha(graph, queries, kappa, candidates=None,
     raise AssertionError("whole set failed earlier, a subset must fail")
 
 
-def ql_expressiveness(graph, positive_sets, kappa,
-                      max_queries=EXACT_ALPHA_QUERY_CAP) -> float:
+def ql_expressiveness(graph, positive_sets, kappa) -> float:
     """System alpha: min over advertisers of advertiser_alpha."""
     alpha = 1.0
     for adv in sorted(positive_sets):
-        a_i, _ = advertiser_alpha(graph, positive_sets[adv], kappa,
-                                  max_queries=max_queries)
+        a_i, _ = advertiser_alpha(graph, positive_sets[adv], kappa)
         alpha = min(alpha, a_i)
     return alpha
 
@@ -332,7 +288,7 @@ class DegreeBoundReport:
     holds: bool
 
 
-def degree_bound_check(graph, positive_sets, kappa, tol=1e-12) -> DegreeBoundReport:
+def degree_bound_check(graph, positive_sets, kappa) -> DegreeBoundReport:
     """Check the degree-bound sandwich between alpha and beta.
 
     The sandwich presumes every positive query is reachable through the
@@ -344,7 +300,7 @@ def degree_bound_check(graph, positive_sets, kappa, tol=1e-12) -> DegreeBoundRep
     beta = _beta(_max_meeting(graph, positive_sets.values()), kappa)
     lower = alpha / gamma**2 if gamma else 0.0
     upper = gamma * alpha
-    holds = (lower <= beta + tol) and (beta <= upper + tol)
+    holds = (lower <= beta + _DEGREE_BOUND_TOL) and (beta <= upper + _DEGREE_BOUND_TOL)
     return DegreeBoundReport(alpha, beta, gamma, kappa, lower, upper, holds)
 
 
@@ -358,10 +314,7 @@ class Corpus:
 
     @property
     def keywords(self):
-        out = set()
-        for kws in self.bids.values():
-            out |= kws
-        return frozenset(out)
+        return frozenset().union(*self.bids.values())
 
 
 def _read_rows(path, expected_header):
@@ -420,24 +373,18 @@ class MicroMarket:
         return {(q, s): similarity(q, s) for q in self.queries for s in self.keywords}
 
 
-def containment_graph(queries, keywords, stop_words=()) -> BipartiteGraph:
+def containment_graph(queries, keywords) -> BipartiteGraph:
     """Edge (q, s) when every token of s appears among q's tokens."""
-    edges = []
-    q_tokens = {q: frozenset(tokenize(q, stop_words)) for q in queries}
-    for s in keywords:
-        s_tok = frozenset(tokenize(s, stop_words))
-        if not s_tok:
-            continue
-        for q in queries:
-            if s_tok <= q_tokens[q]:
-                edges.append((q, s))
+    q_tokens = {q: frozenset(tokenize(q)) for q in queries}
+    edges = [(q, s) for s in keywords if (s_tok := frozenset(tokenize(s)))
+             for q in queries if s_tok <= q_tokens[q]]
     return BipartiteGraph(queries, keywords, edges, strict=False)
 
 
-def extract_micro_markets(corpus: Corpus, stop_words=()) -> list:
+def extract_micro_markets(corpus: Corpus) -> list:
     """One market per term shared by >= 1 keyword and >= 1 query."""
-    kw_terms = {s: frozenset(tokenize(s, stop_words)) for s in corpus.keywords}
-    q_terms = {q: frozenset(tokenize(q, stop_words)) for q in corpus.queries}
+    kw_terms = {s: frozenset(tokenize(s)) for s in corpus.keywords}
+    q_terms = {q: frozenset(tokenize(q)) for q in corpus.queries}
     terms = sorted(set().union(*kw_terms.values(), frozenset())
                    & set().union(*q_terms.values(), frozenset()))
     markets = []
@@ -446,8 +393,7 @@ def extract_micro_markets(corpus: Corpus, stop_words=()) -> list:
         qs = tuple(sorted(q for q, toks in q_terms.items() if term in toks))
         if not kws or not qs:
             continue
-        markets.append(MicroMarket(term, kws, qs,
-                                   containment_graph(qs, kws, stop_words)))
+        markets.append(MicroMarket(term, kws, qs, containment_graph(qs, kws)))
     return markets
 
 
@@ -455,23 +401,32 @@ def extract_micro_markets(corpus: Corpus, stop_words=()) -> list:
 
 @dataclass(frozen=True)
 class ExpressivenessTable:
-    """Bucketed means of alpha and beta over micro markets.
+    """Bucketed means of alpha and beta over micro markets, and the
+    kappa = 1 degree-bound check per (market, theta).
 
     rows maps (theta_bucket, kappa_bucket) -> (mean_alpha, mean_beta,
     n_markets); buckets are the theta grid value and the decile ceiling
     of kappa / market size, both as strings with one decimal.
+    degree_rows holds (market term, theta, DegreeBoundReport) in sweep
+    order; skipped and degree_skipped hold (market term, reason).
     """
     rows: dict
     skipped: tuple
+    degree_rows: tuple
+    degree_skipped: tuple
 
     def to_csv(self) -> str:
         lines = ["theta_bucket,kappa_bucket,mean_alpha,mean_beta,n_markets"]
-        def order(key):
-            th, kb = key
-            return (-float(th), float(kb))
-        for key in sorted(self.rows, key=order):
+        for key in sorted(self.rows, key=lambda k: (-float(k[0]), float(k[1]))):
             a, b, n = self.rows[key]
             lines.append(f"{key[0]},{key[1]},{a:.6f},{b:.6f},{n}")
+        return "\n".join(lines) + "\n"
+
+    def degree_bound_csv(self) -> str:
+        lines = ["market,theta,kappa,alpha,beta,gamma,holds"]
+        for term, theta, rep in self.degree_rows:
+            lines.append(f"{term},{theta:.1f},{rep.kappa},{rep.alpha:.6f},"
+                         f"{rep.beta:.6f},{rep.gamma},{str(rep.holds).lower()}")
         return "\n".join(lines) + "\n"
 
     def beta_exceeds_third_alpha(self) -> float:
@@ -485,50 +440,72 @@ class ExpressivenessTable:
 DEFAULT_THETA_GRID = tuple(round(0.9 - 0.1 * j, 1) for j in range(10))
 
 
-def market_positive_sets(corpus, market, theta, reachable_only=False) -> dict:
-    """{advertiser: positive queries} for every advertiser bidding in the
-    market, from its similarity table; reachable_only leaves out queries
-    with no keyword neighbor."""
-    pool = [q for q in market.queries
-            if not reachable_only or market.graph.query_neighbors(q)]
+def _positive_sets(corpus, market, thetas):
+    """Yield (theta, sets, reachable) per theta.  sets maps each advertiser
+    bidding in the market to the queries whose best similarity to its
+    keywords there exceeds theta: a max and a strict compare, the same as
+    any(sim(q, s) > theta).  reachable drops queries with no neighbor."""
     sims = market.similarities
-    sets = {}
+    best = {}
     for adv in sorted(corpus.bids):
-        kws = corpus.bids[adv] & set(market.keywords)
+        kws = corpus.bids[adv].intersection(market.keywords)
         if kws:
-            sets[adv] = positive_queries(kws, pool, theta, lambda q, s: sims[q, s])
-    return sets
+            best[adv] = {q: max(sims[q, s] for s in kws) for q in market.queries}
+    linked = frozenset(q for q in market.queries if market.graph.query_neighbors(q))
+    for theta in thetas:
+        sets = {adv: frozenset(q for q, b in top.items() if b > theta)
+                for adv, top in best.items()}
+        yield theta, sets, {adv: pos & linked for adv, pos in sets.items()}
+
+
+def _add_cells(cells, market, theta, sets, kappas) -> None:
+    """Append one (alpha, beta) per kappa in 1..size to its bucket."""
+    widest = _max_meeting(market.graph, sets.values())
+    for kappa in kappas:
+        if not 1 <= kappa <= market.size:
+            continue
+        alpha = ql_expressiveness(market.graph, sets, kappa)
+        kb = math.ceil(10 * kappa / market.size) / 10
+        key = (f"{theta:.1f}", f"{kb:.1f}")
+        cells.setdefault(key, []).append((alpha, _beta(widest, kappa)))
 
 
 def expressiveness_sweep(corpus: Corpus, thetas=DEFAULT_THETA_GRID,
-                         kappas=None, markets=None) -> ExpressivenessTable:
-    """Tabulate mean alpha and beta per (theta, kappa/size decile).
+                         kappas=None) -> ExpressivenessTable:
+    """Tabulate mean alpha and beta per (theta, kappa/size decile), and
+    check the degree bound at kappa = 1 per (market, theta), from one
+    positive query set per (advertiser, market, theta).
 
-    kappas defaults to 1..size per market.  Markets where exact alpha
-    is out of reach are skipped and logged in the table.  markets
-    defaults to extract_micro_markets(corpus).
+    kappas defaults to 1..size per market.  A market where exact alpha
+    is out of reach adds no cells from that theta on (earlier cells stay)
+    and is logged in skipped.  The degree bound is checked at every theta
+    on the reachable positive sets, as the sandwich presumes; a
+    (market, theta) out of exact reach is logged in degree_skipped.
     """
+    thetas = tuple(thetas)
+    for theta in thetas:
+        if not 0.0 <= theta < 1.0:
+            raise ValidationError(f"theta must lie in [0, 1), got {theta}")
     cells = {}
-    skipped = []
-    for market in extract_micro_markets(corpus) if markets is None else markets:
+    skipped, degree_rows, degree_skipped = [], [], []
+    for market in extract_micro_markets(corpus):
         grid = kappas if kappas is not None else range(1, market.size + 1)
-        try:
-            for theta in thetas:
-                sets = market_positive_sets(corpus, market, theta)
-                widest = _max_meeting(market.graph, sets.values())
-                for kappa in grid:
-                    if not 1 <= kappa <= market.size:
-                        continue
-                    alpha = ql_expressiveness(market.graph, sets, kappa)
-                    beta = _beta(widest, kappa)
-                    kb = math.ceil(10 * kappa / market.size) / 10
-                    key = (f"{theta:.1f}", f"{kb:.1f}")
-                    cells.setdefault(key, []).append((alpha, beta))
-        except TooLarge as exc:
-            skipped.append((market.term, str(exc)))
-    rows = {}
-    for key, pairs in cells.items():
-        a = sum(p[0] for p in pairs) / len(pairs)
-        b = sum(p[1] for p in pairs) / len(pairs)
-        rows[key] = (a, b, len(pairs))
-    return ExpressivenessTable(rows, tuple(skipped))
+        tabulating = True
+        for theta, sets, reachable in _positive_sets(corpus, market, thetas):
+            if tabulating:
+                try:
+                    _add_cells(cells, market, theta, sets, grid)
+                except TooLarge as exc:
+                    skipped.append((market.term, str(exc)))
+                    tabulating = False
+            try:
+                rep = degree_bound_check(market.graph, reachable, kappa=1)
+            except TooLarge as exc:
+                degree_skipped.append((market.term, str(exc)))
+            else:
+                degree_rows.append((market.term, theta, rep))
+    rows = {key: (sum(p[0] for p in pairs) / len(pairs),
+                  sum(p[1] for p in pairs) / len(pairs), len(pairs))
+            for key, pairs in cells.items()}
+    return ExpressivenessTable(rows, tuple(skipped), tuple(degree_rows),
+                               tuple(degree_skipped))

@@ -19,6 +19,7 @@ from .errors import NoRoot, ParameterRange, ValidationError, ZeroDensity
 
 _MASS_TOL = 1e-9
 _TAIL_QUANTILE = 1.0 - 1e-12  # finite surrogate for unbounded supports
+_MHR_SLOPE_TOL = 1e-6  # finite-difference slack on phi' >= 1
 
 
 class ValueDistribution:
@@ -486,7 +487,6 @@ def _empirical_reserve(dist) -> float:
 
 @dataclass(frozen=True)
 class VirtualValueReport:
-    keyword: str | None
     reserve: float
     eta: float
     mhr_ok: bool
@@ -495,8 +495,8 @@ class VirtualValueReport:
     phi: tuple
 
 
-def mhr_bounded_derivative_check(dist: ValueDistribution, resolution=10_000,
-                                 keyword=None, tol=1e-6) -> VirtualValueReport:
+def mhr_bounded_derivative_check(dist: ValueDistribution,
+                                 resolution=10_000) -> VirtualValueReport:
     """Estimate phi' on a grid: the hazard-rate condition requires
     phi' >= 1 everywhere on the support, and eta is the largest slope at
     or above the reserve."""
@@ -511,8 +511,8 @@ def mhr_bounded_derivative_check(dist: ValueDistribution, resolution=10_000,
     min_slope = float(slopes.min())
     at_or_above = grid >= reserve - (grid[1] - grid[0])
     eta = float(slopes[at_or_above].max())
-    return VirtualValueReport(keyword=keyword, reserve=reserve, eta=eta,
-                              mhr_ok=bool(min_slope >= 1.0 - tol),
+    return VirtualValueReport(reserve=reserve, eta=eta,
+                              mhr_ok=bool(min_slope >= 1.0 - _MHR_SLOPE_TOL),
                               min_slope=min_slope,
                               grid=tuple(grid.tolist()), phi=tuple(phi.tolist()))
 

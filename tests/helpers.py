@@ -8,8 +8,9 @@ import math
 
 import numpy as np
 
-from bmlab.errors import TooLarge
-from bmlab.expressiveness import EXACT_ALPHA_QUERY_CAP, EXACT_COVER_CANDIDATE_CAP
+from bmlab.errors import TooLarge, ValidationError
+from bmlab.expressiveness import (EXACT_ALPHA_QUERY_CAP, EXACT_COVER_CANDIDATE_CAP,
+                                  similarity)
 from bmlab.market import (
     BipartiteGraph,
     MatchingPolicy,
@@ -174,24 +175,21 @@ def dp_levenshtein(a: str, b: str) -> int:
     return prev[-1]
 
 
-def subset_alpha_oracle(graph, queries, kappa, candidates=None,
-                        max_queries=EXACT_ALPHA_QUERY_CAP):
+def subset_alpha_oracle(graph, queries, kappa):
     """Oracle: advertiser_alpha's (alpha_i, m*) by enumerating query
     subsets of growing size and testing each against every union of at
-    most kappa candidate neighborhoods, with nothing remembered between
+    most kappa keyword neighborhoods, with nothing remembered between
     subsets or calls.  Raises TooLarge under the same caps."""
     universe = frozenset(queries)
     n = len(universe)
     if n == 0:
         return 1.0, None
-    if n > max_queries:
-        raise TooLarge(f"|Q_i| = {n} (exact alpha cap {max_queries})")
-    if candidates is None:
-        candidates = graph.keywords
-    if len(candidates) > EXACT_COVER_CANDIDATE_CAP:
-        raise TooLarge(f"{len(candidates)} cover candidates "
+    if n > EXACT_ALPHA_QUERY_CAP:
+        raise TooLarge(f"|Q_i| = {n} (exact alpha cap {EXACT_ALPHA_QUERY_CAP})")
+    if len(graph.keywords) > EXACT_COVER_CANDIDATE_CAP:
+        raise TooLarge(f"{len(graph.keywords)} cover candidates "
                        f"(exact cap {EXACT_COVER_CANDIDATE_CAP})")
-    nbrs = [frozenset(graph.keyword_neighbors(s)) for s in candidates]
+    nbrs = [frozenset(graph.keyword_neighbors(s)) for s in graph.keywords]
     unions = [frozenset().union(*combo) for size in range(kappa + 1)
               for combo in itertools.combinations(nbrs, size)]
     for size in range(1, n + 1):
@@ -199,6 +197,15 @@ def subset_alpha_oracle(graph, queries, kappa, candidates=None,
             if not any(u.issuperset(subset) for u in unions):
                 return (size - 1) / n, size
     return 1.0, None
+
+
+def positive_queries(keywords, query_pool, theta, sim=similarity) -> frozenset:
+    """Queries similar to at least one bid keyword: sim(q, s) > theta."""
+    if not 0.0 <= theta < 1.0:
+        raise ValidationError(f"theta must lie in [0, 1), got {theta}")
+    kws = tuple(keywords)
+    return frozenset(q for q in query_pool
+                     if any(sim(q, s) > theta for s in kws))
 
 
 def vcg_payment_oracle(values, weights, reserve=0.0):

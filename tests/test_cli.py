@@ -308,6 +308,52 @@ def test_non_utf8_corpus_exits_2(tmp_path, capsys, name):
     assert name in capsys.readouterr().err
 
 
+def _simulate_into(out) -> int:
+    return run("simulate", "--scenario", SCENARIO, "--bids", BIDS,
+               "--rounds", "3", "--out", out)
+
+
+def test_out_that_is_a_file_exits_2(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert _simulate_into(afile) == 2
+    assert str(afile) in capsys.readouterr().err
+
+
+def test_out_under_a_file_exits_2(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert _simulate_into(afile / "x") == 2
+    assert str(afile / "x") in capsys.readouterr().err
+
+
+def test_report_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    (tmp_path / "rounds.csv").mkdir()
+    assert _simulate_into(tmp_path) == 2
+    assert str(tmp_path / "rounds.csv") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("theta", ["1.0", "-0.1", "nan"])
+def test_theta_outside_unit_interval_exits_2(tmp_path, capsys, theta):
+    code = run("expressiveness", "--corpus", CORPUS, "--thetas", f"0.5,{theta}",
+               "--out", tmp_path)
+    assert code == 2
+    assert "theta must lie in [0, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "expressiveness.csv").exists()
+
+
+def test_theta_is_checked_on_a_corpus_without_markets(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "bids.csv").write_text("advertiser,keyword\na,boats\n")
+    (corpus / "queries.csv").write_text("query,frequency\ncars,1\n")
+    assert run("expressiveness", "--corpus", corpus, "--out", tmp_path / "ok") == 0
+    code = run("expressiveness", "--corpus", corpus, "--thetas", "1.0",
+               "--out", tmp_path / "bad")
+    assert code == 2
+    assert "theta must lie in [0, 1)" in capsys.readouterr().err
+
+
 def test_missing_required_flag_is_validation_error(capsys):
     assert run("simulate", "--bids", BIDS) == 2
     assert "--scenario" in capsys.readouterr().err

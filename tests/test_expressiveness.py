@@ -8,16 +8,15 @@ from hypothesis import strategies as st
 
 from bmlab.errors import (EmptyStrings, TooLarge, Uncoverable,
                           ValidationError)
-from bmlab.expressiveness import (AdvertiserFootprint, Corpus,
-                                  advertiser_alpha, build_footprint,
-                                  containment_graph, extract_micro_markets,
-                                  expressiveness_sweep, kl_expressiveness,
-                                  levenshtein, load_corpus, min_cover_size,
-                                  positive_queries, degree_bound_check,
+from bmlab.expressiveness import (DEFAULT_THETA_GRID, Corpus, _positive_sets,
+                                  advertiser_alpha, containment_graph,
+                                  extract_micro_markets, expressiveness_sweep,
+                                  kl_expressiveness, levenshtein, load_corpus,
+                                  min_cover_size, degree_bound_check,
                                   ql_expressiveness, similarity, tokenize)
 from bmlab.market import BipartiteGraph
-from helpers import (dp_levenshtein, exhaustive_min_cover, simple_scenario,
-                     subset_alpha_oracle)
+from helpers import (dp_levenshtein, exhaustive_min_cover, positive_queries,
+                     simple_scenario, subset_alpha_oracle)
 
 # ----------------------------------------------------------------- strings
 
@@ -79,10 +78,11 @@ def test_similarity_values():
 
 def test_tokenize():
     assert tokenize("Cheap Car-Insurance!") == ("cheap", "car", "insurance")
-    assert tokenize("the car", stop_words={"the"}) == ("car",)
 
 
 # --------------------------------------------------------- positive queries
+# positive_queries is the oracle (tests/helpers.py) the sweep's single pass
+# is checked against below
 
 
 def test_positive_queries_exact_keyword():
@@ -115,9 +115,9 @@ def test_positive_queries_theta_range():
 
 
 def test_kl_expressiveness_scenario_form():
-    sc = simple_scenario({"a": {f"q{j}": 1.0 for j in range(4)}}, kappa=2)
-    assert kl_expressiveness(sc) == pytest.approx(0.5)
-    assert kl_expressiveness(sc, kappa=4) == pytest.approx(1.0)
+    values = {"a": {f"q{j}": 1.0 for j in range(4)}}
+    assert kl_expressiveness(simple_scenario(values, kappa=2)) == pytest.approx(0.5)
+    assert kl_expressiveness(simple_scenario(values, kappa=4)) == pytest.approx(1.0)
 
 
 def test_kl_expressiveness_min_over_advertisers():
@@ -125,15 +125,6 @@ def test_kl_expressiveness_min_over_advertisers():
             "b": {f"q{j}": 1.0 for j in range(5)}}
     sc = simple_scenario(vals, kappa=2)
     assert kl_expressiveness(sc) == pytest.approx(0.4)
-
-
-def test_kl_expressiveness_footprint_form():
-    g = BipartiteGraph(["q1", "q2"], ["s1", "s2"],
-                       [("q1", "s1"), ("q2", "s2")])
-    fps = [AdvertiserFootprint("a", frozenset({"s1"}), frozenset({"q1", "q2"}))]
-    assert kl_expressiveness(fps, kappa=1, graph=g) == pytest.approx(0.5)
-    with pytest.raises(ValidationError):
-        kl_expressiveness(fps)
 
 
 def test_kl_expressiveness_binding_advertiser_equality():
@@ -244,16 +235,18 @@ def test_alpha_isolated_query_is_zero():
 
 
 def test_alpha_too_large():
+    """The caps bind at 21 positive queries and 26 keywords, not before."""
     queries = [f"q{j}" for j in range(21)]
-    g = cover_graph({"s": queries}, queries)
+    g = cover_graph({f"s{j}": [q] for j, q in enumerate(queries)}, queries)
+    enough = cover_graph({f"s{j}": ["q0"] for j in range(25)}, ["q0"])
     many = cover_graph({f"s{j}": ["q0"] for j in range(26)}, ["q0"])
     for alpha in (advertiser_alpha, subset_alpha_oracle):
-        with pytest.raises(TooLarge):
+        assert alpha(g, queries[:20], kappa=1) == (1 / 20, 2)
+        with pytest.raises(TooLarge, match="21"):
             alpha(g, queries, kappa=1)
-        with pytest.raises(TooLarge):
+        assert alpha(enough, ["q0"], kappa=1) == (1.0, None)
+        with pytest.raises(TooLarge, match="26"):
             alpha(many, ["q0"], kappa=1)
-        assert alpha(many, ["q0"], kappa=1, candidates=["s0"]) == (1.0, None)
-    assert advertiser_alpha(g, queries, kappa=1, max_queries=21) == (1.0, None)
 
 
 def test_alpha_subset_coverability_from_m_star():
@@ -329,18 +322,6 @@ def test_alpha_memo_is_per_graph():
         assert advertiser_alpha(split, queries, kappa=1) == (1 / 3, 2)
         assert advertiser_alpha(star, ["q2", "q3"], kappa=1) == (1.0, None)
         assert advertiser_alpha(split, ["q2", "q3"], kappa=1) == (1.0, None)
-
-
-def test_alpha_explicit_candidates_bypass_default_memo():
-    queries = ["q1", "q2", "q3"]
-    g = cover_graph({"s1": queries, "s2": ["q1"], "s3": ["q2"]}, queries)
-    # the default candidates fill the memo with cover number 1 for every set
-    assert advertiser_alpha(g, queries, kappa=1) == (1.0, None)
-    assert advertiser_alpha(g, ["q1", "q2"], kappa=1) == (1.0, None)
-    narrow = ["s2", "s3"]
-    assert advertiser_alpha(g, ["q1", "q2"], kappa=1, candidates=narrow) == (0.5, 2)
-    assert advertiser_alpha(g, queries, kappa=1, candidates=narrow) == (0.0, 1)
-    assert advertiser_alpha(g, ["q1", "q2"], kappa=1) == (1.0, None)
 
 
 def test_ql_expressiveness_min_over_advertisers():
@@ -524,3 +505,104 @@ def test_sweep_csv_shape():
     assert lines[0] == "theta_bucket,kappa_bucket,mean_alpha,mean_beta,n_markets"
     assert len(lines) == len(table.rows) + 1
     assert 0.0 <= table.beta_exceeds_third_alpha() <= 1.0
+
+
+def test_sweep_rejects_theta_before_any_market(monkeypatch):
+    from bmlab import expressiveness
+
+    def no_markets(corpus):
+        raise AssertionError("markets extracted before theta was checked")
+
+    monkeypatch.setattr(expressiveness, "extract_micro_markets", no_markets)
+    empty = Corpus({"a": frozenset({"boats"})}, {"cars": 1.0})
+    for corpus in (sized_market_corpus(), empty):
+        for theta in (1.0, -0.1, float("nan")):
+            with pytest.raises(ValidationError, match="theta must lie in"):
+                expressiveness_sweep(corpus, thetas=(0.5, theta))
+
+
+def test_sweep_cap_stops_cells_but_not_degree_rows():
+    """Market "x" has 26 queries 0.4-similar to the keyword but only one
+    keyword neighbor: its cells stop at theta 0.3, where |Q_i| passes
+    the alpha cap, while its degree rows, on the one reachable query,
+    go on for every theta."""
+    queries = {"x y": 1.0, **{f"x z{a}{b}": 1.0 for a in "abcde" for b in "abcde"}}
+    table = expressiveness_sweep(Corpus({"a": frozenset({"x y"})}, queries))
+    assert table.skipped == (("x", "|Q_i| = 26 (exact alpha cap 20)"),)
+    assert table.degree_skipped == ()
+    for theta in DEFAULT_THETA_GRID:
+        assert table.rows[(f"{theta:.1f}", "1.0")][2] == (2 if theta >= 0.4 else 1)
+    assert [(term, theta) for term, theta, _ in table.degree_rows] == \
+        [(term, theta) for term in ("x", "y") for theta in DEFAULT_THETA_GRID]
+
+
+# ---------------------------------------------- single pass against oracle
+
+
+def random_corpus(rng):
+    """A small corpus over a tiny vocabulary: short strings make
+    similarities equal to a grid theta common, several advertisers leave
+    markets holding no keyword of some of them, and multi-word keywords
+    leave market queries without a keyword neighbor."""
+    words = ["".join(rng.choice(list("abc"), size=int(rng.integers(1, 4))))
+             for _ in range(6)]
+
+    def phrase(most):
+        return " ".join(rng.choice(words, size=int(rng.integers(1, most + 1))))
+
+    bids = {f"a{j}": frozenset(phrase(2) for _ in range(int(rng.integers(1, 4))))
+            for j in range(int(rng.integers(1, 4)))}
+    return Corpus(bids, {phrase(3): 1.0 for _ in range(int(rng.integers(1, 9)))})
+
+
+def oracle_sets(corpus, market, theta, pool):
+    return {adv: positive_queries(kws & set(market.keywords), pool, theta)
+            for adv, kws in sorted(corpus.bids.items()) if kws & set(market.keywords)}
+
+
+def linked_queries(market):
+    return [q for q in market.queries if market.graph.query_neighbors(q)]
+
+
+def test_single_pass_positive_sets_match_oracle():
+    rng = np.random.default_rng(31)
+    seen = {"tie": 0, "no keyword in market": 0, "no neighbor": 0}
+    for _ in range(200):
+        corpus = random_corpus(rng)
+        for market in extract_micro_markets(corpus):
+            linked = linked_queries(market)
+            seen["no neighbor"] += len(linked) < len(market.queries)
+            seen["no keyword in market"] += any(
+                not kws & set(market.keywords) for kws in corpus.bids.values())
+            for theta, sets, reachable in _positive_sets(corpus, market,
+                                                         DEFAULT_THETA_GRID):
+                assert sets == oracle_sets(corpus, market, theta, market.queries)
+                assert reachable == oracle_sets(corpus, market, theta, linked)
+                # a query whose best similarity is theta itself is not positive
+                seen["tie"] += any(
+                    max(similarity(q, s) for s in kws & set(market.keywords)) == theta
+                    for kws in corpus.bids.values() if kws & set(market.keywords)
+                    for q in market.queries)
+    assert all(seen.values()), seen
+
+
+def test_sweep_degree_rows_match_oracle():
+    rng = np.random.default_rng(37)
+    rows = 0
+    for _ in range(100):
+        corpus = random_corpus(rng)
+        want, want_skipped = [], []
+        for market in extract_micro_markets(corpus):
+            for theta in DEFAULT_THETA_GRID:
+                sets = oracle_sets(corpus, market, theta, linked_queries(market))
+                try:
+                    rep = degree_bound_check(market.graph, sets, 1)
+                except TooLarge as exc:
+                    want_skipped.append((market.term, str(exc)))
+                else:
+                    want.append((market.term, theta, rep))
+        table = expressiveness_sweep(corpus)
+        assert table.degree_rows == tuple(want)
+        assert table.degree_skipped == tuple(want_skipped)
+        rows += len(want)
+    assert rows > 1000
