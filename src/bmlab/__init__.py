@@ -6,27 +6,4 @@ distributions, and checks measured welfare/revenue ratios against their
 theoretical bounds.
 """
 
-from .errors import (
-    BmLabError,
-    ParameterRange,
-    TooLarge,
-    ValidationError,
-)
-from .market import (
-    BayesScenario,
-    BipartiteGraph,
-    MatchingPolicy,
-    QueryDistribution,
-    Scenario,
-    SlotWeights,
-    ValuationProfile,
-    build_scenario,
-    keyword_mass,
-    keyword_value,
-    keyword_values,
-    optimal_welfare,
-    positive_keywords,
-    scenario_from_json,
-)
-
 __version__ = "0.1.0"

@@ -187,7 +187,7 @@ def _need(cfg, attr, flag):
 ROUND_HEADER = "round,query,sampled_keyword,slot,advertiser,price,click_weight"
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     sc = scenario_from_json(_need(cfg, "scenario", "--scenario"))
     bids = load_bid_profile(_need(cfg, "bids", "--bids"), sc)
     if cfg.rounds < 0:
@@ -213,7 +213,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
         "empirical_welfare": welfare_sum / cfg.rounds if cfg.rounds else None,
         "empirical_revenue": revenue_sum / cfg.rounds if cfg.rounds else None,
     }
-    out = _outdir(cfg)
     _write(out / "rounds.csv", "\n".join(lines) + "\n")
     _write(out / "summary.json", _json_text(summary))
     return 0
@@ -230,7 +229,7 @@ def _report_obj(report) -> dict:
     }
 
 
-def cmd_equilibrium(cfg: RunConfig) -> int:
+def cmd_equilibrium(cfg: RunConfig, out: Path) -> int:
     sc = scenario_from_json(_need(cfg, "scenario", "--scenario"))
     grid = make_grid(sc, cfg.grid_delta)
     eps = _resolve_epsilon(sc, cfg.epsilon)
@@ -260,21 +259,21 @@ def cmd_equilibrium(cfg: RunConfig) -> int:
                                       conservative=cfg.conservative)
         obj.update(_report_obj(EquilibriumReport(
             profile, regrets, True, 0, eps, pbm_expected_welfare(sc, profile))))
-    _write(_outdir(cfg) / "equilibrium.json", _json_text(obj))
+    _write(out / "equilibrium.json", _json_text(obj))
     return 0
 
 
 # --------------------------------------------------------------------- poa
 
 
-def cmd_poa(cfg: RunConfig) -> int:
+def cmd_poa(cfg: RunConfig, out: Path) -> int:
     path = _need(cfg, "scenario", "--scenario")
     sc = scenario_from_json(path)
     grid = make_grid(sc, cfg.grid_delta)
     reports = enumerate_pure_nash(sc, grid, epsilon=cfg.epsilon,
                                   conservative=cfg.conservative)
     rep = empirical_poa(sc, reports, grid=grid, label=Path(path).stem)
-    _write(_outdir(cfg) / "poa.csv", ratio_csv([rep]))
+    _write(out / "poa.csv", ratio_csv([rep]))
     return 0
 
 
@@ -298,7 +297,7 @@ def _realized_homogeneity(bayes, rng, draws=1000) -> float:
     return float(homogeneity_batch(bayes, bayes.sample_values(rng, draws)).max(initial=1.0))
 
 
-def cmd_revenue(cfg: RunConfig) -> int:
+def cmd_revenue(cfg: RunConfig, out: Path) -> int:
     path = _need(cfg, "scenario", "--scenario")
     bayes = bayes_scenario_from_json(path)
     rng = np.random.default_rng(cfg.seed)
@@ -321,7 +320,6 @@ def cmd_revenue(cfg: RunConfig) -> int:
                                   label=Path(path).stem)
     rep = dataclasses.replace(
         rep, notes=rep.notes + f"; truthful_regret={max_regret:.6g}")
-    out = _outdir(cfg)
     _write(out / "revenue.csv", ratio_csv([rep]))
     reserve_obj = {
         "reserves": {s: reserves[s] for s in sorted(reserves)},
@@ -336,7 +334,7 @@ def cmd_revenue(cfg: RunConfig) -> int:
 TREND_EPS1 = (0.05, 0.01, 0.002)
 
 
-def cmd_counterexample(cfg: RunConfig) -> int:
+def cmd_counterexample(cfg: RunConfig, out: Path) -> int:
     _, rep = counterexample_scenario(cfg.eps1, cfg.eps2, cfg.m_exp)
     hi = 2.0 ** rep.m_exp
     checks = [
@@ -379,18 +377,17 @@ def cmd_counterexample(cfg: RunConfig) -> int:
         "checks_pass": rep.checks_pass,
         "trend": trend,
     }
-    _write(_outdir(cfg) / "counterexample.json", _json_text(obj))
+    _write(out / "counterexample.json", _json_text(obj))
     return 0 if rep.checks_pass else 1
 
 
 # ------------------------------------------------------------ expressiveness
 
 
-def cmd_expressiveness(cfg: RunConfig) -> int:
+def cmd_expressiveness(cfg: RunConfig, out: Path) -> int:
     corpus = load_corpus(_need(cfg, "corpus", "--corpus"))
     thetas = cfg.thetas if cfg.thetas is not None else DEFAULT_THETA_GRID
     table = expressiveness_sweep(corpus, thetas=thetas, kappas=cfg.kappas)
-    out = _outdir(cfg)
     _write(out / "expressiveness.csv", table.to_csv())
     _write(out / "degree_bound.csv", table.degree_bound_csv())
     print(f"beta > alpha/3 in {table.beta_exceeds_third_alpha():.1%} "
@@ -418,7 +415,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
-        return _DISPATCH[cfg.command](cfg)
+        # a bad --out is reported before any computation
+        return _DISPATCH[cfg.command](cfg, _outdir(cfg))
     except BmLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -15,8 +15,9 @@ grid (one axis per advertiser) in bounded chunks of advertiser 0's rows,
 in two passes: the first finds advertiser 0's best responses, the second
 every other advertiser's and the stable profiles.  No array spans the
 whole grid, so its memory stays about one chunk's plus one entry per
-opponent profile however large the grid grows.  One GSP kernel,
-_gsp_outcome, prices the keyword auctions of every solver here.
+opponent profile however large the grid grows.  Every solver here
+prices its keyword auctions with mechanisms.gsp_outcome, the one GSP
+kernel, at reserve 0.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ import numpy as np
 from .errors import NotSingleSlot, TooLarge, ValidationError
 from .market import BayesScenario, Scenario, keyword_value_tensor
 from .mechanisms import (
+    gsp_outcome,
     outranks,
     pbm_expected_welfare,
     require_finite_bid_tensor,
@@ -86,22 +88,6 @@ def bid_menu(scenario: Scenario, grid: BidGrid, advertiser, keyword,
     return tuple(sorted({0.0, v, *pts}))
 
 
-# ------------------------------------------------------------- GSP kernel
-
-def _gsp_outcome(own, a, opp, ids, w_padded):
-    """(slot weight, active, price) of advertiser index a bidding `own` on
-    one keyword against the opponents on opp's last axis, whose advertiser
-    indices are ids; own broadcasts against opp without that axis.  Ranks
-    follow the lex GSP order, the smaller index winning ties, and the
-    price is the highest opponent bid ranked below own (0 when none is).
-    w_padded holds the slot weights of positions 0..n, n >= opponents."""
-    above = outranks(opp, ids, own[..., None], a)
-    rank = above.sum(axis=-1)
-    price = np.max(np.where(above, 0.0, opp), axis=-1, initial=0.0)
-    slot_w = w_padded[np.minimum(rank, len(w_padded) - 1)]
-    return slot_w, (own > 0.0) & (slot_w > 0.0), price
-
-
 def _select_keywords(menus, utilities, kappa):
     """Best-response selection: on each keyword's sorted menu the lowest
     bid of maximal utility (bid 0 when nothing gains; utilities(s) yields
@@ -154,7 +140,7 @@ def _respond(scenario, bids, advertiser, menus):
     """(best row, its utility, utility of the advertiser's current row)
     against the opponents' bids of a finite profile, over the menus of
     _pool_menus.  Every menu and the current row's positive bids form one
-    flat own-bid vector, priced in one _gsp_outcome call against its
+    flat own-bid vector, priced in one gsp_outcome call against its
     keyword's opponent bids."""
     # (keyword, bids): each menu, then each positive bid of the current row
     entries = [*menus.items(), *((s, (b,)) for s, b in bids.get(advertiser, {}).items()
@@ -169,9 +155,9 @@ def _respond(scenario, bids, advertiser, menus):
                     opp[j, col[s]] = b
     ids = np.flatnonzero((opp > 0.0).any(axis=1))
     w_padded = np.array([scenario.weights.weight(k) for k in range(len(ids) + 1)])
-    slot_w, active, price = _gsp_outcome(np.array([b for _, menu in entries for b in menu]),
-                                         scenario.advertisers.index(advertiser),
-                                         opp[ids][:, at].T, ids, w_padded)
+    slot_w, active, price, _ = gsp_outcome(np.array([b for _, menu in entries for b in menu]),
+                                           scenario.advertisers.index(advertiser),
+                                           opp[ids][:, at].T, ids, w_padded)
     mass = np.array([scenario.kw_masses[s] for s in col])[at]
     value = np.array([scenario.kw_values[advertiser][s] for s in col])[at]
     util = np.where(active, mass * slot_w * (value - price), 0.0).tolist()
@@ -434,8 +420,8 @@ def enumerate_pure_nash(scenario: Scenario, grid: BidGrid, epsilon=None,
             for p, a in enumerate(parts):
                 if a not in acc:
                     continue
-                slot_w, active, price = _gsp_outcome(stack[..., p], a, np.delete(stack, p, -1),
-                                                     np.delete(ids, p), w_padded)
+                slot_w, active, price, _ = gsp_outcome(stack[..., p], a, np.delete(stack, p, -1),
+                                                       np.delete(ids, p), w_padded)
                 value = scenario.kw_values[advs[a]][s]
                 util = np.where(active, mass * slot_w * (value - price), 0.0)
                 util = np.take(util, spread, axis=-1) if last in parts else util[..., None]
@@ -470,8 +456,8 @@ def enumerate_pure_nash(scenario: Scenario, grid: BidGrid, epsilon=None,
         stack = np.stack([arrays[a][hits[:, a], j] for a, j in parts.items()], axis=-1)
         for p, a in enumerate(parts):
             value = scenario.kw_values[advs[a]][s]
-            slot_w, active, _ = _gsp_outcome(stack[:, p], a, np.delete(stack, p, -1),
-                                             np.delete(ids, p), w_padded)
+            slot_w, active, _, _ = gsp_outcome(stack[:, p], a, np.delete(stack, p, -1),
+                                               np.delete(ids, p), w_padded)
             welfare += np.where(active, scenario.kw_masses[s] * slot_w * value, 0.0)
             if winner_truthful:
                 keep &= ~(active & (np.abs(stack[:, p] - value) > _TRUTHFUL_TOL))
@@ -576,7 +562,7 @@ def estimate_bne_regret(bayes: BayesScenario, strategy: Callable, n_types: int,
     types, with its standard error.  Each advertiser's profiles come from
     one sample_values call, a type's own profile followed by its
     opponent profiles, and are bid through strategy_bid_tensor.  A
-    keyword's menu meets all the opponent draws in one _gsp_outcome.
+    keyword's menu meets all the opponent draws in one gsp_outcome.
     """
     if n_types < 1:
         raise ValidationError("n_types must be >= 1")
@@ -605,8 +591,9 @@ def estimate_bne_regret(bayes: BayesScenario, strategy: Callable, n_types: int,
                      for s, v in values.items()}
             utilities = {}      # keyword -> mean utility of each menu bid over the draws
             for k, (s, menu) in enumerate(menus.items()):
-                slot_w, active, price = _gsp_outcome(np.array(menu)[:, None], a,
-                                                     opp_bids[priced, others, k], others, w_padded)
+                slot_w, active, price, _ = gsp_outcome(np.array(menu)[:, None], a,
+                                                       opp_bids[priced, others, k], others,
+                                                       w_padded)
                 util = np.where(active, bayes.kw_masses[s] * slot_w * (values[s] - price), 0.0)
                 # builtin sum: the draws' columns added in order (ndarray.sum pairs them)
                 utilities[s] = (sum(np.broadcast_to(util, (len(menu), n_opponent_draws)).T)

@@ -10,8 +10,10 @@ Two broad-match mechanisms share the per-keyword GSP core:
 
 Expected welfare, utility, and revenue are evaluated as exact finite
 sums over (query, keyword, slot); a seeded round simulator provides the
-Monte-Carlo counterpart.  A per-keyword VCG variant with reserves
-supplies the revenue benchmark.
+Monte-Carlo counterpart.  One rank/price/tie rule serves both forms:
+gsp_rank on dict profiles, and gsp_outcome, its array kernel with a
+reserve, which prices every solver's keyword auctions and the batched
+revenue of whole bid tensors.
 """
 from __future__ import annotations
 
@@ -144,6 +146,28 @@ def outranks(b_j, j, b_i, i):
     return (b_j > b_i) | ((b_j == b_i) & (j < i))
 
 
+def gsp_outcome(own, a, opp, ids, w_padded, reserve=0.0):
+    """(slot weight, active, price, rank) of advertiser index a bidding
+    `own` on one keyword against the opponents on opp's last axis, whose
+    advertiser indices are ids; own broadcasts against opp without that
+    axis, and a against own[..., None].  Ranks follow `outranks`.  A bid
+    enters when it is > 0 and at least the reserve; active means it
+    entered at a position of positive weight, where it pays
+    max(reserve, the highest opponent bid ranked below it).  An opponent
+    below the reserve never outranks an entrant, so counting it in the
+    rank changes no active entry.  w_padded holds the slot weights of
+    positions 0..n, n >= opponents."""
+    above = outranks(opp, ids, own[..., None], a)
+    # reduce over the opponents as the leading axis of a copy: numpy
+    # reduces along a short last axis several times slower
+    lead = (-1, *range(above.ndim - 1))
+    rank = np.ascontiguousarray(above.transpose(lead)).sum(axis=0)
+    price = np.ascontiguousarray(np.where(above, 0.0, opp).transpose(lead)).max(
+        axis=0, initial=reserve)
+    slot_w = w_padded[rank]
+    return slot_w, (own > 0.0) & (own >= reserve) & (slot_w > 0.0), price, rank
+
+
 def _keyword_bids(bids, s):
     """Column of the sparse profile: advertiser -> nonzero bid on keyword s
     (NaN included, so that gsp_rank rejects it)."""
@@ -181,13 +205,12 @@ def draw(rng, items, probs):
     return items[rng.choice(len(items), p=probs)] if len(items) > 1 else items[0]
 
 
-def pbm_run_round(scenario: Scenario, bids, query, rng,
-                  reserves=_NO_RESERVE) -> AuctionOutcome:
+def pbm_run_round(scenario: Scenario, bids, query, rng) -> AuctionOutcome:
     """One probabilistic-match round for an arriving query: sample a
     keyword from the matching policy, then GSP among its bidders."""
     keywords = scenario.pi.support(query)
     keyword = draw(rng, keywords, [scenario.pi.mass(query, s) for s in keywords])
-    ranking = _rank_keyword(scenario, bids, keyword, reserves)
+    ranking = _rank_keyword(scenario, bids, keyword, _NO_RESERVE)
     return _outcome(scenario, query, keyword, ranking)
 
 
@@ -253,15 +276,15 @@ def _rank_keyword(scenario, bids, s, reserves):
                     reserve=reserves.get(s, 0.0), keyword=s)
 
 
-def _rankings_by_keyword(scenario, bids, reserves):
-    return {s: _rank_keyword(scenario, bids, s, reserves) for s in scenario.graph.keywords}
+def _rankings_by_keyword(scenario, bids):
+    return {s: _rank_keyword(scenario, bids, s, _NO_RESERVE) for s in scenario.graph.keywords}
 
 
-def pbm_expected_welfare(scenario: Scenario, bids, reserves=_NO_RESERVE) -> float:
+def pbm_expected_welfare(scenario: Scenario, bids) -> float:
     """Exact expected welfare: sum over queries, matched keywords, and
     slots of P(q) * pi_q(s) * w_k * (query value of the ranked
     advertiser)."""
-    rankings = _rankings_by_keyword(scenario, bids, reserves)
+    rankings = _rankings_by_keyword(scenario, bids)
     total = 0.0
     for q in scenario.graph.queries:
         pq = scenario.p.mass(q)
@@ -289,36 +312,37 @@ def pbm_expected_revenue(scenario: Scenario, bids, reserves=_NO_RESERVE) -> floa
 def pbm_expected_revenue_batch(market, bids, reserves=_NO_RESERVE) -> np.ndarray:
     """pbm_expected_revenue of every profile in an (n, |A|, |S|) bid tensor
     (advertisers sorted, keywords in graph order), with the same sums in
-    the same order.  Per keyword: entrants bid > 0 and >= the reserve; a
-    stable sort on -bid ranks them, so equal bids keep advertiser index
-    order, which is the lex order of `outranks`; the price at a position
-    is max(reserve, next bid), or the reserve for the last entrant."""
+    the same order.  Per keyword, one gsp_outcome call prices every
+    advertiser against the others under the keyword's reserve; each
+    active entrant's price goes to its rank, and the positions are added
+    in slot order."""
     n, n_adv, _ = bids.shape
     keywords = market.graph.keywords
     for s in keywords:
         _check_reserve(reserves.get(s, 0.0))
     require_finite_bid_tensor(market, bids)
+    ids = np.arange(n_adv)
+    others = np.array([[j for j in range(n_adv) if j != a] for a in range(n_adv)],
+                      dtype=np.intp).reshape(n_adv, max(n_adv - 1, 0))
+    w_padded = np.array([market.weights.weight(k) for k in range(n_adv + 1)])
+    rows = np.arange(n)[:, None]
     total = np.zeros(n)
     for k, s in enumerate(keywords):
-        r = reserves.get(s, 0.0)
         col = bids[:, :, k]
-        enters = (col > 0.0) & (col >= r)
-        order = np.argsort(np.where(enters, -col, np.inf), axis=1, kind="stable")
-        ranked = np.take_along_axis(col, order, axis=1)
-        count = enters.sum(axis=1)
-        # price by position: the next entrant's bid (at least r, so it is
-        # max(r, next bid)), r for the last entrant, 0 past the entrants
-        prices = (np.where(pos + 1 < count, ranked[:, min(pos + 1, n_adv - 1)],
-                           np.where(pos < count, r, 0.0)) for pos in range(n_adv))
-        per_click = market.weights.click_sum(prices)
+        _, active, price, rank = gsp_outcome(col, ids[:, None], col[:, others], others,
+                                             w_padded, reserves.get(s, 0.0))
+        # ranks are a permutation of the advertisers, so no position is written twice
+        at_rank = np.zeros_like(col)
+        at_rank[rows, rank] = np.where(active, price, 0.0)
+        per_click = market.weights.click_sum(at_rank.T)
         total += np.where(per_click > 0.0, market.kw_masses[s] * per_click, 0.0)
     return total
 
 
-def pbm_utility(scenario: Scenario, bids, advertiser, reserves=_NO_RESERVE) -> float:
+def pbm_utility(scenario: Scenario, bids, advertiser) -> float:
     """Exact expected utility of one advertiser: value minus price at
     the won position, integrated over queries and matched keywords."""
-    rankings = _rankings_by_keyword(scenario, bids, reserves)
+    rankings = _rankings_by_keyword(scenario, bids)
     positions = {s: r.position(advertiser) for s, r in rankings.items()}
     w = scenario.weights
     total = 0.0
@@ -378,57 +402,3 @@ def sbm_expected_welfare(scenario: Scenario, bids) -> float:
         total += scenario.p.mass(q) * scenario.weights.click_sum(
             scenario.valuations.value(adv, q) for adv in ranking.ranked)
     return total
-
-
-def vcg_slot_payments(values, weights, reserve=0.0):
-    """Position-auction VCG payments with a reserve.
-
-    values: participating per-click values sorted descending (all at or
-    above the reserve).  Payment of the slot-k winner, already click-
-    weighted, charges the externality on lower bidders and on the
-    seller's opportunity value (the reserve) for freed slots:
-
-        p_k = sum_{j >= k} (w_j - w_{j+1}) * max{r, value at j+1}
-
-    with weight/value 0 beyond their lists; the tail telescopes to
-    w_m * r at the last filled slot m.
-    """
-    w = tuple(weights)
-    m = min(len(w), len(values))
-    payments = []
-    for k in range(m):
-        pay = 0.0
-        for j in range(k, len(w)):
-            w_next = w[j + 1] if j + 1 < len(w) else 0.0
-            v_next = values[j + 1] if j + 1 < len(values) else 0.0
-            pay += (w[j] - w_next) * max(reserve, v_next)
-        payments.append(pay)
-    return tuple(payments)
-
-
-def vcg_with_reserve(scenario: Scenario, kw_values, reserves=_NO_RESERVE):
-    """Per-keyword VCG with reserves on truthful keyword values.
-
-    kw_values: {advertiser: {keyword: value}} as produced by
-    market.keyword_values.  Participants on a keyword are advertisers
-    whose value is positive and at or above the reserve.  Returns
-    (allocation, revenue): allocation maps keyword -> ranked winner
-    tuple; revenue is traffic-mass weighted.
-    """
-    w = scenario.weights.as_tuple()
-    allocation = {}
-    revenue = 0.0
-    for s in scenario.graph.keywords:
-        r = reserves.get(s, 0.0)
-        vals = sorted(((kw_values[adv].get(s, 0.0), adv) for adv in kw_values
-                       if kw_values[adv].get(s, 0.0) > 0.0
-                       and kw_values[adv].get(s, 0.0) >= r),
-                      key=lambda va: (-va[0], va[1]))
-        m = min(len(w), len(vals))
-        winners = tuple(adv for _, adv in vals[:m])
-        allocation[s] = winners
-        if not winners:
-            continue
-        payments = vcg_slot_payments([v for v, _ in vals], w, r)
-        revenue += scenario.kw_masses[s] * sum(payments)
-    return allocation, revenue

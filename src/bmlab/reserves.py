@@ -491,8 +491,6 @@ class VirtualValueReport:
     eta: float
     mhr_ok: bool
     min_slope: float
-    grid: tuple
-    phi: tuple
 
 
 def mhr_bounded_derivative_check(dist: ValueDistribution,
@@ -513,8 +511,7 @@ def mhr_bounded_derivative_check(dist: ValueDistribution,
     eta = float(slopes[at_or_above].max())
     return VirtualValueReport(reserve=reserve, eta=eta,
                               mhr_ok=bool(min_slope >= 1.0 - _MHR_SLOPE_TOL),
-                              min_slope=min_slope,
-                              grid=tuple(grid.tolist()), phi=tuple(phi.tolist()))
+                              min_slope=min_slope)
 
 
 def induced_keyword_distribution(bayes, keyword, n_samples, rng,

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from bmlab import cli
 from bmlab.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -325,6 +326,26 @@ def test_out_under_a_file_exits_2(tmp_path, capsys):
     afile.write_text("")
     assert _simulate_into(afile / "x") == 2
     assert str(afile / "x") in capsys.readouterr().err
+
+
+def test_out_that_is_a_file_exits_2_before_any_output(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert run("counterexample", "--out", afile) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(afile) in captured.err
+
+
+def test_out_that_is_a_file_exits_2_before_enumerating(tmp_path, monkeypatch):
+    def enumerate_pure_nash(*args, **kwargs):
+        raise AssertionError("enumerated before checking --out")
+
+    monkeypatch.setattr(cli, "enumerate_pure_nash", enumerate_pure_nash)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert run("equilibrium", "--scenario", SCENARIO, "--grid-delta", 0.2,
+               "--out", afile) == 2
 
 
 def test_report_path_that_is_a_directory_exits_2(tmp_path, capsys):

@@ -16,9 +16,11 @@ from bmlab.market import (
     scenario_from_json,
 )
 from bmlab.mechanisms import (
+    gsp_outcome,
     gsp_rank,
     load_bid_profile,
     pbm_expected_revenue,
+    pbm_expected_revenue_batch,
     pbm_expected_welfare,
     pbm_keyword_utility,
     pbm_run_round,
@@ -27,8 +29,6 @@ from bmlab.mechanisms import (
     sbm_expected_welfare,
     sbm_query_bid,
     validate_bid_profile,
-    vcg_slot_payments,
-    vcg_with_reserve,
 )
 from bmlab.market import SlotWeights
 
@@ -452,50 +452,81 @@ def test_revenue_below_welfare_single_slot_conservative():
             pbm_expected_welfare(sc, bids) + 1e-9
 
 
-# --------------------------------------------------------------------- VCG
+# ------------------------------------------------------- reserve kernel
 
-def test_vcg_single_slot_examples():
-    assert vcg_slot_payments([5.0, 3.0], (1.0,)) == (3.0,)
-    assert vcg_slot_payments([5.0], (1.0,), reserve=4.0) == (4.0,)
+def _kernel_utility(sc, bids, advertiser, s, reserve):
+    """The advertiser's utility on keyword s priced by gsp_outcome under
+    the reserve: mass * slot weight * (value - price) when active."""
+    advs = sc.advertisers
+    a = advs.index(advertiser)
+    ids = np.array([j for j in range(len(advs)) if j != a], dtype=np.intp)
+    opp = np.array([bids.get(advs[j], {}).get(s, 0.0) for j in ids])
+    w_padded = np.array([sc.weights.weight(k) for k in range(len(advs) + 1)])
+    slot_w, active, price, _ = gsp_outcome(np.array(bids.get(advertiser, {}).get(s, 0.0)),
+                                           a, opp, ids, w_padded, reserve)
+    return float(np.where(active, sc.kw_masses[s] * slot_w
+                          * (sc.kw_values[advertiser][s] - price), 0.0))
 
 
-def test_vcg_two_slot_payments_match_externality_oracle():
-    pays = vcg_slot_payments([5.0, 3.0, 2.0], (1.0, 0.5))
-    assert pays == pytest.approx(tuple(vcg_payment_oracle(
-        [5.0, 3.0, 2.0], (1.0, 0.5))))
-    assert pays == pytest.approx((2.5, 1.0))
+@given(simulated_markets(), st.sampled_from(["zero", "random", "above every bid", "a bid"]),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_kernel_utility_under_a_reserve_equals_the_keyword_utility(market, kind, seed):
+    """gsp_outcome with a reserve prices every (advertiser, keyword) as
+    gsp_rank does: its utility equals pbm_keyword_utility bit for bit,
+    ties and a reserve equal to a bid included."""
+    sc, bids = market
+    rng = np.random.default_rng(seed)
+    for s in sc.graph.keywords:
+        col = sorted(row[s] for row in bids.values() if row.get(s, 0.0) > 0.0)
+        reserve = {"zero": 0.0, "random": float(rng.uniform(0.0, 5.0)),
+                   "above every bid": max(col, default=0.0) + 1.0,
+                   "a bid": col[int(rng.integers(len(col)))] if col else 0.0}[kind]
+        for i in sc.advertisers:
+            assert _kernel_utility(sc, bids, i, s, reserve) == \
+                pbm_keyword_utility(sc, bids, i, s, {s: reserve})
 
 
-def test_vcg_matches_oracle_randomized():
+def _truthful_tensor(sc):
+    """One profile in which every advertiser bids its keyword value on
+    every keyword, as an (1, |A|, |S|) tensor."""
+    return np.array([[[sc.kw_values[i][s] for s in sc.graph.keywords]
+                      for i in sc.advertisers]])
+
+
+def test_single_slot_truthful_revenue_under_reserves_is_vcg():
+    """With one slot, truthful GSP with a reserve is VCG with that
+    reserve: the batched revenue equals the mass-weighted VCG payments
+    of the entrants (values > 0 and >= the reserve)."""
     rng = np.random.default_rng(21)
     for _ in range(200):
-        k = int(rng.integers(1, 4))
-        weights = tuple(sorted(np.round(rng.uniform(0.1, 1.0, size=k), 3),
-                               reverse=True))
-        reserve = float(np.round(rng.uniform(0.0, 2.0), 3))
-        n = int(rng.integers(1, 5))
-        values = [float(np.round(rng.uniform(reserve, reserve + 4.0), 3))
-                  for _ in range(n)]
-        values.sort(reverse=True)
-        got = vcg_slot_payments(values, weights, reserve)
-        want = vcg_payment_oracle(values, weights, reserve)
-        assert got == pytest.approx(tuple(want), abs=1e-9)
+        sc = random_scenario(rng, max_adv=4, weights=(float(rng.choice([1.0, 0.7])),))
+        values = {s: [sc.kw_values[i][s] for i in sc.advertisers] for s in sc.graph.keywords}
+        reserves = {}
+        for s, vals in values.items():
+            kind = rng.integers(3)
+            reserves[s] = (float(rng.uniform(0.0, 3.0)) if kind == 0
+                           else max(vals) + 1.0 if kind == 1
+                           else vals[int(rng.integers(len(vals)))])
+        want = 0.0
+        for s in sc.graph.keywords:
+            entrants = [v for v in values[s] if v > 0.0 and v >= reserves[s]]
+            want += sc.kw_masses[s] * sum(vcg_payment_oracle(entrants, sc.weights.as_tuple(),
+                                                             reserves[s]))
+        got = pbm_expected_revenue_batch(sc, _truthful_tensor(sc), reserves)
+        assert got.tolist() == [want]
 
 
-def test_vcg_with_reserve_scenario_revenue():
-    sc = single_keyword_scenario({"a1": 5.0, "a2": 3.0, "a3": 2.0},
-                                 weights=(1.0, 0.5), kappa=1)
-    kw_vals = keyword_values(sc)
-    alloc, rev = vcg_with_reserve(sc, kw_vals)
-    assert alloc["s"] == ("a1", "a2")
-    assert rev == pytest.approx((2.5 + 1.0) * keyword_mass(sc, "s"))
-    alloc, rev = vcg_with_reserve(sc, kw_vals, {"s": 4.0})
-    assert alloc["s"] == ("a1",)
-    assert rev == pytest.approx(4.0 * keyword_mass(sc, "s"))
-
-
-def test_vcg_filters_below_reserve_participants():
+def test_bids_below_the_reserve_do_not_enter():
     sc = single_keyword_scenario({"a1": 5.0, "a2": 3.0}, weights=(1.0, 0.5))
-    alloc, rev = vcg_with_reserve(sc, keyword_values(sc), {"s": 10.0})
-    assert alloc["s"] == ()
-    assert rev == 0.0
+    bids = _truthful_tensor(sc)
+    mass = keyword_mass(sc, "s")
+    assert pbm_expected_revenue_batch(sc, bids).tolist() == [mass * (3.0 + 0.5 * 0.0)]
+    # a2 (3) is below the reserve 4: a1 pays the reserve, a2 takes no slot
+    assert pbm_expected_revenue_batch(sc, bids, {"s": 4.0}).tolist() == [mass * 4.0]
+    _, active, price, rank = gsp_outcome(np.array([5.0, 3.0]), np.array([[0], [1]]),
+                                         np.array([[3.0], [5.0]]), np.array([[1], [0]]),
+                                         np.array([1.0, 0.5, 0.0]), 4.0)
+    assert active.tolist() == [True, False]
+    assert price[0] == 4.0 and rank.tolist() == [0, 1]
+    assert pbm_expected_revenue_batch(sc, bids, {"s": 10.0}).tolist() == [0.0]
