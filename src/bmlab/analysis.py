@@ -23,7 +23,6 @@ from .errors import (
     UnboundedSupport,
     ValidationError,
 )
-from .equilibrium import strategy_bid_tensor
 from .expressiveness import kl_expressiveness
 from .market import (
     BayesScenario,
@@ -247,11 +246,11 @@ def revenue_welfare_stats(bayes: BayesScenario, strategy, reserves,
                           n_samples, rng) -> RevenueStats:
     """Sample types, play `strategy`, and average revenue and OPT welfare.
 
-    strategy(advertiser, own value row) -> bid row; the same draws price
-    the zero-reserve baseline for comparison.  Profiles are drawn, bid
-    and priced in chunks of tensors; every per-sample value, and so every
-    mean and standard error, is the float a one-profile-at-a-time loop
-    gives.
+    strategy maps an (n, |A|, |Q|) value tensor to an (n, |A|, |S|) bid
+    tensor; the same draws price the zero-reserve baseline for
+    comparison.  Profiles are drawn, bid and priced in chunks of tensors;
+    every per-sample value, and so every mean and standard error, is the
+    float a one-profile-at-a-time loop gives.
     """
     if n_samples < 2:
         raise ValidationError("need at least 2 samples for a standard error")
@@ -261,7 +260,7 @@ def revenue_welfare_stats(bayes: BayesScenario, strategy, reserves,
     for start in range(0, n_samples, _MC_CHUNK):
         rows = slice(start, min(start + _MC_CHUNK, n_samples))
         values = bayes.sample_values(rng, rows.stop - start)
-        bids = strategy_bid_tensor(bayes, strategy, values)
+        bids = strategy(values)
         revs[rows] = pbm_expected_revenue_batch(bayes, bids, reserves)
         revs0[rows] = pbm_expected_revenue_batch(bayes, bids)
         opts[rows] = optimal_welfare_batch(bayes, values)
@@ -328,13 +327,27 @@ class CounterexampleReport:
     ratio: float
 
     @property
-    def checks_pass(self) -> bool:
+    def checks(self) -> list:
+        """The instance's defining inequalities as (name, ok, detail) rows."""
         hi = 2.0 ** self.m_exp
-        return (self.c <= 2.0 + 1e-9
-                and self.phi_small_at_eps > 0.0
-                and self.phi_large_below < 0.0 < self.phi_large_above
-                and self.reserve_small < self.eps1
-                and hi - self.eps2 < self.reserve_large < hi - self.eps2 / 2.0)
+        return [
+            ("homogeneity c <= 2", self.c <= 2.0 + 1e-9, f"c = {self.c:.6g}"),
+            ("phi_small(eps1) > 0", self.phi_small_at_eps > 0.0,
+             f"phi = {self.phi_small_at_eps:.6g}"),
+            ("phi_large(2^m - eps2) < 0", self.phi_large_below < 0.0,
+             f"phi = {self.phi_large_below:.6g}"),
+            ("phi_large(2^m - eps2/2) > 0", self.phi_large_above > 0.0,
+             f"phi = {self.phi_large_above:.6g}"),
+            ("small reserve below eps1", self.reserve_small < self.eps1,
+             f"r = {self.reserve_small:.6g}"),
+            ("large reserve inside spike",
+             hi - self.eps2 < self.reserve_large < hi - self.eps2 / 2.0,
+             f"r = {self.reserve_large:.9g}"),
+        ]
+
+    @property
+    def checks_pass(self) -> bool:
+        return all(ok for _, ok, _ in self.checks)
 
 
 def counterexample_scenario(eps1, eps2, m_exp):

@@ -21,7 +21,6 @@ kernel, at reserve 0.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -55,8 +54,9 @@ class BidGrid:
     caps: Mapping[str, float]
 
     def __post_init__(self):
-        if not self.delta > 0.0:
-            raise ValidationError(f"grid delta must be positive, got {self.delta}")
+        if not (math.isfinite(self.delta) and self.delta > 0.0):
+            raise ValidationError(f"grid delta must be finite and positive, "
+                                  f"got {self.delta}")
         for s, cap in self.caps.items():
             if cap < 0.0:
                 raise ValidationError(f"grid cap for {s!r} must be >= 0, got {cap}")
@@ -90,13 +90,13 @@ def bid_menu(scenario: Scenario, grid: BidGrid, advertiser, keyword,
 
 def _select_keywords(menus, utilities, kappa):
     """Best-response selection: on each keyword's sorted menu the lowest
-    bid of maximal utility (bid 0 when nothing gains; utilities(s) yields
+    bid of maximal utility (bid 0 when nothing gains; utilities[s] holds
     the menu's utilities in order), keywords ranked by (-utility, keyword).
     Returns the ranked (u, s, b) list and its top-kappa positive entries."""
     ranked = []
     for s, menu in menus.items():
         best_u, best_b = 0.0, 0.0
-        for b, u in zip(menu, utilities(s)):
+        for b, u in zip(menu, utilities[s]):
             if u > best_u:           # strict: keeps the lowest maximizing bid
                 best_u, best_b = u, b
         ranked.append((best_u, s, best_b))
@@ -164,7 +164,7 @@ def _respond(scenario, bids, advertiser, menus):
     utilities, lo = {}, 0
     for s, menu in menus.items():
         utilities[s], lo = util[lo:lo + len(menu)], lo + len(menu)
-    _, kept = _select_keywords(menus, utilities.__getitem__, scenario.kappa)
+    _, kept = _select_keywords(menus, utilities, scenario.kappa)
     return {s: b for _, s, b in kept}, sum(u for u, _, _ in kept), sum(util[lo:], 0.0)
 
 
@@ -474,70 +474,37 @@ def enumerate_pure_nash(scenario: Scenario, grid: BidGrid, epsilon=None,
 
 # ---------------------------------------------------- dominant strategies
 
-def _top_by_value(values, keywords, kappa):
-    """The top-kappa keywords by value, ties to the smaller keyword."""
-    return sorted(keywords, key=lambda s: (-values[s], s))[:kappa]
-
-
 def single_slot_dominant_profile(scenario: Scenario) -> dict:
     """Truthful keyword-value bids on the top-kappa positive keywords by
     value, the weakly dominant play when only one slot has positive
-    weight."""
+    weight.  Ties in value go to the smaller keyword."""
     if not scenario.weights.is_single_slot:
         raise NotSingleSlot()
-    return {i: {s: scenario.kw_values[i][s]
-                for s in _top_by_value(scenario.kw_values[i], scenario.kw_positive[i],
-                                       scenario.kappa)}
-            for i in scenario.advertisers}
+    profile = {}
+    for i, values in scenario.kw_values.items():
+        top = sorted(scenario.kw_positive[i], key=lambda s: (-values[s], s))
+        profile[i] = {s: values[s] for s in top[:scenario.kappa]}
+    return profile
 
 
 # ------------------------------------------------- Bayes-Nash verification
 
 def truthful_keyword_strategy(bayes: BayesScenario) -> Callable:
-    """Strategy mapping a realized type to truthful keyword-value bids
-    on the top-kappa positive keywords (by value).  Its `bid_tensor`
-    attribute is the same strategy on a whole value tensor."""
-
-    def strategy(advertiser, values_row):
-        row = bayes.to_scenario({advertiser: values_row}).kw_values[advertiser]
-        picks = _top_by_value(row, [s for s, v in row.items() if v > 0.0], bayes.kappa)
-        return {s: row[s] for s in picks}
-
-    strategy.bid_tensor = functools.partial(truthful_bid_tensor, bayes)
-    return strategy
-
-
-def truthful_bid_tensor(bayes: BayesScenario, values) -> np.ndarray:
-    """Truthful keyword bids for every profile of an (n, |A|, |Q|) value
-    tensor, as an (n, |A|, |S|) bid tensor: each advertiser bids its
-    keyword value on its top-kappa positive keywords and 0 elsewhere.  A
-    keyword's rank counts the keywords that outrank it on (value, name),
-    the order _top_by_value sorts by."""
-    kv = keyword_value_tensor(bayes, values)
+    """The truthful strategy: an (n, |A|, |Q|) value tensor in, an
+    (n, |A|, |S|) bid tensor out (keywords in graph order).  Each
+    advertiser bids its keyword value on its top-kappa positive keywords
+    and 0 elsewhere.  A keyword's rank counts the keywords that outrank
+    it on (value, name), the order single_slot_dominant_profile sorts by."""
     by_name = {s: r for r, s in enumerate(sorted(bayes.graph.keywords))}
     names = [by_name[s] for s in bayes.graph.keywords]
-    rank = np.stack([sum(outranks(kv[..., j], nj, kv[..., k], nk) for j, nj in enumerate(names))
-                     for k, nk in enumerate(names)], axis=-1)
-    return np.where((rank < bayes.kappa) & (kv > 0.0), kv, 0.0)
 
-
-def strategy_bid_tensor(bayes: BayesScenario, strategy: Callable, values) -> np.ndarray:
-    """The bids of `strategy` for every profile of an (n, |A|, |Q|) value
-    tensor, as an (n, |A|, |S|) tensor: the strategy's own `bid_tensor`
-    when it has one, else one call per profile and advertiser on the
-    profile's valuations_at view.  Bids on keywords outside the graph are
-    dropped, as the revenue functionals never read them."""
-    kernel = getattr(strategy, "bid_tensor", None)
-    if kernel is not None:
-        return kernel(values)
-    col = {s: k for k, s in enumerate(bayes.graph.keywords)}
-    bids = np.zeros(values.shape[:2] + (len(col),))
-    for t, profile in enumerate(values):
-        for a, (i, row) in enumerate(bayes.valuations_at(profile).items()):
-            for s, b in strategy(i, row).items():
-                if s in col:
-                    bids[t, a, col[s]] = b
-    return bids
+    def strategy(values):
+        kv = keyword_value_tensor(bayes, values)
+        rank = np.stack([sum(outranks(kv[..., j], nj, kv[..., k], nk)
+                             for j, nj in enumerate(names))
+                         for k, nk in enumerate(names)], axis=-1)
+        return np.where((rank < bayes.kappa) & (kv > 0.0), kv, 0.0)
+    return strategy
 
 
 @dataclass(frozen=True)
@@ -551,7 +518,8 @@ class RegretEstimate:
 def estimate_bne_regret(bayes: BayesScenario, strategy: Callable, n_types: int,
                         deviation_delta: float, rng,
                         n_opponent_draws: int = 32) -> dict:
-    """Monte-Carlo interim regret of a type-measurable strategy.
+    """Monte-Carlo interim regret of a type-measurable strategy, a map
+    from an (n, |A|, |Q|) value tensor to an (n, |A|, |S|) bid tensor.
 
     For each advertiser and each sampled own type, opponents' types are
     redrawn n_opponent_draws times (common random numbers across all
@@ -561,13 +529,14 @@ def estimate_bne_regret(bayes: BayesScenario, strategy: Callable, n_types: int,
     the best deviation over the strategy's own play, averaged over
     types, with its standard error.  Each advertiser's profiles come from
     one sample_values call, a type's own profile followed by its
-    opponent profiles, and are bid through strategy_bid_tensor.  A
-    keyword's menu meets all the opponent draws in one gsp_outcome.
+    opponent profiles, and are bid in one strategy call.  A keyword's
+    menu meets all the opponent draws in one gsp_outcome.
     """
     if n_types < 1:
         raise ValidationError("n_types must be >= 1")
-    if not deviation_delta > 0.0:
-        raise ValidationError("deviation_delta must be positive")
+    if not (math.isfinite(deviation_delta) and deviation_delta > 0.0):
+        raise ValidationError(f"deviation_delta must be finite and positive, "
+                              f"got {deviation_delta}")
     if n_opponent_draws < 1:
         raise ValidationError("n_opponent_draws must be >= 1")
     advertisers, keywords = bayes.advertisers, bayes.graph.keywords
@@ -578,7 +547,7 @@ def estimate_bne_regret(bayes: BayesScenario, strategy: Callable, n_types: int,
         others = np.delete(np.arange(len(advertisers)), a)
         priced = slice(None if len(others) else 1)     # no opponents: every draw alike
         draws = bayes.sample_values(rng, n_types * rows)
-        bids = strategy_bid_tensor(bayes, strategy, draws)
+        bids = strategy(draws)
         require_finite_bid_tensor(bayes, bids)
         own_values = keyword_value_tensor(bayes, draws[::rows, a]).tolist()
         gaps = []
@@ -598,7 +567,7 @@ def estimate_bne_regret(bayes: BayesScenario, strategy: Callable, n_types: int,
                 # builtin sum: the draws' columns added in order (ndarray.sum pairs them)
                 utilities[s] = (sum(np.broadcast_to(util, (len(menu), n_opponent_draws)).T)
                                 / n_opponent_draws).tolist()
-            ranked, kept = _select_keywords(menus, utilities.get, bayes.kappa)
+            ranked, kept = _select_keywords(menus, utilities, bayes.kappa)
             best_total = sum(u for u, _, _ in kept)
             played_total = sum(utilities[s][menus[s].index(played[s])] for _, s, _ in ranked)
             gaps.append(max(0.0, best_total - played_total))

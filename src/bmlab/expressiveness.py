@@ -476,16 +476,21 @@ def expressiveness_sweep(corpus: Corpus, thetas=DEFAULT_THETA_GRID,
     check the degree bound at kappa = 1 per (market, theta), from one
     positive query set per (advertiser, market, theta).
 
-    kappas defaults to 1..size per market.  A market where exact alpha
-    is out of reach adds no cells from that theta on (earlier cells stay)
-    and is logged in skipped.  The degree bound is checked at every theta
-    on the reachable positive sets, as the sandwich presumes; a
-    (market, theta) out of exact reach is logged in degree_skipped.
+    kappas defaults to 1..size per market.  A theta outside [0, 1) or a
+    kappa below 1 raises ValidationError before any market is extracted.
+    A market where exact alpha is out of reach adds no cells from that
+    theta on (earlier cells stay) and is logged in skipped.  The degree
+    bound is checked at every theta on the reachable positive sets, as
+    the sandwich presumes; a (market, theta) out of exact reach is
+    logged in degree_skipped.
     """
     thetas = tuple(thetas)
     for theta in thetas:
         if not 0.0 <= theta < 1.0:
             raise ValidationError(f"theta must lie in [0, 1), got {theta}")
+    for kappa in kappas or ():
+        if kappa < 1:
+            raise ValidationError(f"kappa must be >= 1, got {kappa}")
     cells = {}
     skipped, degree_rows, degree_skipped = [], [], []
     for market in extract_micro_markets(corpus):

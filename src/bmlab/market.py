@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -218,7 +218,7 @@ class Scenario:
     validated path; direct construction skips cross-checks (used for
     sampled valuation profiles that may not meet the positivity rule).
     The kw_* tables are in index order (advertisers sorted, keywords as
-    declared); kw_masses may be handed in by a shared skeleton."""
+    declared)."""
 
     graph: BipartiteGraph
     p: QueryDistribution
@@ -226,16 +226,15 @@ class Scenario:
     weights: SlotWeights
     valuations: ValuationProfile
     kappa: int
-    kw_masses: Mapping = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.kw_masses is None:
-            object.__setattr__(self, "kw_masses",
-                               _keyword_masses(self.graph, self.p, self.pi))
 
     @property
     def advertisers(self):
         return self.valuations.advertisers
+
+    @cached_property
+    def kw_masses(self) -> dict:
+        """{keyword: traffic mass}, see _keyword_masses."""
+        return _keyword_masses(self.graph, self.p, self.pi)
 
     @cached_property
     def kw_values(self) -> dict:
@@ -463,7 +462,6 @@ class BayesScenario:
 
     def to_scenario(self, valuations: Mapping[str, Mapping[str, float]]) -> Scenario:
         """Bind sampled values into a Scenario (no positivity cross-check:
-        a draw may legitimately produce zeros).  Every bound scenario
-        shares this skeleton's keyword masses."""
+        a draw may legitimately produce zeros)."""
         return Scenario(self.graph, self.p, self.pi, self.weights,
-                        ValuationProfile(valuations), self.kappa, self.kw_masses)
+                        ValuationProfile(valuations), self.kappa)

@@ -302,9 +302,28 @@ def canonical_profiles(profiles):
     }
 
 
+def per_call_truthful_bids(bayes, values):
+    """Oracle: the truthful strategy's bid tensor for an (n, |A|, |Q|)
+    value tensor, one call of the per-advertiser rule per profile and
+    advertiser: the advertiser's own {query: value} row bound into a
+    Scenario, whose keyword values it bids on its top-kappa positive
+    keywords by (-value, keyword)."""
+    col = {s: k for k, s in enumerate(bayes.graph.keywords)}
+    bids = np.zeros(values.shape[:2] + (len(col),))
+    for t, profile in enumerate(values):
+        for a, (i, values_row) in enumerate(bayes.valuations_at(profile).items()):
+            row = bayes.to_scenario({i: values_row}).kw_values[i]
+            picks = sorted((s for s, v in row.items() if v > 0.0), key=lambda s: (-row[s], s))
+            for s in picks[:bayes.kappa]:
+                bids[t, a, col[s]] = row[s]
+    return bids
+
+
 def per_sample_revenue_welfare_stats(bayes, strategy, reserves, n_samples, rng):
     """Oracle: the one-profile-at-a-time Monte-Carlo revenue loop that the
-    batched analysis.revenue_welfare_stats replaces, kept verbatim."""
+    batched analysis.revenue_welfare_stats replaces: each drawn profile is
+    bound into a Scenario, bid by one strategy call on its value matrix,
+    and priced by the dict-profile functionals."""
     from bmlab.analysis import RevenueStats
     from bmlab.market import optimal_welfare
     from bmlab.mechanisms import pbm_expected_revenue
@@ -313,9 +332,10 @@ def per_sample_revenue_welfare_stats(bayes, strategy, reserves, n_samples, rng):
     opts = np.empty(n_samples)
     revs0 = np.empty(n_samples)
     for t in range(n_samples):
-        vals = bayes.sample_valuations(rng)
-        sc = bayes.to_scenario(vals)
-        bids = {i: strategy(i, vals[i]) for i in bayes.advertisers}
+        sc = bayes.to_scenario(bayes.sample_valuations(rng))
+        rows = strategy(sc.value_matrix[None])[0].tolist()
+        bids = {i: dict(zip(bayes.graph.keywords, row))
+                for i, row in zip(bayes.advertisers, rows)}
         revs[t] = pbm_expected_revenue(sc, bids, reserves)
         revs0[t] = pbm_expected_revenue(sc, bids)
         opts[t] = optimal_welfare(sc)
@@ -478,9 +498,10 @@ def per_round_simulate(scenario, bids, rounds, rng):
 
 def per_draw_bne_regret(bayes, strategy, n_types, deviation_delta, rng,
                         n_opponent_draws=32):
-    """Oracle: estimate_bne_regret as one scalar utility call per menu bid
-    and opponent draw, on per-draw dict profiles, kept verbatim."""
-    from bmlab.equilibrium import BidGrid, RegretEstimate, strategy_bid_tensor
+    """Oracle: estimate_bne_regret as one strategy call per drawn profile
+    and one scalar utility call per menu bid and opponent draw, on
+    per-draw dict profiles."""
+    from bmlab.equilibrium import BidGrid, RegretEstimate
     from bmlab.market import keyword_value_tensor
     from bmlab.mechanisms import require_finite_bid_tensor
 
@@ -489,7 +510,7 @@ def per_draw_bne_regret(bayes, strategy, n_types, deviation_delta, rng,
     out = {}
     for a, i in enumerate(advertisers):
         draws = bayes.sample_values(rng, n_types * rows)
-        bids = strategy_bid_tensor(bayes, strategy, draws)
+        bids = np.concatenate([strategy(profile[None]) for profile in draws])
         require_finite_bid_tensor(bayes, bids)
         own_values = keyword_value_tensor(bayes, draws[::rows, a]).tolist()
         gaps = []

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -269,6 +270,18 @@ def test_counterexample_reference_point():
     assert rep.ratio < 0.05
     assert bayes.kappa == 1
     assert bayes.weights.is_single_slot
+
+
+def test_counterexample_checks_are_one_list():
+    _, rep = counterexample_scenario(0.01, 1e-5, 11)
+    assert [name for name, _, _ in rep.checks] == [
+        "homogeneity c <= 2", "phi_small(eps1) > 0", "phi_large(2^m - eps2) < 0",
+        "phi_large(2^m - eps2/2) > 0", "small reserve below eps1",
+        "large reserve inside spike"]
+    assert rep.checks_pass and all(ok for _, ok, _ in rep.checks)
+    outside = dataclasses.replace(rep, reserve_large=2.0**11 - rep.eps2 / 4.0)
+    assert [name for name, ok, _ in outside.checks if not ok] == ["large reserve inside spike"]
+    assert not outside.checks_pass
 
 
 def test_counterexample_ratio_shrinks_with_eps():

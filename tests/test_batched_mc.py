@@ -1,6 +1,6 @@
 """The batched Monte-Carlo path against its one-profile-at-a-time oracles:
-value tensors, the piecewise quantile, the truthful-bid and GSP revenue
-kernels, and the estimators built on them."""
+value tensors, the piecewise quantile, the truthful strategy and the GSP
+revenue kernel, and the estimators built on them."""
 
 import math
 from pathlib import Path
@@ -18,11 +18,7 @@ from bmlab.analysis import (
     revenue_welfare_stats,
 )
 from bmlab.cli import _realized_homogeneity
-from bmlab.equilibrium import (
-    estimate_bne_regret,
-    strategy_bid_tensor,
-    truthful_keyword_strategy,
-)
+from bmlab.equilibrium import estimate_bne_regret, truthful_keyword_strategy
 from bmlab.errors import ValidationError
 from bmlab.market import (
     BayesScenario,
@@ -32,6 +28,7 @@ from bmlab.market import (
     Scenario,
     SlotWeights,
     ValuationProfile,
+    keyword_value_tensor,
 )
 from bmlab.mechanisms import gsp_rank, pbm_expected_revenue_batch
 from bmlab.reserves import (
@@ -48,6 +45,7 @@ from bmlab.reserves import (
 )
 
 from helpers import (
+    per_call_truthful_bids,
     per_draw_bne_regret,
     per_draw_realized_homogeneity,
     per_draw_valuations,
@@ -137,12 +135,6 @@ def random_reserves(rng, bayes) -> dict:
         if r >= 0.0:
             out[s] = float(r)
     return out
-
-
-def untagged(strategy):
-    """The same strategy without its bid kernel, so that the estimator
-    fills the bid tensor one strategy call at a time."""
-    return lambda advertiser, values_row: strategy(advertiser, values_row)
 
 
 # ---------------------------------------------------------- value tensors
@@ -236,12 +228,10 @@ def test_batched_revenue_stats_equal_the_per_sample_loop(seed, n):
     bayes = random_bayes(rng)
     reserves = random_reserves(rng, bayes)
     truthful = truthful_keyword_strategy(bayes)
-    for strategy in (truthful, untagged(truthful)):
-        got = revenue_welfare_stats(bayes, strategy, reserves, n,
-                                    np.random.default_rng(seed + 1))
-        want = per_sample_revenue_welfare_stats(bayes, strategy, reserves, n,
-                                                np.random.default_rng(seed + 1))
-        assert got == want
+    got = revenue_welfare_stats(bayes, truthful, reserves, n, np.random.default_rng(seed + 1))
+    want = per_sample_revenue_welfare_stats(bayes, truthful, reserves, n,
+                                            np.random.default_rng(seed + 1))
+    assert got == want
 
 
 @settings(max_examples=25, deadline=None)
@@ -250,14 +240,10 @@ def test_batched_revenue_stats_equal_the_loop_for_any_strategy(seed):
     rng = np.random.default_rng(seed)
     bayes = random_bayes(rng)
     reserves = random_reserves(rng, bayes)
-    truthful = truthful_keyword_strategy(bayes)
 
-    def shaded(advertiser, values_row):
-        # every positive keyword at half its value, ignoring kappa, plus a
-        # bid on a keyword outside the graph that pricing never reads
-        row = {s: 0.5 * b for s, b in truthful(advertiser, values_row).items()}
-        row["elsewhere"] = 1.0
-        return row
+    def shaded(values):
+        # every keyword at half its value, ignoring kappa
+        return 0.5 * keyword_value_tensor(bayes, values)
 
     got = revenue_welfare_stats(bayes, shaded, reserves, 12, np.random.default_rng(seed))
     want = per_sample_revenue_welfare_stats(bayes, shaded, reserves, 12,
@@ -296,36 +282,28 @@ def test_revenue_kernel_rejects_a_negative_reserve():
         pbm_expected_revenue_batch(bayes, bids, {bayes.graph.keywords[0]: -1.0})
 
 
-def test_strategy_bid_tensor_uses_the_truthful_kernel():
-    bayes = random_bayes(np.random.default_rng(8))
-    values = bayes.sample_values(np.random.default_rng(1), 50)
-    truthful = truthful_keyword_strategy(bayes)
-    kernel = strategy_bid_tensor(bayes, truthful, values)
-    rows = strategy_bid_tensor(bayes, untagged(truthful), values)
-    assert np.array_equal(kernel, rows)
-    assert ((kernel > 0.0).sum(axis=2) <= bayes.kappa).all()
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 50))
+def test_truthful_strategy_is_the_per_call_rule(seed, n):
+    bayes = random_bayes(np.random.default_rng(seed))
+    values = bayes.sample_values(np.random.default_rng(seed + 1), n)
+    bids = truthful_keyword_strategy(bayes)(values)
+    assert bids.shape == (n, len(bayes.advertisers), len(bayes.graph.keywords))
+    assert np.array_equal(bids, per_call_truthful_bids(bayes, values))
+    assert ((bids > 0.0).sum(axis=2) <= bayes.kappa).all()
 
 
 # ------------------------------------------------------------- BNE regret
 
 
-@settings(max_examples=15, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_bne_regret_is_the_same_with_and_without_the_kernel(seed):
-    bayes = random_bayes(np.random.default_rng(seed))
-    truthful = truthful_keyword_strategy(bayes)
-    got = estimate_bne_regret(bayes, truthful, 3, 0.5, np.random.default_rng(seed),
-                              n_opponent_draws=3)
-    want = estimate_bne_regret(bayes, untagged(truthful), 3, 0.5,
-                               np.random.default_rng(seed), n_opponent_draws=3)
-    assert got == want
-
-
 def test_bne_regret_rejects_a_strategy_that_bids_nan():
     bayes = bayes_scenario_from_json(DATA / "bayes_3x3.json")
 
-    def broken(advertiser, values_row):
-        return {"s2": math.nan} if advertiser == "b" else {}
+    def broken(values):
+        # advertiser "b" bids nan on keyword "s2"
+        bids = np.zeros(values.shape[:2] + (len(bayes.graph.keywords),))
+        bids[:, bayes.advertisers.index("b"), bayes.graph.keywords.index("s2")] = math.nan
+        return bids
 
     with pytest.raises(ValidationError, match=r"bid of 'b' must be finite, got nan"):
         estimate_bne_regret(bayes, broken, 2, 0.5, np.random.default_rng(0),
@@ -333,16 +311,15 @@ def test_bne_regret_rejects_a_strategy_that_bids_nan():
 
 
 def below_and_at_zero(bayes):
-    """A strategy without a bid kernel that bids truthful values shaded
-    down past zero, exact zeros and -0.0: none of them may outrank a
-    positive bid or set its price."""
+    """A strategy that bids truthful values shaded down past zero, and
+    exact zeros, -0.0 and negative bids on the other keywords: none of
+    them may outrank a positive bid or set its price."""
     truthful = truthful_keyword_strategy(bayes)
+    rest = np.array([(0.0, -0.0, -1.5)[k % 3] for k in range(len(bayes.graph.keywords))])
 
-    def strategy(advertiser, values_row):
-        row = {s: 0.6 * b - 0.4 for s, b in truthful(advertiser, values_row).items()}
-        for k, s in enumerate(bayes.graph.keywords):
-            row.setdefault(s, (0.0, -0.0, -1.5)[k % 3])
-        return row
+    def strategy(values):
+        bids = truthful(values)
+        return np.where(bids > 0.0, 0.6 * bids - 0.4, rest)
     return strategy
 
 
@@ -352,7 +329,7 @@ def below_and_at_zero(bayes):
 def test_bne_regret_equals_the_per_draw_loop(seed, n_types, draws, delta):
     bayes = random_bayes(np.random.default_rng(seed))
     truthful = truthful_keyword_strategy(bayes)
-    for strategy in (truthful, untagged(truthful), below_and_at_zero(bayes)):
+    for strategy in (truthful, below_and_at_zero(bayes)):
         got = estimate_bne_regret(bayes, strategy, n_types, delta,
                                   np.random.default_rng(seed + 1), n_opponent_draws=draws)
         want = per_draw_bne_regret(bayes, strategy, n_types, delta,

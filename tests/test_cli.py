@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from bmlab import cli
+from bmlab import cli, expressiveness
+from bmlab.analysis import counterexample_scenario
 from bmlab.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -375,6 +376,63 @@ def test_theta_is_checked_on_a_corpus_without_markets(tmp_path, capsys):
     assert "theta must lie in [0, 1)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kappas", ["0,-3", "2,0", "-1"])
+def test_kappa_below_one_exits_2_before_any_market_is_extracted(tmp_path, capsys,
+                                                                monkeypatch, kappas):
+    def extract_micro_markets(*args, **kwargs):
+        raise AssertionError("extracted a market before checking --kappas")
+
+    monkeypatch.setattr(expressiveness, "extract_micro_markets", extract_micro_markets)
+    code = run("expressiveness", "--corpus", CORPUS, "--kappas", kappas, "--out", tmp_path)
+    assert code == 2
+    assert "kappa must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "expressiveness.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--scenario", SCENARIO, "--bids", BIDS, "--seed", -1),
+    ("revenue", "--scenario", BAYES, "--samples", 10, "--seed", -5),
+])
+def test_negative_seed_exits_2(tmp_path, capsys, argv):
+    assert run(*argv, "--out", tmp_path) == 2
+    assert "seed must be >= 0, got" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_negative_seed_in_config_exits_2(tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"seed": -1}))
+    assert run("simulate", "--config", conf, "--scenario", SCENARIO, "--bids", BIDS,
+               "--out", tmp_path) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, extra, message", [
+    ("equilibrium", ("--scenario", SCENARIO), "grid delta must be finite"),
+    ("poa", ("--scenario", SCENARIO), "grid delta must be finite"),
+    ("revenue", ("--scenario", BAYES, "--samples", 10), "deviation_delta must be finite"),
+])
+def test_infinite_grid_delta_exits_2(tmp_path, capsys, command, extra, message):
+    assert run(command, *extra, "--grid-delta", "inf", "--out", tmp_path) == 2
+    assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_failed_run_removes_only_the_empty_out_directories_it_created(tmp_path, capsys):
+    assert run("simulate", "--bids", BIDS, "--out", tmp_path / "new" / "deep") == 2
+    assert not (tmp_path / "new").exists()
+    old = tmp_path / "old"
+    old.mkdir()
+    assert run("simulate", "--bids", BIDS, "--out", old / "deep") == 2
+    assert old.is_dir() and not any(old.iterdir())
+    assert run("simulate", "--bids", BIDS, "--out", old) == 2
+    assert old.is_dir()
+    # a failure after the computation started cleans up alike
+    assert run("equilibrium", "--scenario", SCENARIO, "--grid-delta", "0.0001",
+               "--out", tmp_path / "big") == 3
+    assert not (tmp_path / "big").exists()
+
+
 def test_missing_required_flag_is_validation_error(capsys):
     assert run("simulate", "--bids", BIDS) == 2
     assert "--scenario" in capsys.readouterr().err
@@ -493,6 +551,9 @@ def test_counterexample_checks_and_trend(tmp_path, capsys):
     assert code == 0
     text = capsys.readouterr().out
     assert "FAIL" not in text
+    _, rep = counterexample_scenario(0.01, 1e-5, 11)
+    assert text.splitlines()[:6] == [f"ok   {name:34s} {detail}"
+                                     for name, _, detail in rep.checks]
     obj = json.loads((tmp_path / "counterexample.json").read_text())
     assert obj["checks_pass"] is True
     ratios = [row["ratio"] for row in obj["trend"]]

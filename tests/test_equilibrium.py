@@ -616,8 +616,8 @@ def test_silent_strategy_has_regret():
     bayes = one_query_bayes()
     rng = np.random.default_rng(4)
 
-    def silent(advertiser, values_row):
-        return {}
+    def silent(values):
+        return np.zeros(values.shape[:2] + (len(bayes.graph.keywords),))
 
     regs = estimate_bne_regret(bayes, silent, n_types=24,
                                deviation_delta=0.1, rng=rng,
@@ -633,6 +633,16 @@ def test_bne_regret_validates_inputs():
                             np.random.default_rng(0))
     with pytest.raises(ValidationError):
         estimate_bne_regret(bayes, truthful_keyword_strategy(bayes), 5, 0.0,
+                            np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("delta", [math.inf, math.nan])
+def test_grid_delta_must_be_finite_and_positive(delta):
+    bayes = one_query_bayes()
+    with pytest.raises(ValidationError, match="grid delta must be finite and positive"):
+        BidGrid(delta, {"s": 1.0})
+    with pytest.raises(ValidationError, match="deviation_delta must be finite and positive"):
+        estimate_bne_regret(bayes, truthful_keyword_strategy(bayes), 2, delta,
                             np.random.default_rng(0))
 
 
