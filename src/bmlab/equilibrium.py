@@ -9,7 +9,15 @@ default); off-grid deviations are covered by the continuity slack
 
 Utilities are separable across keywords (u_i = sum_s u_i^s), which the
 best-response search exploits: each keyword is optimized independently
-and the top-kappa keywords by achieved utility are kept.  The pure-Nash
+and the top-kappa keywords by achieved utility are kept.  Best response,
+the regret check and best-response dynamics share one pricing function:
+a run lays out every advertiser's menus once as flat bid vectors (with
+each entry's keyword column, mass and value) and mirrors the profile in
+a dense (advertiser, keyword) array, whose row is rewritten whenever the
+dynamics write a row.  A group of advertisers' menus and current rows is
+priced in one kernel call against that array; the sweep prices one
+advertiser at a time, the regret check all of them, in groups whose
+opponent matrix stays within _GROUP_CELLS cells.  The pure-Nash
 enumerator builds per-advertiser strategy arrays and scans the joint
 grid (one axis per advertiser) in bounded chunks of advertiser 0's rows,
 in two passes: the first finds advertiser 0's best responses, the second
@@ -136,36 +144,82 @@ def _all_pool_menus(scenario, bids, grid, conservative):
     return menus
 
 
-def _respond(scenario, bids, advertiser, menus):
-    """(best row, its utility, utility of the advertiser's current row)
-    against the opponents' bids of a finite profile, over the menus of
-    _pool_menus.  Every menu and the current row's positive bids form one
-    flat own-bid vector, priced in one gsp_outcome call against its
-    keyword's opponent bids."""
-    # (keyword, bids): each menu, then each positive bid of the current row
-    entries = [*menus.items(), *((s, (b,)) for s, b in bids.get(advertiser, {}).items()
-                                 if b > 0.0)]
-    col = {s: k for k, s in enumerate(dict.fromkeys(s for s, _ in entries))}
-    at = np.array([col[s] for s, menu in entries for _ in menu], dtype=np.intp)
-    opp = np.zeros((len(scenario.advertisers), len(col)))     # (advertiser, keyword)
-    for j, i in enumerate(scenario.advertisers):
-        if i != advertiser:
-            for s, b in bids.get(i, {}).items():
-                if s in col:
-                    opp[j, col[s]] = b
-    ids = np.flatnonzero((opp > 0.0).any(axis=1))
-    w_padded = np.array([scenario.weights.weight(k) for k in range(len(ids) + 1)])
-    slot_w, active, price, _ = gsp_outcome(np.array([b for _, menu in entries for b in menu]),
-                                           scenario.advertisers.index(advertiser),
-                                           opp[ids][:, at].T, ids, w_padded)
-    mass = np.array([scenario.kw_masses[s] for s in col])[at]
-    value = np.array([scenario.kw_values[advertiser][s] for s in col])[at]
+# Opponent-matrix cells (menu entries x advertisers) of one pricing call.
+# The regret pass prices the advertisers in groups under this bound; a
+# group holds one advertiser at least.
+_GROUP_CELLS = 1 << 16
+
+
+class _Layout:
+    """The pricing layout of one run over {advertiser: _pool_menus} for
+    some of a scenario's advertisers: per advertiser index, its flat
+    menu-bid vector and each entry's keyword column, mass and value, and
+    the slot weights of positions 0..n, all built once.  A profile is
+    priced through its dense (advertiser, keyword) mirror."""
+
+    def __init__(self, scenario, menus):
+        self.scenario, self.menus = scenario, menus
+        advs, keywords = scenario.advertisers, scenario.graph.keywords
+        self.col = {s: k for k, s in enumerate(keywords)}
+        self.mass = np.array([scenario.kw_masses[s] for s in keywords])
+        self.value = np.array([[scenario.kw_values[i][s] for s in keywords]
+                               for i in advs]).reshape(len(advs), len(keywords))
+        self.ids = np.arange(len(advs))
+        self.w_padded = np.array([scenario.weights.weight(k) for k in range(len(advs) + 1)])
+        self.entries = {}   # advertiser index -> (bids, columns, masses, values, index)
+        for i, m in menus.items():
+            a = advs.index(i)
+            at = np.array([self.col[s] for s, menu in m.items() for _ in menu], dtype=np.intp)
+            self.entries[a] = (np.array([b for menu in m.values() for b in menu]), at,
+                               self.mass[at], self.value[a, at], np.full(len(at), a))
+
+    def mirror(self, bids):
+        """The (advertiser, keyword) array of a profile; bids on keywords
+        outside the graph are left out, as no menu meets them."""
+        dense = np.zeros_like(self.value)
+        for a, i in enumerate(self.scenario.advertisers):
+            self.write(dense, a, bids.get(i, {}))
+        return dense
+
+    def write(self, dense, a, row):
+        """Set advertiser index a's row of the mirror to the bid row."""
+        dense[a] = 0.0
+        for s, b in row.items():
+            if s in self.col:
+                dense[a, self.col[s]] = b
+
+
+def _respond(layout, bids, dense, group):
+    """[(best row, its utility, utility of the current row)] of each
+    advertiser index in group, against the opponents' bids of a finite
+    profile and its mirror dense.  The group's menus, then the positive
+    bids of its current rows, form one flat own-bid vector, priced in one
+    gsp_outcome call against each entry's keyword column of the mirror
+    with the entry's own advertiser zeroed: a zero bid neither outranks a
+    positive bid nor raises its price."""
+    advs, col = layout.scenario.advertisers, layout.col
+    rows = [[(s, b) for s, b in bids.get(advs[a], {}).items() if b > 0.0] for a in group]
+    cur_who = np.array([a for a, row in zip(group, rows) for _ in row], dtype=np.intp)
+    cur_at = np.array([col[s] for row in rows for s, _ in row], dtype=np.intp)
+    own, at, mass, value, who = (np.concatenate(x) for x in zip(
+        *(layout.entries[a] for a in group),
+        (np.array([b for row in rows for _, b in row]), cur_at, layout.mass[cur_at],
+         layout.value[cur_who, cur_at], cur_who)))
+    opp = dense.T[at]                               # (entry, advertiser)
+    opp[np.arange(len(at)), who] = 0.0
+    slot_w, active, price, _ = gsp_outcome(own, who[:, None], opp, layout.ids,
+                                           layout.w_padded)
     util = np.where(active, mass * slot_w * (value - price), 0.0).tolist()
-    utilities, lo = {}, 0
-    for s, menu in menus.items():
-        utilities[s], lo = util[lo:lo + len(menu)], lo + len(menu)
-    _, kept = _select_keywords(menus, utilities, scenario.kappa)
-    return {s: b for _, s, b in kept}, sum(u for u, _, _ in kept), sum(util[lo:], 0.0)
+    out, lo, hi = [], 0, len(util) - len(cur_at)    # menus in util[:hi], rows after
+    for a, row in zip(group, rows):
+        menus, utilities = layout.menus[advs[a]], {}
+        for s, menu in menus.items():
+            utilities[s], lo = util[lo:lo + len(menu)], lo + len(menu)
+        _, kept = _select_keywords(menus, utilities, layout.scenario.kappa)
+        out.append(({s: b for _, s, b in kept}, sum(u for u, _, _ in kept),
+                    sum(util[hi:hi + len(row)], 0.0)))
+        hi += len(row)
+    return out
 
 
 def best_response(scenario: Scenario, bids, advertiser, grid: BidGrid,
@@ -179,7 +233,9 @@ def best_response(scenario: Scenario, bids, advertiser, grid: BidGrid,
     """
     menus = _pool_menus(scenario, grid, advertiser, conservative)
     require_finite_profile(bids)      # a NaN bid would silently never outrank
-    row, best, _ = _respond(scenario, bids, advertiser, menus)
+    layout = _Layout(scenario, {advertiser: menus})
+    [(row, best, _)] = _respond(layout, bids, layout.mirror(bids),
+                                [scenario.advertisers.index(advertiser)])
     return row, best
 
 
@@ -213,15 +269,29 @@ class EquilibriumReport:
 def verify_epsilon_nash(scenario: Scenario, bids, grid: BidGrid,
                         conservative=False) -> dict:
     """Per-advertiser regret of a profile against grid deviations."""
-    return _regrets(scenario, bids, _all_pool_menus(scenario, bids, grid, conservative))
+    layout = _Layout(scenario, _all_pool_menus(scenario, bids, grid, conservative))
+    return _regrets(layout, bids, layout.mirror(bids))
 
 
-def _regrets(scenario, bids, menus):
-    """verify_epsilon_nash over the menus of _all_pool_menus."""
+def _regrets(layout, bids, dense):
+    """verify_epsilon_nash over a layout of every advertiser, for the
+    profile bids and its mirror dense: the advertisers are priced in
+    groups of consecutive indices whose opponent matrix stays within
+    _GROUP_CELLS cells."""
+    advs = layout.scenario.advertisers
+    groups, cells = [], 0
+    for a, i in enumerate(advs):
+        size = len(advs) * (len(layout.entries[a][0]) +
+                            sum(b > 0.0 for b in bids.get(i, {}).values()))
+        if not groups or cells + size > _GROUP_CELLS:
+            groups.append([])
+            cells = 0
+        groups[-1].append(a)
+        cells += size
     regrets = {}
-    for i in scenario.advertisers:
-        _, best, current = _respond(scenario, bids, i, menus[i])
-        regrets[i] = max(0.0, best - current)
+    for group in groups:
+        for a, (_, best, current) in zip(group, _respond(layout, bids, dense, group)):
+            regrets[advs[a]] = max(0.0, best - current)
     return regrets
 
 
@@ -234,10 +304,12 @@ def best_response_dynamics(scenario: Scenario, initial, grid: BidGrid,
     if max_iters < 0:
         raise ValidationError(f"max_iters must be >= 0, got {max_iters}")
     profile = {i: dict(initial.get(i, {})) for i in scenario.advertisers}
-    # the menus depend only on (advertiser, keyword), so they are built once;
-    # every row a best response writes is finite, so one check suffices
-    menus = _all_pool_menus(scenario, profile, grid, conservative)
-    regrets = _regrets(scenario, profile, menus)
+    # the menus, and so the layout, depend only on (advertiser, keyword), so
+    # they are built once; every row a best response writes is finite, so one
+    # check suffices
+    layout = _Layout(scenario, _all_pool_menus(scenario, profile, grid, conservative))
+    dense = layout.mirror(profile)
+    regrets = _regrets(layout, profile, dense)
     converged = False
     iterations = 0
     for it in range(1, max_iters + 1):
@@ -245,9 +317,10 @@ def best_response_dynamics(scenario: Scenario, initial, grid: BidGrid,
         if max(regrets.values(), default=0.0) <= eps:
             converged = True
             break
-        for i in scenario.advertisers:
-            profile[i], _, _ = _respond(scenario, profile, i, menus[i])
-        regrets = _regrets(scenario, profile, menus)
+        for a, i in enumerate(scenario.advertisers):
+            [(profile[i], _, _)] = _respond(layout, profile, dense, [a])
+            layout.write(dense, a, profile[i])
+        regrets = _regrets(layout, profile, dense)
     else:
         converged = max_iters > 0 and max(regrets.values(), default=0.0) <= eps
     return EquilibriumReport(profile=profile, regrets=regrets,

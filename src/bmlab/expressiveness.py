@@ -476,8 +476,9 @@ def expressiveness_sweep(corpus: Corpus, thetas=DEFAULT_THETA_GRID,
     check the degree bound at kappa = 1 per (market, theta), from one
     positive query set per (advertiser, market, theta).
 
-    kappas defaults to 1..size per market.  A theta outside [0, 1) or a
-    kappa below 1 raises ValidationError before any market is extracted.
+    kappas defaults to 1..size per market.  An empty theta or kappa grid,
+    a theta outside [0, 1) or a kappa below 1 raises ValidationError
+    before any market is extracted.
     A market where exact alpha is out of reach adds no cells from that
     theta on (earlier cells stay) and is logged in skipped.  The degree
     bound is checked at every theta on the reachable positive sets, as
@@ -485,6 +486,11 @@ def expressiveness_sweep(corpus: Corpus, thetas=DEFAULT_THETA_GRID,
     logged in degree_skipped.
     """
     thetas = tuple(thetas)
+    kappas = None if kappas is None else tuple(kappas)
+    if not thetas:
+        raise ValidationError("the theta grid is empty")
+    if kappas == ():
+        raise ValidationError("the kappa grid is empty")
     for theta in thetas:
         if not 0.0 <= theta < 1.0:
             raise ValidationError(f"theta must lie in [0, 1), got {theta}")

@@ -316,6 +316,16 @@ def build_scenario(graph, p, pi, weights, valuations, kappa) -> Scenario:
     return Scenario(graph, p, pi, weights, valuations, kappa)
 
 
+def _json_number(x, field) -> float:
+    """x as a float when it is a JSON number.  Every loader passes its
+    numeric fields through here, so that a string such as "1", a boolean,
+    null or a container raises ValidationError naming the field instead
+    of being coerced by float()."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValidationError(f"non-numeric {field}: {x!r} is not a JSON number")
+    return float(x)
+
+
 _SKELETON_KEYS = {"queries", "keywords", "edges", "query_dist", "matching",
                   "slot_weights", "kappa"}
 
@@ -335,19 +345,28 @@ def _load_skeleton(source, what, values_key, parse_values):
     try:
         graph = BipartiteGraph(obj["queries"], obj["keywords"],
                                [tuple(e) for e in obj["edges"]])
-        p = QueryDistribution(obj["query_dist"])
-        pi = MatchingPolicy(obj["matching"])
-        weights = SlotWeights(obj["slot_weights"])
+        p = QueryDistribution({q: _json_number(m, f"query_dist mass of {q!r}")
+                               for q, m in obj["query_dist"].items()})
+        pi = MatchingPolicy({q: {s: _json_number(m, f"matching mass of ({q!r}, {s!r})")
+                                 for s, m in row.items()}
+                             for q, row in obj["matching"].items()})
+        weights = SlotWeights([_json_number(w, f"slot weight at position {k + 1}")
+                               for k, w in enumerate(obj["slot_weights"])])
         values = parse_values(obj[values_key])
     except (TypeError, ValueError, AttributeError) as exc:
         raise ValidationError(f"malformed {what} field: {exc}") from exc
-    return graph, p, pi, weights, obj["kappa"], values
+    return graph, p, pi, weights, _json_number(obj["kappa"], "kappa"), values
 
 
 def scenario_from_json(source) -> Scenario:
     """Load a scenario from a JSON file path or an already-parsed dict."""
+    def parse(table):
+        return ValuationProfile({i: {q: _json_number(v, f"valuation of {i!r} on {q!r}")
+                                     for q, v in row.items()}
+                                 for i, row in table.items()})
+
     graph, p, pi, weights, kappa, valuations = _load_skeleton(
-        source, "scenario", "valuations", ValuationProfile)
+        source, "scenario", "valuations", parse)
     return build_scenario(graph, p, pi, weights, valuations, kappa)
 
 

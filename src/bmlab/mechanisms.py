@@ -25,7 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ValidationError
-from .market import Scenario, _load_json_obj
+from .market import Scenario, _json_number, _load_json_obj
 
 _NO_RESERVE: Mapping[str, float] = {}
 
@@ -63,10 +63,8 @@ def load_bid_profile(path, scenario: Scenario):
     obj = _load_json_obj(path, "bid profile")
     if not all(isinstance(r, dict) for r in obj.values()):
         raise ValidationError(f"bid profile {path} must be a JSON object of objects")
-    try:
-        bids = {adv: {s: float(b) for s, b in row.items()} for adv, row in obj.items()}
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"bid profile holds a non-numeric bid: {exc}") from exc
+    bids = {adv: {s: _json_number(b, f"bid of {adv!r} on {s!r}") for s, b in row.items()}
+            for adv, row in obj.items()}
     return validate_bid_profile(scenario, bids)
 
 

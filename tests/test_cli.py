@@ -2,8 +2,8 @@
 
 Commands are run in-process via main(argv); outputs land in tmp_path.
 Golden files pin the three equilibrium modes on the 2x2 fixture, the
-corpus sweep table, a seeded simulation, and a Monte-Carlo revenue run
-byte-for-byte.
+dynamics on a wide market, the corpus sweep table, a seeded simulation,
+and a Monte-Carlo revenue run byte-for-byte.
 """
 
 import json
@@ -45,6 +45,17 @@ def test_dynamics_mode_matches_golden(tmp_path):
     assert code == 0
     got = (tmp_path / "equilibrium.json").read_bytes()
     assert got == (GOLDEN / "equilibrium_dynamics.json").read_bytes()
+
+
+def test_dynamics_mode_matches_golden_on_a_wide_market(tmp_path):
+    """12 advertisers, 6 keywords, kappa 2 below every pool, 3 slots: 30
+    sweeps of a cycling run pin the dynamics and their regret check."""
+    code = run("equilibrium", "--scenario", DATA / "scenario_wide.json", "--mode", "dynamics",
+               "--conservative", "--grid-delta", "0.25", "--max-iters", "30",
+               "--out", tmp_path)
+    assert code == 0
+    got = (tmp_path / "equilibrium.json").read_bytes()
+    assert got == (GOLDEN / "equilibrium_dynamics_wide.json").read_bytes()
 
 
 def test_dominant_mode_matches_golden(tmp_path):
@@ -249,6 +260,38 @@ def test_non_numeric_bid_is_a_validation_error(tmp_path, capsys, bid):
     assert "non-numeric bid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("role, edit, field", [
+    pytest.param("bids", lambda o: o["a"].update(s1="1"), "bid of 'a' on 's1'",
+                 id="bid-string"),
+    pytest.param("bids", lambda o: o["a"].update(s1=True), "bid of 'a' on 's1'",
+                 id="bid-true"),
+    pytest.param("scenario", lambda o: o["valuations"]["a"].update(q1="5.0"),
+                 "valuation of 'a' on 'q1'", id="valuation-string"),
+    pytest.param("scenario", lambda o: o["valuations"]["a"].update(q1=True),
+                 "valuation of 'a' on 'q1'", id="valuation-true"),
+    pytest.param("scenario", lambda o: o["query_dist"].update(q1="0.6"),
+                 "query_dist mass of 'q1'", id="query-mass-string"),
+    pytest.param("scenario", lambda o: o["matching"]["q2"].update(s2="1"),
+                 "matching mass of ('q2', 's2')", id="matching-mass-string"),
+    pytest.param("scenario", lambda o: o.update(slot_weights=["1.0"]),
+                 "slot weight at position 1", id="slot-weight-string"),
+    pytest.param("scenario", lambda o: o.update(kappa=True), "kappa", id="kappa-true"),
+    pytest.param("bayes", lambda o: o.update(kappa=True), "kappa", id="bayes-kappa-true"),
+    pytest.param("bayes", lambda o: o.update(slot_weights=[True]),
+                 "slot weight at position 1", id="bayes-slot-weight-true"),
+])
+def test_json_string_or_boolean_for_a_number_exits_2(tmp_path, capsys, role, edit, field):
+    """A string or boolean where the JSON holds a number is rejected,
+    not coerced by float(), and the message names the field."""
+    source = {"bids": BIDS, "scenario": SCENARIO, "bayes": BAYES}[role]
+    bad = _edited(tmp_path, source, edit)
+    argv = {"bids": ("simulate", "--scenario", SCENARIO, "--bids", bad, "--rounds", 3),
+            "scenario": ("equilibrium", "--scenario", bad, "--mode", "single-slot-dominant"),
+            "bayes": ("revenue", "--scenario", bad, "--samples", 10)}[role]
+    assert run(*argv, "--out", tmp_path / "out") == 2
+    assert f"non-numeric {field}" in capsys.readouterr().err
+
+
 def test_malformed_scenario_names_offending_key(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"queries": ["q"], "bogus_key": 1}))
@@ -386,6 +429,19 @@ def test_kappa_below_one_exits_2_before_any_market_is_extracted(tmp_path, capsys
     code = run("expressiveness", "--corpus", CORPUS, "--kappas", kappas, "--out", tmp_path)
     assert code == 2
     assert "kappa must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "expressiveness.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--thetas", "--kappas"])
+def test_empty_grid_exits_2_before_any_market_is_extracted(tmp_path, capsys, monkeypatch,
+                                                           flag):
+    def extract_micro_markets(*args, **kwargs):
+        raise AssertionError(f"extracted a market before checking {flag}")
+
+    monkeypatch.setattr(expressiveness, "extract_micro_markets", extract_micro_markets)
+    code = run("expressiveness", "--corpus", CORPUS, flag, ",", "--out", tmp_path)
+    assert code == 2
+    assert f"the {flag[2:-1]} grid is empty" in capsys.readouterr().err
     assert not (tmp_path / "expressiveness.csv").exists()
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from bmlab.market import (
     MatchingPolicy,
     QueryDistribution,
     SlotWeights,
+    ValuationProfile,
+    build_scenario,
     positive_keywords,
 )
 from bmlab.mechanisms import pbm_utility
@@ -269,6 +272,90 @@ def test_dynamics_bit_identical_to_per_call_oracle(weights):
         assert {i: r.hex() for i, r in rep.regrets.items()} == \
             {i: r.hex() for i, r in regrets.items()}
         assert (rep.iterations, rep.converged) == (iterations, converged)
+
+
+def _grouped_market(rng):
+    """A random market of up to 10 advertisers and 5 keywords with kappa
+    below most advertisers' pools, one advertiser valuing no query, and
+    an initial profile on grid points with exact ties between
+    advertisers and bids on zero-value keywords (the valueless
+    advertiser's included)."""
+    while True:
+        sc = random_scenario(rng, max_adv=9, max_kw=5, max_q=5, weights=(1.0, 0.7, 0.4),
+                             kappa=int(rng.integers(1, 3)))
+        if (len(sc.advertisers) >= 4 and
+                sum(len(sc.kw_positive[i]) > sc.kappa for i in sc.advertisers) >= 3):
+            break
+    values = {i: sc.valuations.row(i) for i in sc.advertisers} | {"a3z": {}}
+    sc = build_scenario(sc.graph, sc.p, sc.pi, sc.weights, ValuationProfile(values), sc.kappa)
+    grid = make_grid(sc, delta=max(make_grid(sc, 1.0).caps.values()) / 4)
+    bids = {i: {s: k * grid.delta for s, b in row.items() if (k := round(b / grid.delta))}
+            for i, row in random_bid_profile(rng, sc, overbid=0.5).items()}
+    # the two first advertisers valuing the most valued keyword bid on it
+    s0 = max(sc.graph.keywords, key=lambda s: sum(s in sc.kw_positive[i] for i in bids))
+    for i in [i for i in sc.advertisers if s0 in sc.kw_positive[i]][:2]:
+        bids[i] = dict(list(bids[i].items())[:sc.kappa - 1]) | {s0: 2 * grid.delta}
+    tied = {}       # every bidder on a keyword bids the first one's bid
+    for row in bids.values():
+        for s in row:
+            row[s] = tied.setdefault(s, row[s])
+    for i in sc.advertisers:
+        zero = sorted(set(sc.graph.keywords) - sc.kw_positive[i])
+        if zero and (i == "a3z" or rng.random() < 0.5):
+            bids[i] = dict(list(bids[i].items())[:sc.kappa - 1]) | {zero[0]: 1.25}
+    return sc, grid, bids
+
+
+@pytest.mark.parametrize("bound", ["one advertiser", "half", "default"])
+def test_grouped_regret_pass_bit_identical_to_oracles(monkeypatch, bound):
+    """With the regret pass priced one advertiser per call, split mid-way,
+    or in one call, best_response_dynamics equals the per-call loop and
+    verify_epsilon_nash the scalar oracle bit for bit, on markets of up to
+    10 advertisers with ties, zero-value bids and a valueless advertiser."""
+    rng = np.random.default_rng([808, len(bound)])
+    groups = []
+    respond = equilibrium._respond
+
+    def spy(layout, bids, dense, group):
+        groups.append(len(group))
+        return respond(layout, bids, dense, group)
+
+    monkeypatch.setattr(equilibrium, "_respond", spy)
+    ties = zero_rows = 0
+    for t in range(12):
+        sc, grid, bids = _grouped_market(rng)
+        n, conservative = len(sc.advertisers), bool(t % 2)
+        cells = [n * (sum(len(bid_menu(sc, grid, i, s, conservative)) for s in sc.kw_positive[i])
+                      + sum(b > 0.0 for b in bids.get(i, {}).values()))
+                 for i in sc.advertisers]
+        # the first group ends before the first advertiser from n // 2 on
+        # that has an entry to price
+        half = next(k for k in range(n // 2, n) if cells[k])
+        if bound != "default":
+            monkeypatch.setattr(equilibrium, "_GROUP_CELLS",
+                                1 if bound == "one advertiser" else sum(cells[:half]))
+        ties += max(Counter((s, b) for row in bids.values() for s, b in row.items()).values()) > 1
+        zero_rows += sum(s not in sc.kw_positive[i] for i, row in bids.items() for s in row)
+
+        groups.clear()
+        regrets = verify_epsilon_nash(sc, bids, grid, conservative)
+        assert groups == {"one advertiser": [1] * n, "default": [n]}.get(bound, groups)
+        assert sum(groups) == n and (bound != "half" or groups[0] == half < n)
+        oracle = {i: max(0.0, best - current)
+                  for i in sc.advertisers
+                  for _, best, current in [scalar_best_response(sc, bids, i, grid, conservative)]}
+        assert {i: r.hex() for i, r in regrets.items()} == {i: r.hex() for i, r in oracle.items()}
+
+        max_iters = int(rng.integers(1, 6))
+        rep = best_response_dynamics(sc, bids, grid, max_iters=max_iters,
+                                     conservative=conservative)
+        profile, regrets, converged, iterations = per_call_dynamics(
+            sc, bids, grid, default_epsilon(sc), max_iters, conservative)
+        assert _hex_rows(rep.profile) == _hex_rows(profile)
+        assert {i: r.hex() for i, r in rep.regrets.items()} == \
+            {i: r.hex() for i, r in regrets.items()}
+        assert (rep.iterations, rep.converged) == (iterations, converged)
+    assert ties >= 10 and zero_rows >= 12
 
 
 def test_dynamics_rejects_nan_initial_bid():
