@@ -117,7 +117,6 @@ class BoundSet:
     c: float
     beta: float
     alpha: float
-    gamma: float
     eta: float
     lam: float
     mu: float
@@ -130,7 +129,7 @@ class BoundSet:
     revenue_fraction_multi: float
 
 
-def bound_calculators(c, beta, alpha=1.0, gamma=1.0, eta=1.0,
+def bound_calculators(c, beta, alpha=1.0, eta=1.0,
                       lam=_GSP_LAMBDA, mu=_GSP_MU) -> BoundSet:
     """Evaluate every bound formula after validating the inputs.
 
@@ -141,7 +140,6 @@ def bound_calculators(c, beta, alpha=1.0, gamma=1.0, eta=1.0,
         (math.isfinite(c) and c >= 1.0, f"homogeneity c must be finite and >= 1, got {c}"),
         (0.0 < beta <= 1.0, f"beta must lie in (0, 1], got {beta}"),
         (0.0 < alpha <= 1.0, f"alpha must lie in (0, 1], got {alpha}"),
-        (math.isfinite(gamma) and gamma > 0.0, f"gamma must be positive, got {gamma}"),
         (math.isfinite(eta) and eta >= 1.0, f"eta must be >= 1, got {eta}"),
         (0.0 < lam <= 1.0, f"lambda must lie in (0, 1], got {lam}"),
         (math.isfinite(mu) and mu >= 0.0, f"mu must be >= 0, got {mu}"),
@@ -151,7 +149,7 @@ def bound_calculators(c, beta, alpha=1.0, gamma=1.0, eta=1.0,
             raise DomainError(msg)
     ce_sq = (c * math.e) ** 2
     return BoundSet(
-        c=c, beta=beta, alpha=alpha, gamma=gamma, eta=eta, lam=lam, mu=mu,
+        c=c, beta=beta, alpha=alpha, eta=eta, lam=lam, mu=mu,
         pure_poa_single=c / beta,
         pure_poa_multi=(1.0 + beta) / beta * c,
         bayes_poa_single=(1.0 + beta) / beta * c,

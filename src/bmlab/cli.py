@@ -14,7 +14,6 @@ import dataclasses
 import itertools
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,36 +38,59 @@ COMMANDS = ("simulate", "equilibrium", "poa", "revenue", "counterexample",
             "expressiveness")
 MODES = ("dynamics", "enumerate", "single-slot-dominant")
 
-DEFAULTS = dict(
-    scenario=None, bids=None, corpus=None, config=None,
-    rounds=10_000, seed=0, grid_delta=0.25, epsilon=None,
-    conservative=False, out=".", mode="enumerate", max_iters=50,
-    eps1=0.01, eps2=1e-5, m_exp=11, samples=100_000,
-    thetas=None, kappas=None,
-)
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Effective settings of one invocation after config-file merging."""
-    command: str
-    scenario: str | None
-    bids: str | None
-    corpus: str | None
-    rounds: int
-    seed: int
-    grid_delta: float
-    epsilon: float | None
-    conservative: bool
-    out: str
-    mode: str
-    max_iters: int
-    eps1: float
-    eps2: float
-    m_exp: int
-    samples: int
-    thetas: tuple | None
-    kappas: tuple | None
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _grid(element_ok, elements):
+    return (lambda v: isinstance(v, str) or isinstance(v, list) and all(map(element_ok, v)),
+            f"a comma-separated string or a list of {elements}", {})
+
+
+# A flag's kind: what a config-file value must be, and the argparse
+# keywords that make the flag parse to the same.
+_STRING = (lambda v: isinstance(v, str), "a string", {})
+_INT = (_is_int, "an integer", {"type": int})
+_NUMBER = (_is_number, "a number", {"type": float})
+_BOOL = (lambda v: isinstance(v, bool), "true or false", {"action": "store_true"})
+_MODE = (lambda v: v in MODES, f"one of {', '.join(MODES)}", {"choices": MODES})
+
+# The one declaration of every flag: {name: (default, kind, help)}.  The
+# parser, the merged defaults, the config-file checks and RunConfig are
+# derived from it; a config-file key is the flag's name, and a key whose
+# default is None may also be null.
+FLAGS = {
+    "scenario": (None, _STRING, "scenario JSON file"),
+    "bids": (None, _STRING, "bid profile JSON file"),
+    "corpus": (None, _STRING, "directory with bids.csv/queries.csv"),
+    "config": (None, _STRING, "JSON file with flag defaults"),
+    "rounds": (10_000, _INT, None),
+    "seed": (0, _INT, None),
+    "grid_delta": (0.25, _NUMBER, None),
+    "epsilon": (None, _NUMBER, None),
+    "conservative": (False, _BOOL, None),
+    "out": (".", _STRING, "output directory (created if absent)"),
+    "mode": ("enumerate", _MODE, None),
+    "max_iters": (50, _INT, None),
+    "eps1": (0.01, _NUMBER, None),
+    "eps2": (1e-5, _NUMBER, None),
+    "m_exp": (11, _INT, None),
+    "samples": (100_000, _INT, None),
+    "thetas": (None, _grid(_is_number, "numbers"), "comma-separated theta grid"),
+    "kappas": (None, _grid(_is_int, "integers"), "comma-separated kappa grid"),
+}
+DEFAULTS = {name: default for name, (default, _, _) in FLAGS.items()}
+
+RunConfig = dataclasses.make_dataclass(
+    "RunConfig", ["command", *(name for name in FLAGS if name != "config")],
+    frozen=True, namespace={
+        "__doc__": "Effective settings of one invocation after config-file merging.",
+        "__module__": __name__})
 
 
 def _parse_grid(text, kind):
@@ -85,52 +107,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bm-lab",
         description="Broad-match auction laboratory: simulate, solve, verify.")
     parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--scenario", help="scenario JSON file")
-    parser.add_argument("--bids", help="bid profile JSON file")
-    parser.add_argument("--corpus", help="directory with bids.csv/queries.csv")
-    parser.add_argument("--config", help="JSON file with flag defaults")
-    parser.add_argument("--rounds", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--grid-delta", type=float)
-    parser.add_argument("--epsilon", type=float)
-    parser.add_argument("--conservative", action="store_true", default=None)
-    parser.add_argument("--out", help="output directory (created if absent)")
-    parser.add_argument("--mode", choices=MODES)
-    parser.add_argument("--max-iters", type=int)
-    parser.add_argument("--eps1", type=float)
-    parser.add_argument("--eps2", type=float)
-    parser.add_argument("--m-exp", type=int)
-    parser.add_argument("--samples", type=int)
-    parser.add_argument("--thetas", help="comma-separated theta grid")
-    parser.add_argument("--kappas", help="comma-separated kappa grid")
+    for name, (_, (_, _, keywords), help_text) in FLAGS.items():
+        parser.add_argument("--" + name.replace("_", "-"), default=None, help=help_text,
+                            **keywords)
     return parser
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
-
-
-def _is_grid(element_ok):
-    return lambda v: isinstance(v, str) or isinstance(v, list) and all(map(element_ok, v))
-
-
-# What a config-file value must be: what its flag parses to.  A key whose
-# default is None may also be null.
-_CONFIG_CHECKS = {
-    **dict.fromkeys(("scenario", "bids", "corpus", "config", "out"),
-                    (lambda v: isinstance(v, str), "a string")),
-    **dict.fromkeys(("rounds", "seed", "max_iters", "m_exp", "samples"),
-                    (_is_int, "an integer")),
-    **dict.fromkeys(("grid_delta", "epsilon", "eps1", "eps2"), (_is_number, "a number")),
-    "conservative": (lambda v: isinstance(v, bool), "true or false"),
-    "mode": (lambda v: v in MODES, f"one of {', '.join(MODES)}"),
-    "thetas": (_is_grid(_is_number), "a comma-separated string or a list of numbers"),
-    "kappas": (_is_grid(_is_int), "a comma-separated string or a list of integers"),
-}
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
@@ -142,7 +122,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         if unknown:
             raise ValidationError(f"unknown config key(s): {sorted(unknown)!r}")
         for key, value in file_conf.items():
-            ok, what = _CONFIG_CHECKS[key]
+            ok, what, _ = FLAGS[key][1]
             if not (ok(value) or value is None and DEFAULTS[key] is None):
                 raise ValidationError(f"config value {key!r} must be {what}, got {value!r}")
         merged.update(file_conf)

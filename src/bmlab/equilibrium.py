@@ -75,13 +75,12 @@ class BidGrid:
         return tuple(k * self.delta for k in range(n + 1))
 
 
-def make_grid(scenario: Scenario, delta: float, caps=None) -> BidGrid:
-    """Default grid: each keyword capped at the largest keyword value
+def make_grid(scenario: Scenario, delta: float) -> BidGrid:
+    """The grid with each keyword capped at the largest keyword value
     any advertiser has for it (bidding above is weakly dominated)."""
-    if caps is None:
-        caps = {s: max(scenario.kw_values[i][s] for i in scenario.advertisers)
-                for s in scenario.graph.keywords}
-    return BidGrid(delta=float(delta), caps=dict(caps))
+    caps = {s: max(scenario.kw_values[i][s] for i in scenario.advertisers)
+            for s in scenario.graph.keywords}
+    return BidGrid(delta=float(delta), caps=caps)
 
 
 def bid_menu(scenario: Scenario, grid: BidGrid, advertiser, keyword,
@@ -345,7 +344,7 @@ def _count_rows(menus, kappa):
     return sum(coeffs)
 
 
-def strategy_rows(menus, kappa, advertiser, max_rows=200_000):
+def strategy_rows(menus, kappa, advertiser, max_rows):
     """All feasible bid rows of one advertiser over its menus of _menus
     (at most kappa positive bids), as (keyword list, array).  More than
     max_rows rows raises TooLarge.

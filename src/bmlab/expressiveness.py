@@ -124,7 +124,6 @@ def kl_expressiveness(source) -> float:
 @dataclass(frozen=True)
 class CoverResult:
     size: int
-    exact: bool
 
 
 def _cover_search(universe, cov_sets) -> int:
@@ -179,26 +178,18 @@ def _cover_search_exact(universe, cover, upper) -> int:
     return best
 
 
-def min_cover_size(graph, queries, candidates=None, exact=True,
-                   max_candidates=EXACT_COVER_CANDIDATE_CAP) -> CoverResult:
-    """Fewest candidate keywords whose neighborhoods cover `queries`.
-
-    Exact mode runs branch and bound and is capped at `max_candidates`
-    candidate keywords; exact=False returns the greedy upper bound,
-    flagged approximate.
-    """
+def min_cover_size(graph, queries) -> CoverResult:
+    """Fewest of the graph's keywords whose neighborhoods cover `queries`,
+    by branch and bound.  More than EXACT_COVER_CANDIDATE_CAP keywords
+    meeting `queries` raise TooLarge."""
     universe = frozenset(queries)
-    if candidates is None:
-        candidates = graph.keywords
     if not universe:
-        return CoverResult(0, True)
-    cov_sets = _traces(universe, {s: graph.keyword_neighbors(s) for s in candidates})
-    if not exact:
-        return CoverResult(_greedy_cover_size(universe, cov_sets), False)
-    if len(cov_sets) > max_candidates:
+        return CoverResult(0)
+    cov_sets = _traces(universe, {s: graph.keyword_neighbors(s) for s in graph.keywords})
+    if len(cov_sets) > EXACT_COVER_CANDIDATE_CAP:
         raise TooLarge(f"{len(cov_sets)} cover candidates "
-                       f"(exact cap {max_candidates})")
-    return CoverResult(_cover_search(universe, cov_sets), True)
+                       f"(exact cap {EXACT_COVER_CANDIDATE_CAP})")
+    return CoverResult(_cover_search(universe, cov_sets))
 
 
 class _CoverNumbers:

@@ -16,6 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import NoRoot, ParameterRange, ValidationError, ZeroDensity
+from .market import BayesScenario, _json_number, _load_skeleton
 
 _MASS_TOL = 1e-9
 _TAIL_QUANTILE = 1.0 - 1e-12  # finite surrogate for unbounded supports
@@ -401,13 +402,22 @@ class PointMass(ValueDistribution):
         return {"family": "point", "params": {"value": self.value}}
 
 
+# family -> (constructor, its parameter names in argument order)
 _FAMILIES = {
-    "uniform": lambda p: Uniform(p["lo"], p["hi"]),
-    "exponential": lambda p: Exponential(p["rate"]),
-    "truncated_exponential": lambda p: TruncatedExponential(p["rate"], p["hi"]),
-    "piecewise": lambda p: PiecewiseDensity([Piece(**pc) for pc in p["pieces"]]),
-    "empirical": lambda p: Empirical(p["samples"]),
-    "point": lambda p: PointMass(p["value"]),
+    "uniform": (Uniform, ("lo", "hi")),
+    "exponential": (Exponential, ("rate",)),
+    "truncated_exponential": (TruncatedExponential, ("rate", "hi")),
+    "piecewise": (PiecewiseDensity, ("pieces",)),
+    "empirical": (Empirical, ("samples",)),
+    "point": (PointMass, ("value",)),
+}
+
+# the two list parameters, read element by element; every other
+# parameter is one JSON number
+_LIST_PARAMS = {
+    "pieces": lambda pieces: [Piece(**{k: _json_number(x, f"piece field {k!r}")
+                                       for k, x in pc.items()}) for pc in pieces],
+    "samples": lambda samples: [_json_number(x, "empirical sample") for x in samples],
 }
 
 
@@ -421,9 +431,16 @@ def dist_from_json(obj) -> ValueDistribution:
     fam = obj.get("family")
     if fam not in _FAMILIES:
         raise ValidationError(f"unknown distribution family {fam!r}")
+    build, names = _FAMILIES[fam]
+    params = obj.get("params", {})
     try:
-        return _FAMILIES[fam](obj.get("params", {}))
-    except (KeyError, TypeError, ValueError) as exc:
+        unknown = set(params) - set(names)
+        if unknown:
+            raise ValidationError(f"unknown {fam} parameter(s): {sorted(unknown)!r}")
+        return build(*(_LIST_PARAMS[n](params[n]) if n in _LIST_PARAMS
+                       else _json_number(params[n], f"{fam} parameter {n!r}")
+                       for n in names))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ValidationError(f"bad parameters for family {fam!r}: {exc}") from exc
 
 
@@ -494,7 +511,7 @@ class VirtualValueReport:
 
 
 def mhr_bounded_derivative_check(dist: ValueDistribution,
-                                 resolution=10_000) -> VirtualValueReport:
+                                 resolution) -> VirtualValueReport:
     """Estimate phi' on a grid: the hazard-rate condition requires
     phi' >= 1 everywhere on the support, and eta is the largest slope at
     or above the reserve."""
@@ -605,8 +622,6 @@ def bayes_scenario_from_json(source):
     is replaced by `value_dists`: {advertiser: {query: {"family": ...,
     "params": {...}}}}.  It gets the same cross-checks.
     """
-    from .market import BayesScenario, _load_skeleton
-
     def parse(table):
         return {i: {q: dist_from_json(d) for q, d in row.items()}
                 for i, row in table.items()}

@@ -3,7 +3,7 @@
 Commands are run in-process via main(argv); outputs land in tmp_path.
 Golden files pin the three equilibrium modes on the 2x2 fixture, the
 dynamics on a wide market, the corpus sweep table, a seeded simulation,
-and a Monte-Carlo revenue run byte-for-byte.
+a Monte-Carlo revenue run and the default counterexample byte-for-byte.
 """
 
 import json
@@ -110,6 +110,13 @@ def test_revenue_matches_golden(tmp_path):
         (GOLDEN / "reserves.json").read_bytes()
 
 
+def test_counterexample_matches_golden(tmp_path):
+    # the defaults: eps1 0.01, eps2 1e-5, m_exp 11
+    assert run("counterexample", "--out", tmp_path) == 0
+    assert (tmp_path / "counterexample.json").read_bytes() == \
+        (GOLDEN / "counterexample.json").read_bytes()
+
+
 # ----------------------------------------------------------------- simulate
 
 
@@ -210,6 +217,35 @@ def test_config_values_are_typed_like_their_flags(tmp_path, capsys, conf):
     assert "config" in capsys.readouterr().err
 
 
+def test_config_of_every_default_is_no_config(tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps(cli.DEFAULTS))
+    parse = cli.build_parser().parse_args
+    assert cli.load_config(parse(["poa", "--config", str(conf)])) == \
+        cli.load_config(parse(["poa"]))
+
+
+# one value per flag that its config-file key must reject
+_WRONG_JSON_TYPE = {
+    "scenario": 5, "bids": ["b.json"], "corpus": True, "config": {}, "out": 0.5,
+    "rounds": 1.5, "seed": "0", "grid_delta": "0.25", "epsilon": True,
+    "conservative": 1, "mode": 1, "max_iters": [50], "eps1": {}, "eps2": "1e-5",
+    "m_exp": 11.0, "samples": "abc", "thetas": 0.5, "kappas": 2,
+}
+
+
+def test_every_flag_has_a_wrong_type_case():
+    assert set(_WRONG_JSON_TYPE) == set(cli.FLAGS)
+
+
+@pytest.mark.parametrize("key", sorted(_WRONG_JSON_TYPE))
+def test_wrong_json_type_in_config_exits_2_naming_the_key(tmp_path, capsys, key):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({key: _WRONG_JSON_TYPE[key]}))
+    assert run("poa", "--config", conf) == 2
+    assert f"config value {key!r} must be" in capsys.readouterr().err
+
+
 def test_config_accepts_nulls_lists_and_json_types(tmp_path):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({
@@ -246,6 +282,11 @@ def test_non_numeric_scenario_field_is_a_validation_error(tmp_path, edit):
     {"family": "truncated_exponential", "params": {"rate": 1.0, "hi": "abc"}},
     {"family": "empirical", "params": {"samples": ["abc"]}},
     {"family": "point", "params": {"value": "abc"}},
+    {"family": "uniform", "params": {"lo": "0", "hi": True}},
+    {"family": "point", "params": {"value": "2"}},
+    {"family": "empirical", "params": {"samples": ["1", True]}},
+    {"family": "piecewise", "params": {"pieces": [{"lo": 0, "hi": 1, "const": True}]}},
+    {"family": "uniform", "params": {"lo": 0, "hi": 1, "width": 2}},
 ])
 def test_non_numeric_distribution_parameter_is_a_validation_error(tmp_path, params):
     bad = _edited(tmp_path, BAYES, lambda o: o["value_dists"]["a"].update(q=params))

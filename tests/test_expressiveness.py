@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from bmlab.errors import (EmptyStrings, TooLarge, Uncoverable,
                           ValidationError)
-from bmlab.expressiveness import (DEFAULT_THETA_GRID, Corpus, _positive_sets,
+from bmlab.expressiveness import (DEFAULT_THETA_GRID, Corpus, _greedy_cover_size,
+                                  _positive_sets,
                                   advertiser_alpha, containment_graph,
                                   extract_micro_markets, expressiveness_sweep,
                                   kl_expressiveness, levenshtein, load_corpus,
@@ -161,18 +162,18 @@ def test_min_cover_disjoint_singletons():
     g = cover_graph({f"s{j}": [f"q{j}"] for j in range(3)},
                     [f"q{j}" for j in range(3)])
     res = min_cover_size(g, [f"q{j}" for j in range(3)])
-    assert res.size == 3 and res.exact
+    assert res.size == 3
 
 
 def test_min_cover_greedy_trap():
-    """Greedy grabs the big decoy set and pays 3; the optimum is 2."""
+    """Greedy grabs the big decoy set and pays 3, the upper bound the
+    search starts from; the optimum is 2."""
     cover = {"x": ["a", "b", "c"], "y": ["d", "e", "f"],
              "z": ["b", "c", "d", "e"]}
     g = cover_graph(cover, list("abcdef"))
-    exact = min_cover_size(g, list("abcdef"))
-    greedy = min_cover_size(g, list("abcdef"), exact=False)
-    assert exact.size == 2 and exact.exact
-    assert greedy.size == 3 and not greedy.exact
+    assert min_cover_size(g, list("abcdef")).size == 2
+    sets = {s: frozenset(qs) for s, qs in cover.items()}
+    assert _greedy_cover_size(frozenset("abcdef"), sets) == 3
 
 
 def test_min_cover_uncoverable_and_caps():
@@ -181,8 +182,7 @@ def test_min_cover_uncoverable_and_caps():
         min_cover_size(g, ["q1", "q2"])
     big = cover_graph({f"s{j}": ["q0"] for j in range(26)}, ["q0"])
     with pytest.raises(TooLarge):
-        min_cover_size(g, ["q1"], max_candidates=0)
-    assert min_cover_size(big, ["q0"], max_candidates=30).size == 1
+        min_cover_size(big, ["q0"])
 
 
 def test_min_cover_matches_exhaustive_oracle():
