@@ -118,8 +118,6 @@ class BoundSet:
     beta: float
     alpha: float
     eta: float
-    lam: float
-    mu: float
     pure_poa_single: float
     pure_poa_multi: float
     bayes_poa_single: float
@@ -129,31 +127,28 @@ class BoundSet:
     revenue_fraction_multi: float
 
 
-def bound_calculators(c, beta, alpha=1.0, eta=1.0,
-                      lam=_GSP_LAMBDA, mu=_GSP_MU) -> BoundSet:
+def bound_calculators(c, beta, alpha=1.0, eta=1.0) -> BoundSet:
     """Evaluate every bound formula after validating the inputs.
 
-    lam/mu default to the multi-slot GSP semi-smoothness pair
-    (1 - 1/e, 1); the single-slot Bayes bound always uses (1, 1).
+    The multi-slot Bayes bound uses the GSP semi-smoothness pair
+    (1 - 1/e, 1); the single-slot Bayes bound uses (1, 1).
     """
     checks = [
         (math.isfinite(c) and c >= 1.0, f"homogeneity c must be finite and >= 1, got {c}"),
         (0.0 < beta <= 1.0, f"beta must lie in (0, 1], got {beta}"),
         (0.0 < alpha <= 1.0, f"alpha must lie in (0, 1], got {alpha}"),
         (math.isfinite(eta) and eta >= 1.0, f"eta must be >= 1, got {eta}"),
-        (0.0 < lam <= 1.0, f"lambda must lie in (0, 1], got {lam}"),
-        (math.isfinite(mu) and mu >= 0.0, f"mu must be >= 0, got {mu}"),
     ]
     for ok, msg in checks:
         if not ok:
             raise DomainError(msg)
     ce_sq = (c * math.e) ** 2
     return BoundSet(
-        c=c, beta=beta, alpha=alpha, eta=eta, lam=lam, mu=mu,
+        c=c, beta=beta, alpha=alpha, eta=eta,
         pure_poa_single=c / beta,
         pure_poa_multi=(1.0 + beta) / beta * c,
         bayes_poa_single=(1.0 + beta) / beta * c,
-        bayes_poa_multi=c * (beta * mu + 1.0) / (beta * lam),
+        bayes_poa_multi=c * (beta * _GSP_MU + 1.0) / (beta * _GSP_LAMBDA),
         sbm_pure_poa=(c * c + c) / alpha,
         revenue_fraction_single=beta / (1.0 + beta) / (eta * ce_sq),
         revenue_fraction_multi=beta / (1.0 + beta) / (2.0 * eta * ce_sq),

@@ -319,11 +319,15 @@ def build_scenario(graph, p, pi, weights, valuations, kappa) -> Scenario:
 def _json_number(x, field) -> float:
     """x as a float when it is a JSON number.  Every loader passes its
     numeric fields through here, so that a string such as "1", a boolean,
-    null or a container raises ValidationError naming the field instead
-    of being coerced by float()."""
+    null, a container or an integer beyond the float range raises
+    ValidationError naming the field instead of being coerced by float()
+    or overflowing in it."""
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ValidationError(f"non-numeric {field}: {x!r} is not a JSON number")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValidationError(f"{field} is an integer too large for a float") from None
 
 
 _SKELETON_KEYS = {"queries", "keywords", "edges", "query_dist", "matching",

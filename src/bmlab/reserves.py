@@ -9,6 +9,7 @@ reserve is its root, found by bisection.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -23,9 +24,19 @@ _TAIL_QUANTILE = 1.0 - 1e-12  # finite surrogate for unbounded supports
 _MHR_SLOPE_TOL = 1e-6  # finite-difference slack on phi' >= 1
 
 
+def _number_or_array(formula, x):
+    """formula on x as a float64 array: a number gives a Python float, an
+    array an array of its shape."""
+    x = np.asarray(x, dtype=float)
+    out = formula(x)
+    return out if x.ndim else float(out)
+
+
 class ValueDistribution:
-    """Interface: support, cdf, mean, quantile, sample; pdf when
-    has_density."""
+    """Interface: support, cdf, sf, mean, quantile, sample; pdf when
+    has_density.  pdf, cdf, sf and quantile take a number or an array.  A
+    family writes each formula once, on float64 arrays: _pdf, _cdf, _sf
+    where it has an exact tail, and _quantile or a quantile of its own."""
 
     family = "abstract"
     has_density = False
@@ -34,22 +45,35 @@ class ValueDistribution:
     def support(self):
         raise NotImplementedError
 
+    def pdf(self, x):
+        return _number_or_array(self._pdf, x)
+
     def cdf(self, x):
-        raise NotImplementedError
+        return _number_or_array(self._cdf, x)
 
     def sf(self, x):
-        """Survival 1 - T(x).  Subclasses with an exact tail override this:
-        computing 1 - cdf directly loses all precision once cdf is within
-        ulp of one, which poisons virtual values on the far tail."""
-        return 1.0 - self.cdf(x)
+        """Survival 1 - T(x)."""
+        return _number_or_array(self._sf, x)
 
-    def pdf(self, x):
+    def _pdf(self, x):
         raise NotImplementedError
+
+    def _cdf(self, x):
+        raise NotImplementedError
+
+    def _sf(self, x):
+        # families with an exact tail override this: 1 - cdf loses all
+        # precision once cdf is within ulp of one, which poisons virtual
+        # values on the far tail
+        return 1.0 - self._cdf(x)
 
     def mean(self):
         raise NotImplementedError
 
     def quantile(self, u):
+        return _number_or_array(self._quantile, u)
+
+    def _quantile(self, u):
         raise NotImplementedError
 
     def sample(self, rng, size):
@@ -66,7 +90,11 @@ class ValueDistribution:
         return hi if math.isfinite(hi) else float(self.quantile(_TAIL_QUANTILE))
 
     def to_json(self):
-        raise NotImplementedError
+        """{"family": ..., "params": {...}}, the form dist_from_json reads."""
+        _, names = _FAMILIES[self.family]
+        return {"family": self.family, "params": {
+            n: _LIST_PARAMS[n][1](getattr(self, n)) if n in _LIST_PARAMS
+            else getattr(self, n) for n in names}}
 
 
 class Uniform(ValueDistribution):
@@ -83,15 +111,11 @@ class Uniform(ValueDistribution):
     def support(self):
         return (self.lo, self.hi)
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where((x >= self.lo) & (x <= self.hi), 1.0 / (self.hi - self.lo), 0.0)
-        return out if out.ndim else float(out)
+    def _pdf(self, x):
+        return np.where((x >= self.lo) & (x <= self.hi), 1.0 / (self.hi - self.lo), 0.0)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
-        return out if out.ndim else float(out)
+    def _cdf(self, x):
+        return np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
 
     def mean(self):
         return 0.5 * (self.lo + self.hi)
@@ -101,9 +125,6 @@ class Uniform(ValueDistribution):
 
     def exact_virtual_slope_cap(self):
         return 2.0
-
-    def to_json(self):
-        return {"family": "uniform", "params": {"lo": self.lo, "hi": self.hi}}
 
 
 class Exponential(ValueDistribution):
@@ -120,20 +141,14 @@ class Exponential(ValueDistribution):
     def support(self):
         return (0.0, math.inf)
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x >= 0.0, self.rate * np.exp(-self.rate * x), 0.0)
-        return out if out.ndim else float(out)
+    def _pdf(self, x):
+        return np.where(x >= 0.0, self.rate * np.exp(-self.rate * x), 0.0)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x >= 0.0, 1.0 - np.exp(-self.rate * x), 0.0)
-        return out if out.ndim else float(out)
+    def _cdf(self, x):
+        return np.where(x >= 0.0, 1.0 - np.exp(-self.rate * x), 0.0)
 
-    def sf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x >= 0.0, np.exp(-self.rate * x), 1.0)
-        return out if out.ndim else float(out)
+    def _sf(self, x):
+        return np.where(x >= 0.0, np.exp(-self.rate * x), 1.0)
 
     def mean(self):
         return 1.0 / self.rate
@@ -143,9 +158,6 @@ class Exponential(ValueDistribution):
 
     def exact_virtual_slope_cap(self):
         return 1.0
-
-    def to_json(self):
-        return {"family": "exponential", "params": {"rate": self.rate}}
 
 
 class TruncatedExponential(ValueDistribution):
@@ -163,24 +175,18 @@ class TruncatedExponential(ValueDistribution):
     def support(self):
         return (0.0, self.hi)
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where((x >= 0.0) & (x <= self.hi),
-                       self.rate * np.exp(-self.rate * x) / self._norm, 0.0)
-        return out if out.ndim else float(out)
+    def _pdf(self, x):
+        return np.where((x >= 0.0) & (x <= self.hi),
+                        self.rate * np.exp(-self.rate * x) / self._norm, 0.0)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.clip((1.0 - np.exp(-self.rate * np.clip(x, 0.0, self.hi))) / self._norm,
-                      0.0, 1.0)
-        return out if out.ndim else float(out)
+    def _cdf(self, x):
+        return np.clip((1.0 - np.exp(-self.rate * np.clip(x, 0.0, self.hi))) / self._norm,
+                       0.0, 1.0)
 
-    def sf(self, x):
-        x = np.asarray(x, dtype=float)
+    def _sf(self, x):
         out = (np.exp(-self.rate * np.clip(x, 0.0, self.hi))
                - math.exp(-self.rate * self.hi)) / self._norm
-        out = np.where(x < 0.0, 1.0, np.where(x > self.hi, 0.0, out))
-        return out if out.ndim else float(out)
+        return np.where(x < 0.0, 1.0, np.where(x > self.hi, 0.0, out))
 
     def mean(self):
         lam, h = self.rate, self.hi
@@ -194,16 +200,13 @@ class TruncatedExponential(ValueDistribution):
         # phi'(v) = 1 + exp(rate * (v - hi)), maximal at v = hi
         return 2.0
 
-    def to_json(self):
-        return {"family": "truncated_exponential",
-                "params": {"rate": self.rate, "hi": self.hi}}
-
 
 @dataclass(frozen=True)
 class Piece:
     """Density piece on [lo, hi): t(x) = const + slope*(x-lo) +
     ramp*((x-lo)/(hi-lo))**power.  Coefficients are nonnegative so the
-    piece is nondecreasing."""
+    piece is nondecreasing.  Powers go through np.power so that a number
+    and an array element round alike."""
 
     lo: float
     hi: float
@@ -224,21 +227,20 @@ class Piece:
 
     def pdf(self, x):
         u = np.asarray(x, dtype=float) - self.lo
-        frac = np.clip(u / self.width, 0.0, 1.0)
-        out = self.const + self.slope * u + self.ramp * frac ** self.power
-        return out if out.ndim else float(out)
+        frac = (u / self.width).clip(0.0, 1.0)
+        return self.const + self.slope * u + self.ramp * np.power(frac, self.power)
 
     def mass_to(self, x):
         """Integral of the density from lo to x (x inside the piece)."""
         u = np.asarray(x, dtype=float) - self.lo
-        frac = np.clip(u / self.width, 0.0, 1.0)
-        out = (self.const * u + 0.5 * self.slope * u ** 2
-               + self.ramp * self.width / (self.power + 1.0) * frac ** (self.power + 1.0))
-        return out if out.ndim else float(out)
+        frac = (u / self.width).clip(0.0, 1.0)
+        return (self.const * u + 0.5 * self.slope * (u * u)
+                + self.ramp * self.width / (self.power + 1.0)
+                * np.power(frac, self.power + 1.0))
 
     @property
     def mass(self):
-        return self.mass_to(self.hi)
+        return float(self.mass_to(self.hi))
 
     def moment(self):
         """Integral of x * t(x) over the whole piece."""
@@ -272,65 +274,51 @@ class PiecewiseDensity(ValueDistribution):
     def support(self):
         return (self.pieces[0].lo, self.pieces[-1].hi)
 
-    def _piece_index(self, x):
-        idx = np.searchsorted(self._breaks, x, side="right") - 1
-        return np.clip(idx, 0, len(self.pieces) - 1)
+    def _per_piece(self, edges, x, formula):
+        """formula(k, xs) for the elements xs of x whose piece is k: the
+        one whose [edges[k], edges[k+1]) holds them, clamped to the first
+        and last piece.  edges are the breaks in x or the cumulative
+        masses in u.  One call per piece; a single element takes its
+        piece directly."""
+        last = len(self.pieces) - 1
+        k = edges.searchsorted(x, side="right") - 1
+        if k.size == 1:
+            return formula(min(max(k.item(), 0), last), x)
+        k = k.clip(0, last)
+        out = np.empty_like(x)
+        for j in range(last + 1):
+            at = k == j
+            if at.any():
+                out[at] = formula(j, x[at])
+        return out
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
+    def _pdf(self, x):
         lo, hi = self.support
-        idx = self._piece_index(x)
-        flat_x = np.atleast_1d(x)
-        flat_i = np.atleast_1d(idx)
-        vals = np.array([self.pieces[i].pdf(v) for v, i in zip(flat_x, flat_i)])
-        vals[(flat_x < lo) | (flat_x > hi)] = 0.0
-        return vals.reshape(x.shape) if x.ndim else float(vals[0])
+        t = self._per_piece(self._breaks, x, lambda k, x: self.pieces[k].pdf(x))
+        return np.where((x < lo) | (x > hi), 0.0, t)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        lo, hi = self.support
-        idx = self._piece_index(x)
-        flat_x = np.atleast_1d(np.clip(x, lo, hi))
-        flat_i = np.atleast_1d(idx)
-        vals = np.array([self._cum[i] + self.pieces[i].mass_to(v)
-                         for v, i in zip(flat_x, flat_i)])
-        vals = np.clip(vals, 0.0, 1.0)
-        return vals.reshape(x.shape) if x.ndim else float(vals[0])
+    def _cdf(self, x):
+        cdf = self._per_piece(self._breaks, x.clip(*self.support),
+                              lambda k, x: self._cum[k] + self.pieces[k].mass_to(x))
+        return cdf.clip(0.0, 1.0)
 
     def mean(self):
         return math.fsum(p.moment() for p in self.pieces)
 
     def quantile(self, u):
-        u = np.asarray(u, dtype=float)
-        scalar = u.ndim == 0
-        u = np.atleast_1d(np.clip(u, 0.0, 1.0))
-        pidx = np.clip(np.searchsorted(self._cum, u, side="right") - 1, 0,
-                       len(self.pieces) - 1)
-        # elements sorted by piece, so that each piece's cdf is one array call
-        order = np.argsort(pidx, kind="stable")
-        pidx, u = pidx[order], u[order]
-        starts = np.searchsorted(pidx, np.arange(len(self.pieces) + 1))
-        groups = [(slice(a, b), self._cum[k], piece) for k, (piece, a, b)
-                  in enumerate(zip(self.pieces, starts, starts[1:])) if b > a]
-        lo = np.array([p.lo for p in self.pieces])[pidx]
-        hi = np.array([p.hi for p in self.pieces])[pidx]
-        cm = np.empty_like(u)
-        # bisection on the cdf inside each piece
+        return _number_or_array(
+            lambda u: self._per_piece(self._cum, u.clip(0.0, 1.0), self._invert), u)
+
+    def _invert(self, k, u):
+        """Bisection on the cdf inside piece k."""
+        piece, base = self.pieces[k], self._cum[k]
+        lo, hi = np.full_like(u, piece.lo), np.full_like(u, piece.hi)
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            for sl, base, piece in groups:
-                cm[sl] = base + piece.mass_to(mid[sl])
-            go_right = cm < u
+            go_right = base + piece.mass_to(mid) < u
             lo = np.where(go_right, mid, lo)
             hi = np.where(go_right, hi, mid)
-        out = np.empty_like(u)
-        out[order] = 0.5 * (lo + hi)
-        return float(out[0]) if scalar else out
-
-    def to_json(self):
-        return {"family": "piecewise", "params": {"pieces": [
-            {"lo": p.lo, "hi": p.hi, "const": p.const, "slope": p.slope,
-             "ramp": p.ramp, "power": p.power} for p in self.pieces]}}
+        return 0.5 * (lo + hi)
 
 
 class Empirical(ValueDistribution):
@@ -351,27 +339,20 @@ class Empirical(ValueDistribution):
     def support(self):
         return (float(self.samples[0]), float(self.samples[-1]))
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.searchsorted(self.samples, x, side="right") / self.samples.size
-        return out if out.ndim else float(out)
+    def _cdf(self, x):
+        return np.searchsorted(self.samples, x, side="right") / self.samples.size
 
     def mean(self):
         return float(self.samples.mean())
 
-    def quantile(self, u):
-        u = np.asarray(u, dtype=float)
+    def _quantile(self, u):
         idx = np.clip(np.ceil(u * self.samples.size).astype(int) - 1, 0,
                       self.samples.size - 1)
-        out = self.samples[idx]
-        return out if out.ndim else float(out)
+        return self.samples[idx]
 
     # draws through quantile like every family; the class keeps its own
     # entry because perfbench/spans.py times Empirical.sample by name
     sample = ValueDistribution.sample
-
-    def to_json(self):
-        return {"family": "empirical", "params": {"samples": self.samples.tolist()}}
 
 
 class PointMass(ValueDistribution):
@@ -385,24 +366,18 @@ class PointMass(ValueDistribution):
     def support(self):
         return (self.value, self.value)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x >= self.value, 1.0, 0.0)
-        return out if out.ndim else float(out)
+    def _cdf(self, x):
+        return np.where(x >= self.value, 1.0, 0.0)
 
     def mean(self):
         return self.value
 
-    def quantile(self, u):
-        u = np.asarray(u, dtype=float)
-        out = np.full_like(u, self.value, dtype=float)
-        return out if out.ndim else float(out)
-
-    def to_json(self):
-        return {"family": "point", "params": {"value": self.value}}
+    def _quantile(self, u):
+        return np.full_like(u, self.value)
 
 
-# family -> (constructor, its parameter names in argument order)
+# family -> (constructor, its parameter names in argument order); a
+# parameter is read and written under the attribute of the same name
 _FAMILIES = {
     "uniform": (Uniform, ("lo", "hi")),
     "exponential": (Exponential, ("rate",)),
@@ -412,12 +387,14 @@ _FAMILIES = {
     "point": (PointMass, ("value",)),
 }
 
-# the two list parameters, read element by element; every other
-# parameter is one JSON number
+# the two list parameters: (reader element by element, writer); every
+# other parameter is one JSON number
 _LIST_PARAMS = {
-    "pieces": lambda pieces: [Piece(**{k: _json_number(x, f"piece field {k!r}")
-                                       for k, x in pc.items()}) for pc in pieces],
-    "samples": lambda samples: [_json_number(x, "empirical sample") for x in samples],
+    "pieces": (lambda pieces: [Piece(**{k: _json_number(x, f"piece field {k!r}")
+                                        for k, x in pc.items()}) for pc in pieces],
+               lambda pieces: [dataclasses.asdict(p) for p in pieces]),
+    "samples": (lambda samples: [_json_number(x, "empirical sample") for x in samples],
+                lambda samples: samples.tolist()),
 }
 
 
@@ -437,26 +414,33 @@ def dist_from_json(obj) -> ValueDistribution:
         unknown = set(params) - set(names)
         if unknown:
             raise ValidationError(f"unknown {fam} parameter(s): {sorted(unknown)!r}")
-        return build(*(_LIST_PARAMS[n](params[n]) if n in _LIST_PARAMS
+        return build(*(_LIST_PARAMS[n][0](params[n]) if n in _LIST_PARAMS
                        else _json_number(params[n], f"{fam} parameter {n!r}")
                        for n in names))
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ValidationError(f"bad parameters for family {fam!r}: {exc}") from exc
 
 
-def virtual_value(dist: ValueDistribution, v) -> float:
-    """phi(v) = v - (1 - T(v)) / t(v); requires positive density at v."""
+def virtual_value(dist: ValueDistribution, v):
+    """phi(v) = v - (1 - T(v)) / t(v) for a number or an array; requires
+    positive density at every v."""
     if not dist.has_density:
         raise ValidationError(
             f"virtual value needs a density; {dist.family} has none")
-    t = dist.pdf(v)
-    if not t > 0.0:
-        raise ZeroDensity(v)
-    return float(v - dist.sf(v) / t)
+
+    def phi(v):
+        t = dist._pdf(v)
+        zero = ~(t > 0.0)
+        if zero.any():
+            raise ZeroDensity(float(v[zero][0]))
+        return v - dist._sf(v) / t
+
+    return _number_or_array(phi, v)
 
 
 def myerson_reserve(dist: ValueDistribution) -> float:
-    """Root of the virtual value, by bisection on [lo, hi].
+    """Root of the virtual value, by bisection on [lo, hi] until the
+    bracket is 1e-13 wide or two adjacent floats.
 
     Unbounded supports use the 1 - 1e-12 quantile as the finite upper
     end.  Empirical and point-mass families have no density, so their
@@ -482,9 +466,10 @@ def myerson_reserve(dist: ValueDistribution) -> float:
         raise NoRoot(f"phi({hi}) = {f_hi} < 0")
     a, b = lo, hi
     for _ in range(200):
-        if b - a <= 1e-13:
-            break
         mid = 0.5 * (a + b)
+        # once mid rounds to an end, every later step would keep a and b
+        if b - a <= 1e-13 or mid == a or mid == b:
+            break
         if phi(mid) < 0.0:
             a = mid
         else:
@@ -520,8 +505,7 @@ def mhr_bounded_derivative_check(dist: ValueDistribution,
     lo = max(dist.support[0], 0.0)
     hi = dist.grid_hi()
     grid = np.linspace(lo, hi, resolution)
-    phi = np.array([virtual_value(dist, v) for v in grid])
-    slopes = np.gradient(phi, grid)
+    slopes = np.gradient(virtual_value(dist, grid), grid)
     reserve = myerson_reserve(dist)
     min_slope = float(slopes.min())
     at_or_above = grid >= reserve - (grid[1] - grid[0])
@@ -531,14 +515,13 @@ def mhr_bounded_derivative_check(dist: ValueDistribution,
                               min_slope=min_slope)
 
 
-def induced_keyword_distribution(bayes, keyword, n_samples, rng,
-                                 advertiser=None) -> Empirical:
-    """Empirical distribution of the keyword value under the scenario's
-    valuation distributions: draw query values, apply the traffic-
-    weighted average that defines the keyword value."""
+def induced_keyword_distribution(bayes, keyword, n_samples, rng) -> Empirical:
+    """Empirical distribution of the first advertiser's keyword value
+    under the scenario's valuation distributions: draw query values,
+    apply the traffic-weighted average that defines the keyword value."""
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
-    adv = advertiser if advertiser is not None else bayes.advertisers[0]
+    adv = bayes.advertisers[0]
     nbrs = bayes.graph.keyword_neighbors(keyword)
     wts = np.array([bayes.p.mass(q) * bayes.pi.mass(q, keyword) for q in nbrs])
     total = wts.sum()

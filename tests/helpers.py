@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from bmlab.errors import TooLarge, ValidationError
+from bmlab.errors import TooLarge, ValidationError, ZeroDensity
 from bmlab.expressiveness import (EXACT_ALPHA_QUERY_CAP, EXACT_COVER_CANDIDATE_CAP,
                                   similarity)
 from bmlab.market import (
@@ -18,6 +18,17 @@ from bmlab.market import (
     SlotWeights,
     ValuationProfile,
     build_scenario,
+)
+from bmlab.reserves import (
+    Empirical,
+    Exponential,
+    Piece,
+    PiecewiseDensity,
+    PointMass,
+    TruncatedExponential,
+    Uniform,
+    ramp_then_plateau_density,
+    virtual_value,
 )
 
 
@@ -356,6 +367,69 @@ def per_draw_valuations(bayes, rng):
             for i, row in bayes.value_dists.items()}
 
 
+def random_piecewise(rng) -> PiecewiseDensity:
+    """Contiguous random pieces scaled to total mass 1."""
+    n = int(rng.integers(1, 5))
+    breaks = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 3.0, n))])
+    raw = [dict(const=float(rng.uniform(0.05, 1.0)),
+                slope=float(rng.uniform(0.0, 1.0)) * (rng.random() < 0.5),
+                ramp=float(rng.uniform(0.0, 2.0)) * (rng.random() < 0.6),
+                power=float(rng.uniform(1.0, 8.0))) for _ in range(n)]
+    total = math.fsum(Piece(float(lo), float(hi), **c).mass
+                      for lo, hi, c in zip(breaks, breaks[1:], raw))
+    return PiecewiseDensity([
+        Piece(float(lo), float(hi), const=c["const"] / total, slope=c["slope"] / total,
+              ramp=c["ramp"] / total, power=c["power"])
+        for lo, hi, c in zip(breaks, breaks[1:], raw)])
+
+
+def random_dist(rng, family):
+    """A random distribution of the family, or None for "missing"."""
+    if family == "uniform":
+        lo = float(rng.choice([0.0, 0.5, 1.0]))
+        return Uniform(lo, lo + float(rng.uniform(0.5, 4.0)))
+    if family == "exponential":
+        return Exponential(float(rng.uniform(0.2, 2.0)))
+    if family == "truncated_exponential":
+        return TruncatedExponential(float(rng.uniform(0.2, 2.0)), float(rng.uniform(1.0, 5.0)))
+    if family == "piecewise":
+        return (ramp_then_plateau_density(float(rng.uniform(0.01, 0.4)))
+                if rng.random() < 0.3 else random_piecewise(rng))
+    if family == "empirical":
+        # few distinct values, so that equal bids are common
+        return Empirical(rng.choice([0.0, 0.5, 1.0, 2.0], size=int(rng.integers(1, 6))))
+    if family == "point":
+        return PointMass(float(rng.choice([0.0, 1.0, 2.0])))
+    return None
+
+
+def _piece_of_each(dist, x):
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    idx = np.clip(np.searchsorted(dist._breaks, x, side="right") - 1, 0,
+                  len(dist.pieces) - 1)
+    return x, idx
+
+
+def scalar_piecewise_pdf(dist, x):
+    """Oracle: PiecewiseDensity pdf one element at a time through its
+    piece's pdf, zero outside the support."""
+    lo, hi = dist.support
+    x, idx = _piece_of_each(dist, x)
+    vals = np.array([dist.pieces[i].pdf(v) for v, i in zip(x, idx)], dtype=float)
+    vals[(x < lo) | (x > hi)] = 0.0
+    return vals
+
+
+def scalar_piecewise_cdf(dist, x):
+    """Oracle: PiecewiseDensity cdf one element at a time, the mass below
+    the element's piece plus the piece's mass up to it."""
+    x, idx = _piece_of_each(dist, x)
+    x = np.clip(x, *dist.support)
+    vals = np.array([dist._cum[i] + dist.pieces[i].mass_to(v) for v, i in zip(x, idx)],
+                    dtype=float)
+    return np.clip(vals, 0.0, 1.0)
+
+
 def scalar_piecewise_quantile(dist, u):
     """Oracle: PiecewiseDensity quantile by 80 bisection steps with one
     scalar cdf evaluation per element and step."""
@@ -372,6 +446,36 @@ def scalar_piecewise_quantile(dist, u):
         lo = np.where(go_right, mid, lo)
         hi = np.where(go_right, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def bisection_reserve(dist):
+    """Oracle: the Myerson reserve by bisection of [lo, grid_hi] that stops
+    only at width 1e-13 or after 200 steps.  Returns (reserve, number of
+    virtual-value evaluations)."""
+    calls = 0
+
+    def phi(v):
+        nonlocal calls
+        calls += 1
+        try:
+            return virtual_value(dist, v)
+        except ZeroDensity:
+            return -math.inf
+
+    a, b = dist.support[0], dist.grid_hi()
+    f_lo, f_hi = phi(a), phi(b)
+    if abs(f_lo) <= 1e-12:
+        return a, calls
+    assert f_lo < 0.0 and not f_hi < 0.0, "the oracle needs a sign change"
+    for _ in range(200):
+        if b - a <= 1e-13:
+            break
+        mid = 0.5 * (a + b)
+        if phi(mid) < 0.0:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b), calls
 
 
 def opponent_bids(bids, advertiser, keywords):

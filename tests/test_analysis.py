@@ -111,8 +111,6 @@ def test_bound_sbm():
     dict(c=1.0, beta=1.5),
     dict(c=1.0, beta=1.0, alpha=0.0),
     dict(c=1.0, beta=1.0, eta=0.5),
-    dict(c=1.0, beta=1.0, lam=0.0),
-    dict(c=1.0, beta=1.0, mu=-0.1),
 ])
 def test_bound_domain_errors(kwargs):
     with pytest.raises(DomainError):

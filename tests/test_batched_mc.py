@@ -33,12 +33,6 @@ from bmlab.market import (
 from bmlab.mechanisms import gsp_rank, pbm_expected_revenue_batch
 from bmlab.reserves import (
     Empirical,
-    Exponential,
-    Piece,
-    PiecewiseDensity,
-    PointMass,
-    TruncatedExponential,
-    Uniform,
     plateau_then_spike_density,
     bayes_scenario_from_json,
     ramp_then_plateau_density,
@@ -50,6 +44,8 @@ from helpers import (
     per_draw_realized_homogeneity,
     per_draw_valuations,
     per_sample_revenue_welfare_stats,
+    random_dist,
+    random_piecewise,
     scalar_homogeneity,
     scalar_piecewise_quantile,
 )
@@ -57,41 +53,6 @@ from helpers import (
 DATA = Path(__file__).parent / "data"
 FAMILIES = ("uniform", "exponential", "truncated_exponential", "piecewise",
             "empirical", "point", "missing")
-
-
-def random_piecewise(rng) -> PiecewiseDensity:
-    """Contiguous random pieces scaled to total mass 1."""
-    n = int(rng.integers(1, 5))
-    breaks = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 3.0, n))])
-    raw = [dict(const=float(rng.uniform(0.05, 1.0)),
-                slope=float(rng.uniform(0.0, 1.0)) * (rng.random() < 0.5),
-                ramp=float(rng.uniform(0.0, 2.0)) * (rng.random() < 0.6),
-                power=float(rng.uniform(1.0, 8.0))) for _ in range(n)]
-    total = math.fsum(Piece(float(lo), float(hi), **c).mass
-                      for lo, hi, c in zip(breaks, breaks[1:], raw))
-    return PiecewiseDensity([
-        Piece(float(lo), float(hi), const=c["const"] / total, slope=c["slope"] / total,
-              ramp=c["ramp"] / total, power=c["power"])
-        for lo, hi, c in zip(breaks, breaks[1:], raw)])
-
-
-def random_dist(rng, family):
-    if family == "uniform":
-        lo = float(rng.choice([0.0, 0.5, 1.0]))
-        return Uniform(lo, lo + float(rng.uniform(0.5, 4.0)))
-    if family == "exponential":
-        return Exponential(float(rng.uniform(0.2, 2.0)))
-    if family == "truncated_exponential":
-        return TruncatedExponential(float(rng.uniform(0.2, 2.0)), float(rng.uniform(1.0, 5.0)))
-    if family == "piecewise":
-        return (ramp_then_plateau_density(float(rng.uniform(0.01, 0.4)))
-                if rng.random() < 0.3 else random_piecewise(rng))
-    if family == "empirical":
-        # few distinct values, so that equal bids are common
-        return Empirical(rng.choice([0.0, 0.5, 1.0, 2.0], size=int(rng.integers(1, 6))))
-    if family == "point":
-        return PointMass(float(rng.choice([0.0, 1.0, 2.0])))
-    return None
 
 
 def random_bayes(rng) -> BayesScenario:
@@ -176,16 +137,11 @@ def test_empirical_draws_through_its_quantile():
 # ------------------------------------------------------ piecewise quantile
 
 
-def _check_quantile(dist, u, rel=4e-16):
+def _check_quantile(dist, u):
     fast = dist.quantile(u)
-    slow = scalar_piecewise_quantile(dist, u)
-    # numpy's array pow may differ from libm's scalar pow by one ulp, which
-    # can flip a late bisection step: the quantiles then differ by at most
-    # two ulps (0.07 % of 300 000 random-piece quantiles moved, none more)
-    gap = np.abs(fast - slow)
-    assert (gap <= 2.0 * np.spacing(np.abs(slow))).all()
-    if rel is not None:
-        assert (gap <= rel * np.abs(slow)).all()
+    # Piece raises to its powers through np.power, so a number rounds as an
+    # array element does and the bisections agree bit for bit
+    assert fast.tobytes() == scalar_piecewise_quantile(dist, u).tobytes()
     # the cdf at the quantile is u, up to the cdf's rise over the two
     # floats around x (near-vertical on the spike density's top piece)
     for x, ui in zip(fast, u):
@@ -206,8 +162,7 @@ def test_piecewise_quantile_on_random_pieces(seed):
     rng = np.random.default_rng(seed)
     dist = random_piecewise(rng)
     u = np.concatenate([rng.random(100), [0.0, 1.0], dist._cum])
-    # two ulps is 4.4e-16 relative at the bottom of a binade
-    _check_quantile(dist, np.clip(u, 0.0, 1.0), rel=None)
+    _check_quantile(dist, np.clip(u, 0.0, 1.0))
 
 
 def test_piecewise_quantile_keeps_scalars_and_order():

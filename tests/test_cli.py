@@ -20,6 +20,7 @@ SCENARIO = str(DATA / "scenario_2x2.json")
 BIDS = str(DATA / "bids_2x2.json")
 BAYES = str(DATA / "bayes_1x1.json")
 BAYES_3X3 = str(DATA / "bayes_3x3.json")
+BAYES_COUNTEREXAMPLE = str(DATA / "bayes_counterexample.json")
 CORPUS = str(DATA / "corpus")
 GOLDEN = DATA / "golden"
 
@@ -108,6 +109,20 @@ def test_revenue_matches_golden(tmp_path):
         (GOLDEN / "revenue.csv").read_bytes()
     assert (tmp_path / "reserves.json").read_bytes() == \
         (GOLDEN / "reserves.json").read_bytes()
+
+
+def test_revenue_matches_golden_on_piecewise_densities(tmp_path):
+    """counterexample_scenario(0.05, 2e-4, 11) serialized: piecewise pdf,
+    sf and quantile, phi on the MHR grid (eta) and the reserves from the
+    induced distributions.  satisfied=true here is the known defect of
+    the truthful strategy ignoring reserves, not a verdict."""
+    code = run("revenue", "--scenario", BAYES_COUNTEREXAMPLE, "--samples", 300,
+               "--out", tmp_path)
+    assert code == 0
+    assert (tmp_path / "revenue.csv").read_bytes() == \
+        (GOLDEN / "revenue_piecewise.csv").read_bytes()
+    assert (tmp_path / "reserves.json").read_bytes() == \
+        (GOLDEN / "reserves_piecewise.json").read_bytes()
 
 
 def test_counterexample_matches_golden(tmp_path):
@@ -331,6 +346,18 @@ def test_json_string_or_boolean_for_a_number_exits_2(tmp_path, capsys, role, edi
             "bayes": ("revenue", "--scenario", bad, "--samples", 10)}[role]
     assert run(*argv, "--out", tmp_path / "out") == 2
     assert f"non-numeric {field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source, edit, argv, field", [
+    pytest.param(BAYES, lambda o: o["value_dists"]["a"]["q"]["params"].update(hi=10 ** 400),
+                 ("revenue", "--samples", 10), "uniform parameter 'hi'", id="bayes-uniform-hi"),
+    pytest.param(SCENARIO, lambda o: o.update(kappa=10 ** 400), ("equilibrium",), "kappa",
+                 id="scenario-kappa"),
+])
+def test_json_integer_beyond_float_range_exits_2(tmp_path, capsys, source, edit, argv, field):
+    bad = _edited(tmp_path, source, edit)
+    assert run(*argv, "--scenario", bad, "--out", tmp_path / "out") == 2
+    assert f"{field} is an integer too large for a float" in capsys.readouterr().err
 
 
 def test_malformed_scenario_names_offending_key(tmp_path, capsys):

@@ -23,6 +23,14 @@ from bmlab.reserves import (
     virtual_value,
 )
 
+from helpers import (
+    bisection_reserve,
+    random_dist,
+    random_piecewise,
+    scalar_piecewise_cdf,
+    scalar_piecewise_pdf,
+)
+
 ALL_ANALYTIC = [
     Uniform(0.0, 1.0),
     Uniform(2.0, 4.0),
@@ -195,6 +203,90 @@ def test_spike_reserve_between_checkpoints():
     assert 2.0 ** m - eps < r < 2.0 ** m - eps / 2
 
 
+def test_myerson_stops_at_adjacent_floats(monkeypatch):
+    """Bisection that stops once the bracket is two adjacent floats finds
+    the reserve the 200-step bisection finds, in fewer evaluations on the
+    spike (whose float spacing near 2**m exceeds the 1e-13 width stop)."""
+    import bmlab.reserves
+
+    calls = 0
+
+    def counted(dist, v):
+        nonlocal calls
+        calls += 1
+        return virtual_value(dist, v)
+
+    monkeypatch.setattr(bmlab.reserves, "virtual_value", counted)
+    spikes = [plateau_then_spike_density(1e-5, m) for m in (11, 20, 32, 35)]
+    for dist in ALL_ANALYTIC + [ramp_then_plateau_density(0.01)] + spikes:
+        want, oracle_calls = bisection_reserve(dist)
+        calls = 0
+        assert myerson_reserve(dist) == want
+        assert calls <= oracle_calls
+    # the last spike's count: 2 ends plus one halving per float bit
+    assert (calls, oracle_calls) == (55, 202)
+
+
+def _points(dist):
+    """Support ends, piece breaks and their float neighbours, points
+    outside the support and random points inside it."""
+    lo, hi = dist.support
+    top = dist.grid_hi()
+    pts = [lo, hi, top, lo - 1.0, top + 1.0]
+    pts += list(getattr(dist, "_breaks", []))
+    pts += list(getattr(dist, "samples", []))
+    pts = np.array([p for p in pts if math.isfinite(p)])
+    near = np.concatenate([np.nextafter(pts, -math.inf), np.nextafter(pts, math.inf)])
+    inside = lo + (top - lo) * np.random.default_rng(0).random(50)
+    return np.concatenate([pts, near, inside])
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _check_array_is_per_number(dist):
+    xs = _points(dist)
+    methods = [dist.cdf, dist.sf] + ([dist.pdf] if dist.has_density else [])
+    for method in methods:
+        each = [method(float(x)) for x in xs]
+        assert all(type(y) is float for y in each)
+        assert _bits(method(xs)) == _bits(each)
+        assert _bits(method(xs.reshape(1, -1))) == _bits(each)
+    if dist.has_density:
+        xs = xs[dist.pdf(xs) > 0.0]
+        each = [virtual_value(dist, float(x)) for x in xs]
+        assert all(type(y) is float for y in each)
+        assert _bits(virtual_value(dist, xs)) == _bits(each)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       family=st.sampled_from(["uniform", "exponential", "truncated_exponential",
+                               "piecewise", "empirical", "point"]))
+def test_array_evaluation_is_the_per_number_evaluation(seed, family):
+    """pdf, cdf, sf and virtual_value on an array give, bit for bit, what
+    each number gives on its own, and a number gives a Python float."""
+    _check_array_is_per_number(random_dist(np.random.default_rng(seed), family))
+
+
+@pytest.mark.parametrize("dist", [ramp_then_plateau_density(0.05),
+                                  plateau_then_spike_density(2e-4, 11),
+                                  plateau_then_spike_density(1e-5, 35),
+                                  random_piecewise(np.random.default_rng(7))],
+                         ids=["ramp", "spike-11", "spike-35", "random"])
+def test_piecewise_evaluation_matches_numbers_and_the_per_element_oracles(dist):
+    _check_array_is_per_number(dist)
+    xs = _points(dist)
+    assert _bits(dist.pdf(xs)) == _bits(scalar_piecewise_pdf(dist, xs))
+    assert _bits(dist.cdf(xs)) == _bits(scalar_piecewise_cdf(dist, xs))
+
+
+def test_virtual_value_on_an_array_names_a_zero_density_point():
+    with pytest.raises(ZeroDensity, match="5.0"):
+        virtual_value(Uniform(2.0, 4.0), np.array([3.0, 5.0, 1.0]))
+
+
 @given(seed=st.integers(0, 100_000))
 @settings(max_examples=30, deadline=None)
 def test_quantile_sampling_matches_cdf(seed):
@@ -254,11 +346,13 @@ def test_induced_point_mass_reduction():
 
 
 def test_dist_json_roundtrip():
-    for d in ALL_ANALYTIC + [Empirical([1.0, 2.0]), PointMass(3.0)]:
+    for d in ALL_ANALYTIC + [plateau_then_spike_density(1e-5, 11),
+                             Empirical([2.0, 1.0, 2.0]), PointMass(3.0)]:
         d2 = dist_from_json(d.to_json())
         assert d2.family == d.family
         assert d2.support == pytest.approx(d.support)
         assert d2.mean() == pytest.approx(d.mean(), rel=1e-12)
+        assert d2.to_json() == d.to_json()
 
 
 def test_dist_json_rejects_unknown():
