@@ -9,15 +9,22 @@ default); off-grid deviations are covered by the continuity slack
 
 Utilities are separable across keywords (u_i = sum_s u_i^s), which the
 best-response search exploits: each keyword is optimized independently
-and the top-kappa keywords by achieved utility are kept.  Best response,
-the regret check and best-response dynamics share one pricing function:
-a run lays out every advertiser's menus once as flat bid vectors (with
-each entry's keyword column, mass and value) and mirrors the profile in
-a dense (advertiser, keyword) array, whose row is rewritten whenever the
-dynamics write a row.  A group of advertisers' menus and current rows is
-priced in one kernel call against that array; the sweep prices one
-advertiser at a time, the regret check all of them, in groups whose
-opponent matrix stays within _GROUP_CELLS cells.  The pure-Nash
+and the top-kappa keywords by achieved utility are kept.  That keyword
+selection works on padded menus (_best_bids, _rank_keywords) and is the
+one that best response and the Bayes-Nash regret estimate share.  Best
+response, the regret check and best-response dynamics share one pricing
+function: a run lays out every advertiser's menus once, with the
+starting profile's positive bids off those menus, and mirrors the
+profile in a dense (advertiser, keyword) array, whose row is rewritten
+whenever the dynamics write a row.  A group of advertisers' static
+arrays (flat bids with each entry's keyword column, mass and value, and
+the padded menus) are built on the group's first call and priced in one
+kernel call against that array; a current row's utility is looked up by
+(keyword, bid).  The sweep prices one advertiser at a time, the regret
+check all of them, in groups whose opponent matrix stays within
+_GROUP_CELLS cells.  The regret estimate prices every sampled type's
+deviation menus at once, in calls of at most _REGRET_CELLS cells, and
+refuses a menu of more than _MAX_MENU bids.  The pure-Nash
 enumerator builds per-advertiser strategy arrays and scans the joint
 grid (one axis per advertiser) in bounded chunks of advertiser 0's rows,
 in two passes: the first finds advertiser 0's best responses, the second
@@ -95,20 +102,25 @@ def bid_menu(scenario: Scenario, grid: BidGrid, advertiser, keyword,
     return tuple(sorted({0.0, v, *pts}))
 
 
-def _select_keywords(menus, utilities, kappa):
-    """Best-response selection: on each keyword's sorted menu the lowest
-    bid of maximal utility (bid 0 when nothing gains; utilities[s] holds
-    the menu's utilities in order), keywords ranked by (-utility, keyword).
-    Returns the ranked (u, s, b) list and its top-kappa positive entries."""
-    ranked = []
-    for s, menu in menus.items():
-        best_u, best_b = 0.0, 0.0
-        for b, u in zip(menu, utilities[s]):
-            if u > best_u:           # strict: keeps the lowest maximizing bid
-                best_u, best_b = u, b
-        ranked.append((best_u, s, best_b))
-    ranked.sort(key=lambda usb: (-usb[0], usb[1]))
-    return ranked, [usb for usb in ranked[:kappa] if usb[0] > 0.0]
+def _best_bids(menus, utilities):
+    """The best bid of each sorted menu on the last axis of menus, whose
+    mean utilities are utilities: the first maximum if it is > 0,
+    otherwise (0.0, bid 0).  Pads of bid 0 at utility 0 change nothing.
+    Returns (utility, bid) arrays without the last axis."""
+    shape, width = utilities.shape[:-1], utilities.shape[-1]
+    utilities, menus = utilities.reshape(-1, width), menus.reshape(-1, width)
+    at = np.arange(len(utilities)), utilities.argmax(axis=1)
+    u = utilities[at]
+    gain = u > 0.0
+    return np.where(gain, u, 0.0).reshape(shape), np.where(gain, menus[at], 0.0).reshape(shape)
+
+
+def _rank_keywords(u, kappa):
+    """Per row of the best utilities u (rows, keywords in name order): the
+    keywords ranked by (-utility, keyword) and how many of the ranking's
+    head are kept, the top kappa of positive utility."""
+    return (np.argsort(-u, axis=-1, kind="stable"),
+            np.minimum((u > 0.0).sum(axis=-1), kappa))
 
 
 # ------------------------------------------------------------ best response
@@ -151,13 +163,17 @@ _GROUP_CELLS = 1 << 16
 
 class _Layout:
     """The pricing layout of one run over {advertiser: _pool_menus} for
-    some of a scenario's advertisers: per advertiser index, its flat
-    menu-bid vector and each entry's keyword column, mass and value, and
-    the slot weights of positions 0..n, all built once.  A profile is
-    priced through its dense (advertiser, keyword) mirror."""
+    some of a scenario's advertisers and the run's starting profile bids:
+    per advertiser index, its (keyword, bid) menu entries and the
+    profile's positive bids off those menus, and the slot weights of
+    positions 0..n, all built once.  The rows a run prices are the
+    profile's or built from menus, so every positive bid of them is an
+    entry.  A group of advertisers' static arrays (group) are built on
+    first use; a profile is priced through its dense (advertiser,
+    keyword) mirror."""
 
-    def __init__(self, scenario, menus):
-        self.scenario, self.menus = scenario, menus
+    def __init__(self, scenario, menus, bids):
+        self.scenario = scenario
         advs, keywords = scenario.advertisers, scenario.graph.keywords
         self.col = {s: k for k, s in enumerate(keywords)}
         self.mass = np.array([scenario.kw_masses[s] for s in keywords])
@@ -165,12 +181,43 @@ class _Layout:
                                for i in advs]).reshape(len(advs), len(keywords))
         self.ids = np.arange(len(advs))
         self.w_padded = np.array([scenario.weights.weight(k) for k in range(len(advs) + 1)])
-        self.entries = {}   # advertiser index -> (bids, columns, masses, values, index)
+        # padded menus: (keyword, entry) blocks, keywords in name order
+        self.shape = (max(map(len, menus.values()), default=0),
+                      max((len(menu) for m in menus.values() for menu in m.values()), default=1))
+        self.entries = {}   # advertiser index -> (menu entries, off-menu bids, slots, keywords)
         for i, m in menus.items():
-            a = advs.index(i)
-            at = np.array([self.col[s] for s, menu in m.items() for _ in menu], dtype=np.intp)
-            self.entries[a] = (np.array([b for menu in m.values() for b in menu]), at,
-                               self.mass[at], self.value[a, at], np.full(len(at), a))
+            self.entries[advs.index(i)] = (
+                [(s, b) for s, menu in m.items() for b in menu],
+                [(s, b) for s, b in bids.get(i, {}).items() if b > 0.0 and b not in m.get(s, ())],
+                [k * self.shape[1] + j for k, menu in enumerate(m.values())
+                 for j in range(len(menu))],
+                list(m))
+        self._groups = {}
+
+    def group(self, group):
+        """The static arrays of a group of advertiser indices: the flat
+        own-bid vector (the group's menu entries, then its off-menu bids)
+        with each entry's keyword column, mass, value and advertiser index,
+        the menu entries' slots in the group's padded menus and those
+        menus, and per advertiser {(keyword, bid): entry}."""
+        key = tuple(group)
+        if key not in self._groups:
+            parts = [self.entries[a] for a in group]
+            pairs = [(g, sb) for k in (0, 1) for g, part in enumerate(parts) for sb in part[k]]
+            lookups = [{} for _ in group]
+            for e, (g, sb) in enumerate(pairs):
+                lookups[g][sb] = e
+            who = np.array([group[g] for g, _ in pairs], dtype=np.intp)
+            at = np.array([self.col[s] for _, (s, _) in pairs], dtype=np.intp)
+            own = np.array([b for _, (_, b) in pairs])
+            size = self.shape[0] * self.shape[1]
+            slots = np.array([g * size + x for g, part in enumerate(parts) for x in part[2]],
+                             dtype=np.intp)
+            menus = np.zeros(len(group) * size)
+            menus[slots] = own[:len(slots)]
+            self._groups[key] = (own, at, self.mass[at], self.value[who, at], who, slots,
+                                 menus.reshape(len(group), *self.shape), lookups)
+        return self._groups[key]
 
     def mirror(self, bids):
         """The (advertiser, keyword) array of a profile; bids on keywords
@@ -191,33 +238,33 @@ class _Layout:
 def _respond(layout, bids, dense, group):
     """[(best row, its utility, utility of the current row)] of each
     advertiser index in group, against the opponents' bids of a finite
-    profile and its mirror dense.  The group's menus, then the positive
-    bids of its current rows, form one flat own-bid vector, priced in one
-    gsp_outcome call against each entry's keyword column of the mirror
-    with the entry's own advertiser zeroed: a zero bid neither outranks a
-    positive bid nor raises its price."""
-    advs, col = layout.scenario.advertisers, layout.col
-    rows = [[(s, b) for s, b in bids.get(advs[a], {}).items() if b > 0.0] for a in group]
-    cur_who = np.array([a for a, row in zip(group, rows) for _ in row], dtype=np.intp)
-    cur_at = np.array([col[s] for row in rows for s, _ in row], dtype=np.intp)
-    own, at, mass, value, who = (np.concatenate(x) for x in zip(
-        *(layout.entries[a] for a in group),
-        (np.array([b for row in rows for _, b in row]), cur_at, layout.mass[cur_at],
-         layout.value[cur_who, cur_at], cur_who)))
+    profile and its mirror dense.  The group's static own-bid vector is
+    priced in one gsp_outcome call against each entry's keyword column of
+    the mirror with the entry's own advertiser zeroed: a zero bid neither
+    outranks a positive bid nor raises its price.  The menu utilities go
+    into the padded menus for the keyword selection; a current row's
+    utilities are looked up by (keyword, bid)."""
+    own, at, mass, value, who, slots, menus, lookups = layout.group(group)
     opp = dense.T[at]                               # (entry, advertiser)
     opp[np.arange(len(at)), who] = 0.0
     slot_w, active, price, _ = gsp_outcome(own, who[:, None], opp, layout.ids,
                                            layout.w_padded)
-    util = np.where(active, mass * slot_w * (value - price), 0.0).tolist()
-    out, lo, hi = [], 0, len(util) - len(cur_at)    # menus in util[:hi], rows after
-    for a, row in zip(group, rows):
-        menus, utilities = layout.menus[advs[a]], {}
-        for s, menu in menus.items():
-            utilities[s], lo = util[lo:lo + len(menu)], lo + len(menu)
-        _, kept = _select_keywords(menus, utilities, layout.scenario.kappa)
-        out.append(({s: b for _, s, b in kept}, sum(u for u, _, _ in kept),
-                    sum(util[hi:hi + len(row)], 0.0)))
-        hi += len(row)
+    util = np.where(active, mass * slot_w * (value - price), 0.0)
+    padded = np.zeros(menus.size)
+    padded[slots] = util[:len(slots)]
+    u, b = _best_bids(menus, padded.reshape(menus.shape))
+    order, kept = _rank_keywords(u, layout.scenario.kappa)
+    advs = layout.scenario.advertisers
+    rows = [[lookups[g][sb] for sb in bids.get(advs[a], {}).items() if sb[1] > 0.0]
+            for g, a in enumerate(group)]
+    current = util[np.array([e for row in rows for e in row], dtype=np.intp)].tolist()
+    u, b, order, kept = (x.tolist() for x in (u, b, order, kept))
+    out, lo = [], 0
+    for g, a in enumerate(group):
+        names, top = layout.entries[a][3], order[g][:kept[g]]
+        out.append(({names[k]: b[g][k] for k in top}, sum(u[g][k] for k in top),
+                    sum(current[lo:lo + len(rows[g])], 0.0)))
+        lo += len(rows[g])
     return out
 
 
@@ -232,7 +279,7 @@ def best_response(scenario: Scenario, bids, advertiser, grid: BidGrid,
     """
     menus = _pool_menus(scenario, grid, advertiser, conservative)
     require_finite_profile(bids)      # a NaN bid would silently never outrank
-    layout = _Layout(scenario, {advertiser: menus})
+    layout = _Layout(scenario, {advertiser: menus}, bids)
     [(row, best, _)] = _respond(layout, bids, layout.mirror(bids),
                                 [scenario.advertisers.index(advertiser)])
     return row, best
@@ -268,7 +315,7 @@ class EquilibriumReport:
 def verify_epsilon_nash(scenario: Scenario, bids, grid: BidGrid,
                         conservative=False) -> dict:
     """Per-advertiser regret of a profile against grid deviations."""
-    layout = _Layout(scenario, _all_pool_menus(scenario, bids, grid, conservative))
+    layout = _Layout(scenario, _all_pool_menus(scenario, bids, grid, conservative), bids)
     return _regrets(layout, bids, layout.mirror(bids))
 
 
@@ -303,10 +350,11 @@ def best_response_dynamics(scenario: Scenario, initial, grid: BidGrid,
     if max_iters < 0:
         raise ValidationError(f"max_iters must be >= 0, got {max_iters}")
     profile = {i: dict(initial.get(i, {})) for i in scenario.advertisers}
-    # the menus, and so the layout, depend only on (advertiser, keyword), so
-    # they are built once; every row a best response writes is finite, so one
-    # check suffices
-    layout = _Layout(scenario, _all_pool_menus(scenario, profile, grid, conservative))
+    # the menus depend only on (advertiser, keyword), so they and the layout
+    # (with the initial profile's off-menu bids) are built once; every row a
+    # best response writes is finite and on the menus, so one check suffices
+    layout = _Layout(scenario, _all_pool_menus(scenario, profile, grid, conservative),
+                     profile)
     dense = layout.mirror(profile)
     regrets = _regrets(layout, profile, dense)
     converged = False
@@ -587,6 +635,67 @@ class RegretEstimate:
     per_type: tuple = field(repr=False, default=())
 
 
+# Cells (draws x opponents x own bids) of one pricing call of the regret
+# estimate; a deviation menu larger than one call is priced in slices.
+# The kernel's masks and their copies, the price and utility arrays peak
+# at about 25 bytes per cell with two opponents (tracemalloc), so a call
+# stays near 0.4 MB.
+_REGRET_CELLS = 1 << 14
+# Deviation-menu length cap.  A menu too wide for one call is built and
+# sorted whole, which sets the estimate's peak: 49 bytes per bid
+# (tracemalloc, 49 MB at 2^20 bids).  Pricing it costs bids x draws x
+# opponents cells, about 1.6 s per 2^20-bid menu at 16 draws and one
+# opponent on a 2-core VM.
+_MAX_MENU = 1 << 20
+
+
+def _deviation_winners(grid, played, opp, mass, value, a, others, w_padded, delta):
+    """Per (type, keyword) row: the best deviation's utility on the row's
+    menu and the played bid's utility, each a mean over the draws.  A
+    row has grid[r] grid points k * delta, its played bid, keyword mass
+    and keyword value, and opp[r] (draw, opponent) holds the opponents'
+    bids.  Its menu is the grid plus 0, the value and the played bid,
+    sorted and padded with bid 0 to the widest menu of its call.  Rows
+    are priced by width, several to one gsp_outcome call of at most
+    _REGRET_CELLS cells, with the played bid as a last column; a row too
+    wide for a call alone is priced in slices of its menu, whose best
+    bids are then selected as a menu of their own."""
+    rows, draws = len(grid), opp.shape[1]
+    room = max(2, _REGRET_CELLS // (draws * max(1, len(others))))  # own bids per call
+    best, u_played = np.empty(rows), np.empty(rows)
+
+    def menus(idx):
+        k = np.arange(grid[idx].max(initial=0))
+        points = np.where(k < grid[idx, None], k * delta, 0.0)
+        return np.sort(np.concatenate([points, np.zeros((len(idx), 1)), value[idx, None],
+                                       played[idx, None]], axis=1), axis=1)
+
+    def evaluate(idx, menu):
+        own = np.concatenate([menu, played[idx, None]], axis=1)
+        slot_w, active, price, _ = gsp_outcome(own, a, opp[idx].transpose(1, 0, 2)[:, :, None],
+                                               others, w_padded)
+        util = np.where(active, mass[idx, None] * slot_w * (value[idx, None] - price), 0.0)
+        mean = sum(util) / draws      # builtin sum: the draws added in draw order
+        return (*_best_bids(menu, mean[:, :-1]), mean[:, -1])
+
+    by_width = np.argsort(grid, kind="stable")
+    width = grid[by_width] + 4      # grid, 0, value, played, the played column
+    lo = 0
+    while lo < rows:
+        fit = int(np.searchsorted(np.arange(1, rows - lo + 1) * width[lo:], room, "right"))
+        idx = by_width[lo:lo + max(fit, 1)]
+        if fit:
+            best[idx], _, u_played[idx] = evaluate(idx, menus(idx))
+        else:
+            menu = menus(idx)
+            u, b, played_u = zip(*(evaluate(idx, menu[:, j:j + room - 1])
+                                   for j in range(0, menu.shape[1], room - 1)))
+            best[idx] = _best_bids(np.stack(b, -1), np.stack(u, -1))[0]
+            u_played[idx] = played_u[0]
+        lo += len(idx)
+    return best, u_played
+
+
 def estimate_bne_regret(bayes: BayesScenario, strategy: Callable, n_types: int,
                         deviation_delta: float, rng,
                         n_opponent_draws: int = 32) -> dict:
@@ -596,13 +705,17 @@ def estimate_bne_regret(bayes: BayesScenario, strategy: Callable, n_types: int,
     For each advertiser and each sampled own type, opponents' types are
     redrawn n_opponent_draws times (common random numbers across all
     candidate deviations); the deviation menu per keyword is the grid
-    {0, delta, ...} capped at the realized keyword value plus the exact
-    truthful point, and the reported regret is the estimated gain of
-    the best deviation over the strategy's own play, averaged over
-    types, with its standard error.  Each advertiser's profiles come from
-    one sample_values call, a type's own profile followed by its
-    opponent profiles, and are bid in one strategy call.  A keyword's
-    menu meets all the opponent draws in one gsp_outcome.
+    {0, delta, ...} capped at the realized keyword value plus 0, the exact
+    truthful point and the played bid, and the reported regret is the
+    estimated gain of the best deviation over the strategy's own play,
+    averaged over types, with its standard error.  Each advertiser's
+    profiles come from one sample_values call, a type's own profile
+    followed by its opponent profiles, and are bid in one strategy call.
+    Every type's menus are priced at once (_deviation_winners): padded
+    menu rows, several to one gsp_outcome call of at most _REGRET_CELLS
+    cells, the draws' utilities added in draw order.  The keyword
+    selection is best response's (_best_bids, _rank_keywords).  A menu of
+    more than _MAX_MENU bids raises TooLarge before any menu is built.
     """
     if n_types < 1:
         raise ValidationError("n_types must be >= 1")
@@ -612,37 +725,37 @@ def estimate_bne_regret(bayes: BayesScenario, strategy: Callable, n_types: int,
     if n_opponent_draws < 1:
         raise ValidationError("n_opponent_draws must be >= 1")
     advertisers, keywords = bayes.advertisers, bayes.graph.keywords
+    n_adv, n_kw = len(advertisers), len(keywords)
+    by_name = sorted(range(n_kw), key=keywords.__getitem__)     # keyword columns in name order
     rows = 1 + n_opponent_draws      # a type's own profile, then its opponents'
-    w_padded = np.array([bayes.weights.weight(k) for k in range(len(advertisers) + 1)])
+    mass = np.tile(np.array([bayes.kw_masses[keywords[k]] for k in by_name]), n_types)
+    w_padded = np.array([bayes.weights.weight(k) for k in range(n_adv + 1)])
     out = {}
     for a, i in enumerate(advertisers):
-        others = np.delete(np.arange(len(advertisers)), a)
-        priced = slice(None if len(others) else 1)     # no opponents: every draw alike
+        others = np.delete(np.arange(n_adv), a)
         draws = bayes.sample_values(rng, n_types * rows)
         bids = strategy(draws)
         require_finite_bid_tensor(bayes, bids)
-        own_values = keyword_value_tensor(bayes, draws[::rows, a]).tolist()
-        gaps = []
-        for t in range(n_types):
-            values = dict(zip(keywords, own_values[t]))
-            played = dict(zip(keywords, bids[t * rows, a].tolist()))
-            opp_bids = bids[t * rows + 1:(t + 1) * rows]
-            grid = BidGrid(deviation_delta, values)
-            menus = {s: sorted({*grid.points(s), 0.0, v, played[s]})
-                     for s, v in values.items()}
-            utilities = {}      # keyword -> mean utility of each menu bid over the draws
-            for k, (s, menu) in enumerate(menus.items()):
-                slot_w, active, price, _ = gsp_outcome(np.array(menu)[:, None], a,
-                                                       opp_bids[priced, others, k], others,
-                                                       w_padded)
-                util = np.where(active, bayes.kw_masses[s] * slot_w * (values[s] - price), 0.0)
-                # builtin sum: the draws' columns added in order (ndarray.sum pairs them)
-                utilities[s] = (sum(np.broadcast_to(util, (len(menu), n_opponent_draws)).T)
-                                / n_opponent_draws).tolist()
-            ranked, kept = _select_keywords(menus, utilities, bayes.kappa)
-            best_total = sum(u for u, _, _ in kept)
-            played_total = sum(utilities[s][menus[s].index(played[s])] for _, s, _ in ranked)
-            gaps.append(max(0.0, best_total - played_total))
+        # one row per (type, keyword), keywords in name order
+        value = keyword_value_tensor(bayes, draws[::rows, a])[:, by_name].ravel()
+        grid = np.maximum(np.floor(value / deviation_delta + 1e-9) + 1.0, 0.0)
+        if grid.max(initial=0.0) + 3 > _MAX_MENU:
+            r = int(grid.argmax())
+            raise TooLarge(f"advertiser {i!r} has a deviation menu of {grid[r] + 3:.0f} bids "
+                           f"on keyword {keywords[by_name[r % n_kw]]!r} at delta "
+                           f"{deviation_delta:g} (cap {_MAX_MENU})")
+        bids = bids.reshape(n_types, rows, n_adv, n_kw)[..., by_name]
+        opp = bids[:, 1:, others].transpose(0, 3, 1, 2).reshape(n_types * n_kw,
+                                                                 n_opponent_draws, len(others))
+        u, u_played = _deviation_winners(grid.astype(np.intp), bids[:, 0, a].ravel(), opp,
+                                            mass, value, a, others, w_padded, deviation_delta)
+        u, u_played = u.reshape(n_types, n_kw), u_played.reshape(n_types, n_kw)
+        order, kept = _rank_keywords(u, bayes.kappa)
+        # builtin sums in ranked order: the best kept utilities, the played ones
+        gaps = [max(0.0, sum(best[:k]) - sum(own))
+                for best, own, k in zip(np.take_along_axis(u, order, 1).tolist(),
+                                        np.take_along_axis(u_played, order, 1).tolist(),
+                                        kept.tolist())]
         arr = np.asarray(gaps)
         out[i] = RegretEstimate(mean=float(arr.mean()),
                                 stderr=float(arr.std(ddof=1) / math.sqrt(n_types))

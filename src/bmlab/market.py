@@ -79,9 +79,6 @@ class BipartiteGraph:
     def keyword_neighbors(self, s):
         return self._s_nbrs[s]
 
-    def has_edge(self, q, s):
-        return (q, s) in self.edges
-
     def keywords_meeting(self, queries):
         """Keywords whose neighborhood meets the query set, in declared order."""
         queries = frozenset(queries)

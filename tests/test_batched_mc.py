@@ -18,6 +18,7 @@ from bmlab.analysis import (
     revenue_welfare_stats,
 )
 from bmlab.cli import _realized_homogeneity
+from bmlab import equilibrium
 from bmlab.equilibrium import estimate_bne_regret, truthful_keyword_strategy
 from bmlab.errors import ValidationError
 from bmlab.market import (
@@ -30,9 +31,11 @@ from bmlab.market import (
     ValuationProfile,
     keyword_value_tensor,
 )
-from bmlab.mechanisms import gsp_rank, pbm_expected_revenue_batch
+from bmlab.mechanisms import gsp_outcome, gsp_rank, pbm_expected_revenue_batch
 from bmlab.reserves import (
     Empirical,
+    PointMass,
+    Uniform,
     plateau_then_spike_density,
     bayes_scenario_from_json,
     ramp_then_plateau_density,
@@ -278,42 +281,97 @@ def below_and_at_zero(bayes):
     return strategy
 
 
+def overbid(bayes):
+    """Every keyword at 1.25 times its value plus 0.5, ignoring kappa: a
+    played bid above the value, on zero-value keywords too."""
+    return lambda values: 1.25 * keyword_value_tensor(bayes, values) + 0.5
+
+
+def grid_point_bayes() -> BayesScenario:
+    """Values on the grid points of delta 0.25 and 0.5 (point masses tied
+    between advertisers, an empirical draw), so the truthful bid repeats a
+    grid point, and a keyword advertiser c values at 0 (menu {0})."""
+    graph = BipartiteGraph(["q1", "q2", "q3"], ["s1", "s2"],
+                           [("q1", "s1"), ("q2", "s2"), ("q3", "s2")])
+    dists = {"a": {"q1": PointMass(1.0), "q2": Empirical([0.5, 1.5]), "q3": PointMass(1.5)},
+             "b": {"q1": PointMass(1.0), "q2": Uniform(0.0, 2.0), "q3": PointMass(0.5)},
+             "c": {"q1": Empirical([0.0, 0.5, 2.0])}}
+    return BayesScenario(graph, QueryDistribution({"q1": 0.5, "q2": 0.25, "q3": 0.25}),
+                         MatchingPolicy({"q1": {"s1": 1.0}, "q2": {"s2": 1.0},
+                                         "q3": {"s2": 1.0}}),
+                         SlotWeights([1.0, 0.5]), 1, dists)
+
+
+# _REGRET_CELLS settings: every menu sliced to one bid per call (the played
+# bid rides along as a second column); at most one menu per call, as a
+# menu holds 5 bids at least and a call 9; and the default
+CELLS = ("slices", "one menu", "default")
+
+
+def regret_cells(mp, cells, bayes, draws):
+    """Set _REGRET_CELLS on the monkeypatch mp for the CELLS setting."""
+    per_bid = draws * max(1, len(bayes.advertisers) - 1)
+    if cells != "default":
+        mp.setattr(equilibrium, "_REGRET_CELLS", per_bid * (2 if cells == "slices" else 9))
+
+
+def hex_estimates(estimates):
+    return {i: (e.mean.hex(), e.stderr.hex(), e.n_types, [x.hex() for x in e.per_type])
+            for i, e in estimates.items()}
+
+
+def assert_regret_equals_the_loop(bayes, strategy, cells, n_types, delta, seed, draws):
+    with pytest.MonkeyPatch.context() as mp:
+        regret_cells(mp, cells, bayes, draws)
+        got = estimate_bne_regret(bayes, strategy, n_types, delta,
+                                  np.random.default_rng(seed), n_opponent_draws=draws)
+    want = per_draw_bne_regret(bayes, strategy, n_types, delta,
+                               np.random.default_rng(seed), n_opponent_draws=draws)
+    assert hex_estimates(got) == hex_estimates(want)
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_types=st.integers(1, 4),
-       draws=st.integers(1, 4), delta=st.sampled_from([0.1, 0.25, 0.5, 1.0]))
-def test_bne_regret_equals_the_per_draw_loop(seed, n_types, draws, delta):
+       draws=st.integers(1, 4), delta=st.sampled_from([0.1, 0.25, 0.5, 1.0]),
+       cells=st.sampled_from(CELLS))
+def test_bne_regret_equals_the_per_draw_loop(seed, n_types, draws, delta, cells):
     bayes = random_bayes(np.random.default_rng(seed))
-    truthful = truthful_keyword_strategy(bayes)
-    for strategy in (truthful, below_and_at_zero(bayes)):
-        got = estimate_bne_regret(bayes, strategy, n_types, delta,
-                                  np.random.default_rng(seed + 1), n_opponent_draws=draws)
-        want = per_draw_bne_regret(bayes, strategy, n_types, delta,
-                                   np.random.default_rng(seed + 1), n_opponent_draws=draws)
-        assert got == want
+    for strategy in (truthful_keyword_strategy(bayes), below_and_at_zero(bayes),
+                     overbid(bayes)):
+        assert_regret_equals_the_loop(bayes, strategy, cells, n_types, delta, seed + 1, draws)
 
 
-@pytest.mark.parametrize("name", ["bayes_1x1.json", "bayes_3x3.json"])
+@pytest.mark.parametrize("name", ["bayes_1x1.json", "bayes_3x3.json", "grid points"])
 def test_bne_regret_equals_the_per_draw_loop_on_fixtures(name):
-    bayes = bayes_scenario_from_json(DATA / name)
-    truthful = truthful_keyword_strategy(bayes)
-    for strategy in (truthful, below_and_at_zero(bayes)):
-        got = estimate_bne_regret(bayes, strategy, 8, 0.25, np.random.default_rng(3),
-                                  n_opponent_draws=16)
-        want = per_draw_bne_regret(bayes, strategy, 8, 0.25, np.random.default_rng(3),
-                                   n_opponent_draws=16)
-        assert got == want
+    bayes = grid_point_bayes() if name == "grid points" else bayes_scenario_from_json(DATA / name)
+    rows = 3 * 8 * len(bayes.advertisers) * len(bayes.graph.keywords)  # strategy, type, keyword
+    for cells in CELLS:
+        calls = []
+
+        def spy(own, *args, **kwargs):
+            calls.append(own.shape)
+            return gsp_outcome(own, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(equilibrium, "gsp_outcome", spy)
+            for strategy in (truthful_keyword_strategy(bayes), below_and_at_zero(bayes),
+                             overbid(bayes)):
+                assert_regret_equals_the_loop(bayes, strategy, cells, 8, 0.25, 3, 16)
+        if cells == "slices":
+            assert set(calls) == {(1, 2)}
+        elif cells == "one menu":
+            assert {rows_in_call for rows_in_call, _ in calls} == {1} and len(calls) >= rows
+        else:
+            assert len(calls) < rows
 
 
 def test_bne_regret_equals_the_per_draw_loop_without_opponents():
     # one advertiser, so the kernel sees no opponent column at all, and a
-    # menu of about 8 000 bids on the spike keyword
+    # menu of about 8 000 bids on the spike keyword, sliced at every setting
     bayes, _ = counterexample_scenario(0.01, 1e-5, 11)
-    truthful = truthful_keyword_strategy(bayes)
-    got = estimate_bne_regret(bayes, truthful, 2, 0.25, np.random.default_rng(0),
-                              n_opponent_draws=3)
-    want = per_draw_bne_regret(bayes, truthful, 2, 0.25, np.random.default_rng(0),
-                               n_opponent_draws=3)
-    assert got == want
+    for cells in CELLS:
+        assert_regret_equals_the_loop(bayes, truthful_keyword_strategy(bayes), cells,
+                                      2, 0.25, 0, 3)
 
 
 def test_bne_regret_needs_an_opponent_draw():

@@ -569,6 +569,14 @@ def test_too_large_exit_code_reports_size(tmp_path, capsys):
     assert "profiles" in capsys.readouterr().err
 
 
+def test_revenue_menu_over_the_cap_exits_3_before_any_output(tmp_path, capsys):
+    # the spike keyword's value 2048 at delta 0.001: menus of 2 M bids
+    assert run("revenue", "--scenario", BAYES_COUNTEREXAMPLE, "--samples", 10,
+               "--grid-delta", "0.001", "--out", tmp_path / "rev") == 3
+    assert "deviation menu of 2048003 bids" in capsys.readouterr().err
+    assert not (tmp_path / "rev").exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("query_dist", {"q1": 0.3, "q2": 0.2, "q3": 0.25, "q4": 0.15, "q5": 0.1}),
     ("matching", {"q1": {"s1": 0.5, "s2": 0.5}, "q2": {"s1": 0.5, "s2": 0.5},

@@ -32,7 +32,7 @@ from bmlab.market import (
     positive_keywords,
 )
 from bmlab.mechanisms import pbm_utility
-from bmlab.reserves import Uniform
+from bmlab.reserves import PointMass, Uniform
 
 from helpers import (
     canonical_profiles,
@@ -731,6 +731,30 @@ def test_grid_delta_must_be_finite_and_positive(delta):
     with pytest.raises(ValidationError, match="deviation_delta must be finite and positive"):
         estimate_bne_regret(bayes, truthful_keyword_strategy(bayes), 2, delta,
                             np.random.default_rng(0))
+
+
+def test_bne_regret_menu_cap_raises_before_any_menu_is_built(monkeypatch):
+    bayes = one_query_bayes()
+    tracemalloc.start()
+    with pytest.raises(TooLarge, match=r"deviation menu of \d+ bids on keyword 's' "
+                                       r"at delta 1e-08 \(cap 1048576\)"):
+        estimate_bne_regret(bayes, truthful_keyword_strategy(bayes), 4, 1e-8,
+                            np.random.default_rng(0), n_opponent_draws=4)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < 1 << 20       # one menu of those would hold about 1e8 bids
+    # a value of 1.0 on the grid of 0.25: five grid points, 0, the value and
+    # the played bid make 8 bids, which the cap admits at 8
+    g = BipartiteGraph(["q"], ["s"], [("q", "s")])
+    point = BayesScenario(g, QueryDistribution({"q": 1.0}), MatchingPolicy({"q": {"s": 1.0}}),
+                          SlotWeights([1.0]), 1, {"a": {"q": PointMass(1.0)}})
+    monkeypatch.setattr(equilibrium, "_MAX_MENU", 8)
+    estimate_bne_regret(point, truthful_keyword_strategy(point), 2, 0.25,
+                        np.random.default_rng(0), n_opponent_draws=2)
+    monkeypatch.setattr(equilibrium, "_MAX_MENU", 7)
+    with pytest.raises(TooLarge, match=r"deviation menu of 8 bids .* \(cap 7\)"):
+        estimate_bne_regret(point, truthful_keyword_strategy(point), 2, 0.25,
+                            np.random.default_rng(0), n_opponent_draws=2)
 
 
 def test_bne_regret_deterministic():
