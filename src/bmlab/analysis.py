@@ -109,25 +109,23 @@ _POA_TOL = 1e-9   # float slack when a PoA ratio is compared with its bound
 
 @dataclass(frozen=True)
 class BoundSet:
-    """Inputs and the seven worst-case guarantees they imply.
+    """Inputs and the six worst-case guarantees they imply.
 
     PoA bounds cap optimal-to-equilibrium welfare; revenue fractions
     floor reserve revenue against optimal welfare.
     """
     c: float
     beta: float
-    alpha: float
     eta: float
     pure_poa_single: float
     pure_poa_multi: float
     bayes_poa_single: float
     bayes_poa_multi: float
-    sbm_pure_poa: float
     revenue_fraction_single: float
     revenue_fraction_multi: float
 
 
-def bound_calculators(c, beta, alpha=1.0, eta=1.0) -> BoundSet:
+def bound_calculators(c, beta, eta=1.0) -> BoundSet:
     """Evaluate every bound formula after validating the inputs.
 
     The multi-slot Bayes bound uses the GSP semi-smoothness pair
@@ -136,7 +134,6 @@ def bound_calculators(c, beta, alpha=1.0, eta=1.0) -> BoundSet:
     checks = [
         (math.isfinite(c) and c >= 1.0, f"homogeneity c must be finite and >= 1, got {c}"),
         (0.0 < beta <= 1.0, f"beta must lie in (0, 1], got {beta}"),
-        (0.0 < alpha <= 1.0, f"alpha must lie in (0, 1], got {alpha}"),
         (math.isfinite(eta) and eta >= 1.0, f"eta must be >= 1, got {eta}"),
     ]
     for ok, msg in checks:
@@ -144,12 +141,11 @@ def bound_calculators(c, beta, alpha=1.0, eta=1.0) -> BoundSet:
             raise DomainError(msg)
     ce_sq = (c * math.e) ** 2
     return BoundSet(
-        c=c, beta=beta, alpha=alpha, eta=eta,
+        c=c, beta=beta, eta=eta,
         pure_poa_single=c / beta,
         pure_poa_multi=(1.0 + beta) / beta * c,
         bayes_poa_single=(1.0 + beta) / beta * c,
         bayes_poa_multi=c * (beta * _GSP_MU + 1.0) / (beta * _GSP_LAMBDA),
-        sbm_pure_poa=(c * c + c) / alpha,
         revenue_fraction_single=beta / (1.0 + beta) / (eta * ce_sq),
         revenue_fraction_multi=beta / (1.0 + beta) / (2.0 * eta * ce_sq),
     )

@@ -291,8 +291,13 @@ def _bayes_eta(bayes) -> float:
     return eta
 
 
-def _realized_homogeneity(bayes, rng, draws=1000) -> float:
-    return float(homogeneity_batch(bayes, bayes.sample_values(rng, draws)).max(initial=1.0))
+# valuation profiles drawn for the realized homogeneity c of the revenue check
+_HOMOGENEITY_DRAWS = 1000
+
+
+def _realized_homogeneity(bayes, rng) -> float:
+    return float(homogeneity_batch(bayes, bayes.sample_values(rng, _HOMOGENEITY_DRAWS))
+                 .max(initial=1.0))
 
 
 def cmd_revenue(cfg: RunConfig, out: Path) -> int:

@@ -32,7 +32,8 @@ every other advertiser's and the stable profiles.  No array spans the
 whole grid, so its memory stays about one chunk's plus one entry per
 opponent profile however large the grid grows.  Every solver here
 prices its keyword auctions with mechanisms.gsp_outcome, the one GSP
-kernel, at reserve 0.
+kernel, at reserve 0, and reports the welfare of
+mechanisms.pbm_expected_welfare_batch.
 """
 from __future__ import annotations
 
@@ -46,9 +47,12 @@ import numpy as np
 from .errors import NotSingleSlot, TooLarge, ValidationError
 from .market import BayesScenario, Scenario, keyword_value_tensor
 from .mechanisms import (
+    bid_matrix,
     gsp_outcome,
     outranks,
+    padded_weights,
     pbm_expected_welfare,
+    pbm_expected_welfare_batch,
     require_finite_bid_tensor,
     require_finite_profile,
 )
@@ -180,7 +184,7 @@ class _Layout:
         self.value = np.array([[scenario.kw_values[i][s] for s in keywords]
                                for i in advs]).reshape(len(advs), len(keywords))
         self.ids = np.arange(len(advs))
-        self.w_padded = np.array([scenario.weights.weight(k) for k in range(len(advs) + 1)])
+        self.w_padded = padded_weights(scenario)
         # padded menus: (keyword, entry) blocks, keywords in name order
         self.shape = (max(map(len, menus.values()), default=0),
                       max((len(menu) for m in menus.values() for menu in m.values()), default=1))
@@ -218,14 +222,6 @@ class _Layout:
             self._groups[key] = (own, at, self.mass[at], self.value[who, at], who, slots,
                                  menus.reshape(len(group), *self.shape), lookups)
         return self._groups[key]
-
-    def mirror(self, bids):
-        """The (advertiser, keyword) array of a profile; bids on keywords
-        outside the graph are left out, as no menu meets them."""
-        dense = np.zeros_like(self.value)
-        for a, i in enumerate(self.scenario.advertisers):
-            self.write(dense, a, bids.get(i, {}))
-        return dense
 
     def write(self, dense, a, row):
         """Set advertiser index a's row of the mirror to the bid row."""
@@ -280,7 +276,7 @@ def best_response(scenario: Scenario, bids, advertiser, grid: BidGrid,
     menus = _pool_menus(scenario, grid, advertiser, conservative)
     require_finite_profile(bids)      # a NaN bid would silently never outrank
     layout = _Layout(scenario, {advertiser: menus}, bids)
-    [(row, best, _)] = _respond(layout, bids, layout.mirror(bids),
+    [(row, best, _)] = _respond(layout, bids, bid_matrix(scenario, bids),
                                 [scenario.advertisers.index(advertiser)])
     return row, best
 
@@ -316,7 +312,7 @@ def verify_epsilon_nash(scenario: Scenario, bids, grid: BidGrid,
                         conservative=False) -> dict:
     """Per-advertiser regret of a profile against grid deviations."""
     layout = _Layout(scenario, _all_pool_menus(scenario, bids, grid, conservative), bids)
-    return _regrets(layout, bids, layout.mirror(bids))
+    return _regrets(layout, bids, bid_matrix(scenario, bids))
 
 
 def _regrets(layout, bids, dense):
@@ -355,7 +351,7 @@ def best_response_dynamics(scenario: Scenario, initial, grid: BidGrid,
     # best response writes is finite and on the menus, so one check suffices
     layout = _Layout(scenario, _all_pool_menus(scenario, profile, grid, conservative),
                      profile)
-    dense = layout.mirror(profile)
+    dense = bid_matrix(scenario, profile)
     regrets = _regrets(layout, profile, dense)
     converged = False
     iterations = 0
@@ -417,12 +413,6 @@ def strategy_rows(menus, kappa, advertiser, max_rows):
                 r += 1
     assert r == n_rows
     return pool, rows
-
-
-def estimate_joint_size(scenario, grid, conservative=False) -> int:
-    """Exact number of joint grid profiles the enumerator would scan."""
-    return math.prod(_count_rows(_menus(scenario, grid, i, conservative), scenario.kappa)
-                     for i in scenario.advertisers)
 
 
 # Joint profiles per chunk of the enumerator's scan.  A chunk is a run of
@@ -496,9 +486,7 @@ def enumerate_pure_nash(scenario: Scenario, grid: BidGrid, epsilon=None,
     pools, arrays = zip(*(strategy_rows(m, scenario.kappa, i, max_rows=max_joint)
                           for m, i in zip(menus, advs)))
 
-    w_padded = np.zeros(n + 1)
-    for k in range(n + 1):
-        w_padded[k] = scenario.weights.weight(k)
+    w_padded = padded_weights(scenario)
     # per keyword: {participant: column of the keyword in its rows}, in
     # advertiser order, their indices, and the distinct bids of each but
     # advertiser 0 with the index of every row's bid among them
@@ -569,26 +557,33 @@ def enumerate_pure_nash(scenario: Scenario, grid: BidGrid, epsilon=None,
     hits = np.concatenate(found)
     regrets = [np.concatenate(r) for r in regrets]
 
-    # welfare, and winner truthfulness, of the stable profiles only
-    welfare = np.zeros(len(hits))
     keep = np.ones(len(hits), dtype=bool)
-    for s, parts, ids, _ in keywords:
-        stack = np.stack([arrays[a][hits[:, a], j] for a, j in parts.items()], axis=-1)
-        for p, a in enumerate(parts):
-            value = scenario.kw_values[advs[a]][s]
-            slot_w, active, _, _ = gsp_outcome(stack[:, p], a, np.delete(stack, p, -1),
-                                               np.delete(ids, p), w_padded)
-            welfare += np.where(active, scenario.kw_masses[s] * slot_w * value, 0.0)
-            if winner_truthful:
-                keep &= ~(active & (np.abs(stack[:, p] - value) > _TRUTHFUL_TOL))
+    if winner_truthful:
+        for s, parts, ids, _ in keywords:
+            stack = np.stack([arrays[a][hits[:, a], j] for a, j in parts.items()], axis=-1)
+            for p, a in enumerate(parts):
+                _, active, _, _ = gsp_outcome(stack[:, p], a, np.delete(stack, p, -1),
+                                              np.delete(ids, p), w_padded)
+                keep &= ~(active & (np.abs(stack[:, p] - scenario.kw_values[advs[a]][s])
+                                    > _TRUTHFUL_TOL))
+    hits = hits[keep]
+    regrets = [r[keep] for r in regrets]
+
+    # the kept profiles as one bid tensor, priced by the one welfare path
+    col = {s: k for k, s in enumerate(scenario.graph.keywords)}
+    bids = np.zeros((len(hits), n, len(col)))
+    for a in range(n):
+        bids[:, a, [col[s] for s in pools[a]]] = arrays[a][hits[:, a]]
+    values = np.broadcast_to(scenario.value_matrix, (len(hits),) + scenario.value_matrix.shape)
+    welfare = pbm_expected_welfare_batch(scenario, values, bids).tolist()
 
     reports = []
-    for h in np.flatnonzero(keep):
-        profile = {i: {s: float(b) for s, b in zip(pools[a], arrays[a][hits[h, a]]) if b > 0.0}
+    for h, row in enumerate(hits):
+        profile = {i: {s: float(b) for s, b in zip(pools[a], arrays[a][row[a]]) if b > 0.0}
                    for a, i in enumerate(advs)}
         reports.append(EquilibriumReport(
             profile=profile, regrets={i: float(regrets[a][h]) for a, i in enumerate(advs)},
-            converged=True, iterations=0, epsilon=eps, welfare=float(welfare[h])))
+            converged=True, iterations=0, epsilon=eps, welfare=welfare[h]))
     return reports
 
 
@@ -729,7 +724,7 @@ def estimate_bne_regret(bayes: BayesScenario, strategy: Callable, n_types: int,
     by_name = sorted(range(n_kw), key=keywords.__getitem__)     # keyword columns in name order
     rows = 1 + n_opponent_draws      # a type's own profile, then its opponents'
     mass = np.tile(np.array([bayes.kw_masses[keywords[k]] for k in by_name]), n_types)
-    w_padded = np.array([bayes.weights.weight(k) for k in range(n_adv + 1)])
+    w_padded = padded_weights(bayes)
     out = {}
     for a, i in enumerate(advertisers):
         others = np.delete(np.arange(n_adv), a)

@@ -401,16 +401,6 @@ def keyword_value(scenario: Scenario, advertiser, keyword) -> float:
     return scenario.kw_values[advertiser][keyword]
 
 
-def keyword_values(scenario: Scenario) -> dict:
-    """All keyword values as {advertiser: {keyword: value}}."""
-    return {i: dict(row) for i, row in scenario.kw_values.items()}
-
-
-def positive_keywords(scenario: Scenario, advertiser) -> frozenset:
-    """Keywords whose neighborhood meets the advertiser's positive queries."""
-    return scenario.kw_positive[advertiser]
-
-
 def optimal_welfare(scenario: Scenario) -> float:
     """Welfare of the omniscient per-query allocation: for every query,
     the k-th slot goes to the k-th highest per-click value."""

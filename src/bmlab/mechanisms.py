@@ -1,19 +1,17 @@
-"""Auction engines and their exact functionals.
+"""The probabilistic broad-match mechanism under GSP and its exact
+functionals.
 
-Two broad-match mechanisms share the per-keyword GSP core:
-
-* the probabilistic mechanism samples one keyword per query from the
-  matching policy and runs GSP among that keyword's bidders;
-* the standard baseline pools every matched keyword per query,
-  transforming each advertiser's bid to their maximum over matched
-  keywords.
-
-Expected welfare, utility, and revenue are evaluated as exact finite
-sums over (query, keyword, slot); a seeded round simulator provides the
-Monte-Carlo counterpart.  One rank/price/tie rule serves both forms:
-gsp_rank on dict profiles, and gsp_outcome, its array kernel with a
-reserve, which prices every solver's keyword auctions and the batched
-revenue of whole bid tensors.
+The mechanism samples one keyword per query from the matching policy and
+runs GSP among that keyword's bidders.  `outranks` is the one rank and
+tie rule, and gsp_outcome its array kernel with a reserve: it prices
+every solver's keyword auctions and the exact functionals.  Expected
+welfare and revenue are exact finite sums over (query, keyword, slot) on
+whole bid tensors, each keyword ranked once; welfare adds its terms
+P(q) * pi_q(s) * (click-weighted query values of s's ranking) over the
+queries and then each query's keywords, in graph order.  The dict-profile
+forms are their one-profile case through bid_matrix.  gsp_rank ranks one
+keyword of a dict profile for the seeded round simulator, the
+Monte-Carlo counterpart.
 """
 from __future__ import annotations
 
@@ -78,13 +76,6 @@ class KeywordRanking:
     ranked: tuple          # advertiser ids, descending bid
     bids: tuple            # bid of each ranked advertiser
     prices: tuple          # per-click price at each position
-
-    def position(self, advertiser):
-        """0-indexed slot of the advertiser, or None when unranked."""
-        try:
-            return self.ranked.index(advertiser)
-        except ValueError:
-            return None
 
 
 def gsp_rank(bids: Mapping[str, float], weights, reserve=0.0,
@@ -166,12 +157,6 @@ def gsp_outcome(own, a, opp, ids, w_padded, reserve=0.0):
     return slot_w, (own > 0.0) & (own >= reserve) & (slot_w > 0.0), price, rank
 
 
-def _keyword_bids(bids, s):
-    """Column of the sparse profile: advertiser -> nonzero bid on keyword s
-    (NaN included, so that gsp_rank rejects it)."""
-    return {adv: row[s] for adv, row in bids.items() if row.get(s, 0.0) != 0.0}
-
-
 @dataclass(frozen=True)
 class AuctionOutcome:
     """One realized round: the sampled keyword's ranking applied to the
@@ -208,7 +193,7 @@ def pbm_run_round(scenario: Scenario, bids, query, rng) -> AuctionOutcome:
     keyword from the matching policy, then GSP among its bidders."""
     keywords = scenario.pi.support(query)
     keyword = draw(rng, keywords, [scenario.pi.mass(query, s) for s in keywords])
-    ranking = _rank_keyword(scenario, bids, keyword, _NO_RESERVE)
+    ranking = _rank_keyword(scenario, bids, keyword)
     return _outcome(scenario, query, keyword, ranking)
 
 
@@ -260,7 +245,7 @@ def pbm_simulate(scenario: Scenario, bids, rounds, rng):
         outcome = pairs.get((q, s))
         if outcome is None:
             if s not in rankings:
-                rankings[s] = _rank_keyword(scenario, bids, s, _NO_RESERVE)
+                rankings[s] = _rank_keyword(scenario, bids, s)
             outcome = pairs[q, s] = _outcome(scenario, q, s, rankings[s])
         outcomes.append(outcome)
         welfare_sum += outcome.welfare
@@ -268,135 +253,116 @@ def pbm_simulate(scenario: Scenario, bids, rounds, rng):
     return outcomes, welfare_sum, revenue_sum
 
 
-def _rank_keyword(scenario, bids, s, reserves):
-    """GSP among the bidders on keyword s, under its reserve."""
-    return gsp_rank(_keyword_bids(bids, s), scenario.weights,
-                    reserve=reserves.get(s, 0.0), keyword=s)
+def _rank_keyword(scenario, bids, s):
+    """GSP among the nonzero bids on keyword s of a dict profile (NaN
+    included, so that gsp_rank rejects it)."""
+    return gsp_rank({adv: row[s] for adv, row in bids.items() if row.get(s, 0.0) != 0.0},
+                    scenario.weights, keyword=s)
 
 
-def _rankings_by_keyword(scenario, bids):
-    return {s: _rank_keyword(scenario, bids, s, _NO_RESERVE) for s in scenario.graph.keywords}
+def bid_matrix(market, bids) -> np.ndarray:
+    """The dense (|A|, |S|) array of a dict profile {advertiser: {keyword:
+    bid}}, advertisers sorted and keywords in graph order, 0 where no bid
+    is given.  Bids on keywords outside the graph are left out, as no
+    auction meets them; an advertiser the market does not have raises
+    ValidationError."""
+    row_of = {i: a for a, i in enumerate(market.advertisers)}
+    col = {s: k for k, s in enumerate(market.graph.keywords)}
+    dense = np.zeros((len(row_of), len(col)))
+    for i, row in bids.items():
+        if i not in row_of:
+            raise ValidationError(f"bid profile names unknown advertiser {i!r}")
+        for s, b in row.items():
+            if s in col:
+                dense[row_of[i], col[s]] = b
+    return dense
 
 
-def pbm_expected_welfare(scenario: Scenario, bids) -> float:
-    """Exact expected welfare: sum over queries, matched keywords, and
-    slots of P(q) * pi_q(s) * w_k * (query value of the ranked
-    advertiser)."""
-    rankings = _rankings_by_keyword(scenario, bids)
-    total = 0.0
-    for q in scenario.graph.queries:
-        pq = scenario.p.mass(q)
-        for s in scenario.graph.query_neighbors(q):
-            mqs = scenario.pi.mass(q, s)
-            if mqs <= 0.0:
-                continue
-            total += pq * mqs * scenario.weights.click_sum(
-                scenario.valuations.value(adv, q) for adv in rankings[s].ranked)
-    return total
+def padded_weights(market) -> np.ndarray:
+    """gsp_outcome's w_padded for the market's advertisers: the slot
+    weights of positions 0..|A|, zero past the weight vector."""
+    return np.array([market.weights.weight(k) for k in range(len(market.advertisers) + 1)])
 
 
-def pbm_expected_revenue(scenario: Scenario, bids, reserves=_NO_RESERVE) -> float:
-    """Exact expected revenue under per-keyword reserves: traffic-mass
-    weighted sum of w_k * price_k over keyword rankings."""
-    total = 0.0
-    for s in scenario.graph.keywords:
-        per_click = scenario.weights.click_sum(
-            _rank_keyword(scenario, bids, s, reserves).prices)
-        if per_click > 0.0:
-            total += scenario.kw_masses[s] * per_click
-    return total
-
-
-def pbm_expected_revenue_batch(market, bids, reserves=_NO_RESERVE) -> np.ndarray:
-    """pbm_expected_revenue of every profile in an (n, |A|, |S|) bid tensor
-    (advertisers sorted, keywords in graph order), with the same sums in
-    the same order.  Per keyword, one gsp_outcome call prices every
-    advertiser against the others under the keyword's reserve; each
-    active entrant's price goes to its rank, and the positions are added
-    in slot order."""
-    n, n_adv, _ = bids.shape
-    keywords = market.graph.keywords
-    for s in keywords:
+def _keyword_auctions(market, bids, reserves=_NO_RESERVE):
+    """[(keyword, active, price, rank)] of an (n, |A|, |S|) bid tensor,
+    keywords in graph order: per keyword, one gsp_outcome call prices
+    every advertiser against the others under the keyword's reserve."""
+    n_adv = bids.shape[1]
+    for s in market.graph.keywords:
         _check_reserve(reserves.get(s, 0.0))
     require_finite_bid_tensor(market, bids)
     ids = np.arange(n_adv)
     others = np.array([[j for j in range(n_adv) if j != a] for a in range(n_adv)],
                       dtype=np.intp).reshape(n_adv, max(n_adv - 1, 0))
-    w_padded = np.array([market.weights.weight(k) for k in range(n_adv + 1)])
-    rows = np.arange(n)[:, None]
-    total = np.zeros(n)
-    for k, s in enumerate(keywords):
+    w_padded = padded_weights(market)
+    out = []
+    for k, s in enumerate(market.graph.keywords):
         col = bids[:, :, k]
         _, active, price, rank = gsp_outcome(col, ids[:, None], col[:, others], others,
                                              w_padded, reserves.get(s, 0.0))
-        # ranks are a permutation of the advertisers, so no position is written twice
-        at_rank = np.zeros_like(col)
-        at_rank[rows, rank] = np.where(active, price, 0.0)
-        per_click = market.weights.click_sum(at_rank.T)
+        out.append((s, active, price, rank))
+    return out
+
+
+def _by_position(rank, amounts):
+    """Each advertiser's amounts (n, |A|, ...) moved to its rank, with the
+    positions as the leading axis, for SlotWeights.click_sum.  Ranks are a
+    permutation of the advertisers, so no position is written twice."""
+    out = np.zeros_like(amounts)
+    out[np.arange(len(rank))[:, None], rank] = amounts
+    return np.moveaxis(out, 1, 0)
+
+
+def pbm_expected_welfare_batch(market, values, bids) -> np.ndarray:
+    """Exact expected welfare of every profile of an (n, |A|, |Q|) value
+    tensor (queries in graph order) played with an (n, |A|, |S|) bid
+    tensor (keywords in graph order): the sum over queries, matched
+    keywords and slots of P(q) * pi_q(s) * w_k * (query value of the
+    advertiser ranked k on s).  Each keyword is ranked once, and its
+    click-weighted query values are computed for all its neighbours; the
+    terms P(q) * pi_q(s) * click sum are then added over the queries and
+    each query's keywords in graph order."""
+    graph = market.graph
+    col = {q: j for j, q in enumerate(graph.queries)}
+    clicks = {}     # (query, keyword) -> click-weighted values of the keyword's ranking
+    for s, active, _, rank in _keyword_auctions(market, bids):
+        nbrs = graph.keyword_neighbors(s)
+        ranked = np.where(active[..., None], values[:, :, [col[q] for q in nbrs]], 0.0)
+        # click_sum is a scalar 0.0 when it sums no position: broadcast it
+        per_query = np.broadcast_to(market.weights.click_sum(_by_position(rank, ranked)),
+                                    (len(bids), len(nbrs)))
+        clicks.update(((q, s), per_query[:, m]) for m, q in enumerate(nbrs))
+    total = np.zeros(len(bids))
+    for q in graph.queries:
+        pq = market.p.mass(q)
+        for s in graph.query_neighbors(q):
+            mqs = market.pi.mass(q, s)
+            if mqs > 0.0:
+                total += pq * mqs * clicks[q, s]
+    return total
+
+
+def pbm_expected_revenue_batch(market, bids, reserves=_NO_RESERVE) -> np.ndarray:
+    """Exact expected revenue of every profile of an (n, |A|, |S|) bid
+    tensor under per-keyword reserves: the traffic-mass weighted sum of
+    w_k * price_k over the keywords' rankings, in graph order.  Each
+    active entrant's price goes to its rank, and the positions are added
+    in slot order."""
+    total = np.zeros(len(bids))
+    for s, active, price, rank in _keyword_auctions(market, bids, reserves):
+        per_click = market.weights.click_sum(_by_position(rank, np.where(active, price, 0.0)))
         total += np.where(per_click > 0.0, market.kw_masses[s] * per_click, 0.0)
     return total
 
 
-def pbm_utility(scenario: Scenario, bids, advertiser) -> float:
-    """Exact expected utility of one advertiser: value minus price at
-    the won position, integrated over queries and matched keywords."""
-    rankings = _rankings_by_keyword(scenario, bids)
-    positions = {s: r.position(advertiser) for s, r in rankings.items()}
-    w = scenario.weights
-    total = 0.0
-    for q in scenario.graph.queries:
-        pq = scenario.p.mass(q)
-        vq = scenario.valuations.value(advertiser, q)
-        for s in scenario.graph.query_neighbors(q):
-            k = positions[s]
-            if k is None:
-                continue
-            wk = w.weight(k)
-            if wk <= 0.0:
-                continue
-            mqs = scenario.pi.mass(q, s)
-            total += pq * mqs * wk * (vq - rankings[s].prices[k])
-    return total
+def pbm_expected_welfare(scenario: Scenario, bids) -> float:
+    """pbm_expected_welfare_batch of one dict profile."""
+    return float(pbm_expected_welfare_batch(scenario, scenario.value_matrix[None],
+                                            bid_matrix(scenario, bids)[None])[0])
 
 
-def pbm_keyword_utility(scenario: Scenario, bids, advertiser, keyword,
-                        reserves=_NO_RESERVE) -> float:
-    """The advertiser's utility from one keyword's auction: traffic
-    mass times w_k * (keyword value - price).  Summing over keywords
-    recovers pbm_utility exactly."""
-    ranking = _rank_keyword(scenario, bids, keyword, reserves)
-    k = ranking.position(advertiser)
-    if k is None:
-        return 0.0
-    wk = scenario.weights.weight(k)
-    if wk <= 0.0:
-        return 0.0
-    return scenario.kw_masses[keyword] * wk * (
-        scenario.kw_values[advertiser][keyword] - ranking.prices[k])
-
-
-def sbm_query_bid(bids, advertiser, query, graph) -> float:
-    """Transformed bid of an advertiser on a query: the maximum of
-    their bids over the query's matched keywords, zero when none."""
-    row = bids.get(advertiser, {})
-    return max((row.get(s, 0.0) for s in graph.query_neighbors(query)),
-               default=0.0)
-
-
-def sbm_rank_query(scenario: Scenario, bids, query) -> KeywordRanking:
-    """Per-query GSP of the standard baseline: every advertiser enters
-    with their max-transformed bid; price is the next transformed bid."""
-    transformed = {adv: sbm_query_bid(bids, adv, query, scenario.graph)
-                   for adv in bids}
-    return gsp_rank(transformed, scenario.weights)
-
-
-def sbm_expected_welfare(scenario: Scenario, bids) -> float:
-    """Expected welfare of the max-transform baseline: per-query GSP on
-    transformed bids, crediting query values."""
-    total = 0.0
-    for q in scenario.graph.queries:
-        ranking = sbm_rank_query(scenario, bids, q)
-        total += scenario.p.mass(q) * scenario.weights.click_sum(
-            scenario.valuations.value(adv, q) for adv in ranking.ranked)
-    return total
+def pbm_expected_revenue(scenario: Scenario, bids, reserves=_NO_RESERVE) -> float:
+    """pbm_expected_revenue_batch of one dict profile."""
+    return float(pbm_expected_revenue_batch(scenario, bid_matrix(scenario, bids)[None],
+                                            reserves)[0])

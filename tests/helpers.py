@@ -19,6 +19,7 @@ from bmlab.market import (
     ValuationProfile,
     build_scenario,
 )
+from bmlab.mechanisms import gsp_rank
 from bmlab.reserves import (
     Empirical,
     Exponential,
@@ -108,16 +109,14 @@ def random_scenario(rng, max_adv=3, max_kw=3, max_q=4, weights=(1.0,),
 def random_bid_profile(rng, scenario, overbid=0.0):
     """Random feasible bid profile; overbid>0 scales some bids past the
     keyword value by up to that factor."""
-    from bmlab.market import keyword_value, positive_keywords
-
     bids = {}
     for i in scenario.advertisers:
-        pool = sorted(positive_keywords(scenario, i))
+        pool = sorted(scenario.kw_positive[i])
         rng.shuffle(pool)
         chosen = pool[: int(rng.integers(0, min(scenario.kappa, len(pool)) + 1))]
         row = {}
         for s in chosen:
-            cap = keyword_value(scenario, i, s)
+            cap = scenario.kw_values[i][s]
             b = float(rng.uniform(0.0, cap))
             if overbid and rng.random() < 0.5:
                 b = cap * float(rng.uniform(1.0, 1.0 + overbid))
@@ -125,6 +124,115 @@ def random_bid_profile(rng, scenario, overbid=0.0):
                 row[s] = b
         bids[i] = row
     return bids
+
+
+def joint_profile_count(scenario, grid, conservative=False):
+    """Oracle: the number of joint grid profiles the enumerator scans, by
+    counting each advertiser's rows over keyword subsets of size at most
+    kappa: a subset offers every positive point of each of its menus."""
+    from bmlab.equilibrium import bid_menu
+
+    total = 1
+    for i in scenario.advertisers:
+        sizes = [len(bid_menu(scenario, grid, i, s, conservative)) - 1
+                 for s in scenario.kw_positive[i]]
+        total *= sum(math.prod(subset) for size in range(scenario.kappa + 1)
+                     for subset in itertools.combinations(sizes, size))
+    return total
+
+
+# ------------------------------------------------- dict-profile functionals
+#
+# The exact functionals on sparse {advertiser: {keyword: bid}} profiles,
+# one gsp_rank ranking per keyword: the oracles of the kernel path
+# (mechanisms.pbm_expected_welfare_batch, pbm_expected_revenue_batch and
+# the solvers' gsp_outcome utilities), bit for bit in its sum orders.
+
+
+def keyword_bids(bids, s):
+    """Column of the sparse profile: advertiser -> nonzero bid on keyword s
+    (NaN included, so that gsp_rank rejects it)."""
+    return {adv: row[s] for adv, row in bids.items() if row.get(s, 0.0) != 0.0}
+
+
+def rank_keyword(scenario, bids, s, reserves=None):
+    """GSP among the bidders on keyword s, under its reserve."""
+    return gsp_rank(keyword_bids(bids, s), scenario.weights,
+                    reserve=(reserves or {}).get(s, 0.0), keyword=s)
+
+
+def rankings_by_keyword(scenario, bids):
+    return {s: rank_keyword(scenario, bids, s) for s in scenario.graph.keywords}
+
+
+def _position(ranking, advertiser):
+    """0-indexed slot of the advertiser, or None when unranked."""
+    return ranking.ranked.index(advertiser) if advertiser in ranking.ranked else None
+
+
+def dict_expected_welfare(scenario, bids) -> float:
+    """Exact expected welfare: sum over queries, matched keywords, and
+    slots of P(q) * pi_q(s) * w_k * (query value of the ranked
+    advertiser)."""
+    rankings = rankings_by_keyword(scenario, bids)
+    total = 0.0
+    for q in scenario.graph.queries:
+        pq = scenario.p.mass(q)
+        for s in scenario.graph.query_neighbors(q):
+            mqs = scenario.pi.mass(q, s)
+            if mqs <= 0.0:
+                continue
+            total += pq * mqs * scenario.weights.click_sum(
+                scenario.valuations.value(adv, q) for adv in rankings[s].ranked)
+    return total
+
+
+def dict_expected_revenue(scenario, bids, reserves=None) -> float:
+    """Exact expected revenue under per-keyword reserves: traffic-mass
+    weighted sum of w_k * price_k over keyword rankings."""
+    total = 0.0
+    for s in scenario.graph.keywords:
+        per_click = scenario.weights.click_sum(rank_keyword(scenario, bids, s, reserves).prices)
+        if per_click > 0.0:
+            total += scenario.kw_masses[s] * per_click
+    return total
+
+
+def pbm_utility(scenario, bids, advertiser) -> float:
+    """Exact expected utility of one advertiser: value minus price at
+    the won position, integrated over queries and matched keywords."""
+    rankings = rankings_by_keyword(scenario, bids)
+    positions = {s: _position(r, advertiser) for s, r in rankings.items()}
+    w = scenario.weights
+    total = 0.0
+    for q in scenario.graph.queries:
+        pq = scenario.p.mass(q)
+        vq = scenario.valuations.value(advertiser, q)
+        for s in scenario.graph.query_neighbors(q):
+            k = positions[s]
+            if k is None:
+                continue
+            wk = w.weight(k)
+            if wk <= 0.0:
+                continue
+            mqs = scenario.pi.mass(q, s)
+            total += pq * mqs * wk * (vq - rankings[s].prices[k])
+    return total
+
+
+def pbm_keyword_utility(scenario, bids, advertiser, keyword, reserves=None) -> float:
+    """The advertiser's utility from one keyword's auction: traffic
+    mass times w_k * (keyword value - price).  Summing over keywords
+    recovers pbm_utility exactly."""
+    ranking = rank_keyword(scenario, bids, keyword, reserves)
+    k = _position(ranking, advertiser)
+    if k is None:
+        return 0.0
+    wk = scenario.weights.weight(k)
+    if wk <= 0.0:
+        return 0.0
+    return scenario.kw_masses[keyword] * wk * (
+        scenario.kw_values[advertiser][keyword] - ranking.prices[k])
 
 
 def brute_force_optimal_welfare(scenario):
@@ -253,8 +361,6 @@ def joint_best_response_oracle(scenario, bids, advertiser, menus):
     """Oracle: best response by enumerating keyword subsets (<= kappa)
     and full menu products, scored with the integral-form utility.
     menus: {keyword: menu tuple} for the advertiser."""
-    from bmlab.mechanisms import pbm_utility
-
     pool = sorted(menus)
     best, best_row = 0.0, {}
     for size in range(0, min(scenario.kappa, len(pool)) + 1):
@@ -273,8 +379,6 @@ def slow_pure_nash_oracle(scenario, menus_by_adv, epsilon):
     """Oracle: the pure-Nash set by direct definition — enumerate every
     joint profile and test every unilateral deviation with the
     integral-form utility.  menus_by_adv: {advertiser: {keyword: menu}}."""
-    from bmlab.mechanisms import pbm_utility
-
     advs = scenario.advertisers
     rows_by_adv = []
     for i in advs:
@@ -334,10 +438,9 @@ def per_sample_revenue_welfare_stats(bayes, strategy, reserves, n_samples, rng):
     """Oracle: the one-profile-at-a-time Monte-Carlo revenue loop that the
     batched analysis.revenue_welfare_stats replaces: each drawn profile is
     bound into a Scenario, bid by one strategy call on its value matrix,
-    and priced by the dict-profile functionals."""
+    and priced by the dict-profile revenue oracle."""
     from bmlab.analysis import RevenueStats
     from bmlab.market import optimal_welfare
-    from bmlab.mechanisms import pbm_expected_revenue
 
     revs = np.empty(n_samples)
     opts = np.empty(n_samples)
@@ -347,8 +450,8 @@ def per_sample_revenue_welfare_stats(bayes, strategy, reserves, n_samples, rng):
         rows = strategy(sc.value_matrix[None])[0].tolist()
         bids = {i: dict(zip(bayes.graph.keywords, row))
                 for i, row in zip(bayes.advertisers, rows)}
-        revs[t] = pbm_expected_revenue(sc, bids, reserves)
-        revs0[t] = pbm_expected_revenue(sc, bids)
+        revs[t] = dict_expected_revenue(sc, bids, reserves)
+        revs0[t] = dict_expected_revenue(sc, bids)
         opts[t] = optimal_welfare(sc)
     return RevenueStats(
         revenue=float(revs.mean()),

@@ -12,22 +12,21 @@ import time
 import numpy as np
 
 from helpers import (exhaustive_min_cover, joint_best_response_oracle,
-                     random_bid_profile, random_scenario)
+                     joint_profile_count, pbm_utility, random_bid_profile,
+                     random_scenario)
 
 from bmlab.analysis import (bound_calculators, counterexample_scenario,
                             empirical_poa, empirical_revenue_ratio,
                             revenue_welfare_stats)
 from bmlab.equilibrium import (best_response, bid_menu, enumerate_pure_nash,
-                               estimate_joint_size, make_grid,
-                               truthful_keyword_strategy)
+                               make_grid, truthful_keyword_strategy)
 from bmlab.errors import Uncoverable
 from bmlab.expressiveness import (Corpus, expressiveness_sweep,
                                   min_cover_size, degree_bound_check)
 from bmlab.market import (BayesScenario, BipartiteGraph, MatchingPolicy,
-                          QueryDistribution, SlotWeights, keyword_value,
-                          positive_keywords)
+                          QueryDistribution, SlotWeights, keyword_value)
 from bmlab.mechanisms import (pbm_expected_revenue, pbm_expected_welfare,
-                              pbm_run_round, pbm_utility)
+                              pbm_run_round)
 from bmlab.reserves import Exponential, Uniform, myerson_reserve
 
 JOINT_CAP = 300_000
@@ -49,7 +48,7 @@ def _fuzz_scenario(rng, weights, all_positive):
         maxv = max(sc.valuations.value(i, q) for i in sc.advertisers
                    for q in sc.graph.queries)
         grid = make_grid(sc, maxv / 8.0)
-        if estimate_joint_size(sc, grid, conservative=True) <= JOINT_CAP:
+        if joint_profile_count(sc, grid, conservative=True) <= JOINT_CAP:
             return sc, grid
 
 
@@ -180,7 +179,7 @@ def _best_response_oracle_suite(n_cases):
         bids = random_bid_profile(rng, sc)
         for i in sc.advertisers:
             menus = {s: bid_menu(sc, grid, i, s)
-                     for s in positive_keywords(sc, i)}
+                     for s in sc.kw_positive[i]}
             _, fast = best_response(sc, bids, i, grid)
             _, slow = joint_best_response_oracle(sc, bids, i, menus)
             checked += 1

@@ -99,17 +99,11 @@ def test_bound_bayes_defaults():
     assert b.bayes_poa_single == pytest.approx(6.0)
 
 
-def test_bound_sbm():
-    b = bound_calculators(c=2.0, beta=1.0, alpha=0.5)
-    assert b.sbm_pure_poa == pytest.approx((4.0 + 2.0) / 0.5)
-
-
 @pytest.mark.parametrize("kwargs", [
     dict(c=0.5, beta=1.0),
     dict(c=math.inf, beta=1.0),
     dict(c=1.0, beta=0.0),
     dict(c=1.0, beta=1.5),
-    dict(c=1.0, beta=1.0, alpha=0.0),
     dict(c=1.0, beta=1.0, eta=0.5),
 ])
 def test_bound_domain_errors(kwargs):

@@ -17,8 +17,8 @@ from bmlab.analysis import (
     homogeneity_batch,
     revenue_welfare_stats,
 )
+from bmlab import cli, equilibrium
 from bmlab.cli import _realized_homogeneity
-from bmlab import equilibrium
 from bmlab.equilibrium import estimate_bne_regret, truthful_keyword_strategy
 from bmlab.errors import ValidationError
 from bmlab.market import (
@@ -31,7 +31,14 @@ from bmlab.market import (
     ValuationProfile,
     keyword_value_tensor,
 )
-from bmlab.mechanisms import gsp_outcome, gsp_rank, pbm_expected_revenue_batch
+from bmlab.mechanisms import (
+    gsp_outcome,
+    gsp_rank,
+    pbm_expected_revenue,
+    pbm_expected_revenue_batch,
+    pbm_expected_welfare,
+    pbm_expected_welfare_batch,
+)
 from bmlab.reserves import (
     Empirical,
     PointMass,
@@ -42,6 +49,8 @@ from bmlab.reserves import (
 )
 
 from helpers import (
+    dict_expected_revenue,
+    dict_expected_welfare,
     per_call_truthful_bids,
     per_draw_bne_regret,
     per_draw_realized_homogeneity,
@@ -218,6 +227,42 @@ def test_batched_revenue_stats_across_chunks():
     want = per_sample_revenue_welfare_stats(bayes, strategy, reserves, n,
                                             np.random.default_rng(5))
     assert got == want
+
+
+def random_bid_tensor(rng, bayes, values):
+    """A bid tensor off the keyword values of a value tensor: each bid zero,
+    shaded, truthful or an overbid (0, 0.5, 1 or 1.5 times the value), half
+    of them rounded to halves so that bids tie, and on one keyword every
+    advertiser bidding the first advertiser's bid."""
+    kv = keyword_value_tensor(bayes, values)
+    bids = kv * rng.choice([0.0, 0.5, 1.0, 1.5], size=kv.shape)
+    bids = np.where(rng.random(kv.shape) < 0.5, np.round(2.0 * bids) / 2.0, bids)
+    k = int(rng.integers(kv.shape[2]))
+    bids[:, :, k] = bids[:, :1, k]
+    return bids
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12))
+def test_batched_functionals_equal_the_dict_oracles(seed, n):
+    """Welfare and revenue of sampled values and random bid tensors equal
+    the dict-profile oracles bit for bit, profile by profile, and so do
+    the one-profile forms; the revenue under reserves too."""
+    rng = np.random.default_rng(seed)
+    bayes = random_bayes(rng)
+    reserves = random_reserves(rng, bayes)
+    values = bayes.sample_values(rng, n)
+    bids = random_bid_tensor(rng, bayes, values)
+    welfare = pbm_expected_welfare_batch(bayes, values, bids).tolist()
+    revenue = pbm_expected_revenue_batch(bayes, bids, reserves).tolist()
+    for t in range(n):
+        sc = bayes.to_scenario(bayes.valuations_at(values[t]))
+        profile = {i: dict(zip(bayes.graph.keywords, row))
+                   for i, row in zip(bayes.advertisers, bids[t].tolist())}
+        want = dict_expected_welfare(sc, profile)
+        assert welfare[t].hex() == want.hex() == pbm_expected_welfare(sc, profile).hex()
+        want = dict_expected_revenue(sc, profile, reserves)
+        assert revenue[t].hex() == want.hex() == pbm_expected_revenue(sc, profile, reserves).hex()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -435,7 +480,9 @@ def test_realized_homogeneity_equals_the_per_draw_loop(name):
 def test_realized_homogeneity_equals_the_per_draw_loop_on_random_scenarios(seed, draws):
     bayes = random_bayes(np.random.default_rng(seed))
     rng, twin = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-    got = _realized_homogeneity(bayes, rng, draws)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_HOMOGENEITY_DRAWS", draws)
+        got = _realized_homogeneity(bayes, rng)
     assert got == per_draw_realized_homogeneity(bayes, twin, draws)
     if math.isfinite(got):      # the loop stops drawing at its first inf
         assert rng.random() == twin.random()

@@ -14,7 +14,6 @@ from bmlab.equilibrium import (
     default_epsilon,
     enumerate_pure_nash,
     estimate_bne_regret,
-    estimate_joint_size,
     make_grid,
     single_slot_dominant_profile,
     truthful_keyword_strategy,
@@ -29,14 +28,15 @@ from bmlab.market import (
     SlotWeights,
     ValuationProfile,
     build_scenario,
-    positive_keywords,
 )
-from bmlab.mechanisms import pbm_utility
+from bmlab.mechanisms import pbm_expected_welfare
 from bmlab.reserves import PointMass, Uniform
 
 from helpers import (
     canonical_profiles,
+    dict_expected_welfare,
     joint_best_response_oracle,
+    pbm_utility,
     per_call_dynamics,
     random_bid_profile,
     random_scenario,
@@ -150,7 +150,7 @@ def test_best_response_matches_joint_oracle():
         bids = random_bid_profile(rng, sc)
         for i in sc.advertisers:
             menus = {s: bid_menu(sc, grid, i, s)
-                     for s in sorted(positive_keywords(sc, i))}
+                     for s in sorted(sc.kw_positive[i])}
             row, u = best_response(sc, bids, i, grid)
             _, u_oracle = joint_best_response_oracle(sc, bids, i, menus)
             assert u == pytest.approx(u_oracle, abs=1e-9)
@@ -393,6 +393,25 @@ def test_enumerate_hand_check_conservative():
     assert all(max(r.regrets.values()) <= r.epsilon for r in reports)
 
 
+def test_enumerated_welfare_is_the_exact_functional():
+    """Every enumerated equilibrium reports pbm_expected_welfare of its
+    profile bit for bit, and so the dict oracle's: enumeration once summed
+    welfare keyword by keyword, which differs in the last bits."""
+    rng = np.random.default_rng(5)
+    markets = equilibria = 0
+    for _ in range(60):
+        sc = random_scenario(rng, weights=(1.0, 0.6))
+        grid = make_grid(sc, 0.5)
+        if math.prod(row_counts(sc, grid, True)) > 20_000:
+            continue
+        markets += 1
+        for r in enumerate_pure_nash(sc, grid, conservative=True):
+            assert r.welfare.hex() == pbm_expected_welfare(sc, r.profile).hex() \
+                == dict_expected_welfare(sc, r.profile).hex()
+            equilibria += 1
+    assert markets >= 40 and equilibria >= 1000
+
+
 def test_enumerate_winner_truthful_filter():
     sc = five_three()
     grid = make_grid(sc, delta=1.0)
@@ -450,7 +469,7 @@ def slow_oracle_markets():
         menus_by_adv = {}
         for i in sc.advertisers:
             menus_by_adv[i] = {s: bid_menu(sc, grid, i, s)
-                               for s in sorted(positive_keywords(sc, i))}
+                               for s in sorted(sc.kw_positive[i])}
         joint = 1
         for i in sc.advertisers:
             rows = 1
@@ -541,7 +560,7 @@ def test_chunking_invisible_on_random_markets(monkeypatch, conservative):
         sc = random_scenario(rng, max_adv=3, max_kw=3, max_q=3,
                              weights=(1.0, 0.5), kappa=2)
         grid = make_grid(sc, delta=max(make_grid(sc, 1.0).caps.values()) / 3)
-        if estimate_joint_size(sc, grid, conservative) > 20_000:
+        if math.prod(row_counts(sc, grid, conservative)) > 20_000:
             continue
         found += len(assert_chunking_invisible(monkeypatch, sc, grid,
                                                conservative=conservative))

@@ -25,7 +25,6 @@ from bmlab.market import (
     keyword_mass,
     keyword_value,
     optimal_welfare,
-    positive_keywords,
     scenario_from_json,
 )
 
@@ -186,8 +185,8 @@ def test_positive_keywords():
         queries=["q1", "q2"], keywords=["s1", "s2"],
         edges=[("q1", "s1"), ("q2", "s2")],
     )
-    assert positive_keywords(sc, "a1") == frozenset({"s1"})
-    assert positive_keywords(sc, "a2") == frozenset({"s2"})
+    assert sc.kw_positive["a1"] == frozenset({"s1"})
+    assert sc.kw_positive["a2"] == frozenset({"s2"})
 
 
 def test_optimal_welfare_two_slots():

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from bmlab.errors import ValidationError
 from bmlab.market import (
+    SlotWeights,
     keyword_mass,
     keyword_value,
-    keyword_values,
     optimal_welfare,
     scenario_from_json,
 )
@@ -19,20 +19,18 @@ from bmlab.mechanisms import (
     gsp_outcome,
     gsp_rank,
     load_bid_profile,
+    padded_weights,
     pbm_expected_revenue,
     pbm_expected_revenue_batch,
     pbm_expected_welfare,
-    pbm_keyword_utility,
     pbm_run_round,
     pbm_simulate,
-    pbm_utility,
-    sbm_expected_welfare,
-    sbm_query_bid,
     validate_bid_profile,
 )
-from bmlab.market import SlotWeights
 
 from helpers import (
+    pbm_keyword_utility,
+    pbm_utility,
     per_round_simulate,
     random_bid_profile,
     random_scenario,
@@ -109,6 +107,22 @@ def test_pbm_utility_rejects_non_finite_library_bids(bad):
     sc = scenario_from_json(DATA / "scenario_2x2.json")
     with pytest.raises(ValidationError, match="finite"):
         pbm_utility(sc, {"a": {"s2": 1.0}, "b": {"s2": bad}}, "a")
+
+
+@pytest.mark.parametrize("functional", [pbm_expected_revenue, pbm_expected_welfare])
+def test_exact_functionals_reject_an_unknown_advertiser(functional):
+    # both forms once disagreed: welfare raised KeyError, revenue priced the stranger
+    sc = scenario_from_json(DATA / "scenario_2x2.json")
+    with pytest.raises(ValidationError, match="unknown advertiser 'zz'"):
+        functional(sc, {"zz": {"s1": 9.0}, "a": {"s1": 2.0}})
+
+
+@pytest.mark.parametrize("functional", [pbm_expected_revenue, pbm_expected_welfare])
+def test_exact_functionals_ignore_bids_on_keywords_outside_the_graph(functional):
+    sc = scenario_from_json(DATA / "scenario_2x2.json")
+    bids = {"a": {"s1": 2.0}, "b": {"s1": 3.0, "s2": 1.0}}
+    stray = {"a": {"s1": 2.0, "nowhere": 9.0}, "b": {"s1": 3.0, "s2": 1.0, "gone": math.nan}}
+    assert functional(sc, stray) == functional(sc, bids) > 0.0
 
 
 def test_keyword_bids_keep_zero_and_negative_bids_out_of_the_ranking():
@@ -398,40 +412,6 @@ def test_accounting_identity():
         assert lhs == pytest.approx(pbm_expected_welfare(sc, bids), abs=1e-9)
 
 
-# --------------------------------------------------------------- SBM side
-
-def test_sbm_query_bid_examples():
-    sc = simple_scenario({"a1": {"q1": 5.0}}, queries=["q1"],
-                         keywords=["s1", "s2"],
-                         edges=[("q1", "s1"), ("q1", "s2")],
-                         pi={"q1": {"s1": 0.5, "s2": 0.5}}, kappa=2)
-    g = sc.graph
-    assert sbm_query_bid({"a1": {"s1": 2.0, "s2": 5.0}}, "a1", "q1", g) == 5.0
-    assert sbm_query_bid({"a1": {}}, "a1", "q1", g) == 0.0
-    sc2 = simple_scenario({"a1": {"q1": 5.0, "q2": 1.0}}, kappa=2)
-    assert sbm_query_bid({"a1": {"s1": 2.0, "s2": 9.0}}, "a1", "q1",
-                         sc2.graph) == 2.0
-
-
-def test_sbm_welfare_two_keyword_example():
-    sc = simple_scenario({"a1": {"q1": 7.0}, "a2": {"q1": 3.0}},
-                         queries=["q1"], keywords=["s1", "s2"],
-                         edges=[("q1", "s1"), ("q1", "s2")],
-                         pi={"q1": {"s1": 0.5, "s2": 0.5}}, kappa=1)
-    bids = {"a1": {"s1": 5.0}, "a2": {"s2": 3.0}}
-    assert sbm_expected_welfare(sc, bids) == pytest.approx(7.0)
-    assert sbm_expected_welfare(sc, {}) == 0.0
-
-
-def test_single_keyword_graph_mechanisms_coincide():
-    rng = np.random.default_rng(5)
-    for _ in range(40):
-        sc = random_scenario(rng, max_kw=1, weights=(1.0, 0.5))
-        bids = random_bid_profile(rng, sc, overbid=0.3)
-        assert sbm_expected_welfare(sc, bids) == pytest.approx(
-            pbm_expected_welfare(sc, bids), abs=1e-12)
-
-
 # ----------------------------------------------------------------- revenue
 
 def test_revenue_examples():
@@ -461,9 +441,8 @@ def _kernel_utility(sc, bids, advertiser, s, reserve):
     a = advs.index(advertiser)
     ids = np.array([j for j in range(len(advs)) if j != a], dtype=np.intp)
     opp = np.array([bids.get(advs[j], {}).get(s, 0.0) for j in ids])
-    w_padded = np.array([sc.weights.weight(k) for k in range(len(advs) + 1)])
     slot_w, active, price, _ = gsp_outcome(np.array(bids.get(advertiser, {}).get(s, 0.0)),
-                                           a, opp, ids, w_padded, reserve)
+                                           a, opp, ids, padded_weights(sc), reserve)
     return float(np.where(active, sc.kw_masses[s] * slot_w
                           * (sc.kw_values[advertiser][s] - price), 0.0))
 
