@@ -9,31 +9,32 @@ default); off-grid deviations are covered by the continuity slack
 
 Utilities are separable across keywords (u_i = sum_s u_i^s), which the
 best-response search exploits: each keyword is optimized independently
-and the top-kappa keywords by achieved utility are kept.  That keyword
-selection works on padded menus (_best_bids, _rank_keywords) and is the
-one that best response and the Bayes-Nash regret estimate share.  Best
-response, the regret check and best-response dynamics share one pricing
-function: a run lays out every advertiser's menus once, with the
-starting profile's positive bids off those menus, and mirrors the
-profile in a dense (advertiser, keyword) array, whose row is rewritten
-whenever the dynamics write a row.  A group of advertisers' static
-arrays (flat bids with each entry's keyword column, mass and value, and
-the padded menus) are built on the group's first call and priced in one
-kernel call against that array; a current row's utility is looked up by
-(keyword, bid).  The sweep prices one advertiser at a time, the regret
-check all of them, in groups whose opponent matrix stays within
-_GROUP_CELLS cells.  The regret estimate prices every sampled type's
-deviation menus at once, in calls of at most _REGRET_CELLS cells, and
-refuses a menu of more than _MAX_MENU bids.  The pure-Nash
-enumerator builds per-advertiser strategy arrays and scans the joint
-grid (one axis per advertiser) in bounded chunks of advertiser 0's rows,
-in two passes: the first finds advertiser 0's best responses, the second
-every other advertiser's and the stable profiles.  No array spans the
+and the top-kappa keywords by achieved utility are kept.  Best response,
+the regret check, best-response dynamics and the Bayes-Nash regret
+estimate share that computation: one menu pricer (_price_menus) prices
+(bidder, keyword) rows, each a sorted bid menu and a played bid, against
+per-row opponent bids with leading draw axes, in gsp_outcome calls of at
+most _CELLS cells, and returns per row the best menu bid, its mean
+utility and the played bid's; _rank_keywords keeps the top kappa.  The
+full-information solvers call it with one draw: a run lays out every
+advertiser's menus once, with the starting profile's positive bids off
+those menus, and mirrors the profile in a dense (keyword, advertiser)
+array whose advertiser column is rewritten whenever the dynamics write a
+row; a call gathers each row's keyword column of it with the row's own
+advertiser zeroed.  The regret estimate calls it with its opponent
+draws, its menus built in runs of one call's bids, and refuses a menu of
+more than _MAX_MENU bids.  The pure-Nash enumerator builds per-advertiser
+strategy arrays and scans the joint grid (one axis per advertiser) in
+bounded chunks of advertiser 0's rows, in two passes: the first finds
+advertiser 0's best responses, the second every other advertiser's and
+the stable profiles.  No array spans the
 whole grid, so its memory stays about one chunk's plus one entry per
 opponent profile however large the grid grows.  Every solver here
 prices its keyword auctions with mechanisms.gsp_outcome, the one GSP
 kernel, at reserve 0, and reports the welfare of
-mechanisms.pbm_expected_welfare_batch.
+mechanisms.pbm_expected_welfare_batch.  The solvers read a bid profile
+through mechanisms.bid_matrix, so bids on keywords outside the graph are
+ignored, and reject a non-finite bid on one inside it.
 """
 from __future__ import annotations
 
@@ -54,7 +55,6 @@ from .mechanisms import (
     pbm_expected_welfare,
     pbm_expected_welfare_batch,
     require_finite_bid_tensor,
-    require_finite_profile,
 )
 
 _TRUTHFUL_TOL = 1e-9
@@ -106,17 +106,61 @@ def bid_menu(scenario: Scenario, grid: BidGrid, advertiser, keyword,
     return tuple(sorted({0.0, v, *pts}))
 
 
-def _best_bids(menus, utilities):
-    """The best bid of each sorted menu on the last axis of menus, whose
-    mean utilities are utilities: the first maximum if it is > 0,
-    otherwise (0.0, bid 0).  Pads of bid 0 at utility 0 change nothing.
-    Returns (utility, bid) arrays without the last axis."""
-    shape, width = utilities.shape[:-1], utilities.shape[-1]
-    utilities, menus = utilities.reshape(-1, width), menus.reshape(-1, width)
-    at = np.arange(len(utilities)), utilities.argmax(axis=1)
-    u = utilities[at]
-    gain = u > 0.0
-    return np.where(gain, u, 0.0).reshape(shape), np.where(gain, menus[at], 0.0).reshape(shape)
+# ------------------------------------------------------------ menu pricing
+
+# Cells (own bids x draws x opponents) of one gsp_outcome call of the menu
+# pricer.  The kernel's masks and copies and the utility arrays peak at
+# about 29 bytes per cell (tracemalloc, 16 draws, two opponents), so a
+# call stays near 1.9 MB; the regret check of the benchmark's
+# 20-advertiser markets is one call.
+_CELLS = 1 << 16
+
+
+def _call_entries(draws, opponents):
+    """Own bids per pricing call: _CELLS cells, one bid at least."""
+    return max(1, _CELLS // (draws * max(1, opponents)))
+
+
+@dataclass(frozen=True)
+class _Menus:
+    """The sorted bid menus of (bidder, keyword) rows, laid flat: row r's
+    menu is bids[first[r]:first[r + 1]] and never empty, and the entries
+    from first[-1] on are on no menu (bids played off the menus).  Per
+    entry: its row, bidder index, keyword mass and keyword value."""
+
+    bids: np.ndarray
+    row: np.ndarray
+    first: np.ndarray
+    who: np.ndarray
+    mass: np.ndarray
+    value: np.ndarray
+
+
+def _price_menus(menus, played, opp, ids, w_padded):
+    """(best bid, its mean utility, the played bid's mean utility) of each
+    row of menus against the opponents' bids opp[..., r, :], whose
+    advertiser indices are ids, and whose leading axes, if any, are draws;
+    played[r] is the entry of row r's played bid.  The entries are priced
+    in gsp_outcome calls of at most _CELLS cells (one entry at least), the
+    draws' utilities added in draw order.  The best bid is the menu's
+    first maximum if it is > 0, otherwise bid 0 at utility 0.0."""
+    draws = math.prod(opp.shape[:-2])
+    step = _call_entries(draws, opp.shape[-1])
+    util = np.empty(len(menus.bids))
+    for lo in range(0, len(util), step):
+        at = slice(lo, lo + step)
+        slot_w, active, price, _ = gsp_outcome(menus.bids[at], menus.who[at, None],
+                                               opp.take(menus.row[at], axis=-2), ids, w_padded)
+        u = np.where(active, menus.mass[at] * slot_w * (menus.value[at] - price),
+                     0.0).reshape(draws, -1)
+        np.divide(sum(u[1:], u[0]), draws, out=util[at])     # the draws added in draw order
+    # a menu's first maximum is its lowest bid of maximal utility
+    first, n = menus.first[:-1], menus.first[-1]
+    top = np.maximum.reduceat(util[:n], first)
+    best = np.minimum.reduceat(np.where(util[:n] == top.take(menus.row[:n]), menus.bids[:n],
+                                        np.inf), first)
+    gain = top > 0.0
+    return np.where(gain, best, 0.0), np.where(gain, top, 0.0), util.take(played)
 
 
 def _rank_keywords(u, kappa):
@@ -151,32 +195,23 @@ def _pool_menus(scenario, grid, advertiser, conservative):
     return _menus(scenario, grid, advertiser, conservative)
 
 
-def _all_pool_menus(scenario, bids, grid, conservative):
-    """{advertiser: _pool_menus}, the caps checked first, then the profile
-    checked for a non-finite bid, which would silently never outrank."""
-    menus = {i: _pool_menus(scenario, grid, i, conservative) for i in scenario.advertisers}
-    require_finite_profile(bids)
-    return menus
-
-
-# Opponent-matrix cells (menu entries x advertisers) of one pricing call.
-# The regret pass prices the advertisers in groups under this bound; a
-# group holds one advertiser at least.
-_GROUP_CELLS = 1 << 16
-
-
 class _Layout:
-    """The pricing layout of one run over {advertiser: _pool_menus} for
-    some of a scenario's advertisers and the run's starting profile bids:
-    per advertiser index, its (keyword, bid) menu entries and the
-    profile's positive bids off those menus, and the slot weights of
-    positions 0..n, all built once.  The rows a run prices are the
-    profile's or built from menus, so every positive bid of them is an
-    entry.  A group of advertisers' static arrays (group) are built on
-    first use; a profile is priced through its dense (advertiser,
-    keyword) mirror."""
+    """The pricing layout of one run over some of a scenario's advertisers
+    and the run's starting profile bids.  Per advertiser index, its rows
+    (keyword, menu) in name order, one per positive keyword with its
+    _pool_menus menu and one of menu (0.0,) per other keyword of the graph
+    the profile bids on, and the profile's positive bids off those menus:
+    the rows a run prices are the profile's or built from menus, so every
+    positive bid of them is an entry.  The profile is mirrored in a dense
+    (keyword, advertiser) array, checked for non-finite bids, whose
+    advertiser column is rewritten whenever the dynamics write a row.  A
+    group of advertisers' static arrays (group) are built on first use."""
 
-    def __init__(self, scenario, menus, bids):
+    def __init__(self, scenario, grid, conservative, bids, advertisers):
+        menus = {i: _pool_menus(scenario, grid, i, conservative) for i in advertisers}
+        dense = bid_matrix(scenario, bids)
+        require_finite_bid_tensor(scenario, dense[None])
+        self.dense = np.ascontiguousarray(dense.T)
         self.scenario = scenario
         advs, keywords = scenario.advertisers, scenario.graph.keywords
         self.col = {s: k for k, s in enumerate(keywords)}
@@ -185,82 +220,77 @@ class _Layout:
                                for i in advs]).reshape(len(advs), len(keywords))
         self.ids = np.arange(len(advs))
         self.w_padded = padded_weights(scenario)
-        # padded menus: (keyword, entry) blocks, keywords in name order
-        self.shape = (max(map(len, menus.values()), default=0),
-                      max((len(menu) for m in menus.values() for menu in m.values()), default=1))
-        self.entries = {}   # advertiser index -> (menu entries, off-menu bids, slots, keywords)
+        self.rows = {}      # advertiser index -> (rows, off-menu bids)
         for i, m in menus.items():
-            self.entries[advs.index(i)] = (
-                [(s, b) for s, menu in m.items() for b in menu],
-                [(s, b) for s, b in bids.get(i, {}).items() if b > 0.0 and b not in m.get(s, ())],
-                [k * self.shape[1] + j for k, menu in enumerate(m.values())
-                 for j in range(len(menu))],
-                list(m))
+            played = {s: b for s, b in bids.get(i, {}).items() if b > 0.0 and s in self.col}
+            self.rows[advs.index(i)] = (
+                sorted((m | {s: (0.0,) for s in played if s not in m}).items()),
+                [(s, b) for s, b in played.items() if b not in m.get(s, ())])
         self._groups = {}
 
     def group(self, group):
-        """The static arrays of a group of advertiser indices: the flat
-        own-bid vector (the group's menu entries, then its off-menu bids)
-        with each entry's keyword column, mass, value and advertiser index,
-        the menu entries' slots in the group's padded menus and those
-        menus, and per advertiser {(keyword, bid): entry}."""
+        """The static arrays of a group of advertiser indices: its _Menus
+        (the group's rows in order, then its off-menu bids), each row's
+        keyword column, its own bid's index in a flat (row, advertiser)
+        matrix and its cell in a (group, width) utility matrix, that width,
+        each advertiser's first row, and {(advertiser index, keyword, bid):
+        (row, entry)}."""
         key = tuple(group)
         if key not in self._groups:
-            parts = [self.entries[a] for a in group]
-            pairs = [(g, sb) for k in (0, 1) for g, part in enumerate(parts) for sb in part[k]]
-            lookups = [{} for _ in group]
-            for e, (g, sb) in enumerate(pairs):
-                lookups[g][sb] = e
-            who = np.array([group[g] for g, _ in pairs], dtype=np.intp)
-            at = np.array([self.col[s] for _, (s, _) in pairs], dtype=np.intp)
-            own = np.array([b for _, (_, b) in pairs])
-            size = self.shape[0] * self.shape[1]
-            slots = np.array([g * size + x for g, part in enumerate(parts) for x in part[2]],
-                             dtype=np.intp)
-            menus = np.zeros(len(group) * size)
-            menus[slots] = own[:len(slots)]
-            self._groups[key] = (own, at, self.mass[at], self.value[who, at], who, slots,
-                                 menus.reshape(len(group), *self.shape), lookups)
+            rows = [(a, s, menu) for a in group for s, menu in self.rows[a][0]]
+            at = {(a, s): r for r, (a, s, _) in enumerate(rows)}
+            entries = [(r, b) for r, (_, _, menu) in enumerate(rows) for b in menu]
+            entries += [(at[a, s], b) for a in group for s, b in self.rows[a][1]]
+            lookup = {(*rows[r][:2], b): (r, e) for e, (r, b) in enumerate(entries)}
+            row = np.array([r for r, _ in entries], dtype=np.intp)
+            who = np.array([a for a, _, _ in rows], dtype=np.intp)
+            col = np.array([self.col[s] for _, s, _ in rows], dtype=np.intp)
+            width = max((len(self.rows[a][0]) for a in group), default=0)
+            cell = np.array([g * width + j for g, a in enumerate(group)
+                             for j in range(len(self.rows[a][0]))], dtype=np.intp)
+            menus = _Menus(np.array([b for _, b in entries], dtype=float), row,
+                           np.cumsum([0] + [len(menu) for _, _, menu in rows]), who[row],
+                           self.mass[col[row]], self.value[who[row], col[row]])
+            own = np.arange(len(rows)) * len(self.ids) + who
+            starts = np.cumsum([0] + [len(self.rows[a][0]) for a in group]).tolist()
+            self._groups[key] = (menus, col, own, cell, width, starts, lookup)
         return self._groups[key]
 
-    def write(self, dense, a, row):
+    def write(self, a, row):
         """Set advertiser index a's row of the mirror to the bid row."""
-        dense[a] = 0.0
+        self.dense[:, a] = 0.0
         for s, b in row.items():
-            if s in self.col:
-                dense[a, self.col[s]] = b
+            self.dense[self.col[s], a] = b
 
 
-def _respond(layout, bids, dense, group):
+def _respond(layout, group, bids):
     """[(best row, its utility, utility of the current row)] of each
-    advertiser index in group, against the opponents' bids of a finite
-    profile and its mirror dense.  The group's static own-bid vector is
-    priced in one gsp_outcome call against each entry's keyword column of
-    the mirror with the entry's own advertiser zeroed: a zero bid neither
-    outranks a positive bid nor raises its price.  The menu utilities go
-    into the padded menus for the keyword selection; a current row's
-    utilities are looked up by (keyword, bid)."""
-    own, at, mass, value, who, slots, menus, lookups = layout.group(group)
-    opp = dense.T[at]                               # (entry, advertiser)
-    opp[np.arange(len(at)), who] = 0.0
-    slot_w, active, price, _ = gsp_outcome(own, who[:, None], opp, layout.ids,
-                                           layout.w_padded)
-    util = np.where(active, mass * slot_w * (value - price), 0.0)
-    padded = np.zeros(menus.size)
-    padded[slots] = util[:len(slots)]
-    u, b = _best_bids(menus, padded.reshape(menus.shape))
-    order, kept = _rank_keywords(u, layout.scenario.kappa)
+    advertiser index in group, against the opponents' bids of the profile
+    that layout.dense mirrors: the group's rows priced by _price_menus with
+    one draw, each row's keyword column of the mirror with the row's own
+    advertiser zeroed (a zero bid neither outranks a positive bid nor
+    raises its price).  The current rows are those of the profile bids;
+    a caller that needs no current utility passes {}."""
+    menus, col, own, cell, width, starts, lookup = layout.group(group)
+    opp = layout.dense.take(col, axis=0)            # (row, advertiser)
+    opp.put(own, 0.0)
     advs = layout.scenario.advertisers
-    rows = [[lookups[g][sb] for sb in bids.get(advs[a], {}).items() if sb[1] > 0.0]
-            for g, a in enumerate(group)]
-    current = util[np.array([e for row in rows for e in row], dtype=np.intp)].tolist()
-    u, b, order, kept = (x.tolist() for x in (u, b, order, kept))
-    out, lo = [], 0
+    playing = [[lookup[a, s, b] for s, b in bids.get(advs[a], {}).items()
+                if b > 0.0 and s in layout.col] for a in group]
+    played = menus.first[:-1].copy()        # a row's bid 0 where the profile plays none
+    for pairs in playing:
+        for r, e in pairs:
+            played[r] = e
+    best_b, best_u, played_u = _price_menus(menus, played, opp, layout.ids, layout.w_padded)
+    u = np.zeros(len(group) * width)
+    u[cell] = best_u
+    order, kept = _rank_keywords(u.reshape(len(group), width), layout.scenario.kappa)
+    u, b, order, kept, played_u = (x.tolist() for x in (best_u, best_b, order, kept, played_u))
+    out = []
     for g, a in enumerate(group):
-        names, top = layout.entries[a][3], order[g][:kept[g]]
-        out.append(({names[k]: b[g][k] for k in top}, sum(u[g][k] for k in top),
-                    sum(current[lo:lo + len(rows[g])], 0.0)))
-        lo += len(rows[g])
+        rows, top, lo = layout.rows[a][0], order[g][:kept[g]], starts[g]
+        out.append(({rows[k][0]: b[lo + k] for k in top}, sum((u[lo + k] for k in top), 0.0),
+                    sum((played_u[r] for r, _ in playing[g]), 0.0)))
     return out
 
 
@@ -271,13 +301,11 @@ def best_response(scenario: Scenario, bids, advertiser, grid: BidGrid,
     Searches every keyword independently (utility separability), keeps
     the top-kappa keywords by achieved utility, and among equally good
     bids prefers the lowest, then the lexicographically first keyword.
-    Returns (bid row, total utility).
+    Bids on keywords outside the graph are ignored.  Returns (bid row,
+    total utility).
     """
-    menus = _pool_menus(scenario, grid, advertiser, conservative)
-    require_finite_profile(bids)      # a NaN bid would silently never outrank
-    layout = _Layout(scenario, {advertiser: menus}, bids)
-    [(row, best, _)] = _respond(layout, bids, bid_matrix(scenario, bids),
-                                [scenario.advertisers.index(advertiser)])
+    layout = _Layout(scenario, grid, conservative, bids, [advertiser])
+    [(row, best, _)] = _respond(layout, [scenario.advertisers.index(advertiser)], {})
     return row, best
 
 
@@ -311,30 +339,15 @@ class EquilibriumReport:
 def verify_epsilon_nash(scenario: Scenario, bids, grid: BidGrid,
                         conservative=False) -> dict:
     """Per-advertiser regret of a profile against grid deviations."""
-    layout = _Layout(scenario, _all_pool_menus(scenario, bids, grid, conservative), bids)
-    return _regrets(layout, bids, bid_matrix(scenario, bids))
+    return _regrets(_Layout(scenario, grid, conservative, bids, scenario.advertisers), bids)
 
 
-def _regrets(layout, bids, dense):
+def _regrets(layout, bids):
     """verify_epsilon_nash over a layout of every advertiser, for the
-    profile bids and its mirror dense: the advertisers are priced in
-    groups of consecutive indices whose opponent matrix stays within
-    _GROUP_CELLS cells."""
+    profile bids it mirrors."""
     advs = layout.scenario.advertisers
-    groups, cells = [], 0
-    for a, i in enumerate(advs):
-        size = len(advs) * (len(layout.entries[a][0]) +
-                            sum(b > 0.0 for b in bids.get(i, {}).values()))
-        if not groups or cells + size > _GROUP_CELLS:
-            groups.append([])
-            cells = 0
-        groups[-1].append(a)
-        cells += size
-    regrets = {}
-    for group in groups:
-        for a, (_, best, current) in zip(group, _respond(layout, bids, dense, group)):
-            regrets[advs[a]] = max(0.0, best - current)
-    return regrets
+    return {i: max(0.0, best - current)
+            for i, (_, best, current) in zip(advs, _respond(layout, range(len(advs)), bids))}
 
 
 def best_response_dynamics(scenario: Scenario, initial, grid: BidGrid,
@@ -349,10 +362,8 @@ def best_response_dynamics(scenario: Scenario, initial, grid: BidGrid,
     # the menus depend only on (advertiser, keyword), so they and the layout
     # (with the initial profile's off-menu bids) are built once; every row a
     # best response writes is finite and on the menus, so one check suffices
-    layout = _Layout(scenario, _all_pool_menus(scenario, profile, grid, conservative),
-                     profile)
-    dense = bid_matrix(scenario, profile)
-    regrets = _regrets(layout, profile, dense)
+    layout = _Layout(scenario, grid, conservative, profile, scenario.advertisers)
+    regrets = _regrets(layout, profile)
     converged = False
     iterations = 0
     for it in range(1, max_iters + 1):
@@ -361,9 +372,9 @@ def best_response_dynamics(scenario: Scenario, initial, grid: BidGrid,
             converged = True
             break
         for a, i in enumerate(scenario.advertisers):
-            [(profile[i], _, _)] = _respond(layout, profile, dense, [a])
-            layout.write(dense, a, profile[i])
-        regrets = _regrets(layout, profile, dense)
+            [(profile[i], _, _)] = _respond(layout, [a], {})
+            layout.write(a, profile[i])
+        regrets = _regrets(layout, profile)
     else:
         converged = max_iters > 0 and max(regrets.values(), default=0.0) <= eps
     return EquilibriumReport(profile=profile, regrets=regrets,
@@ -630,65 +641,30 @@ class RegretEstimate:
     per_type: tuple = field(repr=False, default=())
 
 
-# Cells (draws x opponents x own bids) of one pricing call of the regret
-# estimate; a deviation menu larger than one call is priced in slices.
-# The kernel's masks and their copies, the price and utility arrays peak
-# at about 25 bytes per cell with two opponents (tracemalloc), so a call
-# stays near 0.4 MB.
-_REGRET_CELLS = 1 << 14
-# Deviation-menu length cap.  A menu too wide for one call is built and
-# sorted whole, which sets the estimate's peak: 49 bytes per bid
-# (tracemalloc, 49 MB at 2^20 bids).  Pricing it costs bids x draws x
-# opponents cells, about 1.6 s per 2^20-bid menu at 16 draws and one
+# Deviation-menu length cap.  A menu too wide for one pricing call is
+# built and sorted whole, which sets the estimate's peak: 64 bytes per bid
+# (tracemalloc, 64 MB at 2^20 bids).  Pricing it costs bids x draws x
+# opponents cells, about 0.3 s per 2^20-bid menu at 16 draws and one
 # opponent on a 2-core VM.
 _MAX_MENU = 1 << 20
 
 
-def _deviation_winners(grid, played, opp, mass, value, a, others, w_padded, delta):
-    """Per (type, keyword) row: the best deviation's utility on the row's
-    menu and the played bid's utility, each a mean over the draws.  A
-    row has grid[r] grid points k * delta, its played bid, keyword mass
-    and keyword value, and opp[r] (draw, opponent) holds the opponents'
-    bids.  Its menu is the grid plus 0, the value and the played bid,
-    sorted and padded with bid 0 to the widest menu of its call.  Rows
-    are priced by width, several to one gsp_outcome call of at most
-    _REGRET_CELLS cells, with the played bid as a last column; a row too
-    wide for a call alone is priced in slices of its menu, whose best
-    bids are then selected as a menu of their own."""
-    rows, draws = len(grid), opp.shape[1]
-    room = max(2, _REGRET_CELLS // (draws * max(1, len(others))))  # own bids per call
-    best, u_played = np.empty(rows), np.empty(rows)
-
-    def menus(idx):
-        k = np.arange(grid[idx].max(initial=0))
-        points = np.where(k < grid[idx, None], k * delta, 0.0)
-        return np.sort(np.concatenate([points, np.zeros((len(idx), 1)), value[idx, None],
-                                       played[idx, None]], axis=1), axis=1)
-
-    def evaluate(idx, menu):
-        own = np.concatenate([menu, played[idx, None]], axis=1)
-        slot_w, active, price, _ = gsp_outcome(own, a, opp[idx].transpose(1, 0, 2)[:, :, None],
-                                               others, w_padded)
-        util = np.where(active, mass[idx, None] * slot_w * (value[idx, None] - price), 0.0)
-        mean = sum(util) / draws      # builtin sum: the draws added in draw order
-        return (*_best_bids(menu, mean[:, :-1]), mean[:, -1])
-
-    by_width = np.argsort(grid, kind="stable")
-    width = grid[by_width] + 4      # grid, 0, value, played, the played column
-    lo = 0
-    while lo < rows:
-        fit = int(np.searchsorted(np.arange(1, rows - lo + 1) * width[lo:], room, "right"))
-        idx = by_width[lo:lo + max(fit, 1)]
-        if fit:
-            best[idx], _, u_played[idx] = evaluate(idx, menus(idx))
-        else:
-            menu = menus(idx)
-            u, b, played_u = zip(*(evaluate(idx, menu[:, j:j + room - 1])
-                                   for j in range(0, menu.shape[1], room - 1)))
-            best[idx] = _best_bids(np.stack(b, -1), np.stack(u, -1))[0]
-            u_played[idx] = played_u[0]
-        lo += len(idx)
-    return best, u_played
+def _deviation_menus(grid, value, played, delta, a, mass):
+    """The _Menus of bidder index a's (type, keyword) rows and each row's
+    played entry: row r's menu is its grid {0, delta, ..., (grid[r] - 1) *
+    delta}, 0, its keyword value value[r] and its played bid played[r],
+    sorted."""
+    width = grid + 3
+    first = np.concatenate(([0], np.cumsum(width)))
+    row = np.repeat(np.arange(len(grid)), width)
+    bids = (np.arange(first[-1]) - first[row]) * delta
+    ends = first[1:]
+    bids[ends - 3], bids[ends - 2], bids[ends - 1] = 0.0, value, played
+    bids = bids[np.lexsort((bids, row))]
+    # the played entry: the first of its row's bids equal to it
+    played_at = first[:-1] + np.add.reduceat(bids < played[row], first[:-1])
+    return (_Menus(bids, row, first, np.broadcast_to(a, row.shape), mass[row], value[row]),
+            played_at)
 
 
 def estimate_bne_regret(bayes: BayesScenario, strategy: Callable, n_types: int,
@@ -706,11 +682,11 @@ def estimate_bne_regret(bayes: BayesScenario, strategy: Callable, n_types: int,
     averaged over types, with its standard error.  Each advertiser's
     profiles come from one sample_values call, a type's own profile
     followed by its opponent profiles, and are bid in one strategy call.
-    Every type's menus are priced at once (_deviation_winners): padded
-    menu rows, several to one gsp_outcome call of at most _REGRET_CELLS
-    cells, the draws' utilities added in draw order.  The keyword
-    selection is best response's (_best_bids, _rank_keywords).  A menu of
-    more than _MAX_MENU bids raises TooLarge before any menu is built.
+    The (type, keyword) rows' menus are built (_deviation_menus) in runs
+    of one pricing call's bids and priced by best response's pricer,
+    _price_menus, against the opponent draws; the keyword selection is
+    best response's too (_rank_keywords).  A menu of more than _MAX_MENU
+    bids raises TooLarge before any menu is built.
     """
     if n_types < 1:
         raise ValidationError("n_types must be >= 1")
@@ -740,10 +716,23 @@ def estimate_bne_regret(bayes: BayesScenario, strategy: Callable, n_types: int,
                            f"on keyword {keywords[by_name[r % n_kw]]!r} at delta "
                            f"{deviation_delta:g} (cap {_MAX_MENU})")
         bids = bids.reshape(n_types, rows, n_adv, n_kw)[..., by_name]
-        opp = bids[:, 1:, others].transpose(0, 3, 1, 2).reshape(n_types * n_kw,
-                                                                 n_opponent_draws, len(others))
-        u, u_played = _deviation_winners(grid.astype(np.intp), bids[:, 0, a].ravel(), opp,
-                                            mass, value, a, others, w_padded, deviation_delta)
+        played = bids[:, 0, a].ravel()
+        opp = bids[:, 1:, others].transpose(1, 0, 3, 2).reshape(n_opponent_draws,
+                                                                 n_types * n_kw, len(others))
+        # the rows in runs of one pricing call's entries (one row at least),
+        # so that only a row too wide for a call is built whole
+        grid = grid.astype(np.intp)
+        room = _call_entries(n_opponent_draws, len(others))
+        ends = np.cumsum(grid + 3)
+        u, u_played = np.empty(len(grid)), np.empty(len(grid))
+        lo = 0
+        while lo < len(grid):
+            hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - grid[lo] - 3 + room, "right")))
+            menus, played_at = _deviation_menus(grid[lo:hi], value[lo:hi], played[lo:hi],
+                                                deviation_delta, a, mass[lo:hi])
+            _, u[lo:hi], u_played[lo:hi] = _price_menus(menus, played_at, opp[:, lo:hi], others,
+                                                        w_padded)
+            lo = hi
         u, u_played = u.reshape(n_types, n_kw), u_played.reshape(n_types, n_kw)
         order, kept = _rank_keywords(u, bayes.kappa)
         # builtin sums in ranked order: the best kept utilities, the played ones

@@ -78,8 +78,7 @@ class KeywordRanking:
     prices: tuple          # per-click price at each position
 
 
-def gsp_rank(bids: Mapping[str, float], weights, reserve=0.0,
-             keyword=None) -> KeywordRanking:
+def gsp_rank(bids: Mapping[str, float], reserve=0.0, keyword=None) -> KeywordRanking:
     """Rank one keyword's bids by GSP with an optional reserve.
 
     Advertisers with a zero bid or a bid below the reserve do not
@@ -111,18 +110,11 @@ def _non_finite_bid(advertiser, bid):
     return ValidationError(f"bid of {advertiser!r} must be finite, got {bid}")
 
 
-def require_finite_profile(bids):
-    """Reject a profile {advertiser: {keyword: bid}} holding a NaN or
-    infinite bid, with gsp_rank's message."""
-    for adv, row in bids.items():
-        if not all(map(math.isfinite, row.values())):
-            raise _non_finite_bid(adv, next(b for b in row.values() if not math.isfinite(b)))
-
-
 def require_finite_bid_tensor(market, bids):
-    """The same check on an (n, |A|, |S|) bid tensor, naming the first
-    non-finite bid by profile, then keyword, then advertiser: the one
-    gsp_rank would meet first pricing the profiles in order."""
+    """Reject an (n, |A|, |S|) bid tensor holding a NaN or infinite bid
+    with gsp_rank's message, naming the first non-finite bid by profile,
+    then keyword, then advertiser: the one gsp_rank would meet first
+    pricing the profiles in order."""
     bad = ~np.isfinite(bids)
     if bad.any():
         t, k, a = np.argwhere(bad.transpose(0, 2, 1))[0]
@@ -257,7 +249,7 @@ def _rank_keyword(scenario, bids, s):
     """GSP among the nonzero bids on keyword s of a dict profile (NaN
     included, so that gsp_rank rejects it)."""
     return gsp_rank({adv: row[s] for adv, row in bids.items() if row.get(s, 0.0) != 0.0},
-                    scenario.weights, keyword=s)
+                    keyword=s)
 
 
 def bid_matrix(market, bids) -> np.ndarray:

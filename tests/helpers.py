@@ -157,8 +157,7 @@ def keyword_bids(bids, s):
 
 def rank_keyword(scenario, bids, s, reserves=None):
     """GSP among the bidders on keyword s, under its reserve."""
-    return gsp_rank(keyword_bids(bids, s), scenario.weights,
-                    reserve=(reserves or {}).get(s, 0.0), keyword=s)
+    return gsp_rank(keyword_bids(bids, s), reserve=(reserves or {}).get(s, 0.0), keyword=s)
 
 
 def rankings_by_keyword(scenario, bids):

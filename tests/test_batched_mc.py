@@ -272,7 +272,7 @@ def test_revenue_kernel_rejects_non_finite_bids_like_gsp_rank(bad):
     bids[2, -1, -1] = bad
     bids[3, 0, 0] = bad
     with pytest.raises(ValidationError) as expected:
-        gsp_rank({bayes.advertisers[-1]: bad}, bayes.weights)
+        gsp_rank({bayes.advertisers[-1]: bad})
     with pytest.raises(ValidationError) as got:
         pbm_expected_revenue_batch(bayes, bids)
     assert str(got.value) == str(expected.value)
@@ -347,17 +347,17 @@ def grid_point_bayes() -> BayesScenario:
                          SlotWeights([1.0, 0.5]), 1, dists)
 
 
-# _REGRET_CELLS settings: every menu sliced to one bid per call (the played
-# bid rides along as a second column); at most one menu per call, as a
-# menu holds 5 bids at least and a call 9; and the default
-CELLS = ("slices", "one menu", "default")
+# _CELLS settings: one bid per pricing call; calls of four bids, the
+# narrowest menu (one grid point, 0, the value and the played bid), so
+# that every call holds bids of one row; and the default
+CELLS = ("one bid", "one row", "default")
 
 
 def regret_cells(mp, cells, bayes, draws):
-    """Set _REGRET_CELLS on the monkeypatch mp for the CELLS setting."""
+    """Set _CELLS on the monkeypatch mp for the CELLS setting."""
     per_bid = draws * max(1, len(bayes.advertisers) - 1)
     if cells != "default":
-        mp.setattr(equilibrium, "_REGRET_CELLS", per_bid * (2 if cells == "slices" else 9))
+        mp.setattr(equilibrium, "_CELLS", per_bid * (1 if cells == "one bid" else 4))
 
 
 def hex_estimates(estimates):
@@ -390,22 +390,28 @@ def test_bne_regret_equals_the_per_draw_loop(seed, n_types, draws, delta, cells)
 def test_bne_regret_equals_the_per_draw_loop_on_fixtures(name):
     bayes = grid_point_bayes() if name == "grid points" else bayes_scenario_from_json(DATA / name)
     rows = 3 * 8 * len(bayes.advertisers) * len(bayes.graph.keywords)  # strategy, type, keyword
+    price = equilibrium._price_menus
     for cells in CELLS:
-        calls = []
+        calls, batches = [], []
 
-        def spy(own, *args, **kwargs):
-            calls.append(own.shape)
+        def kernel(own, *args, **kwargs):
+            calls.append(len(own))
             return gsp_outcome(own, *args, **kwargs)
 
+        def pricer(menus, *args):
+            batches.append(len(menus.first) - 1)
+            return price(menus, *args)
+
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(equilibrium, "gsp_outcome", spy)
+            mp.setattr(equilibrium, "gsp_outcome", kernel)
+            mp.setattr(equilibrium, "_price_menus", pricer)
             for strategy in (truthful_keyword_strategy(bayes), below_and_at_zero(bayes),
                              overbid(bayes)):
                 assert_regret_equals_the_loop(bayes, strategy, cells, 8, 0.25, 3, 16)
-        if cells == "slices":
-            assert set(calls) == {(1, 2)}
-        elif cells == "one menu":
-            assert {rows_in_call for rows_in_call, _ in calls} == {1} and len(calls) >= rows
+        if cells == "one bid":
+            assert set(calls) == {1}
+        elif cells == "one row":
+            assert batches == [1] * rows and max(calls) <= 4
         else:
             assert len(calls) < rows
 

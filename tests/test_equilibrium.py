@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from bmlab.market import (
     SlotWeights,
     ValuationProfile,
     build_scenario,
+    scenario_from_json,
 )
 from bmlab.mechanisms import pbm_expected_welfare
 from bmlab.reserves import PointMass, Uniform
@@ -45,6 +47,9 @@ from helpers import (
     single_keyword_scenario,
     slow_pure_nash_oracle,
 )
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def five_three():
@@ -135,6 +140,41 @@ def test_verify_rejects_non_finite_own_bid():
     sc = single_keyword_scenario({"a": 5.0})
     with pytest.raises(ValidationError, match=r"bid of 'a' must be finite"):
         verify_epsilon_nash(sc, {"a": {"s": float("nan")}}, make_grid(sc, delta=1.0))
+
+
+# the solvers read a profile through bid_matrix, which leaves bids on
+# keywords outside the graph out, finite or not
+CLEAN = {"a": {"s1": 2.0}, "b": {"s2": 1.0}}
+STRAY = {"finite": {"a": {"s1": 2.0, "nowhere": 1.0}, "b": {"s2": 1.0}},
+         "nan": {"a": {"s1": 2.0}, "b": {"s2": 1.0, "gone": math.nan}}}
+
+
+def scenario_2x2():
+    return scenario_from_json(DATA / "scenario_2x2.json")
+
+
+@pytest.mark.parametrize("stray", STRAY)
+def test_best_response_ignores_bids_on_keywords_outside_the_graph(stray):
+    sc = scenario_2x2()
+    grid = make_grid(sc, 1.0)
+    for i in sc.advertisers:
+        assert best_response(sc, STRAY[stray], i, grid) == best_response(sc, CLEAN, i, grid)
+
+
+@pytest.mark.parametrize("stray", STRAY)
+def test_verify_ignores_bids_on_keywords_outside_the_graph(stray):
+    sc = scenario_2x2()
+    regrets = verify_epsilon_nash(sc, STRAY[stray], make_grid(sc, 1.0))
+    assert regrets == verify_epsilon_nash(sc, CLEAN, make_grid(sc, 1.0))
+    assert max(regrets.values()) > 0.0
+
+
+@pytest.mark.parametrize("stray", STRAY)
+def test_dynamics_ignore_bids_on_keywords_outside_the_graph(stray):
+    sc = scenario_2x2()
+    rep = best_response_dynamics(sc, STRAY[stray], make_grid(sc, 1.0))
+    assert rep.iterations > 1       # every row was rewritten, the stray bids with it
+    assert rep == best_response_dynamics(sc, CLEAN, make_grid(sc, 1.0))
 
 
 def test_best_response_matches_joint_oracle():
@@ -274,7 +314,7 @@ def test_dynamics_bit_identical_to_per_call_oracle(weights):
         assert (rep.iterations, rep.converged) == (iterations, converged)
 
 
-def _grouped_market(rng):
+def _tied_market(rng):
     """A random market of up to 10 advertisers and 5 keywords with kappa
     below most advertisers' pools, one advertiser valuing no query, and
     an initial profile on grid points with exact ties between
@@ -306,41 +346,53 @@ def _grouped_market(rng):
     return sc, grid, bids
 
 
-@pytest.mark.parametrize("bound", ["one advertiser", "half", "default"])
-def test_grouped_regret_pass_bit_identical_to_oracles(monkeypatch, bound):
-    """With the regret pass priced one advertiser per call, split mid-way,
-    or in one call, best_response_dynamics equals the per-call loop and
+def _entries(sc, grid, bids, conservative):
+    """Own bids of the regret check's pricing: every advertiser's menus,
+    a bid-0 menu per other keyword it bids on, and its positive bids off
+    those menus."""
+    n = 0
+    for i in sc.advertisers:
+        menus = {s: bid_menu(sc, grid, i, s, conservative) for s in sc.kw_positive[i]}
+        n += sum(map(len, menus.values()))
+        for s, b in bids.get(i, {}).items():
+            n += (b > 0.0) * ((s not in menus) + (b not in menus.get(s, ())))
+    return n
+
+
+@pytest.mark.parametrize("cells", ["one bid", "one row", "default"])
+def test_sliced_regret_pass_bit_identical_to_oracles(monkeypatch, cells):
+    """With the menu pricer's calls cut to one bid, to the widest menu's
+    bids (menus split across calls, calls across menus and advertisers)
+    or left at the default (the regret check in one call),
+    best_response_dynamics equals the per-call loop and
     verify_epsilon_nash the scalar oracle bit for bit, on markets of up to
     10 advertisers with ties, zero-value bids and a valueless advertiser."""
-    rng = np.random.default_rng([808, len(bound)])
-    groups = []
-    respond = equilibrium._respond
+    rng = np.random.default_rng([808, len(cells)])
+    calls = []
+    kernel = equilibrium.gsp_outcome
 
-    def spy(layout, bids, dense, group):
-        groups.append(len(group))
-        return respond(layout, bids, dense, group)
+    def spy(own, *args):
+        calls.append(len(own))
+        return kernel(own, *args)
 
-    monkeypatch.setattr(equilibrium, "_respond", spy)
+    monkeypatch.setattr(equilibrium, "gsp_outcome", spy)
     ties = zero_rows = 0
     for t in range(12):
-        sc, grid, bids = _grouped_market(rng)
+        sc, grid, bids = _tied_market(rng)
         n, conservative = len(sc.advertisers), bool(t % 2)
-        cells = [n * (sum(len(bid_menu(sc, grid, i, s, conservative)) for s in sc.kw_positive[i])
-                      + sum(b > 0.0 for b in bids.get(i, {}).values()))
-                 for i in sc.advertisers]
-        # the first group ends before the first advertiser from n // 2 on
-        # that has an entry to price
-        half = next(k for k in range(n // 2, n) if cells[k])
-        if bound != "default":
-            monkeypatch.setattr(equilibrium, "_GROUP_CELLS",
-                                1 if bound == "one advertiser" else sum(cells[:half]))
+        entries = _entries(sc, grid, bids, conservative)
+        step = {"one bid": 1,
+                "one row": max(len(bid_menu(sc, grid, i, s, conservative))
+                               for i in sc.advertisers for s in sc.kw_positive[i])}.get(cells)
+        if step:
+            monkeypatch.setattr(equilibrium, "_CELLS", n * step)
         ties += max(Counter((s, b) for row in bids.values() for s, b in row.items()).values()) > 1
         zero_rows += sum(s not in sc.kw_positive[i] for i, row in bids.items() for s in row)
 
-        groups.clear()
+        calls.clear()
         regrets = verify_epsilon_nash(sc, bids, grid, conservative)
-        assert groups == {"one advertiser": [1] * n, "default": [n]}.get(bound, groups)
-        assert sum(groups) == n and (bound != "half" or groups[0] == half < n)
+        step = step or entries
+        assert calls == [step] * (entries // step) + [entries % step] * (entries % step > 0)
         oracle = {i: max(0.0, best - current)
                   for i in sc.advertisers
                   for _, best, current in [scalar_best_response(sc, bids, i, grid, conservative)]}
@@ -774,6 +826,36 @@ def test_bne_regret_menu_cap_raises_before_any_menu_is_built(monkeypatch):
     with pytest.raises(TooLarge, match=r"deviation menu of 8 bids .* \(cap 7\)"):
         estimate_bne_regret(point, truthful_keyword_strategy(point), 2, 0.25,
                             np.random.default_rng(0), n_opponent_draws=2)
+
+
+def test_bne_regret_of_point_masses_is_the_nash_regret():
+    """On a market whose values are point masses, with one type, one
+    opponent draw and kappa <= 2, the Bayes-Nash regret estimate of a
+    strategy equals verify_epsilon_nash's regret of the profile it bids on
+    the conservative grid, bit for bit: one computation on two paths."""
+    rng = np.random.default_rng(5)
+    regrets = nonzero = 0
+    for _ in range(300):
+        sc = random_scenario(rng, weights=(1.0, 0.6))
+        if sc.kappa > 2:
+            continue
+        bayes = BayesScenario(sc.graph, sc.p, sc.pi, sc.weights, sc.kappa,
+                              {i: {q: PointMass(v) for q, v in sc.valuations.row(i).items()}
+                               for i in sc.advertisers})
+        grid = make_grid(sc, 0.5)
+        truthful = truthful_keyword_strategy(bayes)
+        for strategy in (truthful, lambda values: 0.5 * truthful(values)):
+            bids = strategy(sc.value_matrix[None])[0].tolist()
+            profile = {i: {s: b for s, b in zip(sc.graph.keywords, row) if b > 0.0}
+                       for i, row in zip(sc.advertisers, bids)}
+            nash = verify_epsilon_nash(sc, profile, grid, conservative=True)
+            estimate = estimate_bne_regret(bayes, strategy, 1, grid.delta,
+                                           np.random.default_rng(0), n_opponent_draws=1)
+            assert {i: e.mean.hex() for i, e in estimate.items()} == \
+                {i: r.hex() for i, r in nash.items()}
+            regrets += len(nash)
+            nonzero += sum(r > 0.0 for r in nash.values())
+    assert regrets >= 1000 and nonzero >= 300
 
 
 def test_bne_regret_deterministic():

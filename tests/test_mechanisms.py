@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from bmlab.errors import ValidationError
 from bmlab.market import (
-    SlotWeights,
     keyword_mass,
     keyword_value,
     optimal_welfare,
@@ -39,31 +38,30 @@ from helpers import (
     vcg_payment_oracle,
 )
 
-W1 = SlotWeights([1.0])
 DATA = Path(__file__).parent / "data"
 
 
 # ---------------------------------------------------------------- gsp_rank
 
 def test_gsp_rank_textbook():
-    r = gsp_rank({"A": 5, "B": 3, "C": 2}, W1)
+    r = gsp_rank({"A": 5, "B": 3, "C": 2})
     assert r.ranked == ("A", "B", "C")
     assert r.prices == (3, 2, 0)
 
 
 def test_gsp_rank_reserve_excludes_and_prices():
-    r = gsp_rank({"A": 5, "B": 3}, W1, reserve=4.0)
+    r = gsp_rank({"A": 5, "B": 3}, reserve=4.0)
     assert r.ranked == ("A",)
     assert r.prices == (4.0,)
 
 
 def test_gsp_rank_empty_and_zero_bids():
-    assert gsp_rank({}, W1).ranked == ()
-    assert gsp_rank({"A": 0.0}, W1).ranked == ()
+    assert gsp_rank({}).ranked == ()
+    assert gsp_rank({"A": 0.0}).ranked == ()
 
 
 def test_gsp_rank_lex_tie_break():
-    r = gsp_rank({"b": 3.0, "a": 3.0, "c": 4.0}, W1)
+    r = gsp_rank({"b": 3.0, "a": 3.0, "c": 4.0})
     assert r.ranked == ("c", "a", "b")
 
 
@@ -73,7 +71,7 @@ def test_gsp_rank_lex_tie_break():
 @settings(max_examples=200, deadline=None)
 def test_gsp_price_never_exceeds_own_bid(bids, reserve):
     """Individual rationality of the pricing rule at every position."""
-    r = gsp_rank(bids, W1, reserve=reserve)
+    r = gsp_rank(bids, reserve=reserve)
     for k, adv in enumerate(r.ranked):
         assert r.prices[k] <= r.bids[k] + 1e-12
         assert r.bids[k] >= reserve
@@ -84,12 +82,12 @@ def test_gsp_price_never_exceeds_own_bid(bids, reserve):
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_gsp_rank_rejects_non_finite_bids(bad):
     with pytest.raises(ValidationError, match="finite"):
-        gsp_rank({"A": 5.0, "B": bad}, W1)
+        gsp_rank({"A": 5.0, "B": bad})
 
 
 def test_gsp_rank_rejects_nan_reserve():
     with pytest.raises(ValidationError, match="reserve"):
-        gsp_rank({"A": 5.0}, W1, reserve=math.nan)
+        gsp_rank({"A": 5.0}, reserve=math.nan)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -337,7 +335,7 @@ def test_welfare_keyword_decomposition_matches_query_sum():
         by_kw = 0.0
         for s in sc.graph.keywords:
             col = {i: bids[i][s] for i in bids if bids[i].get(s, 0.0) > 0.0}
-            ranking = gsp_rank(col, sc.weights, keyword=s)
+            ranking = gsp_rank(col, keyword=s)
             mass = keyword_mass(sc, s)
             by_kw += mass * sum(sc.weights.weight(k) * keyword_value(sc, adv, s)
                                 for k, adv in enumerate(ranking.ranked)
