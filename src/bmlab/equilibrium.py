@@ -24,12 +24,15 @@ row; a call gathers each row's keyword column of it with the row's own
 advertiser zeroed.  The regret estimate calls it with its opponent
 draws, its menus built in runs of one call's bids, and refuses a menu of
 more than _MAX_MENU bids.  The pure-Nash enumerator builds per-advertiser
-strategy arrays and scans the joint grid (one axis per advertiser) in
-bounded chunks of advertiser 0's rows, in two passes: the first finds
-advertiser 0's best responses, the second every other advertiser's and
-the stable profiles.  No array spans the
-whole grid, so its memory stays about one chunk's plus one entry per
-opponent profile however large the grid grows.  Every solver here
+strategy arrays and scans the joint grid (one axis per advertiser) once,
+in bounded chunks of advertiser 0's rows, for every other advertiser's
+best responses and the stable profiles.  Advertiser 0's best responses
+come from separability instead, without the joint grid: per keyword its
+best utility against the other participants' distinct bids, in bounded
+pieces, and the best sum over keyword subsets of size min(kappa, its
+keywords).  No array spans the whole grid, so its memory stays about one
+chunk's plus a few entries per opponent profile however large the grid
+grows.  Every solver here
 prices its keyword auctions with mechanisms.gsp_outcome, the one GSP
 kernel, at reserve 0, and reports the welfare of
 mechanisms.pbm_expected_welfare_batch.  The solvers read a bid profile
@@ -301,9 +304,12 @@ def best_response(scenario: Scenario, bids, advertiser, grid: BidGrid,
     Searches every keyword independently (utility separability), keeps
     the top-kappa keywords by achieved utility, and among equally good
     bids prefers the lowest, then the lexicographically first keyword.
-    Bids on keywords outside the graph are ignored.  Returns (bid row,
+    Bids on keywords outside the graph are ignored; an advertiser the
+    scenario does not have raises ValidationError.  Returns (bid row,
     total utility).
     """
+    if advertiser not in scenario.advertisers:
+        raise ValidationError(f"best response of unknown advertiser {advertiser!r}")
     layout = _Layout(scenario, grid, conservative, bids, [advertiser])
     [(row, best, _)] = _respond(layout, [scenario.advertisers.index(advertiser)], {})
     return row, best
@@ -426,9 +432,11 @@ def strategy_rows(menus, kappa, advertiser, max_rows):
     return pool, rows
 
 
-# Joint profiles per chunk of the enumerator's scan.  A chunk is a run of
-# advertiser 0's rows (axis 0) crossed with every opponent row, so it
-# holds one row at least, however many profiles that row has.
+# Joint profiles per chunk of the enumerator's scan, and the cells per
+# piece of a keyword's best-utility grid.  A chunk is a run of advertiser
+# 0's rows (axis 0) crossed with every opponent row, so it holds one row
+# at least, however many profiles that row has; a piece likewise holds
+# one of advertiser 0's bids at least.
 _CHUNK_PROFILES = 1 << 16
 # Bytes per chunk profile beyond the n float64 utility accumulators: a
 # keyword's utilities spread along the last axis and gathered onto the
@@ -436,7 +444,10 @@ _CHUNK_PROFILES = 1 << 16
 # distinct bids is as large as the chunk (one keyword, rows = bids), its
 # bid stack and the temporaries of the GSP outcome on it.  Measured with
 # tracemalloc (peak less the accumulators and the best-response table):
-# 34 B on a 3-keyword market, 100-125 B on one-keyword markets.
+# 34 B on a 3-keyword market, 100-125 B on one-keyword markets.  Building
+# the best-response table prices pieces no larger than a chunk and holds
+# a few table-sized arrays, which a chunk (one opponent table at least)
+# times these bytes covers.
 _CHUNK_BYTES_PER_PROFILE = 128
 
 
@@ -446,11 +457,129 @@ def _chunk_rows(counts) -> int:
 
 
 def _peak_bytes(counts) -> int:
-    """Estimated peak bytes of the enumerator's scan: one chunk's
-    utilities and temporaries plus advertiser 0's best-response table."""
+    """Estimated peak bytes of the enumerator: one chunk's utilities and
+    temporaries plus advertiser 0's best-response table."""
     table = math.prod(counts[1:])
     chunk = min(counts[0], _chunk_rows(counts)) * table
     return chunk * (8 * len(counts) + _CHUNK_BYTES_PER_PROFILE) + 8 * table
+
+
+class _JointGrid:
+    """The pure-Nash enumerator's joint grid over a scenario's advertisers
+    (at least one), one axis per advertiser index: per advertiser its
+    strategy rows (pools, arrays) and their counts, and per keyword of the
+    graph that someone's rows bid on, (keyword, {participant: column of
+    the keyword in its rows} in advertiser order, their indices, and the
+    distinct bids of each with the index of every row's bid among them).
+    A grid of more than max_joint profiles raises TooLarge, naming
+    _peak_bytes."""
+
+    def __init__(self, scenario, grid, conservative, max_joint):
+        advs = scenario.advertisers
+        menus = [_menus(scenario, grid, i, conservative) for i in advs]
+        self.counts = [_count_rows(m, scenario.kappa) for m in menus]
+        joint = math.prod(self.counts)
+        if joint > max_joint:
+            raise TooLarge(f"joint strategy space has {joint} profiles, about "
+                           f"{_peak_bytes(self.counts)} bytes at peak (cap {max_joint})")
+        self.pools, self.arrays = zip(*(strategy_rows(m, scenario.kappa, i, max_rows=max_joint)
+                                        for m, i in zip(menus, advs)))
+        self.scenario = scenario
+        self.w_padded = padded_weights(scenario)
+        self.keywords = []
+        for s in scenario.graph.keywords:
+            parts = {a: self.pools[a].index(s) for a in range(len(advs)) if s in self.pools[a]}
+            if parts:
+                self.keywords.append((s, parts, np.array(list(parts)),
+                                      {a: np.unique(self.arrays[a][:, j], return_inverse=True)
+                                       for a, j in parts.items()}))
+
+    def _utility(self, s, a, own, opp, ids):
+        """Advertiser index a's utility on keyword s bidding own against
+        the opponents' bids opp (indices ids), by gsp_outcome."""
+        slot_w, active, price, _ = gsp_outcome(own, a, opp, ids, self.w_padded)
+        value = self.scenario.kw_values[self.scenario.advertisers[a]][s]
+        return np.where(active, self.scenario.kw_masses[s] * slot_w * (value - price), 0.0)
+
+    def utilities(self, rows0):
+        """[a's utility on every profile of the chunk of advertiser 0's
+        rows rows0] by advertiser index.  Per keyword, a's utility is
+        computed on the grid of the participants' distinct bids, spread
+        along the last axis to that advertiser's rows, and then copied
+        onto the chunk one last-axis line at a time: `line` indexes the
+        grid row-major over the other participants."""
+        last = len(self.counts) - 1
+        shape = (rows0.stop - rows0.start,) + tuple(self.counts[1:])
+        acc = [np.zeros(shape) for _ in self.counts]
+        for s, parts, ids, distinct in self.keywords:
+            levels = [distinct[a] if a != 0 else np.unique(self.arrays[0][rows0, parts[0]],
+                                                           return_inverse=True)
+                      for a in parts]
+            line = np.zeros((1,) * last, dtype=np.intp)
+            stack = np.empty([len(lv) for lv, _ in levels] + [len(parts)])
+            for p, (a, (lv, inv)) in enumerate(zip(parts, levels)):
+                stack[..., p] = lv.reshape([-1 if q == p else 1 for q in range(len(parts))])
+                if a == last:
+                    spread = inv
+                else:
+                    view = [1] * last
+                    view[a] = len(inv)
+                    line = line * len(lv) + inv.reshape(view)
+            for p, a in enumerate(parts):
+                util = self._utility(s, a, stack[..., p], np.delete(stack, p, -1),
+                                     np.delete(ids, p))
+                util = np.take(util, spread, axis=-1) if last in parts else util[..., None]
+                acc[a] += np.take(util.reshape(-1, util.shape[-1]), line, axis=0)
+        return acc
+
+    def _keyword_best(self, s, parts, ids, distinct):
+        """Advertiser 0's best utility on keyword s against every
+        combination of the other participants' distinct bids: the maximum
+        over its own distinct bids of the grid `utilities` prices, built
+        in pieces of its bids of at most _CHUNK_PROFILES cells (one bid at
+        least) and gathered onto the opponent table, with axes of length
+        1 for the advertisers not on s."""
+        own = distinct[0][0]
+        others = [a for a in parts if a != 0]
+        sizes = [len(distinct[a][0]) for a in others]
+        opp = np.empty(sizes + [len(others)])
+        for p, a in enumerate(others):
+            opp[..., p] = distinct[a][0].reshape([-1 if q == p else 1 for q in range(len(others))])
+        step = max(1, _CHUNK_PROFILES // math.prod(sizes))
+        top = np.full([1] + sizes, -np.inf)
+        for lo in range(0, len(own), step):
+            util = self._utility(s, 0, own[lo:lo + step].reshape([-1] + [1] * len(sizes)),
+                                 opp, ids[1:])
+            np.maximum(top, util.max(axis=0, keepdims=True), out=top)
+        n = len(self.counts)
+        return top[(0,) + tuple(distinct[a][1].reshape([-1 if q == a else 1 for q in range(n)])
+                                for a in others)]
+
+    def best_table(self):
+        """Advertiser 0's best utility against each opponent profile, on
+        the (1, counts[1], ...) table.  By separability the best of its
+        rows bidding within a keyword subset T takes each keyword's best
+        bid, so the table is the maximum, over the subsets T of min(kappa,
+        K) of its K keywords, of T's _keyword_best tables added in keyword
+        order from 0.0.  That is the maximum over its rows bit for bit:
+        float addition is monotone in each term, and every menu holds bid
+        0 at utility 0.0, so a row's zero bids add nothing.  The maximum
+        over T runs as a dynamic programme over the keywords in order,
+        sums[j] the best sum of j of them so far, kept only while j can
+        still reach the subset size."""
+        keywords0 = [kw for kw in self.keywords if 0 in kw[1]]
+        size = min(self.scenario.kappa, len(keywords0))
+        sums = {0: np.zeros([1] + self.counts[1:])}
+        for k, kw in enumerate(keywords0, 1):
+            top = self._keyword_best(*kw)
+            for j in range(min(k, size), max(1, size - len(keywords0) + k) - 1, -1):
+                take = sums[j - 1] + top
+                if j in sums:
+                    np.maximum(sums[j], take, out=sums[j])
+                else:
+                    sums[j] = take
+            sums.pop(size - len(keywords0) + k - 1, None)
+        return sums[size]
 
 
 def enumerate_pure_nash(scenario: Scenario, grid: BidGrid, epsilon=None,
@@ -463,15 +592,18 @@ def enumerate_pure_nash(scenario: Scenario, grid: BidGrid, epsilon=None,
     keyword never strictly gains, so the Nash set over the restricted
     space certifies the Nash condition over the full space.
 
-    The joint grid has one axis per advertiser and is scanned twice, in
-    chunks of advertiser 0's rows (axis 0) crossed with every opponent
-    row.  The first pass keeps advertiser 0's best utility against each
-    opponent profile.  The second computes every advertiser's utility
-    on the chunk, takes each other advertiser's best response within
-    it, and keeps the profiles where no one gains more than epsilon.
-    Within a chunk, a keyword's utilities are computed once per
-    combination of the participants' distinct bids and gathered onto
-    the chunk's profiles.  Peak memory is one chunk's arrays
+    The joint grid has one axis per advertiser.  Advertiser 0's best
+    utility against each opponent profile comes from separability,
+    without touching the joint grid: per keyword its best utility
+    against the other participants' distinct bids, and the best sum of
+    min(kappa, K) of its K keywords (_JointGrid.best_table).  The grid
+    is then scanned once, in chunks of advertiser 0's rows (axis 0)
+    crossed with every opponent row: each chunk computes every
+    advertiser's utility, takes each other advertiser's best response
+    within it, and keeps the profiles where no one gains more than
+    epsilon.  Within a chunk, a keyword's utilities are computed once
+    per combination of the participants' distinct bids and gathered
+    onto the chunk's profiles.  Peak memory is one chunk's arrays
     (_CHUNK_PROFILES profiles, or one row of axis 0 if that is more)
     plus advertiser 0's best-response table, one entry per opponent
     profile, plus the equilibria found.  A grid of more than max_joint
@@ -488,75 +620,13 @@ def enumerate_pure_nash(scenario: Scenario, grid: BidGrid, epsilon=None,
     if n == 0:      # the empty profile is the one profile, and stable
         return [EquilibriumReport(profile={}, regrets={}, converged=True,
                                   iterations=0, epsilon=eps, welfare=0.0)]
-    menus = [_menus(scenario, grid, i, conservative) for i in advs]
-    counts = [_count_rows(m, scenario.kappa) for m in menus]
-    joint = math.prod(counts)
-    if joint > max_joint:
-        raise TooLarge(f"joint strategy space has {joint} profiles, about "
-                       f"{_peak_bytes(counts)} bytes at peak (cap {max_joint})")
-    pools, arrays = zip(*(strategy_rows(m, scenario.kappa, i, max_rows=max_joint)
-                          for m, i in zip(menus, advs)))
-
-    w_padded = padded_weights(scenario)
-    # per keyword: {participant: column of the keyword in its rows}, in
-    # advertiser order, their indices, and the distinct bids of each but
-    # advertiser 0 with the index of every row's bid among them
-    keywords = []
-    for s in scenario.graph.keywords:
-        parts = {a: pools[a].index(s) for a in range(n) if s in pools[a]}
-        if parts:
-            keywords.append((s, parts, np.array(list(parts)),
-                             {a: np.unique(arrays[a][:, j], return_inverse=True)
-                              for a, j in parts.items() if a != 0}))
-    last = n - 1
-
-    def chunk_utilities(rows0, who):
-        """{a: a's utility on every profile of the chunk of advertiser 0's
-        rows rows0}, for a in who.  Per keyword, a's utility is computed
-        on the grid of the participants' distinct bids, spread along the
-        last axis to that advertiser's rows, and then copied onto the
-        chunk one last-axis line at a time: `line` indexes the grid
-        row-major over the other participants."""
-        shape = (rows0.stop - rows0.start,) + tuple(counts[1:])
-        acc = {a: np.zeros(shape) for a in who}
-        for s, parts, ids, distinct in keywords:
-            if acc.keys().isdisjoint(parts):
-                continue
-            levels = [distinct[a] if a != 0 else np.unique(arrays[0][rows0, parts[0]],
-                                                           return_inverse=True)
-                      for a in parts]
-            line = np.zeros((1,) * last, dtype=np.intp)
-            stack = np.empty([len(lv) for lv, _ in levels] + [len(parts)])
-            for p, (a, (lv, inv)) in enumerate(zip(parts, levels)):
-                stack[..., p] = lv.reshape([-1 if q == p else 1 for q in range(len(parts))])
-                if a == last:
-                    spread = inv
-                else:
-                    view = [1] * last
-                    view[a] = len(inv)
-                    line = line * len(lv) + inv.reshape(view)
-            mass = scenario.kw_masses[s]
-            for p, a in enumerate(parts):
-                if a not in acc:
-                    continue
-                slot_w, active, price, _ = gsp_outcome(stack[..., p], a, np.delete(stack, p, -1),
-                                                       np.delete(ids, p), w_padded)
-                value = scenario.kw_values[advs[a]][s]
-                util = np.where(active, mass * slot_w * (value - price), 0.0)
-                util = np.take(util, spread, axis=-1) if last in parts else util[..., None]
-                acc[a] += np.take(util.reshape(-1, util.shape[-1]), line, axis=0)
-        return acc
-
+    space = _JointGrid(scenario, grid, conservative, max_joint)
+    counts, pools, arrays = space.counts, space.pools, space.arrays
+    best0 = space.best_table()
     step = _chunk_rows(counts)
-    chunks = [slice(lo, min(lo + step, counts[0])) for lo in range(0, counts[0], step)]
-    best0 = np.full((1,) + tuple(counts[1:]), -np.inf)
-    for rows0 in chunks:
-        np.maximum(best0, chunk_utilities(rows0, [0])[0].max(axis=0, keepdims=True),
-                   out=best0)
-
     found, regrets = [], [[] for _ in advs]   # per chunk: stable profiles, regrets
-    for rows0 in chunks:
-        utilities = chunk_utilities(rows0, range(n))
+    for lo in range(0, counts[0], step):
+        utilities = space.utilities(slice(lo, min(lo + step, counts[0])))
         best = [best0] + [utilities[a].max(axis=a, keepdims=True) for a in range(1, n)]
         mask = utilities[0] >= best0 - eps
         for a in range(1, n):
@@ -564,17 +634,17 @@ def enumerate_pure_nash(scenario: Scenario, grid: BidGrid, epsilon=None,
         hits = np.nonzero(mask)
         for a in range(n):
             regrets[a].append(best[a][hits[:a] + (0,) + hits[a + 1:]] - utilities[a][hits])
-        found.append(np.stack((hits[0] + rows0.start,) + hits[1:], axis=1))
+        found.append(np.stack((hits[0] + lo,) + hits[1:], axis=1))
     hits = np.concatenate(found)
     regrets = [np.concatenate(r) for r in regrets]
 
     keep = np.ones(len(hits), dtype=bool)
     if winner_truthful:
-        for s, parts, ids, _ in keywords:
+        for s, parts, ids, _ in space.keywords:
             stack = np.stack([arrays[a][hits[:, a], j] for a, j in parts.items()], axis=-1)
             for p, a in enumerate(parts):
                 _, active, _, _ = gsp_outcome(stack[:, p], a, np.delete(stack, p, -1),
-                                              np.delete(ids, p), w_padded)
+                                              np.delete(ids, p), space.w_padded)
                 keep &= ~(active & (np.abs(stack[:, p] - scenario.kw_values[advs[a]][s])
                                     > _TRUTHFUL_TOL))
     hits = hits[keep]

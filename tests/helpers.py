@@ -406,6 +406,45 @@ def slow_pure_nash_oracle(scenario, menus_by_adv, epsilon):
     return out
 
 
+def advertiser0_joint_utility(scenario, grid, conservative=False):
+    """Oracle: advertiser 0's kernel utility on every profile of the
+    enumerator's joint grid, one axis per advertiser over its
+    strategy_rows: per keyword of its rows, in graph order from 0.0, the
+    gsp_outcome utility against every opponent's bid on it (0 where the
+    opponent's rows do not bid on it), with no distinct-bid grid and no
+    chunking."""
+    from bmlab.equilibrium import _menus, strategy_rows
+    from bmlab.mechanisms import gsp_outcome, padded_weights
+
+    advs = scenario.advertisers
+    n = len(advs)
+    pools, arrays = zip(*(strategy_rows(_menus(scenario, grid, i, conservative),
+                                        scenario.kappa, i, max_rows=math.inf) for i in advs))
+    shape = [len(rows) for rows in arrays]
+
+    def joint_bids(a, s):
+        column = arrays[a][:, pools[a].index(s)] if s in pools[a] else np.zeros(shape[a])
+        return np.broadcast_to(column.reshape([-1 if q == a else 1 for q in range(n)]), shape)
+
+    acc = np.zeros(shape)
+    for s in scenario.graph.keywords:
+        if s in pools[0]:
+            opp = (np.stack([joint_bids(a, s) for a in range(1, n)], axis=-1) if n > 1
+                   else np.zeros(shape + [0]))
+            slot_w, active, price, _ = gsp_outcome(joint_bids(0, s), 0, opp, np.arange(1, n),
+                                                   padded_weights(scenario))
+            value = scenario.kw_values[advs[0]][s]
+            acc += np.where(active, scenario.kw_masses[s] * slot_w * (value - price), 0.0)
+    return acc
+
+
+def best_response_table_oracle(scenario, grid, conservative=False):
+    """Oracle: the enumerator's best-response table of advertiser 0, its
+    maximum over its strategy rows of advertiser0_joint_utility against
+    each opponent profile, shape (1, rows of advertiser 1, ...)."""
+    return advertiser0_joint_utility(scenario, grid, conservative).max(axis=0, keepdims=True)
+
+
 def canonical_profiles(profiles):
     """Hashable canonical form of a list of bid profiles, for set
     comparison across enumeration orders."""

@@ -2,8 +2,9 @@
 
 Commands are run in-process via main(argv); outputs land in tmp_path.
 Golden files pin the three equilibrium modes on the 2x2 fixture, the
-dynamics on a wide market, the corpus sweep table, a seeded simulation,
-a Monte-Carlo revenue run and the default counterexample byte-for-byte.
+dynamics on a wide market, the enumeration and the PoA report on a 3x3
+market where kappa binds, the corpus sweep table, a seeded simulation, a
+Monte-Carlo revenue run and the default counterexample byte-for-byte.
 """
 
 import json
@@ -57,6 +58,26 @@ def test_dynamics_mode_matches_golden_on_a_wide_market(tmp_path):
     assert code == 0
     got = (tmp_path / "equilibrium.json").read_bytes()
     assert got == (GOLDEN / "equilibrium_dynamics_wide.json").read_bytes()
+
+
+def test_enumerate_mode_matches_golden_on_a_3x3_market(tmp_path):
+    """3 advertisers, each positive on all 3 keywords under kappa 2, two
+    slots, overbids allowed: 19 rows each, 26 equilibria."""
+    code = run("equilibrium", "--scenario", DATA / "scenario_3x3.json", "--mode", "enumerate",
+               "--grid-delta", "2.0", "--out", tmp_path)
+    assert code == 0
+    got = (tmp_path / "equilibrium.json").read_bytes()
+    assert got == (GOLDEN / "equilibrium_enumerate_3x3.json").read_bytes()
+
+
+def test_poa_matches_golden(tmp_path):
+    """The 3x3 market on the unit grid: 61 rows each, 226 981 profiles
+    scanned in several chunks, 648 equilibria."""
+    code = run("poa", "--scenario", DATA / "scenario_3x3.json", "--grid-delta", "1.0",
+               "--out", tmp_path)
+    assert code == 0
+    got = (tmp_path / "poa.csv").read_bytes()
+    assert got == (GOLDEN / "poa_3x3.csv").read_bytes()
 
 
 def test_dominant_mode_matches_golden(tmp_path):

@@ -35,6 +35,8 @@ from bmlab.mechanisms import pbm_expected_welfare
 from bmlab.reserves import PointMass, Uniform
 
 from helpers import (
+    advertiser0_joint_utility,
+    best_response_table_oracle,
     canonical_profiles,
     dict_expected_welfare,
     joint_best_response_oracle,
@@ -126,6 +128,12 @@ def test_best_response_guards():
     for n_keywords in (4, 20):      # at both caps: the top four keywords, bid 1 each
         row, u = respond(n_keywords, kappa=4)
         assert list(row.values()) == [1.0] * 4 and u > 0.0
+
+
+def test_best_response_rejects_unknown_advertiser():
+    sc = scenario_from_json(DATA / "scenario_2x2.json")
+    with pytest.raises(ValidationError, match="^best response of unknown advertiser 'zz'$"):
+        best_response(sc, {}, "zz", make_grid(sc, delta=1.0))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -662,6 +670,60 @@ def test_enumerate_matches_slow_oracle_in_one_row_chunks(monkeypatch):
             monkeypatch, sc, grid, epsilon=eps)
 
 
+# ------------------------------------------------- best-response table
+
+def assert_best_table_is_the_oracle(sc, grid, conservative=False):
+    """Advertiser 0's best-response table, built from per-keyword best
+    utilities, is the brute-force maximum over its rows, hex for hex."""
+    table = equilibrium._JointGrid(sc, grid, conservative, max_joint=10_000_000).best_table()
+    want = best_response_table_oracle(sc, grid, conservative)
+    assert table.shape == want.shape
+    assert [x.hex() for x in table.ravel().tolist()] == [x.hex() for x in want.ravel().tolist()]
+    return table
+
+
+@pytest.mark.parametrize("chunk", [None, 1])
+@pytest.mark.parametrize("conservative", [True, False])
+def test_best_table_is_the_maximum_over_rows_on_random_markets(monkeypatch, chunk,
+                                                               conservative):
+    """kappa random, so it binds for advertiser 0 on some markets and not
+    on others; a chunk of 1 prices each of advertiser 0's bids alone."""
+    if chunk is not None:
+        monkeypatch.setattr(equilibrium, "_CHUNK_PROFILES", chunk)
+    rng = np.random.default_rng(19)
+    binding = Counter()
+    for _ in range(40):
+        sc = random_scenario(rng, max_adv=3, max_kw=3, max_q=4, weights=(1.0, 0.5))
+        grid = make_grid(sc, delta=max(make_grid(sc, 1.0).caps.values()) / 3)
+        if math.prod(row_counts(sc, grid, conservative)) > 20_000:
+            continue
+        assert_best_table_is_the_oracle(sc, grid, conservative)
+        binding[sc.kappa < len(sc.kw_positive[sc.advertisers[0]])] += 1
+    assert binding[True] >= 3 and binding[False] >= 3
+
+
+@pytest.mark.parametrize("chunk", [None, 1])
+def test_best_table_is_the_maximum_over_rows_on_edge_markets(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(equilibrium, "_CHUNK_PROFILES", chunk)
+    values = {"a0": {"q1": 2.0, "q2": 1.5, "q3": 1.0}, "a1": {"q1": 3.0, "q2": 2.5, "q3": 1.0},
+              "a2": {"q1": 1.0, "q2": 3.5, "q3": 2.0}}
+    # advertiser 0 values every keyword below someone, so its menus reach
+    # past its values: overbids that win pay more than they are worth
+    sc = simple_scenario(values, weights=(1.0, 0.5), kappa=2)
+    grid = make_grid(sc, delta=0.5)
+    assert (advertiser0_joint_utility(sc, grid) < 0.0).any()
+    assert_best_table_is_the_oracle(sc, grid)
+    # advertiser 0 without a positive keyword: its one row, utility 0
+    sc = simple_scenario({**values, "a0": {}}, weights=(1.0, 0.5), kappa=1)
+    table = assert_best_table_is_the_oracle(sc, make_grid(sc, delta=0.5))
+    assert table.size > 1 and not table.any()
+    # a single advertiser, kappa binding: the table is its one best total
+    sc = simple_scenario({"a1": {"q1": 4.0, "q2": 2.5, "q3": 1.0}}, kappa=2)
+    table = assert_best_table_is_the_oracle(sc, make_grid(sc, delta=0.5))
+    assert table.shape == (1,) and table[0] == pytest.approx((4.0 + 2.5) / 3)
+
+
 def million_market():
     """Three advertisers, three keywords, kappa 3, unit grid: 1.25 M
     conservative joint profiles and 8 pure-Nash equilibria."""
@@ -721,6 +783,26 @@ def test_enumerate_memory_bounded_by_the_chunk():
         tracemalloc.stop()
     assert len(reports) == 8
     assert peak <= bound
+    assert peak <= equilibrium._peak_bytes(counts) + (1 << 20)
+
+
+def test_enumerate_memory_bounded_on_a_one_keyword_market():
+    """On one keyword the grid of distinct bids is the whole joint grid
+    (1.45 M profiles), so advertiser 0's best-response table is priced
+    from it in pieces: the traced peak stays within the TooLarge estimate
+    plus 1 MB.  Two slots of near-equal weight keep the equilibria, and
+    the reports' memory, few."""
+    sc = single_keyword_scenario({"a": 10.0, "b": 9.0, "c": 8.0}, weights=(1.0, 0.9))
+    grid = make_grid(sc, delta=0.08)
+    counts = row_counts(sc, grid, conservative=True)
+    assert math.prod(counts) == 1_450_764
+    tracemalloc.start()
+    try:
+        reports = enumerate_pure_nash(sc, grid, conservative=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == 182
     assert peak <= equilibrium._peak_bytes(counts) + (1 << 20)
 
 
