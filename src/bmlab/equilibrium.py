@@ -23,18 +23,11 @@ array whose advertiser column is rewritten whenever the dynamics write a
 row; a call gathers each row's keyword column of it with the row's own
 advertiser zeroed.  The regret estimate calls it with its opponent
 draws, its menus built in runs of one call's bids, and refuses a menu of
-more than _MAX_MENU bids.  The pure-Nash enumerator builds per-advertiser
-strategy arrays and scans the joint grid (one axis per advertiser) once,
-in bounded chunks of advertiser 0's rows, for every other advertiser's
-best responses and the stable profiles.  Advertiser 0's best responses
-come from separability instead, without the joint grid: per keyword its
-best utility against the other participants' distinct bids, in bounded
-pieces, and the best sum over keyword subsets of size min(kappa, its
-keywords).  No array spans the whole grid, so its memory stays about one
-chunk's plus a few entries per opponent profile however large the grid
-grows.  Every solver here
-prices its keyword auctions with mechanisms.gsp_outcome, the one GSP
-kernel, at reserve 0, and reports the welfare of
+more than _MAX_MENU bids.  The pure-Nash enumerator scans each keyword's
+grid of distinct bids, not the joint grid, for the bid vectors a stable
+profile can hold there, and checks only the profiles built from those.
+Every solver here prices its keyword auctions with mechanisms.gsp_outcome,
+the one GSP kernel, at reserve 0, and reports the welfare of
 mechanisms.pbm_expected_welfare_batch.  The solvers read a bid profile
 through mechanisms.bid_matrix, so bids on keywords outside the graph are
 ignored, and reject a non-finite bid on one inside it.
@@ -432,154 +425,177 @@ def strategy_rows(menus, kappa, advertiser, max_rows):
     return pool, rows
 
 
-# Joint profiles per chunk of the enumerator's scan, and the cells per
-# piece of a keyword's best-utility grid.  A chunk is a run of advertiser
-# 0's rows (axis 0) crossed with every opponent row, so it holds one row
-# at least, however many profiles that row has; a piece likewise holds
-# one of advertiser 0's bids at least.
+# Entries over width (a keyword's participants, or the keywords) per piece
+# or chunk of the enumerator, and its bytes per entry at most: pricing
+# temporaries, indices, sums and masks (tracemalloc: about 57 B).
 _CHUNK_PROFILES = 1 << 16
-# Bytes per chunk profile beyond the n float64 utility accumulators: a
-# keyword's utilities spread along the last axis and gathered onto the
-# chunk, the Nash mask and its comparisons, and, when a keyword's grid of
-# distinct bids is as large as the chunk (one keyword, rows = bids), its
-# bid stack and the temporaries of the GSP outcome on it.  Measured with
-# tracemalloc (peak less the accumulators and the best-response table):
-# 34 B on a 3-keyword market, 100-125 B on one-keyword markets.  Building
-# the best-response table prices pieces no larger than a chunk and holds
-# a few table-sized arrays, which a chunk (one opponent table at least)
-# times these bytes covers.
 _CHUNK_BYTES_PER_PROFILE = 128
 
 
-def _chunk_rows(counts) -> int:
-    """Rows of axis 0 per chunk, for the per-advertiser row counts."""
-    return max(1, _CHUNK_PROFILES // math.prod(counts[1:]))
-
-
 def _peak_bytes(counts) -> int:
-    """Estimated peak bytes of the enumerator: one chunk's utilities and
-    temporaries plus advertiser 0's best-response table."""
-    table = math.prod(counts[1:])
-    chunk = min(counts[0], _chunk_rows(counts)) * table
-    return chunk * (8 * len(counts) + _CHUNK_BYTES_PER_PROFILE) + 8 * table
+    """Estimated peak bytes of the enumerator before its stable sets and
+    equilibria: a keyword piece or candidate chunk, and one keyword's
+    best tables, at most an entry per profile of the others' rows each."""
+    joint = math.prod(counts)
+    return (max([_CHUNK_PROFILES] + counts) * _CHUNK_BYTES_PER_PROFILE
+            + 8 * sum(joint // c for c in counts if c > 1))
 
 
-class _JointGrid:
-    """The pure-Nash enumerator's joint grid over a scenario's advertisers
-    (at least one), one axis per advertiser index: per advertiser its
-    strategy rows (pools, arrays) and their counts, and per keyword of the
-    graph that someone's rows bid on, (keyword, {participant: column of
-    the keyword in its rows} in advertiser order, their indices, and the
-    distinct bids of each with the index of every row's bid among them).
-    A grid of more than max_joint profiles raises TooLarge, naming
-    _peak_bytes."""
+class _Keyword:
+    """A keyword someone's rows bid on: its participants {advertiser index:
+    column in its rows} in order, their indices, each one's distinct bids
+    (0.0 first: everyone has the zero row) with each row's bid's index
+    among them; once scanned, its locally stable vectors, per vector each
+    participant's bid index (digits), utility and best utility."""
 
-    def __init__(self, scenario, grid, conservative, max_joint):
-        advs = scenario.advertisers
-        menus = [_menus(scenario, grid, i, conservative) for i in advs]
-        self.counts = [_count_rows(m, scenario.kappa) for m in menus]
-        joint = math.prod(self.counts)
-        if joint > max_joint:
-            raise TooLarge(f"joint strategy space has {joint} profiles, about "
-                           f"{_peak_bytes(self.counts)} bytes at peak (cap {max_joint})")
-        self.pools, self.arrays = zip(*(strategy_rows(m, scenario.kappa, i, max_rows=max_joint)
-                                        for m, i in zip(menus, advs)))
-        self.scenario = scenario
-        self.w_padded = padded_weights(scenario)
-        self.keywords = []
-        for s in scenario.graph.keywords:
-            parts = {a: self.pools[a].index(s) for a in range(len(advs)) if s in self.pools[a]}
-            if parts:
-                self.keywords.append((s, parts, np.array(list(parts)),
-                                      {a: np.unique(self.arrays[a][:, j], return_inverse=True)
-                                       for a, j in parts.items()}))
+    def __init__(self, scenario, s, parts, arrays, w_padded):
+        self.scenario, self.s, self.parts, self.w_padded = scenario, s, parts, w_padded
+        self.ids = np.array(list(parts))
+        self.levels, self.inverse = zip(*(np.unique(arrays[a][:, j], return_inverse=True)
+                                          for a, j in parts.items()))
+        self.sizes = [len(lv) for lv in self.levels]
 
-    def _utility(self, s, a, own, opp, ids):
-        """Advertiser index a's utility on keyword s bidding own against
-        the opponents' bids opp (indices ids), by gsp_outcome."""
-        slot_w, active, price, _ = gsp_outcome(own, a, opp, ids, self.w_padded)
-        value = self.scenario.kw_values[self.scenario.advertisers[a]][s]
-        return np.where(active, self.scenario.kw_masses[s] * slot_w * (value - price), 0.0)
+    def outcome(self, p, own, digits):
+        """(active, utility) of participant p bidding own against the
+        others' bids at rows of digits (p's column unread), by gsp_outcome."""
+        others = [q for q in range(len(self.ids)) if q != p]
+        opp = np.empty(digits.shape[:-1] + (len(others),))
+        for c, q in enumerate(others):
+            opp[..., c] = self.levels[q][digits[..., q]]
+        sc, a = self.scenario, self.ids[p]
+        slot_w, active, price, _ = gsp_outcome(own, a, opp, self.ids[others], self.w_padded)
+        value = sc.kw_values[sc.advertisers[a]][self.s]
+        return active, np.where(active, sc.kw_masses[self.s] * slot_w * (value - price), 0.0)
 
-    def utilities(self, rows0):
-        """[a's utility on every profile of the chunk of advertiser 0's
-        rows rows0] by advertiser index.  Per keyword, a's utility is
-        computed on the grid of the participants' distinct bids, spread
-        along the last axis to that advertiser's rows, and then copied
-        onto the chunk one last-axis line at a time: `line` indexes the
-        grid row-major over the other participants."""
-        last = len(self.counts) - 1
-        shape = (rows0.stop - rows0.start,) + tuple(self.counts[1:])
-        acc = [np.zeros(shape) for _ in self.counts]
-        for s, parts, ids, distinct in self.keywords:
-            levels = [distinct[a] if a != 0 else np.unique(self.arrays[0][rows0, parts[0]],
-                                                           return_inverse=True)
-                      for a in parts]
-            line = np.zeros((1,) * last, dtype=np.intp)
-            stack = np.empty([len(lv) for lv, _ in levels] + [len(parts)])
-            for p, (a, (lv, inv)) in enumerate(zip(parts, levels)):
-                stack[..., p] = lv.reshape([-1 if q == p else 1 for q in range(len(parts))])
-                if a == last:
-                    spread = inv
-                else:
-                    view = [1] * last
-                    view[a] = len(inv)
-                    line = line * len(lv) + inv.reshape(view)
-            for p, a in enumerate(parts):
-                util = self._utility(s, a, stack[..., p], np.delete(stack, p, -1),
-                                     np.delete(ids, p))
-                util = np.take(util, spread, axis=-1) if last in parts else util[..., None]
-                acc[a] += np.take(util.reshape(-1, util.shape[-1]), line, axis=0)
-        return acc
+    def scan(self, tol, checked):
+        """Keep the vectors where each participant p's utility is at least
+        its best less tol[p], tested where p bids > 0 or, if checked[p],
+        everywhere.  p's bests: a row-major table over the grid with p's
+        axis cut to 1 (index: digits dotted with strides[p]), priced in
+        pieces of p's bids by others' combinations.  Then the grid, in
+        row-major pieces, p by p on the cells still kept.  A piece holds
+        _CHUNK_PROFILES // k cells, or p's bids at least."""
+        k = len(self.ids)
+        cells = max(1, _CHUNK_PROFILES // k)
+        other = [self.sizes[:p] + [1] + self.sizes[p + 1:] for p in range(k)]
+        strides = [np.cumprod([1] + shape[:0:-1])[::-1] * (np.arange(k) != p)
+                   for p, shape in enumerate(other)]
+        tables = [np.empty(math.prod(shape)) for shape in other]
+        for p, table in enumerate(tables):
+            step = max(1, cells // self.sizes[p])
+            for lo in range(0, len(table), step):
+                digits = np.stack(np.unravel_index(np.arange(lo, min(lo + step, len(table))),
+                                                   other[p]), axis=-1)
+                table[lo:lo + step] = self.outcome(p, self.levels[p][:, None],
+                                                   digits[None])[1].max(axis=0)
+        found, grid = [], math.prod(self.sizes)
+        for lo in range(0, grid, cells):
+            digits = np.stack(np.unravel_index(np.arange(lo, min(lo + cells, grid)),
+                                               self.sizes), axis=-1)
+            util = np.zeros(digits.shape)
+            for p in range(k):
+                at = np.arange(len(digits)) if checked[p] else np.flatnonzero(digits[:, p])
+                rows = digits[at]
+                util[at, p] = u = self.outcome(p, self.levels[p][rows[:, p]], rows)[1]
+                keep = np.ones(len(digits), dtype=bool)
+                keep[at[u < tables[p][rows @ strides[p]] - tol[p]]] = False
+                digits, util = digits[keep], util[keep]
+            found.append((digits, util, np.stack(
+                [tables[p][digits @ strides[p]] for p in range(k)], axis=-1)))
+        self.digits, self.util, self.best = (np.concatenate(x) for x in zip(*found))
 
-    def _keyword_best(self, s, parts, ids, distinct):
-        """Advertiser 0's best utility on keyword s against every
-        combination of the other participants' distinct bids: the maximum
-        over its own distinct bids of the grid `utilities` prices, built
-        in pieces of its bids of at most _CHUNK_PROFILES cells (one bid at
-        least) and gathered onto the opponent table, with axes of length
-        1 for the advertisers not on s."""
-        own = distinct[0][0]
-        others = [a for a in parts if a != 0]
-        sizes = [len(distinct[a][0]) for a in others]
-        opp = np.empty(sizes + [len(others)])
-        for p, a in enumerate(others):
-            opp[..., p] = distinct[a][0].reshape([-1 if q == p else 1 for q in range(len(others))])
-        step = max(1, _CHUNK_PROFILES // math.prod(sizes))
-        top = np.full([1] + sizes, -np.inf)
-        for lo in range(0, len(own), step):
-            util = self._utility(s, 0, own[lo:lo + step].reshape([-1] + [1] * len(sizes)),
-                                 opp, ids[1:])
-            np.maximum(top, util.max(axis=0, keepdims=True), out=top)
-        n = len(self.counts)
-        return top[(0,) + tuple(distinct[a][1].reshape([-1 if q == a else 1 for q in range(n)])
-                                for a in others)]
 
-    def best_table(self):
-        """Advertiser 0's best utility against each opponent profile, on
-        the (1, counts[1], ...) table.  By separability the best of its
-        rows bidding within a keyword subset T takes each keyword's best
-        bid, so the table is the maximum, over the subsets T of min(kappa,
-        K) of its K keywords, of T's _keyword_best tables added in keyword
-        order from 0.0.  That is the maximum over its rows bit for bit:
-        float addition is monotone in each term, and every menu holds bid
-        0 at utility 0.0, so a row's zero bids add nothing.  The maximum
-        over T runs as a dynamic programme over the keywords in order,
-        sums[j] the best sum of j of them so far, kept only while j can
-        still reach the subset size."""
-        keywords0 = [kw for kw in self.keywords if 0 in kw[1]]
-        size = min(self.scenario.kappa, len(keywords0))
-        sums = {0: np.zeros([1] + self.counts[1:])}
-        for k, kw in enumerate(keywords0, 1):
-            top = self._keyword_best(*kw)
-            for j in range(min(k, size), max(1, size - len(keywords0) + k) - 1, -1):
-                take = sums[j - 1] + top
-                if j in sums:
-                    np.maximum(sums[j], take, out=sums[j])
-                else:
-                    sums[j] = take
-            sums.pop(size - len(keywords0) + k - 1, None)
-        return sums[size]
+def _candidates(keywords, kappa, part, count):
+    """Chunks of the candidates extending the rows part (a stable vector
+    per keyword so far; count, the positive bids per advertiser): grown
+    keyword by keyword in pieces of _CHUNK_PROFILES // (keywords) rows (a
+    row's extensions at least), each row dropped once over kappa bids."""
+    if not keywords:
+        yield part
+        return
+    kw, size = keywords[0], len(keywords[0].digits)
+    step = max(1, _CHUNK_PROFILES // (max(size, 1) * (part.shape[1] + len(keywords))))
+    for lo in range(0, len(part), step):
+        rows = np.repeat(np.arange(lo, min(lo + step, len(part))), size)
+        pick = np.tile(np.arange(size), min(step, len(part) - lo))
+        grown = count[rows]
+        ok = np.ones(len(rows), dtype=bool)
+        for p, a in enumerate(kw.ids):
+            grown[:, a] += kw.digits[pick, p] > 0
+            ok &= grown[:, a] <= kappa
+        yield from _candidates(keywords[1:], kappa,
+                               np.column_stack((part[rows[ok]], pick[ok])), grown[ok])
+
+
+def _best_sum(tops, size, n):
+    """The maximum over the subsets of `size` of the n-vectors tops of their
+    sum added in order from 0.0, by a DP: sums[j] the best of j so far."""
+    sums = [np.zeros(n)] + [np.full(n, -np.inf)] * size
+    for k, top in enumerate(tops, 1):
+        for j in range(min(k, size), 0, -1):
+            sums[j] = np.maximum(sums[j], sums[j - 1] + top)
+    return sums[size]
+
+
+def _row_keys(columns):
+    """A sortable key per row of the bid-index columns: the row's bytes."""
+    rows = np.ascontiguousarray(np.stack(columns, axis=-1), dtype=np.intp)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+
+
+def _scan(scenario, pools, arrays, eps):
+    """Every keyword's _Keyword, scanned at epsilon eps plus its
+    advertiser's slack, and per advertiser index its keywords as
+    (keyword, participant position) pairs."""
+    n, w_padded = len(pools), padded_weights(scenario)
+    keywords = [_Keyword(scenario, s, parts, arrays, w_padded) for s in scenario.graph.keywords
+                if (parts := {a: pools[a].index(s) for a in range(n) if s in pools[a]})]
+    mine = [[(j, list(kw.parts).index(a)) for j, kw in enumerate(keywords) if a in kw.parts]
+            for a in range(n)]
+    tol = [eps + 2 * (len(m) + 2) * 2.0 ** -53 * (eps + sum(
+        scenario.kw_masses[keywords[j].s] * float(w_padded.max())
+        * max(scenario.kw_values[scenario.advertisers[a]][keywords[j].s],
+              keywords[j].levels[p][-1]) for j, p in m)) for a, m in enumerate(mine)]
+    for kw in keywords:
+        kw.scan([tol[a] for a in kw.ids], [len(mine[a]) <= scenario.kappa for a in kw.ids])
+    return keywords, mine
+
+
+def _equilibria(scenario, pools, arrays, eps, winner_truthful):
+    """The stable profiles of enumerate_pure_nash, as each advertiser's row
+    index, sorted row-major, and the (advertiser, profile) regrets."""
+    keywords, mine = _scan(scenario, pools, arrays, eps)
+    kappa, n = scenario.kappa, len(pools)
+    found = [(np.zeros((0, len(keywords)), dtype=np.intp), np.zeros((0, n)))]
+    for choice in _candidates(keywords, kappa, np.zeros((1, 0), dtype=np.intp),
+                              np.zeros((1, n), dtype=np.intp)):
+        gaps = np.empty((len(choice), 0))
+        for m in mine:      # an advertiser's test on the candidates the others kept
+            u = sum((keywords[j].util[choice[:, j], p] for j, p in m), np.zeros(len(choice)))
+            best = _best_sum([keywords[j].best[choice[:, j], p] for j, p in m],
+                             min(kappa, len(m)), len(choice))
+            ok = np.flatnonzero(u >= best - eps)
+            choice, gaps = choice[ok], np.column_stack((gaps[ok], best[ok] - u[ok]))
+        for j, kw in enumerate(keywords if winner_truthful else ()):
+            for p, a in enumerate(kw.ids):      # a slot winner must bid its keyword value
+                digits = kw.digits[choice[:, j]]
+                bid = kw.levels[p][digits[:, p]]
+                value = scenario.kw_values[scenario.advertisers[a]][kw.s]
+                ok = np.flatnonzero(~(kw.outcome(p, bid, digits)[0]
+                                      & (np.abs(bid - value) > _TRUTHFUL_TOL)))
+                choice, gaps = choice[ok], gaps[ok]
+        found.append((choice, gaps))
+    choice, regrets = (np.concatenate(x) for x in zip(*found))
+    # each kept profile's row per advertiser, found by its bid indices
+    hits = np.zeros((len(choice), n), dtype=np.intp)
+    for a, m in enumerate(mine):
+        if m:
+            keys = _row_keys([keywords[j].inverse[p] for j, p in m])
+            order = np.argsort(keys)
+            hits[:, a] = order[np.searchsorted(keys[order], _row_keys(
+                [keywords[j].digits[choice[:, j], p] for j, p in m]))]
+    order = np.lexsort(hits.T[::-1])
+    return hits[order], regrets[order].T
 
 
 def enumerate_pure_nash(scenario: Scenario, grid: BidGrid, epsilon=None,
@@ -592,22 +608,31 @@ def enumerate_pure_nash(scenario: Scenario, grid: BidGrid, epsilon=None,
     keyword never strictly gains, so the Nash set over the restricted
     space certifies the Nash condition over the full space.
 
-    The joint grid has one axis per advertiser.  Advertiser 0's best
-    utility against each opponent profile comes from separability,
-    without touching the joint grid: per keyword its best utility
-    against the other participants' distinct bids, and the best sum of
-    min(kappa, K) of its K keywords (_JointGrid.best_table).  The grid
-    is then scanned once, in chunks of advertiser 0's rows (axis 0)
-    crossed with every opponent row: each chunk computes every
-    advertiser's utility, takes each other advertiser's best response
-    within it, and keeps the profiles where no one gains more than
-    epsilon.  Within a chunk, a keyword's utilities are computed once
-    per combination of the participants' distinct bids and gathered
-    onto the chunk's profiles.  Peak memory is one chunk's arrays
-    (_CHUNK_PROFILES profiles, or one row of axis 0 if that is more)
-    plus advertiser 0's best-response table, one entry per opponent
-    profile, plus the equilibria found.  A grid of more than max_joint
-    profiles raises TooLarge, naming that estimate of the peak.
+    The joint grid is never scanned.  If advertiser a bids > 0 on keyword
+    s in a stable profile, swapping that bid for a's best on s leaves a
+    row of at most kappa positive bids whose utility, different only in
+    the s term, is at most a's best-response utility B_a; so a's utility
+    there, u_s, is within epsilon of the best, best_s.  A zero bid swaps
+    the same way if a has at most kappa keywords.  So each keyword's grid
+    of distinct bids is scanned for the vectors where those bids are
+    within epsilon plus a float slack of best_s (_Keyword.scan), and the
+    product of these sets less the rows of over kappa positive bids
+    (_candidates) is checked: a candidate is kept if every advertiser's
+    keyword utilities, added in graph order from 0.0, are >= B_a -
+    epsilon, B_a the best sum of min(kappa, K) of a's K best_s
+    (_best_sum), which is a's maximum over its rows bit for bit (float
+    addition is monotone in each term, a zero bid adds 0.0).
+
+    The slack: a sum of K floats from 0.0 is within (K - 1) u sum|x| (1
+    + O(u)) of its exact value, u = 2^-53, and a term, a's utility or
+    best on one keyword, at most mass * top slot weight * max(value, top
+    bid) in magnitude; U_a adds those bounds over a's K keywords.  The
+    swapped row's computed sum is at most B_a, so the rounded test
+    implies best_s - u_s <= epsilon + (2K + 1) u (U_a + epsilon) (1 +
+    O(u)), and the rounded local test keeps every such bid with slack =
+    2 (K + 2) u (U_a + epsilon).  No stable profile is dropped.
+
+    A grid of over max_joint profiles raises TooLarge, naming _peak_bytes.
 
     winner_truthful keeps only equilibria in which every slot winner
     bids exactly their keyword value on the winning keyword.  Reports
@@ -615,41 +640,19 @@ def enumerate_pure_nash(scenario: Scenario, grid: BidGrid, epsilon=None,
     regret and expected welfare.
     """
     eps = _resolve_epsilon(scenario, epsilon)
-    advs = scenario.advertisers
-    n = len(advs)
+    advs, kappa, n = scenario.advertisers, scenario.kappa, len(scenario.advertisers)
     if n == 0:      # the empty profile is the one profile, and stable
         return [EquilibriumReport(profile={}, regrets={}, converged=True,
                                   iterations=0, epsilon=eps, welfare=0.0)]
-    space = _JointGrid(scenario, grid, conservative, max_joint)
-    counts, pools, arrays = space.counts, space.pools, space.arrays
-    best0 = space.best_table()
-    step = _chunk_rows(counts)
-    found, regrets = [], [[] for _ in advs]   # per chunk: stable profiles, regrets
-    for lo in range(0, counts[0], step):
-        utilities = space.utilities(slice(lo, min(lo + step, counts[0])))
-        best = [best0] + [utilities[a].max(axis=a, keepdims=True) for a in range(1, n)]
-        mask = utilities[0] >= best0 - eps
-        for a in range(1, n):
-            mask &= utilities[a] >= best[a] - eps
-        hits = np.nonzero(mask)
-        for a in range(n):
-            regrets[a].append(best[a][hits[:a] + (0,) + hits[a + 1:]] - utilities[a][hits])
-        found.append(np.stack((hits[0] + lo,) + hits[1:], axis=1))
-    hits = np.concatenate(found)
-    regrets = [np.concatenate(r) for r in regrets]
-
-    keep = np.ones(len(hits), dtype=bool)
-    if winner_truthful:
-        for s, parts, ids, _ in space.keywords:
-            stack = np.stack([arrays[a][hits[:, a], j] for a, j in parts.items()], axis=-1)
-            for p, a in enumerate(parts):
-                _, active, _, _ = gsp_outcome(stack[:, p], a, np.delete(stack, p, -1),
-                                              np.delete(ids, p), space.w_padded)
-                keep &= ~(active & (np.abs(stack[:, p] - scenario.kw_values[advs[a]][s])
-                                    > _TRUTHFUL_TOL))
-    hits = hits[keep]
-    regrets = [r[keep] for r in regrets]
-
+    menus = [_menus(scenario, grid, i, conservative) for i in advs]
+    counts = [_count_rows(m, kappa) for m in menus]
+    if math.prod(counts) > max_joint:
+        raise TooLarge(f"joint strategy space has {math.prod(counts)} profiles, about "
+                       f"{_peak_bytes(counts)} bytes at peak before the stable sets and "
+                       f"equilibria (cap {max_joint})")
+    pools, arrays = zip(*(strategy_rows(m, kappa, i, max_rows=max_joint)
+                          for m, i in zip(menus, advs)))
+    hits, regrets = _equilibria(scenario, pools, arrays, eps, winner_truthful)
     # the kept profiles as one bid tensor, priced by the one welfare path
     col = {s: k for k, s in enumerate(scenario.graph.keywords)}
     bids = np.zeros((len(hits), n, len(col)))
@@ -657,15 +660,12 @@ def enumerate_pure_nash(scenario: Scenario, grid: BidGrid, epsilon=None,
         bids[:, a, [col[s] for s in pools[a]]] = arrays[a][hits[:, a]]
     values = np.broadcast_to(scenario.value_matrix, (len(hits),) + scenario.value_matrix.shape)
     welfare = pbm_expected_welfare_batch(scenario, values, bids).tolist()
-
-    reports = []
-    for h, row in enumerate(hits):
-        profile = {i: {s: float(b) for s, b in zip(pools[a], arrays[a][row[a]]) if b > 0.0}
-                   for a, i in enumerate(advs)}
-        reports.append(EquilibriumReport(
-            profile=profile, regrets={i: float(regrets[a][h]) for a, i in enumerate(advs)},
-            converged=True, iterations=0, epsilon=eps, welfare=welfare[h]))
-    return reports
+    return [EquilibriumReport(
+        profile={i: {s: float(b) for s, b in zip(pools[a], arrays[a][row[a]]) if b > 0.0}
+                 for a, i in enumerate(advs)},
+        regrets={i: float(regrets[a][h]) for a, i in enumerate(advs)},
+        converged=True, iterations=0, epsilon=eps, welfare=welfare[h])
+        for h, row in enumerate(hits)]
 
 
 # ---------------------------------------------------- dominant strategies

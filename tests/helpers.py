@@ -406,9 +406,9 @@ def slow_pure_nash_oracle(scenario, menus_by_adv, epsilon):
     return out
 
 
-def advertiser0_joint_utility(scenario, grid, conservative=False):
-    """Oracle: advertiser 0's kernel utility on every profile of the
-    enumerator's joint grid, one axis per advertiser over its
+def joint_utility(scenario, grid, advertiser=0, conservative=False):
+    """Oracle: the kernel utility of the advertiser index on every profile
+    of the enumerator's joint grid, one axis per advertiser over its
     strategy_rows: per keyword of its rows, in graph order from 0.0, the
     gsp_outcome utility against every opponent's bid on it (0 where the
     opponent's rows do not bid on it), with no distinct-bid grid and no
@@ -426,23 +426,186 @@ def advertiser0_joint_utility(scenario, grid, conservative=False):
         column = arrays[a][:, pools[a].index(s)] if s in pools[a] else np.zeros(shape[a])
         return np.broadcast_to(column.reshape([-1 if q == a else 1 for q in range(n)]), shape)
 
+    others = [b for b in range(n) if b != advertiser]
     acc = np.zeros(shape)
     for s in scenario.graph.keywords:
-        if s in pools[0]:
-            opp = (np.stack([joint_bids(a, s) for a in range(1, n)], axis=-1) if n > 1
+        if s in pools[advertiser]:
+            opp = (np.stack([joint_bids(b, s) for b in others], axis=-1) if others
                    else np.zeros(shape + [0]))
-            slot_w, active, price, _ = gsp_outcome(joint_bids(0, s), 0, opp, np.arange(1, n),
+            slot_w, active, price, _ = gsp_outcome(joint_bids(advertiser, s), advertiser, opp,
+                                                   np.array(others, dtype=np.intp),
                                                    padded_weights(scenario))
-            value = scenario.kw_values[advs[0]][s]
+            value = scenario.kw_values[advs[advertiser]][s]
             acc += np.where(active, scenario.kw_masses[s] * slot_w * (value - price), 0.0)
     return acc
 
 
-def best_response_table_oracle(scenario, grid, conservative=False):
-    """Oracle: the enumerator's best-response table of advertiser 0, its
-    maximum over its strategy rows of advertiser0_joint_utility against
-    each opponent profile, shape (1, rows of advertiser 1, ...)."""
-    return advertiser0_joint_utility(scenario, grid, conservative).max(axis=0, keepdims=True)
+def best_response_table_oracle(scenario, grid, advertiser=0, conservative=False):
+    """Oracle: the best-response utility of the advertiser index against
+    each opponent profile, its maximum over its strategy rows of
+    joint_utility, with a length-1 axis of its own."""
+    return joint_utility(scenario, grid, advertiser, conservative).max(axis=advertiser,
+                                                                        keepdims=True)
+
+
+class _JointScan:
+    """The joint grid of joint_scan_pure_nash, one axis per advertiser
+    index: per advertiser its strategy rows (pools, arrays) and their
+    counts, and per keyword of the graph that someone's rows bid on,
+    (keyword, {participant: column of the keyword in its rows} in
+    advertiser order, their indices, and the distinct bids of each with
+    the index of every row's bid among them)."""
+
+    def __init__(self, scenario, grid, conservative):
+        from bmlab.equilibrium import _menus, strategy_rows
+        from bmlab.mechanisms import padded_weights
+
+        advs = scenario.advertisers
+        self.pools, self.arrays = zip(*(
+            strategy_rows(_menus(scenario, grid, i, conservative), scenario.kappa, i,
+                          max_rows=math.inf) for i in advs))
+        self.counts = [len(rows) for rows in self.arrays]
+        self.scenario = scenario
+        self.w_padded = padded_weights(scenario)
+        self.keywords = []
+        for s in scenario.graph.keywords:
+            parts = {a: self.pools[a].index(s) for a in range(len(advs)) if s in self.pools[a]}
+            if parts:
+                self.keywords.append((s, parts, np.array(list(parts)),
+                                      {a: np.unique(self.arrays[a][:, j], return_inverse=True)
+                                       for a, j in parts.items()}))
+
+    def _utility(self, s, a, own, opp, ids):
+        from bmlab.mechanisms import gsp_outcome
+
+        slot_w, active, price, _ = gsp_outcome(own, a, opp, ids, self.w_padded)
+        value = self.scenario.kw_values[self.scenario.advertisers[a]][s]
+        return np.where(active, self.scenario.kw_masses[s] * slot_w * (value - price), 0.0)
+
+    def utilities(self, rows0):
+        """[a's utility on every profile of the chunk of advertiser 0's
+        rows rows0] by advertiser index: per keyword, on the grid of the
+        participants' distinct bids, gathered onto the chunk and added in
+        graph keyword order from 0.0."""
+        last = len(self.counts) - 1
+        shape = (rows0.stop - rows0.start,) + tuple(self.counts[1:])
+        acc = [np.zeros(shape) for _ in self.counts]
+        for s, parts, ids, distinct in self.keywords:
+            levels = [distinct[a] if a != 0 else np.unique(self.arrays[0][rows0, parts[0]],
+                                                           return_inverse=True)
+                      for a in parts]
+            line = np.zeros((1,) * last, dtype=np.intp)
+            stack = np.empty([len(lv) for lv, _ in levels] + [len(parts)])
+            for p, (a, (lv, inv)) in enumerate(zip(parts, levels)):
+                stack[..., p] = lv.reshape([-1 if q == p else 1 for q in range(len(parts))])
+                if a == last:
+                    spread = inv
+                else:
+                    view = [1] * last
+                    view[a] = len(inv)
+                    line = line * len(lv) + inv.reshape(view)
+            for p, a in enumerate(parts):
+                util = self._utility(s, a, stack[..., p], np.delete(stack, p, -1),
+                                     np.delete(ids, p))
+                util = np.take(util, spread, axis=-1) if last in parts else util[..., None]
+                acc[a] += np.take(util.reshape(-1, util.shape[-1]), line, axis=0)
+        return acc
+
+    def _keyword_best(self, s, parts, ids, distinct):
+        """Advertiser 0's best utility on keyword s against every
+        combination of the other participants' distinct bids, gathered
+        onto the opponent table."""
+        own = distinct[0][0]
+        others = [a for a in parts if a != 0]
+        sizes = [len(distinct[a][0]) for a in others]
+        opp = np.empty(sizes + [len(others)])
+        for p, a in enumerate(others):
+            opp[..., p] = distinct[a][0].reshape([-1 if q == p else 1 for q in range(len(others))])
+        top = self._utility(s, 0, own.reshape([-1] + [1] * len(sizes)), opp,
+                            ids[1:]).max(axis=0, keepdims=True)
+        n = len(self.counts)
+        return top[(0,) + tuple(distinct[a][1].reshape([-1 if q == a else 1 for q in range(n)])
+                                for a in others)]
+
+    def best_table(self):
+        """Advertiser 0's best utility against each opponent profile, on
+        the (1, counts[1], ...) table: the maximum, over the subsets of
+        min(kappa, K) of its K keywords, of their _keyword_best tables
+        added in keyword order from 0.0, as a dynamic programme."""
+        keywords0 = [kw for kw in self.keywords if 0 in kw[1]]
+        size = min(self.scenario.kappa, len(keywords0))
+        sums = {0: np.zeros([1] + self.counts[1:])}
+        for k, kw in enumerate(keywords0, 1):
+            top = self._keyword_best(*kw)
+            for j in range(min(k, size), max(1, size - len(keywords0) + k) - 1, -1):
+                take = sums[j - 1] + top
+                if j in sums:
+                    np.maximum(sums[j], take, out=sums[j])
+                else:
+                    sums[j] = take
+            sums.pop(size - len(keywords0) + k - 1, None)
+        return sums[size]
+
+
+def joint_scan_pure_nash(scenario, grid, epsilon=None, conservative=False,
+                         winner_truthful=False, chunk_profiles=1 << 16):
+    """Oracle: enumerate_pure_nash by one scan of the whole joint grid, in
+    chunks of advertiser 0's rows (one row at least) crossed with every
+    opponent row.  Each chunk prices every advertiser on every profile,
+    takes each other advertiser's best response within it, advertiser
+    0's from the separable best_table, and keeps the profiles where no
+    one gains more than epsilon; reports as enumerate_pure_nash's."""
+    from bmlab.equilibrium import _TRUTHFUL_TOL, EquilibriumReport, _resolve_epsilon
+    from bmlab.mechanisms import gsp_outcome, pbm_expected_welfare_batch
+
+    eps = _resolve_epsilon(scenario, epsilon)
+    advs = scenario.advertisers
+    n = len(advs)
+    if n == 0:
+        return [EquilibriumReport(profile={}, regrets={}, converged=True,
+                                  iterations=0, epsilon=eps, welfare=0.0)]
+    space = _JointScan(scenario, grid, conservative)
+    counts, pools, arrays = space.counts, space.pools, space.arrays
+    best0 = space.best_table()
+    step = max(1, chunk_profiles // math.prod(counts[1:]))
+    found, regrets = [], [[] for _ in advs]
+    for lo in range(0, counts[0], step):
+        utilities = space.utilities(slice(lo, min(lo + step, counts[0])))
+        best = [best0] + [utilities[a].max(axis=a, keepdims=True) for a in range(1, n)]
+        mask = utilities[0] >= best0 - eps
+        for a in range(1, n):
+            mask &= utilities[a] >= best[a] - eps
+        hits = np.nonzero(mask)
+        for a in range(n):
+            regrets[a].append(best[a][hits[:a] + (0,) + hits[a + 1:]] - utilities[a][hits])
+        found.append(np.stack((hits[0] + lo,) + hits[1:], axis=1))
+    hits = np.concatenate(found)
+    regrets = [np.concatenate(r) for r in regrets]
+
+    keep = np.ones(len(hits), dtype=bool)
+    if winner_truthful:
+        for s, parts, ids, _ in space.keywords:
+            stack = np.stack([arrays[a][hits[:, a], j] for a, j in parts.items()], axis=-1)
+            for p, a in enumerate(parts):
+                _, active, _, _ = gsp_outcome(stack[:, p], a, np.delete(stack, p, -1),
+                                              np.delete(ids, p), space.w_padded)
+                keep &= ~(active & (np.abs(stack[:, p] - scenario.kw_values[advs[a]][s])
+                                    > _TRUTHFUL_TOL))
+    hits = hits[keep]
+    regrets = [r[keep] for r in regrets]
+
+    col = {s: k for k, s in enumerate(scenario.graph.keywords)}
+    bids = np.zeros((len(hits), n, len(col)))
+    for a in range(n):
+        bids[:, a, [col[s] for s in pools[a]]] = arrays[a][hits[:, a]]
+    values = np.broadcast_to(scenario.value_matrix, (len(hits),) + scenario.value_matrix.shape)
+    welfare = pbm_expected_welfare_batch(scenario, values, bids).tolist()
+    return [EquilibriumReport(
+        profile={i: {s: float(b) for s, b in zip(pools[a], arrays[a][row[a]]) if b > 0.0}
+                 for a, i in enumerate(advs)},
+        regrets={i: float(regrets[a][h]) for a, i in enumerate(advs)},
+        converged=True, iterations=0, epsilon=eps, welfare=welfare[h])
+        for h, row in enumerate(hits)]
 
 
 def canonical_profiles(profiles):

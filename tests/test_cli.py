@@ -70,6 +70,16 @@ def test_enumerate_mode_matches_golden_on_a_3x3_market(tmp_path):
     assert got == (GOLDEN / "equilibrium_enumerate_3x3.json").read_bytes()
 
 
+def test_enumerate_mode_matches_golden_at_an_epsilon_where_kappa_binds(tmp_path):
+    """The 3x3 market at epsilon 0.05: kappa 2 of 3 keywords binds, so
+    zero bids pass the keyword filter unchecked; 45 equilibria."""
+    code = run("equilibrium", "--scenario", DATA / "scenario_3x3.json", "--mode", "enumerate",
+               "--epsilon", "0.05", "--grid-delta", "2.0", "--out", tmp_path)
+    assert code == 0
+    got = (tmp_path / "equilibrium.json").read_bytes()
+    assert got == (GOLDEN / "equilibrium_enumerate_3x3_eps.json").read_bytes()
+
+
 def test_poa_matches_golden(tmp_path):
     """The 3x3 market on the unit grid: 61 rows each, 226 981 profiles
     scanned in several chunks, 648 equilibria."""

@@ -35,11 +35,12 @@ from bmlab.mechanisms import pbm_expected_welfare
 from bmlab.reserves import PointMass, Uniform
 
 from helpers import (
-    advertiser0_joint_utility,
     best_response_table_oracle,
     canonical_profiles,
     dict_expected_welfare,
     joint_best_response_oracle,
+    joint_scan_pure_nash,
+    joint_utility,
     pbm_utility,
     per_call_dynamics,
     random_bid_profile,
@@ -584,80 +585,111 @@ def test_enumerate_deterministic():
         assert first and first == report_fingerprint(enumerate_pure_nash(sc, grid))
 
 
-# ----------------------------------------------------------- chunked scan
+# ----------------------------------------- keyword filter vs the joint scan
+
+DEFAULT_CHUNK = equilibrium._CHUNK_PROFILES
+# a chunk that splits the test markets' keyword grids, best-utility
+# tables and candidate products unevenly
+UNEVEN_CHUNK = 23
+
 
 def row_counts(sc, grid, conservative=False):
     return [equilibrium._count_rows(equilibrium._menus(sc, grid, i, conservative), sc.kappa)
             for i in sc.advertisers]
 
 
-def enumerate_in_chunks(monkeypatch, sc, grid, rows_per_chunk, **kwargs):
-    """enumerate_pure_nash with chunks of rows_per_chunk rows of axis 0."""
-    counts = row_counts(sc, grid, kwargs.get("conservative", False))
-    monkeypatch.setattr(equilibrium, "_CHUNK_PROFILES",
-                        rows_per_chunk * math.prod(counts[1:]))
-    return enumerate_pure_nash(sc, grid, **kwargs)
+def assert_matches_the_joint_scan(monkeypatch, sc, grid, **kwargs):
+    """enumerate_pure_nash with _CHUNK_PROFILES at its default, at 1 (a
+    participant's bids, one grid cell or one stable vector per piece) and
+    at an uneven split gives the reports of joint_scan_pure_nash, the
+    whole-grid scan, hex for hex: profiles in order, regrets, welfare."""
+    want = report_fingerprint(joint_scan_pure_nash(sc, grid, **kwargs))
+    for chunk in (1, UNEVEN_CHUNK, DEFAULT_CHUNK):
+        monkeypatch.setattr(equilibrium, "_CHUNK_PROFILES", chunk)
+        assert report_fingerprint(enumerate_pure_nash(sc, grid, **kwargs)) == want
+    return want
 
 
-def assert_chunking_invisible(monkeypatch, sc, grid, **kwargs):
-    """One chunk, one profile's budget (a row per chunk) and a split of
-    axis 0 into unequal chunks all give the same reports, bit for bit."""
-    rows0 = row_counts(sc, grid, kwargs.get("conservative", False))[0]
-    whole = report_fingerprint(enumerate_in_chunks(monkeypatch, sc, grid, rows0, **kwargs))
-    monkeypatch.setattr(equilibrium, "_CHUNK_PROFILES", 1)
-    assert report_fingerprint(enumerate_pure_nash(sc, grid, **kwargs)) == whole
-    uneven = next((k for k in range(2, rows0) if rows0 % k), 1)
-    assert report_fingerprint(
-        enumerate_in_chunks(monkeypatch, sc, grid, uneven, **kwargs)) == whole
-    return whole
+def boundary_epsilon(sc, grid, conservative=False):
+    """An epsilon that is an exact regret of some profile of the market:
+    the largest regret among the equilibria at a coarse epsilon, so
+    that profile is stable exactly on the boundary."""
+    regrets = [max(r.regrets.values()) for r in
+               joint_scan_pure_nash(sc, grid, epsilon=0.05 * max(grid.caps.values()),
+                                    conservative=conservative)]
+    return max(regrets, default=0.0)
 
 
 @pytest.mark.parametrize("conservative", [True, False])
 def test_chunking_invisible_on_random_markets(monkeypatch, conservative):
+    """Random markets, kappa binding on some and not on others, at the
+    default epsilon and at an epsilon that is an exact regret."""
     rng = np.random.default_rng(77)
-    found = 0
-    for _ in range(12):
-        sc = random_scenario(rng, max_adv=3, max_kw=3, max_q=3,
-                             weights=(1.0, 0.5), kappa=2)
+    found, binding, boundary = 0, Counter(), 0
+    for _ in range(40):
+        sc = random_scenario(rng, max_adv=3, max_kw=3, max_q=4, weights=(1.0, 0.5))
         grid = make_grid(sc, delta=max(make_grid(sc, 1.0).caps.values()) / 3)
         if math.prod(row_counts(sc, grid, conservative)) > 20_000:
             continue
-        found += len(assert_chunking_invisible(monkeypatch, sc, grid,
-                                               conservative=conservative))
-    assert found > 0
+        found += len(assert_matches_the_joint_scan(monkeypatch, sc, grid,
+                                                   conservative=conservative))
+        binding[any(sc.kappa < len(sc.kw_positive[i]) for i in sc.advertisers)] += 1
+        eps = boundary_epsilon(sc, grid, conservative)
+        if eps > 0.0:
+            reports = assert_matches_the_joint_scan(monkeypatch, sc, grid, epsilon=eps,
+                                                    conservative=conservative)
+            boundary += any(max(r.values(), key=float.fromhex) == eps.hex()
+                            for _, r, _ in reports)
+    assert found > 0 and binding[True] >= 3 and binding[False] >= 3 and boundary >= 3
 
 
 def test_chunking_invisible_winner_truthful(monkeypatch):
     sc = five_three()
-    whole = assert_chunking_invisible(monkeypatch, sc, make_grid(sc, delta=0.5),
-                                      conservative=True, winner_truthful=True)
+    whole = assert_matches_the_joint_scan(monkeypatch, sc, make_grid(sc, delta=0.5),
+                                          conservative=True, winner_truthful=True)
     assert len(whole) == 7                   # a bids 5, b any of 0, 0.5, ..., 3
     sc = simple_scenario({"a1": {"q1": 4.0, "q2": 2.0}, "a2": {"q1": 3.0, "q2": 2.5},
                           "a3": {"q1": 1.5, "q2": 3.5}}, weights=(1.0, 0.5), kappa=1)
-    assert_chunking_invisible(monkeypatch, sc, make_grid(sc, delta=0.5),
-                              winner_truthful=True)
+    assert_matches_the_joint_scan(monkeypatch, sc, make_grid(sc, delta=0.5),
+                                  winner_truthful=True)
 
 
 def test_chunking_invisible_single_advertiser(monkeypatch):
     sc = single_keyword_scenario({"a": 4.0})
-    assert len(assert_chunking_invisible(monkeypatch, sc, make_grid(sc, delta=1.0),
-                                         conservative=True)) == 4
+    assert len(assert_matches_the_joint_scan(monkeypatch, sc, make_grid(sc, delta=1.0),
+                                             conservative=True)) == 4
     sc = simple_scenario({"a1": {"q1": 4.0, "q2": 2.5, "q3": 1.0}}, kappa=2)
-    assert assert_chunking_invisible(monkeypatch, sc, make_grid(sc, delta=0.5))
+    assert assert_matches_the_joint_scan(monkeypatch, sc, make_grid(sc, delta=0.5))
 
 
 @pytest.mark.parametrize("idle", ["a0", "a2"])
 def test_chunking_invisible_advertiser_without_keywords(monkeypatch, idle):
-    """An advertiser with no positive keyword has the one all-zero row;
-    as advertiser 0 it makes axis 0 a single row."""
+    """An advertiser with no positive keyword has the one all-zero row
+    and is on no keyword's grid."""
     values = {"a0": {"q1": 4.0, "q2": 2.0}, "a1": {"q1": 3.0, "q2": 2.5},
               "a2": {"q1": 1.5, "q2": 3.5}}
     values[idle] = {}
     sc = simple_scenario(values, weights=(1.0, 0.5), kappa=1)
     grid = make_grid(sc, delta=0.5)
     assert row_counts(sc, grid)[sc.advertisers.index(idle)] == 1
-    whole = assert_chunking_invisible(monkeypatch, sc, grid)
+    whole = assert_matches_the_joint_scan(monkeypatch, sc, grid)
     assert whole and all(profile[idle] == {} for profile, _, _ in whole)
+
+
+def test_chunking_invisible_on_ties_and_overbids(monkeypatch):
+    """Equal values put tied bids on every grid point, and overbids
+    that win pay more than they are worth; kappa 2 of 3 keywords binds,
+    and the 3x3 golden's epsilon 0.05 with it."""
+    values = {"a0": {"q1": 2.0, "q2": 1.5, "q3": 1.0}, "a1": {"q1": 2.0, "q2": 2.5, "q3": 1.0},
+              "a2": {"q1": 1.0, "q2": 2.5, "q3": 2.0}}
+    sc = simple_scenario(values, weights=(1.0, 0.5), kappa=2)
+    grid = make_grid(sc, delta=1.0)
+    assert (joint_utility(sc, grid) < 0.0).any()
+    for eps in (None, 0.05, boundary_epsilon(sc, grid)):
+        assert assert_matches_the_joint_scan(monkeypatch, sc, grid, epsilon=eps)
+    sc = scenario_from_json(DATA / "scenario_3x3.json")
+    assert len(assert_matches_the_joint_scan(monkeypatch, sc, make_grid(sc, delta=2.0),
+                                             epsilon=0.05)) == 45
 
 
 def test_enumerate_matches_slow_oracle_in_one_row_chunks(monkeypatch):
@@ -666,28 +698,59 @@ def test_enumerate_matches_slow_oracle_in_one_row_chunks(monkeypatch):
         fast = enumerate_pure_nash(sc, grid, epsilon=eps)
         slow = canonical_profiles(slow_pure_nash_oracle(sc, menus_by_adv, eps))
         assert canonical_profiles([r.profile for r in fast]) == slow
-        assert report_fingerprint(fast) == assert_chunking_invisible(
+        assert report_fingerprint(fast) == assert_matches_the_joint_scan(
             monkeypatch, sc, grid, epsilon=eps)
 
 
-# ------------------------------------------------- best-response table
+# -------------------------------------------------- best-response utility
 
-def assert_best_table_is_the_oracle(sc, grid, conservative=False):
-    """Advertiser 0's best-response table, built from per-keyword best
-    utilities, is the brute-force maximum over its rows, hex for hex."""
-    table = equilibrium._JointGrid(sc, grid, conservative, max_joint=10_000_000).best_table()
-    want = best_response_table_oracle(sc, grid, conservative)
-    assert table.shape == want.shape
-    assert [x.hex() for x in table.ravel().tolist()] == [x.hex() for x in want.ravel().tolist()]
-    return table
+def enumerator_best(sc, grid, conservative=False):
+    """Each advertiser's best-response utility B_a as the enumerator
+    computes it, on every joint profile: the keywords scanned with every
+    vector kept (infinite epsilon, so a keyword's vectors are its whole
+    grid in row-major order), each keyword's best utilities gathered onto
+    the joint grid and added up by _best_sum."""
+    advs, n = sc.advertisers, len(sc.advertisers)
+    pools, arrays = zip(*(equilibrium.strategy_rows(
+        equilibrium._menus(sc, grid, i, conservative), sc.kappa, i, max_rows=math.inf)
+        for i in advs))
+    keywords, mine = equilibrium._scan(sc, pools, arrays, math.inf)
+    shape = [len(rows) for rows in arrays]
+    out = []
+    for m in mine:
+        tops = []
+        for j, p in m:
+            kw = keywords[j]
+            assert len(kw.digits) == math.prod(kw.sizes)
+            vector = np.zeros(shape, dtype=np.intp)
+            for q, a in enumerate(kw.parts):
+                vector = vector * kw.sizes[q] + kw.inverse[q].reshape(
+                    [-1 if b == a else 1 for b in range(n)])
+            tops.append(kw.best[vector.ravel(), p])
+        out.append(equilibrium._best_sum(tops, min(sc.kappa, len(m)),
+                                         math.prod(shape)).reshape(shape))
+    return out
+
+
+def assert_best_is_the_oracle(sc, grid, conservative=False):
+    """Every advertiser's B_a, built from per-keyword best utilities, is
+    the brute-force maximum over its rows, hex for hex, on every profile."""
+    tables = enumerator_best(sc, grid, conservative)
+    for a, table in enumerate(tables):
+        want = np.broadcast_to(best_response_table_oracle(sc, grid, a, conservative),
+                               table.shape)
+        # equal bit patterns, so equal hex forms
+        assert (table.view(np.uint64) == np.ascontiguousarray(want).view(np.uint64)).all()
+    return tables
 
 
 @pytest.mark.parametrize("chunk", [None, 1])
 @pytest.mark.parametrize("conservative", [True, False])
 def test_best_table_is_the_maximum_over_rows_on_random_markets(monkeypatch, chunk,
                                                                conservative):
-    """kappa random, so it binds for advertiser 0 on some markets and not
-    on others; a chunk of 1 prices each of advertiser 0's bids alone."""
+    """kappa random, so it binds on some markets and not on others; a
+    chunk of 1 prices each participant's bids against one combination of
+    the others' at a time."""
     if chunk is not None:
         monkeypatch.setattr(equilibrium, "_CHUNK_PROFILES", chunk)
     rng = np.random.default_rng(19)
@@ -697,8 +760,8 @@ def test_best_table_is_the_maximum_over_rows_on_random_markets(monkeypatch, chun
         grid = make_grid(sc, delta=max(make_grid(sc, 1.0).caps.values()) / 3)
         if math.prod(row_counts(sc, grid, conservative)) > 20_000:
             continue
-        assert_best_table_is_the_oracle(sc, grid, conservative)
-        binding[sc.kappa < len(sc.kw_positive[sc.advertisers[0]])] += 1
+        assert_best_is_the_oracle(sc, grid, conservative)
+        binding[any(sc.kappa < len(sc.kw_positive[i]) for i in sc.advertisers)] += 1
     assert binding[True] >= 3 and binding[False] >= 3
 
 
@@ -712,16 +775,19 @@ def test_best_table_is_the_maximum_over_rows_on_edge_markets(monkeypatch, chunk)
     # past its values: overbids that win pay more than they are worth
     sc = simple_scenario(values, weights=(1.0, 0.5), kappa=2)
     grid = make_grid(sc, delta=0.5)
-    assert (advertiser0_joint_utility(sc, grid) < 0.0).any()
-    assert_best_table_is_the_oracle(sc, grid)
+    assert (joint_utility(sc, grid) < 0.0).any()
+    assert_best_is_the_oracle(sc, grid)
     # advertiser 0 without a positive keyword: its one row, utility 0
     sc = simple_scenario({**values, "a0": {}}, weights=(1.0, 0.5), kappa=1)
-    table = assert_best_table_is_the_oracle(sc, make_grid(sc, delta=0.5))
-    assert table.size > 1 and not table.any()
-    # a single advertiser, kappa binding: the table is its one best total
+    tables = assert_best_is_the_oracle(sc, make_grid(sc, delta=0.5))
+    assert tables[0].size > 1 and not tables[0].any()
+    # a single advertiser, kappa binding: its one best total on every row
     sc = simple_scenario({"a1": {"q1": 4.0, "q2": 2.5, "q3": 1.0}}, kappa=2)
-    table = assert_best_table_is_the_oracle(sc, make_grid(sc, delta=0.5))
-    assert table.shape == (1,) and table[0] == pytest.approx((4.0 + 2.5) / 3)
+    [table] = assert_best_is_the_oracle(sc, make_grid(sc, delta=0.5))
+    assert table.ndim == 1 and table == pytest.approx((4.0 + 2.5) / 3)
+
+
+CANDIDATES_ON_THE_MILLION_MARKET = 8
 
 
 def million_market():
@@ -734,10 +800,43 @@ def million_market():
 
 
 def chunk_profiles(counts):
-    """Profiles in one chunk of the scan: the rows of axis 0 that fit
-    the budget (one at least) times the opponent profiles."""
+    """Profiles in one chunk of the joint scan the enumerator replaced:
+    the rows of axis 0 that fit the budget (one at least) times the
+    opponent profiles, the unit of the memory bound below."""
     table = math.prod(counts[1:])
     return min(counts[0], max(1, equilibrium._CHUNK_PROFILES // table)) * table
+
+
+def test_enumerate_prices_keyword_grids_not_the_joint_grid(monkeypatch):
+    """On the million market the enumerator prices each keyword's grid of
+    distinct bids once per participant for the best utilities and at
+    most once more in the filter, and checks a fixed number of candidate
+    profiles, none of it in proportion to the 1.25 M joint grid."""
+    sc, grid = million_market()
+    cells, candidates = [], []
+    price, expand = equilibrium.gsp_outcome, equilibrium._candidates
+
+    def counted_price(own, a, opp, ids, w_padded):
+        cells.append(math.prod(np.broadcast_shapes(np.shape(own), opp.shape[:-1])))
+        return price(own, a, opp, ids, w_padded)
+
+    def counted_expand(keywords, kappa, part, count):
+        for chunk in expand(keywords, kappa, part, count):
+            if part.shape[1] == 0:      # the outermost call sees every chunk once
+                candidates.append(len(chunk))
+            yield chunk
+
+    monkeypatch.setattr(equilibrium, "gsp_outcome", counted_price)
+    monkeypatch.setattr(equilibrium, "_candidates", counted_expand)
+    reports = enumerate_pure_nash(sc, grid, conservative=True)
+    assert len(reports) == 8
+    grids = 0
+    for s in sc.graph.keywords:
+        menus = [len(bid_menu(sc, grid, i, s, conservative=True)) for i in sc.advertisers]
+        grids += len(menus) * math.prod(menus)
+    assert grids == 3 * (5 * 5 * 4 + 5 * 5 * 4 + 5 * 5 * 5)
+    assert grids <= sum(cells) <= 2 * grids
+    assert sum(candidates) == CANDIDATES_ON_THE_MILLION_MARKET
 
 
 def test_enumerate_too_large_reports_bytes():
@@ -749,27 +848,29 @@ def test_enumerate_too_large_reports_bytes():
         enumerate_pure_nash(sc, grid, conservative=True, max_joint=23)
     peak = equilibrium._peak_bytes(counts)
     assert str(exc.value) == (f"joint strategy space has 24 profiles, about {peak} "
-                              f"bytes at peak (cap 23)")
-    # the whole grid is one chunk: at least its two utility tensors and the table
-    assert peak >= 8 * (2 * 24 + 4)
+                              f"bytes at peak before the stable sets and equilibria (cap 23)")
+    # a keyword piece or candidate chunk of _CHUNK_PROFILES entries, and the
+    # keyword's best-utility tables: one entry per profile of the other's rows
+    assert peak >= 128 * equilibrium._CHUNK_PROFILES + 8 * (4 + 6)
 
     sc, grid = million_market()
     counts = row_counts(sc, grid, conservative=True)
     peak = equilibrium._peak_bytes(counts)
     with pytest.raises(TooLarge, match=rf"^joint strategy space has 1250000 profiles, "
-                                       rf"about {peak} bytes at peak \(cap 1000000\)$"):
+                                       rf"about {peak} bytes at peak before the stable sets "
+                                       rf"and equilibria \(cap 1000000\)$"):
         enumerate_pure_nash(sc, grid, conservative=True, max_joint=1_000_000)
-    # the estimate follows the chunk and the table, not the whole grid
-    table = math.prod(counts[1:])
-    assert 8 * 3 * chunk_profiles(counts) + 8 * table <= peak <= 10 * 1_250_000
+    # the estimate follows the chunk and the tables, not the whole grid
+    tables = sum(1_250_000 // c for c in counts)
+    assert 128 * equilibrium._CHUNK_PROFILES + 8 * tables <= peak <= 10 * 1_250_000
 
 
 def test_enumerate_memory_bounded_by_the_chunk():
     """Peak traced allocation on a 1.25 M-profile grid stays within one
-    chunk at 128 B a profile, the best-response table and 1 MB for the
-    strategy rows and reports, and within the TooLarge estimate plus
-    that 1 MB.  Whole-grid tensors took about 80 B per profile, 100 MB
-    here."""
+    chunk of the joint scan at 128 B a profile, its best-response table
+    and 1 MB for the strategy rows and reports, and within the TooLarge
+    estimate plus that 1 MB.  Whole-grid tensors took about 80 B per
+    profile, 100 MB here."""
     sc, grid = million_market()
     counts = row_counts(sc, grid, conservative=True)
     table = math.prod(counts[1:])
@@ -788,9 +889,8 @@ def test_enumerate_memory_bounded_by_the_chunk():
 
 def test_enumerate_memory_bounded_on_a_one_keyword_market():
     """On one keyword the grid of distinct bids is the whole joint grid
-    (1.45 M profiles), so advertiser 0's best-response table is priced
-    from it in pieces: the traced peak stays within the TooLarge estimate
-    plus 1 MB.  Two slots of near-equal weight keep the equilibria, and
+    (1.45 M profiles), so the keyword scan prices it in pieces: the
+    traced peak stays within the TooLarge estimate plus 1 MB.  Two slots of near-equal weight keep the equilibria, and
     the reports' memory, few."""
     sc = single_keyword_scenario({"a": 10.0, "b": 9.0, "c": 8.0}, weights=(1.0, 0.9))
     grid = make_grid(sc, delta=0.08)
