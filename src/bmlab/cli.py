@@ -162,9 +162,23 @@ def _outdir(cfg: RunConfig):
 
 
 def _write(path: Path, text: str) -> None:
+    _write_lines(path, (text,))
+
+
+def _write_lines(path: Path, lines) -> None:
+    """Write the strings of `lines` to path in turn, then print its `wrote`
+    line.  An OSError exits 2 and leaves no partial file, so that _outdir
+    can remove the directories the run created."""
     try:
-        path.write_text(text, encoding="utf-8")
+        fh = path.open("w", encoding="utf-8")
     except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
+    try:
+        with fh:
+            fh.writelines(lines)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            path.unlink()
         raise ValidationError(f"cannot write {path}: {exc}") from exc
     print(f"wrote {path}")
 
@@ -192,15 +206,6 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
         raise ValidationError(f"--rounds must be >= 0, got {cfg.rounds}")
     outcomes, welfare_sum, revenue_sum = pbm_simulate(
         sc, bids, cfg.rounds, np.random.default_rng(cfg.seed))
-    rows = {}       # (query, keyword) -> its CSV lines after the round number
-    lines = [ROUND_HEADER]
-    for t, outcome in enumerate(outcomes):
-        key = (outcome.query, outcome.sampled_keyword)
-        if key not in rows:
-            rows[key] = [f",{outcome.query},{outcome.sampled_keyword},{slot},{adv},"
-                         f"{price:.9g},{w:.9g}"
-                         for slot, adv, price, w in outcome.assignments]
-        lines.extend(f"{t}{row}" for row in rows[key])
     exact_welfare = pbm_expected_welfare(sc, bids)
     exact_revenue = pbm_expected_revenue(sc, bids)
     summary = {
@@ -211,9 +216,24 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
         "empirical_welfare": welfare_sum / cfg.rounds if cfg.rounds else None,
         "empirical_revenue": revenue_sum / cfg.rounds if cfg.rounds else None,
     }
-    _write(out / "rounds.csv", "\n".join(lines) + "\n")
+    _write_lines(out / "rounds.csv", _round_lines(outcomes))
     _write(out / "summary.json", _json_text(summary))
     return 0
+
+
+def _round_lines(outcomes):
+    """rounds.csv line by line, the header first; each (query, keyword)
+    pair's lines after the round number are formatted once."""
+    yield ROUND_HEADER + "\n"
+    rows = {}       # (query, keyword) -> its CSV lines after the round number
+    for t, outcome in enumerate(outcomes):
+        key = (outcome.query, outcome.sampled_keyword)
+        if key not in rows:
+            rows[key] = [f",{outcome.query},{outcome.sampled_keyword},{slot},{adv},"
+                         f"{price:.9g},{w:.9g}\n"
+                         for slot, adv, price, w in outcome.assignments]
+        for row in rows[key]:
+            yield f"{t}{row}"
 
 
 # -------------------------------------------------------------- equilibrium

@@ -26,6 +26,7 @@ from .errors import ValidationError
 from .market import Scenario, _json_number, _load_json_obj
 
 _NO_RESERVE: Mapping[str, float] = {}
+_UNIFORM_BLOCK = 4096    # most uniforms pbm_simulate draws at a time
 
 
 def validate_bid_profile(scenario: Scenario, bids: Mapping[str, Mapping[str, float]]):
@@ -206,11 +207,13 @@ def pbm_simulate(scenario: Scenario, bids, rounds, rng):
 
     A keyword's ranking is the same in every round, so each keyword is
     ranked once and each (query, keyword) pair priced once, on first use.
-    Uniforms come in blocks of one per round left, this one included:
-    once a round needs a uniform every later round needs one too (each
-    draws a query, or each draws a keyword of the one query), so no block
-    is overdrawn.  Returns (outcomes, welfare_sum, revenue_sum): one
-    AuctionOutcome per round, shared by the rounds of a pair, and the
+    Uniforms come in blocks of one per round left, this one included, at
+    most _UNIFORM_BLOCK at a time: once a round needs a uniform every later
+    round needs one too (each draws a query, or each draws a keyword of the
+    one query), so no block is overdrawn, and random(a) then random(b)
+    gives random(a + b)'s doubles.  Memory beyond the returned list is
+    independent of `rounds`.  Returns (outcomes, welfare_sum, revenue_sum):
+    one AuctionOutcome per round, shared by the rounds of a pair, and the
     rounds' welfare and revenue added in round order."""
     queries = scenario.p.queries
     q_cdf = _cdf([scenario.p.mass(q) for q in queries])
@@ -224,7 +227,7 @@ def pbm_simulate(scenario: Scenario, bids, rounds, rng):
         if len(items) == 1:
             return items[0]
         if used == len(block):
-            block, used = rng.random(rounds - t).tolist(), 0
+            block, used = rng.random(min(_UNIFORM_BLOCK, rounds - t)).tolist(), 0
         used += 1
         return items[bisect.bisect_right(cdf, block[used - 1])]
 

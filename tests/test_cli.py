@@ -8,6 +8,7 @@ Monte-Carlo revenue run and the default counterexample byte-for-byte.
 """
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -209,6 +210,28 @@ def test_simulate_different_seeds_differ(tmp_path):
     run("simulate", "--scenario", SCENARIO, "--bids", BIDS,
         "--rounds", 500, "--seed", 2, "--out", b)
     assert (a / "rounds.csv").read_bytes() != (b / "rounds.csv").read_bytes()
+
+
+def _traced_simulate_peak(rounds, out) -> int:
+    tracemalloc.start()
+    try:
+        assert run("simulate", "--scenario", SCENARIO, "--bids", BIDS,
+                   "--rounds", rounds, "--out", out) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_memory_grows_only_by_the_outcome_references(tmp_path):
+    """Ten times the rounds may add the returned list's 8 B reference per
+    round (and the list's spare capacity), not the report's lines or a
+    uniform per round: rounds.csv is streamed and the uniforms come in
+    capped blocks."""
+    n = 10_000
+    _traced_simulate_peak(10, tmp_path / "warm")
+    small = _traced_simulate_peak(n, tmp_path / "small")
+    large = _traced_simulate_peak(10 * n, tmp_path / "large")
+    assert (large - small) / (9 * n) <= 16
 
 
 # ------------------------------------------------------- config and errors
@@ -494,7 +517,34 @@ def test_out_that_is_a_file_exits_2_before_enumerating(tmp_path, monkeypatch):
 def test_report_path_that_is_a_directory_exits_2(tmp_path, capsys):
     (tmp_path / "rounds.csv").mkdir()
     assert _simulate_into(tmp_path) == 2
-    assert str(tmp_path / "rounds.csv") in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert str(tmp_path / "rounds.csv") in captured.err
+    assert "wrote" not in captured.out
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_text_report_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    (tmp_path / "revenue.csv").mkdir()
+    assert run("revenue", "--scenario", BAYES, "--samples", 10, "--out", tmp_path) == 2
+    captured = capsys.readouterr()
+    assert f"cannot write {tmp_path / 'revenue.csv'}" in captured.err
+    assert "wrote" not in captured.out
+    assert not (tmp_path / "reserves.json").exists()
+
+
+def test_report_write_failing_midway_leaves_nothing(tmp_path, capsys, monkeypatch):
+    """A disk that fills after rounds.csv is opened: exit 2, the partial
+    file is removed, and with it the --out directories the run made."""
+    def round_lines(outcomes):
+        yield cli.ROUND_HEADER + "\n"
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "_round_lines", round_lines)
+    assert _simulate_into(tmp_path / "new" / "out") == 2
+    captured = capsys.readouterr()
+    assert "No space left on device" in captured.err
+    assert "wrote" not in captured.out
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("theta", ["1.0", "-0.1", "nan"])

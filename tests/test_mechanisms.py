@@ -15,6 +15,7 @@ from bmlab.market import (
     scenario_from_json,
 )
 from bmlab.mechanisms import (
+    _UNIFORM_BLOCK,
     gsp_outcome,
     gsp_rank,
     load_bid_profile,
@@ -253,13 +254,17 @@ def test_simulate_keeps_the_per_round_stream(market, rounds, seed):
 
 
 class _CountingRng:
-    """A generator that counts its blocks of uniforms."""
+    """A generator that records the size of each block of uniforms."""
 
     def __init__(self, seed):
-        self.rng, self.blocks = np.random.default_rng(seed), 0
+        self.rng, self.sizes = np.random.default_rng(seed), []
+
+    @property
+    def blocks(self):
+        return len(self.sizes)
 
     def random(self, size):
-        self.blocks += 1
+        self.sizes.append(size)
         return self.rng.random(size)
 
 
@@ -279,6 +284,26 @@ def test_simulate_refills_its_uniforms_and_matches_the_loop():
     assert counting.blocks > 2
     assert _rounds_view(outcomes) == _rounds_view(want)
     assert welfare_sum.hex() == want_welfare.hex()
+    assert counting.rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+def test_simulate_caps_its_uniform_blocks_and_keeps_the_stream():
+    """Past the block cap the uniforms come in several capped blocks, and
+    the rounds, sums and final generator state are still the loop's."""
+    sc = simple_scenario({"a1": {"q1": 5.0, "q2": 2.0}, "a2": {"q1": 3.0, "q2": 4.0}},
+                         weights=(1.0, 0.5), queries=["q1", "q2"], keywords=["s1", "s2"],
+                         edges=[("q1", "s1"), ("q1", "s2"), ("q2", "s2")],
+                         pi={"q1": {"s1": 0.3, "s2": 0.7}, "q2": {"s2": 1.0}})
+    bids = {"a1": {"s1": 2.0, "s2": 1.0}, "a2": {"s1": 1.0, "s2": 1.0}}
+    rounds = 3 * _UNIFORM_BLOCK + 17
+    counting = _CountingRng(13)
+    outcomes, welfare_sum, revenue_sum = pbm_simulate(sc, bids, rounds, counting)
+    loop_rng = np.random.default_rng(13)
+    want, want_welfare, want_revenue = per_round_simulate(sc, bids, rounds, loop_rng)
+    assert max(counting.sizes) == _UNIFORM_BLOCK and counting.blocks > 3
+    assert _rounds_view(outcomes) == _rounds_view(want)
+    assert welfare_sum.hex() == want_welfare.hex()
+    assert revenue_sum.hex() == want_revenue.hex()
     assert counting.rng.bit_generator.state == loop_rng.bit_generator.state
 
 
