@@ -161,26 +161,25 @@ def _outdir(cfg: RunConfig):
                 break
 
 
-def _write(path: Path, text: str) -> None:
-    _write_lines(path, (text,))
-
-
-def _write_lines(path: Path, lines) -> None:
-    """Write the strings of `lines` to path in turn, then print its `wrote`
-    line.  An OSError exits 2 and leaves no partial file, so that _outdir
-    can remove the directories the run created."""
+def _write_reports(*reports) -> None:
+    """Write each report, a (path, strings) pair, in turn with the strings
+    of its lines, then print the `wrote` lines.  An OSError exits 2 and
+    removes every report written so far, a partial one too, so that a run
+    leaves all its reports or none and _outdir can remove the directories
+    the run created."""
+    written = []
     try:
-        fh = path.open("w", encoding="utf-8")
+        for path, lines in reports:
+            with path.open("w", encoding="utf-8") as fh:
+                written.append(path)
+                fh.writelines(lines)
     except OSError as exc:
+        for done in written:
+            with contextlib.suppress(OSError):
+                done.unlink()
         raise ValidationError(f"cannot write {path}: {exc}") from exc
-    try:
-        with fh:
-            fh.writelines(lines)
-    except OSError as exc:
-        with contextlib.suppress(OSError):
-            path.unlink()
-        raise ValidationError(f"cannot write {path}: {exc}") from exc
-    print(f"wrote {path}")
+    for path, _ in reports:
+        print(f"wrote {path}")
 
 
 def _json_text(obj) -> str:
@@ -216,8 +215,8 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
         "empirical_welfare": welfare_sum / cfg.rounds if cfg.rounds else None,
         "empirical_revenue": revenue_sum / cfg.rounds if cfg.rounds else None,
     }
-    _write_lines(out / "rounds.csv", _round_lines(outcomes))
-    _write(out / "summary.json", _json_text(summary))
+    _write_reports((out / "rounds.csv", _round_lines(outcomes)),
+                   (out / "summary.json", [_json_text(summary)]))
     return 0
 
 
@@ -277,7 +276,7 @@ def cmd_equilibrium(cfg: RunConfig, out: Path) -> int:
                                       conservative=cfg.conservative)
         obj.update(_report_obj(EquilibriumReport(
             profile, regrets, True, 0, eps, pbm_expected_welfare(sc, profile))))
-    _write(out / "equilibrium.json", _json_text(obj))
+    _write_reports((out / "equilibrium.json", [_json_text(obj)]))
     return 0
 
 
@@ -291,7 +290,7 @@ def cmd_poa(cfg: RunConfig, out: Path) -> int:
     reports = enumerate_pure_nash(sc, grid, epsilon=cfg.epsilon,
                                   conservative=cfg.conservative)
     rep = empirical_poa(sc, reports, grid=grid, label=Path(path).stem)
-    _write(out / "poa.csv", ratio_csv([rep]))
+    _write_reports((out / "poa.csv", [ratio_csv([rep])]))
     return 0
 
 
@@ -343,12 +342,12 @@ def cmd_revenue(cfg: RunConfig, out: Path) -> int:
                                   label=Path(path).stem)
     rep = dataclasses.replace(
         rep, notes=rep.notes + f"; truthful_regret={max_regret:.6g}")
-    _write(out / "revenue.csv", ratio_csv([rep]))
     reserve_obj = {
         "reserves": {s: reserves[s] for s in sorted(reserves)},
         "homogeneity": c, "beta": beta, "eta": eta, "seed": cfg.seed,
     }
-    _write(out / "reserves.json", _json_text(reserve_obj))
+    _write_reports((out / "revenue.csv", [ratio_csv([rep])]),
+                   (out / "reserves.json", [_json_text(reserve_obj)]))
     return 0
 
 
@@ -386,7 +385,7 @@ def cmd_counterexample(cfg: RunConfig, out: Path) -> int:
         "checks_pass": rep.checks_pass,
         "trend": trend,
     }
-    _write(out / "counterexample.json", _json_text(obj))
+    _write_reports((out / "counterexample.json", [_json_text(obj)]))
     return 0 if rep.checks_pass else 1
 
 
@@ -397,8 +396,8 @@ def cmd_expressiveness(cfg: RunConfig, out: Path) -> int:
     corpus = load_corpus(_need(cfg, "corpus", "--corpus"))
     thetas = cfg.thetas if cfg.thetas is not None else DEFAULT_THETA_GRID
     table = expressiveness_sweep(corpus, thetas=thetas, kappas=cfg.kappas)
-    _write(out / "expressiveness.csv", table.to_csv())
-    _write(out / "degree_bound.csv", table.degree_bound_csv())
+    _write_reports((out / "expressiveness.csv", [table.to_csv()]),
+                   (out / "degree_bound.csv", [table.degree_bound_csv()]))
     print(f"beta > alpha/3 in {table.beta_exceeds_third_alpha():.1%} "
           f"of cells (descriptive)")
     skipped = table.skipped + table.degree_skipped

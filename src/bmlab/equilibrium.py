@@ -22,10 +22,13 @@ those menus, and mirrors the profile in a dense (keyword, advertiser)
 array whose advertiser column is rewritten whenever the dynamics write a
 row; a call gathers each row's keyword column of it with the row's own
 advertiser zeroed.  The regret estimate calls it with its opponent
-draws, its menus built in runs of one call's bids, and refuses a menu of
-more than _MAX_MENU bids.  The pure-Nash enumerator scans each keyword's
-grid of distinct bids, not the joint grid, for the bid vectors a stable
-profile can hold there, and checks only the profiles built from those.
+draws, each menu cut to the grid bids next to the row's opponent bids:
+a GSP utility against fixed opponent bids is a step function of the
+own bid, so those bids give the whole grid's utilities, and a menu's
+size is bounded by the draws, not by value / delta.  The pure-Nash
+enumerator scans each keyword's grid of distinct bids, not the joint
+grid, for the bid vectors a stable profile can hold there, and checks
+only the profiles built from those.
 Every solver here prices its keyword auctions with mechanisms.gsp_outcome,
 the one GSP kernel, at reserve 0, and reports the welfare of
 mechanisms.pbm_expected_welfare_batch.  The solvers read a bid profile
@@ -41,7 +44,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import NotSingleSlot, TooLarge, ValidationError
+from .errors import NotSingleSlot, ParameterRange, TooLarge, ValidationError
 from .market import BayesScenario, Scenario, keyword_value_tensor
 from .mechanisms import (
     bid_matrix,
@@ -54,9 +57,6 @@ from .mechanisms import (
 )
 
 _TRUTHFUL_TOL = 1e-9
-# best_response's search limits: positive keywords per advertiser, and kappa
-_MAX_KEYWORDS = 20
-_MAX_KAPPA = 4
 
 
 # ------------------------------------------------------------------ grids
@@ -112,11 +112,6 @@ def bid_menu(scenario: Scenario, grid: BidGrid, advertiser, keyword,
 _CELLS = 1 << 16
 
 
-def _call_entries(draws, opponents):
-    """Own bids per pricing call: _CELLS cells, one bid at least."""
-    return max(1, _CELLS // (draws * max(1, opponents)))
-
-
 @dataclass(frozen=True)
 class _Menus:
     """The sorted bid menus of (bidder, keyword) rows, laid flat: row r's
@@ -141,7 +136,7 @@ def _price_menus(menus, played, opp, ids, w_padded):
     draws' utilities added in draw order.  The best bid is the menu's
     first maximum if it is > 0, otherwise bid 0 at utility 0.0."""
     draws = math.prod(opp.shape[:-2])
-    step = _call_entries(draws, opp.shape[-1])
+    step = max(1, _CELLS // (draws * max(1, opp.shape[-1])))
     util = np.empty(len(menus.bids))
     for lo in range(0, len(util), step):
         at = slice(lo, lo + step)
@@ -177,25 +172,11 @@ def _menus(scenario, grid, advertiser, conservative):
             for s in sorted(scenario.kw_positive[advertiser])}
 
 
-def _pool_menus(scenario, grid, advertiser, conservative):
-    """_menus, the search space of the advertiser's best response; more
-    than _MAX_KEYWORDS positive keywords or a kappa over _MAX_KAPPA
-    raises TooLarge."""
-    pool = scenario.kw_positive[advertiser]
-    if len(pool) > _MAX_KEYWORDS:
-        raise TooLarge(f"{len(pool)} candidate keywords exceeds the "
-                       f"best-response cap {_MAX_KEYWORDS}")
-    if scenario.kappa > _MAX_KAPPA:
-        raise TooLarge(f"kappa = {scenario.kappa} exceeds the best-response "
-                       f"cap {_MAX_KAPPA}")
-    return _menus(scenario, grid, advertiser, conservative)
-
-
 class _Layout:
     """The pricing layout of one run over some of a scenario's advertisers
     and the run's starting profile bids.  Per advertiser index, its rows
     (keyword, menu) in name order, one per positive keyword with its
-    _pool_menus menu and one of menu (0.0,) per other keyword of the graph
+    _menus menu and one of menu (0.0,) per other keyword of the graph
     the profile bids on, and the profile's positive bids off those menus:
     the rows a run prices are the profile's or built from menus, so every
     positive bid of them is an entry.  The profile is mirrored in a dense
@@ -204,7 +185,7 @@ class _Layout:
     group of advertisers' static arrays (group) are built on first use."""
 
     def __init__(self, scenario, grid, conservative, bids, advertisers):
-        menus = {i: _pool_menus(scenario, grid, i, conservative) for i in advertisers}
+        menus = {i: _menus(scenario, grid, i, conservative) for i in advertisers}
         dense = bid_matrix(scenario, bids)
         require_finite_bid_tensor(scenario, dense[None])
         self.dense = np.ascontiguousarray(dense.T)
@@ -711,27 +692,35 @@ class RegretEstimate:
     per_type: tuple = field(repr=False, default=())
 
 
-# Deviation-menu length cap.  A menu too wide for one pricing call is
-# built and sorted whole, which sets the estimate's peak: 64 bytes per bid
-# (tracemalloc, 64 MB at 2^20 bids).  Pricing it costs bids x draws x
-# opponents cells, about 0.3 s per 2^20-bid menu at 16 draws and one
-# opponent on a 2-core VM.
-_MAX_MENU = 1 << 20
-
-
-def _deviation_menus(grid, value, played, delta, a, mass):
+def _deviation_menus(grid, value, played, opp, delta, a, mass):
     """The _Menus of bidder index a's (type, keyword) rows and each row's
-    played entry: row r's menu is its grid {0, delta, ..., (grid[r] - 1) *
-    delta}, 0, its keyword value value[r] and its played bid played[r],
-    sorted."""
-    width = grid + 3
-    first = np.concatenate(([0], np.cumsum(width)))
-    row = np.repeat(np.arange(len(grid)), width)
-    bids = (np.arange(first[-1]) - first[row]) * delta
-    ends = first[1:]
-    bids[ends - 3], bids[ends - 2], bids[ends - 1] = 0.0, value, played
-    bids = bids[np.lexsort((bids, row))]
-    # the played entry: the first of its row's bids equal to it
+    played entry.  Row r's deviations are its grid {0, delta, ...,
+    (grid[r] - 1) * delta}, 0, its keyword value value[r] and its played
+    bid played[r].  Against the opponents' bids opp[..., r, :] a bid's GSP
+    utility depends only on which of them it lies above, at or below, so
+    its mean utility is constant between consecutive opponent bids, and
+    the grid is cut to the bids that stand in for the rest: per opponent
+    bid o, the lowest grid bid >= o and the lowest > o, and delta.  Each
+    row's menu, sorted without duplicates, holds at most min(grid[r] + 3,
+    2 * opponent bids + 4) bids and has the full menu's maximum utility."""
+    o = np.moveaxis(opp, -2, 0).reshape(len(grid), -1)
+    # k = ceil(o / delta), one step either way so that k * delta is the
+    # lowest grid float >= o, then also the lowest > o
+    k = np.ceil(o / delta)
+    k -= (k - 1.0) * delta >= o
+    k += k * delta < o
+    k = np.concatenate((k, k + (k * delta == o)), axis=1)
+    bids = np.concatenate((np.where((k > 0.0) & (k < grid[:, None]), k * delta, 0.0),
+                           np.column_stack((np.zeros(len(grid)), np.where(grid > 1.0, delta, 0.0),
+                                            value, played))),
+                          axis=1)
+    bids.sort(axis=1)
+    keep = np.ones(bids.shape, dtype=bool)
+    keep[:, 1:] = bids[:, 1:] != bids[:, :-1]
+    row = np.nonzero(keep)[0]
+    bids = bids[keep]
+    first = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
+    # the played entry: its row's bid equal to it
     played_at = first[:-1] + np.add.reduceat(bids < played[row], first[:-1])
     return (_Menus(bids, row, first, np.broadcast_to(a, row.shape), mass[row], value[row]),
             played_at)
@@ -752,11 +741,13 @@ def estimate_bne_regret(bayes: BayesScenario, strategy: Callable, n_types: int,
     averaged over types, with its standard error.  Each advertiser's
     profiles come from one sample_values call, a type's own profile
     followed by its opponent profiles, and are bid in one strategy call.
-    The (type, keyword) rows' menus are built (_deviation_menus) in runs
-    of one pricing call's bids and priced by best response's pricer,
-    _price_menus, against the opponent draws; the keyword selection is
-    best response's too (_rank_keywords).  A menu of more than _MAX_MENU
-    bids raises TooLarge before any menu is built.
+    Every (type, keyword) row's menu is cut to the grid bids next to its
+    opponents' bids (_deviation_menus), which give the whole grid's best
+    utility bit for bit, so no menu is built whole and none is too wide;
+    the rows are priced by best response's pricer, _price_menus, against
+    the opponent draws, and the keyword selection is best response's too
+    (_rank_keywords).  A delta so fine that a keyword value over it
+    overflows leaves no grid index and raises ParameterRange.
     """
     if n_types < 1:
         raise ValidationError("n_types must be >= 1")
@@ -780,29 +771,15 @@ def estimate_bne_regret(bayes: BayesScenario, strategy: Callable, n_types: int,
         # one row per (type, keyword), keywords in name order
         value = keyword_value_tensor(bayes, draws[::rows, a])[:, by_name].ravel()
         grid = np.maximum(np.floor(value / deviation_delta + 1e-9) + 1.0, 0.0)
-        if grid.max(initial=0.0) + 3 > _MAX_MENU:
-            r = int(grid.argmax())
-            raise TooLarge(f"advertiser {i!r} has a deviation menu of {grid[r] + 3:.0f} bids "
-                           f"on keyword {keywords[by_name[r % n_kw]]!r} at delta "
-                           f"{deviation_delta:g} (cap {_MAX_MENU})")
+        if np.isinf(grid).any():    # value / delta overflows: no grid index for its bids
+            raise ParameterRange(f"keyword value {value.max():g} of advertiser {i!r} over "
+                                 f"deviation_delta {deviation_delta:g} overflows")
         bids = bids.reshape(n_types, rows, n_adv, n_kw)[..., by_name]
         played = bids[:, 0, a].ravel()
         opp = bids[:, 1:, others].transpose(1, 0, 3, 2).reshape(n_opponent_draws,
                                                                  n_types * n_kw, len(others))
-        # the rows in runs of one pricing call's entries (one row at least),
-        # so that only a row too wide for a call is built whole
-        grid = grid.astype(np.intp)
-        room = _call_entries(n_opponent_draws, len(others))
-        ends = np.cumsum(grid + 3)
-        u, u_played = np.empty(len(grid)), np.empty(len(grid))
-        lo = 0
-        while lo < len(grid):
-            hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - grid[lo] - 3 + room, "right")))
-            menus, played_at = _deviation_menus(grid[lo:hi], value[lo:hi], played[lo:hi],
-                                                deviation_delta, a, mass[lo:hi])
-            _, u[lo:hi], u_played[lo:hi] = _price_menus(menus, played_at, opp[:, lo:hi], others,
-                                                        w_padded)
-            lo = hi
+        menus, played_at = _deviation_menus(grid, value, played, opp, deviation_delta, a, mass)
+        _, u, u_played = _price_menus(menus, played_at, opp, others, w_padded)
         u, u_played = u.reshape(n_types, n_kw), u_played.reshape(n_types, n_kw)
         order, kept = _rank_keywords(u, bayes.kappa)
         # builtin sums in ranked order: the best kept utilities, the played ones

@@ -347,10 +347,28 @@ def grid_point_bayes() -> BayesScenario:
                          SlotWeights([1.0, 0.5]), 1, dists)
 
 
-# _CELLS settings: one bid per pricing call; calls of four bids, the
-# narrowest menu (one grid point, 0, the value and the played bid), so
-# that every call holds bids of one row; and the default
-CELLS = ("one bid", "one row", "default")
+def grid_float_bayes() -> BayesScenario:
+    """Opponent bids next to y's best deviation on the grid of 0.1.  On s1
+    the grid float 3 * 0.1, whose ceil(bid / 0.1) is 4: y's best is a tie
+    with it (x, ranked above y on a tie, bids it in some draws, z, ranked
+    below, in others).  On s2 the float after 9 * 0.1, whose ceil is 9, and
+    on s3 x's grid bid 5 * 0.1: y's best is the second slot, bid just
+    above them, at 10 * 0.1 and 6 * 0.1."""
+    tie, above = 3 * 0.1, math.nextafter(9 * 0.1, math.inf)
+    graph = BipartiteGraph(["q1", "q2", "q3"], ["s1", "s2", "s3"],
+                           [("q1", "s1"), ("q2", "s2"), ("q3", "s3")])
+    dists = {"x": {"q1": Empirical([tie, 0.9]), "q2": PointMass(1.95), "q3": PointMass(5 * 0.1)},
+             "y": {"q1": PointMass(1.0), "q2": PointMass(2.0), "q3": PointMass(2.0)},
+             "z": {"q1": Empirical([0.0, tie]), "q2": PointMass(above), "q3": PointMass(1.95)}}
+    return BayesScenario(graph, QueryDistribution({"q1": 0.4, "q2": 0.3, "q3": 0.3}),
+                         MatchingPolicy({"q1": {"s1": 1.0}, "q2": {"s2": 1.0},
+                                         "q3": {"s3": 1.0}}),
+                         SlotWeights([1.0, 0.9]), 3, dists)
+
+
+# _CELLS settings: one bid per pricing call; calls of four bids, so that
+# menus are split across calls; and the default
+CELLS = ("one bid", "four bids", "default")
 
 
 def regret_cells(mp, cells, bayes, draws):
@@ -390,39 +408,45 @@ def test_bne_regret_equals_the_per_draw_loop(seed, n_types, draws, delta, cells)
 def test_bne_regret_equals_the_per_draw_loop_on_fixtures(name):
     bayes = grid_point_bayes() if name == "grid points" else bayes_scenario_from_json(DATA / name)
     rows = 3 * 8 * len(bayes.advertisers) * len(bayes.graph.keywords)  # strategy, type, keyword
-    price = equilibrium._price_menus
     for cells in CELLS:
-        calls, batches = [], []
+        calls = []
 
         def kernel(own, *args, **kwargs):
             calls.append(len(own))
             return gsp_outcome(own, *args, **kwargs)
 
-        def pricer(menus, *args):
-            batches.append(len(menus.first) - 1)
-            return price(menus, *args)
-
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(equilibrium, "gsp_outcome", kernel)
-            mp.setattr(equilibrium, "_price_menus", pricer)
             for strategy in (truthful_keyword_strategy(bayes), below_and_at_zero(bayes),
                              overbid(bayes)):
                 assert_regret_equals_the_loop(bayes, strategy, cells, 8, 0.25, 3, 16)
         if cells == "one bid":
             assert set(calls) == {1}
-        elif cells == "one row":
-            assert batches == [1] * rows and max(calls) <= 4
+        elif cells == "four bids":
+            assert max(calls) <= 4
         else:
             assert len(calls) < rows
 
 
 def test_bne_regret_equals_the_per_draw_loop_without_opponents():
-    # one advertiser, so the kernel sees no opponent column at all, and a
-    # menu of about 8 000 bids on the spike keyword, sliced at every setting
+    # one advertiser, so the kernel sees no opponent column at all, and the
+    # spike keyword's grid of about 8 000 bids cut to 0, delta and the value
     bayes, _ = counterexample_scenario(0.01, 1e-5, 11)
     for cells in CELLS:
         assert_regret_equals_the_loop(bayes, truthful_keyword_strategy(bayes), cells,
                                       2, 0.25, 0, 3)
+
+
+@pytest.mark.parametrize("name, delta", [("bayes_3x3.json", 0.05), ("grid floats", 0.1)])
+def test_bne_regret_equals_the_per_draw_loop_at_fine_deltas(name, delta):
+    # bayes_3x3 has opponents: at delta 0.05 each menu is cut from its grid
+    # of up to 41 bids to the grid bids next to the opponents' bids; on
+    # grid_float_bayes, ceil(bid / delta) misses those grid bids
+    bayes = grid_float_bayes() if name == "grid floats" else bayes_scenario_from_json(DATA / name)
+    for cells in CELLS:
+        for strategy in (truthful_keyword_strategy(bayes), below_and_at_zero(bayes),
+                         overbid(bayes)):
+            assert_regret_equals_the_loop(bayes, strategy, cells, 4, delta, 9, 4)
 
 
 def test_bne_regret_needs_an_opponent_draw():

@@ -515,21 +515,26 @@ def test_out_that_is_a_file_exits_2_before_enumerating(tmp_path, monkeypatch):
 
 
 def test_report_path_that_is_a_directory_exits_2(tmp_path, capsys):
-    (tmp_path / "rounds.csv").mkdir()
-    assert _simulate_into(tmp_path) == 2
-    captured = capsys.readouterr()
-    assert str(tmp_path / "rounds.csv") in captured.err
-    assert "wrote" not in captured.out
-    assert not (tmp_path / "summary.json").exists()
+    # either report may be the directory: the run leaves neither file
+    for report, other in [("rounds.csv", "summary.json"), ("summary.json", "rounds.csv")]:
+        out = tmp_path / report.split(".")[0]
+        (out / report).mkdir(parents=True)
+        assert _simulate_into(out) == 2
+        captured = capsys.readouterr()
+        assert str(out / report) in captured.err
+        assert "wrote" not in captured.out
+        assert not (out / other).exists()
 
 
 def test_text_report_path_that_is_a_directory_exits_2(tmp_path, capsys):
-    (tmp_path / "revenue.csv").mkdir()
-    assert run("revenue", "--scenario", BAYES, "--samples", 10, "--out", tmp_path) == 2
-    captured = capsys.readouterr()
-    assert f"cannot write {tmp_path / 'revenue.csv'}" in captured.err
-    assert "wrote" not in captured.out
-    assert not (tmp_path / "reserves.json").exists()
+    for report, other in [("revenue.csv", "reserves.json"), ("reserves.json", "revenue.csv")]:
+        out = tmp_path / report.split(".")[0]
+        (out / report).mkdir(parents=True)
+        assert run("revenue", "--scenario", BAYES, "--samples", 10, "--out", out) == 2
+        captured = capsys.readouterr()
+        assert f"cannot write {out / report}" in captured.err
+        assert "wrote" not in captured.out
+        assert not (out / other).exists()
 
 
 def test_report_write_failing_midway_leaves_nothing(tmp_path, capsys, monkeypatch):
@@ -650,12 +655,15 @@ def test_too_large_exit_code_reports_size(tmp_path, capsys):
     assert "profiles" in capsys.readouterr().err
 
 
-def test_revenue_menu_over_the_cap_exits_3_before_any_output(tmp_path, capsys):
-    # the spike keyword's value 2048 at delta 0.001: menus of 2 M bids
+def test_revenue_at_a_fine_grid_delta_writes_both_reports(tmp_path, capsys):
+    # the spike keyword's value 2048 at delta 0.001: full grids of 2 M bids,
+    # which the deviation menus never build
+    out = tmp_path / "rev"
     assert run("revenue", "--scenario", BAYES_COUNTEREXAMPLE, "--samples", 10,
-               "--grid-delta", "0.001", "--out", tmp_path / "rev") == 3
-    assert "deviation menu of 2048003 bids" in capsys.readouterr().err
-    assert not (tmp_path / "rev").exists()
+               "--grid-delta", "0.001", "--out", out) == 0
+    assert capsys.readouterr().out == f"wrote {out / 'revenue.csv'}\nwrote {out / 'reserves.json'}\n"
+    assert "truthful_regret=0" in (out / "revenue.csv").read_text()
+    assert (out / "reserves.json").is_file()
 
 
 @pytest.mark.parametrize("key, value", [

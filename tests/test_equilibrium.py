@@ -20,7 +20,7 @@ from bmlab.equilibrium import (
     truthful_keyword_strategy,
     verify_epsilon_nash,
 )
-from bmlab.errors import NotSingleSlot, TooLarge, ValidationError
+from bmlab.errors import NotSingleSlot, ParameterRange, TooLarge, ValidationError
 from bmlab.market import (
     BayesScenario,
     BipartiteGraph,
@@ -32,7 +32,7 @@ from bmlab.market import (
     scenario_from_json,
 )
 from bmlab.mechanisms import pbm_expected_welfare
-from bmlab.reserves import PointMass, Uniform
+from bmlab.reserves import PointMass, Uniform, bayes_scenario_from_json
 
 from helpers import (
     best_response_table_oracle,
@@ -116,19 +116,30 @@ def test_best_response_top_kappa_selection():
     assert u == pytest.approx(7.0 * 0.5)  # uniform P over two queries
 
 
-def test_best_response_guards():
-    def respond(n_keywords, kappa):
-        sc = simple_scenario({"a1": {f"q{k:02d}": 1.0 + k for k in range(n_keywords)}},
-                             kappa=kappa)
-        return best_response(sc, {}, "a1", make_grid(sc, delta=1.0))
+def _many_keywords(rng, n_keywords, kappa):
+    """Three advertisers over n_keywords one-query keywords, values on a
+    quarter grid (ties), b's and c's with some zeros, two slots."""
+    queries = [f"q{k:02d}" for k in range(n_keywords)]
+    values = {i: {q: float(rng.integers(1, 13)) / 4.0 * (i == "a" or rng.random() < 0.8)
+                  for q in queries} for i in ("a", "b", "c")}
+    return simple_scenario(values, weights=(1.0, 0.6), kappa=kappa, queries=queries)
 
-    with pytest.raises(TooLarge, match="21 candidate keywords exceeds the best-response cap 20"):
-        respond(21, kappa=2)
-    with pytest.raises(TooLarge, match="kappa = 5 exceeds the best-response cap 4"):
-        respond(5, kappa=5)
-    for n_keywords in (4, 20):      # at both caps: the top four keywords, bid 1 each
-        row, u = respond(n_keywords, kappa=4)
-        assert list(row.values()) == [1.0] * 4 and u > 0.0
+
+def test_best_response_guards():
+    """Best response prices each keyword on its own and ranks them with
+    one argsort, so neither the keyword count nor kappa is capped: past 20
+    keywords and kappa 4 it equals the scalar oracle hex for hex."""
+    rng, widest = np.random.default_rng(22), 0
+    for n_keywords, kappa in [(21, 2), (5, 5), (40, 6), (60, 12)]:
+        sc = _many_keywords(rng, n_keywords, kappa)
+        grid = make_grid(sc, delta=0.5)
+        bids = random_bid_profile(rng, sc)
+        for i in sc.advertisers:
+            row, u = best_response(sc, bids, i, grid)
+            want, want_u, _ = scalar_best_response(sc, bids, i, grid)
+            assert _hex_rows({i: row}) == _hex_rows({i: want}) and u.hex() == want_u.hex()
+            widest = max(widest, len(row))
+    assert widest > 4       # best rows over the former kappa cap
 
 
 def test_best_response_rejects_unknown_advertiser():
@@ -426,14 +437,23 @@ def test_dynamics_rejects_nan_initial_bid():
                                make_grid(sc, delta=1.0))
 
 
-def test_dynamics_keyword_cap_precedes_nan_check():
-    """A market over the best-response keyword cap raises TooLarge before
-    a NaN initial bid is looked at."""
-    n = 21
-    queries = [f"q{j}" for j in range(n)]
-    sc = simple_scenario({"a": {q: 1.0 for q in queries}}, kappa=1, queries=queries)
-    with pytest.raises(TooLarge, match="21 candidate keywords exceeds"):
-        best_response_dynamics(sc, {"a": {"s1": float("nan")}}, make_grid(sc, delta=1.0))
+def test_dynamics_on_21_keywords_equal_the_oracle_and_reject_nan():
+    """A market past the former best-response cap of 20 keywords: ten
+    sweeps of the dynamics equal the per-call loop hex for hex, and a NaN
+    initial bid raises ValidationError."""
+    rng = np.random.default_rng(21)
+    sc = _many_keywords(rng, 21, 2)
+    grid = make_grid(sc, delta=0.5)
+    bids = random_bid_profile(rng, sc)
+    rep = best_response_dynamics(sc, bids, grid, max_iters=10)
+    profile, regrets, converged, iterations = per_call_dynamics(
+        sc, bids, grid, default_epsilon(sc), 10)
+    assert _hex_rows(rep.profile) == _hex_rows(profile)
+    assert {i: r.hex() for i, r in rep.regrets.items()} == \
+        {i: r.hex() for i, r in regrets.items()}
+    assert (rep.iterations, rep.converged) == (iterations, converged)
+    with pytest.raises(ValidationError, match=r"bid of 'a' must be finite"):
+        best_response_dynamics(sc, {"a": {"s1": float("nan")}}, grid)
 
 
 # -------------------------------------------------------------- enumerate
@@ -986,28 +1006,44 @@ def test_grid_delta_must_be_finite_and_positive(delta):
                             np.random.default_rng(0))
 
 
-def test_bne_regret_menu_cap_raises_before_any_menu_is_built(monkeypatch):
+def test_bne_regret_memory_does_not_grow_with_the_grid():
+    # the full grid at delta 1e-8 would hold about 1e8 bids per menu
     bayes = one_query_bayes()
     tracemalloc.start()
-    with pytest.raises(TooLarge, match=r"deviation menu of \d+ bids on keyword 's' "
-                                       r"at delta 1e-08 \(cap 1048576\)"):
-        estimate_bne_regret(bayes, truthful_keyword_strategy(bayes), 4, 1e-8,
-                            np.random.default_rng(0), n_opponent_draws=4)
+    regs = estimate_bne_regret(bayes, truthful_keyword_strategy(bayes), 4, 1e-8,
+                               np.random.default_rng(0), n_opponent_draws=4)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    assert peak < 1 << 20       # one menu of those would hold about 1e8 bids
-    # a value of 1.0 on the grid of 0.25: five grid points, 0, the value and
-    # the played bid make 8 bids, which the cap admits at 8
-    g = BipartiteGraph(["q"], ["s"], [("q", "s")])
-    point = BayesScenario(g, QueryDistribution({"q": 1.0}), MatchingPolicy({"q": {"s": 1.0}}),
-                          SlotWeights([1.0]), 1, {"a": {"q": PointMass(1.0)}})
-    monkeypatch.setattr(equilibrium, "_MAX_MENU", 8)
-    estimate_bne_regret(point, truthful_keyword_strategy(point), 2, 0.25,
-                        np.random.default_rng(0), n_opponent_draws=2)
-    monkeypatch.setattr(equilibrium, "_MAX_MENU", 7)
-    with pytest.raises(TooLarge, match=r"deviation menu of 8 bids .* \(cap 7\)"):
-        estimate_bne_regret(point, truthful_keyword_strategy(point), 2, 0.25,
+    assert peak < 1 << 20
+    assert all(math.isfinite(est.mean) for est in regs.values())
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_bne_regret_rejects_a_delta_past_the_float_range():
+    bayes = bayes_scenario_from_json(DATA / "bayes_3x3.json")   # values of 0.25 and more
+    with pytest.raises(ParameterRange, match=r"of advertiser 'a' over deviation_delta 4.94066e-324 overflows"):
+        estimate_bne_regret(bayes, truthful_keyword_strategy(bayes), 2, 5e-324,
                             np.random.default_rng(0), n_opponent_draws=2)
+
+
+def test_bne_regret_kernel_cells_do_not_grow_with_the_grid(monkeypatch):
+    """The counterexample's one advertiser has no opponents, so each menu
+    is cut to 0, delta, the value and the played bid: the kernel prices
+    as many own bids at delta 1e-8 as at 0.01, where the full grids of 32
+    types hold about 6.5 M bids."""
+    bayes = bayes_scenario_from_json(DATA / "bayes_counterexample.json")
+    kernel, cells = equilibrium.gsp_outcome, []
+
+    def spy(own, *args, **kwargs):
+        cells[-1] += np.size(own)
+        return kernel(own, *args, **kwargs)
+
+    monkeypatch.setattr(equilibrium, "gsp_outcome", spy)
+    for delta in (0.01, 1e-5, 1e-8):
+        cells.append(0)
+        estimate_bne_regret(bayes, truthful_keyword_strategy(bayes), 32, delta,
+                            np.random.default_rng(7), n_opponent_draws=16)
+    assert cells[0] == cells[1] == cells[2] <= 4 * 32 * len(bayes.graph.keywords)
 
 
 def test_bne_regret_of_point_masses_is_the_nash_regret():
