@@ -17,15 +17,16 @@ per-row opponent bids with leading draw axes, in gsp_outcome calls of at
 most _CELLS cells, and returns per row the best menu bid, its mean
 utility and the played bid's; _rank_keywords keeps the top kappa.  The
 full-information solvers call it with one draw: a run lays out every
-advertiser's menus once, with the starting profile's positive bids off
-those menus, and mirrors the profile in a dense (keyword, advertiser)
-array whose advertiser column is rewritten whenever the dynamics write a
-row; a call gathers each row's keyword column of it with the row's own
-advertiser zeroed.  The regret estimate calls it with its opponent
-draws, each menu cut to the grid bids next to the row's opponent bids:
-a GSP utility against fixed opponent bids is a step function of the
-own bid, so those bids give the whole grid's utilities, and a menu's
-size is bounded by the draws, not by value / delta.  The pure-Nash
+advertiser's menus once, per advertiser and for all advertisers, and
+mirrors the profile in a dense (keyword, advertiser) array whose
+advertiser column is rewritten whenever the dynamics write a row; a call
+gathers each row's keyword column of it with the row's own advertiser
+zeroed, and prices the profile's own bids as one-bid menus.  The regret
+estimate calls it with its opponent draws, each menu cut to the grid
+bids next to the row's opponent bids: a GSP utility against fixed
+opponent bids is a step function of the own bid, so those bids give the
+whole grid's utilities, and a menu's size is bounded by the draws, not
+by value / delta.  The pure-Nash
 enumerator scans each keyword's grid of distinct bids, not the joint
 grid, for the bid vectors a stable profile can hold there, and checks
 only the profiles built from those.
@@ -115,9 +116,8 @@ _CELLS = 1 << 16
 @dataclass(frozen=True)
 class _Menus:
     """The sorted bid menus of (bidder, keyword) rows, laid flat: row r's
-    menu is bids[first[r]:first[r + 1]] and never empty, and the entries
-    from first[-1] on are on no menu (bids played off the menus).  Per
-    entry: its row, bidder index, keyword mass and keyword value."""
+    menu is bids[first[r]:first[r + 1]] and never empty.  Per entry: its
+    row, bidder index, keyword mass and keyword value."""
 
     bids: np.ndarray
     row: np.ndarray
@@ -146,10 +146,9 @@ def _price_menus(menus, played, opp, ids, w_padded):
                      0.0).reshape(draws, -1)
         np.divide(sum(u[1:], u[0]), draws, out=util[at])     # the draws added in draw order
     # a menu's first maximum is its lowest bid of maximal utility
-    first, n = menus.first[:-1], menus.first[-1]
-    top = np.maximum.reduceat(util[:n], first)
-    best = np.minimum.reduceat(np.where(util[:n] == top.take(menus.row[:n]), menus.bids[:n],
-                                        np.inf), first)
+    first = menus.first[:-1]
+    top = np.maximum.reduceat(util, first)
+    best = np.minimum.reduceat(np.where(util == top.take(menus.row), menus.bids, np.inf), first)
     gain = top > 0.0
     return np.where(gain, best, 0.0), np.where(gain, top, 0.0), util.take(played)
 
@@ -173,65 +172,56 @@ def _menus(scenario, grid, advertiser, conservative):
 
 
 class _Layout:
-    """The pricing layout of one run over some of a scenario's advertisers
-    and the run's starting profile bids.  Per advertiser index, its rows
-    (keyword, menu) in name order, one per positive keyword with its
-    _menus menu and one of menu (0.0,) per other keyword of the graph
-    the profile bids on, and the profile's positive bids off those menus:
-    the rows a run prices are the profile's or built from menus, so every
-    positive bid of them is an entry.  The profile is mirrored in a dense
-    (keyword, advertiser) array, checked for non-finite bids, whose
-    advertiser column is rewritten whenever the dynamics write a row.  A
-    group of advertisers' static arrays (group) are built on first use."""
+    """The pricing layout of a scenario's advertisers on one grid.  Per
+    advertiser index, its rows are its positive keywords' _menus menus in
+    name order, laid flat (flat) once per advertiser (blocks) and once for
+    all advertisers (all).  A run's profile reaches it only through the
+    dense (keyword in name order, advertiser) mirror, checked for
+    non-finite bids, whose advertiser column is rewritten whenever the
+    dynamics write a row."""
 
-    def __init__(self, scenario, grid, conservative, bids, advertisers):
-        menus = {i: _menus(scenario, grid, i, conservative) for i in advertisers}
+    def __init__(self, scenario, grid, conservative, bids):
+        advs, keywords = scenario.advertisers, scenario.graph.keywords
+        by_name = sorted(range(len(keywords)), key=keywords.__getitem__)
+        self.scenario = scenario
+        self.names = [keywords[k] for k in by_name]
+        self.col = {s: k for k, s in enumerate(self.names)}
         dense = bid_matrix(scenario, bids)
         require_finite_bid_tensor(scenario, dense[None])
-        self.dense = np.ascontiguousarray(dense.T)
-        self.scenario = scenario
-        advs, keywords = scenario.advertisers, scenario.graph.keywords
-        self.col = {s: k for k, s in enumerate(keywords)}
-        self.mass = np.array([scenario.kw_masses[s] for s in keywords])
-        self.value = np.array([[scenario.kw_values[i][s] for s in keywords]
-                               for i in advs]).reshape(len(advs), len(keywords))
+        self.dense = np.ascontiguousarray(dense.T[by_name])
+        self.mass = np.array([scenario.kw_masses[s] for s in self.names])
+        self.value = np.array([[scenario.kw_values[i][s] for s in self.names]
+                               for i in advs]).reshape(len(advs), len(self.names))
         self.ids = np.arange(len(advs))
         self.w_padded = padded_weights(scenario)
-        self.rows = {}      # advertiser index -> (rows, off-menu bids)
-        for i, m in menus.items():
-            played = {s: b for s, b in bids.get(i, {}).items() if b > 0.0 and s in self.col}
-            self.rows[advs.index(i)] = (
-                sorted((m | {s: (0.0,) for s in played if s not in m}).items()),
-                [(s, b) for s, b in played.items() if b not in m.get(s, ())])
-        self._groups = {}
+        rows = [[(a, self.col[s], menu)
+                 for s, menu in _menus(scenario, grid, i, conservative).items()]
+                for a, i in enumerate(advs)]
+        self.blocks = [self.flat(r) for r in rows]
+        self.all = self.flat([r for block in rows for r in block])
 
-    def group(self, group):
-        """The static arrays of a group of advertiser indices: its _Menus
-        (the group's rows in order, then its off-menu bids), each row's
-        keyword column, its own bid's index in a flat (row, advertiser)
-        matrix and its cell in a (group, width) utility matrix, that width,
-        each advertiser's first row, and {(advertiser index, keyword, bid):
-        (row, entry)}."""
-        key = tuple(group)
-        if key not in self._groups:
-            rows = [(a, s, menu) for a in group for s, menu in self.rows[a][0]]
-            at = {(a, s): r for r, (a, s, _) in enumerate(rows)}
-            entries = [(r, b) for r, (_, _, menu) in enumerate(rows) for b in menu]
-            entries += [(at[a, s], b) for a in group for s, b in self.rows[a][1]]
-            lookup = {(*rows[r][:2], b): (r, e) for e, (r, b) in enumerate(entries)}
-            row = np.array([r for r, _ in entries], dtype=np.intp)
-            who = np.array([a for a, _, _ in rows], dtype=np.intp)
-            col = np.array([self.col[s] for _, s, _ in rows], dtype=np.intp)
-            width = max((len(self.rows[a][0]) for a in group), default=0)
-            cell = np.array([g * width + j for g, a in enumerate(group)
-                             for j in range(len(self.rows[a][0]))], dtype=np.intp)
-            menus = _Menus(np.array([b for _, b in entries], dtype=float), row,
-                           np.cumsum([0] + [len(menu) for _, _, menu in rows]), who[row],
-                           self.mass[col[row]], self.value[who[row], col[row]])
-            own = np.arange(len(rows)) * len(self.ids) + who
-            starts = np.cumsum([0] + [len(self.rows[a][0]) for a in group]).tolist()
-            self._groups[key] = (menus, col, own, cell, width, starts, lookup)
-        return self._groups[key]
+    def flat(self, rows):
+        """The flat arrays of rows [(advertiser index, keyword index,
+        menu)]: their _Menus, each row's keyword index, its own bid's index
+        in a flat (row, advertiser) matrix and its cell in a flat
+        (advertiser, keyword) matrix."""
+        row = np.array([r for r, (_, _, menu) in enumerate(rows) for _ in menu], dtype=np.intp)
+        who = np.array([a for a, _, _ in rows], dtype=np.intp)
+        col = np.array([k for _, k, _ in rows], dtype=np.intp)
+        menus = _Menus(np.array([b for _, _, menu in rows for b in menu], dtype=float), row,
+                       np.cumsum([0] + [len(menu) for _, _, menu in rows]), who[row],
+                       self.mass[col[row]], self.value[who[row], col[row]])
+        return menus, col, np.arange(len(rows)) * len(self.ids) + who, who * len(self.names) + col
+
+    def price(self, block):
+        """_price_menus of a flat block with one draw, each row against its
+        keyword's column of the mirror with its own advertiser zeroed (a
+        zero bid neither outranks a positive bid nor raises its price), a
+        row's first entry taken as its played bid."""
+        menus, col, own, _ = block
+        opp = self.dense.take(col, axis=0)          # (row, advertiser)
+        opp.put(own, 0.0)
+        return _price_menus(menus, menus.first[:-1], opp, self.ids, self.w_padded)
 
     def write(self, a, row):
         """Set advertiser index a's row of the mirror to the bid row."""
@@ -240,35 +230,39 @@ class _Layout:
             self.dense[self.col[s], a] = b
 
 
-def _respond(layout, group, bids):
-    """[(best row, its utility, utility of the current row)] of each
-    advertiser index in group, against the opponents' bids of the profile
-    that layout.dense mirrors: the group's rows priced by _price_menus with
-    one draw, each row's keyword column of the mirror with the row's own
-    advertiser zeroed (a zero bid neither outranks a positive bid nor
-    raises its price).  The current rows are those of the profile bids;
-    a caller that needs no current utility passes {}."""
-    menus, col, own, cell, width, starts, lookup = layout.group(group)
-    opp = layout.dense.take(col, axis=0)            # (row, advertiser)
-    opp.put(own, 0.0)
+def _respond(layout, a=None):
+    """(best row, its utility) of advertiser index a, or of each advertiser
+    in order when a is None, against the opponents' bids of the profile
+    layout.dense mirrors: the block's rows priced by layout.price, their
+    best utilities ranked by _rank_keywords in an (advertiser, keyword in
+    name order) matrix, and the kept bids' utilities added in ranked
+    order from 0.0."""
+    block = layout.all if a is None else layout.blocks[a]
+    best_b, best_u, _ = layout.price(block)
+    n, k = len(layout.ids), len(layout.names)
+    rows = slice(None) if a is None else slice(a, a + 1)
+    u, b = np.zeros((2, n * k))
+    u[block[3]], b[block[3]] = best_u, best_b
+    u, b = u.reshape(n, k)[rows], b.reshape(n, k)[rows]
+    order, kept = _rank_keywords(u, layout.scenario.kappa)
+    u, b, order, kept = (x.tolist() for x in (u, b, order, kept))
+    out = [({layout.names[s]: bs[s] for s in top[:m]}, sum((us[s] for s in top[:m]), 0.0))
+           for us, bs, top, m in zip(u, b, order, kept)]
+    return out if a is None else out[0]
+
+
+def _current(layout, bids):
+    """Each advertiser index's utility of its row of the profile bids,
+    which layout.dense mirrors: its positive bids on keywords of the graph
+    priced as one-bid rows by layout.price, added in profile order from
+    0.0."""
     advs = layout.scenario.advertisers
-    playing = [[lookup[a, s, b] for s, b in bids.get(advs[a], {}).items()
-                if b > 0.0 and s in layout.col] for a in group]
-    played = menus.first[:-1].copy()        # a row's bid 0 where the profile plays none
-    for pairs in playing:
-        for r, e in pairs:
-            played[r] = e
-    best_b, best_u, played_u = _price_menus(menus, played, opp, layout.ids, layout.w_padded)
-    u = np.zeros(len(group) * width)
-    u[cell] = best_u
-    order, kept = _rank_keywords(u.reshape(len(group), width), layout.scenario.kappa)
-    u, b, order, kept, played_u = (x.tolist() for x in (best_u, best_b, order, kept, played_u))
-    out = []
-    for g, a in enumerate(group):
-        rows, top, lo = layout.rows[a][0], order[g][:kept[g]], starts[g]
-        out.append(({rows[k][0]: b[lo + k] for k in top}, sum((u[lo + k] for k in top), 0.0),
-                    sum((played_u[r] for r, _ in playing[g]), 0.0)))
-    return out
+    rows = [(a, layout.col[s], (b,)) for a, i in enumerate(advs)
+            for s, b in bids.get(i, {}).items() if b > 0.0 and s in layout.col]
+    per = [[] for _ in advs]
+    for (a, _, _), u in zip(rows, layout.price(layout.flat(rows))[2].tolist()):
+        per[a].append(u)
+    return [sum(u, 0.0) for u in per]
 
 
 def best_response(scenario: Scenario, bids, advertiser, grid: BidGrid,
@@ -284,9 +278,8 @@ def best_response(scenario: Scenario, bids, advertiser, grid: BidGrid,
     """
     if advertiser not in scenario.advertisers:
         raise ValidationError(f"best response of unknown advertiser {advertiser!r}")
-    layout = _Layout(scenario, grid, conservative, bids, [advertiser])
-    [(row, best, _)] = _respond(layout, [scenario.advertisers.index(advertiser)], {})
-    return row, best
+    return _respond(_Layout(scenario, grid, conservative, bids),
+                    scenario.advertisers.index(advertiser))
 
 
 def default_epsilon(scenario: Scenario) -> float:
@@ -319,15 +312,14 @@ class EquilibriumReport:
 def verify_epsilon_nash(scenario: Scenario, bids, grid: BidGrid,
                         conservative=False) -> dict:
     """Per-advertiser regret of a profile against grid deviations."""
-    return _regrets(_Layout(scenario, grid, conservative, bids, scenario.advertisers), bids)
+    return _regrets(_Layout(scenario, grid, conservative, bids), bids)
 
 
 def _regrets(layout, bids):
-    """verify_epsilon_nash over a layout of every advertiser, for the
-    profile bids it mirrors."""
-    advs = layout.scenario.advertisers
-    return {i: max(0.0, best - current)
-            for i, (_, best, current) in zip(advs, _respond(layout, range(len(advs)), bids))}
+    """verify_epsilon_nash over a layout, for the profile bids it
+    mirrors: each advertiser's best utility less its current one."""
+    return {i: max(0.0, best - current) for i, (_, best), current
+            in zip(layout.scenario.advertisers, _respond(layout), _current(layout, bids))}
 
 
 def best_response_dynamics(scenario: Scenario, initial, grid: BidGrid,
@@ -339,10 +331,9 @@ def best_response_dynamics(scenario: Scenario, initial, grid: BidGrid,
     if max_iters < 0:
         raise ValidationError(f"max_iters must be >= 0, got {max_iters}")
     profile = {i: dict(initial.get(i, {})) for i in scenario.advertisers}
-    # the menus depend only on (advertiser, keyword), so they and the layout
-    # (with the initial profile's off-menu bids) are built once; every row a
-    # best response writes is finite and on the menus, so one check suffices
-    layout = _Layout(scenario, grid, conservative, profile, scenario.advertisers)
+    # the menus depend only on (advertiser, keyword), so the layout is built
+    # once; every row a best response writes is finite, so one check suffices
+    layout = _Layout(scenario, grid, conservative, profile)
     regrets = _regrets(layout, profile)
     converged = False
     iterations = 0
@@ -352,7 +343,7 @@ def best_response_dynamics(scenario: Scenario, initial, grid: BidGrid,
             converged = True
             break
         for a, i in enumerate(scenario.advertisers):
-            [(profile[i], _, _)] = _respond(layout, [a], {})
+            profile[i], _ = _respond(layout, a)
             layout.write(a, profile[i])
         regrets = _regrets(layout, profile)
     else:
@@ -379,10 +370,9 @@ def _count_rows(menus, kappa):
     return sum(coeffs)
 
 
-def strategy_rows(menus, kappa, advertiser, max_rows):
+def strategy_rows(menus, kappa):
     """All feasible bid rows of one advertiser over its menus of _menus
-    (at most kappa positive bids), as (keyword list, array).  More than
-    max_rows rows raises TooLarge.
+    (at most kappa positive bids), as (keyword list, array).
 
     Rows are generated by keyword subset then menu product, so only
     feasible rows are ever materialized.
@@ -390,9 +380,6 @@ def strategy_rows(menus, kappa, advertiser, max_rows):
     pool = list(menus)
     positive = [m[1:] for m in menus.values()]      # menus always start at 0.0
     n_rows = _count_rows(menus, kappa)
-    if n_rows > max_rows:
-        raise TooLarge(f"advertiser {advertiser!r} has {n_rows} grid rows "
-                       f"(cap {max_rows})")
     K = len(pool)
     rows = np.zeros((n_rows, K))
     r = 0
@@ -631,8 +618,7 @@ def enumerate_pure_nash(scenario: Scenario, grid: BidGrid, epsilon=None,
         raise TooLarge(f"joint strategy space has {math.prod(counts)} profiles, about "
                        f"{_peak_bytes(counts)} bytes at peak before the stable sets and "
                        f"equilibria (cap {max_joint})")
-    pools, arrays = zip(*(strategy_rows(m, kappa, i, max_rows=max_joint)
-                          for m, i in zip(menus, advs)))
+    pools, arrays = zip(*(strategy_rows(m, kappa) for m in menus))
     hits, regrets = _equilibria(scenario, pools, arrays, eps, winner_truthful)
     # the kept profiles as one bid tensor, priced by the one welfare path
     col = {s: k for k, s in enumerate(scenario.graph.keywords)}
@@ -770,7 +756,8 @@ def estimate_bne_regret(bayes: BayesScenario, strategy: Callable, n_types: int,
         require_finite_bid_tensor(bayes, bids)
         # one row per (type, keyword), keywords in name order
         value = keyword_value_tensor(bayes, draws[::rows, a])[:, by_name].ravel()
-        grid = np.maximum(np.floor(value / deviation_delta + 1e-9) + 1.0, 0.0)
+        with np.errstate(over="ignore"):    # an overflow is caught just below
+            grid = np.maximum(np.floor(value / deviation_delta + 1e-9) + 1.0, 0.0)
         if np.isinf(grid).any():    # value / delta overflows: no grid index for its bids
             raise ParameterRange(f"keyword value {value.max():g} of advertiser {i!r} over "
                                  f"deviation_delta {deviation_delta:g} overflows")

@@ -418,8 +418,8 @@ def joint_utility(scenario, grid, advertiser=0, conservative=False):
 
     advs = scenario.advertisers
     n = len(advs)
-    pools, arrays = zip(*(strategy_rows(_menus(scenario, grid, i, conservative),
-                                        scenario.kappa, i, max_rows=math.inf) for i in advs))
+    pools, arrays = zip(*(strategy_rows(_menus(scenario, grid, i, conservative), scenario.kappa)
+                          for i in advs))
     shape = [len(rows) for rows in arrays]
 
     def joint_bids(a, s):
@@ -462,8 +462,8 @@ class _JointScan:
 
         advs = scenario.advertisers
         self.pools, self.arrays = zip(*(
-            strategy_rows(_menus(scenario, grid, i, conservative), scenario.kappa, i,
-                          max_rows=math.inf) for i in advs))
+            strategy_rows(_menus(scenario, grid, i, conservative), scenario.kappa)
+            for i in advs))
         self.counts = [len(rows) for rows in self.arrays]
         self.scenario = scenario
         self.w_padded = padded_weights(scenario)

@@ -334,6 +334,37 @@ def test_dynamics_bit_identical_to_per_call_oracle(weights):
         assert (rep.iterations, rep.converged) == (iterations, converged)
 
 
+def test_conservative_menus_change_no_solver_result():
+    """A bid above the keyword value never strictly gains against fixed
+    opponent bids: bidding the value wins the same slot at the same price
+    whenever that pays.  So best_response, verify_epsilon_nash and the
+    dynamics give the same floats with and without the conservative menus,
+    on random markets whose profiles overbid, on and off the grid."""
+    rng = np.random.default_rng(909)
+    overbids = 0
+    for t in range(40):
+        sc = random_scenario(rng, max_adv=4, max_kw=3, max_q=4, weights=(1.0, 0.6, 0.3))
+        grid = make_grid(sc, delta=max(make_grid(sc, 1.0).caps.values()) / 4)
+        bids = random_bid_profile(rng, sc, overbid=1.0)
+        if t % 2:       # bids on grid points, which menu bids tie with
+            bids = {i: {s: k * grid.delta for s, b in row.items() if (k := round(b / grid.delta))}
+                    for i, row in bids.items()}
+        overbids += sum(b > sc.kw_values[i][s] for i, row in bids.items() for s, b in row.items())
+        max_iters, results = int(rng.integers(1, 6)), []
+        for conservative in (False, True):
+            rows = [best_response(sc, bids, i, grid, conservative) for i in sc.advertisers]
+            rep = best_response_dynamics(sc, bids, grid, max_iters=max_iters,
+                                         conservative=conservative)
+            results.append(([({s: b.hex() for s, b in row.items()}, float(u).hex())
+                              for row, u in rows],
+                             {i: r.hex() for i, r in
+                              verify_epsilon_nash(sc, bids, grid, conservative).items()},
+                             _hex_rows(rep.profile), {i: r.hex() for i, r in rep.regrets.items()},
+                             rep.iterations, rep.converged))
+        assert results[0] == results[1]
+    assert overbids >= 20
+
+
 def _tied_market(rng):
     """A random market of up to 10 advertisers and 5 keywords with kappa
     below most advertisers' pools, one advertiser valuing no query, and
@@ -367,23 +398,21 @@ def _tied_market(rng):
 
 
 def _entries(sc, grid, bids, conservative):
-    """Own bids of the regret check's pricing: every advertiser's menus,
-    a bid-0 menu per other keyword it bids on, and its positive bids off
-    those menus."""
-    n = 0
-    for i in sc.advertisers:
-        menus = {s: bid_menu(sc, grid, i, s, conservative) for s in sc.kw_positive[i]}
-        n += sum(map(len, menus.values()))
-        for s, b in bids.get(i, {}).items():
-            n += (b > 0.0) * ((s not in menus) + (b not in menus.get(s, ())))
-    return n
+    """Own bids of the regret check's two pricings: every advertiser's
+    menus of its positive keywords, then one per positive bid of the
+    profile on a keyword of the graph."""
+    return (sum(len(bid_menu(sc, grid, i, s, conservative))
+                for i in sc.advertisers for s in sc.kw_positive[i]),
+            sum(b > 0.0 and s in sc.graph.keywords for row in bids.values()
+                for s, b in row.items()))
 
 
 @pytest.mark.parametrize("cells", ["one bid", "one row", "default"])
 def test_sliced_regret_pass_bit_identical_to_oracles(monkeypatch, cells):
     """With the menu pricer's calls cut to one bid, to the widest menu's
     bids (menus split across calls, calls across menus and advertisers)
-    or left at the default (the regret check in one call),
+    or left at the default (each of the regret check's pricings, the
+    menus and the played bids, in one call),
     best_response_dynamics equals the per-call loop and
     verify_epsilon_nash the scalar oracle bit for bit, on markets of up to
     10 advertisers with ties, zero-value bids and a valueless advertiser."""
@@ -411,8 +440,9 @@ def test_sliced_regret_pass_bit_identical_to_oracles(monkeypatch, cells):
 
         calls.clear()
         regrets = verify_epsilon_nash(sc, bids, grid, conservative)
-        step = step or entries
-        assert calls == [step] * (entries // step) + [entries % step] * (entries % step > 0)
+        step = equilibrium._CELLS // n
+        assert calls == [c for e in entries
+                         for c in [step] * (e // step) + [e % step] * (e % step > 0)]
         oracle = {i: max(0.0, best - current)
                   for i in sc.advertisers
                   for _, best, current in [scalar_best_response(sc, bids, i, grid, conservative)]}
@@ -732,8 +762,7 @@ def enumerator_best(sc, grid, conservative=False):
     the joint grid and added up by _best_sum."""
     advs, n = sc.advertisers, len(sc.advertisers)
     pools, arrays = zip(*(equilibrium.strategy_rows(
-        equilibrium._menus(sc, grid, i, conservative), sc.kappa, i, max_rows=math.inf)
-        for i in advs))
+        equilibrium._menus(sc, grid, i, conservative), sc.kappa) for i in advs))
     keywords, mine = equilibrium._scan(sc, pools, arrays, math.inf)
     shape = [len(rows) for rows in arrays]
     out = []
@@ -1018,7 +1047,7 @@ def test_bne_regret_memory_does_not_grow_with_the_grid():
     assert all(math.isfinite(est.mean) for est in regs.values())
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bne_regret_rejects_a_delta_past_the_float_range():
     bayes = bayes_scenario_from_json(DATA / "bayes_3x3.json")   # values of 0.25 and more
     with pytest.raises(ParameterRange, match=r"of advertiser 'a' over deviation_delta 4.94066e-324 overflows"):
