@@ -16,20 +16,22 @@ estimate share that computation: one menu pricer (_price_menus) prices
 per-row opponent bids with leading draw axes, in gsp_outcome calls of at
 most _CELLS cells, and returns per row the best menu bid, its mean
 utility and the played bid's; _rank_keywords keeps the top kappa.  The
-full-information solvers call it with one draw: a run lays out every
-advertiser's menus once, per advertiser and for all advertisers, and
-mirrors the profile in a dense (keyword, advertiser) array whose
-advertiser column is rewritten whenever the dynamics write a row; a call
-gathers each row's keyword column of it with the row's own advertiser
-zeroed, and prices the profile's own bids as one-bid menus.  The regret
-estimate calls it with its opponent draws, each menu cut to the grid
-bids next to the row's opponent bids: a GSP utility against fixed
-opponent bids is a step function of the own bid, so those bids give the
-whole grid's utilities, and a menu's size is bounded by the draws, not
-by value / delta.  The pure-Nash
-enumerator scans each keyword's grid of distinct bids, not the joint
-grid, for the bid vectors a stable profile can hold there, and checks
-only the profiles built from those.
+full-information solvers call it with one draw: a run lays out the
+advertisers' menus once, per advertiser and for all advertisers (best
+response only its own advertiser's), and mirrors the profile in a dense
+(keyword, advertiser) array whose advertiser column is rewritten
+whenever the dynamics write a row; a call gathers each row's keyword
+column of it with the row's own advertiser zeroed, and prices the
+profile's own bids as one-bid menus.  The regret estimate calls it with
+its opponent draws, each menu cut to the grid bids next to the row's
+opponent bids: a GSP utility against fixed opponent bids is a step
+function of the own bid, so those bids give the whole grid's utilities,
+and a menu's size is bounded by the draws, not by value / delta.  The
+pure-Nash enumerator reads the same _menus menus and builds no strategy
+row: it scans each keyword's grid of its participants' menus, not the
+joint grid, for the bid vectors a stable profile can hold there, checks
+only the profiles built from those, and reads the survivors' bids off
+the menus.
 Every solver here prices its keyword auctions with mechanisms.gsp_outcome,
 the one GSP kernel, at reserve 0, and reports the welfare of
 mechanisms.pbm_expected_welfare_batch.  The solvers read a bid profile
@@ -64,7 +66,8 @@ _TRUTHFUL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class BidGrid:
-    """Per-keyword bid menus: {0, delta, ..., cap_s}."""
+    """Per-keyword bid menus: {0, delta, ..., cap_s}.  A cap over delta
+    past the float range leaves no grid index and raises ParameterRange."""
 
     delta: float
     caps: Mapping[str, float]
@@ -76,11 +79,16 @@ class BidGrid:
         for s, cap in self.caps.items():
             if cap < 0.0:
                 raise ValidationError(f"grid cap for {s!r} must be >= 0, got {cap}")
+            if not math.isfinite(cap / self.delta):
+                raise ParameterRange(f"grid cap {cap:g} of keyword {s!r} over grid delta "
+                                     f"{self.delta:g} overflows")
+
+    def size(self, keyword) -> int:
+        """The number of grid points on the keyword, 0 included."""
+        return int(math.floor(self.caps[keyword] / self.delta + 1e-9)) + 1
 
     def points(self, keyword):
-        cap = self.caps[keyword]
-        n = int(math.floor(cap / self.delta + 1e-9))
-        return tuple(k * self.delta for k in range(n + 1))
+        return tuple(k * self.delta for k in range(self.size(keyword)))
 
 
 def make_grid(scenario: Scenario, delta: float) -> BidGrid:
@@ -175,12 +183,13 @@ class _Layout:
     """The pricing layout of a scenario's advertisers on one grid.  Per
     advertiser index, its rows are its positive keywords' _menus menus in
     name order, laid flat (flat) once per advertiser (blocks) and once for
-    all advertisers (all).  A run's profile reaches it only through the
+    all advertisers (all); only advertiser index `only`'s rows are built
+    unless it is None.  A run's profile reaches it only through the
     dense (keyword in name order, advertiser) mirror, checked for
     non-finite bids, whose advertiser column is rewritten whenever the
     dynamics write a row."""
 
-    def __init__(self, scenario, grid, conservative, bids):
+    def __init__(self, scenario, grid, conservative, bids, only=None):
         advs, keywords = scenario.advertisers, scenario.graph.keywords
         by_name = sorted(range(len(keywords)), key=keywords.__getitem__)
         self.scenario = scenario
@@ -196,7 +205,7 @@ class _Layout:
         self.w_padded = padded_weights(scenario)
         rows = [[(a, self.col[s], menu)
                  for s, menu in _menus(scenario, grid, i, conservative).items()]
-                for a, i in enumerate(advs)]
+                if only in (None, a) else [] for a, i in enumerate(advs)]
         self.blocks = [self.flat(r) for r in rows]
         self.all = self.flat([r for block in rows for r in block])
 
@@ -278,8 +287,8 @@ def best_response(scenario: Scenario, bids, advertiser, grid: BidGrid,
     """
     if advertiser not in scenario.advertisers:
         raise ValidationError(f"best response of unknown advertiser {advertiser!r}")
-    return _respond(_Layout(scenario, grid, conservative, bids),
-                    scenario.advertisers.index(advertiser))
+    a = scenario.advertisers.index(advertiser)
+    return _respond(_Layout(scenario, grid, conservative, bids, a), a)
 
 
 def default_epsilon(scenario: Scenario) -> float:
@@ -375,7 +384,10 @@ def strategy_rows(menus, kappa):
     (at most kappa positive bids), as (keyword list, array).
 
     Rows are generated by keyword subset then menu product, so only
-    feasible rows are ever materialized.
+    feasible rows are ever materialized.  The enumerator never builds
+    them; this order is the one its reports sort into, the whole-grid
+    scan that is its test oracle (joint_scan_pure_nash) scans these rows,
+    and the benchmark's tracer wraps this function by name.
     """
     pool = list(menus)
     positive = [m[1:] for m in menus.values()]      # menus always start at 0.0
@@ -410,17 +422,16 @@ def _peak_bytes(counts) -> int:
 
 
 class _Keyword:
-    """A keyword someone's rows bid on: its participants {advertiser index:
-    column in its rows} in order, their indices, each one's distinct bids
-    (0.0 first: everyone has the zero row) with each row's bid's index
-    among them; once scanned, its locally stable vectors, per vector each
-    participant's bid index (digits), utility and best utility."""
+    """A keyword some advertiser's menus hold: its participants' advertiser
+    indices in order and each one's menu on it as its bids (levels:
+    sorted, distinct, 0.0 first); once scanned, its locally stable
+    vectors, per vector each participant's bid index (digits), utility
+    and best utility."""
 
-    def __init__(self, scenario, s, parts, arrays, w_padded):
-        self.scenario, self.s, self.parts, self.w_padded = scenario, s, parts, w_padded
-        self.ids = np.array(list(parts))
-        self.levels, self.inverse = zip(*(np.unique(arrays[a][:, j], return_inverse=True)
-                                          for a, j in parts.items()))
+    def __init__(self, scenario, s, ids, menus, w_padded):
+        self.scenario, self.s, self.w_padded = scenario, s, w_padded
+        self.ids = np.array(ids)
+        self.levels = [np.array(menus[a][s]) for a in ids]
         self.sizes = [len(lv) for lv in self.levels]
 
     def outcome(self, p, own, digits):
@@ -505,20 +516,15 @@ def _best_sum(tops, size, n):
     return sums[size]
 
 
-def _row_keys(columns):
-    """A sortable key per row of the bid-index columns: the row's bytes."""
-    rows = np.ascontiguousarray(np.stack(columns, axis=-1), dtype=np.intp)
-    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
-
-
-def _scan(scenario, pools, arrays, eps):
-    """Every keyword's _Keyword, scanned at epsilon eps plus its
-    advertiser's slack, and per advertiser index its keywords as
-    (keyword, participant position) pairs."""
-    n, w_padded = len(pools), padded_weights(scenario)
-    keywords = [_Keyword(scenario, s, parts, arrays, w_padded) for s in scenario.graph.keywords
-                if (parts := {a: pools[a].index(s) for a in range(n) if s in pools[a]})]
-    mine = [[(j, list(kw.parts).index(a)) for j, kw in enumerate(keywords) if a in kw.parts]
+def _scan(scenario, menus, eps):
+    """Every keyword's _Keyword over the menus (per advertiser index, its
+    _menus), scanned at epsilon eps plus its advertiser's slack, and per
+    advertiser index its keywords as (keyword, participant position)
+    pairs."""
+    n, w_padded = len(menus), padded_weights(scenario)
+    keywords = [_Keyword(scenario, s, ids, menus, w_padded) for s in scenario.graph.keywords
+                if (ids := [a for a in range(n) if s in menus[a]])]
+    mine = [[(j, p) for j, kw in enumerate(keywords) for p, b in enumerate(kw.ids) if b == a]
             for a in range(n)]
     tol = [eps + 2 * (len(m) + 2) * 2.0 ** -53 * (eps + sum(
         scenario.kw_masses[keywords[j].s] * float(w_padded.max())
@@ -529,11 +535,13 @@ def _scan(scenario, pools, arrays, eps):
     return keywords, mine
 
 
-def _equilibria(scenario, pools, arrays, eps, winner_truthful):
-    """The stable profiles of enumerate_pure_nash, as each advertiser's row
-    index, sorted row-major, and the (advertiser, profile) regrets."""
-    keywords, mine = _scan(scenario, pools, arrays, eps)
-    kappa, n = scenario.kappa, len(pools)
+def _equilibria(scenario, menus, eps, winner_truthful):
+    """The stable profiles of enumerate_pure_nash over the menus, as an
+    (equilibrium, advertiser, keyword in graph order) bid tensor in the
+    order of the joint strategy_rows grid, and the (advertiser, profile)
+    regrets."""
+    keywords, mine = _scan(scenario, menus, eps)
+    kappa, n = scenario.kappa, len(menus)
     found = [(np.zeros((0, len(keywords)), dtype=np.intp), np.zeros((0, n)))]
     for choice in _candidates(keywords, kappa, np.zeros((1, 0), dtype=np.intp),
                               np.zeros((1, n), dtype=np.intp)):
@@ -554,21 +562,42 @@ def _equilibria(scenario, pools, arrays, eps, winner_truthful):
                 choice, gaps = choice[ok], gaps[ok]
         found.append((choice, gaps))
     choice, regrets = (np.concatenate(x) for x in zip(*found))
-    # each kept profile's row per advertiser, found by its bid indices
-    hits = np.zeros((len(choice), n), dtype=np.intp)
-    for a, m in enumerate(mine):
-        if m:
-            keys = _row_keys([keywords[j].inverse[p] for j, p in m])
-            order = np.argsort(keys)
-            hits[:, a] = order[np.searchsorted(keys[order], _row_keys(
-                [keywords[j].digits[choice[:, j], p] for j, p in m]))]
-    order = np.lexsort(hits.T[::-1])
-    return hits[order], regrets[order].T
+    col = {s: k for k, s in enumerate(scenario.graph.keywords)}
+    bids = np.zeros((len(choice), n, len(col)))
+    for j, kw in enumerate(keywords):
+        digits = kw.digits[choice[:, j]]
+        for p, a in enumerate(kw.ids):
+            bids[:, a, col[kw.s]] = kw.levels[p][digits[:, p]]
+    # strategy_rows order, advertiser 0 first: per advertiser its count of
+    # positive bids, then per keyword in name order a zero bid last
+    # (itertools.combinations order), then the bids (itertools.product order)
+    keys = []
+    for a in range(n):
+        own = bids[:, a, [col[s] for s in menus[a]]]
+        keys += [(own > 0.0).sum(axis=1), *(own == 0.0).T, *own.T]
+    order = np.lexsort(keys[::-1])
+    return bids[order], regrets[order].T
+
+
+# Joint profiles enumerate_pure_nash takes on at most.
+_MAX_JOINT = 10_000_000
+
+
+def _least_rows(scenario, grid, advertiser, conservative):
+    """A lower bound on the advertiser's strategy_rows count from the grid
+    alone: its rows of at most one positive bid, 1 plus, per positive
+    keyword, its menu's points less 0.0.  A menu holds the keyword's grid
+    points, under conservative those up to the value, at least min(size,
+    floor(value / delta)) of them (the floor rounds up by at most one)."""
+    values = scenario.kw_values[advertiser]
+    return 1 + sum(max(1, min(grid.size(s), math.floor(values[s] / grid.delta))
+                       if conservative else grid.size(s)) - 1
+                   for s in scenario.kw_positive[advertiser])
 
 
 def enumerate_pure_nash(scenario: Scenario, grid: BidGrid, epsilon=None,
-                        conservative=False, winner_truthful=False,
-                        max_joint=10_000_000) -> list[EquilibriumReport]:
+                        conservative=False,
+                        winner_truthful=False) -> list[EquilibriumReport]:
     """Exhaustive pure-Nash enumeration over the joint grid.
 
     Strategy spaces are restricted to each advertiser's positive
@@ -576,20 +605,21 @@ def enumerate_pure_nash(scenario: Scenario, grid: BidGrid, epsilon=None,
     keyword never strictly gains, so the Nash set over the restricted
     space certifies the Nash condition over the full space.
 
-    The joint grid is never scanned.  If advertiser a bids > 0 on keyword
-    s in a stable profile, swapping that bid for a's best on s leaves a
-    row of at most kappa positive bids whose utility, different only in
-    the s term, is at most a's best-response utility B_a; so a's utility
-    there, u_s, is within epsilon of the best, best_s.  A zero bid swaps
-    the same way if a has at most kappa keywords.  So each keyword's grid
-    of distinct bids is scanned for the vectors where those bids are
-    within epsilon plus a float slack of best_s (_Keyword.scan), and the
-    product of these sets less the rows of over kappa positive bids
-    (_candidates) is checked: a candidate is kept if every advertiser's
-    keyword utilities, added in graph order from 0.0, are >= B_a -
-    epsilon, B_a the best sum of min(kappa, K) of a's K best_s
-    (_best_sum), which is a's maximum over its rows bit for bit (float
-    addition is monotone in each term, a zero bid adds 0.0).
+    The joint grid is never scanned and no strategy row is built: the
+    input is each advertiser's _menus.  If advertiser a bids > 0 on
+    keyword s in a stable profile, swapping that bid for a's best on s
+    leaves a row of at most kappa positive bids whose utility, different
+    only in the s term, is at most a's best-response utility B_a; so a's
+    utility there, u_s, is within epsilon of the best, best_s.  A zero
+    bid swaps the same way if a has at most kappa keywords.  So each
+    keyword's grid of its participants' menus is scanned for the vectors
+    where those bids are within epsilon plus a float slack of best_s
+    (_Keyword.scan), and the product of these sets less the rows of over
+    kappa positive bids (_candidates) is checked: a candidate is kept if
+    every advertiser's keyword utilities, added in graph order from 0.0,
+    are >= B_a - epsilon, B_a the best sum of min(kappa, K) of a's K
+    best_s (_best_sum), which is a's maximum over its rows bit for bit
+    (float addition is monotone in each term, a zero bid adds 0.0).
 
     The slack: a sum of K floats from 0.0 is within (K - 1) u sum|x| (1
     + O(u)) of its exact value, u = 2^-53, and a term, a's utility or
@@ -600,39 +630,42 @@ def enumerate_pure_nash(scenario: Scenario, grid: BidGrid, epsilon=None,
     O(u)), and the rounded local test keeps every such bid with slack =
     2 (K + 2) u (U_a + epsilon).  No stable profile is dropped.
 
-    A grid of over max_joint profiles raises TooLarge, naming _peak_bytes.
+    A grid of over _MAX_JOINT profiles raises TooLarge: before any menu
+    is built if the rows of at most one positive bid (_least_rows)
+    already exceed it, else naming _peak_bytes.
 
     winner_truthful keeps only equilibria in which every slot winner
     bids exactly their keyword value on the winning keyword.  Reports
-    are ordered by joint row-major strategy index; each carries exact
-    regret and expected welfare.
+    are ordered by joint row-major strategy_rows index; each carries
+    exact regret and expected welfare.
     """
     eps = _resolve_epsilon(scenario, epsilon)
     advs, kappa, n = scenario.advertisers, scenario.kappa, len(scenario.advertisers)
     if n == 0:      # the empty profile is the one profile, and stable
         return [EquilibriumReport(profile={}, regrets={}, converged=True,
                                   iterations=0, epsilon=eps, welfare=0.0)]
+    least = math.prod(_least_rows(scenario, grid, i, conservative) for i in advs)
+    if least > _MAX_JOINT:
+        raise TooLarge(f"joint strategy space has at least {least} profiles "
+                       f"(cap {_MAX_JOINT})")
     menus = [_menus(scenario, grid, i, conservative) for i in advs]
     counts = [_count_rows(m, kappa) for m in menus]
-    if math.prod(counts) > max_joint:
+    if math.prod(counts) > _MAX_JOINT:
         raise TooLarge(f"joint strategy space has {math.prod(counts)} profiles, about "
                        f"{_peak_bytes(counts)} bytes at peak before the stable sets and "
-                       f"equilibria (cap {max_joint})")
-    pools, arrays = zip(*(strategy_rows(m, kappa) for m in menus))
-    hits, regrets = _equilibria(scenario, pools, arrays, eps, winner_truthful)
-    # the kept profiles as one bid tensor, priced by the one welfare path
-    col = {s: k for k, s in enumerate(scenario.graph.keywords)}
-    bids = np.zeros((len(hits), n, len(col)))
-    for a in range(n):
-        bids[:, a, [col[s] for s in pools[a]]] = arrays[a][hits[:, a]]
-    values = np.broadcast_to(scenario.value_matrix, (len(hits),) + scenario.value_matrix.shape)
+                       f"equilibria (cap {_MAX_JOINT})")
+    bids, regrets = _equilibria(scenario, menus, eps, winner_truthful)
+    # the kept profiles, priced by the one welfare path
+    values = np.broadcast_to(scenario.value_matrix, (len(bids),) + scenario.value_matrix.shape)
     welfare = pbm_expected_welfare_batch(scenario, values, bids).tolist()
+    names = scenario.graph.keywords
+    by_name = sorted(range(len(names)), key=names.__getitem__)
     return [EquilibriumReport(
-        profile={i: {s: float(b) for s, b in zip(pools[a], arrays[a][row[a]]) if b > 0.0}
+        profile={i: {names[k]: row[a][k] for k in by_name if row[a][k] > 0.0}
                  for a, i in enumerate(advs)},
         regrets={i: float(regrets[a][h]) for a, i in enumerate(advs)},
         converged=True, iterations=0, epsilon=eps, welfare=welfare[h])
-        for h, row in enumerate(hits)]
+        for h, row in enumerate(bids.tolist())]
 
 
 # ---------------------------------------------------- dominant strategies
@@ -640,14 +673,15 @@ def enumerate_pure_nash(scenario: Scenario, grid: BidGrid, epsilon=None,
 def single_slot_dominant_profile(scenario: Scenario) -> dict:
     """Truthful keyword-value bids on the top-kappa positive keywords by
     value, the weakly dominant play when only one slot has positive
-    weight.  Ties in value go to the smaller keyword."""
+    weight.  Ties in value go to the smaller keyword.  The bids of
+    truthful_keyword_strategy on the scenario's values, each row in
+    that ranking's order."""
     if not scenario.weights.is_single_slot:
         raise NotSingleSlot()
-    profile = {}
-    for i, values in scenario.kw_values.items():
-        top = sorted(scenario.kw_positive[i], key=lambda s: (-values[s], s))
-        profile[i] = {s: values[s] for s in top[:scenario.kappa]}
-    return profile
+    bids = truthful_keyword_strategy(scenario)(scenario.value_matrix[None])[0].tolist()
+    return {i: dict(sorted(((s, b) for s, b in zip(scenario.graph.keywords, row) if b > 0.0),
+                           key=lambda kb: (-kb[1], kb[0])))
+            for i, row in zip(scenario.advertisers, bids)}
 
 
 # ------------------------------------------------- Bayes-Nash verification
@@ -657,7 +691,7 @@ def truthful_keyword_strategy(bayes: BayesScenario) -> Callable:
     (n, |A|, |S|) bid tensor out (keywords in graph order).  Each
     advertiser bids its keyword value on its top-kappa positive keywords
     and 0 elsewhere.  A keyword's rank counts the keywords that outrank
-    it on (value, name), the order single_slot_dominant_profile sorts by."""
+    it on (value, name)."""
     by_name = {s: r for r, s in enumerate(sorted(bayes.graph.keywords))}
     names = [by_name[s] for s in bayes.graph.keywords]
 

@@ -60,8 +60,7 @@ def _poa_fuzz(weights, seed, n_instances):
         sc, grid = _fuzz_scenario(rng, weights, all_positive=(k % 2 == 0))
         for wt in (True, False):
             reports = enumerate_pure_nash(sc, grid, conservative=True,
-                                          winner_truthful=wt,
-                                          max_joint=JOINT_CAP)
+                                          winner_truthful=wt)
             if not reports:
                 counts["filtered_empty"] += 1
                 continue

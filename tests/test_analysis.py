@@ -175,8 +175,7 @@ def test_empirical_poa_single_slot_bound_holds():
         sc = random_scenario(rng, max_adv=2, max_kw=2, max_q=3)
         grid = make_grid(sc, delta=max(grid_cap for grid_cap in
                                        make_grid(sc, 1.0).caps.values()) / 4)
-        reports = enumerate_pure_nash(sc, grid, conservative=True,
-                                      max_joint=200_000)
+        reports = enumerate_pure_nash(sc, grid, conservative=True)
         if not reports:
             continue
         rep = empirical_poa(sc, reports, grid=grid)

@@ -628,6 +628,18 @@ def test_infinite_grid_delta_exits_2(tmp_path, capsys, command, extra, message):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    *(("equilibrium", "--scenario", SCENARIO, "--mode", mode) for mode in cli.MODES),
+    ("poa", "--scenario", DATA / "scenario_3x3.json"),
+])
+def test_grid_delta_past_the_float_range_exits_4(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run(*argv, "--grid-delta", "1e-320", "--out", out) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid cap ") and err.count("\n") == 1 and "overflows" in err
+    assert not out.exists()
+
+
 def test_failed_run_removes_only_the_empty_out_directories_it_created(tmp_path, capsys):
     assert run("simulate", "--bids", BIDS, "--out", tmp_path / "new" / "deep") == 2
     assert not (tmp_path / "new").exists()

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bmlab import equilibrium
+from bmlab import cli, equilibrium
 from bmlab.equilibrium import (
     BidGrid,
     best_response,
@@ -67,8 +67,17 @@ def test_make_grid_default_caps():
     grid = make_grid(sc, delta=1.0)
     assert grid.caps == {"s1": 4.0, "s2": 3.0}
     assert grid.points("s1") == (0.0, 1.0, 2.0, 3.0, 4.0)
+    assert grid.size("s1") == 5 and grid.size("s2") == 4
     with pytest.raises(ValidationError):
         BidGrid(delta=0.0, caps={})
+
+
+def test_grid_past_the_float_range_is_parameter_range():
+    """A cap over delta past the float range has no grid index."""
+    with pytest.raises(ParameterRange, match=r"^grid cap 5 of keyword 's1' over grid delta "
+                                             r"\S+ overflows$"):
+        BidGrid(1e-320, {"s0": 0.0, "s1": 5.0})
+    assert BidGrid(1e-300, {"s1": 5.0}).size("s1") > 10 ** 300     # finite: a size
 
 
 def test_bid_menu_conservative_and_truthful():
@@ -140,6 +149,23 @@ def test_best_response_guards():
             assert _hex_rows({i: row}) == _hex_rows({i: want}) and u.hex() == want_u.hex()
             widest = max(widest, len(row))
     assert widest > 4       # best rows over the former kappa cap
+
+
+def test_best_response_builds_only_its_advertisers_menus(monkeypatch):
+    """best_response lays out the rows of the advertiser it answers for:
+    one _menus call per call, on that advertiser."""
+    sc = scenario_from_json(DATA / "scenario_wide.json")
+    grid = make_grid(sc, delta=0.25)
+    calls, menus = [], equilibrium._menus
+
+    def spy(scenario, grid, advertiser, conservative):
+        calls.append(advertiser)
+        return menus(scenario, grid, advertiser, conservative)
+
+    monkeypatch.setattr(equilibrium, "_menus", spy)
+    for i in sc.advertisers:
+        best_response(sc, {}, i, grid)
+    assert calls == list(sc.advertisers)
 
 
 def test_best_response_rejects_unknown_advertiser():
@@ -742,6 +768,35 @@ def test_chunking_invisible_on_ties_and_overbids(monkeypatch):
                                              epsilon=0.05)) == 45
 
 
+def test_enumerate_builds_no_strategy_rows(monkeypatch, tmp_path):
+    """The enumerator reads its menus only: with strategy_rows raising, the
+    3x3 market gives the whole-grid scan's reports hex for hex and its
+    goldens byte for byte, on the unit grid (the PoA golden) and at grid
+    2.0 and epsilon 0.05, where kappa binds."""
+    sc = scenario_from_json(DATA / "scenario_3x3.json")
+    cases = [(1.0, None), (2.0, 0.05)]
+    want = [report_fingerprint(joint_scan_pure_nash(sc, make_grid(sc, delta), epsilon=eps))
+            for delta, eps in cases]
+
+    def no_rows(menus, kappa):
+        raise AssertionError("the enumerator built strategy rows")
+
+    monkeypatch.setattr(equilibrium, "strategy_rows", no_rows)
+    for (delta, eps), rows in zip(cases, want):
+        assert report_fingerprint(enumerate_pure_nash(sc, make_grid(sc, delta),
+                                                      epsilon=eps)) == rows
+    scenario = str(DATA / "scenario_3x3.json")
+    assert cli.main(["poa", "--scenario", scenario, "--grid-delta", "1.0",
+                     "--out", str(tmp_path / "poa")]) == 0
+    assert ((tmp_path / "poa" / "poa.csv").read_bytes()
+            == (DATA / "golden" / "poa_3x3.csv").read_bytes())
+    assert cli.main(["equilibrium", "--scenario", scenario, "--mode", "enumerate",
+                     "--epsilon", "0.05", "--grid-delta", "2.0",
+                     "--out", str(tmp_path / "eq")]) == 0
+    assert ((tmp_path / "eq" / "equilibrium.json").read_bytes()
+            == (DATA / "golden" / "equilibrium_enumerate_3x3_eps.json").read_bytes())
+
+
 def test_enumerate_matches_slow_oracle_in_one_row_chunks(monkeypatch):
     monkeypatch.setattr(equilibrium, "_CHUNK_PROFILES", 1)
     for sc, grid, eps, menus_by_adv in slow_oracle_markets():
@@ -761,9 +816,9 @@ def enumerator_best(sc, grid, conservative=False):
     grid in row-major order), each keyword's best utilities gathered onto
     the joint grid and added up by _best_sum."""
     advs, n = sc.advertisers, len(sc.advertisers)
-    pools, arrays = zip(*(equilibrium.strategy_rows(
-        equilibrium._menus(sc, grid, i, conservative), sc.kappa) for i in advs))
-    keywords, mine = equilibrium._scan(sc, pools, arrays, math.inf)
+    menus = [equilibrium._menus(sc, grid, i, conservative) for i in advs]
+    pools, arrays = zip(*(equilibrium.strategy_rows(m, sc.kappa) for m in menus))
+    keywords, mine = equilibrium._scan(sc, menus, math.inf)
     shape = [len(rows) for rows in arrays]
     out = []
     for m in mine:
@@ -772,8 +827,9 @@ def enumerator_best(sc, grid, conservative=False):
             kw = keywords[j]
             assert len(kw.digits) == math.prod(kw.sizes)
             vector = np.zeros(shape, dtype=np.intp)
-            for q, a in enumerate(kw.parts):
-                vector = vector * kw.sizes[q] + kw.inverse[q].reshape(
+            for q, a in enumerate(kw.ids):
+                index = np.searchsorted(kw.levels[q], arrays[a][:, pools[a].index(kw.s)])
+                vector = vector * kw.sizes[q] + index.reshape(
                     [-1 if b == a else 1 for b in range(n)])
             tops.append(kw.best[vector.ravel(), p])
         out.append(equilibrium._best_sum(tops, min(sc.kappa, len(m)),
@@ -888,13 +944,14 @@ def test_enumerate_prices_keyword_grids_not_the_joint_grid(monkeypatch):
     assert sum(candidates) == CANDIDATES_ON_THE_MILLION_MARKET
 
 
-def test_enumerate_too_large_reports_bytes():
+def test_enumerate_too_large_reports_bytes(monkeypatch):
     sc = five_three()
     grid = make_grid(sc, delta=1.0)
     counts = row_counts(sc, grid, conservative=True)
     assert counts == [6, 4]
+    monkeypatch.setattr(equilibrium, "_MAX_JOINT", 23)
     with pytest.raises(TooLarge) as exc:
-        enumerate_pure_nash(sc, grid, conservative=True, max_joint=23)
+        enumerate_pure_nash(sc, grid, conservative=True)
     peak = equilibrium._peak_bytes(counts)
     assert str(exc.value) == (f"joint strategy space has 24 profiles, about {peak} "
                               f"bytes at peak before the stable sets and equilibria (cap 23)")
@@ -905,13 +962,46 @@ def test_enumerate_too_large_reports_bytes():
     sc, grid = million_market()
     counts = row_counts(sc, grid, conservative=True)
     peak = equilibrium._peak_bytes(counts)
+    monkeypatch.setattr(equilibrium, "_MAX_JOINT", 1_000_000)
     with pytest.raises(TooLarge, match=rf"^joint strategy space has 1250000 profiles, "
                                        rf"about {peak} bytes at peak before the stable sets "
                                        rf"and equilibria \(cap 1000000\)$"):
-        enumerate_pure_nash(sc, grid, conservative=True, max_joint=1_000_000)
+        enumerate_pure_nash(sc, grid, conservative=True)
     # the estimate follows the chunk and the tables, not the whole grid
     tables = sum(1_250_000 // c for c in counts)
     assert 128 * equilibrium._CHUNK_PROFILES + 8 * tables <= peak <= 10 * 1_250_000
+
+
+def test_enumerate_too_large_before_any_menu(monkeypatch):
+    """A grid whose rows of at most one positive bid already pass the cap
+    raises before a menu is built: at delta 2e-6 a 2x2 menu would hold
+    about 2.5 M bids."""
+    sc = scenario_from_json(DATA / "scenario_2x2.json")
+
+    def no_menus(*args):
+        raise AssertionError("a menu was built")
+
+    monkeypatch.setattr(equilibrium, "_menus", no_menus)
+    monkeypatch.setattr(equilibrium, "bid_menu", no_menus)
+    for conservative in (False, True):
+        with pytest.raises(TooLarge, match=r"^joint strategy space has at least \d+ "
+                                           r"profiles \(cap 10000000\)$"):
+            enumerate_pure_nash(sc, make_grid(sc, 2e-6), conservative=conservative)
+
+
+@pytest.mark.parametrize("conservative", [True, False])
+def test_least_rows_bounds_the_row_count(conservative):
+    """_least_rows, read from the grid alone, never exceeds the exact row
+    count, on grids coarser and finer than the values."""
+    rng = np.random.default_rng(41)
+    for _ in range(60):
+        sc = random_scenario(rng, max_adv=3, max_kw=3, max_q=4)
+        delta = float(rng.choice([0.013, 0.1, 0.3, 1.0, 2.0, 7.0]))
+        grid = make_grid(sc, delta)
+        for i in sc.advertisers:
+            exact = equilibrium._count_rows(equilibrium._menus(sc, grid, i, conservative),
+                                            sc.kappa)
+            assert 1 <= equilibrium._least_rows(sc, grid, i, conservative) <= exact
 
 
 def test_enumerate_memory_bounded_by_the_chunk():
@@ -965,6 +1055,21 @@ def test_single_slot_dominant_profile_truthful():
     sc2 = simple_scenario({"a1": {"q1": 4.0}}, weights=(1.0, 0.5))
     with pytest.raises(NotSingleSlot):
         single_slot_dominant_profile(sc2)
+    # each advertiser's keyword values on its top kappa positive keywords
+    # by (value, name), in that order, hex for hex, on random single-slot
+    # markets and on ties
+    rng = np.random.default_rng(5)
+    markets = [random_scenario(rng, max_adv=3, max_kw=4, max_q=4) for _ in range(100)]
+    markets += [simple_scenario({"a1": {"q1": 2.0, "q2": 3.0, "q3": 2.0},
+                                 "a2": {"q1": 1.0, "q2": 1.0, "q3": 1.0}}, kappa=k)
+                for k in (1, 2, 3)]
+    for sc in markets:
+        want = {}
+        for i, values in sc.kw_values.items():
+            top = sorted(sc.kw_positive[i], key=lambda s: (-values[s], s))[:sc.kappa]
+            want[i] = [(s, values[s].hex()) for s in top]
+        got = single_slot_dominant_profile(sc)
+        assert {i: [(s, b.hex()) for s, b in row.items()] for i, row in got.items()} == want
 
 
 def test_dominant_profile_has_no_profitable_deviation():
