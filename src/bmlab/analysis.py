@@ -181,7 +181,7 @@ def ratio_csv(reports) -> str:
     return buf.getvalue()
 
 
-def empirical_poa(scenario, reports, grid=None, label="scenario") -> RatioReport:
+def empirical_poa(scenario, reports, grid, label="scenario") -> RatioReport:
     """Worst-found equilibrium welfare against the applicable PoA bound.
 
     The bound slackens by one grid step of welfare, (max click weight)
@@ -198,7 +198,7 @@ def empirical_poa(scenario, reports, grid=None, label="scenario") -> RatioReport
     c = homogeneity(scenario)
     beta = kl_expressiveness(scenario)
     single = scenario.weights.is_single_slot
-    eps_cont = scenario.weights.weight(0) * grid.delta if grid is not None else 0.0
+    eps_cont = scenario.weights.weight(0) * grid.delta
     notes = ["exhaustive", f"n_equilibria={len(reports)}", f"beta={beta:.6g}",
              f"grid_slack={eps_cont:.6g}"]
     if not math.isfinite(c):
@@ -264,15 +264,13 @@ def revenue_welfare_stats(bayes: BayesScenario, strategy, reserves,
 
 
 def empirical_revenue_ratio(bayes: BayesScenario, strategy, reserves,
-                            c, beta, eta, n_samples=100_000, rng=None,
+                            c, beta, eta, n_samples, rng,
                             label="scenario") -> RatioReport:
     """Revenue fraction of optimal welfare against its theoretical floor.
 
     `satisfied` allows three standard errors of Monte-Carlo slack in the
     fraction.  The zero-reserve baseline revenue rides along in notes.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     stats = revenue_welfare_stats(bayes, strategy, reserves, n_samples, rng)
     bounds = bound_calculators(c, beta, eta=eta)
     single = bayes.weights.is_single_slot

@@ -321,6 +321,8 @@ def _realized_homogeneity(bayes, rng) -> float:
 
 def cmd_revenue(cfg: RunConfig, out: Path) -> int:
     path = _need(cfg, "scenario", "--scenario")
+    if cfg.samples < 2:     # a standard error needs two samples
+        raise ValidationError(f"--samples must be >= 2, got {cfg.samples}")
     bayes = bayes_scenario_from_json(path)
     rng = np.random.default_rng(cfg.seed)
     reserves = {}

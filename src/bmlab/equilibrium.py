@@ -87,9 +87,6 @@ class BidGrid:
         """The number of grid points on the keyword, 0 included."""
         return int(math.floor(self.caps[keyword] / self.delta + 1e-9)) + 1
 
-    def points(self, keyword):
-        return tuple(k * self.delta for k in range(self.size(keyword)))
-
 
 def make_grid(scenario: Scenario, delta: float) -> BidGrid:
     """The grid with each keyword capped at the largest keyword value
@@ -99,16 +96,33 @@ def make_grid(scenario: Scenario, delta: float) -> BidGrid:
     return BidGrid(delta=float(delta), caps=caps)
 
 
+def _points_upto(x, delta, n):
+    """How many grid points k * delta, k < n, are <= x: a bisection on the
+    float products, which do not decrease in k.  (bisect cannot take a
+    range past sys.maxsize, and a fine grid reaches 10^30 points.)"""
+    lo, hi = 0, n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if mid * delta <= x else (lo, mid)
+    return lo
+
+
+def _menu_rule(grid, keyword, value, conservative):
+    """(kept, size) of a bid menu from the grid alone: its grid points k *
+    delta are a prefix, all kept or under conservative those <= value +
+    1e-12, and its size adds the value unless it is one of them."""
+    n = grid.size(keyword)
+    kept = _points_upto(value + 1e-12, grid.delta, n) if conservative else n
+    return kept, kept + ((_points_upto(value, grid.delta, kept) - 1) * grid.delta != value)
+
+
 def bid_menu(scenario: Scenario, grid: BidGrid, advertiser, keyword,
              conservative=False):
-    """Sorted bid menu for one (advertiser, keyword) pair.
-
-    conservative restricts to bids at most the keyword value; 0 and the
-    exact truthful value are spliced in (deduplicated).
-    """
+    """Sorted bid menu for one (advertiser, keyword) pair: the kept grid
+    points of _menu_rule with the exact truthful value spliced in."""
     v = scenario.kw_values[advertiser][keyword]
-    pts = [b for b in grid.points(keyword) if not conservative or b <= v + 1e-12]
-    return tuple(sorted({0.0, v, *pts}))
+    kept, _ = _menu_rule(grid, keyword, v, conservative)
+    return tuple(sorted({v, *(k * grid.delta for k in range(kept))}))
 
 
 # ------------------------------------------------------------ menu pricing
@@ -293,10 +307,7 @@ def best_response(scenario: Scenario, bids, advertiser, grid: BidGrid,
 
 def default_epsilon(scenario: Scenario) -> float:
     """Float-tolerance regret threshold: 1e-9 times the largest value."""
-    top = max((scenario.valuations.value(i, q)
-               for i in scenario.advertisers for q in scenario.graph.queries),
-              default=1.0)
-    return 1e-9 * max(top, 1.0)
+    return 1e-9 * max(float(scenario.value_matrix.max(initial=0.0)), 1.0)
 
 
 def _resolve_epsilon(scenario: Scenario, epsilon) -> float:
@@ -365,13 +376,14 @@ def best_response_dynamics(scenario: Scenario, initial, grid: BidGrid,
 
 # --------------------------------------------------------- Nash enumeration
 
-def _count_rows(menus, kappa):
-    """Number of bid rows over the menus with at most kappa positive
-    bids, where a keyword's menu offers all but its leading 0.0: the
-    truncated elementary-symmetric sum, computed exactly by DP."""
+def _count_rows(sizes, kappa):
+    """Number of bid rows with at most kappa positive bids over menus of
+    the given sizes (_menu_rule's, or strategy_rows' menus'), a menu
+    offering all but its leading 0.0: the truncated elementary-symmetric
+    sum, computed exactly by DP."""
     coeffs = [1]
-    for menu in menus.values():
-        m = len(menu) - 1
+    for size in sizes:
+        m = size - 1
         new = coeffs + [0] if len(coeffs) <= kappa else coeffs
         for k in range(len(new) - 1, 0, -1):
             new[k] = (coeffs[k] if k < len(coeffs) else 0) + m * coeffs[k - 1]
@@ -391,7 +403,7 @@ def strategy_rows(menus, kappa):
     """
     pool = list(menus)
     positive = [m[1:] for m in menus.values()]      # menus always start at 0.0
-    n_rows = _count_rows(menus, kappa)
+    n_rows = _count_rows(map(len, menus.values()), kappa)
     K = len(pool)
     rows = np.zeros((n_rows, K))
     r = 0
@@ -583,22 +595,10 @@ def _equilibria(scenario, menus, eps, winner_truthful):
 _MAX_JOINT = 10_000_000
 
 
-def _least_rows(scenario, grid, advertiser, conservative):
-    """A lower bound on the advertiser's strategy_rows count from the grid
-    alone: its rows of at most one positive bid, 1 plus, per positive
-    keyword, its menu's points less 0.0.  A menu holds the keyword's grid
-    points, under conservative those up to the value, at least min(size,
-    floor(value / delta)) of them (the floor rounds up by at most one)."""
-    values = scenario.kw_values[advertiser]
-    return 1 + sum(max(1, min(grid.size(s), math.floor(values[s] / grid.delta))
-                       if conservative else grid.size(s)) - 1
-                   for s in scenario.kw_positive[advertiser])
-
-
 def enumerate_pure_nash(scenario: Scenario, grid: BidGrid, epsilon=None,
                         conservative=False,
                         winner_truthful=False) -> list[EquilibriumReport]:
-    """Exhaustive pure-Nash enumeration over the joint grid.
+    """Every pure Nash equilibrium on the grid, found keyword by keyword.
 
     Strategy spaces are restricted to each advertiser's positive
     keywords: by utility separability a deviation onto a zero-value
@@ -630,9 +630,9 @@ def enumerate_pure_nash(scenario: Scenario, grid: BidGrid, epsilon=None,
     O(u)), and the rounded local test keeps every such bid with slack =
     2 (K + 2) u (U_a + epsilon).  No stable profile is dropped.
 
-    A grid of over _MAX_JOINT profiles raises TooLarge: before any menu
-    is built if the rows of at most one positive bid (_least_rows)
-    already exceed it, else naming _peak_bytes.
+    A grid of over _MAX_JOINT profiles raises TooLarge, naming its exact
+    count and _peak_bytes, before any menu is built: _count_rows counts
+    the rows from the menu sizes of _menu_rule, read from the grid alone.
 
     winner_truthful keeps only equilibria in which every slot winner
     bids exactly their keyword value on the winning keyword.  Reports
@@ -644,16 +644,13 @@ def enumerate_pure_nash(scenario: Scenario, grid: BidGrid, epsilon=None,
     if n == 0:      # the empty profile is the one profile, and stable
         return [EquilibriumReport(profile={}, regrets={}, converged=True,
                                   iterations=0, epsilon=eps, welfare=0.0)]
-    least = math.prod(_least_rows(scenario, grid, i, conservative) for i in advs)
-    if least > _MAX_JOINT:
-        raise TooLarge(f"joint strategy space has at least {least} profiles "
-                       f"(cap {_MAX_JOINT})")
-    menus = [_menus(scenario, grid, i, conservative) for i in advs]
-    counts = [_count_rows(m, kappa) for m in menus]
+    counts = [_count_rows([_menu_rule(grid, s, scenario.kw_values[i][s], conservative)[1]
+                           for s in scenario.kw_positive[i]], kappa) for i in advs]
     if math.prod(counts) > _MAX_JOINT:
         raise TooLarge(f"joint strategy space has {math.prod(counts)} profiles, about "
                        f"{_peak_bytes(counts)} bytes at peak before the stable sets and "
                        f"equilibria (cap {_MAX_JOINT})")
+    menus = [_menus(scenario, grid, i, conservative) for i in advs]
     bids, regrets = _equilibria(scenario, menus, eps, winner_truthful)
     # the kept profiles, priced by the one welfare path
     values = np.broadcast_to(scenario.value_matrix, (len(bids),) + scenario.value_matrix.shape)

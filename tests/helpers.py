@@ -126,19 +126,34 @@ def random_bid_profile(rng, scenario, overbid=0.0):
     return bids
 
 
-def joint_profile_count(scenario, grid, conservative=False):
-    """Oracle: the number of joint grid profiles the enumerator scans, by
-    counting each advertiser's rows over keyword subsets of size at most
-    kappa: a subset offers every positive point of each of its menus."""
-    from bmlab.equilibrium import bid_menu
+def whole_grid_menu(scenario, grid, advertiser, keyword, conservative=False):
+    """Oracle: bid_menu by filtering the whole grid, as an array: every
+    point k * delta of the keyword (k < grid.size), under conservative
+    those <= value + 1e-12, with 0 and the value added, sorted without
+    duplicates."""
+    v = scenario.kw_values[advertiser][keyword]
+    pts = np.arange(grid.size(keyword)) * grid.delta
+    if conservative:
+        pts = pts[pts <= v + 1e-12]
+    return np.unique(np.concatenate((pts, [0.0, v])))
 
-    total = 1
+
+def row_count_oracle(scenario, grid, conservative=False):
+    """Oracle: each advertiser's row count, over keyword subsets of size
+    at most kappa: a subset offers every positive point of each of its
+    whole-grid menus."""
+    counts = []
     for i in scenario.advertisers:
-        sizes = [len(bid_menu(scenario, grid, i, s, conservative)) - 1
+        sizes = [len(whole_grid_menu(scenario, grid, i, s, conservative)) - 1
                  for s in scenario.kw_positive[i]]
-        total *= sum(math.prod(subset) for size in range(scenario.kappa + 1)
-                     for subset in itertools.combinations(sizes, size))
-    return total
+        counts.append(sum(math.prod(subset) for size in range(scenario.kappa + 1)
+                          for subset in itertools.combinations(sizes, size)))
+    return counts
+
+
+def joint_profile_count(scenario, grid, conservative=False):
+    """Oracle: the number of joint grid profiles the enumerator scans."""
+    return math.prod(row_count_oracle(scenario, grid, conservative))
 
 
 # ------------------------------------------------- dict-profile functionals
@@ -927,7 +942,8 @@ def per_draw_bne_regret(bayes, strategy, n_types, deviation_delta, rng,
             values = dict(zip(keywords, own_values[t]))
             played = dict(zip(keywords, own_bids[a]))
             grid = BidGrid(deviation_delta, values)
-            menus = {s: sorted({*grid.points(s), 0.0, v, played[s]})
+            menus = {s: sorted({*(k * grid.delta for k in range(grid.size(s))),
+                                0.0, v, played[s]})
                      for s, v in values.items()}
             opp_draws = [dict(zip(advertisers, (dict(zip(keywords, row)) for row in draw)))
                          for draw in opp_bids]

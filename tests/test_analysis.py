@@ -188,11 +188,11 @@ def test_empirical_poa_single_slot_bound_holds():
 def test_empirical_poa_error_paths():
     sc = single_keyword_scenario({"a": 4.0})
     with pytest.raises(ValidationError):
-        empirical_poa(sc, [])
+        empirical_poa(sc, [], make_grid(sc, 1.0))
     fake = EquilibriumReport(profile={"a": {}}, regrets={"a": 0.0},
                              converged=True, iterations=0, epsilon=1e-9,
                              welfare=0.0)
-    rep = empirical_poa(sc, [fake])
+    rep = empirical_poa(sc, [fake], make_grid(sc, 1.0))
     assert math.isinf(rep.empirical) and not rep.satisfied
     assert "zero-welfare" in rep.notes
 

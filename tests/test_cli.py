@@ -609,6 +609,20 @@ def test_negative_seed_exits_2(tmp_path, capsys, argv):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("samples", [0, 1, -5])
+def test_too_few_samples_exit_2_before_any_computation(tmp_path, capsys, monkeypatch,
+                                                       samples):
+    def computed(*args, **kwargs):
+        raise AssertionError("computed before checking --samples")
+
+    for name in ("bayes_scenario_from_json", "induced_keyword_distribution",
+                 "estimate_bne_regret"):
+        monkeypatch.setattr(cli, name, computed)
+    assert run("revenue", "--scenario", BAYES, "--samples", samples, "--out", tmp_path) == 2
+    assert capsys.readouterr().err == f"error: --samples must be >= 2, got {samples}\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_negative_seed_in_config_exits_2(tmp_path, capsys):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"seed": -1}))
@@ -637,6 +651,21 @@ def test_grid_delta_past_the_float_range_exits_4(tmp_path, capsys, argv):
     assert run(*argv, "--grid-delta", "1e-320", "--out", out) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: grid cap ") and err.count("\n") == 1 and "overflows" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("equilibrium", "--mode", "enumerate"),
+    ("equilibrium", "--mode", "enumerate", "--conservative"),
+    ("poa",),
+])
+def test_grid_delta_past_sys_maxsize_points_exits_3_at_once(tmp_path, capsys, argv):
+    """At delta 1e-30 a keyword holds about 5e30 grid points; the size
+    guard counts them from the grid and exits 3 with one error line."""
+    out = tmp_path / "out"
+    assert run(*argv, "--scenario", SCENARIO, "--grid-delta", "1e-30", "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: joint strategy space has ") and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -45,10 +46,12 @@ from helpers import (
     per_call_dynamics,
     random_bid_profile,
     random_scenario,
+    row_count_oracle,
     scalar_best_response,
     simple_scenario,
     single_keyword_scenario,
     slow_pure_nash_oracle,
+    whole_grid_menu,
 )
 
 
@@ -66,7 +69,7 @@ def test_make_grid_default_caps():
                           "a2": {"q1": 1.0, "q2": 3.0}}, kappa=2)
     grid = make_grid(sc, delta=1.0)
     assert grid.caps == {"s1": 4.0, "s2": 3.0}
-    assert grid.points("s1") == (0.0, 1.0, 2.0, 3.0, 4.0)
+    assert bid_menu(sc, grid, "a1", "s1") == (0.0, 1.0, 2.0, 3.0, 4.0)
     assert grid.size("s1") == 5 and grid.size("s2") == 4
     with pytest.raises(ValidationError):
         BidGrid(delta=0.0, caps={})
@@ -670,7 +673,8 @@ UNEVEN_CHUNK = 23
 
 
 def row_counts(sc, grid, conservative=False):
-    return [equilibrium._count_rows(equilibrium._menus(sc, grid, i, conservative), sc.kappa)
+    return [equilibrium._count_rows(map(len, equilibrium._menus(sc, grid, i, conservative)
+                                        .values()), sc.kappa)
             for i in sc.advertisers]
 
 
@@ -972,11 +976,50 @@ def test_enumerate_too_large_reports_bytes(monkeypatch):
     assert 128 * equilibrium._CHUNK_PROFILES + 8 * tables <= peak <= 10 * 1_250_000
 
 
+def too_large_message(sc, grid, conservative):
+    """The TooLarge message of enumerate_pure_nash, with the oracle's row
+    counts."""
+    counts = row_count_oracle(sc, grid, conservative)
+    return (f"joint strategy space has {math.prod(counts)} profiles, about "
+            f"{equilibrium._peak_bytes(counts)} bytes at peak before the stable sets "
+            f"and equilibria (cap 10000000)")
+
+
 def test_enumerate_too_large_before_any_menu(monkeypatch):
-    """A grid whose rows of at most one positive bid already pass the cap
-    raises before a menu is built: at delta 2e-6 a 2x2 menu would hold
-    about 2.5 M bids."""
+    """A grid past the cap raises with its exact count before a menu is
+    built: at delta 2e-6 a 2x2 menu would hold about 2.5 M bids, and at
+    delta 1e-6 one advertiser with two keywords of value 3 and kappa 2
+    has 9 T rows, though its rows of at most one positive bid are 6 M."""
+    markets = [(scenario_from_json(DATA / "scenario_2x2.json"), 2e-6),
+               (simple_scenario({"a": {"q1": 3.0, "q2": 3.0}}, kappa=2), 1e-6)]
+    expected = {(id(sc), conservative): too_large_message(sc, make_grid(sc, delta), conservative)
+                for sc, delta in markets for conservative in (False, True)}
+
+    def no_menus(*args):
+        raise AssertionError("a menu was built")
+
+    monkeypatch.setattr(equilibrium, "_menus", no_menus)
+    monkeypatch.setattr(equilibrium, "bid_menu", no_menus)
+    for sc, delta in markets:
+        for conservative in (False, True):
+            with pytest.raises(TooLarge) as exc:
+                enumerate_pure_nash(sc, make_grid(sc, delta), conservative=conservative)
+            assert str(exc.value) == expected[id(sc), conservative]
+
+
+def test_enumerate_grid_past_sys_maxsize_exits_before_any_menu(monkeypatch):
+    """At delta 1e-30 a keyword holds about 5e30 grid points, past
+    sys.maxsize: the menu rule still finds the last kept point in a few
+    steps, and the guard raises before any menu is built."""
     sc = scenario_from_json(DATA / "scenario_2x2.json")
+    grid = make_grid(sc, 1e-30)
+    n = grid.size("s1")
+    assert n > sys.maxsize
+    for v in (3.0, 2e-29):
+        kept, size = equilibrium._menu_rule(grid, "s1", v, conservative=True)
+        assert (kept - 1) * 1e-30 <= v + 1e-12 < kept * 1e-30 and kept < n
+        assert size in (kept, kept + 1)
+        assert equilibrium._menu_rule(grid, "s1", v, conservative=False)[0] == n
 
     def no_menus(*args):
         raise AssertionError("a menu was built")
@@ -984,24 +1027,52 @@ def test_enumerate_too_large_before_any_menu(monkeypatch):
     monkeypatch.setattr(equilibrium, "_menus", no_menus)
     monkeypatch.setattr(equilibrium, "bid_menu", no_menus)
     for conservative in (False, True):
-        with pytest.raises(TooLarge, match=r"^joint strategy space has at least \d+ "
-                                           r"profiles \(cap 10000000\)$"):
-            enumerate_pure_nash(sc, make_grid(sc, 2e-6), conservative=conservative)
+        with pytest.raises(TooLarge, match="^joint strategy space has [0-9]+ profiles"):
+            enumerate_pure_nash(sc, grid, conservative=conservative)
+
+
+def test_enumerate_grid_below_the_values_without_overflow():
+    """A hand-built grid whose caps lie far below the values, where value
+    over delta overflows: every grid point is below each value, so both
+    modes keep the whole grid plus the value and give the same reports."""
+    sc = scenario_from_json(DATA / "scenario_2x2.json")
+    grid = BidGrid(1e-308, {s: 1e-307 for s in sc.graph.keywords})
+    plain = enumerate_pure_nash(sc, grid)
+    assert len(plain) == 144
+    assert report_fingerprint(enumerate_pure_nash(sc, grid, conservative=True)) == \
+        report_fingerprint(plain)
 
 
 @pytest.mark.parametrize("conservative", [True, False])
-def test_least_rows_bounds_the_row_count(conservative):
-    """_least_rows, read from the grid alone, never exceeds the exact row
-    count, on grids coarser and finer than the values."""
+def test_bid_menu_is_the_whole_grid_filter(conservative):
+    """bid_menu, built from the kept prefix of the grid, equals the
+    whole-grid filter, and the size of _menu_rule, read from the grid
+    alone, its length: on random markets at coarse and fine delta, on values a float
+    step off the grid (0.3 and 1000.3 at delta 0.1) and on it (2.5 and 4.0
+    at delta 0.5), and on a grid whose value over delta overflows."""
     rng = np.random.default_rng(41)
+    cases = []
     for _ in range(60):
         sc = random_scenario(rng, max_adv=3, max_kw=3, max_q=4)
-        delta = float(rng.choice([0.013, 0.1, 0.3, 1.0, 2.0, 7.0]))
-        grid = make_grid(sc, delta)
+        cases.append((sc, make_grid(sc, float(rng.choice([1e-3, 0.013, 0.1, 0.3, 1.0,
+                                                          2.0, 7.0])))))
+    for values, delta in [((0.3, 1000.3), 0.1), ((2.5, 4.0), 0.5)]:
+        sc = single_keyword_scenario(dict(zip("ab", values)))
+        cases.append((sc, make_grid(sc, delta)))
+    sc = single_keyword_scenario({"a": 2.0, "b": 0.5})
+    cases.append((sc, BidGrid(1e-308, {"s": 1e-307})))
+    off = on = 0
+    for sc, grid in cases:
         for i in sc.advertisers:
-            exact = equilibrium._count_rows(equilibrium._menus(sc, grid, i, conservative),
-                                            sc.kappa)
-            assert 1 <= equilibrium._least_rows(sc, grid, i, conservative) <= exact
+            for s in sc.graph.keywords:
+                menu = bid_menu(sc, grid, i, s, conservative)
+                assert menu == tuple(whole_grid_menu(sc, grid, i, s, conservative).tolist())
+                v = sc.kw_values[i][s]
+                assert equilibrium._menu_rule(grid, s, v, conservative)[1] == len(menu)
+                k = round(min(v / grid.delta, grid.size(s)))
+                on += v > 0.0 and k * grid.delta == v
+                off += k * grid.delta != v and abs(k * grid.delta - v) < 1e-9
+    assert on and off
 
 
 def test_enumerate_memory_bounded_by_the_chunk():
