@@ -3,7 +3,8 @@
 Every command reads inputs named by flags (or by a JSON config file;
 explicit flags win), writes CSV/JSON reports with stable field ordering
 into --out, and is byte-deterministic given the same config and seed.
-Exit codes: 0 ok, 2 validation, 3 too-large, 4 parameter-range.
+Exit codes: 0 ok, 1 a counterexample check failed (its report is
+still written), 2 validation, 3 too-large, 4 parameter-range.
 """
 
 from __future__ import annotations

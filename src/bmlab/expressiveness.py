@@ -8,7 +8,10 @@ bids:
 * query-level expressiveness alpha -- the largest fraction x such that
   every subset of their positive queries of size <= x * |Q_i| can be
   covered by kappa keyword neighborhoods.  Computing alpha embeds set
-  cover, so it is exact only at micro-market scale.
+  cover, so it is exact only at micro-market scale.  One bitmask engine
+  serves every kappa at once: it grows the family of kappa-coverable
+  subsets, one bit per subset, one keyword at a time, and the smallest
+  subset missing from it is the smallest failing one.
 
 The corpus side turns raw bid and query logs into micro markets (term
 sharing), infers positive queries from edit-distance similarity, and
@@ -20,8 +23,8 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import numbers
 import string
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -120,149 +123,133 @@ def kl_expressiveness(source) -> float:
 
 
 # ------------------------------------------------------------- set cover
-
-@dataclass(frozen=True)
-class CoverResult:
-    size: int
-
-
-def _cover_search(universe, cov_sets) -> int:
-    """Minimum number of cov_sets whose union is `universe`, by branch
-    and bound (greedy upper bound, counting lower bound)."""
-    if not universe:
-        return 0
-    cover = _traces(universe, cov_sets)
-    best = _greedy_cover_size(universe, cover)
-    return best if best == 1 else _cover_search_exact(universe, cover, best)
+# Queries the same keywords reach are covered together, so a query set is
+# read as its classes of such queries, class j as bit j; a family of class
+# sets is one int with bit T set for each member T.
 
 
-def _traces(universe, sets) -> dict:
-    """The nonempty traces of `sets` on `universe`, which they must cover."""
-    traces = {s: c for s in sorted(sets) if (c := universe.intersection(sets[s]))}
-    missing = universe.difference(*traces.values())
-    if missing:
-        raise Uncoverable(sorted(missing))
-    return traces
-
-
-def _greedy_cover_size(universe, cover) -> int:
-    """Greedy cover size (most new coverage, lex tie-break), an upper bound."""
-    size = 0
-    left = set(universe)
-    while left:
-        pick = min(cover, key=lambda s: (-len(cover[s] & left), s))
-        left -= cover[pick]
-        size += 1
-    return size
-
-
-def _cover_search_exact(universe, cover, upper) -> int:
-    labels = sorted(cover)
-    by_query = {q: [s for s in labels if q in cover[s]] for q in universe}
-    biggest = max(len(c) for c in cover.values())
-    best = upper
-
-    def descend(uncovered, used):
-        nonlocal best
-        if not uncovered:
-            best = min(best, used)
-            return
-        if used + math.ceil(len(uncovered) / biggest) >= best:
-            return
-        pivot = min(uncovered, key=lambda q: (len(by_query[q]), q))
-        for s in sorted(by_query[pivot],
-                        key=lambda s: (-len(cover[s] & uncovered), s)):
-            descend(uncovered - cover[s], used + 1)
-
-    descend(frozenset(universe), 0)
-    return best
-
-
-def min_cover_size(graph, queries) -> CoverResult:
-    """Fewest of the graph's keywords whose neighborhoods cover `queries`,
-    by branch and bound.  More than EXACT_COVER_CANDIDATE_CAP keywords
-    meeting `queries` raise TooLarge."""
-    universe = frozenset(queries)
-    if not universe:
-        return CoverResult(0)
-    cov_sets = _traces(universe, {s: graph.keyword_neighbors(s) for s in graph.keywords})
-    if len(cov_sets) > EXACT_COVER_CANDIDATE_CAP:
-        raise TooLarge(f"{len(cov_sets)} cover candidates "
-                       f"(exact cap {EXACT_COVER_CANDIDATE_CAP})")
-    return CoverResult(_cover_search(universe, cov_sets))
-
-
-class _CoverNumbers:
-    """Minimum-cover numbers of query sets over one graph's keywords, each
-    searched once.  A query set is keyed by the bitmask of its queries'
-    declared indices; None marks a set no keyword covers."""
-
-    def __init__(self, graph):
-        self.bit = {q: 1 << i for i, q in enumerate(graph.queries)}
-        self.cov_sets = {s: graph.keyword_neighbors(s) for s in graph.keywords}
-        self.sizes = {}
-
-    def __call__(self, queries):
+def _trace_masks(graph, queries):
+    """(U, traces): the mask U of the classes of `queries` and the trace
+    of each keyword meeting them, the mask of the classes it reaches.
+    Raises Uncoverable, naming the queries that no keyword reaches."""
+    reach = {}
+    for q in queries:
         try:
-            key = sum(map(self.bit.__getitem__, queries))
-        except KeyError:
-            return None  # a query outside the graph has no neighbor
-        if key not in self.sizes:
-            try:
-                self.sizes[key] = _cover_search(frozenset(queries), self.cov_sets)
-            except Uncoverable:
-                self.sizes[key] = None
-        return self.sizes[key]
+            reach[q] = graph.query_neighbors(q)
+        except KeyError:    # a query outside the graph
+            reach[q] = ()
+    missing = sorted(q for q, by in reach.items() if not by)
+    if missing:
+        raise Uncoverable(missing)
+    classes = dict.fromkeys(reach.values())
+    traces = {}
+    for j, by in enumerate(classes):
+        for s in by:
+            traces[s] = traces.get(s, 0) | 1 << j
+    return (1 << len(classes)) - 1, list(traces.values())
 
 
-# cover numbers per graph, shared by every kappa and theta over it, and
-# dropped with the graph
-_COVER_NUMBERS = weakref.WeakKeyDictionary()
+def min_cover_size(graph, queries) -> int:
+    """Fewest of the graph's keywords whose neighborhoods cover `queries`,
+    by iterative deepening: a cover holds some keyword reaching the first
+    uncovered class, so branch on those.  Memory is linear in the answer.
+    Queries no keyword reaches raise Uncoverable; then more than
+    EXACT_COVER_CANDIDATE_CAP keywords meeting `queries` raise TooLarge."""
+    universe, traces = _trace_masks(graph, frozenset(queries))
+    if len(traces) > EXACT_COVER_CANDIDATE_CAP:
+        raise TooLarge(f"{len(traces)} cover candidates "
+                       f"(exact cap {EXACT_COVER_CANDIDATE_CAP})")
+
+    def covers(left, k):
+        return not left or k > 0 and any(
+            covers(left & ~t, k - 1) for t in traces if t & left & -left)
+
+    return next(k for k in itertools.count() if covers(universe, k))
+
+
+def _coverable(n, traces):
+    """Yield, for kappa = 0, 1, ..., the family of class sets that kappa
+    traces cover: the last one's members, each joined by a subset of a trace."""
+    without = []        # without[i]: the family of sets missing class i
+    for i in range(n):
+        without = [w | w << (1 << i) for w in without] + [(1 << (1 << i)) - 1]
+    family = 1
+    while True:
+        yield family
+        grown = family
+        for t in traces:
+            part = family
+            for i in range(n):
+                if t >> i & 1:
+                    part |= (part & without[i]) << (1 << i)
+            grown |= part
+        family = grown
 
 
 # ---------------------------------------------------------- query-level alpha
 
-def advertiser_alpha(graph, queries, kappa):
-    """(alpha_i, m*) for one positive query set.
+def _alphas(graph, queries, top) -> list:
+    """[(alpha_i, m*) for kappa = 0, 1, ...] of one positive query set, up
+    to kappa = top, or up to the first entry that holds for every larger
+    kappa if that comes sooner.
 
-    m* is the smallest subset size whose minimum cover by the graph's
-    keywords exceeds kappa; alpha_i = (m* - 1) / |Q_i|, or 1.0 with
-    m* = None when every subset is coverable.  Empty query sets are
-    vacuously fully expressive.  Cover numbers are remembered per graph.
+    m* is the size of the smallest class set missing from the family
+    that kappa traces cover (a smallest failing query set has one query
+    per class); alpha_i = (m* - 1) / |Q_i|, or 1.0 with m* = None once
+    every class is in it.  m* grows by at least 1 per kappa, as a failing
+    set less one query fails with one keyword less.  Empty sets are fully
+    expressive; a query no keyword reaches fails at singletons.
     """
     universe = frozenset(queries)
     n = len(universe)
     if n == 0:
-        return 1.0, None
+        return [(1.0, None)]
     if n > EXACT_ALPHA_QUERY_CAP:
         raise TooLarge(f"|Q_i| = {n} (exact alpha cap {EXACT_ALPHA_QUERY_CAP})")
     if len(graph.keywords) > EXACT_COVER_CANDIDATE_CAP:
         raise TooLarge(f"{len(graph.keywords)} cover candidates "
                        f"(exact cap {EXACT_COVER_CANDIDATE_CAP})")
-    cover = _COVER_NUMBERS.get(graph)
-    if cover is None:
-        cover = _COVER_NUMBERS[graph] = _CoverNumbers(graph)
-    whole = cover(universe)
-    if whole is None:
-        # some query is coverable by nothing, so already singletons fail
-        return 0.0, 1
-    if whole <= kappa:
-        return 1.0, None
-    # every query is individually coverable, so sizes <= kappa hold
-    for size in range(kappa + 1, n + 1):
-        for subset in itertools.combinations(sorted(universe), size):
-            if cover(subset) > kappa:
-                return (size - 1) / n, size
-    raise AssertionError("whole set failed earlier, a subset must fail")
+    try:
+        whole, traces = _trace_masks(graph, universe)
+    except Uncoverable:
+        return [(0.0, 1)]
+    bits = whole.bit_length()
+    sized = [1]         # sized[k]: the family of class sets of size k
+    for i in range(bits):
+        sized = [a | b << (1 << i) for a, b in zip(sized + [0], [0] + sized)]
+    out, m_star = [], 0
+    for _, family in zip(range(top + 1), _coverable(bits, traces)):
+        if family >> whole:
+            return out + [(1.0, None)]
+        m_star += 1
+        while not sized[m_star] & ~family:
+            m_star += 1
+        out.append(((m_star - 1) / n, m_star))
+    return out
+
+
+def advertiser_alpha(graph, queries, kappa):
+    """(alpha_i, m*) for one positive query set: the kappa entry of
+    _alphas."""
+    return _alphas(graph, queries, kappa)[-1]
+
+
+def _system_alpha(graph, sets, kappa, top, alphas) -> float:
+    """min over advertisers of alpha_i at kappa, read from each set's
+    _alphas up to top; alphas maps the sets met so far to theirs."""
+    alpha = 1.0
+    for adv in sorted(sets):
+        if sets[adv] not in alphas:
+            alphas[sets[adv]] = _alphas(graph, sets[adv], top)
+        a = alphas[sets[adv]]
+        alpha = min(alpha, a[min(kappa, len(a) - 1)][0])
+    return alpha
 
 
 def ql_expressiveness(graph, positive_sets, kappa) -> float:
     """System alpha: min over advertisers of advertiser_alpha."""
-    alpha = 1.0
-    for adv in sorted(positive_sets):
-        a_i, _ = advertiser_alpha(graph, positive_sets[adv], kappa)
-        alpha = min(alpha, a_i)
-    return alpha
+    return min((advertiser_alpha(graph, positive_sets[adv], kappa)[0]
+                for adv in sorted(positive_sets)), default=1.0)
 
 
 # --------------------------------------------------------------- Prop check
@@ -286,8 +273,12 @@ def degree_bound_check(graph, positive_sets, kappa) -> DegreeBoundReport:
     graph (as any auction-derived footprint is); isolated positive
     queries or an edgeless graph fall outside it and report holds=False.
     """
+    return _degree_report(graph, positive_sets, kappa,
+                          ql_expressiveness(graph, positive_sets, kappa))
+
+
+def _degree_report(graph, positive_sets, kappa, alpha) -> DegreeBoundReport:
     gamma = graph.max_degree()
-    alpha = ql_expressiveness(graph, positive_sets, kappa)
     beta = _beta(_max_meeting(graph, positive_sets.values()), kappa)
     lower = alpha / gamma**2 if gamma else 0.0
     upper = gamma * alpha
@@ -449,16 +440,13 @@ def _positive_sets(corpus, market, thetas):
         yield theta, sets, {adv: pos & linked for adv, pos in sets.items()}
 
 
-def _add_cells(cells, market, theta, sets, kappas) -> None:
-    """Append one (alpha, beta) per kappa in 1..size to its bucket."""
+def _add_cells(cells, market, theta, sets, kappas, alphas) -> None:
+    """Append one (alpha, beta) per kappa of the grid to its bucket."""
+    alpha = [_system_alpha(market.graph, sets, k, max(kappas), alphas) for k in kappas]
     widest = _max_meeting(market.graph, sets.values())
-    for kappa in kappas:
-        if not 1 <= kappa <= market.size:
-            continue
-        alpha = ql_expressiveness(market.graph, sets, kappa)
+    for kappa, a in zip(kappas, alpha):
         kb = math.ceil(10 * kappa / market.size) / 10
-        key = (f"{theta:.1f}", f"{kb:.1f}")
-        cells.setdefault(key, []).append((alpha, _beta(widest, kappa)))
+        cells.setdefault((f"{theta:.1f}", f"{kb:.1f}"), []).append((a, _beta(widest, kappa)))
 
 
 def expressiveness_sweep(corpus: Corpus, thetas=DEFAULT_THETA_GRID,
@@ -467,9 +455,12 @@ def expressiveness_sweep(corpus: Corpus, thetas=DEFAULT_THETA_GRID,
     check the degree bound at kappa = 1 per (market, theta), from one
     positive query set per (advertiser, market, theta).
 
-    kappas defaults to 1..size per market.  An empty theta or kappa grid,
-    a theta outside [0, 1) or a kappa below 1 raises ValidationError
-    before any market is extracted.
+    kappas defaults to 1..size per market; a market adds cells only for
+    the kappas in 1..size, and computes each distinct positive set's
+    alphas once, up to the largest of them.  An empty theta or kappa
+    grid, a theta that is not a real number in [0, 1) or a kappa that is
+    not an integer >= 1 raises ValidationError before any market is
+    extracted.
     A market where exact alpha is out of reach adds no cells from that
     theta on (earlier cells stay) and is logged in skipped.  The degree
     bound is checked at every theta on the reachable positive sets, as
@@ -483,29 +474,36 @@ def expressiveness_sweep(corpus: Corpus, thetas=DEFAULT_THETA_GRID,
     if kappas == ():
         raise ValidationError("the kappa grid is empty")
     for theta in thetas:
+        if not isinstance(theta, numbers.Real):
+            raise ValidationError(f"theta must be a real number, got {theta!r}")
         if not 0.0 <= theta < 1.0:
             raise ValidationError(f"theta must lie in [0, 1), got {theta}")
     for kappa in kappas or ():
+        if not isinstance(kappa, numbers.Real) or kappa % 1:
+            raise ValidationError(f"kappa must be an integer, got {kappa!r}")
         if kappa < 1:
             raise ValidationError(f"kappa must be >= 1, got {kappa}")
     cells = {}
     skipped, degree_rows, degree_skipped = [], [], []
     for market in extract_micro_markets(corpus):
-        grid = kappas if kappas is not None else range(1, market.size + 1)
-        tabulating = True
+        grid = [int(k) for k in (kappas or range(1, market.size + 1))
+                if 1 <= k <= market.size]
+        top, alphas = max(grid, default=1), {}
+        tabulating = bool(grid)
         for theta, sets, reachable in _positive_sets(corpus, market, thetas):
             if tabulating:
                 try:
-                    _add_cells(cells, market, theta, sets, grid)
+                    _add_cells(cells, market, theta, sets, grid, alphas)
                 except TooLarge as exc:
                     skipped.append((market.term, str(exc)))
                     tabulating = False
             try:
-                rep = degree_bound_check(market.graph, reachable, kappa=1)
+                alpha = _system_alpha(market.graph, reachable, 1, top, alphas)
             except TooLarge as exc:
                 degree_skipped.append((market.term, str(exc)))
             else:
-                degree_rows.append((market.term, theta, rep))
+                degree_rows.append((market.term, theta, _degree_report(
+                    market.graph, reachable, 1, alpha)))
     rows = {key: (sum(p[0] for p in pairs) / len(pairs),
                   sum(p[1] for p in pairs) / len(pairs), len(pairs))
             for key, pairs in cells.items()}

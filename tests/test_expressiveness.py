@@ -1,5 +1,7 @@
 import functools
 import itertools
+import math
+import time
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ from hypothesis import strategies as st
 
 from bmlab.errors import (EmptyStrings, TooLarge, Uncoverable,
                           ValidationError)
-from bmlab.expressiveness import (DEFAULT_THETA_GRID, Corpus, _greedy_cover_size,
-                                  _positive_sets,
+from bmlab.expressiveness import (DEFAULT_THETA_GRID, Corpus,
+                                  _beta, _positive_sets,
                                   advertiser_alpha, containment_graph,
                                   extract_micro_markets, expressiveness_sweep,
                                   kl_expressiveness, levenshtein, load_corpus,
@@ -155,25 +157,21 @@ def cover_graph(cover_map, queries):
 
 def test_min_cover_simple():
     g = cover_graph({"s": ["q1", "q2"]}, ["q1", "q2"])
-    assert min_cover_size(g, ["q1", "q2"]).size == 1
+    assert min_cover_size(g, ["q1", "q2"]) == 1
 
 
 def test_min_cover_disjoint_singletons():
     g = cover_graph({f"s{j}": [f"q{j}"] for j in range(3)},
                     [f"q{j}" for j in range(3)])
-    res = min_cover_size(g, [f"q{j}" for j in range(3)])
-    assert res.size == 3
+    assert min_cover_size(g, [f"q{j}" for j in range(3)]) == 3
 
 
 def test_min_cover_greedy_trap():
-    """Greedy grabs the big decoy set and pays 3, the upper bound the
-    search starts from; the optimum is 2."""
+    """Greedy grabs the big decoy set and pays 3; the optimum is 2."""
     cover = {"x": ["a", "b", "c"], "y": ["d", "e", "f"],
              "z": ["b", "c", "d", "e"]}
     g = cover_graph(cover, list("abcdef"))
-    assert min_cover_size(g, list("abcdef")).size == 2
-    sets = {s: frozenset(qs) for s, qs in cover.items()}
-    assert _greedy_cover_size(frozenset("abcdef"), sets) == 3
+    assert min_cover_size(g, list("abcdef")) == 2
 
 
 def test_min_cover_uncoverable_and_caps():
@@ -201,7 +199,7 @@ def test_min_cover_matches_exhaustive_oracle():
             with pytest.raises(Uncoverable):
                 min_cover_size(g, queries)
         else:
-            assert min_cover_size(g, queries).size == want
+            assert min_cover_size(g, queries) == want
 
 
 # ------------------------------------------------------------------- alpha
@@ -521,6 +519,35 @@ def test_sweep_rejects_theta_before_any_market(monkeypatch):
                 expressiveness_sweep(corpus, thetas=(0.5, theta))
 
 
+def test_sweep_rejects_bad_grid_values_before_any_market(monkeypatch):
+    from bmlab import expressiveness
+
+    def no_markets(corpus):
+        raise AssertionError("markets extracted before the grid was checked")
+
+    monkeypatch.setattr(expressiveness, "extract_micro_markets", no_markets)
+    corpus = sized_market_corpus()
+    for kappa in (1.5, "2", None, float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="kappa must be an integer"):
+            expressiveness_sweep(corpus, kappas=(1, kappa))
+    for theta in ("0.5", None):
+        with pytest.raises(ValidationError, match="theta must be a real number"):
+            expressiveness_sweep(corpus, thetas=(0.5, theta))
+
+
+def test_sweep_integral_float_kappa_is_its_integer():
+    corpus = sized_market_corpus()
+    assert expressiveness_sweep(corpus, kappas=(2.0, 3.0)) == \
+        expressiveness_sweep(corpus, kappas=(2, 3))
+
+
+def cap_corpus():
+    """The corpus of test_sweep_cap_stops_cells_but_not_degree_rows:
+    market "x" has 26 queries 0.4-similar to its one keyword "x y"."""
+    queries = {"x y": 1.0, **{f"x z{a}{b}": 1.0 for a in "abcde" for b in "abcde"}}
+    return Corpus({"a": frozenset({"x y"})}, queries)
+
+
 def test_sweep_cap_stops_cells_but_not_degree_rows():
     """Market "x" has 26 queries 0.4-similar to the keyword but only one
     keyword neighbor: its cells stop at theta 0.3, where |Q_i| passes
@@ -534,6 +561,32 @@ def test_sweep_cap_stops_cells_but_not_degree_rows():
         assert table.rows[(f"{theta:.1f}", "1.0")][2] == (2 if theta >= 0.4 else 1)
     assert [(term, theta) for term, theta, _ in table.degree_rows] == \
         [(term, theta) for term in ("x", "y") for theta in DEFAULT_THETA_GRID]
+
+
+def test_sweep_disjoint_phrases_at_the_query_cap_is_fast():
+    """One advertiser bids on 20 phrases sharing a term, queried as is:
+    each query's own keyword is its one neighbor, so every k of them need
+    k keywords, and the whole set only becomes coverable at kappa = 20,
+    the top of the default grid."""
+    phrases = [f"x a{j}" for j in range(1, 21)]
+    corpus = Corpus({"a": frozenset(phrases)}, dict.fromkeys(phrases, 1.0))
+    graph = containment_graph(phrases, phrases)
+    assert [advertiser_alpha(graph, phrases, k) for k in range(1, 21)] == \
+        [(k / 20, k + 1) for k in range(1, 20)] + [(1.0, None)]
+    t0 = time.perf_counter()
+    table = expressiveness_sweep(corpus)
+    dt = time.perf_counter() - t0
+    assert table.skipped == ()
+    assert table.rows[("0.0", "0.5")] == pytest.approx(((9 + 10) / 40,) * 2 + (2,))
+    assert dt < 5.0, dt
+
+
+def test_sweep_out_of_range_kappa_grid_records_no_skip():
+    """No kappa of the grid lies in 1..size of the one-keyword markets,
+    so no alpha is computed and the query cap is never reached."""
+    table = expressiveness_sweep(cap_corpus(), kappas=(5,))
+    assert table.skipped == ()
+    assert table.rows == {}
 
 
 # ---------------------------------------------- single pass against oracle
@@ -606,3 +659,46 @@ def test_sweep_degree_rows_match_oracle():
         assert table.degree_skipped == tuple(want_skipped)
         rows += len(want)
     assert rows > 1000
+
+
+def sweep_cells_oracle(corpus, kappas=None):
+    """The sweep's rows and skipped, rebuilt from oracle_sets over all
+    market queries, subset_alpha_oracle per advertiser and _beta."""
+    cells, skipped = {}, []
+    for market in extract_micro_markets(corpus):
+        grid = kappas or range(1, market.size + 1)
+        for theta in DEFAULT_THETA_GRID:
+            sets = oracle_sets(corpus, market, theta, market.queries)
+            widest = max((len(market.graph.keywords_meeting(pos))
+                          for pos in sets.values()), default=0)
+            try:
+                new = [(kappa, min((subset_alpha_oracle(market.graph, sets[adv], kappa)[0]
+                                    for adv in sorted(sets)), default=1.0))
+                       for kappa in grid if 1 <= kappa <= market.size]
+            except TooLarge as exc:
+                skipped.append((market.term, str(exc)))
+                break
+            for kappa, alpha in new:
+                kb = math.ceil(10 * kappa / market.size) / 10
+                cells.setdefault((f"{theta:.1f}", f"{kb:.1f}"), []).append(
+                    (alpha, _beta(widest, kappa)))
+    rows = {key: (sum(p[0] for p in pairs) / len(pairs),
+                  sum(p[1] for p in pairs) / len(pairs), len(pairs))
+            for key, pairs in cells.items()}
+    return rows, tuple(skipped)
+
+
+def test_sweep_cells_match_oracle():
+    rng = np.random.default_rng(41)
+    corpora = [cap_corpus()] + [random_corpus(rng) for _ in range(60)]
+    cells = 0
+    for corpus in corpora:
+        for kappas in (None, (1, 2, 7)):
+            table = expressiveness_sweep(corpus, kappas=kappas)
+            rows, skipped = sweep_cells_oracle(corpus, kappas)
+            assert table.rows == rows
+            assert table.skipped == skipped
+            cells += sum(n for _, _, n in rows.values())
+    assert expressiveness_sweep(corpora[0]).skipped == \
+        (("x", "|Q_i| = 26 (exact alpha cap 20)"),)
+    assert cells > 1000
