@@ -9,39 +9,37 @@ default); off-grid deviations are covered by the continuity slack
 
 Utilities are separable across keywords (u_i = sum_s u_i^s), which the
 best-response search exploits: each keyword is optimized independently
-and the top-kappa keywords by achieved utility are kept.  Best response,
-the regret check, best-response dynamics and the Bayes-Nash regret
-estimate share that computation: one menu pricer (_price_menus) prices
-(bidder, keyword) rows, each a sorted bid menu and a played bid, against
-per-row opponent bids with leading draw axes, in gsp_outcome calls of at
-most _CELLS cells, and returns per row the best menu bid, its mean
-utility and the played bid's; _rank_keywords keeps the top kappa.  The
-full-information solvers call it with one draw: a run lays out the
-advertisers' menus once, per advertiser and for all advertisers (best
-response only its own advertiser's), and mirrors the profile in a dense
-(keyword, advertiser) array whose advertiser column is rewritten
-whenever the dynamics write a row; a call gathers each row's keyword
-column of it with the row's own advertiser zeroed, and prices the
-profile's own bids as one-bid menus.  The regret estimate calls it with
-its opponent draws, each menu cut to the grid bids next to the row's
-opponent bids: a GSP utility against fixed opponent bids is a step
-function of the own bid, so those bids give the whole grid's utilities,
-and a menu's size is bounded by the draws, not by value / delta.  The
-pure-Nash enumerator reads the same _menus menus and builds no strategy
-row: it scans each keyword's grid of its participants' menus, not the
-joint grid, for the bid vectors a stable profile can hold there, checks
-only the profiles built from those, and reads the survivors' bids off
-the menus.
-Every solver here prices its keyword auctions with mechanisms.gsp_outcome,
-the one GSP kernel, at reserve 0, and reports the welfare of
-mechanisms.pbm_expected_welfare_batch.  The solvers read a bid profile
-through mechanisms.bid_matrix, so bids on keywords outside the graph are
-ignored, and reject a non-finite bid on one inside it.
+and the top-kappa keywords by achieved utility are kept.  Against fixed
+opponent bids a GSP utility is a step function of the own bid, which
+steps only where the bid passes an opponent's.  Best response, the
+regret check and best-response dynamics price on bid ladders (_Ladders),
+in plain Python: per keyword, the profile's positive bids sorted by
+mechanisms.outranks, and per (advertiser, keyword) row only the menu
+bids that pass one of the first S opponents (S the positions of positive
+weight) and the lowest positive bid.  A run builds the ladders once from
+the profile, and the dynamics rebuild the keywords a rewritten row
+changes.  The Bayes-Nash regret estimate prices its (type, keyword) rows
+against its opponent draws with one menu pricer (_price_menus), through
+mechanisms.gsp_outcome, the one GSP kernel, each menu cut to the grid
+bids next to the row's opponent bids (_deviation_menus), so a menu's
+size is bounded by the draws, not by value / delta; _rank_keywords keeps
+its top kappa.  The pure-Nash enumerator reads best response's _menus
+menus and builds no strategy row: it scans each keyword's grid of its
+participants' menus with gsp_outcome, not the joint grid, for the bid
+vectors a stable profile can hold there, checks only the profiles built
+from those, and reads the survivors' bids off the menus.
+Every solver here prices at reserve 0 with the tie rule of
+mechanisms.outranks and reports the welfare of
+mechanisms.pbm_expected_welfare_batch.  The full-information solvers read
+a bid profile through mechanisms.bid_matrix, so bids on keywords outside
+the graph are ignored, and reject a non-finite bid on one inside it, a
+negative one, and a row of more than kappa positive bids.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -57,6 +55,7 @@ from .mechanisms import (
     pbm_expected_welfare,
     pbm_expected_welfare_batch,
     require_finite_bid_tensor,
+    validate_bid_profile,
 )
 
 _TRUTHFUL_TOL = 1e-9
@@ -125,64 +124,6 @@ def bid_menu(scenario: Scenario, grid: BidGrid, advertiser, keyword,
     return tuple(sorted({v, *(k * grid.delta for k in range(kept))}))
 
 
-# ------------------------------------------------------------ menu pricing
-
-# Cells (own bids x draws x opponents) of one gsp_outcome call of the menu
-# pricer.  The kernel's masks and copies and the utility arrays peak at
-# about 29 bytes per cell (tracemalloc, 16 draws, two opponents), so a
-# call stays near 1.9 MB; the regret check of the benchmark's
-# 20-advertiser markets is one call.
-_CELLS = 1 << 16
-
-
-@dataclass(frozen=True)
-class _Menus:
-    """The sorted bid menus of (bidder, keyword) rows, laid flat: row r's
-    menu is bids[first[r]:first[r + 1]] and never empty.  Per entry: its
-    row, bidder index, keyword mass and keyword value."""
-
-    bids: np.ndarray
-    row: np.ndarray
-    first: np.ndarray
-    who: np.ndarray
-    mass: np.ndarray
-    value: np.ndarray
-
-
-def _price_menus(menus, played, opp, ids, w_padded):
-    """(best bid, its mean utility, the played bid's mean utility) of each
-    row of menus against the opponents' bids opp[..., r, :], whose
-    advertiser indices are ids, and whose leading axes, if any, are draws;
-    played[r] is the entry of row r's played bid.  The entries are priced
-    in gsp_outcome calls of at most _CELLS cells (one entry at least), the
-    draws' utilities added in draw order.  The best bid is the menu's
-    first maximum if it is > 0, otherwise bid 0 at utility 0.0."""
-    draws = math.prod(opp.shape[:-2])
-    step = max(1, _CELLS // (draws * max(1, opp.shape[-1])))
-    util = np.empty(len(menus.bids))
-    for lo in range(0, len(util), step):
-        at = slice(lo, lo + step)
-        slot_w, active, price, _ = gsp_outcome(menus.bids[at], menus.who[at, None],
-                                               opp.take(menus.row[at], axis=-2), ids, w_padded)
-        u = np.where(active, menus.mass[at] * slot_w * (menus.value[at] - price),
-                     0.0).reshape(draws, -1)
-        np.divide(sum(u[1:], u[0]), draws, out=util[at])     # the draws added in draw order
-    # a menu's first maximum is its lowest bid of maximal utility
-    first = menus.first[:-1]
-    top = np.maximum.reduceat(util, first)
-    best = np.minimum.reduceat(np.where(util == top.take(menus.row), menus.bids, np.inf), first)
-    gain = top > 0.0
-    return np.where(gain, best, 0.0), np.where(gain, top, 0.0), util.take(played)
-
-
-def _rank_keywords(u, kappa):
-    """Per row of the best utilities u (rows, keywords in name order): the
-    keywords ranked by (-utility, keyword) and how many of the ranking's
-    head are kept, the top kappa of positive utility."""
-    return (np.argsort(-u, axis=-1, kind="stable"),
-            np.minimum((u > 0.0).sum(axis=-1), kappa))
-
-
 # ------------------------------------------------------------ best response
 
 def _menus(scenario, grid, advertiser, conservative):
@@ -193,99 +134,100 @@ def _menus(scenario, grid, advertiser, conservative):
             for s in sorted(scenario.kw_positive[advertiser])}
 
 
-class _Layout:
-    """The pricing layout of a scenario's advertisers on one grid.  Per
-    advertiser index, its rows are its positive keywords' _menus menus in
-    name order, laid flat (flat) once per advertiser (blocks) and once for
-    all advertisers (all); only advertiser index `only`'s rows are built
-    unless it is None.  A run's profile reaches it only through the
-    dense (keyword in name order, advertiser) mirror, checked for
-    non-finite bids, whose advertiser column is rewritten whenever the
-    dynamics write a row."""
+def _ladder(bids):
+    """A keyword's bid ladder: the positive bids of bids (by advertiser
+    index) as (-bid, advertiser index) keys in ascending order, which is
+    mechanisms.outranks order: a key below another outranks it."""
+    return sorted((-b, a) for a, b in enumerate(bids) if b > 0.0)
+
+
+class _Ladders:
+    """A bid profile as the full-information solvers price it.  The
+    profile is read once through bid_matrix, checked by
+    require_finite_bid_tensor and, on the keywords of the graph, by
+    validate_bid_profile; per keyword it holds the bids by advertiser
+    index and their _ladder, rebuilt when write changes one of them.  The
+    utility of an own bid against fixed opponent bids steps only where
+    the bid passes one of them, so a response prices a few bids per menu
+    in plain Python.  rows[a]: per keyword of advertiser index a's _menus,
+    in name order, (keyword, menu, mass, value); built for index `only`
+    alone unless it is None."""
 
     def __init__(self, scenario, grid, conservative, bids, only=None):
-        advs, keywords = scenario.advertisers, scenario.graph.keywords
-        by_name = sorted(range(len(keywords)), key=keywords.__getitem__)
         self.scenario = scenario
-        self.names = [keywords[k] for k in by_name]
-        self.col = {s: k for k, s in enumerate(self.names)}
         dense = bid_matrix(scenario, bids)
         require_finite_bid_tensor(scenario, dense[None])
-        self.dense = np.ascontiguousarray(dense.T[by_name])
-        self.mass = np.array([scenario.kw_masses[s] for s in self.names])
-        self.value = np.array([[scenario.kw_values[i][s] for s in self.names]
-                               for i in advs]).reshape(len(advs), len(self.names))
-        self.ids = np.arange(len(advs))
-        self.w_padded = padded_weights(scenario)
-        rows = [[(a, self.col[s], menu)
-                 for s, menu in _menus(scenario, grid, i, conservative).items()]
-                if only in (None, a) else [] for a, i in enumerate(advs)]
-        self.blocks = [self.flat(r) for r in rows]
-        self.all = self.flat([r for block in rows for r in block])
+        self.bids = dict(zip(scenario.graph.keywords, dense.T.tolist()))
+        validate_bid_profile(scenario, {i: {s: b for s, b in row.items() if s in self.bids}
+                                        for i, row in bids.items()})
+        self.ladders = {s: _ladder(col) for s, col in self.bids.items()}
+        # weights never increase, so the positive ones are positions 0..S-1
+        self.w = [x for x in scenario.weights.as_tuple() if x > 0.0]
+        self.rows = [[(s, menu, scenario.kw_masses[s], scenario.kw_values[i][s])
+                      for s, menu in _menus(scenario, grid, i, conservative).items()]
+                     if only in (None, a) else [] for a, i in enumerate(scenario.advertisers)]
 
-    def flat(self, rows):
-        """The flat arrays of rows [(advertiser index, keyword index,
-        menu)]: their _Menus, each row's keyword index, its own bid's index
-        in a flat (row, advertiser) matrix and its cell in a flat
-        (advertiser, keyword) matrix."""
-        row = np.array([r for r, (_, _, menu) in enumerate(rows) for _ in menu], dtype=np.intp)
-        who = np.array([a for a, _, _ in rows], dtype=np.intp)
-        col = np.array([k for _, k, _ in rows], dtype=np.intp)
-        menus = _Menus(np.array([b for _, _, menu in rows for b in menu], dtype=float), row,
-                       np.cumsum([0] + [len(menu) for _, _, menu in rows]), who[row],
-                       self.mass[col[row]], self.value[who[row], col[row]])
-        return menus, col, np.arange(len(rows)) * len(self.ids) + who, who * len(self.names) + col
+    def opponents(self, a, s):
+        """The first S keys of keyword s's ladder other than advertiser
+        index a's, S the positions of positive weight: the only ones that
+        can outrank a paid bid or set its price."""
+        S = len(self.w)
+        return [key for key in self.ladders[s][:S + 1] if key[1] != a][:S]
 
-    def price(self, block):
-        """_price_menus of a flat block with one draw, each row against its
-        keyword's column of the mirror with its own advertiser zeroed (a
-        zero bid neither outranks a positive bid nor raises its price), a
-        row's first entry taken as its played bid."""
-        menus, col, own, _ = block
-        opp = self.dense.take(col, axis=0)          # (row, advertiser)
-        opp.put(own, 0.0)
-        return _price_menus(menus, menus.first[:-1], opp, self.ids, self.w_padded)
+    def utility(self, opp, a, b, mass, value):
+        """gsp_outcome's utility of advertiser index a bidding b > 0 against
+        the opponent keys opp: its rank counts the keys below (-b, a); in a
+        position of positive weight it pays the next opponent bid down, or
+        0.0, and earns mass * weight * (value - price)."""
+        r = bisect_left(opp, (-b, a))
+        if r >= len(self.w):
+            return 0.0
+        price = -opp[r][0] if r < len(opp) else 0.0
+        return mass * self.w[r] * (value - price)
+
+    def respond(self, a):
+        """(best row, its utility) of advertiser index a against the
+        others' bids.  Per keyword the candidates are the menu's lowest
+        positive bid and, per opponent key, the lowest menu bid that
+        outranks it (bisect_left if a wins their tie, bisect_right
+        otherwise): every utility step starts at one of them.  Scanned in
+        ascending bid order with a strict > from 0.0 they give the menu's
+        first maximum, or (0, 0.0).  The keywords are ranked by
+        (-utility, keyword), the top kappa of positive utility kept and
+        their utilities added in that order from 0.0."""
+        ranked = []
+        for s, menu, mass, value in self.rows[a]:
+            opp = self.opponents(a, s)
+            best_u, best_b = 0.0, 0.0
+            # per opponent, lowest first, the index of the lowest bid outranking it
+            above = [(bisect_left if a < j else bisect_right)(menu, -nb) for nb, j in reversed(opp)]
+            for b in [*menu[1:2], *(menu[k] for k in above if k < len(menu))]:
+                u = self.utility(opp, a, b, mass, value)
+                if u > best_u:
+                    best_u, best_b = u, b
+            if best_u > 0.0:
+                ranked.append((-best_u, s, best_b))
+        kept = sorted(ranked)[:self.scenario.kappa]
+        return {s: b for _, s, b in kept}, sum((-u for u, _, _ in kept), 0.0)
+
+    def played(self, a, row):
+        """The utility of advertiser index a's bid row: its positive bids
+        on keywords of the graph priced on their ladders, added in row
+        order from 0.0."""
+        sc, total = self.scenario, 0.0
+        for s in row:
+            if s in self.bids and (b := self.bids[s][a]) > 0.0:
+                total += self.utility(self.opponents(a, s), a, b, sc.kw_masses[s],
+                                      sc.kw_values[sc.advertisers[a]][s])
+        return total
 
     def write(self, a, row):
-        """Set advertiser index a's row of the mirror to the bid row."""
-        self.dense[:, a] = 0.0
-        for s, b in row.items():
-            self.dense[self.col[s], a] = b
-
-
-def _respond(layout, a=None):
-    """(best row, its utility) of advertiser index a, or of each advertiser
-    in order when a is None, against the opponents' bids of the profile
-    layout.dense mirrors: the block's rows priced by layout.price, their
-    best utilities ranked by _rank_keywords in an (advertiser, keyword in
-    name order) matrix, and the kept bids' utilities added in ranked
-    order from 0.0."""
-    block = layout.all if a is None else layout.blocks[a]
-    best_b, best_u, _ = layout.price(block)
-    n, k = len(layout.ids), len(layout.names)
-    rows = slice(None) if a is None else slice(a, a + 1)
-    u, b = np.zeros((2, n * k))
-    u[block[3]], b[block[3]] = best_u, best_b
-    u, b = u.reshape(n, k)[rows], b.reshape(n, k)[rows]
-    order, kept = _rank_keywords(u, layout.scenario.kappa)
-    u, b, order, kept = (x.tolist() for x in (u, b, order, kept))
-    out = [({layout.names[s]: bs[s] for s in top[:m]}, sum((us[s] for s in top[:m]), 0.0))
-           for us, bs, top, m in zip(u, b, order, kept)]
-    return out if a is None else out[0]
-
-
-def _current(layout, bids):
-    """Each advertiser index's utility of its row of the profile bids,
-    which layout.dense mirrors: its positive bids on keywords of the graph
-    priced as one-bid rows by layout.price, added in profile order from
-    0.0."""
-    advs = layout.scenario.advertisers
-    rows = [(a, layout.col[s], (b,)) for a, i in enumerate(advs)
-            for s, b in bids.get(i, {}).items() if b > 0.0 and s in layout.col]
-    per = [[] for _ in advs]
-    for (a, _, _), u in zip(rows, layout.price(layout.flat(rows))[2].tolist()):
-        per[a].append(u)
-    return [sum(u, 0.0) for u in per]
+        """Set advertiser index a's bids to the bid row, rebuilding the
+        ladder of each keyword whose bid changes."""
+        for s, col in self.bids.items():
+            if col[a] != (b := row.get(s, 0.0)):
+                col[a] = b
+                self.ladders[s] = _ladder(col)
 
 
 def best_response(scenario: Scenario, bids, advertiser, grid: BidGrid,
@@ -302,7 +244,7 @@ def best_response(scenario: Scenario, bids, advertiser, grid: BidGrid,
     if advertiser not in scenario.advertisers:
         raise ValidationError(f"best response of unknown advertiser {advertiser!r}")
     a = scenario.advertisers.index(advertiser)
-    return _respond(_Layout(scenario, grid, conservative, bids, a), a)
+    return _Ladders(scenario, grid, conservative, bids, a).respond(a)
 
 
 def default_epsilon(scenario: Scenario) -> float:
@@ -332,14 +274,14 @@ class EquilibriumReport:
 def verify_epsilon_nash(scenario: Scenario, bids, grid: BidGrid,
                         conservative=False) -> dict:
     """Per-advertiser regret of a profile against grid deviations."""
-    return _regrets(_Layout(scenario, grid, conservative, bids), bids)
+    return _regrets(_Ladders(scenario, grid, conservative, bids), bids)
 
 
-def _regrets(layout, bids):
-    """verify_epsilon_nash over a layout, for the profile bids it
-    mirrors: each advertiser's best utility less its current one."""
-    return {i: max(0.0, best - current) for i, (_, best), current
-            in zip(layout.scenario.advertisers, _respond(layout), _current(layout, bids))}
+def _regrets(ladders, bids):
+    """verify_epsilon_nash on the ladders of the profile bids: each
+    advertiser's best utility less its current one."""
+    return {i: max(0.0, ladders.respond(a)[1] - ladders.played(a, bids.get(i, {})))
+            for a, i in enumerate(ladders.scenario.advertisers)}
 
 
 def best_response_dynamics(scenario: Scenario, initial, grid: BidGrid,
@@ -351,10 +293,10 @@ def best_response_dynamics(scenario: Scenario, initial, grid: BidGrid,
     if max_iters < 0:
         raise ValidationError(f"max_iters must be >= 0, got {max_iters}")
     profile = {i: dict(initial.get(i, {})) for i in scenario.advertisers}
-    # the menus depend only on (advertiser, keyword), so the layout is built
-    # once; every row a best response writes is finite, so one check suffices
-    layout = _Layout(scenario, grid, conservative, profile)
-    regrets = _regrets(layout, profile)
+    # the menus depend only on (advertiser, keyword), so they are built once;
+    # every row a best response writes is feasible, so one check suffices
+    ladders = _Ladders(scenario, grid, conservative, initial)
+    regrets = _regrets(ladders, profile)
     converged = False
     iterations = 0
     for it in range(1, max_iters + 1):
@@ -363,9 +305,9 @@ def best_response_dynamics(scenario: Scenario, initial, grid: BidGrid,
             converged = True
             break
         for a, i in enumerate(scenario.advertisers):
-            profile[i], _ = _respond(layout, a)
-            layout.write(a, profile[i])
-        regrets = _regrets(layout, profile)
+            profile[i], _ = ladders.respond(a)
+            ladders.write(a, profile[i])
+        regrets = _regrets(ladders, profile)
     else:
         converged = max_iters > 0 and max(regrets.values(), default=0.0) <= eps
     return EquilibriumReport(profile=profile, regrets=regrets,
@@ -709,6 +651,57 @@ class RegretEstimate:
     per_type: tuple = field(repr=False, default=())
 
 
+# Cells (own bids x draws x opponents) of one gsp_outcome call of the menu
+# pricer.  The kernel's masks and copies and the utility arrays peak at
+# about 29 bytes per cell (tracemalloc, 16 draws, two opponents), so a
+# call stays near 1.9 MB.
+_CELLS = 1 << 16
+
+
+@dataclass(frozen=True)
+class _Menus:
+    """The sorted bid menus of (bidder, keyword) rows, laid flat: row r's
+    menu is bids[first[r]:first[r + 1]] and never empty.  Per entry: its
+    row, bidder index, keyword mass and keyword value."""
+
+    bids: np.ndarray
+    row: np.ndarray
+    first: np.ndarray
+    who: np.ndarray
+    mass: np.ndarray
+    value: np.ndarray
+
+
+def _price_menus(menus, played, opp, ids, w_padded):
+    """(best mean utility, the played bid's mean utility) of each row of
+    menus against the opponents' bids opp[..., r, :], whose advertiser
+    indices are ids, and whose leading axes, if any, are draws; played[r]
+    is the entry of row r's played bid.  The entries are priced in
+    gsp_outcome calls of at most _CELLS cells (one entry at least), the
+    draws' utilities added in draw order.  The best utility is the menu's
+    maximum if it is > 0, otherwise 0.0."""
+    draws = math.prod(opp.shape[:-2])
+    step = max(1, _CELLS // (draws * max(1, opp.shape[-1])))
+    util = np.empty(len(menus.bids))
+    for lo in range(0, len(util), step):
+        at = slice(lo, lo + step)
+        slot_w, active, price, _ = gsp_outcome(menus.bids[at], menus.who[at, None],
+                                               opp.take(menus.row[at], axis=-2), ids, w_padded)
+        u = np.where(active, menus.mass[at] * slot_w * (menus.value[at] - price),
+                     0.0).reshape(draws, -1)
+        np.divide(sum(u[1:], u[0]), draws, out=util[at])     # the draws added in draw order
+    top = np.maximum.reduceat(util, menus.first[:-1])
+    return np.where(top > 0.0, top, 0.0), util.take(played)
+
+
+def _rank_keywords(u, kappa):
+    """Per row of the best utilities u (rows, keywords in name order): the
+    keywords ranked by (-utility, keyword) and how many of the ranking's
+    head are kept, the top kappa of positive utility."""
+    return (np.argsort(-u, axis=-1, kind="stable"),
+            np.minimum((u > 0.0).sum(axis=-1), kappa))
+
+
 def _deviation_menus(grid, value, played, opp, delta, a, mass):
     """The _Menus of bidder index a's (type, keyword) rows and each row's
     played entry.  Row r's deviations are its grid {0, delta, ...,
@@ -761,10 +754,10 @@ def estimate_bne_regret(bayes: BayesScenario, strategy: Callable, n_types: int,
     Every (type, keyword) row's menu is cut to the grid bids next to its
     opponents' bids (_deviation_menus), which give the whole grid's best
     utility bit for bit, so no menu is built whole and none is too wide;
-    the rows are priced by best response's pricer, _price_menus, against
-    the opponent draws, and the keyword selection is best response's too
-    (_rank_keywords).  A delta so fine that a keyword value over it
-    overflows leaves no grid index and raises ParameterRange.
+    the rows are priced by _price_menus against the opponent draws, and
+    the keywords ranked by best response's rule (_rank_keywords).  A delta
+    so fine that a keyword value over it overflows leaves no grid index
+    and raises ParameterRange.
     """
     if n_types < 1:
         raise ValidationError("n_types must be >= 1")
@@ -797,7 +790,7 @@ def estimate_bne_regret(bayes: BayesScenario, strategy: Callable, n_types: int,
         opp = bids[:, 1:, others].transpose(1, 0, 3, 2).reshape(n_opponent_draws,
                                                                  n_types * n_kw, len(others))
         menus, played_at = _deviation_menus(grid, value, played, opp, deviation_delta, a, mass)
-        _, u, u_played = _price_menus(menus, played_at, opp, others, w_padded)
+        u, u_played = _price_menus(menus, played_at, opp, others, w_padded)
         u, u_played = u.reshape(n_types, n_kw), u_played.reshape(n_types, n_kw)
         order, kept = _rank_keywords(u, bayes.kappa)
         # builtin sums in ranked order: the best kept utilities, the played ones

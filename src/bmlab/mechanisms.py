@@ -3,15 +3,18 @@ functionals.
 
 The mechanism samples one keyword per query from the matching policy and
 runs GSP among that keyword's bidders.  `outranks` is the one rank and
-tie rule, and gsp_outcome its array kernel with a reserve: it prices
-every solver's keyword auctions and the exact functionals.  Expected
-welfare and revenue are exact finite sums over (query, keyword, slot) on
-whole bid tensors, each keyword ranked once; welfare adds its terms
-P(q) * pi_q(s) * (click-weighted query values of s's ranking) over the
-queries and then each query's keywords, in graph order.  The dict-profile
-forms are their one-profile case through bid_matrix.  gsp_rank ranks one
-keyword of a dict profile for the seeded round simulator, the
-Monte-Carlo counterpart.
+tie rule, and gsp_outcome its array kernel with a reserve: it prices the
+exact functionals, the pure-Nash enumerator's keyword grids and the
+Bayes-Nash regret estimate's deviation menus.  The full-information
+solvers (best response, the regret check, the dynamics) price the same
+rule on sorted bid ladders in plain Python.  Expected welfare and
+revenue are exact finite sums over (query, keyword, slot) on whole bid
+tensors, each keyword ranked once; welfare adds its terms P(q) * pi_q(s)
+* (click-weighted query values of s's ranking) over the queries and then
+each query's keywords, in graph order.  The dict-profile forms are their
+one-profile case through bid_matrix.  gsp_rank ranks one keyword of a
+dict profile for the seeded round simulator, the Monte-Carlo
+counterpart.
 """
 from __future__ import annotations
 

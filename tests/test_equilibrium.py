@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import tracemalloc
@@ -226,6 +227,48 @@ def test_dynamics_ignore_bids_on_keywords_outside_the_graph(stray):
     assert rep == best_response_dynamics(sc, CLEAN, make_grid(sc, 1.0))
 
 
+# infeasible profiles on scenario_3x3 (kappa 2): a row over the budget, a
+# negative bid; validate_bid_profile's messages
+OVER_BUDGET = {i: {"s1": 1.0, "s2": 1.0, "s3": 1.0} for i in ("a", "b", "c")}
+INFEASIBLE = pytest.mark.parametrize("bids, message", [
+    (OVER_BUDGET, "^advertiser 'a' has 3 positive bids; budget is kappa = 2$"),
+    ({"a": {"s1": -3.0}}, r"^bid of 'a' on 's1' must be finite and >= 0, got -3\.0$"),
+], ids=["over budget", "negative bid"])
+
+
+@INFEASIBLE
+def test_best_response_rejects_an_infeasible_profile(bids, message):
+    sc = scenario_from_json(DATA / "scenario_3x3.json")
+    with pytest.raises(ValidationError, match=message):
+        best_response(sc, bids, "b", make_grid(sc, delta=1.0))
+
+
+@INFEASIBLE
+def test_verify_rejects_an_infeasible_profile(bids, message):
+    sc = scenario_from_json(DATA / "scenario_3x3.json")
+    with pytest.raises(ValidationError, match=message):
+        verify_epsilon_nash(sc, bids, make_grid(sc, delta=1.0))
+
+
+@INFEASIBLE
+def test_dynamics_reject_an_infeasible_initial_profile(bids, message):
+    sc = scenario_from_json(DATA / "scenario_3x3.json")
+    with pytest.raises(ValidationError, match=message):
+        best_response_dynamics(sc, bids, make_grid(sc, delta=1.0))
+
+
+def test_solvers_reject_an_unknown_advertiser_in_the_profile():
+    """The dynamics read the caller's profile as best response and the
+    regret check do: an advertiser the scenario does not have raises."""
+    sc = scenario_2x2()
+    grid, bids = make_grid(sc, 1.0), {"a": {"s1": 1.0}, "zz": {"s1": 1.0}}
+    for solve in (lambda: best_response(sc, bids, "a", grid),
+                  lambda: verify_epsilon_nash(sc, bids, grid),
+                  lambda: best_response_dynamics(sc, bids, grid)):
+        with pytest.raises(ValidationError, match="^bid profile names unknown advertiser 'zz'$"):
+            solve()
+
+
 def test_best_response_matches_joint_oracle():
     """Separable search equals full joint enumeration (acceptance-grade
     oracle equivalence at small scale)."""
@@ -272,16 +315,7 @@ def test_best_response_and_regrets_bit_identical_to_scalar_oracle(weights):
                 zero_value_rows += 1
                 break
         for conservative in (False, True):
-            oracle_regrets = {}
-            for i in sc.advertisers:
-                row, u = best_response(sc, bids, i, grid, conservative)
-                o_row, o_best, o_current = scalar_best_response(sc, bids, i, grid, conservative)
-                assert {s: b.hex() for s, b in row.items()} == \
-                    {s: b.hex() for s, b in o_row.items()}
-                assert float(u).hex() == float(o_best).hex()
-                oracle_regrets[i] = max(0.0, o_best - o_current).hex()
-            regrets = verify_epsilon_nash(sc, bids, grid, conservative)
-            assert {i: r.hex() for i, r in regrets.items()} == oracle_regrets
+            _oracle_check(sc, bids, grid, conservative)
     assert zero_value_rows >= 10
 
 
@@ -341,6 +375,30 @@ def _hex_rows(profile):
     return {i: [(s, b.hex()) for s, b in row.items()] for i, row in profile.items()}
 
 
+def _oracle_check(sc, bids, grid, conservative):
+    """best_response and verify_epsilon_nash on the profile bids equal
+    the scalar oracle hex for hex, for every advertiser."""
+    oracle_regrets = {}
+    for i in sc.advertisers:
+        row, u = best_response(sc, bids, i, grid, conservative)
+        o_row, o_best, o_current = scalar_best_response(sc, bids, i, grid, conservative)
+        assert _hex_rows({i: row}) == _hex_rows({i: o_row})
+        assert float(u).hex() == float(o_best).hex()
+        oracle_regrets[i] = max(0.0, o_best - o_current).hex()
+    regrets = verify_epsilon_nash(sc, bids, grid, conservative)
+    assert {i: r.hex() for i, r in regrets.items()} == oracle_regrets
+
+
+def _dynamics_check(sc, bids, grid, conservative, max_iters):
+    """best_response_dynamics from bids equals the per-call loop hex for hex."""
+    rep = best_response_dynamics(sc, bids, grid, max_iters=max_iters, conservative=conservative)
+    profile, regrets, converged, iterations = per_call_dynamics(
+        sc, bids, grid, default_epsilon(sc), max_iters, conservative)
+    assert _hex_rows(rep.profile) == _hex_rows(profile)
+    assert {i: r.hex() for i, r in rep.regrets.items()} == {i: r.hex() for i, r in regrets.items()}
+    assert (rep.iterations, rep.converged) == (iterations, converged)
+
+
 @pytest.mark.parametrize("weights", [(1.0,), (1.0, 0.6), (1.0, 0.6, 0.0)])
 def test_dynamics_bit_identical_to_per_call_oracle(weights):
     """best_response_dynamics, with its menus built once, reports the
@@ -352,15 +410,7 @@ def test_dynamics_bit_identical_to_per_call_oracle(weights):
         grid = make_grid(sc, delta=max(make_grid(sc, 1.0).caps.values()) / 4)
         initial = random_bid_profile(rng, sc, overbid=0.5) if t % 2 else {}
         conservative, max_iters = bool(t % 3), int(rng.integers(0, 8))
-        eps = default_epsilon(sc)
-        rep = best_response_dynamics(sc, initial, grid, max_iters=max_iters,
-                                     conservative=conservative)
-        profile, regrets, converged, iterations = per_call_dynamics(
-            sc, initial, grid, eps, max_iters, conservative)
-        assert _hex_rows(rep.profile) == _hex_rows(profile)
-        assert {i: r.hex() for i, r in rep.regrets.items()} == \
-            {i: r.hex() for i, r in regrets.items()}
-        assert (rep.iterations, rep.converged) == (iterations, converged)
+        _dynamics_check(sc, initial, grid, conservative, max_iters)
 
 
 def test_conservative_menus_change_no_solver_result():
@@ -426,66 +476,38 @@ def _tied_market(rng):
     return sc, grid, bids
 
 
-def _entries(sc, grid, bids, conservative):
-    """Own bids of the regret check's two pricings: every advertiser's
-    menus of its positive keywords, then one per positive bid of the
-    profile on a keyword of the graph."""
-    return (sum(len(bid_menu(sc, grid, i, s, conservative))
-                for i in sc.advertisers for s in sc.kw_positive[i]),
-            sum(b > 0.0 and s in sc.graph.keywords for row in bids.values()
-                for s, b in row.items()))
-
-
 @pytest.mark.parametrize("cells", ["one bid", "one row", "default"])
 def test_sliced_regret_pass_bit_identical_to_oracles(monkeypatch, cells):
     """With the menu pricer's calls cut to one bid, to the widest menu's
-    bids (menus split across calls, calls across menus and advertisers)
-    or left at the default (each of the regret check's pricings, the
-    menus and the played bids, in one call),
-    best_response_dynamics equals the per-call loop and
-    verify_epsilon_nash the scalar oracle bit for bit, on markets of up to
-    10 advertisers with ties, zero-value bids and a valueless advertiser."""
+    bids or left at the default, the full-information solvers call neither
+    the menu pricer nor gsp_outcome, best_response_dynamics equals the
+    per-call loop, and best_response and verify_epsilon_nash the scalar
+    oracle, bit for bit, on markets of up to 10 advertisers with ties,
+    zero-value bids and a valueless advertiser."""
     rng = np.random.default_rng([808, len(cells)])
     calls = []
-    kernel = equilibrium.gsp_outcome
 
-    def spy(own, *args):
-        calls.append(len(own))
-        return kernel(own, *args)
+    def spy(name):
+        kernel = getattr(equilibrium, name)
+        return lambda *args: calls.append(name) or kernel(*args)
 
-    monkeypatch.setattr(equilibrium, "gsp_outcome", spy)
+    for name in ("gsp_outcome", "_price_menus"):
+        monkeypatch.setattr(equilibrium, name, spy(name))
     ties = zero_rows = 0
     for t in range(12):
         sc, grid, bids = _tied_market(rng)
-        n, conservative = len(sc.advertisers), bool(t % 2)
-        entries = _entries(sc, grid, bids, conservative)
+        conservative = bool(t % 2)
         step = {"one bid": 1,
                 "one row": max(len(bid_menu(sc, grid, i, s, conservative))
                                for i in sc.advertisers for s in sc.kw_positive[i])}.get(cells)
         if step:
-            monkeypatch.setattr(equilibrium, "_CELLS", n * step)
+            monkeypatch.setattr(equilibrium, "_CELLS", len(sc.advertisers) * step)
         ties += max(Counter((s, b) for row in bids.values() for s, b in row.items()).values()) > 1
         zero_rows += sum(s not in sc.kw_positive[i] for i, row in bids.items() for s in row)
 
-        calls.clear()
-        regrets = verify_epsilon_nash(sc, bids, grid, conservative)
-        step = equilibrium._CELLS // n
-        assert calls == [c for e in entries
-                         for c in [step] * (e // step) + [e % step] * (e % step > 0)]
-        oracle = {i: max(0.0, best - current)
-                  for i in sc.advertisers
-                  for _, best, current in [scalar_best_response(sc, bids, i, grid, conservative)]}
-        assert {i: r.hex() for i, r in regrets.items()} == {i: r.hex() for i, r in oracle.items()}
-
-        max_iters = int(rng.integers(1, 6))
-        rep = best_response_dynamics(sc, bids, grid, max_iters=max_iters,
-                                     conservative=conservative)
-        profile, regrets, converged, iterations = per_call_dynamics(
-            sc, bids, grid, default_epsilon(sc), max_iters, conservative)
-        assert _hex_rows(rep.profile) == _hex_rows(profile)
-        assert {i: r.hex() for i, r in rep.regrets.items()} == \
-            {i: r.hex() for i, r in regrets.items()}
-        assert (rep.iterations, rep.converged) == (iterations, converged)
+        _oracle_check(sc, bids, grid, conservative)
+        _dynamics_check(sc, bids, grid, conservative, max_iters=int(rng.integers(1, 6)))
+        assert calls == []
     assert ties >= 10 and zero_rows >= 12
 
 
@@ -504,15 +526,74 @@ def test_dynamics_on_21_keywords_equal_the_oracle_and_reject_nan():
     sc = _many_keywords(rng, 21, 2)
     grid = make_grid(sc, delta=0.5)
     bids = random_bid_profile(rng, sc)
-    rep = best_response_dynamics(sc, bids, grid, max_iters=10)
-    profile, regrets, converged, iterations = per_call_dynamics(
-        sc, bids, grid, default_epsilon(sc), 10)
-    assert _hex_rows(rep.profile) == _hex_rows(profile)
-    assert {i: r.hex() for i, r in rep.regrets.items()} == \
-        {i: r.hex() for i, r in regrets.items()}
-    assert (rep.iterations, rep.converged) == (iterations, converged)
+    _dynamics_check(sc, bids, grid, False, max_iters=10)
     with pytest.raises(ValidationError, match=r"bid of 'a' must be finite"):
         best_response_dynamics(sc, {"a": {"s1": float("nan")}}, grid)
+
+
+@pytest.mark.parametrize("weights", [(1.0, 1.0), (1.0, 0.5, 0.0)])
+def test_best_response_breakpoints_bit_identical_to_scalar_oracle(weights):
+    """A response prices only the menu bids where the own bid passes an
+    opponent's.  On one keyword valued 4.0, 3.0 and 2.5 by "a", "m" and
+    "z" and by nobody else ("n" values no query), on the grid {0, 1, ...,
+    4}: opponent bids on grid points, at the responders' values (3.0 on
+    the grid, 2.5 off it) and above them, with the responder on either
+    side of the tie rule ("m" loses ties to "a" and wins them against
+    "z"), zero bids written out, overbid menus whose top bids lose money,
+    best rows and regrets equal the scalar oracle hex for hex, and so do
+    the dynamics from every fifth profile."""
+    sc = simple_scenario({"a": {"q": 4.0}, "m": {"q": 3.0}, "n": {}, "z": {"q": 2.5}},
+                         weights=weights, kappa=1, queries=["q"], keywords=["s"])
+    grid = make_grid(sc, delta=1.0)
+    levels = [0.0, 1.0, 2.0, 2.5, 3.0, 3.5, 4.0]
+    for t, (a, m, n, z) in enumerate(itertools.product(levels, levels, [0.0, 2.0, 3.5], levels)):
+        bids = {"a": {"s": a}, "m": {"s": m}, "n": {"s": n}, "z": {"s": z}}
+        for conservative in (False, True):
+            _oracle_check(sc, bids, grid, conservative)
+            if t % 5 == 0:
+                _dynamics_check(sc, bids, grid, conservative, max_iters=3)
+
+
+@pytest.mark.parametrize("delta", [1.0, 0.7])
+def test_best_response_of_a_lone_advertiser_bit_identical_to_scalar_oracle(delta):
+    """A one-advertiser market has empty ladders: the best bid is the
+    menu's lowest positive one, at price 0.  Zero, grid and overbid
+    current bids, two slot-weight vectors, both menus."""
+    for weights in [(1.0, 1.0), (1.0, 0.5, 0.0)]:
+        sc = single_keyword_scenario({"a": 3.0}, weights=weights)
+        grid = BidGrid(delta, {"s": 4.0})
+        for b in [0.0, 0.7, 1.0, 3.0, 4.0]:
+            for conservative in (False, True):
+                _oracle_check(sc, {"a": {"s": b}}, grid, conservative)
+                _dynamics_check(sc, {"a": {"s": b}}, grid, conservative, max_iters=2)
+        assert best_response(sc, {}, "a", grid) == ({"s": delta}, 3.0)
+
+
+def _benchmark_shaped_market(rng):
+    """A market shaped like the benchmark's dynamics input: 20 advertisers,
+    each valuing 4 of 10 queries in [1, 10], 8 keywords with extra edges,
+    slot weights (1.0, 0.7, 0.4) and kappa 2."""
+    queries, keywords = [f"q{j}" for j in range(10)], [f"s{j}" for j in range(8)]
+    edges = ({(queries[j], keywords[j % 8]) for j in range(10)}
+             | {(q, s) for q in queries for s in keywords if rng.random() < 0.2})
+    raw = rng.uniform(1.0, 3.0, 10)
+    values = {f"a{i:02d}": {queries[j]: round(float(rng.uniform(1.0, 10.0)), 3)
+                            for j in sorted(rng.choice(10, size=4, replace=False))}
+              for i in range(20)}
+    for q in queries:       # every query needs a positive advertiser
+        if not any(q in row for row in values.values()):
+            values["a00"][q] = 5.0
+    return simple_scenario(values, weights=(1.0, 0.7, 0.4), kappa=2,
+                           p={q: float(x / raw.sum()) for q, x in zip(queries, raw)},
+                           queries=queries, keywords=keywords, edges=sorted(edges))
+
+
+@pytest.mark.parametrize("conservative", [False, True])
+def test_dynamics_on_a_benchmark_shaped_market_equal_the_oracle(conservative):
+    """Ten sweeps of the dynamics on a 20-advertiser, 8-keyword, 3-slot
+    market at delta 0.25 equal the per-call loop hex for hex."""
+    sc = _benchmark_shaped_market(np.random.default_rng(31))
+    _dynamics_check(sc, {}, make_grid(sc, delta=0.25), conservative, max_iters=10)
 
 
 # -------------------------------------------------------------- enumerate
