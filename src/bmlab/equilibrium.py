@@ -18,16 +18,19 @@ mechanisms.outranks, and per (advertiser, keyword) row only the menu
 bids that pass one of the first S opponents (S the positions of positive
 weight) and the lowest positive bid.  A run builds the ladders once from
 the profile, and the dynamics rebuild the keywords a rewritten row
-changes.  The Bayes-Nash regret estimate prices its (type, keyword) rows
-against its opponent draws with one menu pricer (_price_menus), through
-mechanisms.gsp_outcome, the one GSP kernel, each menu cut to the grid
-bids next to the row's opponent bids (_deviation_menus), so a menu's
-size is bounded by the draws, not by value / delta; _rank_keywords keeps
-its top kappa.  The pure-Nash enumerator reads best response's _menus
-menus and builds no strategy row: it scans each keyword's grid of its
-participants' menus with gsp_outcome, not the joint grid, for the bid
-vectors a stable profile can hold there, checks only the profiles built
-from those, and reads the survivors' bids off the menus.
+changes; their menus are capped at _MAX_MENU_BIDS bids.  The regret
+check also prices each keyword's played bid.  The Bayes-Nash regret
+estimate uses the same breakpoint rule on one bidder's (type, keyword)
+rows (_deviation_menus): per opponent bid of its draws, the lowest grid
+bid that outranks it, with delta, the value and the played bid, so a
+row's size is bounded by the draws, not by value / delta; it prices
+them with mechanisms.gsp_outcome, the one GSP kernel, and ranks the
+keywords as best response does.  The pure-Nash enumerator reads best
+response's _menus menus and builds no strategy row: it scans each
+keyword's grid of its participants' menus with gsp_outcome, not the
+joint grid, for the bid vectors a stable profile can hold there, checks
+only the profiles built from those, and reads the survivors' bids off
+the menus.
 Every solver here prices at reserve 0 with the tie rule of
 mechanisms.outranks and reports the welfare of
 mechanisms.pbm_expected_welfare_batch.  The full-information solvers read
@@ -141,6 +144,12 @@ def _ladder(bids):
     return sorted((-b, a) for a, b in enumerate(bids) if b > 0.0)
 
 
+# Bids the full-information solvers' menus hold at most, and their bytes
+# per bid at most (tracemalloc: 44 to 47 B), so that they stay near 100 MB.
+_MAX_MENU_BIDS = 1 << 21
+_MENU_BYTES_PER_BID = 48
+
+
 class _Ladders:
     """A bid profile as the full-information solvers price it.  The
     profile is read once through bid_matrix, checked by
@@ -151,7 +160,9 @@ class _Ladders:
     the bid passes one of them, so a response prices a few bids per menu
     in plain Python.  rows[a]: per keyword of advertiser index a's _menus,
     in name order, (keyword, menu, mass, value); built for index `only`
-    alone unless it is None."""
+    alone unless it is None.  Menus of over _MAX_MENU_BIDS bids in all
+    raise TooLarge, naming their count and _MENU_BYTES_PER_BID estimate,
+    before any is built: _menu_rule sizes them from the grid alone."""
 
     def __init__(self, scenario, grid, conservative, bids, only=None):
         self.scenario = scenario
@@ -163,6 +174,12 @@ class _Ladders:
         self.ladders = {s: _ladder(col) for s, col in self.bids.items()}
         # weights never increase, so the positive ones are positions 0..S-1
         self.w = [x for x in scenario.weights.as_tuple() if x > 0.0]
+        total = sum(_menu_rule(grid, s, scenario.kw_values[i][s], conservative)[1]
+                    for a, i in enumerate(scenario.advertisers) if only in (None, a)
+                    for s in scenario.kw_positive[i])
+        if total > _MAX_MENU_BIDS:
+            raise TooLarge(f"bid menus hold {total} bids, about {total * _MENU_BYTES_PER_BID} "
+                           f"bytes (cap {_MAX_MENU_BIDS})")
         self.rows = [[(s, menu, scenario.kw_masses[s], scenario.kw_values[i][s])
                       for s, menu in _menus(scenario, grid, i, conservative).items()]
                      if only in (None, a) else [] for a, i in enumerate(scenario.advertisers)]
@@ -185,23 +202,26 @@ class _Ladders:
         price = -opp[r][0] if r < len(opp) else 0.0
         return mass * self.w[r] * (value - price)
 
-    def respond(self, a):
+    def respond(self, a, played=False):
         """(best row, its utility) of advertiser index a against the
         others' bids.  Per keyword the candidates are the menu's lowest
         positive bid and, per opponent key, the lowest menu bid that
         outranks it (bisect_left if a wins their tie, bisect_right
         otherwise): every utility step starts at one of them.  Scanned in
         ascending bid order with a strict > from 0.0 they give the menu's
-        first maximum, or (0, 0.0).  The keywords are ranked by
-        (-utility, keyword), the top kappa of positive utility kept and
-        their utilities added in that order from 0.0."""
+        first maximum, or (0, 0.0).  With played, a's positive bid on the
+        keyword is a last candidate, so that a row may keep a played bid
+        off the grid.  The keywords are ranked by (-utility, keyword), the
+        top kappa of positive utility kept and their utilities added in
+        that order from 0.0."""
         ranked = []
         for s, menu, mass, value in self.rows[a]:
             opp = self.opponents(a, s)
             best_u, best_b = 0.0, 0.0
             # per opponent, lowest first, the index of the lowest bid outranking it
             above = [(bisect_left if a < j else bisect_right)(menu, -nb) for nb, j in reversed(opp)]
-            for b in [*menu[1:2], *(menu[k] for k in above if k < len(menu))]:
+            own = [p] if played and (p := self.bids[s][a]) > 0.0 else []
+            for b in [*menu[1:2], *(menu[k] for k in above if k < len(menu)), *own]:
                 u = self.utility(opp, a, b, mass, value)
                 if u > best_u:
                     best_u, best_b = u, b
@@ -273,14 +293,18 @@ class EquilibriumReport:
 
 def verify_epsilon_nash(scenario: Scenario, bids, grid: BidGrid,
                         conservative=False) -> dict:
-    """Per-advertiser regret of a profile against grid deviations."""
+    """Per-advertiser regret of a profile: its best utility over grid
+    deviations, in which each keyword may also keep its played bid, less
+    its utility.  So an off-grid bid that pays more than every grid bid
+    on its keyword still counts against a deviation elsewhere."""
     return _regrets(_Ladders(scenario, grid, conservative, bids), bids)
 
 
 def _regrets(ladders, bids):
     """verify_epsilon_nash on the ladders of the profile bids: each
-    advertiser's best utility less its current one."""
-    return {i: max(0.0, ladders.respond(a)[1] - ladders.played(a, bids.get(i, {})))
+    advertiser's best utility, its played bids among the candidates, less
+    its current one."""
+    return {i: max(0.0, ladders.respond(a, played=True)[1] - ladders.played(a, bids.get(i, {})))
             for a, i in enumerate(ladders.scenario.advertisers)}
 
 
@@ -651,89 +675,41 @@ class RegretEstimate:
     per_type: tuple = field(repr=False, default=())
 
 
-# Cells (own bids x draws x opponents) of one gsp_outcome call of the menu
-# pricer.  The kernel's masks and copies and the utility arrays peak at
-# about 29 bytes per cell (tracemalloc, 16 draws, two opponents), so a
-# call stays near 1.9 MB.
+# Cells (own bids x draws x opponents) of one gsp_outcome call of the
+# regret estimate.  The kernel's masks and copies and the utility arrays
+# peak at about 29 bytes per cell (tracemalloc, 16 draws, two opponents),
+# so a call stays near 1.9 MB.
 _CELLS = 1 << 16
 
 
-@dataclass(frozen=True)
-class _Menus:
-    """The sorted bid menus of (bidder, keyword) rows, laid flat: row r's
-    menu is bids[first[r]:first[r + 1]] and never empty.  Per entry: its
-    row, bidder index, keyword mass and keyword value."""
-
-    bids: np.ndarray
-    row: np.ndarray
-    first: np.ndarray
-    who: np.ndarray
-    mass: np.ndarray
-    value: np.ndarray
-
-
-def _price_menus(menus, played, opp, ids, w_padded):
-    """(best mean utility, the played bid's mean utility) of each row of
-    menus against the opponents' bids opp[..., r, :], whose advertiser
-    indices are ids, and whose leading axes, if any, are draws; played[r]
-    is the entry of row r's played bid.  The entries are priced in
-    gsp_outcome calls of at most _CELLS cells (one entry at least), the
-    draws' utilities added in draw order.  The best utility is the menu's
-    maximum if it is > 0, otherwise 0.0."""
-    draws = math.prod(opp.shape[:-2])
-    step = max(1, _CELLS // (draws * max(1, opp.shape[-1])))
-    util = np.empty(len(menus.bids))
-    for lo in range(0, len(util), step):
-        at = slice(lo, lo + step)
-        slot_w, active, price, _ = gsp_outcome(menus.bids[at], menus.who[at, None],
-                                               opp.take(menus.row[at], axis=-2), ids, w_padded)
-        u = np.where(active, menus.mass[at] * slot_w * (menus.value[at] - price),
-                     0.0).reshape(draws, -1)
-        np.divide(sum(u[1:], u[0]), draws, out=util[at])     # the draws added in draw order
-    top = np.maximum.reduceat(util, menus.first[:-1])
-    return np.where(top > 0.0, top, 0.0), util.take(played)
-
-
-def _rank_keywords(u, kappa):
-    """Per row of the best utilities u (rows, keywords in name order): the
-    keywords ranked by (-utility, keyword) and how many of the ranking's
-    head are kept, the top kappa of positive utility."""
-    return (np.argsort(-u, axis=-1, kind="stable"),
-            np.minimum((u > 0.0).sum(axis=-1), kappa))
-
-
-def _deviation_menus(grid, value, played, opp, delta, a, mass):
-    """The _Menus of bidder index a's (type, keyword) rows and each row's
-    played entry.  Row r's deviations are its grid {0, delta, ...,
-    (grid[r] - 1) * delta}, 0, its keyword value value[r] and its played
-    bid played[r].  Against the opponents' bids opp[..., r, :] a bid's GSP
-    utility depends only on which of them it lies above, at or below, so
-    its mean utility is constant between consecutive opponent bids, and
-    the grid is cut to the bids that stand in for the rest: per opponent
-    bid o, the lowest grid bid >= o and the lowest > o, and delta.  Each
-    row's menu, sorted without duplicates, holds at most min(grid[r] + 3,
-    2 * opponent bids + 4) bids and has the full menu's maximum utility."""
-    o = np.moveaxis(opp, -2, 0).reshape(len(grid), -1)
+def _deviation_menus(grid, value, played, opp, delta, a, others):
+    """Bidder index a's deviations of its (type, keyword) rows, laid flat
+    as (bids, row): row r's are bids[row == r], sorted without duplicates,
+    and the rows follow in order.  Row r's grid is {0, delta, ...,
+    (grid[r] - 1) * delta}, to which its keyword value value[r] and played
+    bid played[r] are added.  Against the opponents' bids opp[..., r, :],
+    whose advertiser indices are others, a bid's GSP utility steps only
+    where the bid comes to outrank one of them, so per opponent bid o the
+    grid keeps the lowest bid that outranks o: the lowest >= o where a
+    wins their tie (a < j), the lowest > o where it loses.  With delta,
+    the lowest positive grid bid, they start every step, so a row holds
+    the grid's best positive utility bit for bit in at most (opponent
+    bids) + 3 bids.  A bid that falls outside the grid stands in as the
+    value, which the row holds anyway."""
     # k = ceil(o / delta), one step either way so that k * delta is the
-    # lowest grid float >= o, then also the lowest > o
-    k = np.ceil(o / delta)
-    k -= (k - 1.0) * delta >= o
-    k += k * delta < o
-    k = np.concatenate((k, k + (k * delta == o)), axis=1)
-    bids = np.concatenate((np.where((k > 0.0) & (k < grid[:, None]), k * delta, 0.0),
-                           np.column_stack((np.zeros(len(grid)), np.where(grid > 1.0, delta, 0.0),
-                                            value, played))),
+    # lowest grid float >= o, then past o where a loses the tie
+    k = np.ceil(opp / delta)
+    k -= (k - 1.0) * delta >= opp
+    k += k * delta < opp
+    k += (k * delta == opp) & (others < a)
+    k = np.moveaxis(k, -2, 0).reshape(len(grid), -1)
+    bids = np.concatenate((np.where((k > 0.0) & (k < grid[:, None]), k * delta, value[:, None]),
+                           np.column_stack((np.where(grid > 1.0, delta, value), value, played))),
                           axis=1)
     bids.sort(axis=1)
     keep = np.ones(bids.shape, dtype=bool)
     keep[:, 1:] = bids[:, 1:] != bids[:, :-1]
-    row = np.nonzero(keep)[0]
-    bids = bids[keep]
-    first = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
-    # the played entry: its row's bid equal to it
-    played_at = first[:-1] + np.add.reduceat(bids < played[row], first[:-1])
-    return (_Menus(bids, row, first, np.broadcast_to(a, row.shape), mass[row], value[row]),
-            played_at)
+    return bids[keep], np.nonzero(keep)[0]
 
 
 def estimate_bne_regret(bayes: BayesScenario, strategy: Callable, n_types: int,
@@ -744,20 +720,23 @@ def estimate_bne_regret(bayes: BayesScenario, strategy: Callable, n_types: int,
 
     For each advertiser and each sampled own type, opponents' types are
     redrawn n_opponent_draws times (common random numbers across all
-    candidate deviations); the deviation menu per keyword is the grid
-    {0, delta, ...} capped at the realized keyword value plus 0, the exact
-    truthful point and the played bid, and the reported regret is the
-    estimated gain of the best deviation over the strategy's own play,
-    averaged over types, with its standard error.  Each advertiser's
-    profiles come from one sample_values call, a type's own profile
-    followed by its opponent profiles, and are bid in one strategy call.
-    Every (type, keyword) row's menu is cut to the grid bids next to its
-    opponents' bids (_deviation_menus), which give the whole grid's best
-    utility bit for bit, so no menu is built whole and none is too wide;
-    the rows are priced by _price_menus against the opponent draws, and
-    the keywords ranked by best response's rule (_rank_keywords).  A delta
-    so fine that a keyword value over it overflows leaves no grid index
-    and raises ParameterRange.
+    candidate deviations).  The deviations on a keyword are the grid
+    {0, delta, ...} capped at the realized keyword value, the exact
+    truthful point, and the played bid, which each keyword may keep; the
+    reported regret is the estimated gain of the best deviation over the
+    strategy's own play, averaged over types, with its standard error.
+    Each advertiser's profiles come from one sample_values call, a type's
+    own profile followed by its opponent profiles, and are bid in one
+    strategy call.  Every (type, keyword) row is cut to the grid bids
+    that start a utility step against its opponents' bids
+    (_deviation_menus), which give the whole grid's best utility bit for
+    bit, so no grid is built whole and none is too wide.  The bids are
+    priced by gsp_outcome against the opponent draws in calls of at most
+    _CELLS cells, the draws' utilities added in draw order; a row's best
+    is its maximum if > 0, else 0.0, and the keywords are ranked by
+    best response's rule, (-utility, keyword), the top kappa of positive
+    utility kept.  A delta so fine that a keyword value over it
+    overflows leaves no grid index and raises ParameterRange.
     """
     if n_types < 1:
         raise ValidationError("n_types must be >= 1")
@@ -789,10 +768,21 @@ def estimate_bne_regret(bayes: BayesScenario, strategy: Callable, n_types: int,
         played = bids[:, 0, a].ravel()
         opp = bids[:, 1:, others].transpose(1, 0, 3, 2).reshape(n_opponent_draws,
                                                                  n_types * n_kw, len(others))
-        menus, played_at = _deviation_menus(grid, value, played, opp, deviation_delta, a, mass)
-        u, u_played = _price_menus(menus, played_at, opp, others, w_padded)
-        u, u_played = u.reshape(n_types, n_kw), u_played.reshape(n_types, n_kw)
-        order, kept = _rank_keywords(u, bayes.kappa)
+        menu, row = _deviation_menus(grid, value, played, opp, deviation_delta, a, others)
+        util = np.empty(len(menu))
+        step = max(1, _CELLS // (n_opponent_draws * max(1, len(others))))
+        for lo in range(0, len(menu), step):
+            at = row[lo:lo + step]
+            slot_w, active, price, _ = gsp_outcome(menu[lo:lo + step], a, opp.take(at, axis=-2),
+                                                   others, w_padded)
+            u = np.where(active, mass[at] * slot_w * (value[at] - price), 0.0)
+            # the draws added in draw order
+            np.divide(sum(u[1:], u[0]), n_opponent_draws, out=util[lo:lo + step])
+        top = np.maximum.reduceat(util, np.flatnonzero(np.diff(row, prepend=-1)))
+        u = np.where(top > 0.0, top, 0.0).reshape(n_types, n_kw)
+        u_played = util[menu == played[row]].reshape(n_types, n_kw)     # once per row
+        order = np.argsort(-u, axis=-1, kind="stable")
+        kept = np.minimum((u > 0.0).sum(axis=-1), bayes.kappa)
         # builtin sums in ranked order: the best kept utilities, the played ones
         gaps = [max(0.0, sum(best[:k]) - sum(own))
                 for best, own, k in zip(np.take_along_axis(u, order, 1).tolist(),

@@ -844,15 +844,20 @@ def select_keywords(menus, utility, kappa):
     return ranked, [usb for usb in ranked[:kappa] if usb[0] > 0.0]
 
 
-def scalar_best_response(scenario, bids, advertiser, grid, conservative=False):
+def scalar_best_response(scenario, bids, advertiser, grid, conservative=False,
+                         keep_played=False):
     """Oracle: (best row, its utility, utility of the current row) by one
-    scalar slot_utility call per menu bid and per current bid."""
+    scalar slot_utility call per menu bid and per current bid.  With
+    keep_played each menu also holds the advertiser's played bid on its
+    keyword, as the deviations of verify_epsilon_nash do."""
     from bmlab.equilibrium import bid_menu
 
     values = scenario.kw_values[advertiser]
     menus = {s: bid_menu(scenario, grid, advertiser, s, conservative)
              for s in sorted(scenario.kw_positive[advertiser])}
     row = bids.get(advertiser, {})
+    if keep_played:
+        menus = {s: sorted({*menu, row.get(s, 0.0)}) for s, menu in menus.items()}
     opponents = opponent_bids(bids, advertiser, set(menus) | set(row))
 
     def utility(s, b):
@@ -870,14 +875,14 @@ def scalar_best_response(scenario, bids, advertiser, grid, conservative=False):
 def per_call_dynamics(scenario, initial, grid, epsilon, max_iters, conservative=False):
     """Oracle: best-response dynamics as the round-robin loop of one
     scalar_best_response call per advertiser, for the best responses and
-    for the regrets alike.  Returns (profile, regrets, converged,
-    iterations)."""
+    for the regrets alike, the regrets' menus holding the played bids.
+    Returns (profile, regrets, converged, iterations)."""
 
     def regrets_of(profile):
         regrets = {}
         for i in scenario.advertisers:
             _, best, current = scalar_best_response(scenario, profile, i, grid,
-                                                    conservative)
+                                                    conservative, keep_played=True)
             regrets[i] = max(0.0, best - current)
         return regrets
 

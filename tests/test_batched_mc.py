@@ -449,6 +449,36 @@ def test_bne_regret_equals_the_per_draw_loop_at_fine_deltas(name, delta):
             assert_regret_equals_the_loop(bayes, strategy, cells, 4, delta, 9, 4)
 
 
+def test_deviation_menus_keep_one_bid_per_opponent_bid():
+    """On the grid of 1/16, where the opponent bids are grid points, often
+    next to each other, a row keeps per opponent bid only the lowest grid
+    bid that outranks it (the bid itself where the bidder wins the tie,
+    the next one up where it loses), with delta, the value and the played
+    bid: at most draws x opponents + 3 bids, against full grids of up to
+    65.  The estimate still equals the per-draw loop over the whole grid,
+    which it misses if the tie side is flipped, a tied bid never or
+    always stepped past, or delta dropped."""
+    graph = BipartiteGraph(["q"], ["s"], [("q", "s")])
+    spread = {"q": Empirical([k / 16 for k in range(1, 65)])}
+    bayes = BayesScenario(graph, QueryDistribution({"q": 1.0}), MatchingPolicy({"q": {"s": 1.0}}),
+                          SlotWeights([1.0, 0.9, 0.8]), 1, dict.fromkeys("abc", spread))
+    draws, sizes = 8, []
+    menus = equilibrium._deviation_menus
+
+    def spy(*args):
+        bids, row = menus(*args)
+        sizes.append(np.bincount(row))
+        return bids, row
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(equilibrium, "_deviation_menus", spy)
+        for strategy in (truthful_keyword_strategy(bayes), below_and_at_zero(bayes),
+                         overbid(bayes)):
+            assert_regret_equals_the_loop(bayes, strategy, "default", 6, 1 / 16, 13, draws)
+    sizes = np.concatenate(sizes)
+    assert sizes.max() <= draws * 2 + 3 and sizes.max() >= draws
+
+
 def test_bne_regret_needs_an_opponent_draw():
     bayes = bayes_scenario_from_json(DATA / "bayes_1x1.json")
     with pytest.raises(ValidationError, match="n_opponent_draws"):

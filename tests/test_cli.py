@@ -669,6 +669,21 @@ def test_grid_delta_past_sys_maxsize_points_exits_3_at_once(tmp_path, capsys, ar
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["dynamics", "single-slot-dominant"])
+@pytest.mark.parametrize("extra", [(), ("--conservative",)])
+def test_full_information_modes_at_a_fine_grid_delta_exit_3_at_once(tmp_path, capsys, mode,
+                                                                    extra):
+    """At delta 1e-7 the menus of the 2x2 market would hold about 171 M
+    bids; the menu cap counts them from the grid and exits 3 with one
+    error line, leaving no out directory."""
+    out = tmp_path / "out"
+    assert run("equilibrium", "--mode", mode, *extra, "--scenario", SCENARIO,
+               "--grid-delta", "1e-7", "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: bid menus hold ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_failed_run_removes_only_the_empty_out_directories_it_created(tmp_path, capsys):
     assert run("simulate", "--bids", BIDS, "--out", tmp_path / "new" / "deep") == 2
     assert not (tmp_path / "new").exists()

@@ -371,19 +371,47 @@ def test_dynamics_converged_reports_verify():
             assert max(regrets.values()) <= rep.epsilon
 
 
+def test_regret_counts_a_played_bid_off_the_grid():
+    """On equal slot weights b's played s1 bid of 0.5 takes the second
+    slot at price 0 and pays more than any grid bid of delta 1 there;
+    keeping it and moving s2 alone from 1.75 to 1.0 gains 0.3 * (2 - 0) -
+    0.3 * (2 - 1.5) = 0.45.  The regret counts that deviation, as the
+    Bayes estimate on the point-mass twin of the market does, and the
+    dynamics do not stop at the profile."""
+    sc = simple_scenario({"a": {"q1": 2, "q2": 2}, "b": {"q1": 2, "q2": 2}},
+                         weights=(1.0, 1.0), kappa=2, p={"q1": 0.7, "q2": 0.3})
+    grid = make_grid(sc, 1.0)
+    profile = {"a": {"s1": 0.9, "s2": 1.5}, "b": {"s1": 0.5, "s2": 1.75}}
+    regrets = verify_epsilon_nash(sc, profile, grid, conservative=True)
+    assert regrets["a"] == 0.0 and regrets["b"] == pytest.approx(0.45)
+    bayes = BayesScenario(sc.graph, sc.p, sc.pi, sc.weights, sc.kappa,
+                          {i: {q: PointMass(v) for q, v in sc.valuations.row(i).items()}
+                           for i in sc.advertisers})
+    bids = np.array([[profile[i][s] for s in sc.graph.keywords] for i in sc.advertisers])
+    estimate = estimate_bne_regret(bayes, lambda values: np.broadcast_to(bids, values.shape[:1]
+                                                                         + bids.shape),
+                                   1, grid.delta, np.random.default_rng(0), n_opponent_draws=1)
+    assert {i: e.mean.hex() for i, e in estimate.items()} == {i: r.hex() for i, r in regrets.items()}
+    rep = best_response_dynamics(sc, profile, grid, conservative=True)
+    assert rep.converged and rep.iterations == 2 and rep.profile != profile
+
+
 def _hex_rows(profile):
     return {i: [(s, b.hex()) for s, b in row.items()] for i, row in profile.items()}
 
 
 def _oracle_check(sc, bids, grid, conservative):
     """best_response and verify_epsilon_nash on the profile bids equal
-    the scalar oracle hex for hex, for every advertiser."""
+    the scalar oracle hex for hex, for every advertiser; the regret's
+    deviations also hold the played bids."""
     oracle_regrets = {}
     for i in sc.advertisers:
         row, u = best_response(sc, bids, i, grid, conservative)
-        o_row, o_best, o_current = scalar_best_response(sc, bids, i, grid, conservative)
+        o_row, o_best, _ = scalar_best_response(sc, bids, i, grid, conservative)
         assert _hex_rows({i: row}) == _hex_rows({i: o_row})
         assert float(u).hex() == float(o_best).hex()
+        _, o_best, o_current = scalar_best_response(sc, bids, i, grid, conservative,
+                                                    keep_played=True)
         oracle_regrets[i] = max(0.0, o_best - o_current).hex()
     regrets = verify_epsilon_nash(sc, bids, grid, conservative)
     assert {i: r.hex() for i, r in regrets.items()} == oracle_regrets
@@ -478,21 +506,17 @@ def _tied_market(rng):
 
 @pytest.mark.parametrize("cells", ["one bid", "one row", "default"])
 def test_sliced_regret_pass_bit_identical_to_oracles(monkeypatch, cells):
-    """With the menu pricer's calls cut to one bid, to the widest menu's
-    bids or left at the default, the full-information solvers call neither
-    the menu pricer nor gsp_outcome, best_response_dynamics equals the
+    """With the regret estimate's kernel calls cut to one bid, to the
+    widest menu's bids or left at the default, the full-information
+    solvers never call gsp_outcome, best_response_dynamics equals the
     per-call loop, and best_response and verify_epsilon_nash the scalar
     oracle, bit for bit, on markets of up to 10 advertisers with ties,
     zero-value bids and a valueless advertiser."""
     rng = np.random.default_rng([808, len(cells)])
     calls = []
-
-    def spy(name):
-        kernel = getattr(equilibrium, name)
-        return lambda *args: calls.append(name) or kernel(*args)
-
-    for name in ("gsp_outcome", "_price_menus"):
-        monkeypatch.setattr(equilibrium, name, spy(name))
+    kernel = equilibrium.gsp_outcome
+    monkeypatch.setattr(equilibrium, "gsp_outcome",
+                        lambda *args: calls.append("gsp_outcome") or kernel(*args))
     ties = zero_rows = 0
     for t in range(12):
         sc, grid, bids = _tied_market(rng)
@@ -1112,6 +1136,55 @@ def test_enumerate_grid_past_sys_maxsize_exits_before_any_menu(monkeypatch):
             enumerate_pure_nash(sc, grid, conservative=conservative)
 
 
+def test_full_information_solvers_too_large_before_any_menu(monkeypatch):
+    """best_response, verify_epsilon_nash and best_response_dynamics size
+    their menus from the grid alone and raise TooLarge past the cap
+    before any menu is built: at delta 1e-7 the 2x2 market's menus would
+    hold about 171 M bids, at 1e-30 about 2e31."""
+    sc = scenario_from_json(DATA / "scenario_2x2.json")
+
+    def no_menus(*args):
+        raise AssertionError("a menu was built")
+
+    monkeypatch.setattr(equilibrium, "_menus", no_menus)
+    monkeypatch.setattr(equilibrium, "bid_menu", no_menus)
+    for delta in (1e-7, 1e-30):
+        grid = make_grid(sc, delta)
+        for conservative in (False, True):
+            for solve in (lambda: best_response(sc, {}, "b", grid, conservative),
+                          lambda: verify_epsilon_nash(sc, {}, grid, conservative),
+                          lambda: best_response_dynamics(sc, {}, grid, conservative=conservative)):
+                with pytest.raises(TooLarge, match=r"^bid menus hold [0-9]+ bids, about [0-9]+ "
+                                                   r"bytes \(cap 2097152\)$"):
+                    solve()
+
+
+def test_menu_cap_counts_the_bids_of_the_menus_built(monkeypatch):
+    """The cap counts the bids of the menus a solver builds, best_response
+    its one advertiser's: at a cap of that count the solver runs, one
+    below it raises TooLarge naming the count and its bytes."""
+    sc = scenario_from_json(DATA / "scenario_2x2.json")
+    grid = make_grid(sc, 0.01)
+    for conservative in (False, True):
+        sizes = {i: sum(len(bid_menu(sc, grid, i, s, conservative)) for s in sc.kw_positive[i])
+                 for i in sc.advertisers}
+        for only in (*sc.advertisers, None):
+            if only is None:
+                total = sum(sizes.values())
+                solves = (lambda: verify_epsilon_nash(sc, {}, grid, conservative),
+                          lambda: best_response_dynamics(sc, {}, grid, conservative=conservative))
+            else:
+                total = sizes[only]
+                solves = (lambda: best_response(sc, {}, only, grid, conservative),)
+            for solve in solves:
+                monkeypatch.setattr(equilibrium, "_MAX_MENU_BIDS", total)
+                solve()
+                monkeypatch.setattr(equilibrium, "_MAX_MENU_BIDS", total - 1)
+                with pytest.raises(TooLarge, match=f"^bid menus hold {total} bids, about "
+                                                   f"{total * equilibrium._MENU_BYTES_PER_BID} bytes"):
+                    solve()
+
+
 def test_enumerate_grid_below_the_values_without_overflow():
     """A hand-built grid whose caps lie far below the values, where value
     over delta overflows: every grid point is below each value, so both
@@ -1336,11 +1409,14 @@ def test_bne_regret_of_point_masses_is_the_nash_regret():
     """On a market whose values are point masses, with one type, one
     opponent draw and kappa <= 2, the Bayes-Nash regret estimate of a
     strategy equals verify_epsilon_nash's regret of the profile it bids on
-    the conservative grid, bit for bit: one computation on two paths."""
+    the conservative grid, bit for bit: one computation on two paths.
+    Both let each keyword keep its played bid, which an off-grid strategy
+    needs when equal slot weights make a low bid pay more than any grid
+    bid."""
     rng = np.random.default_rng(5)
     regrets = nonzero = 0
-    for _ in range(300):
-        sc = random_scenario(rng, weights=(1.0, 0.6))
+    for t in range(600):
+        sc = random_scenario(rng, weights=((1.0, 0.6), (1.0, 1.0))[t % 2])
         if sc.kappa > 2:
             continue
         bayes = BayesScenario(sc.graph, sc.p, sc.pi, sc.weights, sc.kappa,
@@ -1348,7 +1424,8 @@ def test_bne_regret_of_point_masses_is_the_nash_regret():
                                for i in sc.advertisers})
         grid = make_grid(sc, 0.5)
         truthful = truthful_keyword_strategy(bayes)
-        for strategy in (truthful, lambda values: 0.5 * truthful(values)):
+        for strategy in (truthful, lambda values: 0.5 * truthful(values),
+                         lambda values: 0.3 * truthful(values) + 0.1 * (truthful(values) > 0.0)):
             bids = strategy(sc.value_matrix[None])[0].tolist()
             profile = {i: {s: b for s, b in zip(sc.graph.keywords, row) if b > 0.0}
                        for i, row in zip(sc.advertisers, bids)}
@@ -1359,7 +1436,7 @@ def test_bne_regret_of_point_masses_is_the_nash_regret():
                 {i: r.hex() for i, r in nash.items()}
             regrets += len(nash)
             nonzero += sum(r > 0.0 for r in nash.values())
-    assert regrets >= 1000 and nonzero >= 300
+    assert regrets >= 3000 and nonzero >= 900
 
 
 def test_bne_regret_deterministic():
