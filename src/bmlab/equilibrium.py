@@ -19,18 +19,20 @@ bids that pass one of the first S opponents (S the positions of positive
 weight) and the lowest positive bid.  A run builds the ladders once from
 the profile, and the dynamics rebuild the keywords a rewritten row
 changes; their menus are capped at _MAX_MENU_BIDS bids.  The regret
-check also prices each keyword's played bid.  The Bayes-Nash regret
-estimate uses the same breakpoint rule on one bidder's (type, keyword)
-rows (_deviation_menus): per opponent bid of its draws, the lowest grid
-bid that outranks it, with delta, the value and the played bid, so a
-row's size is bounded by the draws, not by value / delta; it prices
-them with mechanisms.gsp_outcome, the one GSP kernel, and ranks the
-keywords as best response does.  The pure-Nash enumerator reads best
-response's _menus menus and builds no strategy row: it scans each
-keyword's grid of its participants' menus with gsp_outcome, not the
-joint grid, for the bid vectors a stable profile can hold there, checks
-only the profiles built from those, and reads the survivors' bids off
-the menus.
+check also prices each keyword's played bid.  The dynamics' stopping
+test prices the regrets in advertiser order only up to the first one
+above epsilon, and the report prices all of them once, on the final
+profile.  The Bayes-Nash regret estimate uses the same breakpoint rule
+on one bidder's (type, keyword) rows (_deviation_menus): per opponent
+bid of its draws, the lowest grid bid that outranks it, with delta, the
+value and the played bid, so a row's size is bounded by the draws, not
+by value / delta; it prices them with mechanisms.gsp_outcome, the one
+GSP kernel, and ranks the keywords as best response does.  The
+pure-Nash enumerator reads best response's _menus menus and builds no
+strategy row: it scans each keyword's grid of its participants' menus
+with gsp_outcome, not the joint grid, for the bid vectors a stable
+profile can hold there, checks only the profiles built from those, and
+reads the survivors' bids off the menus.
 Every solver here prices at reserve 0 with the tie rule of
 mechanisms.outranks and reports the welfare of
 mechanisms.pbm_expected_welfare_batch.  The full-information solvers read
@@ -300,19 +302,25 @@ def verify_epsilon_nash(scenario: Scenario, bids, grid: BidGrid,
     return _regrets(_Ladders(scenario, grid, conservative, bids), bids)
 
 
+def _regret(ladders, a, row):
+    """The regret of advertiser index a, playing row, on the ladders: its
+    best utility, its played bids among the candidates, less its current."""
+    return max(0.0, ladders.respond(a, played=True)[1] - ladders.played(a, row))
+
+
 def _regrets(ladders, bids):
-    """verify_epsilon_nash on the ladders of the profile bids: each
-    advertiser's best utility, its played bids among the candidates, less
-    its current one."""
-    return {i: max(0.0, ladders.respond(a, played=True)[1] - ladders.played(a, bids.get(i, {})))
+    """_regret of every advertiser of the profile bids."""
+    return {i: _regret(ladders, a, bids.get(i, {}))
             for a, i in enumerate(ladders.scenario.advertisers)}
 
 
 def best_response_dynamics(scenario: Scenario, initial, grid: BidGrid,
                            epsilon=None, max_iters=50,
                            conservative=False) -> EquilibriumReport:
-    """Round-robin best responses until max regret <= epsilon or the
-    iteration cap; non-convergence is a report state, not an error."""
+    """Round-robin best responses until every regret is <= epsilon or the
+    iteration cap; non-convergence is a report state, not an error.  The
+    stopping test before each sweep stops at the first regret above
+    epsilon; the report prices every regret on the final profile."""
     eps = _resolve_epsilon(scenario, epsilon)
     if max_iters < 0:
         raise ValidationError(f"max_iters must be >= 0, got {max_iters}")
@@ -320,20 +328,15 @@ def best_response_dynamics(scenario: Scenario, initial, grid: BidGrid,
     # the menus depend only on (advertiser, keyword), so they are built once;
     # every row a best response writes is feasible, so one check suffices
     ladders = _Ladders(scenario, grid, conservative, initial)
-    regrets = _regrets(ladders, profile)
-    converged = False
     iterations = 0
-    for it in range(1, max_iters + 1):
-        iterations = it
-        if max(regrets.values(), default=0.0) <= eps:
-            converged = True
+    for iterations in range(1, max_iters + 1):
+        if all(_regret(ladders, a, profile[i]) <= eps for a, i in enumerate(scenario.advertisers)):
             break
         for a, i in enumerate(scenario.advertisers):
             profile[i], _ = ladders.respond(a)
             ladders.write(a, profile[i])
-        regrets = _regrets(ladders, profile)
-    else:
-        converged = max_iters > 0 and max(regrets.values(), default=0.0) <= eps
+    regrets = _regrets(ladders, profile)
+    converged = max_iters > 0 and max(regrets.values(), default=0.0) <= eps
     return EquilibriumReport(profile=profile, regrets=regrets,
                              converged=converged, iterations=iterations,
                              epsilon=eps,

@@ -36,6 +36,7 @@ from bmlab.market import (
 from bmlab.mechanisms import pbm_expected_welfare
 from bmlab.reserves import PointMass, Uniform, bayes_scenario_from_json
 
+import helpers
 from helpers import (
     best_response_table_oracle,
     canonical_profiles,
@@ -417,28 +418,79 @@ def _oracle_check(sc, bids, grid, conservative):
     assert {i: r.hex() for i, r in regrets.items()} == oracle_regrets
 
 
+def _oracle_stopping_tests(sc, bids, grid, conservative, max_iters):
+    """per_call_dynamics from bids, and the regret vectors its loop tests
+    against epsilon, one per iteration it counts, read off its
+    keep_played scalar_best_response calls (one per advertiser)."""
+    priced = []
+
+    def spy(*args, keep_played=False):
+        row, best, current = scalar_best_response(*args, keep_played=keep_played)
+        if keep_played:
+            priced.append(max(0.0, best - current))
+        return row, best, current
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(helpers, "scalar_best_response", spy)
+        result = per_call_dynamics(sc, bids, grid, default_epsilon(sc), max_iters, conservative)
+    n = len(sc.advertisers)
+    return result, [priced[k:k + n] for k in range(0, n * result[3], n)]
+
+
 def _dynamics_check(sc, bids, grid, conservative, max_iters):
-    """best_response_dynamics from bids equals the per-call loop hex for hex."""
-    rep = best_response_dynamics(sc, bids, grid, max_iters=max_iters, conservative=conservative)
-    profile, regrets, converged, iterations = per_call_dynamics(
-        sc, bids, grid, default_epsilon(sc), max_iters, conservative)
+    """best_response_dynamics from bids equals the per-call loop hex for
+    hex.  Its regret pricing, the played=True responses, is one per
+    advertiser that each of the oracle's stopping tests reaches in index
+    order, up to the first regret above epsilon, and one per advertiser
+    for the report.  Returns (the played=True responses, the number of
+    tests whose first regret above epsilon is not advertiser index 0's)."""
+    (profile, regrets, converged, iterations), tests = _oracle_stopping_tests(
+        sc, bids, grid, conservative, max_iters)
+    calls, respond = [], equilibrium._Ladders.respond
+
+    def spy(self, a, played=False):
+        calls.append(played)
+        return respond(self, a, played)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(equilibrium._Ladders, "respond", spy)
+        rep = best_response_dynamics(sc, bids, grid, max_iters=max_iters, conservative=conservative)
     assert _hex_rows(rep.profile) == _hex_rows(profile)
     assert {i: r.hex() for i, r in rep.regrets.items()} == {i: r.hex() for i, r in regrets.items()}
     assert (rep.iterations, rep.converged) == (iterations, converged)
+    eps, n = default_epsilon(sc), len(sc.advertisers)
+    first = [next((k for k, r in enumerate(v) if r > eps), None) for v in tests]
+    assert calls.count(True) == sum(n if k is None else k + 1 for k in first) + n
+    return calls.count(True), sum(k is not None and k > 0 for k in first)
 
 
 @pytest.mark.parametrize("weights", [(1.0,), (1.0, 0.6), (1.0, 0.6, 0.0)])
 def test_dynamics_bit_identical_to_per_call_oracle(weights):
     """best_response_dynamics, with its menus built once, reports the
     profile, regrets, iterations and convergence of the round-robin loop
-    of one scalar best response per advertiser, bit for bit."""
-    rng = np.random.default_rng([707, len(weights)])
+    of one scalar best response per advertiser, bit for bit.  Some
+    stopping tests find their first regret above epsilon past a stable
+    advertiser index 0."""
+    rng, passed_stable = np.random.default_rng([707, len(weights)]), 0
     for t in range(25):
         sc = random_scenario(rng, max_adv=4, max_kw=3, max_q=4, weights=weights)
         grid = make_grid(sc, delta=max(make_grid(sc, 1.0).caps.values()) / 4)
         initial = random_bid_profile(rng, sc, overbid=0.5) if t % 2 else {}
         conservative, max_iters = bool(t % 3), int(rng.integers(0, 8))
-        _dynamics_check(sc, initial, grid, conservative, max_iters)
+        passed_stable += _dynamics_check(sc, initial, grid, conservative, max_iters)[1]
+    assert passed_stable >= 3
+
+
+@pytest.mark.parametrize("conservative", [False, True])
+def test_dynamics_stopping_test_stops_at_the_first_regret_above_epsilon(conservative):
+    """The 30 sweeps of the wide dynamics golden (scenario_wide at delta
+    0.25, with either menus: the CI runs both) price 47 regrets where
+    pricing all 12 before every sweep and after the last takes 31 * 12 =
+    372: one per stopping test up to its first regret above epsilon,
+    advertiser index 0's in 25 of the 30 and index 1's in 5, and 12 for
+    the report."""
+    sc = scenario_from_json(DATA / "scenario_wide.json")
+    assert _dynamics_check(sc, {}, make_grid(sc, delta=0.25), conservative, 30) == (47, 5)
 
 
 def test_conservative_menus_change_no_solver_result():
@@ -506,13 +558,14 @@ def _tied_market(rng):
 
 @pytest.mark.parametrize("cells", ["one bid", "one row", "default"])
 def test_sliced_regret_pass_bit_identical_to_oracles(monkeypatch, cells):
-    """With the regret estimate's kernel calls cut to one bid, to the
-    widest menu's bids or left at the default, the full-information
-    solvers never call gsp_outcome, best_response_dynamics equals the
-    per-call loop, and best_response and verify_epsilon_nash the scalar
-    oracle, bit for bit, on markets of up to 10 advertisers with ties,
-    zero-value bids and a valueless advertiser."""
-    rng = np.random.default_rng([808, len(cells)])
+    """With _CELLS, the kernel-call size that only the regret estimate
+    reads, cut to one bid, to the widest menu's bids or left at the
+    default, the full-information solvers never call gsp_outcome,
+    best_response_dynamics equals the per-call loop, and best_response
+    and verify_epsilon_nash the scalar oracle, bit for bit, on markets of
+    up to 10 advertisers with ties, zero-value bids and a valueless
+    advertiser.  Each setting runs its own markets."""
+    rng = np.random.default_rng([808, {"default": 7, "one bid": 8, "one row": 9}[cells]])
     calls = []
     kernel = equilibrium.gsp_outcome
     monkeypatch.setattr(equilibrium, "gsp_outcome",
