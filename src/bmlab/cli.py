@@ -197,6 +197,7 @@ def _need(cfg, attr, flag):
 # ---------------------------------------------------------------- simulate
 
 ROUND_HEADER = "round,query,sampled_keyword,slot,advertiser,price,click_weight"
+_REPORT_BLOCK = 1024     # most rounds in one string _round_lines yields
 
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> int:
@@ -222,18 +223,24 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
 
 
 def _round_lines(outcomes):
-    """rounds.csv line by line, the header first; each (query, keyword)
-    pair's lines after the round number are formatted once."""
+    """rounds.csv: the header, then a string per _REPORT_BLOCK rounds.  Each
+    (query, keyword) pair's lines after the round number are formatted
+    once; round t writes n + n.join(them), n = str(t), if it has any."""
     yield ROUND_HEADER + "\n"
-    rows = {}       # (query, keyword) -> its CSV lines after the round number
+    rows, block = {}, []    # (query, keyword) -> its CSV lines after the round number
     for t, outcome in enumerate(outcomes):
         key = (outcome.query, outcome.sampled_keyword)
-        if key not in rows:
-            rows[key] = [f",{outcome.query},{outcome.sampled_keyword},{slot},{adv},"
-                         f"{price:.9g},{w:.9g}\n"
-                         for slot, adv, price, w in outcome.assignments]
-        for row in rows[key]:
-            yield f"{t}{row}"
+        if (lines := rows.get(key)) is None:
+            lines = rows[key] = [f",{outcome.query},{outcome.sampled_keyword},{slot},{adv},"
+                                 f"{price:.9g},{w:.9g}\n"
+                                 for slot, adv, price, w in outcome.assignments]
+        if lines:
+            n = str(t)
+            block.append(n + n.join(lines))
+        if t % _REPORT_BLOCK == _REPORT_BLOCK - 1:
+            yield "".join(block)
+            block = []
+    yield "".join(block)
 
 
 # -------------------------------------------------------------- equilibrium

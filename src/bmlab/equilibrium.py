@@ -17,8 +17,8 @@ in plain Python: per keyword, the profile's positive bids sorted by
 mechanisms.outranks, and per (advertiser, keyword) row only the menu
 bids that pass one of the first S opponents (S the positions of positive
 weight) and the lowest positive bid.  A run builds the ladders once from
-the profile, and the dynamics rebuild the keywords a rewritten row
-changes; their menus are capped at _MAX_MENU_BIDS bids.  The regret
+the profile, and the dynamics move a rewritten row's changed keys in
+place; their menus are capped at _MAX_MENU_BIDS bids.  The regret
 check also prices each keyword's played bid.  The dynamics' stopping
 test prices the regrets in advertiser order only up to the first one
 above epsilon, and the report prices all of them once, on the final
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -157,7 +157,7 @@ class _Ladders:
     profile is read once through bid_matrix, checked by
     require_finite_bid_tensor and, on the keywords of the graph, by
     validate_bid_profile; per keyword it holds the bids by advertiser
-    index and their _ladder, rebuilt when write changes one of them.  The
+    index and their _ladder, whose keys write moves in place.  The
     utility of an own bid against fixed opponent bids steps only where
     the bid passes one of them, so a response prices a few bids per menu
     in plain Python.  rows[a]: per keyword of advertiser index a's _menus,
@@ -186,18 +186,13 @@ class _Ladders:
                       for s, menu in _menus(scenario, grid, i, conservative).items()]
                      if only in (None, a) else [] for a, i in enumerate(scenario.advertisers)]
 
-    def opponents(self, a, s):
-        """The first S keys of keyword s's ladder other than advertiser
-        index a's, S the positions of positive weight: the only ones that
-        can outrank a paid bid or set its price."""
-        S = len(self.w)
-        return [key for key in self.ladders[s][:S + 1] if key[1] != a][:S]
-
     def utility(self, opp, a, b, mass, value):
         """gsp_outcome's utility of advertiser index a bidding b > 0 against
-        the opponent keys opp: its rank counts the keys below (-b, a); in a
-        position of positive weight it pays the next opponent bid down, or
-        0.0, and earns mass * weight * (value - price)."""
+        opp, the first S keys other than a's on the keyword's ladder, the
+        only ones that can outrank a paid bid or set its price: its rank
+        counts the keys below (-b, a); in a position of positive weight it
+        pays the next opponent bid down, or 0.0, and earns mass * weight *
+        (value - price)."""
         r = bisect_left(opp, (-b, a))
         if r >= len(self.w):
             return 0.0
@@ -216,15 +211,20 @@ class _Ladders:
         off the grid.  The keywords are ranked by (-utility, keyword), the
         top kappa of positive utility kept and their utilities added in
         that order from 0.0."""
-        ranked = []
+        w, bids, ladders, utility = self.w, self.bids, self.ladders, self.utility
+        S, ranked = len(w), []
         for s, menu, mass, value in self.rows[a]:
-            opp = self.opponents(a, s)
+            opp = [key for key in ladders[s][:S + 1] if key[1] != a][:S]
+            cands = list(menu[1:2])
+            # per opponent, lowest first, the lowest bid outranking it
+            for nb, j in reversed(opp):
+                if (k := (bisect_left if a < j else bisect_right)(menu, -nb)) < len(menu):
+                    cands.append(menu[k])
+            if played and (p := bids[s][a]) > 0.0:
+                cands.append(p)
             best_u, best_b = 0.0, 0.0
-            # per opponent, lowest first, the index of the lowest bid outranking it
-            above = [(bisect_left if a < j else bisect_right)(menu, -nb) for nb, j in reversed(opp)]
-            own = [p] if played and (p := self.bids[s][a]) > 0.0 else []
-            for b in [*menu[1:2], *(menu[k] for k in above if k < len(menu)), *own]:
-                u = self.utility(opp, a, b, mass, value)
+            for b in cands:
+                u = utility(opp, a, b, mass, value)
                 if u > best_u:
                     best_u, best_b = u, b
             if best_u > 0.0:
@@ -236,20 +236,24 @@ class _Ladders:
         """The utility of advertiser index a's bid row: its positive bids
         on keywords of the graph priced on their ladders, added in row
         order from 0.0."""
-        sc, total = self.scenario, 0.0
+        sc, S, total = self.scenario, len(self.w), 0.0
         for s in row:
             if s in self.bids and (b := self.bids[s][a]) > 0.0:
-                total += self.utility(self.opponents(a, s), a, b, sc.kw_masses[s],
-                                      sc.kw_values[sc.advertisers[a]][s])
+                opp = [key for key in self.ladders[s][:S + 1] if key[1] != a][:S]
+                total += self.utility(opp, a, b, sc.kw_masses[s], sc.kw_values[sc.advertisers[a]][s])
         return total
 
     def write(self, a, row):
-        """Set advertiser index a's bids to the bid row, rebuilding the
-        ladder of each keyword whose bid changes."""
+        """Set advertiser index a's bids to the bid row, moving its key in
+        the ladder of each keyword whose bid changes: the old key out,
+        found by bisection, and the new one in, if positive."""
         for s, col in self.bids.items():
-            if col[a] != (b := row.get(s, 0.0)):
-                col[a] = b
-                self.ladders[s] = _ladder(col)
+            if (old := col[a]) != (b := row.get(s, 0.0)):
+                col[a], ladder = b, self.ladders[s]
+                if old > 0.0:
+                    del ladder[bisect_left(ladder, (-old, a))]
+                if b > 0.0:
+                    insort(ladder, (-b, a))
 
 
 def best_response(scenario: Scenario, bids, advertiser, grid: BidGrid,

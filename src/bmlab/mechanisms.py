@@ -18,8 +18,8 @@ counterpart.
 """
 from __future__ import annotations
 
-import bisect
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -209,7 +209,8 @@ def pbm_simulate(scenario: Scenario, bids, rounds, rng):
     so the rounds and rng's final state equal the per-round loop's.
 
     A keyword's ranking is the same in every round, so each keyword is
-    ranked once and each (query, keyword) pair priced once, on first use.
+    ranked once and each (query, keyword) pair priced once, on first use,
+    into its query's row of a table that the rounds draw on inline.
     Uniforms come in blocks of one per round left, this one included, at
     most _UNIFORM_BLOCK at a time: once a round needs a uniform every later
     round needs one too (each draws a query, or each draws a keyword of the
@@ -220,31 +221,32 @@ def pbm_simulate(scenario: Scenario, bids, rounds, rng):
     rounds' welfare and revenue added in round order."""
     queries = scenario.p.queries
     q_cdf = _cdf([scenario.p.mass(q) for q in queries])
-    supports = {q: scenario.pi.support(q) for q in queries}
-    kw_cdfs = {q: _cdf([scenario.pi.mass(q, s) for s in supports[q]]) for q in queries}
-    block, used = [], 0
-
-    def pick(items, cdf, t):
-        """items[index drawn from cdf]; a lone item costs no uniform."""
-        nonlocal block, used
-        if len(items) == 1:
-            return items[0]
-        if used == len(block):
-            block, used = rng.random(min(_UNIFORM_BLOCK, rounds - t)).tolist(), 0
-        used += 1
-        return items[bisect.bisect_right(cdf, block[used - 1])]
-
-    rankings, pairs = {}, {}        # keyword -> ranking, (query, keyword) -> outcome
+    table = []      # per query: (query, keywords, cdf, several keywords, outcomes)
+    for q in queries:
+        support = scenario.pi.support(q)
+        table.append((q, support, _cdf([scenario.pi.mass(q, s) for s in support]),
+                      len(support) > 1, [None] * len(support)))
+    rankings, block, used = {}, [], 0     # keyword -> ranking; the uniforms
     outcomes = []
     welfare_sum = revenue_sum = 0.0
     for t in range(rounds):
-        q = pick(queries, q_cdf, t)
-        s = pick(supports[q], kw_cdfs[q], t)
-        outcome = pairs.get((q, s))
+        row = table[0]
+        if len(table) > 1:
+            if used == len(block):
+                block, used = rng.random(min(_UNIFORM_BLOCK, rounds - t)).tolist(), 0
+            row, used = table[bisect_right(q_cdf, block[used])], used + 1
+        q, support, cdf, several, pairs = row
+        k = 0
+        if several:
+            if used == len(block):
+                block, used = rng.random(min(_UNIFORM_BLOCK, rounds - t)).tolist(), 0
+            k, used = bisect_right(cdf, block[used]), used + 1
+        outcome = pairs[k]
         if outcome is None:
+            s = support[k]
             if s not in rankings:
                 rankings[s] = _rank_keyword(scenario, bids, s)
-            outcome = pairs[q, s] = _outcome(scenario, q, s, rankings[s])
+            outcome = pairs[k] = _outcome(scenario, q, s, rankings[s])
         outcomes.append(outcome)
         welfare_sum += outcome.welfare
         revenue_sum += outcome.revenue

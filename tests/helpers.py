@@ -924,6 +924,32 @@ def per_round_simulate(scenario, bids, rounds, rng):
     return outcomes, welfare_sum, revenue_sum
 
 
+
+def per_round_reports(scenario, bids, rounds, seed):
+    """Oracle: the simulate command's (rounds.csv, summary.json) texts from
+    per_round_simulate, rounds.csv rendered line by line: per round, one
+    line per slot assignment, so a round without one writes none."""
+    import json
+
+    from bmlab.cli import ROUND_HEADER
+    from bmlab.mechanisms import pbm_expected_revenue, pbm_expected_welfare
+
+    outcomes, welfare_sum, revenue_sum = per_round_simulate(
+        scenario, bids, rounds, np.random.default_rng(seed))
+    lines = [ROUND_HEADER + "\n"]
+    for t, o in enumerate(outcomes):
+        for slot, adv, price, w in o.assignments:
+            lines.append(f"{t},{o.query},{o.sampled_keyword},{slot},{adv},{price:.9g},{w:.9g}\n")
+    summary = {
+        "rounds": rounds,
+        "seed": seed,
+        "exact_welfare": pbm_expected_welfare(scenario, bids),
+        "exact_revenue": pbm_expected_revenue(scenario, bids),
+        "empirical_welfare": welfare_sum / rounds if rounds else None,
+        "empirical_revenue": revenue_sum / rounds if rounds else None,
+    }
+    return "".join(lines), json.dumps(summary, indent=2, sort_keys=True) + "\n"
+
 def per_draw_bne_regret(bayes, strategy, n_types, deviation_delta, rng,
                         n_opponent_draws=32):
     """Oracle: estimate_bne_regret as one strategy call per drawn profile

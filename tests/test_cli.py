@@ -16,6 +16,10 @@ import pytest
 from bmlab import cli, expressiveness
 from bmlab.analysis import counterexample_scenario
 from bmlab.cli import main
+from bmlab.market import scenario_from_json
+from bmlab.mechanisms import load_bid_profile
+
+from helpers import per_round_reports
 
 DATA = Path(__file__).parent / "data"
 SCENARIO = str(DATA / "scenario_2x2.json")
@@ -212,6 +216,26 @@ def test_simulate_different_seeds_differ(tmp_path):
     assert (a / "rounds.csv").read_bytes() != (b / "rounds.csv").read_bytes()
 
 
+def test_simulate_report_blocks_match_the_per_round_oracle(tmp_path):
+    """Past two report blocks, on a market where nobody bids on s1:
+    rounds.csv and summary.json are the per-round loop's rendered line by
+    line, so a round that draws s1 writes no line."""
+    bids = tmp_path / "bids.json"
+    bids.write_text(json.dumps({"a": {"s2": 1.0}, "b": {"s2": 3.5}}))
+    rounds = 2 * cli._REPORT_BLOCK + 300
+    assert run("simulate", "--scenario", SCENARIO, "--bids", bids, "--rounds", rounds,
+               "--seed", 3, "--out", tmp_path / "out") == 0
+    sc = scenario_from_json(SCENARIO)
+    want_rounds, want_summary = per_round_reports(sc, load_bid_profile(bids, sc), rounds, 3)
+    got = (tmp_path / "out" / "rounds.csv").read_bytes()
+    assert got == want_rounds.encode()
+    assert (tmp_path / "out" / "summary.json").read_bytes() == want_summary.encode()
+    # single slot: a line per round that has an assignment, some have none,
+    # and the lines reach the third report block
+    assert got.count(b"\n") - 1 < rounds
+    assert int(got.splitlines()[-1].split(b",")[0]) >= 2 * cli._REPORT_BLOCK
+
+
 def _traced_simulate_peak(rounds, out) -> int:
     tracemalloc.start()
     try:
@@ -225,8 +249,8 @@ def _traced_simulate_peak(rounds, out) -> int:
 def test_simulate_memory_grows_only_by_the_outcome_references(tmp_path):
     """Ten times the rounds may add the returned list's 8 B reference per
     round (and the list's spare capacity), not the report's lines or a
-    uniform per round: rounds.csv is streamed and the uniforms come in
-    capped blocks."""
+    uniform per round: rounds.csv is written in blocks of rounds and the
+    uniforms come in capped blocks."""
     n = 10_000
     _traced_simulate_peak(10, tmp_path / "warm")
     small = _traced_simulate_peak(n, tmp_path / "small")

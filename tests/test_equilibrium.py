@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bmlab import cli, equilibrium
 from bmlab.equilibrium import (
@@ -395,6 +397,38 @@ def test_regret_counts_a_played_bid_off_the_grid():
     assert {i: e.mean.hex() for i, e in estimate.items()} == {i: r.hex() for i, r in regrets.items()}
     rep = best_response_dynamics(sc, profile, grid, conservative=True)
     assert rep.converged and rep.iterations == 2 and rep.profile != profile
+
+
+_HALVES = st.sampled_from([0.0, 0.5, 1.0, 1.5])
+
+
+@given(st.integers(0, 2 ** 32 - 1),
+       st.lists(st.tuples(st.integers(0, 4), st.none() | st.lists(_HALVES, min_size=4, max_size=4)),
+                max_size=25))
+@settings(max_examples=150, deadline=None)
+def test_ladder_writes_keep_each_ladder_as_rebuilt(seed, writes):
+    """_Ladders.write moves keys in place: after every write, each
+    keyword's column holds the written bids and its ladder equals _ladder
+    rebuilt from that column.  The writes set bids to 0 and back, tie
+    other bids (all bids lie on halves) or, for None, write the row as it
+    stands."""
+    rng = np.random.default_rng(seed)
+    sc = random_scenario(rng, max_adv=5, max_kw=4, weights=(1.0, 0.5))
+    bids = {i: {s: h for s, b in row.items() if (h := round(b * 2) / 2) > 0.0}
+            for i, row in random_bid_profile(rng, sc).items()}
+    ladders = equilibrium._Ladders(sc, make_grid(sc, 0.5), False, bids)
+    want = {s: [bids[i].get(s, 0.0) for i in sc.advertisers] for s in sc.graph.keywords}
+    for a, halves in writes:
+        a %= len(sc.advertisers)
+        if halves is None:
+            row = {s: col[a] for s, col in want.items() if col[a] > 0.0}
+        else:
+            row = dict(zip(sc.graph.keywords, halves))
+        ladders.write(a, row)
+        for s, col in want.items():
+            col[a] = row.get(s, 0.0)
+        assert ladders.bids == want
+        assert ladders.ladders == {s: equilibrium._ladder(col) for s, col in want.items()}
 
 
 def _hex_rows(profile):

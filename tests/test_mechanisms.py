@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from pathlib import Path
@@ -236,13 +237,7 @@ def _rounds_view(outcomes):
             for o in outcomes]
 
 
-@given(simulated_markets(), st.sampled_from([0, 1, 2, 3, 17, 64, 301]),
-       st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=150, deadline=None)
-def test_simulate_keeps_the_per_round_stream(market, rounds, seed):
-    """pbm_simulate plays the rounds of the per-round loop (draw, then
-    pbm_run_round) from the same uniforms: equal rounds, bit-equal welfare,
-    revenue and sums, and the generator left in the same state."""
+def _check_stream(market, rounds, seed):
     sc, bids = market
     fast_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     outcomes, welfare_sum, revenue_sum = pbm_simulate(sc, bids, rounds, fast_rng)
@@ -253,11 +248,31 @@ def test_simulate_keeps_the_per_round_stream(market, rounds, seed):
     assert fast_rng.bit_generator.state == loop_rng.bit_generator.state
 
 
+@given(simulated_markets(), st.sampled_from([0, 1, 2, 3, 17, 64, 301]),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_simulate_keeps_the_per_round_stream(market, rounds, seed):
+    """pbm_simulate plays the rounds of the per-round loop (draw, then
+    pbm_run_round) from the same uniforms: equal rounds, bit-equal welfare,
+    revenue and sums, and the generator left in the same state."""
+    _check_stream(market, rounds, seed)
+
+
+@given(simulated_markets(), st.sampled_from([_UNIFORM_BLOCK + 1, 2 * _UNIFORM_BLOCK + 3]),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_simulate_keeps_the_per_round_stream_across_blocks(market, rounds, seed):
+    """The same past one and two full blocks of uniforms, so that the
+    rounds refill the block mid-run."""
+    _check_stream(market, rounds, seed)
+
+
 class _CountingRng:
-    """A generator that records the size of each block of uniforms."""
+    """A generator that records the size of each block of uniforms, and
+    counts the uniforms of its choice draws (one each)."""
 
     def __init__(self, seed):
-        self.rng, self.sizes = np.random.default_rng(seed), []
+        self.rng, self.sizes, self.uniforms = np.random.default_rng(seed), [], 0
 
     @property
     def blocks(self):
@@ -266,6 +281,10 @@ class _CountingRng:
     def random(self, size):
         self.sizes.append(size)
         return self.rng.random(size)
+
+    def choice(self, n, p):
+        self.uniforms += 1
+        return self.rng.choice(n, p=p)
 
 
 def test_simulate_refills_its_uniforms_and_matches_the_loop():
@@ -305,6 +324,33 @@ def test_simulate_caps_its_uniform_blocks_and_keeps_the_stream():
     assert welfare_sum.hex() == want_welfare.hex()
     assert revenue_sum.hex() == want_revenue.hex()
     assert counting.rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+def test_simulate_draws_a_keyword_across_a_block_boundary():
+    """A round whose query uniform is the last of a full block and whose
+    keyword uniform the first of the next, found by replaying the
+    per-round loop a round at a time through a counting generator: the
+    rounds, sums and generator state are still the loop's."""
+    sc = scenario_from_json(DATA / "scenario_2x2.json")
+    bids = load_bid_profile(DATA / "bids_2x2.json", sc)
+    rounds, seed = _UNIFORM_BLOCK + 100, 0
+    counting = _CountingRng(seed)
+    outcomes, welfare_sum, revenue_sum = pbm_simulate(sc, bids, rounds, counting)
+    ends = set(itertools.accumulate(counting.sizes))    # uniforms drawn by each block's end
+    replay, want, straddling = _CountingRng(seed), [], []
+    for _ in range(rounds):
+        before = replay.uniforms
+        want += per_round_simulate(sc, bids, 1, replay)[0]
+        if replay.uniforms == before + 2 and before + 1 in ends:
+            straddling.append(before + 1)
+    assert _UNIFORM_BLOCK in straddling
+    assert _rounds_view(outcomes) == _rounds_view(want)
+    want_welfare = want_revenue = 0.0
+    for o in want:
+        want_welfare += o.welfare
+        want_revenue += o.revenue
+    assert (welfare_sum.hex(), revenue_sum.hex()) == (want_welfare.hex(), want_revenue.hex())
+    assert counting.rng.bit_generator.state == replay.rng.bit_generator.state
 
 
 def test_simulate_single_pair_draws_nothing():
