@@ -410,10 +410,12 @@ def cmd_expressiveness(cfg: RunConfig, out: Path) -> int:
                    (out / "degree_bound.csv", [table.degree_bound_csv()]))
     print(f"beta > alpha/3 in {table.beta_exceeds_third_alpha():.1%} "
           f"of cells (descriptive)")
-    skipped = table.skipped + table.degree_skipped
+    skipped = {}        # market term -> the reason it was first skipped for
+    for term, reason in table.skipped + table.degree_skipped:
+        skipped.setdefault(term, reason)
     if skipped:
         print(f"skipped {len(skipped)} market(s): "
-              + "; ".join(f"{t}: {r}" for t, r in skipped))
+              + "; ".join(f"{t}: {r}" for t, r in skipped.items()))
     return 0
 
 

@@ -15,7 +15,10 @@ bids:
 
 The corpus side turns raw bid and query logs into micro markets (term
 sharing), infers positive queries from edit-distance similarity, and
-sweeps (theta, kappa) to tabulate both metrics.
+sweeps (theta, kappa) to tabulate both metrics.  Edit distance has one
+bit-parallel kernel, which packs all of a market's queries into one int
+and runs one pass per keyword over them; a single pair is its
+one-pattern case.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import math
 import numbers
 import string
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 from .errors import (
@@ -44,47 +46,70 @@ _DEGREE_BOUND_TOL = 1e-12   # float slack on both sides of the sandwich
 
 # --------------------------------------------------------------- string side
 
-def levenshtein(a: str, b: str) -> int:
-    """Unit-cost edit distance (insert / delete / substitute).
+def _packed(patterns) -> tuple:
+    """(patterns, peq, mask, starts, fields): the patterns laid side by
+    side in one int for _distances.  Each pattern gets a field of one bit
+    per character, lowest bit first, and one zero guard bit above it,
+    which absorbs the carry out of the field in (eq & pv) + pv.  peq maps
+    a character to the bits of its positions, fields holds each pattern's
+    field bits, mask all of them and starts the lowest bit of each."""
+    peq, fields, bit = {}, [], 1
+    for p in patterns:
+        start = bit
+        for ch in p:
+            peq[ch] = peq.get(ch, 0) | bit
+            bit <<= 1
+        fields.append(bit - start)
+        bit <<= 1
+    return tuple(patterns), peq, sum(fields), sum(f & -f for f in fields), fields
+
+
+def _distances(packed, text) -> list:
+    """Unit-cost edit distance (insert / delete / substitute) from text to
+    each packed pattern, in one pass over text.
 
     Myers' bit-parallel algorithm (J. ACM 46(3), 1999) in Hyyro's
-    formulation: one column of the DP table's vertical deltas lives in
-    two Python ints, one bit per character of the longer string, so each
-    character of the shorter one costs a dozen integer operations at any
-    length.
-    """
-    if len(a) < len(b):
-        a, b = b, a
-    peq = {}
-    bit = 1
-    for ch in a:
-        peq[ch] = peq.get(ch, 0) | bit
-        bit <<= 1
-    mask = bit - 1
-    last = bit >> 1
-    pv, mv, dist = mask, 0, len(a)
-    for ch in b:
+    formulation, run on all fields at once (Hyyro, Fredriksson and
+    Navarro, ACM JEA 10, 2005): pv and mv hold a DP column's +1 and -1
+    vertical deltas, each character of text costs a dozen integer
+    operations on the packed int, and the shifted horizontal deltas get
+    row 0's +1 at every field start.  A pattern's distance is its
+    bottom-row entry: len(text) plus its field's vertical deltas."""
+    _, peq, mask, starts, fields = packed
+    pv, mv = mask, 0
+    for ch in text:
         eq = peq.get(ch, 0)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
         ph = mv | ~(xh | pv)
         mh = pv & xh
-        if ph & last:
-            dist += 1
-        elif mh & last:
-            dist -= 1
-        ph = (ph << 1) | 1
+        ph = (ph << 1) | starts
         pv = ((mh << 1) | ~(xv | ph)) & mask
         mv = ph & xv
-    return dist
+    n = len(text)
+    return [n + (pv & f).bit_count() - (mv & f).bit_count() for f in fields]
+
+
+def levenshtein(a: str, b: str) -> int:
+    """Unit-cost edit distance: _distances with the longer string as the
+    one pattern, so each character of the shorter one is one step."""
+    if len(a) < len(b):
+        a, b = b, a
+    return _distances(_packed((a,)), b)[0]
+
+
+def _similarities(packed, s) -> list:
+    """Sim(q, s) = 1 - d(q, s) / maxlength, with character-level lengths,
+    for each packed query q."""
+    return [1.0 - d / max(len(q), len(s))
+            for q, d in zip(packed[0], _distances(packed, s))]
 
 
 def similarity(q: str, s: str) -> float:
-    """Sim(q, s) = 1 - d(q, s) / maxlength, with character-level lengths."""
-    longest = max(len(q), len(s))
-    if longest == 0:
+    """Sim(q, s): the one-query case of _similarities."""
+    if not q and not s:
         raise EmptyStrings()
-    return 1.0 - levenshtein(q, s) / longest
+    return _similarities(_packed((q,)), s)[0]
 
 
 _PUNCT_TO_SPACE = str.maketrans({ch: " " for ch in string.punctuation})
@@ -234,16 +259,10 @@ def advertiser_alpha(graph, queries, kappa):
     return _alphas(graph, queries, kappa)[-1]
 
 
-def _system_alpha(graph, sets, kappa, top, alphas) -> float:
-    """min over advertisers of alpha_i at kappa, read from each set's
-    _alphas up to top; alphas maps the sets met so far to theirs."""
-    alpha = 1.0
-    for adv in sorted(sets):
-        if sets[adv] not in alphas:
-            alphas[sets[adv]] = _alphas(graph, sets[adv], top)
-        a = alphas[sets[adv]]
-        alpha = min(alpha, a[min(kappa, len(a) - 1)][0])
-    return alpha
+def _system_alpha(known, kappa) -> float:
+    """min over advertisers of alpha_i at kappa, read from the _alphas of
+    their _known entries."""
+    return min((a[min(kappa, len(a) - 1)][0] for a, _ in known), default=1.0)
 
 
 def ql_expressiveness(graph, positive_sets, kappa) -> float:
@@ -273,13 +292,15 @@ def degree_bound_check(graph, positive_sets, kappa) -> DegreeBoundReport:
     graph (as any auction-derived footprint is); isolated positive
     queries or an edgeless graph fall outside it and report holds=False.
     """
-    return _degree_report(graph, positive_sets, kappa,
-                          ql_expressiveness(graph, positive_sets, kappa))
+    alpha = ql_expressiveness(graph, positive_sets, kappa)
+    return _degree_report(graph.max_degree(),
+                          _max_meeting(graph, positive_sets.values()), kappa, alpha)
 
 
-def _degree_report(graph, positive_sets, kappa, alpha) -> DegreeBoundReport:
-    gamma = graph.max_degree()
-    beta = _beta(_max_meeting(graph, positive_sets.values()), kappa)
+def _degree_report(gamma, widest, kappa, alpha) -> DegreeBoundReport:
+    """The report from the graph's max degree gamma and the largest
+    number widest of keywords meeting one positive set."""
+    beta = _beta(widest, kappa)
     lower = alpha / gamma**2 if gamma else 0.0
     upper = gamma * alpha
     holds = (lower <= beta + _DEGREE_BOUND_TOL) and (beta <= upper + _DEGREE_BOUND_TOL)
@@ -349,33 +370,38 @@ class MicroMarket:
     def size(self):
         return len(self.keywords)
 
-    @cached_property
-    def similarities(self) -> dict:
-        """Sim(q, s) for every (query, keyword) pair of the market."""
-        return {(q, s): similarity(q, s) for q in self.queries for s in self.keywords}
+
+def _containment(queries, keywords, tokens) -> BipartiteGraph:
+    """containment_graph, with tokens mapping each string to its token set."""
+    edges = [(q, s) for s in keywords if tokens[s]
+             for q in queries if tokens[s] <= tokens[q]]
+    return BipartiteGraph(queries, keywords, edges, strict=False)
 
 
 def containment_graph(queries, keywords) -> BipartiteGraph:
     """Edge (q, s) when every token of s appears among q's tokens."""
-    q_tokens = {q: frozenset(tokenize(q)) for q in queries}
-    edges = [(q, s) for s in keywords if (s_tok := frozenset(tokenize(s)))
-             for q in queries if s_tok <= q_tokens[q]]
-    return BipartiteGraph(queries, keywords, edges, strict=False)
+    tokens = {x: frozenset(tokenize(x)) for x in (*queries, *keywords)}
+    return _containment(queries, keywords, tokens)
 
 
 def extract_micro_markets(corpus: Corpus) -> list:
-    """One market per term shared by >= 1 keyword and >= 1 query."""
-    kw_terms = {s: frozenset(tokenize(s)) for s in corpus.keywords}
-    q_terms = {q: frozenset(tokenize(q)) for q in corpus.queries}
-    terms = sorted(set().union(*kw_terms.values(), frozenset())
-                   & set().union(*q_terms.values(), frozenset()))
+    """One market per term shared by >= 1 keyword and >= 1 query, in term
+    order, from one tokenization of each corpus string and one pass that
+    files each string under its terms."""
+    tokens = {x: frozenset(tokenize(x)) for x in (*corpus.keywords, *corpus.queries)}
+    by_term = {}        # term -> ([keywords], [queries]) holding it
+    for s in corpus.keywords:
+        for term in tokens[s]:
+            by_term.setdefault(term, ([], []))[0].append(s)
+    for q in corpus.queries:
+        for term in tokens[q]:
+            if term in by_term:
+                by_term[term][1].append(q)
     markets = []
-    for term in terms:
-        kws = tuple(sorted(s for s, toks in kw_terms.items() if term in toks))
-        qs = tuple(sorted(q for q, toks in q_terms.items() if term in toks))
-        if not kws or not qs:
-            continue
-        markets.append(MicroMarket(term, kws, qs, containment_graph(qs, kws)))
+    for term in sorted(by_term):
+        kws, qs = (tuple(sorted(v)) for v in by_term[term])
+        if qs:
+            markets.append(MicroMarket(term, kws, qs, _containment(qs, kws, tokens)))
     return markets
 
 
@@ -426,27 +452,44 @@ def _positive_sets(corpus, market, thetas):
     """Yield (theta, sets, reachable) per theta.  sets maps each advertiser
     bidding in the market to the queries whose best similarity to its
     keywords there exceeds theta: a max and a strict compare, the same as
-    any(sim(q, s) > theta).  reachable drops queries with no neighbor."""
-    sims = market.similarities
+    any(sim(q, s) > theta).  reachable drops queries with no neighbor.
+    The similarities come in one row per keyword, from one _distances
+    pass over all of the market's queries."""
+    packed = _packed(market.queries)
+    rows = {s: _similarities(packed, s) for s in market.keywords}
     best = {}
     for adv in sorted(corpus.bids):
         kws = corpus.bids[adv].intersection(market.keywords)
         if kws:
-            best[adv] = {q: max(sims[q, s] for s in kws) for q in market.queries}
+            best[adv] = [max(col) for col in zip(*(rows[s] for s in kws))]
     linked = frozenset(q for q in market.queries if market.graph.query_neighbors(q))
     for theta in thetas:
-        sets = {adv: frozenset(q for q, b in top.items() if b > theta)
+        sets = {adv: frozenset(q for q, b in zip(market.queries, top) if b > theta)
                 for adv, top in best.items()}
         yield theta, sets, {adv: pos & linked for adv, pos in sets.items()}
 
 
-def _add_cells(cells, market, theta, sets, kappas, alphas) -> None:
+def _known(graph, sets, top, memo) -> list:
+    """(_alphas up to top, #keywords meeting the set) of each advertiser's
+    positive set, in advertiser order; memo maps the sets met so far to
+    theirs, so each distinct set is worked out once."""
+    out = []
+    for adv in sorted(sets):
+        pos = sets[adv]
+        if pos not in memo:
+            memo[pos] = (_alphas(graph, pos, top), len(graph.keywords_meeting(pos)))
+        out.append(memo[pos])
+    return out
+
+
+def _add_cells(cells, market, theta, sets, kappas, memo) -> None:
     """Append one (alpha, beta) per kappa of the grid to its bucket."""
-    alpha = [_system_alpha(market.graph, sets, k, max(kappas), alphas) for k in kappas]
-    widest = _max_meeting(market.graph, sets.values())
-    for kappa, a in zip(kappas, alpha):
+    known = _known(market.graph, sets, max(kappas), memo)
+    widest = max((m for _, m in known), default=0)
+    for kappa in kappas:
         kb = math.ceil(10 * kappa / market.size) / 10
-        cells.setdefault((f"{theta:.1f}", f"{kb:.1f}"), []).append((a, _beta(widest, kappa)))
+        cells.setdefault((f"{theta:.1f}", f"{kb:.1f}"), []).append(
+            (_system_alpha(known, kappa), _beta(widest, kappa)))
 
 
 def expressiveness_sweep(corpus: Corpus, thetas=DEFAULT_THETA_GRID,
@@ -457,7 +500,8 @@ def expressiveness_sweep(corpus: Corpus, thetas=DEFAULT_THETA_GRID,
 
     kappas defaults to 1..size per market; a market adds cells only for
     the kappas in 1..size, and computes each distinct positive set's
-    alphas once, up to the largest of them.  An empty theta or kappa
+    alphas, up to the largest of them, and its count of keywords meeting
+    it once.  An empty theta or kappa
     grid, a theta that is not a real number in [0, 1) or a kappa that is
     not an integer >= 1 raises ValidationError before any market is
     extracted.
@@ -488,22 +532,24 @@ def expressiveness_sweep(corpus: Corpus, thetas=DEFAULT_THETA_GRID,
     for market in extract_micro_markets(corpus):
         grid = [int(k) for k in (kappas or range(1, market.size + 1))
                 if 1 <= k <= market.size]
-        top, alphas = max(grid, default=1), {}
+        top, memo = max(grid, default=1), {}
+        gamma = market.graph.max_degree()
         tabulating = bool(grid)
         for theta, sets, reachable in _positive_sets(corpus, market, thetas):
             if tabulating:
                 try:
-                    _add_cells(cells, market, theta, sets, grid, alphas)
+                    _add_cells(cells, market, theta, sets, grid, memo)
                 except TooLarge as exc:
                     skipped.append((market.term, str(exc)))
                     tabulating = False
             try:
-                alpha = _system_alpha(market.graph, reachable, 1, top, alphas)
+                known = _known(market.graph, reachable, top, memo)
             except TooLarge as exc:
                 degree_skipped.append((market.term, str(exc)))
             else:
                 degree_rows.append((market.term, theta, _degree_report(
-                    market.graph, reachable, 1, alpha)))
+                    gamma, max((m for _, m in known), default=0), 1,
+                    _system_alpha(known, 1))))
     rows = {key: (sum(p[0] for p in pairs) / len(pairs),
                   sum(p[1] for p in pairs) / len(pairs), len(pairs))
             for key, pairs in cells.items()}

@@ -10,7 +10,7 @@ import numpy as np
 
 from bmlab.errors import TooLarge, ValidationError, ZeroDensity
 from bmlab.expressiveness import (EXACT_ALPHA_QUERY_CAP, EXACT_COVER_CANDIDATE_CAP,
-                                  similarity)
+                                  similarity, tokenize)
 from bmlab.market import (
     BipartiteGraph,
     MatchingPolicy,
@@ -306,6 +306,27 @@ def dp_levenshtein(a: str, b: str) -> int:
                            prev[j - 1] + (ca != cb)))
         prev = cur
     return prev[-1]
+
+
+def dp_similarity(q: str, s: str) -> float:
+    """Oracle: Sim(q, s) = 1 - d(q, s) / maxlength from dp_levenshtein."""
+    return 1.0 - dp_levenshtein(q, s) / max(len(q), len(s))
+
+
+def micro_markets_oracle(corpus) -> list:
+    """Oracle: extract_micro_markets as (term, keywords, queries, edges),
+    by scanning every keyword and query for each shared term; an edge
+    (q, s) when s has tokens and all of them are among q's."""
+    kw_terms = {s: frozenset(tokenize(s)) for s in corpus.keywords}
+    q_terms = {q: frozenset(tokenize(q)) for q in corpus.queries}
+    markets = []
+    for term in sorted(set().union(*kw_terms.values()) & set().union(*q_terms.values())):
+        kws = tuple(sorted(s for s, toks in kw_terms.items() if term in toks))
+        qs = tuple(sorted(q for q, toks in q_terms.items() if term in toks))
+        edges = frozenset((q, s) for q in qs for s in kws
+                          if kw_terms[s] and kw_terms[s] <= q_terms[q])
+        markets.append((term, kws, qs, edges))
+    return markets
 
 
 def subset_alpha_oracle(graph, queries, kappa):

@@ -3,7 +3,8 @@
 Commands are run in-process via main(argv); outputs land in tmp_path.
 Golden files pin the three equilibrium modes on the 2x2 fixture, the
 dynamics on a wide market, the enumeration and the PoA report on a 3x3
-market where kappa binds, the corpus sweep table, a seeded simulation, a
+market where kappa binds, the corpus sweep reports on the small corpus
+and on the benchmark's seed-7 corpus, a seeded simulation, a
 Monte-Carlo revenue run and the default counterexample byte-for-byte.
 """
 
@@ -28,6 +29,7 @@ BAYES = str(DATA / "bayes_1x1.json")
 BAYES_3X3 = str(DATA / "bayes_3x3.json")
 BAYES_COUNTEREXAMPLE = str(DATA / "bayes_counterexample.json")
 CORPUS = str(DATA / "corpus")
+CORPUS_BENCH = str(DATA / "corpus_bench")
 GOLDEN = DATA / "golden"
 
 
@@ -124,6 +126,20 @@ def test_expressiveness_matches_golden(tmp_path):
     assert prop[0] == "market,theta,kappa,alpha,beta,gamma,holds"
     assert len(prop) > 1
     assert all(line.endswith("true") for line in prop[1:])
+
+
+def test_expressiveness_matches_golden_on_the_benchmark_corpus(tmp_path, capsys):
+    """The seed-7 corpus of the corpus_sweep benchmark: 118 keywords, 233
+    queries, 1968 cells, and two markets over the exact-alpha cap."""
+    assert run("expressiveness", "--corpus", CORPUS_BENCH, "--out", tmp_path) == 0
+    for name, golden in (("expressiveness.csv", "expressiveness_bench.csv"),
+                         ("degree_bound.csv", "degree_bound_bench.csv")):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / golden).read_bytes()
+    rows = (tmp_path / "expressiveness.csv").read_text().splitlines()[1:]
+    assert sum(int(line.rsplit(",", 1)[1]) for line in rows) == 1968
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "skipped 2 market(s): cheap: |Q_i| = 26 (exact alpha cap 20); "
+        "online: |Q_i| = 36 (exact alpha cap 20)")
 
 
 def test_simulate_matches_golden(tmp_path):
@@ -595,6 +611,22 @@ def test_theta_is_checked_on_a_corpus_without_markets(tmp_path, capsys):
                "--out", tmp_path / "bad")
     assert code == 2
     assert "theta must lie in [0, 1)" in capsys.readouterr().err
+
+
+def test_expressiveness_names_a_market_skipped_at_several_thetas_once(tmp_path, capsys):
+    """Keyword "x" reaches all 26 queries of market "x": its cells stop at
+    theta 0.1 and its degree rows are skipped at 0.1 and 0.0, three skips
+    of one market."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "bids.csv").write_text("advertiser,keyword\na,x\n")
+    (corpus / "queries.csv").write_text("query,frequency\nx,1\n" + "".join(
+        f"x z{a}{b},1\n" for a in "abcde" for b in "abcde"))
+    table = expressiveness.expressiveness_sweep(expressiveness.load_corpus(corpus))
+    assert len(table.skipped + table.degree_skipped) == 3
+    assert run("expressiveness", "--corpus", corpus, "--out", tmp_path / "out") == 0
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "skipped 1 market(s): x: |Q_i| = 26 (exact alpha cap 20)"
 
 
 @pytest.mark.parametrize("kappas", ["0,-3", "2,0", "-1"])

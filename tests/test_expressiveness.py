@@ -11,15 +11,16 @@ from hypothesis import strategies as st
 from bmlab.errors import (EmptyStrings, TooLarge, Uncoverable,
                           ValidationError)
 from bmlab.expressiveness import (DEFAULT_THETA_GRID, Corpus,
-                                  _beta, _positive_sets,
+                                  _beta, _distances, _packed, _positive_sets,
                                   advertiser_alpha, containment_graph,
                                   extract_micro_markets, expressiveness_sweep,
                                   kl_expressiveness, levenshtein, load_corpus,
                                   min_cover_size, degree_bound_check,
                                   ql_expressiveness, similarity, tokenize)
 from bmlab.market import BipartiteGraph
-from helpers import (dp_levenshtein, exhaustive_min_cover, positive_queries,
-                     simple_scenario, subset_alpha_oracle)
+from helpers import (dp_levenshtein, dp_similarity, exhaustive_min_cover,
+                     micro_markets_oracle, positive_queries, simple_scenario,
+                     subset_alpha_oracle)
 
 # ----------------------------------------------------------------- strings
 
@@ -55,7 +56,8 @@ def test_levenshtein_symmetry_and_triangle(a, b, c):
 
 # empty, ASCII, accented, CJK and non-BMP characters; lengths past the
 # 64- and 128-bit word boundaries of the bit-parallel kernel
-_EDIT_TEXT = st.text(alphabet="ab \u00e9\u4e2d\U0001F600", max_size=150)
+_EDIT_ALPHABET = "ab \u00e9\u4e2d\U0001F600"
+_EDIT_TEXT = st.text(alphabet=_EDIT_ALPHABET, max_size=150)
 
 
 @settings(max_examples=300, deadline=None)
@@ -69,6 +71,29 @@ _EDIT_TEXT = st.text(alphabet="ab \u00e9\u4e2d\U0001F600", max_size=150)
 @example("x" * 128 + "y", "y" + "x" * 128)
 def test_levenshtein_matches_dp_table(a, b):
     assert levenshtein(a, b) == dp_levenshtein(a, b)
+
+
+# packed field widths: short and empty ones, and ones around the 30-bit
+# digit of a Python int and the 64- and 128-bit words
+_FIELD = st.one_of(st.integers(0, 6), st.integers(28, 32), st.integers(62, 66),
+                   st.integers(126, 130)).flatmap(
+    lambda n: st.text(alphabet=_EDIT_ALPHABET, min_size=n, max_size=n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_FIELD, min_size=1, max_size=40),
+       st.text(alphabet=_EDIT_ALPHABET, max_size=40))
+@example([""], "")
+@example(["", "a", ""], "")
+@example(["", "ab", ""], "ba\U0001F600")
+@example(["a" * 29, "a" * 30, "b"], "a" * 40)
+@example(["a" * 64, "a" * 64, "a"], "a")
+@example(["\U0001F600" * 128, "", "\u4e2d" * 64], "\u4e2d\U0001F600" * 20)
+def test_packed_distances_match_dp_table(patterns, text):
+    """One pass over text gives each packed pattern its own distance, even
+    where (eq & pv) + pv carries out of a field full of matches."""
+    assert _distances(_packed(patterns), text) == \
+        [dp_levenshtein(p, text) for p in patterns]
 
 
 def test_similarity_values():
@@ -434,6 +459,19 @@ def test_micro_market_no_shared_terms():
     assert extract_micro_markets(corpus) == []
 
 
+def test_micro_markets_match_the_per_term_scan():
+    """The one-pass index gives the markets, their order and their edges
+    that scanning every keyword and query for each term gives."""
+    rng = np.random.default_rng(43)
+    markets = 0
+    for corpus in [random_corpus(rng) for _ in range(150)] + [cap_corpus()]:
+        got = [(m.term, m.keywords, m.queries, m.graph.edges)
+               for m in extract_micro_markets(corpus)]
+        assert got == micro_markets_oracle(corpus)
+        markets += len(got)
+    assert markets > 300
+
+
 def test_micro_market_planted_terms():
     bids = {"a": frozenset({"red shoes", "blue hats"}),
             "b": frozenset({"green bikes"})}
@@ -609,7 +647,8 @@ def random_corpus(rng):
 
 
 def oracle_sets(corpus, market, theta, pool):
-    return {adv: positive_queries(kws & set(market.keywords), pool, theta)
+    """Positive sets from the DP-table similarity, not the packed kernel."""
+    return {adv: positive_queries(kws & set(market.keywords), pool, theta, sim=dp_similarity)
             for adv, kws in sorted(corpus.bids.items()) if kws & set(market.keywords)}
 
 
@@ -633,7 +672,7 @@ def test_single_pass_positive_sets_match_oracle():
                 assert reachable == oracle_sets(corpus, market, theta, linked)
                 # a query whose best similarity is theta itself is not positive
                 seen["tie"] += any(
-                    max(similarity(q, s) for s in kws & set(market.keywords)) == theta
+                    max(dp_similarity(q, s) for s in kws & set(market.keywords)) == theta
                     for kws in corpus.bids.values() if kws & set(market.keywords)
                     for q in market.queries)
     assert all(seen.values()), seen
