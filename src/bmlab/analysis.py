@@ -181,25 +181,25 @@ def ratio_csv(reports) -> str:
     return buf.getvalue()
 
 
-def empirical_poa(scenario, reports, grid, label="scenario") -> RatioReport:
+def empirical_poa(scenario, equilibria, grid, label="scenario") -> RatioReport:
     """Worst-found equilibrium welfare against the applicable PoA bound.
 
-    The bound slackens by one grid step of welfare, (max click weight)
-    times delta, since grid equilibria can sit that far from continuous
-    ones.  A non-finite homogeneity makes the comparison vacuous and is
-    called out in the notes instead of being clamped.
+    equilibria is enumerate_pure_nash's result; only its count and the
+    minimum of its welfare array are read, so no report is built.  The
+    bound slackens by one grid step of welfare, (max click weight) times
+    delta, since grid equilibria can sit that far from continuous ones.
+    A non-finite homogeneity makes the comparison vacuous and is called
+    out in the notes instead of being clamped.
     """
-    reports = list(reports)
-    if not reports:
+    if not len(equilibria):
         raise ValidationError("empirical PoA needs at least one equilibrium")
-    welfares = [r.welfare for r in reports]
-    worst = min(welfares)
+    worst = float(equilibria.welfare.min())
     opt = optimal_welfare(scenario)
     c = homogeneity(scenario)
     beta = kl_expressiveness(scenario)
     single = scenario.weights.is_single_slot
     eps_cont = scenario.weights.weight(0) * grid.delta
-    notes = ["exhaustive", f"n_equilibria={len(reports)}", f"beta={beta:.6g}",
+    notes = ["exhaustive", f"n_equilibria={len(equilibria)}", f"beta={beta:.6g}",
              f"grid_slack={eps_cont:.6g}"]
     if not math.isfinite(c):
         bound = math.inf

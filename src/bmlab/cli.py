@@ -197,7 +197,7 @@ def _need(cfg, attr, flag):
 # ---------------------------------------------------------------- simulate
 
 ROUND_HEADER = "round,query,sampled_keyword,slot,advertiser,price,click_weight"
-_REPORT_BLOCK = 1024     # most rounds in one string _round_lines yields
+_REPORT_BLOCK = 1024     # most rounds or equilibria in one string a report yields
 
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> int:
@@ -254,6 +254,66 @@ def _report_obj(report) -> dict:
     }
 
 
+def _object_text(items, pad) -> str:
+    """A JSON object from its (key text, value text) items, as
+    json.dumps(indent=2) writes it with its closing brace at indent pad."""
+    if not items:
+        return "{}"
+    return "{" + ",".join(f"\n{pad}  {k}: {v}" for k, v in items) + f"\n{pad}}}"
+
+
+def _enumerate_lines(obj, eq):
+    """equilibrium.json of --mode enumerate: obj with the count, the
+    equilibria of eq (enumerate_pure_nash's result) and the worst one
+    (the first of least welfare) added, as _json_text of their
+    _report_obj dicts would write it, in a string per _REPORT_BLOCK
+    equilibria formatted from the arrays.  The equilibria of a block are
+    grouped by which bids are positive (a row without one is {}); each
+    group shares a %-template with the keys, advertisers and keywords
+    sorted by name and encoded once by json, and its numbers, the
+    positive bids, regrets and welfare, come from one json.dumps of their
+    .tolist(): json's own float form."""
+    advs = sorted(range(len(eq.advertisers)), key=eq.advertisers.__getitem__)
+    kws = sorted(range(len(eq.keywords)), key=eq.keywords.__getitem__)
+    adv_keys = [json.dumps(eq.advertisers[a]).replace("%", "%%") for a in advs]
+    kw_keys = [json.dumps(eq.keywords[k]).replace("%", "%%") for k in kws]
+    templates = {}      # (positive mask, pad) -> the equilibrium's %-template
+
+    def template(mask, pad):
+        inner = pad + "    "
+        profile = [(key, _object_text([(kw_keys[k], "%s") for k in np.flatnonzero(row)], inner))
+                   for key, row in zip(adv_keys, mask.reshape(len(advs), len(kws)))]
+        return _object_text([('"profile"', _object_text(profile, pad + "  ")),
+                             ('"regrets"', _object_text([(key, "%s") for key in adv_keys],
+                                                        pad + "  ")),
+                             ('"welfare"', "%s")], pad)
+
+    def texts(at, pad):
+        bids = eq.bids[at][:, advs][:, :, kws].reshape(len(at), -1)
+        tail = np.column_stack((eq.regrets[:, at][advs].T, eq.welfare[at]))
+        masks, which, counts = np.unique(bids > 0.0, axis=0, return_inverse=True,
+                                         return_counts=True)
+        groups = np.split(np.argsort(which.reshape(-1), kind="stable"), np.cumsum(counts)[:-1])
+        out = np.empty(len(at), dtype=object)
+        for mask, rows in zip(masks, groups):
+            if (tmpl := templates.get((mask.tobytes(), pad))) is None:
+                tmpl = templates[mask.tobytes(), pad] = template(mask, pad)
+            vals = np.column_stack((bids[rows][:, mask], tail[rows]))
+            nums = json.dumps(vals.ravel().tolist())[1:-1].split(", ")
+            out[rows] = [tmpl % t for t in zip(*[iter(nums)] * vals.shape[1])]
+        return out.tolist()
+
+    text = _json_text({**obj, "count": len(eq), "equilibria": None, "worst": None})
+    head, _, rest = text.partition('"equilibria": null')
+    middle, _, end = rest.partition('"worst": null')
+    yield head + '"equilibria": ' + ("[" if len(eq) else "[]")
+    for lo in range(0, len(eq), _REPORT_BLOCK):
+        at = np.arange(lo, min(lo + _REPORT_BLOCK, len(eq)))
+        yield ("," if lo else "") + ",".join("\n    " + t for t in texts(at, "    "))
+    worst = texts(np.argmin(eq.welfare, keepdims=True), "  ")[0] if len(eq) else "null"
+    yield ("\n  ]" if len(eq) else "") + middle + '"worst": ' + worst + end
+
+
 def cmd_equilibrium(cfg: RunConfig, out: Path) -> int:
     sc = scenario_from_json(_need(cfg, "scenario", "--scenario"))
     grid = make_grid(sc, cfg.grid_delta)
@@ -269,15 +329,10 @@ def cmd_equilibrium(cfg: RunConfig, out: Path) -> int:
         obj["converged"] = report.converged
         obj["iterations"] = report.iterations
     elif cfg.mode == "enumerate":
-        reports = enumerate_pure_nash(sc, grid, epsilon=eps,
-                                      conservative=cfg.conservative)
-        obj["count"] = len(reports)
-        obj["equilibria"] = [_report_obj(r) for r in reports]
-        if reports:
-            worst = min(reports, key=lambda r: r.welfare)
-            obj["worst"] = _report_obj(worst)
-        else:
-            obj["worst"] = None
+        equilibria = enumerate_pure_nash(sc, grid, epsilon=eps,
+                                         conservative=cfg.conservative)
+        _write_reports((out / "equilibrium.json", _enumerate_lines(obj, equilibria)))
+        return 0
     else:  # single-slot-dominant
         profile = single_slot_dominant_profile(sc)
         regrets = verify_epsilon_nash(sc, profile, grid,
@@ -295,9 +350,9 @@ def cmd_poa(cfg: RunConfig, out: Path) -> int:
     path = _need(cfg, "scenario", "--scenario")
     sc = scenario_from_json(path)
     grid = make_grid(sc, cfg.grid_delta)
-    reports = enumerate_pure_nash(sc, grid, epsilon=cfg.epsilon,
-                                  conservative=cfg.conservative)
-    rep = empirical_poa(sc, reports, grid=grid, label=Path(path).stem)
+    equilibria = enumerate_pure_nash(sc, grid, epsilon=cfg.epsilon,
+                                     conservative=cfg.conservative)
+    rep = empirical_poa(sc, equilibria, grid=grid, label=Path(path).stem)
     _write_reports((out / "poa.csv", [ratio_csv([rep])]))
     return 0
 

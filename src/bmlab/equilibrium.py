@@ -32,7 +32,10 @@ pure-Nash enumerator reads best response's _menus menus and builds no
 strategy row: it scans each keyword's grid of its participants' menus
 with gsp_outcome, not the joint grid, for the bid vectors a stable
 profile can hold there, checks only the profiles built from those, and
-reads the survivors' bids off the menus.
+reads the survivors' bids off the menus.  It returns them as arrays
+(Equilibria): bids, regrets and welfare, from which a report per
+equilibrium is built only when one is read, so that the price of anarchy
+needs only the welfare's minimum and a writer can format blocks of them.
 Every solver here prices at reserve 0 with the tie rule of
 mechanisms.outranks and reports the welfare of
 mechanisms.pbm_expected_welfare_batch.  The full-information solvers read
@@ -45,6 +48,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right, insort
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -564,13 +568,42 @@ def _equilibria(scenario, menus, eps, winner_truthful):
     return bids[order], regrets[order].T
 
 
+class Equilibria(Sequence):
+    """The pure Nash equilibria of enumerate_pure_nash, held as the arrays
+    the enumerator builds, in joint strategy_rows order: bids (E, |A|,
+    |S|; advertisers in scenario order, keywords in graph order), regrets
+    (|A|, E) and welfare (E,), all read-only.  len, iteration and indexing
+    (negative too) build each equilibrium's EquilibriumReport only when it
+    is asked for: profile rows of the positive bids, keywords in name
+    order, and the regrets and welfare as floats."""
+
+    def __init__(self, scenario, bids, regrets, welfare, epsilon):
+        self.advertisers, self.keywords = scenario.advertisers, scenario.graph.keywords
+        self.bids, self.regrets, self.welfare, self.epsilon = bids, regrets, welfare, epsilon
+        for arr in (bids, regrets, welfare):
+            arr.flags.writeable = False
+        self._by_name = sorted(range(len(self.keywords)), key=self.keywords.__getitem__)
+
+    def __len__(self):
+        return len(self.welfare)
+
+    def __getitem__(self, h):
+        h = range(len(self.welfare))[h]
+        names = self.keywords
+        return EquilibriumReport(
+            profile={i: {names[k]: row[k] for k in self._by_name if row[k] > 0.0}
+                     for i, row in zip(self.advertisers, self.bids[h].tolist())},
+            regrets=dict(zip(self.advertisers, self.regrets[:, h].tolist())),
+            converged=True, iterations=0, epsilon=self.epsilon,
+            welfare=float(self.welfare[h]))
+
+
 # Joint profiles enumerate_pure_nash takes on at most.
 _MAX_JOINT = 10_000_000
 
 
 def enumerate_pure_nash(scenario: Scenario, grid: BidGrid, epsilon=None,
-                        conservative=False,
-                        winner_truthful=False) -> list[EquilibriumReport]:
+                        conservative=False, winner_truthful=False) -> Equilibria:
     """Every pure Nash equilibrium on the grid, found keyword by keyword.
 
     Strategy spaces are restricted to each advertiser's positive
@@ -608,15 +641,17 @@ def enumerate_pure_nash(scenario: Scenario, grid: BidGrid, epsilon=None,
     the rows from the menu sizes of _menu_rule, read from the grid alone.
 
     winner_truthful keeps only equilibria in which every slot winner
-    bids exactly their keyword value on the winning keyword.  Reports
-    are ordered by joint row-major strategy_rows index; each carries
-    exact regret and expected welfare.
+    bids exactly their keyword value on the winning keyword.  The result
+    is an Equilibria: the survivors' bids, exact regrets and expected
+    welfare as arrays ordered by joint row-major strategy_rows index, 8 *
+    (|A| * |S| + |A| + 1) bytes per equilibrium, with each report built
+    only when it is read.
     """
     eps = _resolve_epsilon(scenario, epsilon)
     advs, kappa, n = scenario.advertisers, scenario.kappa, len(scenario.advertisers)
     if n == 0:      # the empty profile is the one profile, and stable
-        return [EquilibriumReport(profile={}, regrets={}, converged=True,
-                                  iterations=0, epsilon=eps, welfare=0.0)]
+        return Equilibria(scenario, np.zeros((1, 0, len(scenario.graph.keywords))),
+                          np.zeros((0, 1)), np.zeros(1), eps)
     counts = [_count_rows([_menu_rule(grid, s, scenario.kw_values[i][s], conservative)[1]
                            for s in scenario.kw_positive[i]], kappa) for i in advs]
     if math.prod(counts) > _MAX_JOINT:
@@ -627,15 +662,8 @@ def enumerate_pure_nash(scenario: Scenario, grid: BidGrid, epsilon=None,
     bids, regrets = _equilibria(scenario, menus, eps, winner_truthful)
     # the kept profiles, priced by the one welfare path
     values = np.broadcast_to(scenario.value_matrix, (len(bids),) + scenario.value_matrix.shape)
-    welfare = pbm_expected_welfare_batch(scenario, values, bids).tolist()
-    names = scenario.graph.keywords
-    by_name = sorted(range(len(names)), key=names.__getitem__)
-    return [EquilibriumReport(
-        profile={i: {names[k]: row[a][k] for k in by_name if row[a][k] > 0.0}
-                 for a, i in enumerate(advs)},
-        regrets={i: float(regrets[a][h]) for a, i in enumerate(advs)},
-        converged=True, iterations=0, epsilon=eps, welfare=welfare[h])
-        for h, row in enumerate(bids.tolist())]
+    return Equilibria(scenario, bids, regrets,
+                      pbm_expected_welfare_batch(scenario, values, bids), eps)
 
 
 # ---------------------------------------------------- dominant strategies

@@ -644,6 +644,71 @@ def joint_scan_pure_nash(scenario, grid, epsilon=None, conservative=False,
         for h, row in enumerate(hits)]
 
 
+def list_poa_oracle(scenario, reports, grid, label="scenario"):
+    """Oracle: empirical_poa over a list of EquilibriumReports, each one
+    read: the least of their welfares against the bound, the one grid
+    step of slack and the notes."""
+    from bmlab.analysis import _POA_TOL, RatioReport, bound_calculators, homogeneity
+    from bmlab.expressiveness import kl_expressiveness
+    from bmlab.market import optimal_welfare
+
+    reports = list(reports)
+    if not reports:
+        raise ValidationError("empirical PoA needs at least one equilibrium")
+    worst = min(r.welfare for r in reports)
+    opt, c, beta = optimal_welfare(scenario), homogeneity(scenario), kl_expressiveness(scenario)
+    eps_cont = scenario.weights.weight(0) * grid.delta
+    notes = ["exhaustive", f"n_equilibria={len(reports)}", f"beta={beta:.6g}",
+             f"grid_slack={eps_cont:.6g}"]
+    if not math.isfinite(c):
+        bound = math.inf
+        notes.append("homogeneity non-finite; bound vacuous")
+    else:
+        bounds = bound_calculators(c, beta)
+        bound = bounds.pure_poa_single if scenario.weights.is_single_slot else bounds.pure_poa_multi
+        notes.append(f"c={c:.6g}")
+    if worst <= 0.0:
+        return RatioReport(label, "pure_poa", opt, worst, math.inf, bound,
+                           False, "; ".join(["zero-welfare equilibrium"] + notes))
+    ratio = opt / worst
+    return RatioReport(label, "pure_poa", opt, worst, ratio, bound,
+                       ratio <= bound + eps_cont + _POA_TOL, "; ".join(notes))
+
+
+def enumerate_report_oracle(obj, reports) -> str:
+    """Oracle: equilibrium.json of --mode enumerate as one dict dumped
+    whole: obj with the count, every report's _report_obj and the worst,
+    min(..., key=welfare), through _json_text."""
+    from bmlab.cli import _json_text, _report_obj
+
+    reports = list(reports)
+    worst = min(reports, key=lambda r: r.welfare) if reports else None
+    return _json_text({**obj, "count": len(reports),
+                       "equilibria": [_report_obj(r) for r in reports],
+                       "worst": _report_obj(worst) if reports else None})
+
+
+def scenario_json(scenario, advertisers, keywords, keyword_order) -> dict:
+    """The scenario as a scenario JSON object in which advertiser index a
+    is named advertisers[a] and keyword index k keywords[k]; the keywords
+    are declared in keyword_order (indices) and the advertisers last to
+    first."""
+    sc, names = scenario, dict(zip(scenario.graph.keywords, keywords))
+    return {
+        "queries": list(sc.graph.queries),
+        "keywords": [keywords[k] for k in keyword_order],
+        "edges": [[q, names[s]] for q in sc.graph.queries for s in sc.graph.query_neighbors(q)],
+        "query_dist": {q: sc.p.mass(q) for q in sc.graph.queries},
+        "matching": {q: {names[s]: sc.pi.mass(q, s) for s in sc.graph.query_neighbors(q)}
+                     for q in sc.graph.queries},
+        "slot_weights": list(sc.weights.as_tuple()),
+        "valuations": {advertisers[a]: {q: sc.valuations.value(i, q) for q in sc.graph.queries
+                                        if sc.valuations.value(i, q) > 0.0}
+                       for a, i in reversed(list(enumerate(sc.advertisers)))},
+        "kappa": sc.kappa,
+    }
+
+
 def canonical_profiles(profiles):
     """Hashable canonical form of a list of bid profiles, for set
     comparison across enumeration orders."""

@@ -6,19 +6,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bmlab import equilibrium
 from bmlab.analysis import (BoundSet, CounterexampleReport, RatioReport,
                             bound_calculators, counterexample_scenario,
                             empirical_poa, empirical_revenue_ratio,
                             expected_homogeneity, homogeneity, ratio_csv,
                             revenue_welfare_stats)
-from bmlab.equilibrium import (EquilibriumReport, enumerate_pure_nash,
+from bmlab.equilibrium import (EquilibriumReport, Equilibria, enumerate_pure_nash,
                                make_grid, truthful_keyword_strategy)
 from bmlab.errors import (DomainError, ParameterRange, UnboundedSupport,
                           ValidationError)
 from bmlab.market import (BayesScenario, BipartiteGraph, MatchingPolicy,
                           QueryDistribution, SlotWeights, optimal_welfare)
 from bmlab.reserves import Exponential, PointMass, Uniform
-from helpers import random_scenario, simple_scenario, single_keyword_scenario
+from helpers import list_poa_oracle, random_scenario, simple_scenario, single_keyword_scenario
 
 # ------------------------------------------------------------- homogeneity
 
@@ -185,14 +186,39 @@ def test_empirical_poa_single_slot_bound_holds():
     assert done >= 10
 
 
+def test_empirical_poa_reads_the_arrays_and_builds_no_report(monkeypatch):
+    """empirical_poa on enumerate_pure_nash's result reads its count and
+    welfare array, builds no EquilibriumReport, and gives the RatioReport
+    of list_poa_oracle, which reads every report."""
+    rng = np.random.default_rng(13)
+    cases = [(single_keyword_scenario({"a": 4.0, "b": 2.5}), 0.5)]
+    for _ in range(5):
+        sc = random_scenario(rng, max_adv=3, max_kw=2, max_q=3, weights=(1.0, 0.5))
+        cases.append((sc, max(make_grid(sc, 1.0).caps.values()) / 3))
+    for sc, delta in cases:
+        grid = make_grid(sc, delta)
+        equilibria = enumerate_pure_nash(sc, grid, conservative=True)
+        want = list_poa_oracle(sc, list(equilibria), grid, label="m")
+
+        def no_report(*args, **kwargs):
+            raise AssertionError("empirical_poa built a report")
+
+        with monkeypatch.context() as m:
+            m.setattr(equilibrium, "EquilibriumReport", no_report)
+            assert empirical_poa(sc, equilibria, grid, label="m") == want
+
+
 def test_empirical_poa_error_paths():
     sc = single_keyword_scenario({"a": 4.0})
     with pytest.raises(ValidationError):
-        empirical_poa(sc, [], make_grid(sc, 1.0))
-    fake = EquilibriumReport(profile={"a": {}}, regrets={"a": 0.0},
-                             converged=True, iterations=0, epsilon=1e-9,
-                             welfare=0.0)
-    rep = empirical_poa(sc, [fake], make_grid(sc, 1.0))
+        empirical_poa(sc, Equilibria(sc, np.zeros((0, 1, 1)), np.zeros((1, 0)),
+                                     np.zeros(0), 1e-9), make_grid(sc, 1.0))
+    # one equilibrium: "a" bids nothing, regret 0.0, welfare 0.0
+    fake = Equilibria(sc, np.zeros((1, 1, 1)), np.zeros((1, 1)), np.zeros(1), 1e-9)
+    assert fake[0] == EquilibriumReport(profile={"a": {}}, regrets={"a": 0.0},
+                                        converged=True, iterations=0, epsilon=1e-9,
+                                        welfare=0.0)
+    rep = empirical_poa(sc, fake, make_grid(sc, 1.0))
     assert math.isinf(rep.empirical) and not rep.satisfied
     assert "zero-welfare" in rep.notes
 

@@ -9,18 +9,24 @@ Monte-Carlo revenue run and the default counterexample byte-for-byte.
 """
 
 import json
+import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from bmlab import cli, expressiveness
 from bmlab.analysis import counterexample_scenario
 from bmlab.cli import main
+from bmlab.equilibrium import default_epsilon, enumerate_pure_nash, make_grid
 from bmlab.market import scenario_from_json
 from bmlab.mechanisms import load_bid_profile
 
-from helpers import per_round_reports
+from helpers import enumerate_report_oracle, per_round_reports, random_scenario, scenario_json
 
 DATA = Path(__file__).parent / "data"
 SCENARIO = str(DATA / "scenario_2x2.json")
@@ -113,6 +119,52 @@ def test_enumerate_reports_worst_equilibrium(tmp_path):
     assert obj["count"] == len(obj["equilibria"]) > 0
     welfares = [e["welfare"] for e in obj["equilibria"]]
     assert obj["worst"]["welfare"] == pytest.approx(min(welfares))
+
+
+# names with json escapes, a %-sign, non-ASCII and surrogate characters
+_NAME = st.text(st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "%", "/", " ", "a",
+                                 "B", "\u00e9", "\u2603", "\U0001f600", "\ud800"])
+                | st.characters(), max_size=4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), delta=st.sampled_from([1.0, 0.5]),
+       conservative=st.booleans(), epsilon=st.sampled_from([None, 0.0]),
+       advertisers=st.lists(_NAME, min_size=3, max_size=3, unique=True),
+       keywords=st.lists(_NAME, min_size=2, max_size=2, unique=True),
+       keyword_order=st.permutations([0, 1]))
+# seed 92's market has no equilibrium at delta 1.0
+@example(seed=92, delta=1.0, conservative=True, epsilon=None,
+         advertisers=["z\"", "%s", "\u00e9"], keywords=["\\", "\x00"], keyword_order=[1, 0])
+def test_enumerate_report_equals_the_dict_oracle(seed, delta, conservative, epsilon,
+                                                 advertisers, keywords, keyword_order):
+    """equilibrium.json of --mode enumerate, streamed from the arrays in
+    blocks of _REPORT_BLOCK (patched to 1 and 2 too), is the text of
+    enumerate_report_oracle over the reports of enumerate_pure_nash, byte
+    for byte: names to escape, declared orders unlike name order, rows
+    without a positive bid and markets without an equilibrium."""
+    sc = random_scenario(np.random.default_rng(seed), max_adv=3, max_kw=2, max_q=3,
+                         weights=(1.0, 0.5))
+    assume(not set(keywords) & set(sc.graph.queries))
+    obj = scenario_json(sc, advertisers, keywords,
+                        [k for k in keyword_order if k < len(sc.graph.keywords)])
+    sc = scenario_from_json(obj)
+    eps = default_epsilon(sc) if epsilon is None else epsilon
+    reports = enumerate_pure_nash(sc, make_grid(sc, delta), epsilon=eps,
+                                  conservative=conservative)
+    assume(len(reports) <= 2000)
+    want = enumerate_report_oracle({"mode": "enumerate", "grid_delta": delta, "epsilon": eps,
+                                    "conservative": conservative}, reports).encode()
+    flags = ["--conservative"] if conservative else []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        for block in (1, 2, cli._REPORT_BLOCK):
+            with mock.patch.object(cli, "_REPORT_BLOCK", block):
+                assert run("equilibrium", "--mode", "enumerate", "--scenario", path,
+                           "--grid-delta", delta, "--epsilon", repr(eps), *flags,
+                           "--out", tmp) == 0
+            assert (Path(tmp) / "equilibrium.json").read_bytes() == want
 
 
 def test_expressiveness_matches_golden(tmp_path):

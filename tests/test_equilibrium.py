@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import sys
@@ -11,8 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bmlab import cli, equilibrium
+from bmlab.analysis import empirical_poa
 from bmlab.equilibrium import (
     BidGrid,
+    Equilibria,
+    EquilibriumReport,
     best_response,
     best_response_dynamics,
     bid_menu,
@@ -854,6 +858,77 @@ def test_enumerate_deterministic():
         grid = make_grid(sc, delta=max(make_grid(sc, 1.0).caps.values()) / 3)
         first = report_fingerprint(enumerate_pure_nash(sc, grid))
         assert first and first == report_fingerprint(enumerate_pure_nash(sc, grid))
+
+
+# ------------------------------------------------- the result's contract
+
+def _contract_markets():
+    """(scenario, grid, epsilon, conservative): the hand market, one of
+    seed 92 without an equilibrium, and small random markets."""
+    yield five_three(), make_grid(five_three(), 0.5), None, True
+    sc = random_scenario(np.random.default_rng(92), max_adv=3, max_kw=2, max_q=3,
+                         weights=(1.0, 0.5))
+    yield sc, make_grid(sc, 1.0), 0.0, False
+    rng = np.random.default_rng(41)
+    for _ in range(6):
+        sc = random_scenario(rng, max_adv=3, max_kw=2, max_q=3, weights=(1.0, 0.5))
+        yield sc, make_grid(sc, max(make_grid(sc, 1.0).caps.values()) / 3), None, False
+
+
+def test_equilibria_is_a_lazy_sequence_of_the_joint_scans_reports():
+    """enumerate_pure_nash's Equilibria: its len, truthiness, iteration
+    and indexing, negative too, give joint_scan_pure_nash's reports hex
+    for hex; out of range raises IndexError; its arrays are read-only
+    and shaped (E, |A|, |S|), (|A|, E) and (E,)."""
+    empty = full = 0
+    for sc, grid, eps, conservative in _contract_markets():
+        got = enumerate_pure_nash(sc, grid, epsilon=eps, conservative=conservative)
+        want = report_fingerprint(joint_scan_pure_nash(sc, grid, epsilon=eps,
+                                                       conservative=conservative))
+        E, n, K = len(want), len(sc.advertisers), len(sc.graph.keywords)
+        assert isinstance(got, Equilibria)
+        assert len(got) == E and bool(got) == bool(want)
+        assert report_fingerprint(got) == want
+        assert report_fingerprint([got[h] for h in range(E)]) == want
+        assert report_fingerprint([got[h - E] for h in range(E)]) == want
+        for h in (E, -E - 1):
+            with pytest.raises(IndexError):
+                got[h]
+        assert (got.bids.shape, got.regrets.shape, got.welfare.shape) == ((E, n, K), (n, E), (E,))
+        for arr in (got.bids, got.regrets, got.welfare):
+            with pytest.raises(ValueError):
+                arr[...] = 1.0
+        empty, full = empty + (E == 0), full + (E > 0)
+    assert empty == 1 and full == 7
+
+
+def test_equilibria_of_no_advertiser_is_the_empty_profile():
+    """Without advertisers the empty profile is the one equilibrium, in
+    the same result type."""
+    sc = dataclasses.replace(five_three(), valuations=ValuationProfile({}))
+    got = enumerate_pure_nash(sc, make_grid(five_three(), 1.0))
+    assert isinstance(got, Equilibria) and len(got) == 1
+    assert got[0] == got[-1] == EquilibriumReport(
+        profile={}, regrets={}, converged=True, iterations=0,
+        epsilon=default_epsilon(sc), welfare=0.0)
+    assert (got.bids.shape, got.regrets.shape, got.welfare.shape) == ((1, 0, 1), (0, 1), (1,))
+
+
+def test_enumerate_and_poa_hold_few_bytes_per_equilibrium():
+    """scenario_2x2, conservative, delta 0.125: 78 200 equilibria.  The
+    arrays and empirical_poa's reading of them peak at most 400 traced
+    bytes per equilibrium; a report per equilibrium cost about 1 320."""
+    sc = scenario_from_json(DATA / "scenario_2x2.json")
+    grid = make_grid(sc, 0.125)
+    tracemalloc.start()
+    try:
+        got = enumerate_pure_nash(sc, grid, conservative=True)
+        empirical_poa(sc, got, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(got) == 78_200
+    assert peak <= 400 * len(got), peak / len(got)
 
 
 # ----------------------------------------- keyword filter vs the joint scan
