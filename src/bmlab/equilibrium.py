@@ -16,19 +16,21 @@ regret check and best-response dynamics price on bid ladders (_Ladders),
 in plain Python: per keyword, the profile's positive bids sorted by
 mechanisms.outranks, and per (advertiser, keyword) row only the menu
 bids that pass one of the first S opponents (S the positions of positive
-weight) and the lowest positive bid.  A run builds the ladders once from
-the profile, and the dynamics move a rewritten row's changed keys in
-place; their menus are capped at _MAX_MENU_BIDS bids.  The regret
-check also prices each keyword's played bid.  The dynamics' stopping
-test prices the regrets in advertiser order only up to the first one
-above epsilon, and the report prices all of them once, on the final
-profile.  The Bayes-Nash regret estimate uses the same breakpoint rule
-on one bidder's (type, keyword) rows (_deviation_menus): per opponent
-bid of its draws, the lowest grid bid that outranks it, with delta, the
+weight) and the lowest positive bid.  Each is found by grid arithmetic
+(_lowest_above, the lowest grid bid above a given float), so no menu is
+built and a fine grid costs no more than a coarse one.  A run builds the
+ladders once from the profile, and the dynamics move a rewritten row's
+changed keys in place.  The regret check also prices each keyword's
+played bid.  The dynamics' stopping test prices the regrets in
+advertiser order only up to the first one above epsilon, and the report
+prices all of them once, on the final profile.  The Bayes-Nash regret
+estimate uses the same breakpoint rule on one bidder's (type, keyword)
+rows (_deviation_menus): per opponent bid of its draws, the lowest grid
+bid that outranks it (_lowest_above's rule, on arrays), with delta, the
 value and the played bid, so a row's size is bounded by the draws, not
 by value / delta; it prices them with mechanisms.gsp_outcome, the one
 GSP kernel, and ranks the keywords as best response does.  The
-pure-Nash enumerator reads best response's _menus menus and builds no
+pure-Nash enumerator reads the _menus menus, and builds no
 strategy row: it scans each keyword's grid of its participants' menus
 with gsp_outcome, not the joint grid, for the bid vectors a stable
 profile can hold there, checks only the profiles built from those, and
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -115,6 +117,19 @@ def _points_upto(x, delta, n):
     return lo
 
 
+def _lowest_above(x, delta, n):
+    """The lowest k < n with k * delta > x, or n: _points_upto(x, delta, n)
+    by definition.  The guess floor(x / delta) + 1 stands only if (k - 1)
+    * delta <= x < k * delta, as the products do not decrease in k; past
+    about 2^53 grid steps neighbouring k give the same float and the
+    guess may miss, so a failed check bisects.  An x at or above the
+    last point skips the guess, so that no overflow reaches math.floor."""
+    if x >= (n - 1) * delta:
+        return n
+    k = math.floor(x / delta) + 1
+    return k if k > 0 and (k - 1) * delta <= x < k * delta else _points_upto(x, delta, n)
+
+
 def _menu_rule(grid, keyword, value, conservative):
     """(kept, size) of a bid menu from the grid alone: its grid points k *
     delta are a prefix, all kept or under conservative those <= value +
@@ -137,8 +152,7 @@ def bid_menu(scenario: Scenario, grid: BidGrid, advertiser, keyword,
 
 def _menus(scenario, grid, advertiser, conservative):
     """{keyword: bid_menu} over the advertiser's positive keywords in
-    sorted order: the space its best response searches and its strategy
-    rows span."""
+    sorted order: the space its strategy rows span."""
     return {s: bid_menu(scenario, grid, advertiser, s, conservative)
             for s in sorted(scenario.kw_positive[advertiser])}
 
@@ -150,12 +164,6 @@ def _ladder(bids):
     return sorted((-b, a) for a, b in enumerate(bids) if b > 0.0)
 
 
-# Bids the full-information solvers' menus hold at most, and their bytes
-# per bid at most (tracemalloc: 44 to 47 B), so that they stay near 100 MB.
-_MAX_MENU_BIDS = 1 << 21
-_MENU_BYTES_PER_BID = 48
-
-
 class _Ladders:
     """A bid profile as the full-information solvers price it.  The
     profile is read once through bid_matrix, checked by
@@ -163,15 +171,16 @@ class _Ladders:
     validate_bid_profile; per keyword it holds the bids by advertiser
     index and their _ladder, whose keys write moves in place.  The
     utility of an own bid against fixed opponent bids steps only where
-    the bid passes one of them, so a response prices a few bids per menu
-    in plain Python.  rows[a]: per keyword of advertiser index a's _menus,
-    in name order, (keyword, menu, mass, value); built for index `only`
-    alone unless it is None.  Menus of over _MAX_MENU_BIDS bids in all
-    raise TooLarge, naming their count and _MENU_BYTES_PER_BID estimate,
-    before any is built: _menu_rule sizes them from the grid alone."""
+    the bid passes one of them, so a response prices a few bids per
+    keyword in plain Python, each found by grid arithmetic: no menu is
+    built, and the grid's size does not bound the solvers.  rows[a]: per
+    positive keyword of advertiser index a, in name order, (keyword,
+    kept, mass, value), its menu's kept grid points k * delta, k < kept,
+    read from _menu_rule; built for index `only` alone unless it is
+    None."""
 
     def __init__(self, scenario, grid, conservative, bids, only=None):
-        self.scenario = scenario
+        self.scenario, self.delta = scenario, grid.delta
         dense = bid_matrix(scenario, bids)
         require_finite_bid_tensor(scenario, dense[None])
         self.bids = dict(zip(scenario.graph.keywords, dense.T.tolist()))
@@ -180,14 +189,10 @@ class _Ladders:
         self.ladders = {s: _ladder(col) for s, col in self.bids.items()}
         # weights never increase, so the positive ones are positions 0..S-1
         self.w = [x for x in scenario.weights.as_tuple() if x > 0.0]
-        total = sum(_menu_rule(grid, s, scenario.kw_values[i][s], conservative)[1]
-                    for a, i in enumerate(scenario.advertisers) if only in (None, a)
-                    for s in scenario.kw_positive[i])
-        if total > _MAX_MENU_BIDS:
-            raise TooLarge(f"bid menus hold {total} bids, about {total * _MENU_BYTES_PER_BID} "
-                           f"bytes (cap {_MAX_MENU_BIDS})")
-        self.rows = [[(s, menu, scenario.kw_masses[s], scenario.kw_values[i][s])
-                      for s, menu in _menus(scenario, grid, i, conservative).items()]
+        values = scenario.kw_values
+        self.rows = [[(s, _menu_rule(grid, s, values[i][s], conservative)[0],
+                       scenario.kw_masses[s], values[i][s])
+                      for s in sorted(scenario.kw_positive[i])]
                      if only in (None, a) else [] for a, i in enumerate(scenario.advertisers)]
 
     def utility(self, opp, a, b, mass, value):
@@ -206,24 +211,33 @@ class _Ladders:
     def respond(self, a, played=False):
         """(best row, its utility) of advertiser index a against the
         others' bids.  Per keyword the candidates are the menu's lowest
-        positive bid and, per opponent key, the lowest menu bid that
-        outranks it (bisect_left if a wins their tie, bisect_right
-        otherwise): every utility step starts at one of them.  Scanned in
-        ascending bid order with a strict > from 0.0 they give the menu's
-        first maximum, or (0, 0.0).  With played, a's positive bid on the
-        keyword is a last candidate, so that a row may keep a played bid
-        off the grid.  The keywords are ranked by (-utility, keyword), the
-        top kappa of positive utility kept and their utilities added in
-        that order from 0.0."""
+        positive bid, min(delta, value) or the value alone when
+        kept <= 1, and, per opponent bid o, the lowest menu bid that
+        outranks it: the lowest menu bid above x, with x = o where a
+        loses their tie and the float below o where it wins.  That is
+        the grid bid k * delta, k = _lowest_above(x, delta, kept) < kept,
+        or the value where x < value < k * delta.  Every utility step
+        starts at one of them; those past an x at or above the value are
+        left out, as a bid that outranks o pays at least o and gains
+        nothing.  Scanned in ascending bid order with a strict > from 0.0
+        they give the menu's first maximum, or (0, 0.0).  With played,
+        a's positive bid on the keyword is a last candidate, so that a
+        row may keep a played bid off the grid.  The keywords are ranked
+        by (-utility, keyword), the top kappa of positive utility kept and
+        their utilities added in that order from 0.0."""
         w, bids, ladders, utility = self.w, self.bids, self.ladders, self.utility
+        delta = self.delta
         S, ranked = len(w), []
-        for s, menu, mass, value in self.rows[a]:
+        for s, kept, mass, value in self.rows[a]:
             opp = [key for key in ladders[s][:S + 1] if key[1] != a][:S]
-            cands = list(menu[1:2])
+            cands = [delta if kept > 1 and delta < value else value]
             # per opponent, lowest first, the lowest bid outranking it
             for nb, j in reversed(opp):
-                if (k := (bisect_left if a < j else bisect_right)(menu, -nb)) < len(menu):
-                    cands.append(menu[k])
+                x = -nb if j < a else math.nextafter(-nb, -math.inf)
+                if x >= value:  # outranking it pays at least the value
+                    break
+                k = _lowest_above(x, delta, kept)
+                cands.append(k * delta if k < kept and k * delta < value else value)
             if played and (p := bids[s][a]) > 0.0:
                 cands.append(p)
             best_u, best_b = 0.0, 0.0
@@ -333,7 +347,7 @@ def best_response_dynamics(scenario: Scenario, initial, grid: BidGrid,
     if max_iters < 0:
         raise ValidationError(f"max_iters must be >= 0, got {max_iters}")
     profile = {i: dict(initial.get(i, {})) for i in scenario.advertisers}
-    # the menus depend only on (advertiser, keyword), so they are built once;
+    # the rows depend only on (advertiser, keyword), so they are built once;
     # every row a best response writes is feasible, so one check suffices
     ladders = _Ladders(scenario, grid, conservative, initial)
     iterations = 0
@@ -730,15 +744,20 @@ def _deviation_menus(grid, value, played, opp, delta, a, others):
     the lowest positive grid bid, they start every step, so a row holds
     the grid's best positive utility bit for bit in at most (opponent
     bids) + 3 bids.  A bid that falls outside the grid stands in as the
-    value, which the row holds anyway."""
-    # k = ceil(o / delta), one step either way so that k * delta is the
-    # lowest grid float >= o, then past o where a loses the tie
-    k = np.ceil(opp / delta)
-    k -= (k - 1.0) * delta >= opp
-    k += k * delta < opp
-    k += (k * delta == opp) & (others < a)
-    k = np.moveaxis(k, -2, 0).reshape(len(grid), -1)
-    bids = np.concatenate((np.where((k > 0.0) & (k < grid[:, None]), k * delta, value[:, None]),
+    value, which the row holds anyway.  The rule is _lowest_above's: the
+    lowest grid bid above x, with x = o where a loses the tie and the
+    float below o where it wins, from the guess floor(x / delta) + 1,
+    and an entry whose guess fails its bracket check goes through
+    _lowest_above itself."""
+    x = np.where(others < a, opp, np.nextafter(opp, -np.inf))
+    x = np.moveaxis(x, -2, 0).reshape(len(grid), -1)
+    n = grid[:, None]
+    on_grid = (x >= 0.0) & (x < (n - 1.0) * delta)
+    with np.errstate(over="ignore"):    # x / delta overflows only off the grid
+        k = np.floor(x / delta) + 1.0
+    for r, c in zip(*np.nonzero(on_grid & ~(((k - 1.0) * delta <= x) & (x < k * delta)))):
+        k[r, c] = _lowest_above(x[r, c].item(), delta, int(grid[r]))
+    bids = np.concatenate((np.where(on_grid, k * delta, value[:, None]),
                            np.column_stack((np.where(grid > 1.0, delta, value), value, played))),
                           axis=1)
     bids.sort(axis=1)

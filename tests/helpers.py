@@ -930,6 +930,23 @@ def select_keywords(menus, utility, kappa):
     return ranked, [usb for usb in ranked[:kappa] if usb[0] > 0.0]
 
 
+def off_menu_bids(scenario, grid, profile, conservative=False):
+    """The (advertiser, keyword, bid) entries of a profile whose bid is
+    neither a kept grid point k * delta, k < kept of _menu_rule, nor the
+    keyword value: the last grid point at or below the bid, found by
+    bisection, must equal it."""
+    from bmlab.equilibrium import _menu_rule, _points_upto
+
+    off = []
+    for i, row in profile.items():
+        for s, b in row.items():
+            v = scenario.kw_values[i][s]
+            kept, _ = _menu_rule(grid, s, v, conservative)
+            if b != v and (_points_upto(b, grid.delta, kept) - 1) * grid.delta != b:
+                off.append((i, s, b))
+    return off
+
+
 def scalar_best_response(scenario, bids, advertiser, grid, conservative=False,
                          keep_played=False):
     """Oracle: (best row, its utility, utility of the current row) by one

@@ -449,6 +449,17 @@ def test_bne_regret_equals_the_per_draw_loop_at_fine_deltas(name, delta):
             assert_regret_equals_the_loop(bayes, strategy, cells, 4, delta, 9, 4)
 
 
+@pytest.mark.parametrize("delta", [1e-3, 7.0])
+def test_bne_regret_equals_the_per_draw_loop_from_fine_to_coarse_grids(delta):
+    # the whole grid of the loop holds thousands of bids a keyword at 1e-3,
+    # and none but 0 below most values at 7
+    for seed in (5, 6):
+        bayes = random_bayes(np.random.default_rng(seed))
+        for strategy in (truthful_keyword_strategy(bayes), below_and_at_zero(bayes),
+                         overbid(bayes)):
+            assert_regret_equals_the_loop(bayes, strategy, "default", 2, delta, seed + 1, 3)
+
+
 def test_deviation_menus_keep_one_bid_per_opponent_bid():
     """On the grid of 1/16, where the opponent bids are grid points, often
     next to each other, a row keeps per opponent bid only the lowest grid

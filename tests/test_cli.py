@@ -1,11 +1,12 @@
 """End-to-end checks of the command-line driver.
 
 Commands are run in-process via main(argv); outputs land in tmp_path.
-Golden files pin the three equilibrium modes on the 2x2 fixture, the
-dynamics on a wide market, the enumeration and the PoA report on a 3x3
-market where kappa binds, the corpus sweep reports on the small corpus
-and on the benchmark's seed-7 corpus, a seeded simulation, a
-Monte-Carlo revenue run and the default counterexample byte-for-byte.
+Golden files pin the three equilibrium modes on the 2x2 fixture, its
+dynamics at a fine grid delta, the dynamics on a wide market, the
+enumeration and the PoA report on a 3x3 market where kappa binds, the
+corpus sweep reports on the small corpus and on the benchmark's seed-7
+corpus, a seeded simulation, a Monte-Carlo revenue run and the default
+counterexample byte-for-byte.
 """
 
 import json
@@ -22,11 +23,13 @@ from hypothesis import strategies as st
 from bmlab import cli, expressiveness
 from bmlab.analysis import counterexample_scenario
 from bmlab.cli import main
-from bmlab.equilibrium import default_epsilon, enumerate_pure_nash, make_grid
+from bmlab.equilibrium import (default_epsilon, enumerate_pure_nash, make_grid,
+                               verify_epsilon_nash)
 from bmlab.market import scenario_from_json
 from bmlab.mechanisms import load_bid_profile
 
-from helpers import enumerate_report_oracle, per_round_reports, random_scenario, scenario_json
+from helpers import (enumerate_report_oracle, off_menu_bids, per_round_reports, random_scenario,
+                     scenario_json)
 
 DATA = Path(__file__).parent / "data"
 SCENARIO = str(DATA / "scenario_2x2.json")
@@ -71,6 +74,17 @@ def test_dynamics_mode_matches_golden_on_a_wide_market(tmp_path):
     assert code == 0
     got = (tmp_path / "equilibrium.json").read_bytes()
     assert got == (GOLDEN / "equilibrium_dynamics_wide.json").read_bytes()
+
+
+def test_dynamics_mode_matches_golden_at_a_fine_grid_delta(tmp_path):
+    """At delta 1e-5 the 2x2 market's grid holds about 500 000 points a
+    keyword; 50 sweeps of a cycling run, from the empty profile, pin the
+    dynamics where every candidate comes from grid arithmetic."""
+    code = run("equilibrium", "--scenario", SCENARIO, "--mode", "dynamics",
+               "--grid-delta", "1e-5", "--out", tmp_path)
+    assert code == 0
+    got = (tmp_path / "equilibrium.json").read_bytes()
+    assert got == (GOLDEN / "equilibrium_dynamics_fine.json").read_bytes()
 
 
 def test_enumerate_mode_matches_golden_on_a_3x3_market(tmp_path):
@@ -779,17 +793,31 @@ def test_grid_delta_past_sys_maxsize_points_exits_3_at_once(tmp_path, capsys, ar
 
 @pytest.mark.parametrize("mode", ["dynamics", "single-slot-dominant"])
 @pytest.mark.parametrize("extra", [(), ("--conservative",)])
-def test_full_information_modes_at_a_fine_grid_delta_exit_3_at_once(tmp_path, capsys, mode,
-                                                                    extra):
+def test_full_information_modes_exit_0_at_fine_grid_deltas(tmp_path, mode, extra):
     """At delta 1e-7 the menus of the 2x2 market would hold about 171 M
-    bids; the menu cap counts them from the grid and exits 3 with one
-    error line, leaving no out directory."""
-    out = tmp_path / "out"
-    assert run("equilibrium", "--mode", mode, *extra, "--scenario", SCENARIO,
-               "--grid-delta", "1e-7", "--out", out) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: bid menus hold ") and err.count("\n") == 1
-    assert not out.exists()
+    bids, and at 1e-30 a keyword holds about 5e30 grid points, past
+    sys.maxsize; the full-information solvers build no menu, so they
+    exit 0 with a traced peak under 150 MB.  Every bid reported is a kept
+    grid point or the keyword value, and the regrets reported are
+    verify_epsilon_nash's of the profile reported."""
+    sc = scenario_from_json(SCENARIO)
+    conservative = "--conservative" in extra
+    for delta in (1e-7, 1e-12, 1e-30):
+        out = tmp_path / str(delta)
+        tracemalloc.start()
+        try:
+            assert run("equilibrium", "--mode", mode, *extra, "--scenario", SCENARIO,
+                       "--grid-delta", delta, "--out", out) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 150 << 20
+        report = json.loads((out / "equilibrium.json").read_text(encoding="utf-8"))
+        grid = make_grid(sc, delta)
+        assert report["grid_delta"] == delta and report["conservative"] == conservative
+        assert all(report["profile"].values())
+        assert off_menu_bids(sc, grid, report["profile"], conservative) == []
+        assert report["regrets"] == verify_epsilon_nash(sc, report["profile"], grid, conservative)
 
 
 def test_failed_run_removes_only_the_empty_out_directories_it_created(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import itertools
 import math
@@ -50,6 +51,7 @@ from helpers import (
     joint_best_response_oracle,
     joint_scan_pure_nash,
     joint_utility,
+    off_menu_bids,
     pbm_utility,
     per_call_dynamics,
     random_bid_profile,
@@ -162,21 +164,29 @@ def test_best_response_guards():
     assert widest > 4       # best rows over the former kappa cap
 
 
+def no_menus(*args):
+    raise AssertionError("a menu was built")
+
+
 def test_best_response_builds_only_its_advertisers_menus(monkeypatch):
-    """best_response lays out the rows of the advertiser it answers for:
-    one _menus call per call, on that advertiser."""
+    """best_response lays out the rows of the advertiser it answers for,
+    and builds no menu: one _menu_rule call per positive keyword of that
+    advertiser, in name order, with its keyword value."""
     sc = scenario_from_json(DATA / "scenario_wide.json")
     grid = make_grid(sc, delta=0.25)
-    calls, menus = [], equilibrium._menus
+    calls, rule = [], equilibrium._menu_rule
 
-    def spy(scenario, grid, advertiser, conservative):
-        calls.append(advertiser)
-        return menus(scenario, grid, advertiser, conservative)
+    def spy(grid, keyword, value, conservative):
+        calls.append((keyword, value))
+        return rule(grid, keyword, value, conservative)
 
-    monkeypatch.setattr(equilibrium, "_menus", spy)
+    monkeypatch.setattr(equilibrium, "_menu_rule", spy)
+    monkeypatch.setattr(equilibrium, "_menus", no_menus)
+    monkeypatch.setattr(equilibrium, "bid_menu", no_menus)
     for i in sc.advertisers:
+        calls.clear()
         best_response(sc, {}, i, grid)
-    assert calls == list(sc.advertisers)
+        assert calls == [(s, sc.kw_values[i][s]) for s in sorted(sc.kw_positive[i])]
 
 
 def test_best_response_rejects_unknown_advertiser():
@@ -504,7 +514,7 @@ def _dynamics_check(sc, bids, grid, conservative, max_iters):
 
 @pytest.mark.parametrize("weights", [(1.0,), (1.0, 0.6), (1.0, 0.6, 0.0)])
 def test_dynamics_bit_identical_to_per_call_oracle(weights):
-    """best_response_dynamics, with its menus built once, reports the
+    """best_response_dynamics, with its rows built once, reports the
     profile, regrets, iterations and convergence of the round-robin loop
     of one scalar best response per advertiser, bit for bit.  Some
     stopping tests find their first regret above epsilon past a stable
@@ -624,6 +634,27 @@ def test_sliced_regret_pass_bit_identical_to_oracles(monkeypatch, cells):
         _dynamics_check(sc, bids, grid, conservative, max_iters=int(rng.integers(1, 6)))
         assert calls == []
     assert ties >= 10 and zero_rows >= 12
+
+
+@pytest.mark.parametrize("delta", [1e-3, 0.013, 0.3, 7.0])
+def test_solvers_bit_identical_to_oracles_from_fine_to_coarse_grids(delta):
+    """Candidates found by grid arithmetic at any delta: best_response
+    and verify_epsilon_nash equal the scalar oracle, which bisects whole
+    menus, and best_response_dynamics the per-call loop, hex for hex, on
+    random markets with overbids, ties and bids on grid points, at grids
+    of thousands of points a keyword down to grids with no positive
+    point below the values."""
+    rng = np.random.default_rng([909, round(delta * 1000)])
+    for t in range(4 if delta < 0.01 else 10):
+        sc = random_scenario(rng, max_adv=4, max_kw=3, max_q=4, weights=(1.0, 0.6))
+        grid = make_grid(sc, delta)
+        bids = random_bid_profile(rng, sc, overbid=0.5 if t % 2 else 0.0)
+        if t % 3 == 0:      # bids on grid points; shared ones tie
+            bids = {i: {s: k * delta for s, b in row.items() if (k := round(b / delta))}
+                    for i, row in bids.items()}
+        conservative = bool(t % 2)
+        _oracle_check(sc, bids, grid, conservative)
+        _dynamics_check(sc, bids, grid, conservative, max_iters=2 if delta < 0.01 else 4)
 
 
 def test_dynamics_rejects_nan_initial_bid():
@@ -1262,9 +1293,6 @@ def test_enumerate_too_large_before_any_menu(monkeypatch):
     expected = {(id(sc), conservative): too_large_message(sc, make_grid(sc, delta), conservative)
                 for sc, delta in markets for conservative in (False, True)}
 
-    def no_menus(*args):
-        raise AssertionError("a menu was built")
-
     monkeypatch.setattr(equilibrium, "_menus", no_menus)
     monkeypatch.setattr(equilibrium, "bid_menu", no_menus)
     for sc, delta in markets:
@@ -1288,9 +1316,6 @@ def test_enumerate_grid_past_sys_maxsize_exits_before_any_menu(monkeypatch):
         assert size in (kept, kept + 1)
         assert equilibrium._menu_rule(grid, "s1", v, conservative=False)[0] == n
 
-    def no_menus(*args):
-        raise AssertionError("a menu was built")
-
     monkeypatch.setattr(equilibrium, "_menus", no_menus)
     monkeypatch.setattr(equilibrium, "bid_menu", no_menus)
     for conservative in (False, True):
@@ -1298,53 +1323,26 @@ def test_enumerate_grid_past_sys_maxsize_exits_before_any_menu(monkeypatch):
             enumerate_pure_nash(sc, grid, conservative=conservative)
 
 
-def test_full_information_solvers_too_large_before_any_menu(monkeypatch):
-    """best_response, verify_epsilon_nash and best_response_dynamics size
-    their menus from the grid alone and raise TooLarge past the cap
-    before any menu is built: at delta 1e-7 the 2x2 market's menus would
-    hold about 171 M bids, at 1e-30 about 2e31."""
+def test_full_information_solvers_build_no_menu(monkeypatch):
+    """best_response, verify_epsilon_nash and best_response_dynamics find
+    their candidates by grid arithmetic and build no menu, so no grid
+    delta bounds them: at delta 1e-7 the 2x2 market's menus would hold
+    about 171 M bids, at 1e-30 about 2e31.  Every bid they report is a
+    kept grid point or the keyword value, and the dynamics' regrets are
+    verify_epsilon_nash's of their final profile."""
     sc = scenario_from_json(DATA / "scenario_2x2.json")
-
-    def no_menus(*args):
-        raise AssertionError("a menu was built")
-
     monkeypatch.setattr(equilibrium, "_menus", no_menus)
     monkeypatch.setattr(equilibrium, "bid_menu", no_menus)
-    for delta in (1e-7, 1e-30):
+    for delta in (1e-7, 1e-12, 1e-30):
         grid = make_grid(sc, delta)
         for conservative in (False, True):
-            for solve in (lambda: best_response(sc, {}, "b", grid, conservative),
-                          lambda: verify_epsilon_nash(sc, {}, grid, conservative),
-                          lambda: best_response_dynamics(sc, {}, grid, conservative=conservative)):
-                with pytest.raises(TooLarge, match=r"^bid menus hold [0-9]+ bids, about [0-9]+ "
-                                                   r"bytes \(cap 2097152\)$"):
-                    solve()
-
-
-def test_menu_cap_counts_the_bids_of_the_menus_built(monkeypatch):
-    """The cap counts the bids of the menus a solver builds, best_response
-    its one advertiser's: at a cap of that count the solver runs, one
-    below it raises TooLarge naming the count and its bytes."""
-    sc = scenario_from_json(DATA / "scenario_2x2.json")
-    grid = make_grid(sc, 0.01)
-    for conservative in (False, True):
-        sizes = {i: sum(len(bid_menu(sc, grid, i, s, conservative)) for s in sc.kw_positive[i])
-                 for i in sc.advertisers}
-        for only in (*sc.advertisers, None):
-            if only is None:
-                total = sum(sizes.values())
-                solves = (lambda: verify_epsilon_nash(sc, {}, grid, conservative),
-                          lambda: best_response_dynamics(sc, {}, grid, conservative=conservative))
-            else:
-                total = sizes[only]
-                solves = (lambda: best_response(sc, {}, only, grid, conservative),)
-            for solve in solves:
-                monkeypatch.setattr(equilibrium, "_MAX_MENU_BIDS", total)
-                solve()
-                monkeypatch.setattr(equilibrium, "_MAX_MENU_BIDS", total - 1)
-                with pytest.raises(TooLarge, match=f"^bid menus hold {total} bids, about "
-                                                   f"{total * equilibrium._MENU_BYTES_PER_BID} bytes"):
-                    solve()
+            rows = {i: best_response(sc, {}, i, grid, conservative)[0] for i in sc.advertisers}
+            report = best_response_dynamics(sc, {}, grid, conservative=conservative)
+            assert all(rows.values()) and all(report.profile.values())
+            for profile in (rows, report.profile):
+                assert off_menu_bids(sc, grid, profile, conservative) == []
+            assert report.regrets == verify_epsilon_nash(sc, report.profile, grid, conservative)
+            assert set(verify_epsilon_nash(sc, rows, grid, conservative)) == set(sc.advertisers)
 
 
 def test_enumerate_grid_below_the_values_without_overflow():
@@ -1389,6 +1387,72 @@ def test_bid_menu_is_the_whole_grid_filter(conservative):
                 on += v > 0.0 and k * grid.delta == v
                 off += k * grid.delta != v and abs(k * grid.delta - v) < 1e-9
     assert on and off
+
+
+def _outranking_cases(rng, delta, n_cases):
+    """Random (o, kept, value, a wins the tie, conservative, grid) cases
+    at one delta: opponent bids o on grid points k * delta, below, near
+    and above the value, on the value, and on their float neighbours."""
+    cases = []
+    while len(cases) < n_cases:
+        value = float(rng.uniform(1.0, 10.0))
+        grid = BidGrid(delta, {"s": value * float(rng.choice([0.5, 1.0, 1.2]))})
+        conservative = bool(rng.integers(2))
+        kept, _ = equilibrium._menu_rule(grid, "s", value, conservative)
+        near = value if rng.integers(4) == 0 else value * float(rng.uniform(0.0, 1.3))
+        o = near if rng.integers(4) == 0 else round(near / delta) * delta
+        o = (o, math.nextafter(o, math.inf), math.nextafter(o, -math.inf))[rng.integers(3)]
+        if o > 0.0:
+            cases.append((o, kept, value, bool(rng.integers(2)), conservative, grid))
+    return cases
+
+
+def _lowest_menu_bid_above(x, delta, kept, value):
+    """The definition: the lowest of the kept grid points k * delta,
+    counted by _points_upto's bisection, and the value that is > x, or
+    None."""
+    k = equilibrium._points_upto(x, delta, kept)
+    above = [b for b in (k * delta if k < kept else None, value) if b is not None and b > x]
+    return min(above, default=None)
+
+
+@pytest.mark.parametrize("delta", [7.0, 0.25, 1e-3, 1e-12, 1e-15, 1e-17, 1e-30])
+def test_one_rule_for_the_lowest_grid_bid_that_outranks(delta):
+    """_lowest_above, the candidates of _Ladders (a best response against
+    one opponent bid o below the value, in one slot, is the lowest menu
+    bid that outranks o), the rows of _deviation_menus and, where the
+    menu is buildable, bisection on bid_menu all give the lowest menu bid
+    above x (x = o where the bidder loses the tie, the float below o
+    where it wins) that _points_upto defines.  Past about 2^53 grid
+    steps neighbouring k give the same float, where a guess from o /
+    delta alone misses."""
+    rng = np.random.default_rng(round(-math.log10(delta) * 10) + 100)
+    cases = _outranking_cases(rng, delta, 300)
+    by_side = {True: [], False: []}
+    for o, kept, value, wins, conservative, grid in cases:
+        x = math.nextafter(o, -math.inf) if wins else o
+        want = _lowest_menu_bid_above(x, delta, kept, value)
+        k = equilibrium._lowest_above(x, delta, kept)
+        assert k == equilibrium._points_upto(x, delta, kept)
+        sc = single_keyword_scenario({"a": value, "b": value} if wins else {"a": 1.0, "b": value})
+        bidder, opponent = ("a", "b") if wins else ("b", "a")
+        if o < value:
+            row, _ = best_response(sc, {opponent: {"s": o}}, bidder, grid, conservative)
+            assert row == {"s": want}, (o, kept, value, wins)
+        if kept < 1 << 16:
+            menu = bid_menu(sc, grid, bidder, "s", conservative)
+            k = bisect.bisect_right(menu, x)
+            assert (menu[k] if k < len(menu) else None) == want
+        by_side[wins].append((o, x, float(kept), value))
+    for wins, side in by_side.items():
+        o, x, grid_n, value = map(np.array, zip(*side))
+        a, others = (0, np.array([1])) if wins else (1, np.array([0]))
+        bids, row = equilibrium._deviation_menus(grid_n, value, np.zeros(len(o)),
+                                                 o[None, :, None], delta, a, others)
+        for r in range(len(o)):
+            above = bids[(row == r) & (bids > x[r])]
+            want = _lowest_menu_bid_above(x[r], delta, int(grid_n[r]), value[r])
+            assert (above.min() if above.size else None) == want, (o[r], grid_n[r], value[r], wins)
 
 
 def test_enumerate_memory_bounded_by_the_chunk():
