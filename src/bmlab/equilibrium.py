@@ -34,10 +34,13 @@ pure-Nash enumerator reads the _menus menus, and builds no
 strategy row: it scans each keyword's grid of its participants' menus
 with gsp_outcome, not the joint grid, for the bid vectors a stable
 profile can hold there, checks only the profiles built from those, and
-reads the survivors' bids off the menus.  It returns them as arrays
-(Equilibria): bids, regrets and welfare, from which a report per
-equilibrium is built only when one is read, so that the price of anarchy
-needs only the welfare's minimum and a writer can format blocks of them.
+reads the survivors' bids off the menus.  Its size guards count what it
+builds, not the joint grid: the keyword-grid cells, read from the grid
+before any menu, and the candidate profiles, as they are made.  It
+returns the survivors as arrays (Equilibria): bids, regrets and welfare,
+from which a report per equilibrium is built only when one is read, so
+that the price of anarchy needs only the welfare's minimum and a writer
+can format blocks of them.
 Every solver here prices at reserve 0 with the tie rule of
 mechanisms.outranks and reports the welfare of
 mechanisms.pbm_expected_welfare_batch.  The full-information solvers read
@@ -367,21 +370,6 @@ def best_response_dynamics(scenario: Scenario, initial, grid: BidGrid,
 
 # --------------------------------------------------------- Nash enumeration
 
-def _count_rows(sizes, kappa):
-    """Number of bid rows with at most kappa positive bids over menus of
-    the given sizes (_menu_rule's, or strategy_rows' menus'), a menu
-    offering all but its leading 0.0: the truncated elementary-symmetric
-    sum, computed exactly by DP."""
-    coeffs = [1]
-    for size in sizes:
-        m = size - 1
-        new = coeffs + [0] if len(coeffs) <= kappa else coeffs
-        for k in range(len(new) - 1, 0, -1):
-            new[k] = (coeffs[k] if k < len(coeffs) else 0) + m * coeffs[k - 1]
-        coeffs = new
-    return sum(coeffs)
-
-
 def strategy_rows(menus, kappa):
     """All feasible bid rows of one advertiser over its menus of _menus
     (at most kappa positive bids), as (keyword list, array).
@@ -394,34 +382,24 @@ def strategy_rows(menus, kappa):
     """
     pool = list(menus)
     positive = [m[1:] for m in menus.values()]      # menus always start at 0.0
-    n_rows = _count_rows(map(len, menus.values()), kappa)
     K = len(pool)
-    rows = np.zeros((n_rows, K))
-    r = 0
+    rows = []
     for size in range(0, min(kappa, K) + 1):
         for subset in itertools.combinations(range(K), size):
             for combo in itertools.product(*(positive[j] for j in subset)):
+                row = [0.0] * K
                 for j, b in zip(subset, combo):
-                    rows[r, j] = b
-                r += 1
-    assert r == n_rows
-    return pool, rows
+                    row[j] = b
+                rows.append(row)
+    return pool, np.array(rows)
 
 
 # Entries over width (a keyword's participants, or the keywords) per piece
-# or chunk of the enumerator, and its bytes per entry at most: pricing
-# temporaries, indices, sums and masks (tracemalloc: about 57 B).
+# or chunk of the enumerator.
 _CHUNK_PROFILES = 1 << 16
-_CHUNK_BYTES_PER_PROFILE = 128
-
-
-def _peak_bytes(counts) -> int:
-    """Estimated peak bytes of the enumerator before its stable sets and
-    equilibria: a keyword piece or candidate chunk, and one keyword's
-    best tables, at most an entry per profile of the others' rows each."""
-    joint = math.prod(counts)
-    return (max([_CHUNK_PROFILES] + counts) * _CHUNK_BYTES_PER_PROFILE
-            + 8 * sum(joint // c for c in counts if c > 1))
+# Keyword-grid cells, and candidate profiles, enumerate_pure_nash builds
+# at most.
+_MAX_BUILT = 1 << 22
 
 
 class _Keyword:
@@ -490,16 +468,16 @@ class _Keyword:
 def _candidates(keywords, kappa, part, count):
     """Chunks of the candidates extending the rows part (a stable vector
     per keyword so far; count, the positive bids per advertiser): grown
-    keyword by keyword in pieces of _CHUNK_PROFILES // (keywords) rows (a
-    row's extensions at least), each row dropped once over kappa bids."""
+    keyword by keyword, over the row-major (row, vector) index in pieces
+    of _CHUNK_PROFILES // (keywords) entries, each row dropped once over
+    kappa bids."""
     if not keywords:
         yield part
         return
     kw, size = keywords[0], len(keywords[0].digits)
-    step = max(1, _CHUNK_PROFILES // (max(size, 1) * (part.shape[1] + len(keywords))))
-    for lo in range(0, len(part), step):
-        rows = np.repeat(np.arange(lo, min(lo + step, len(part))), size)
-        pick = np.tile(np.arange(size), min(step, len(part) - lo))
+    step, total = max(1, _CHUNK_PROFILES // (part.shape[1] + len(keywords))), len(part) * size
+    for lo in range(0, total, step):
+        rows, pick = np.divmod(np.arange(lo, min(lo + step, total)), size)
         grown = count[rows]
         ok = np.ones(len(rows), dtype=bool)
         for p, a in enumerate(kw.ids):
@@ -545,9 +523,13 @@ def _equilibria(scenario, menus, eps, winner_truthful):
     regrets."""
     keywords, mine = _scan(scenario, menus, eps)
     kappa, n = scenario.kappa, len(menus)
-    found = [(np.zeros((0, len(keywords)), dtype=np.intp), np.zeros((0, n)))]
+    found, total = [(np.zeros((0, len(keywords)), dtype=np.intp), np.zeros((0, n)))], 0
     for choice in _candidates(keywords, kappa, np.zeros((1, 0), dtype=np.intp),
                               np.zeros((1, n), dtype=np.intp)):
+        total += len(choice)
+        if total > _MAX_BUILT:
+            raise TooLarge(f"stable keyword vectors make at least {total} candidate "
+                           f"profiles (cap {_MAX_BUILT})")
         gaps = np.empty((len(choice), 0))
         for m in mine:      # an advertiser's test on the candidates the others kept
             u = sum((keywords[j].util[choice[:, j], p] for j, p in m), np.zeros(len(choice)))
@@ -612,10 +594,6 @@ class Equilibria(Sequence):
             welfare=float(self.welfare[h]))
 
 
-# Joint profiles enumerate_pure_nash takes on at most.
-_MAX_JOINT = 10_000_000
-
-
 def enumerate_pure_nash(scenario: Scenario, grid: BidGrid, epsilon=None,
                         conservative=False, winner_truthful=False) -> Equilibria:
     """Every pure Nash equilibrium on the grid, found keyword by keyword.
@@ -650,9 +628,14 @@ def enumerate_pure_nash(scenario: Scenario, grid: BidGrid, epsilon=None,
     O(u)), and the rounded local test keeps every such bid with slack =
     2 (K + 2) u (U_a + epsilon).  No stable profile is dropped.
 
-    A grid of over _MAX_JOINT profiles raises TooLarge, naming its exact
-    count and _peak_bytes, before any menu is built: _count_rows counts
-    the rows from the menu sizes of _menu_rule, read from the grid alone.
+    The size guards count what is built, not the joint grid.  Keyword
+    grids of over _MAX_BUILT cells in all raise TooLarge, naming the
+    exact count, before any menu is built: a keyword's cells are the
+    product of its participants' menu sizes, _menu_rule's, read from
+    the grid alone.  This bounds the menus, the best tables and the
+    stable vectors.  The candidates are counted as _candidates makes
+    them, and a chunk that takes them past _MAX_BUILT raises TooLarge
+    before it is tested, which bounds the equilibria.
 
     winner_truthful keeps only equilibria in which every slot winner
     bids exactly their keyword value on the winning keyword.  The result
@@ -662,16 +645,15 @@ def enumerate_pure_nash(scenario: Scenario, grid: BidGrid, epsilon=None,
     only when it is read.
     """
     eps = _resolve_epsilon(scenario, epsilon)
-    advs, kappa, n = scenario.advertisers, scenario.kappa, len(scenario.advertisers)
-    if n == 0:      # the empty profile is the one profile, and stable
+    advs = scenario.advertisers
+    if not advs:      # the empty profile is the one profile, and stable
         return Equilibria(scenario, np.zeros((1, 0, len(scenario.graph.keywords))),
                           np.zeros((0, 1)), np.zeros(1), eps)
-    counts = [_count_rows([_menu_rule(grid, s, scenario.kw_values[i][s], conservative)[1]
-                           for s in scenario.kw_positive[i]], kappa) for i in advs]
-    if math.prod(counts) > _MAX_JOINT:
-        raise TooLarge(f"joint strategy space has {math.prod(counts)} profiles, about "
-                       f"{_peak_bytes(counts)} bytes at peak before the stable sets and "
-                       f"equilibria (cap {_MAX_JOINT})")
+    cells = sum(math.prod(sizes) for s in scenario.graph.keywords
+                if (sizes := [_menu_rule(grid, s, scenario.kw_values[i][s], conservative)[1]
+                              for i in advs if s in scenario.kw_positive[i]]))
+    if cells > _MAX_BUILT:
+        raise TooLarge(f"keyword grids hold {cells} cells (cap {_MAX_BUILT})")
     menus = [_menus(scenario, grid, i, conservative) for i in advs]
     bids, regrets = _equilibria(scenario, menus, eps, winner_truthful)
     # the kept profiles, priced by the one welfare path

@@ -151,6 +151,52 @@ def row_count_oracle(scenario, grid, conservative=False):
     return counts
 
 
+def keyword_grid_cells_oracle(scenario, grid, conservative=False):
+    """Oracle: the keyword-grid cells the enumerator scans: per keyword
+    some advertiser values, the product of its participants' whole-grid
+    menu lengths, added up."""
+    total = 0
+    for s in scenario.graph.keywords:
+        sizes = [len(whole_grid_menu(scenario, grid, i, s, conservative))
+                 for i in scenario.advertisers if s in scenario.kw_positive[i]]
+        total += math.prod(sizes) if sizes else 0
+    return total
+
+
+def per_keyword_nash_count(scenario, grid, epsilon, conservative=False):
+    """Oracle: the number of pure Nash equilibria on the grid when kappa is
+    at least each advertiser's keyword count, so that the game splits per
+    keyword: the product over keywords of the bid vectors over the
+    participants' whole-grid menus where no participant gains over
+    epsilon by another bid of its menu, priced by slot_utility's scalar
+    scan."""
+    assert all(len(scenario.kw_positive[i]) <= scenario.kappa for i in scenario.advertisers)
+    total = 1
+    for s in scenario.graph.keywords:
+        ids = [i for i in scenario.advertisers if s in scenario.kw_positive[i]]
+        if not ids:
+            continue
+        menus = [whole_grid_menu(scenario, grid, i, s, conservative).tolist() for i in ids]
+        mass, values = scenario.kw_masses[s], [scenario.kw_values[i][s] for i in ids]
+
+        def utility(p, bids):
+            opponents = [(q, b) for q, b in enumerate(bids) if q != p and b > 0.0]
+            return slot_utility(bids[p], p, opponents, scenario.weights, mass, values[p])
+
+        best, count = {}, 0
+        for bids in itertools.product(*menus):
+            for p in range(len(ids)):
+                key = (p,) + bids[:p] + bids[p + 1:]
+                if key not in best:
+                    best[key] = max(utility(p, bids[:p] + (b,) + bids[p + 1:]) for b in menus[p])
+                if utility(p, bids) < best[key] - epsilon:
+                    break
+            else:
+                count += 1
+        total *= count
+    return total
+
+
 def joint_profile_count(scenario, grid, conservative=False):
     """Oracle: the number of joint grid profiles the enumerator scans."""
     return math.prod(row_count_oracle(scenario, grid, conservative))

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bmlab import cli, expressiveness
+from bmlab import cli, equilibrium, expressiveness
 from bmlab.analysis import counterexample_scenario
 from bmlab.cli import main
 from bmlab.equilibrium import (default_epsilon, enumerate_pure_nash, make_grid,
@@ -28,8 +28,8 @@ from bmlab.equilibrium import (default_epsilon, enumerate_pure_nash, make_grid,
 from bmlab.market import scenario_from_json
 from bmlab.mechanisms import load_bid_profile
 
-from helpers import (enumerate_report_oracle, off_menu_bids, per_round_reports, random_scenario,
-                     scenario_json)
+from helpers import (enumerate_report_oracle, keyword_grid_cells_oracle, off_menu_bids,
+                     per_round_reports, random_scenario, scenario_json)
 
 DATA = Path(__file__).parent / "data"
 SCENARIO = str(DATA / "scenario_2x2.json")
@@ -783,11 +783,12 @@ def test_grid_delta_past_the_float_range_exits_4(tmp_path, capsys, argv):
 ])
 def test_grid_delta_past_sys_maxsize_points_exits_3_at_once(tmp_path, capsys, argv):
     """At delta 1e-30 a keyword holds about 5e30 grid points; the size
-    guard counts them from the grid and exits 3 with one error line."""
+    guard counts the keyword-grid cells from the grid and exits 3 with
+    one error line."""
     out = tmp_path / "out"
     assert run(*argv, "--scenario", SCENARIO, "--grid-delta", "1e-30", "--out", out) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: joint strategy space has ") and err.count("\n") == 1
+    assert err.startswith("error: keyword grids hold ") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -844,7 +845,28 @@ def test_too_large_exit_code_reports_size(tmp_path, capsys):
     code = run("equilibrium", "--scenario", SCENARIO,
                "--grid-delta", "0.0001", "--out", tmp_path)
     assert code == 3
-    assert "profiles" in capsys.readouterr().err
+    sc = scenario_from_json(SCENARIO)
+    cells = keyword_grid_cells_oracle(sc, make_grid(sc, 0.0001))
+    assert capsys.readouterr().err == (f"error: keyword grids hold {cells} cells "
+                                       f"(cap {equilibrium._MAX_BUILT})\n")
+
+
+def test_poa_past_the_candidate_cap_exits_3(tmp_path, capsys):
+    """At delta 0.25 the 3x3 market's keyword grids are small, but the
+    products of their stable vectors pass the cap: poa exits 3 with one
+    error line, its traced peak under 150 MB."""
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = run("poa", "--scenario", DATA / "scenario_3x3.json", "--grid-delta", "0.25",
+                   "--out", out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and peak < 150 << 20
+    err = capsys.readouterr().err
+    assert err.startswith("error: stable keyword vectors make at least ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_revenue_at_a_fine_grid_delta_writes_both_reports(tmp_path, capsys):

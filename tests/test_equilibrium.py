@@ -49,11 +49,14 @@ from helpers import (
     canonical_profiles,
     dict_expected_welfare,
     joint_best_response_oracle,
+    joint_profile_count,
     joint_scan_pure_nash,
     joint_utility,
+    keyword_grid_cells_oracle,
     off_menu_bids,
     pbm_utility,
     per_call_dynamics,
+    per_keyword_nash_count,
     random_bid_profile,
     random_scenario,
     row_count_oracle,
@@ -769,7 +772,7 @@ def test_enumerated_welfare_is_the_exact_functional():
     for _ in range(60):
         sc = random_scenario(rng, weights=(1.0, 0.6))
         grid = make_grid(sc, 0.5)
-        if math.prod(row_counts(sc, grid, True)) > 20_000:
+        if math.prod(row_count_oracle(sc, grid, True)) > 20_000:
             continue
         markets += 1
         for r in enumerate_pure_nash(sc, grid, conservative=True):
@@ -970,12 +973,6 @@ DEFAULT_CHUNK = equilibrium._CHUNK_PROFILES
 UNEVEN_CHUNK = 23
 
 
-def row_counts(sc, grid, conservative=False):
-    return [equilibrium._count_rows(map(len, equilibrium._menus(sc, grid, i, conservative)
-                                        .values()), sc.kappa)
-            for i in sc.advertisers]
-
-
 def assert_matches_the_joint_scan(monkeypatch, sc, grid, **kwargs):
     """enumerate_pure_nash with _CHUNK_PROFILES at its default, at 1 (a
     participant's bids, one grid cell or one stable vector per piece) and
@@ -1007,7 +1004,7 @@ def test_chunking_invisible_on_random_markets(monkeypatch, conservative):
     for _ in range(40):
         sc = random_scenario(rng, max_adv=3, max_kw=3, max_q=4, weights=(1.0, 0.5))
         grid = make_grid(sc, delta=max(make_grid(sc, 1.0).caps.values()) / 3)
-        if math.prod(row_counts(sc, grid, conservative)) > 20_000:
+        if math.prod(row_count_oracle(sc, grid, conservative)) > 20_000:
             continue
         found += len(assert_matches_the_joint_scan(monkeypatch, sc, grid,
                                                    conservative=conservative))
@@ -1049,7 +1046,7 @@ def test_chunking_invisible_advertiser_without_keywords(monkeypatch, idle):
     values[idle] = {}
     sc = simple_scenario(values, weights=(1.0, 0.5), kappa=1)
     grid = make_grid(sc, delta=0.5)
-    assert row_counts(sc, grid)[sc.advertisers.index(idle)] == 1
+    assert row_count_oracle(sc, grid)[sc.advertisers.index(idle)] == 1
     whole = assert_matches_the_joint_scan(monkeypatch, sc, grid)
     assert whole and all(profile[idle] == {} for profile, _, _ in whole)
 
@@ -1165,7 +1162,7 @@ def test_best_table_is_the_maximum_over_rows_on_random_markets(monkeypatch, chun
     for _ in range(40):
         sc = random_scenario(rng, max_adv=3, max_kw=3, max_q=4, weights=(1.0, 0.5))
         grid = make_grid(sc, delta=max(make_grid(sc, 1.0).caps.values()) / 3)
-        if math.prod(row_counts(sc, grid, conservative)) > 20_000:
+        if math.prod(row_count_oracle(sc, grid, conservative)) > 20_000:
             continue
         assert_best_is_the_oracle(sc, grid, conservative)
         binding[any(sc.kappa < len(sc.kw_positive[i]) for i in sc.advertisers)] += 1
@@ -1246,48 +1243,41 @@ def test_enumerate_prices_keyword_grids_not_the_joint_grid(monkeypatch):
     assert sum(candidates) == CANDIDATES_ON_THE_MILLION_MARKET
 
 
-def test_enumerate_too_large_reports_bytes(monkeypatch):
+def test_enumerate_too_large_names_the_cells(monkeypatch):
+    """The cap counts keyword-grid cells, not joint profiles: 24 cells
+    and 24 profiles on one keyword, 325 cells for the million market's
+    1.25 M profiles.  At the cell count the market runs."""
     sc = five_three()
     grid = make_grid(sc, delta=1.0)
-    counts = row_counts(sc, grid, conservative=True)
-    assert counts == [6, 4]
-    monkeypatch.setattr(equilibrium, "_MAX_JOINT", 23)
+    assert keyword_grid_cells_oracle(sc, grid, conservative=True) == 24
+    monkeypatch.setattr(equilibrium, "_MAX_BUILT", 23)
     with pytest.raises(TooLarge) as exc:
         enumerate_pure_nash(sc, grid, conservative=True)
-    peak = equilibrium._peak_bytes(counts)
-    assert str(exc.value) == (f"joint strategy space has 24 profiles, about {peak} "
-                              f"bytes at peak before the stable sets and equilibria (cap 23)")
-    # a keyword piece or candidate chunk of _CHUNK_PROFILES entries, and the
-    # keyword's best-utility tables: one entry per profile of the other's rows
-    assert peak >= 128 * equilibrium._CHUNK_PROFILES + 8 * (4 + 6)
+    assert str(exc.value) == "keyword grids hold 24 cells (cap 23)"
+    monkeypatch.setattr(equilibrium, "_MAX_BUILT", 24)
+    assert len(enumerate_pure_nash(sc, grid, conservative=True)) == 12
 
     sc, grid = million_market()
-    counts = row_counts(sc, grid, conservative=True)
-    peak = equilibrium._peak_bytes(counts)
-    monkeypatch.setattr(equilibrium, "_MAX_JOINT", 1_000_000)
-    with pytest.raises(TooLarge, match=rf"^joint strategy space has 1250000 profiles, "
-                                       rf"about {peak} bytes at peak before the stable sets "
-                                       rf"and equilibria \(cap 1000000\)$"):
+    assert keyword_grid_cells_oracle(sc, grid, conservative=True) == 325
+    monkeypatch.setattr(equilibrium, "_MAX_BUILT", 324)
+    with pytest.raises(TooLarge, match=r"^keyword grids hold 325 cells \(cap 324\)$"):
         enumerate_pure_nash(sc, grid, conservative=True)
-    # the estimate follows the chunk and the tables, not the whole grid
-    tables = sum(1_250_000 // c for c in counts)
-    assert 128 * equilibrium._CHUNK_PROFILES + 8 * tables <= peak <= 10 * 1_250_000
+    monkeypatch.setattr(equilibrium, "_MAX_BUILT", 325)
+    assert len(enumerate_pure_nash(sc, grid, conservative=True)) == 8
 
 
 def too_large_message(sc, grid, conservative):
-    """The TooLarge message of enumerate_pure_nash, with the oracle's row
-    counts."""
-    counts = row_count_oracle(sc, grid, conservative)
-    return (f"joint strategy space has {math.prod(counts)} profiles, about "
-            f"{equilibrium._peak_bytes(counts)} bytes at peak before the stable sets "
-            f"and equilibria (cap 10000000)")
+    """The TooLarge message of enumerate_pure_nash, with the oracle's cell
+    count."""
+    return (f"keyword grids hold {keyword_grid_cells_oracle(sc, grid, conservative)} cells "
+            f"(cap {equilibrium._MAX_BUILT})")
 
 
 def test_enumerate_too_large_before_any_menu(monkeypatch):
-    """A grid past the cap raises with its exact count before a menu is
-    built: at delta 2e-6 a 2x2 menu would hold about 2.5 M bids, and at
-    delta 1e-6 one advertiser with two keywords of value 3 and kappa 2
-    has 9 T rows, though its rows of at most one positive bid are 6 M."""
+    """A grid past the cap raises with its exact cell count before a menu
+    is built: at delta 2e-6 a 2x2 menu would hold about 2.5 M bids, and
+    at delta 1e-6 one advertiser with two keywords of value 3 has two
+    keyword grids of 3 M cells."""
     markets = [(scenario_from_json(DATA / "scenario_2x2.json"), 2e-6),
                (simple_scenario({"a": {"q1": 3.0, "q2": 3.0}}, kappa=2), 1e-6)]
     expected = {(id(sc), conservative): too_large_message(sc, make_grid(sc, delta), conservative)
@@ -1319,8 +1309,67 @@ def test_enumerate_grid_past_sys_maxsize_exits_before_any_menu(monkeypatch):
     monkeypatch.setattr(equilibrium, "_menus", no_menus)
     monkeypatch.setattr(equilibrium, "bid_menu", no_menus)
     for conservative in (False, True):
-        with pytest.raises(TooLarge, match="^joint strategy space has [0-9]+ profiles"):
+        with pytest.raises(TooLarge, match=r"^keyword grids hold [0-9]+ cells \(cap "):
             enumerate_pure_nash(sc, grid, conservative=conservative)
+
+
+def one_advertiser_market():
+    """One advertiser on three keywords, kappa 3: alone on each, it gains
+    the same from every positive bid, so every positive bid is stable and
+    every candidate, a positive bid per keyword, is an equilibrium."""
+    return simple_scenario({"a": {"q1": 3.0, "q2": 3.0, "q3": 3.005}}, kappa=3)
+
+
+@pytest.mark.parametrize("chunk", [UNEVEN_CHUNK, DEFAULT_CHUNK])
+def test_enumerate_candidate_guard_at_the_exact_count(monkeypatch, chunk):
+    """The candidates, counted as _candidates makes them, run at a cap of
+    their exact count and raise one below it, naming the count reached;
+    the 22 keyword-grid cells stay under both caps."""
+    monkeypatch.setattr(equilibrium, "_CHUNK_PROFILES", chunk)
+    sc = one_advertiser_market()
+    grid = make_grid(sc, delta=0.5)
+    count = math.prod(len(whole_grid_menu(sc, grid, "a", s)) - 1 for s in sc.graph.keywords)
+    assert (keyword_grid_cells_oracle(sc, grid), count) == (22, 6 * 6 * 7)
+    monkeypatch.setattr(equilibrium, "_MAX_BUILT", count)
+    assert len(enumerate_pure_nash(sc, grid)) == count
+    monkeypatch.setattr(equilibrium, "_MAX_BUILT", count - 1)
+    with pytest.raises(TooLarge, match=rf"^stable keyword vectors make at least {count} "
+                                       rf"candidate profiles \(cap {count - 1}\)$"):
+        enumerate_pure_nash(sc, grid)
+
+
+def test_enumerate_candidate_guard_on_a_small_grid_of_many_candidates():
+    """At delta 0.01 the market's keyword grids hold 904 cells and its
+    candidates number 27 090 000, each an equilibrium: the candidate
+    guard raises once they pass the cap, before the equilibria are
+    built."""
+    sc = one_advertiser_market()
+    grid = make_grid(sc, delta=0.01)
+    assert keyword_grid_cells_oracle(sc, grid) == 904
+    assert math.prod(len(whole_grid_menu(sc, grid, "a", s)) - 1
+                     for s in sc.graph.keywords) == 27_090_000
+    with pytest.raises(TooLarge, match=r"^stable keyword vectors make at least [0-9]+ candidate "
+                                       rf"profiles \(cap {equilibrium._MAX_BUILT}\)$"):
+        enumerate_pure_nash(sc, grid)
+
+
+def test_enumerate_benchmark_market_at_a_quarter_grid():
+    """The benchmark's seed-7 enumeration market (its equilibria workload's
+    enum.json) at delta 0.25, conservative: 7.2e10 joint profiles but
+    12 591 keyword-grid cells.  With kappa at its 3 keywords the game
+    splits per keyword, and its 105 728 equilibria are the per-keyword
+    brute force's count; in a sample of them every regret of
+    verify_epsilon_nash is within epsilon."""
+    sc = scenario_from_json(DATA / "scenario_enum_bench.json")
+    grid = make_grid(sc, delta=0.25)
+    assert joint_profile_count(sc, grid, conservative=True) == 71_833_132_800
+    assert keyword_grid_cells_oracle(sc, grid, conservative=True) == 12_591
+    got = enumerate_pure_nash(sc, grid, conservative=True)
+    assert len(got) == 105_728 == per_keyword_nash_count(sc, grid, got.epsilon,
+                                                         conservative=True)
+    for h in np.random.default_rng(3).choice(len(got), size=40, replace=False):
+        regrets = verify_epsilon_nash(sc, got[int(h)].profile, grid, conservative=True)
+        assert max(regrets.values()) <= got.epsilon
 
 
 def test_full_information_solvers_build_no_menu(monkeypatch):
@@ -1455,14 +1504,27 @@ def test_one_rule_for_the_lowest_grid_bid_that_outranks(delta):
             assert (above.min() if above.size else None) == want, (o[r], grid_n[r], value[r], wins)
 
 
+def keyword_scan_bytes(sc, grid, conservative=False):
+    """Bytes of the enumerator at peak before its stable vectors and
+    candidates, in the keyword grids' own sizes: a piece of
+    _CHUNK_PROFILES cells at 128 B a cell, and per keyword and
+    participant a best table of 8 B per cell of the others' menus."""
+    tables = 0
+    for s in sc.graph.keywords:
+        sizes = [len(whole_grid_menu(sc, grid, i, s, conservative))
+                 for i in sc.advertisers if s in sc.kw_positive[i]]
+        tables += sum(math.prod(sizes) // size for size in sizes)
+    return 128 * equilibrium._CHUNK_PROFILES + 8 * tables
+
+
 def test_enumerate_memory_bounded_by_the_chunk():
     """Peak traced allocation on a 1.25 M-profile grid stays within one
     chunk of the joint scan at 128 B a profile, its best-response table
-    and 1 MB for the strategy rows and reports, and within the TooLarge
-    estimate plus that 1 MB.  Whole-grid tensors took about 80 B per
+    and 1 MB for the strategy rows and reports, and within the keyword
+    scan's bytes plus that 1 MB.  Whole-grid tensors took about 80 B per
     profile, 100 MB here."""
     sc, grid = million_market()
-    counts = row_counts(sc, grid, conservative=True)
+    counts = row_count_oracle(sc, grid, conservative=True)
     table = math.prod(counts[1:])
     bound = 128 * chunk_profiles(counts) + 8 * table + (1 << 20)
     assert bound < 10 * 1_250_000
@@ -1474,17 +1536,18 @@ def test_enumerate_memory_bounded_by_the_chunk():
         tracemalloc.stop()
     assert len(reports) == 8
     assert peak <= bound
-    assert peak <= equilibrium._peak_bytes(counts) + (1 << 20)
+    assert peak <= keyword_scan_bytes(sc, grid, conservative=True) + (1 << 20)
 
 
 def test_enumerate_memory_bounded_on_a_one_keyword_market():
     """On one keyword the grid of distinct bids is the whole joint grid
     (1.45 M profiles), so the keyword scan prices it in pieces: the
-    traced peak stays within the TooLarge estimate plus 1 MB.  Two slots of near-equal weight keep the equilibria, and
-    the reports' memory, few."""
+    traced peak stays within the keyword scan's bytes plus 1 MB.  Two
+    slots of near-equal weight keep the equilibria, and the reports'
+    memory, few."""
     sc = single_keyword_scenario({"a": 10.0, "b": 9.0, "c": 8.0}, weights=(1.0, 0.9))
     grid = make_grid(sc, delta=0.08)
-    counts = row_counts(sc, grid, conservative=True)
+    counts = row_count_oracle(sc, grid, conservative=True)
     assert math.prod(counts) == 1_450_764
     tracemalloc.start()
     try:
@@ -1493,7 +1556,7 @@ def test_enumerate_memory_bounded_on_a_one_keyword_market():
     finally:
         tracemalloc.stop()
     assert len(reports) == 182
-    assert peak <= equilibrium._peak_bytes(counts) + (1 << 20)
+    assert peak <= keyword_scan_bytes(sc, grid, conservative=True) + (1 << 20)
 
 
 # ------------------------------------------------------ dominant strategies
