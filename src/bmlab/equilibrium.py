@@ -1,11 +1,11 @@
 """Equilibrium search and verification on discretized bid spaces.
 
 The continuous strategy space is replaced by a grid: per-keyword menus
-{0, delta, 2*delta, ..., cap} with the exact truthful keyword value
-spliced in so truthful play is always representable.  Equilibria are
-exact with respect to the grid (regret tolerance 1e-9 * max value by
-default); off-grid deviations are covered by the continuity slack
-(max slot weight) * delta that the analysis layer adds to its bounds.
+{k * delta <= cap} with the exact truthful keyword value spliced in so
+truthful play is always representable.  Equilibria are exact with
+respect to the grid (regret tolerance 1e-9 * max value by default);
+off-grid deviations are covered by the continuity slack (max slot
+weight) * delta that the analysis layer adds to its bounds.
 
 Utilities are separable across keywords (u_i = sum_s u_i^s), which the
 best-response search exploits: each keyword is optimized independently
@@ -30,17 +30,17 @@ bid that outranks it (_lowest_above's rule, on arrays), with delta, the
 value and the played bid, so a row's size is bounded by the draws, not
 by value / delta; it prices them with mechanisms.gsp_outcome, the one
 GSP kernel, and ranks the keywords as best response does.  The
-pure-Nash enumerator reads the _menus menus, and builds no
-strategy row: it scans each keyword's grid of its participants' menus
-with gsp_outcome, not the joint grid, for the bid vectors a stable
-profile can hold there, checks only the profiles built from those, and
-reads the survivors' bids off the menus.  Its size guards count what it
-builds, not the joint grid: the keyword-grid cells, read from the grid
-before any menu, and the candidate profiles, as they are made.  It
-returns the survivors as arrays (Equilibria): bids, regrets and welfare,
-from which a report per equilibrium is built only when one is read, so
-that the price of anarchy needs only the welfare's minimum and a writer
-can format blocks of them.
+pure-Nash enumerator builds each participant's menu on a keyword once
+(_levels) and no strategy row: it scans each keyword's grid of its
+participants' menus with gsp_outcome, not the joint grid, for the bid
+vectors a stable profile can hold there, checks only the profiles
+built from those, and reads the survivors' bids off the menus.  Its
+size guards count what it builds: the keyword-grid cells, read from the
+grid before any menu, and the candidate profiles, as they are made.  It
+returns the survivors as arrays (Equilibria): bids, regrets and
+welfare, from which a report per equilibrium is built only when one is
+read, so that the price of anarchy needs only the welfare's minimum and
+a writer can format blocks of them.
 Every solver here prices at reserve 0 with the tie rule of
 mechanisms.outranks and reports the welfare of
 mechanisms.pbm_expected_welfare_batch.  The full-information solvers read
@@ -79,7 +79,7 @@ _TRUTHFUL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class BidGrid:
-    """Per-keyword bid menus: {0, delta, ..., cap_s}.  A cap over delta
+    """Per-keyword bid menus: {k * delta <= cap_s}.  A cap over delta
     past the float range leaves no grid index and raises ParameterRange."""
 
     delta: float
@@ -97,8 +97,9 @@ class BidGrid:
                                      f"{self.delta:g} overflows")
 
     def size(self, keyword) -> int:
-        """The number of grid points on the keyword, 0 included."""
-        return int(math.floor(self.caps[keyword] / self.delta + 1e-9)) + 1
+        """The number of grid points k * delta <= the keyword's cap."""
+        cap = self.caps[keyword]
+        return _lowest_above(cap, self.delta, math.floor(cap / self.delta) + 2)
 
 
 def make_grid(scenario: Scenario, delta: float) -> BidGrid:
@@ -142,23 +143,15 @@ def _menu_rule(grid, keyword, value, conservative):
     return kept, kept + ((_points_upto(value, grid.delta, kept) - 1) * grid.delta != value)
 
 
-def bid_menu(scenario: Scenario, grid: BidGrid, advertiser, keyword,
-             conservative=False):
-    """Sorted bid menu for one (advertiser, keyword) pair: the kept grid
-    points of _menu_rule with the exact truthful value spliced in."""
-    v = scenario.kw_values[advertiser][keyword]
-    kept, _ = _menu_rule(grid, keyword, v, conservative)
-    return tuple(sorted({v, *(k * grid.delta for k in range(kept))}))
+def _levels(grid, keyword, value, conservative):
+    """A sorted bid menu: _menu_rule's kept grid points k * delta (k < 2^53
+    by the cells cap: scalar products) and the value unless among them."""
+    kept, size = _menu_rule(grid, keyword, value, conservative)
+    levels, at = np.arange(kept) * grid.delta, _points_upto(value, grid.delta, kept)
+    return levels if size == kept else np.concatenate((levels[:at], [value], levels[at:]))
 
 
 # ------------------------------------------------------------ best response
-
-def _menus(scenario, grid, advertiser, conservative):
-    """{keyword: bid_menu} over the advertiser's positive keywords in
-    sorted order: the space its strategy rows span."""
-    return {s: bid_menu(scenario, grid, advertiser, s, conservative)
-            for s in sorted(scenario.kw_positive[advertiser])}
-
 
 def _ladder(bids):
     """A keyword's bid ladder: the positive bids of bids (by advertiser
@@ -371,8 +364,9 @@ def best_response_dynamics(scenario: Scenario, initial, grid: BidGrid,
 # --------------------------------------------------------- Nash enumeration
 
 def strategy_rows(menus, kappa):
-    """All feasible bid rows of one advertiser over its menus of _menus
-    (at most kappa positive bids), as (keyword list, array).
+    """All feasible bid rows of one advertiser over its menus, sorted from
+    0.0 per positive keyword in name order (at most kappa positive bids),
+    as (keyword list, array).
 
     Rows are generated by keyword subset then menu product, so only
     feasible rows are ever materialized.  The enumerator never builds
@@ -403,16 +397,16 @@ _MAX_BUILT = 1 << 22
 
 
 class _Keyword:
-    """A keyword some advertiser's menus hold: its participants' advertiser
-    indices in order and each one's menu on it as its bids (levels:
-    sorted, distinct, 0.0 first); once scanned, its locally stable
-    vectors, per vector each participant's bid index (digits), utility
-    and best utility."""
+    """A keyword some advertiser values: its participants' advertiser
+    indices in order and each one's _levels on it as its bids; once
+    scanned, its locally stable vectors, per vector each participant's
+    bid index (digits), utility and best utility."""
 
-    def __init__(self, scenario, s, ids, menus, w_padded):
+    def __init__(self, scenario, s, ids, grid, conservative, w_padded):
         self.scenario, self.s, self.w_padded = scenario, s, w_padded
         self.ids = np.array(ids)
-        self.levels = [np.array(menus[a][s]) for a in ids]
+        self.levels = [_levels(grid, s, scenario.kw_values[scenario.advertisers[a]][s],
+                               conservative) for a in ids]
         self.sizes = [len(lv) for lv in self.levels]
 
     def outcome(self, p, own, digits):
@@ -497,32 +491,42 @@ def _best_sum(tops, size, n):
     return sums[size]
 
 
-def _scan(scenario, menus, eps):
-    """Every keyword's _Keyword over the menus (per advertiser index, its
-    _menus), scanned at epsilon eps plus its advertiser's slack, and per
-    advertiser index its keywords as (keyword, participant position)
-    pairs."""
-    n, w_padded = len(menus), padded_weights(scenario)
-    keywords = [_Keyword(scenario, s, ids, menus, w_padded) for s in scenario.graph.keywords
-                if (ids := [a for a in range(n) if s in menus[a]])]
+def _scan(scenario, grid, conservative, eps, winner_truthful):
+    """Every keyword's _Keyword, once the cells guard passes, scanned at
+    epsilon eps plus its advertiser's slack, and per advertiser index its
+    keywords as (keyword, participant position) pairs.  winner_truthful
+    keeps the vectors where each slot winner bids its keyword value."""
+    advs, w_padded = scenario.advertisers, padded_weights(scenario)
+    parts = [(s, ids) for s in scenario.graph.keywords
+             if (ids := [a for a, i in enumerate(advs) if s in scenario.kw_positive[i]])]
+    cells = sum(math.prod(_menu_rule(grid, s, scenario.kw_values[advs[a]][s], conservative)[1]
+                          for a in ids) for s, ids in parts)
+    if cells > _MAX_BUILT:
+        raise TooLarge(f"keyword grids hold {cells} cells (cap {_MAX_BUILT})")
+    keywords = [_Keyword(scenario, s, ids, grid, conservative, w_padded) for s, ids in parts]
     mine = [[(j, p) for j, kw in enumerate(keywords) for p, b in enumerate(kw.ids) if b == a]
-            for a in range(n)]
+            for a in range(len(advs))]
     tol = [eps + 2 * (len(m) + 2) * 2.0 ** -53 * (eps + sum(
         scenario.kw_masses[keywords[j].s] * float(w_padded.max())
-        * max(scenario.kw_values[scenario.advertisers[a]][keywords[j].s],
+        * max(scenario.kw_values[advs[a]][keywords[j].s],
               keywords[j].levels[p][-1]) for j, p in m)) for a, m in enumerate(mine)]
     for kw in keywords:
         kw.scan([tol[a] for a in kw.ids], [len(mine[a]) <= scenario.kappa for a in kw.ids])
+        for p, a in enumerate(kw.ids if winner_truthful else ()):
+            bid = kw.levels[p][kw.digits[:, p]]
+            value = scenario.kw_values[advs[a]][kw.s]
+            keep = ~(kw.outcome(p, bid, kw.digits)[0] & (np.abs(bid - value) > _TRUTHFUL_TOL))
+            kw.digits, kw.util, kw.best = kw.digits[keep], kw.util[keep], kw.best[keep]
     return keywords, mine
 
 
-def _equilibria(scenario, menus, eps, winner_truthful):
-    """The stable profiles of enumerate_pure_nash over the menus, as an
+def _equilibria(scenario, grid, conservative, eps, winner_truthful):
+    """The stable profiles of enumerate_pure_nash on the grid, as an
     (equilibrium, advertiser, keyword in graph order) bid tensor in the
     order of the joint strategy_rows grid, and the (advertiser, profile)
     regrets."""
-    keywords, mine = _scan(scenario, menus, eps)
-    kappa, n = scenario.kappa, len(menus)
+    keywords, mine = _scan(scenario, grid, conservative, eps, winner_truthful)
+    kappa, n = scenario.kappa, len(scenario.advertisers)
     found, total = [(np.zeros((0, len(keywords)), dtype=np.intp), np.zeros((0, n)))], 0
     for choice in _candidates(keywords, kappa, np.zeros((1, 0), dtype=np.intp),
                               np.zeros((1, n), dtype=np.intp)):
@@ -537,14 +541,6 @@ def _equilibria(scenario, menus, eps, winner_truthful):
                              min(kappa, len(m)), len(choice))
             ok = np.flatnonzero(u >= best - eps)
             choice, gaps = choice[ok], np.column_stack((gaps[ok], best[ok] - u[ok]))
-        for j, kw in enumerate(keywords if winner_truthful else ()):
-            for p, a in enumerate(kw.ids):      # a slot winner must bid its keyword value
-                digits = kw.digits[choice[:, j]]
-                bid = kw.levels[p][digits[:, p]]
-                value = scenario.kw_values[scenario.advertisers[a]][kw.s]
-                ok = np.flatnonzero(~(kw.outcome(p, bid, digits)[0]
-                                      & (np.abs(bid - value) > _TRUTHFUL_TOL)))
-                choice, gaps = choice[ok], gaps[ok]
         found.append((choice, gaps))
     choice, regrets = (np.concatenate(x) for x in zip(*found))
     col = {s: k for k, s in enumerate(scenario.graph.keywords)}
@@ -557,8 +553,8 @@ def _equilibria(scenario, menus, eps, winner_truthful):
     # positive bids, then per keyword in name order a zero bid last
     # (itertools.combinations order), then the bids (itertools.product order)
     keys = []
-    for a in range(n):
-        own = bids[:, a, [col[s] for s in menus[a]]]
+    for a, i in enumerate(scenario.advertisers):
+        own = bids[:, a, [col[s] for s in sorted(scenario.kw_positive[i])]]
         keys += [(own > 0.0).sum(axis=1), *(own == 0.0).T, *own.T]
     order = np.lexsort(keys[::-1])
     return bids[order], regrets[order].T
@@ -603,13 +599,14 @@ def enumerate_pure_nash(scenario: Scenario, grid: BidGrid, epsilon=None,
     keyword never strictly gains, so the Nash set over the restricted
     space certifies the Nash condition over the full space.
 
-    The joint grid is never scanned and no strategy row is built: the
-    input is each advertiser's _menus.  If advertiser a bids > 0 on
-    keyword s in a stable profile, swapping that bid for a's best on s
-    leaves a row of at most kappa positive bids whose utility, different
-    only in the s term, is at most a's best-response utility B_a; so a's
-    utility there, u_s, is within epsilon of the best, best_s.  A zero
-    bid swaps the same way if a has at most kappa keywords.  So each
+    The joint grid is never scanned and no strategy row is built: each
+    menu is built once, on its keyword (_levels).  If advertiser a bids
+    > 0 on keyword s in a stable profile, swapping that bid for a's best
+    on s leaves a row of at most kappa positive bids whose utility,
+    different only in the s term, is at most a's best-response utility
+    B_a; so a's utility there, u_s, is within epsilon of the best,
+    best_s.  A zero bid swaps the same way if a has at most kappa
+    keywords.  So each
     keyword's grid of its participants' menus is scanned for the vectors
     where those bids are within epsilon plus a float slack of best_s
     (_Keyword.scan), and the product of these sets less the rows of over
@@ -638,24 +635,18 @@ def enumerate_pure_nash(scenario: Scenario, grid: BidGrid, epsilon=None,
     before it is tested, which bounds the equilibria.
 
     winner_truthful keeps only equilibria in which every slot winner
-    bids exactly their keyword value on the winning keyword.  The result
-    is an Equilibria: the survivors' bids, exact regrets and expected
-    welfare as arrays ordered by joint row-major strategy_rows index, 8 *
-    (|A| * |S| + |A| + 1) bytes per equilibrium, with each report built
-    only when it is read.
+    bids exactly their keyword value on the winning keyword, a test of a
+    keyword's vector that _scan applies before any candidate.  The
+    result is an Equilibria: the survivors' bids, exact regrets and
+    expected welfare as arrays ordered by joint row-major strategy_rows
+    index, 8 * (|A| * |S| + |A| + 1) bytes per equilibrium, with each
+    report built only when it is read.
     """
     eps = _resolve_epsilon(scenario, epsilon)
-    advs = scenario.advertisers
-    if not advs:      # the empty profile is the one profile, and stable
+    if not scenario.advertisers:      # the empty profile is the one profile, and stable
         return Equilibria(scenario, np.zeros((1, 0, len(scenario.graph.keywords))),
                           np.zeros((0, 1)), np.zeros(1), eps)
-    cells = sum(math.prod(sizes) for s in scenario.graph.keywords
-                if (sizes := [_menu_rule(grid, s, scenario.kw_values[i][s], conservative)[1]
-                              for i in advs if s in scenario.kw_positive[i]]))
-    if cells > _MAX_BUILT:
-        raise TooLarge(f"keyword grids hold {cells} cells (cap {_MAX_BUILT})")
-    menus = [_menus(scenario, grid, i, conservative) for i in advs]
-    bids, regrets = _equilibria(scenario, menus, eps, winner_truthful)
+    bids, regrets = _equilibria(scenario, grid, conservative, eps, winner_truthful)
     # the kept profiles, priced by the one welfare path
     values = np.broadcast_to(scenario.value_matrix, (len(bids),) + scenario.value_matrix.shape)
     return Equilibria(scenario, bids, regrets,
@@ -713,6 +704,17 @@ class RegretEstimate:
 _CELLS = 1 << 16
 
 
+def _lowest_above_each(x, delta, n):
+    """_lowest_above entry by entry on float arrays x and n of one shape,
+    its guess (0 below 0) and bracket check on arrays, its misses by it."""
+    last = x >= (n - 1.0) * delta
+    with np.errstate(over="ignore"):    # x / delta overflows only at or past n
+        k = np.where(last, n, np.maximum(np.floor(x / delta) + 1.0, 0.0))
+    for at in zip(*np.nonzero(~last & (k > 0.0) & ~(((k - 1.0) * delta <= x) & (x < k * delta)))):
+        k[at] = _lowest_above(x[at].item(), delta, int(n[at]))
+    return k
+
+
 def _deviation_menus(grid, value, played, opp, delta, a, others):
     """Bidder index a's deviations of its (type, keyword) rows, laid flat
     as (bids, row): row r's are bids[row == r], sorted without duplicates,
@@ -721,24 +723,18 @@ def _deviation_menus(grid, value, played, opp, delta, a, others):
     bid played[r] are added.  Against the opponents' bids opp[..., r, :],
     whose advertiser indices are others, a bid's GSP utility steps only
     where the bid comes to outrank one of them, so per opponent bid o the
-    grid keeps the lowest bid that outranks o: the lowest >= o where a
-    wins their tie (a < j), the lowest > o where it loses.  With delta,
-    the lowest positive grid bid, they start every step, so a row holds
-    the grid's best positive utility bit for bit in at most (opponent
-    bids) + 3 bids.  A bid that falls outside the grid stands in as the
-    value, which the row holds anyway.  The rule is _lowest_above's: the
-    lowest grid bid above x, with x = o where a loses the tie and the
-    float below o where it wins, from the guess floor(x / delta) + 1,
-    and an entry whose guess fails its bracket check goes through
-    _lowest_above itself."""
+    grid keeps the lowest bid that outranks o: the lowest above x
+    (_lowest_above_each), x = o where a loses their tie (j < a) and the
+    float below o where it wins.  With delta, the lowest positive grid
+    bid, they start every step, so a row holds the grid's best positive
+    utility bit for bit in at most (opponent bids) + 3 bids.  A bid that
+    falls outside the grid stands in as the value, which the row holds
+    anyway."""
     x = np.where(others < a, opp, np.nextafter(opp, -np.inf))
     x = np.moveaxis(x, -2, 0).reshape(len(grid), -1)
-    n = grid[:, None]
-    on_grid = (x >= 0.0) & (x < (n - 1.0) * delta)
-    with np.errstate(over="ignore"):    # x / delta overflows only off the grid
-        k = np.floor(x / delta) + 1.0
-    for r, c in zip(*np.nonzero(on_grid & ~(((k - 1.0) * delta <= x) & (x < k * delta)))):
-        k[r, c] = _lowest_above(x[r, c].item(), delta, int(grid[r]))
+    n = np.broadcast_to(grid[:, None], x.shape)
+    k = _lowest_above_each(x, delta, n)
+    on_grid = (x >= 0.0) & (x < (n - 1.0) * delta)     # not k < n: a float k may round to n
     bids = np.concatenate((np.where(on_grid, k * delta, value[:, None]),
                            np.column_stack((np.where(grid > 1.0, delta, value), value, played))),
                           axis=1)
@@ -796,10 +792,11 @@ def estimate_bne_regret(bayes: BayesScenario, strategy: Callable, n_types: int,
         # one row per (type, keyword), keywords in name order
         value = keyword_value_tensor(bayes, draws[::rows, a])[:, by_name].ravel()
         with np.errstate(over="ignore"):    # an overflow is caught just below
-            grid = np.maximum(np.floor(value / deviation_delta + 1e-9) + 1.0, 0.0)
-        if np.isinf(grid).any():    # value / delta overflows: no grid index for its bids
+            n = np.floor(value / deviation_delta) + 2.0
+        if np.isinf(n).any():    # value / delta overflows: no grid index for its bids
             raise ParameterRange(f"keyword value {value.max():g} of advertiser {i!r} over "
                                  f"deviation_delta {deviation_delta:g} overflows")
+        grid = _lowest_above_each(value, deviation_delta, n)     # BidGrid.size per row
         bids = bids.reshape(n_types, rows, n_adv, n_kw)[..., by_name]
         played = bids[:, 0, a].ravel()
         opp = bids[:, 1:, others].transpose(1, 0, 3, 2).reshape(n_opponent_draws,

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -127,15 +128,24 @@ def random_bid_profile(rng, scenario, overbid=0.0):
 
 
 def whole_grid_menu(scenario, grid, advertiser, keyword, conservative=False):
-    """Oracle: bid_menu by filtering the whole grid, as an array: every
-    point k * delta of the keyword (k < grid.size), under conservative
-    those <= value + 1e-12, with 0 and the value added, sorted without
-    duplicates."""
-    v = scenario.kw_values[advertiser][keyword]
-    pts = np.arange(grid.size(keyword)) * grid.delta
+    """Oracle: a bid menu by filtering the grid, as an array: every point
+    k * delta <= the keyword's cap, k <= floor(cap / delta) + 1, under
+    conservative those <= value + 1e-12, with 0 and the value added,
+    sorted without duplicates.  It reads neither grid.size nor src's
+    menu rule."""
+    v, cap = scenario.kw_values[advertiser][keyword], grid.caps[keyword]
+    pts = np.arange(math.floor(cap / grid.delta) + 2) * grid.delta
+    pts = pts[pts <= cap]
     if conservative:
         pts = pts[pts <= v + 1e-12]
     return np.unique(np.concatenate((pts, [0.0, v])))
+
+
+def whole_grid_menus(scenario, grid, advertiser, conservative=False):
+    """Oracle: {keyword: whole_grid_menu as a list} over the advertiser's
+    positive keywords in name order, the space its strategy rows span."""
+    return {s: whole_grid_menu(scenario, grid, advertiser, s, conservative).tolist()
+            for s in sorted(scenario.kw_positive[advertiser])}
 
 
 def row_count_oracle(scenario, grid, conservative=False):
@@ -441,7 +451,7 @@ def vcg_payment_oracle(values, weights, reserve=0.0):
 def joint_best_response_oracle(scenario, bids, advertiser, menus):
     """Oracle: best response by enumerating keyword subsets (<= kappa)
     and full menu products, scored with the integral-form utility.
-    menus: {keyword: menu tuple} for the advertiser."""
+    menus: {keyword: menu} for the advertiser."""
     pool = sorted(menus)
     best, best_row = 0.0, {}
     for size in range(0, min(scenario.kappa, len(pool)) + 1):
@@ -495,13 +505,13 @@ def joint_utility(scenario, grid, advertiser=0, conservative=False):
     gsp_outcome utility against every opponent's bid on it (0 where the
     opponent's rows do not bid on it), with no distinct-bid grid and no
     chunking."""
-    from bmlab.equilibrium import _menus, strategy_rows
+    from bmlab.equilibrium import strategy_rows
     from bmlab.mechanisms import gsp_outcome, padded_weights
 
     advs = scenario.advertisers
     n = len(advs)
-    pools, arrays = zip(*(strategy_rows(_menus(scenario, grid, i, conservative), scenario.kappa)
-                          for i in advs))
+    pools, arrays = zip(*(strategy_rows(whole_grid_menus(scenario, grid, i, conservative),
+                                        scenario.kappa) for i in advs))
     shape = [len(rows) for rows in arrays]
 
     def joint_bids(a, s):
@@ -539,12 +549,12 @@ class _JointScan:
     the index of every row's bid among them)."""
 
     def __init__(self, scenario, grid, conservative):
-        from bmlab.equilibrium import _menus, strategy_rows
+        from bmlab.equilibrium import strategy_rows
         from bmlab.mechanisms import padded_weights
 
         advs = scenario.advertisers
         self.pools, self.arrays = zip(*(
-            strategy_rows(_menus(scenario, grid, i, conservative), scenario.kappa)
+            strategy_rows(whole_grid_menus(scenario, grid, i, conservative), scenario.kappa)
             for i in advs))
         self.counts = [len(rows) for rows in self.arrays]
         self.scenario = scenario
@@ -999,11 +1009,8 @@ def scalar_best_response(scenario, bids, advertiser, grid, conservative=False,
     scalar slot_utility call per menu bid and per current bid.  With
     keep_played each menu also holds the advertiser's played bid on its
     keyword, as the deviations of verify_epsilon_nash do."""
-    from bmlab.equilibrium import bid_menu
-
     values = scenario.kw_values[advertiser]
-    menus = {s: bid_menu(scenario, grid, advertiser, s, conservative)
-             for s in sorted(scenario.kw_positive[advertiser])}
+    menus = whole_grid_menus(scenario, grid, advertiser, conservative)
     row = bids.get(advertiser, {})
     if keep_played:
         menus = {s: sorted({*menu, row.get(s, 0.0)}) for s, menu in menus.items()}
@@ -1122,9 +1129,9 @@ def per_draw_bne_regret(bayes, strategy, n_types, deviation_delta, rng,
             values = dict(zip(keywords, own_values[t]))
             played = dict(zip(keywords, own_bids[a]))
             grid = BidGrid(deviation_delta, values)
-            menus = {s: sorted({*(k * grid.delta for k in range(grid.size(s))),
-                                0.0, v, played[s]})
-                     for s, v in values.items()}
+            own = SimpleNamespace(kw_values={i: values})
+            menus = {s: sorted({*whole_grid_menu(own, grid, i, s).tolist(), played[s]})
+                     for s in values}
             opp_draws = [dict(zip(advertisers, (dict(zip(keywords, row)) for row in draw)))
                          for draw in opp_bids]
             by_draw = [opponent_bids(opp, i, menus) for opp in opp_draws]

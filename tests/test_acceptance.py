@@ -13,12 +13,12 @@ import numpy as np
 
 from helpers import (exhaustive_min_cover, joint_best_response_oracle,
                      joint_profile_count, pbm_utility, random_bid_profile,
-                     random_scenario)
+                     random_scenario, whole_grid_menus)
 
 from bmlab.analysis import (bound_calculators, counterexample_scenario,
                             empirical_poa, empirical_revenue_ratio,
                             revenue_welfare_stats)
-from bmlab.equilibrium import (best_response, bid_menu, enumerate_pure_nash,
+from bmlab.equilibrium import (best_response, enumerate_pure_nash,
                                make_grid, truthful_keyword_strategy)
 from bmlab.errors import Uncoverable
 from bmlab.expressiveness import (Corpus, expressiveness_sweep,
@@ -177,8 +177,7 @@ def _best_response_oracle_suite(n_cases):
         grid = make_grid(sc, maxv / 5.0)  # six grid points on the top keyword
         bids = random_bid_profile(rng, sc)
         for i in sc.advertisers:
-            menus = {s: bid_menu(sc, grid, i, s)
-                     for s in sc.kw_positive[i]}
+            menus = whole_grid_menus(sc, grid, i)
             _, fast = best_response(sc, bids, i, grid)
             _, slow = joint_best_response_oracle(sc, bids, i, menus)
             checked += 1

@@ -20,7 +20,6 @@ from bmlab.equilibrium import (
     EquilibriumReport,
     best_response,
     best_response_dynamics,
-    bid_menu,
     default_epsilon,
     enumerate_pure_nash,
     estimate_bne_regret,
@@ -65,6 +64,7 @@ from helpers import (
     single_keyword_scenario,
     slow_pure_nash_oracle,
     whole_grid_menu,
+    whole_grid_menus,
 )
 
 
@@ -82,7 +82,7 @@ def test_make_grid_default_caps():
                           "a2": {"q1": 1.0, "q2": 3.0}}, kappa=2)
     grid = make_grid(sc, delta=1.0)
     assert grid.caps == {"s1": 4.0, "s2": 3.0}
-    assert bid_menu(sc, grid, "a1", "s1") == (0.0, 1.0, 2.0, 3.0, 4.0)
+    assert equilibrium._levels(grid, "s1", 4.0, False).tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
     assert grid.size("s1") == 5 and grid.size("s2") == 4
     with pytest.raises(ValidationError):
         BidGrid(delta=0.0, caps={})
@@ -96,14 +96,56 @@ def test_grid_past_the_float_range_is_parameter_range():
     assert BidGrid(1e-300, {"s1": 5.0}).size("s1") > 10 ** 300     # finite: a size
 
 
+def test_grid_size_counts_the_points_at_or_below_the_cap():
+    """(size - 1) * delta <= cap < size * delta on random caps and deltas
+    with cap / delta below 2^52, on caps on a grid point and a float off
+    it, and on 0.3 and 0.7 at delta 0.1, which lie a float below 3 * 0.1
+    and 7 * 0.1.  Past 2^52 grid steps neighbouring points share a float,
+    and only (size - 1) * delta <= cap holds."""
+    rng = np.random.default_rng(36)
+    cases = [(0.3, 0.1), (0.7, 0.1), (0.0, 0.1), (4.0, 1.0), (1000.3, 0.1)]
+    for _ in range(3000):
+        delta = float(10.0 ** rng.uniform(-12.0, 2.0))
+        k = int(rng.integers(0, 10 ** int(rng.integers(1, 16))))
+        cap = (k * delta, math.nextafter(k * delta, -math.inf), math.nextafter(k * delta, math.inf),
+               float(rng.uniform(0.0, k + 1)) * delta)[rng.integers(4)]
+        cases.append((max(cap, 0.0), delta))
+    off = 0
+    for cap, delta in cases:
+        assert cap / delta < 2.0 ** 52
+        n = BidGrid(delta, {"s": cap}).size("s")
+        assert (n - 1) * delta <= cap < n * delta, (cap, delta, n)
+        off += math.floor(cap / delta + 1e-9) + 1 != n
+    assert BidGrid(0.1, {"s": 0.3}).size("s") == 3 and off >= 10
+    for cap, delta in [(5.0, 1e-300), (3.0, 1e-30), (1e300, 1e-5)]:
+        n = BidGrid(delta, {"s": cap}).size("s")
+        assert (n - 1) * delta <= cap and n > 2 ** 52
+
+
+@pytest.mark.parametrize("conservative", [False, True])
+def test_enumerate_offers_no_bid_above_the_grid_cap(monkeypatch, conservative):
+    """make_grid caps the keyword at its largest value, 0.3, and 3 * 0.1 =
+    0.30000000000000004 lies above it, so the grid is {0, 0.1, 0.2}: both
+    modes give the same 6 equilibria, none bidding above 0.3, as the
+    whole-grid scan does.  The point above the cap would add 7
+    equilibria plain and 3 conservative."""
+    sc = single_keyword_scenario({"a": 0.3, "b": 0.2})
+    grid = make_grid(sc, delta=0.1)
+    got = enumerate_pure_nash(sc, grid, conservative=conservative)
+    assert len(got) == 6 and got.bids.max() == 0.3 and grid.size("s") == 3
+    assert len(assert_matches_the_joint_scan(monkeypatch, sc, grid, conservative=conservative)) == 6
+    plain = enumerate_pure_nash(sc, grid)
+    assert (got.bids == plain.bids).all() and (got.regrets == plain.regrets).all()
+
+
 def test_bid_menu_conservative_and_truthful():
     sc = simple_scenario({"a1": {"q1": 4.0}, "a2": {"q1": 2.5}},
                          queries=["q1"], keywords=["s1"], kappa=1)
     grid = make_grid(sc, delta=1.0)          # cap = 4.0
-    menu = bid_menu(sc, grid, "a2", "s1", conservative=True)
-    assert menu == (0.0, 1.0, 2.0, 2.5)      # truthful 2.5 spliced in
-    menu = bid_menu(sc, grid, "a2", "s1", conservative=False)
-    assert menu == (0.0, 1.0, 2.0, 2.5, 3.0, 4.0)
+    menu = equilibrium._levels(grid, "s1", 2.5, conservative=True).tolist()
+    assert menu == [0.0, 1.0, 2.0, 2.5]      # truthful 2.5 spliced in
+    menu = equilibrium._levels(grid, "s1", 2.5, conservative=False).tolist()
+    assert menu == [0.0, 1.0, 2.0, 2.5, 3.0, 4.0]
 
 
 # ----------------------------------------------------------- best response
@@ -184,8 +226,7 @@ def test_best_response_builds_only_its_advertisers_menus(monkeypatch):
         return rule(grid, keyword, value, conservative)
 
     monkeypatch.setattr(equilibrium, "_menu_rule", spy)
-    monkeypatch.setattr(equilibrium, "_menus", no_menus)
-    monkeypatch.setattr(equilibrium, "bid_menu", no_menus)
+    monkeypatch.setattr(equilibrium, "_levels", no_menus)
     for i in sc.advertisers:
         calls.clear()
         best_response(sc, {}, i, grid)
@@ -301,8 +342,7 @@ def test_best_response_matches_joint_oracle():
                                        make_grid(sc, 1.0).caps.values()) / 5)
         bids = random_bid_profile(rng, sc)
         for i in sc.advertisers:
-            menus = {s: bid_menu(sc, grid, i, s)
-                     for s in sorted(sc.kw_positive[i])}
+            menus = whole_grid_menus(sc, grid, i)
             row, u = best_response(sc, bids, i, grid)
             _, u_oracle = joint_best_response_oracle(sc, bids, i, menus)
             assert u == pytest.approx(u_oracle, abs=1e-9)
@@ -626,7 +666,7 @@ def test_sliced_regret_pass_bit_identical_to_oracles(monkeypatch, cells):
         sc, grid, bids = _tied_market(rng)
         conservative = bool(t % 2)
         step = {"one bid": 1,
-                "one row": max(len(bid_menu(sc, grid, i, s, conservative))
+                "one row": max(len(whole_grid_menu(sc, grid, i, s, conservative))
                                for i in sc.advertisers for s in sc.kw_positive[i])}.get(cells)
         if step:
             monkeypatch.setattr(equilibrium, "_CELLS", len(sc.advertisers) * step)
@@ -836,10 +876,7 @@ def slow_oracle_markets():
         grid = make_grid(sc, delta=max(grid_c for grid_c in
                                        make_grid(sc, 1.0).caps.values()) / 3)
         eps = default_epsilon(sc)
-        menus_by_adv = {}
-        for i in sc.advertisers:
-            menus_by_adv[i] = {s: bid_menu(sc, grid, i, s)
-                               for s in sorted(sc.kw_positive[i])}
+        menus_by_adv = {i: whole_grid_menus(sc, grid, i) for i in sc.advertisers}
         joint = 1
         for i in sc.advertisers:
             rows = 1
@@ -1029,6 +1066,43 @@ def test_chunking_invisible_winner_truthful(monkeypatch):
                                   winner_truthful=True)
 
 
+@pytest.mark.parametrize("market", ["3x3", "two keywords"])
+def test_winner_truthful_cuts_the_stable_vectors_before_the_candidates(monkeypatch, market):
+    """winner_truthful tests one keyword's vector, so _scan cuts each
+    keyword's stable vectors by it before any candidate is made: on the
+    3x3 market at delta 1.0, 208 candidates against 30 431 without it,
+    and on a two-keyword market 30 against 285.  With _MAX_BUILT at the
+    keyword-grid cells, between the two counts, the winner-truthful
+    enumeration runs and gives the whole-grid scan's reports at three
+    chunk sizes (none on the 3x3 market, 30 on the other), and the
+    plain one raises on its candidates."""
+    if market == "3x3":
+        sc, made_want, found = scenario_from_json(DATA / "scenario_3x3.json"), [208, 30431], 0
+    else:
+        sc = simple_scenario({"a": {"q1": 5.0, "q2": 4.0}, "b": {"q1": 3.0, "q2": 2.0}}, kappa=2)
+        made_want, found = [30, 285], 30
+    grid = make_grid(sc, delta=1.0)
+    made, expand = [], equilibrium._candidates
+
+    def counted_expand(keywords, kappa, part, count):
+        for chunk in expand(keywords, kappa, part, count):
+            if part.shape[1] == 0:      # the outermost call sees every chunk once
+                made[-1] += len(chunk)
+            yield chunk
+
+    monkeypatch.setattr(equilibrium, "_candidates", counted_expand)
+    for winner_truthful in (True, False):
+        made.append(0)
+        enumerate_pure_nash(sc, grid, winner_truthful=winner_truthful)
+    cap = keyword_grid_cells_oracle(sc, grid)
+    assert made == made_want and made[0] <= cap < made[1]
+    monkeypatch.setattr(equilibrium, "_MAX_BUILT", cap)
+    assert len(assert_matches_the_joint_scan(monkeypatch, sc, grid, winner_truthful=True)) == found
+    with pytest.raises(TooLarge, match=rf"^stable keyword vectors make at least [0-9]+ candidate "
+                                       rf"profiles \(cap {cap}\)$"):
+        enumerate_pure_nash(sc, grid)
+
+
 def test_chunking_invisible_single_advertiser(monkeypatch):
     sc = single_keyword_scenario({"a": 4.0})
     assert len(assert_matches_the_joint_scan(monkeypatch, sc, make_grid(sc, delta=1.0),
@@ -1115,9 +1189,9 @@ def enumerator_best(sc, grid, conservative=False):
     grid in row-major order), each keyword's best utilities gathered onto
     the joint grid and added up by _best_sum."""
     advs, n = sc.advertisers, len(sc.advertisers)
-    menus = [equilibrium._menus(sc, grid, i, conservative) for i in advs]
-    pools, arrays = zip(*(equilibrium.strategy_rows(m, sc.kappa) for m in menus))
-    keywords, mine = equilibrium._scan(sc, menus, math.inf)
+    pools, arrays = zip(*(equilibrium.strategy_rows(whole_grid_menus(sc, grid, i, conservative),
+                                                    sc.kappa) for i in advs))
+    keywords, mine = equilibrium._scan(sc, grid, conservative, math.inf, False)
     shape = [len(rows) for rows in arrays]
     out = []
     for m in mine:
@@ -1236,7 +1310,7 @@ def test_enumerate_prices_keyword_grids_not_the_joint_grid(monkeypatch):
     assert len(reports) == 8
     grids = 0
     for s in sc.graph.keywords:
-        menus = [len(bid_menu(sc, grid, i, s, conservative=True)) for i in sc.advertisers]
+        menus = [len(whole_grid_menu(sc, grid, i, s, conservative=True)) for i in sc.advertisers]
         grids += len(menus) * math.prod(menus)
     assert grids == 3 * (5 * 5 * 4 + 5 * 5 * 4 + 5 * 5 * 5)
     assert grids <= sum(cells) <= 2 * grids
@@ -1283,8 +1357,7 @@ def test_enumerate_too_large_before_any_menu(monkeypatch):
     expected = {(id(sc), conservative): too_large_message(sc, make_grid(sc, delta), conservative)
                 for sc, delta in markets for conservative in (False, True)}
 
-    monkeypatch.setattr(equilibrium, "_menus", no_menus)
-    monkeypatch.setattr(equilibrium, "bid_menu", no_menus)
+    monkeypatch.setattr(equilibrium, "_levels", no_menus)
     for sc, delta in markets:
         for conservative in (False, True):
             with pytest.raises(TooLarge) as exc:
@@ -1306,8 +1379,7 @@ def test_enumerate_grid_past_sys_maxsize_exits_before_any_menu(monkeypatch):
         assert size in (kept, kept + 1)
         assert equilibrium._menu_rule(grid, "s1", v, conservative=False)[0] == n
 
-    monkeypatch.setattr(equilibrium, "_menus", no_menus)
-    monkeypatch.setattr(equilibrium, "bid_menu", no_menus)
+    monkeypatch.setattr(equilibrium, "_levels", no_menus)
     for conservative in (False, True):
         with pytest.raises(TooLarge, match=r"^keyword grids hold [0-9]+ cells \(cap "):
             enumerate_pure_nash(sc, grid, conservative=conservative)
@@ -1380,8 +1452,7 @@ def test_full_information_solvers_build_no_menu(monkeypatch):
     kept grid point or the keyword value, and the dynamics' regrets are
     verify_epsilon_nash's of their final profile."""
     sc = scenario_from_json(DATA / "scenario_2x2.json")
-    monkeypatch.setattr(equilibrium, "_menus", no_menus)
-    monkeypatch.setattr(equilibrium, "bid_menu", no_menus)
+    monkeypatch.setattr(equilibrium, "_levels", no_menus)
     for delta in (1e-7, 1e-12, 1e-30):
         grid = make_grid(sc, delta)
         for conservative in (False, True):
@@ -1408,11 +1479,13 @@ def test_enumerate_grid_below_the_values_without_overflow():
 
 @pytest.mark.parametrize("conservative", [True, False])
 def test_bid_menu_is_the_whole_grid_filter(conservative):
-    """bid_menu, built from the kept prefix of the grid, equals the
-    whole-grid filter, and the size of _menu_rule, read from the grid
-    alone, its length: on random markets at coarse and fine delta, on values a float
-    step off the grid (0.3 and 1000.3 at delta 0.1) and on it (2.5 and 4.0
-    at delta 0.5), and on a grid whose value over delta overflows."""
+    """The enumerator's menus (_levels), built from the kept prefix of the
+    grid, equal the whole-grid filter of the oracle, which reads neither
+    grid.size nor _menu_rule, and the size of _menu_rule, read from the
+    grid alone, their length: on random markets at coarse and fine delta,
+    on values a float step off the grid (0.3 and 1000.3 at delta 0.1) and
+    on it (2.5 and 4.0 at delta 0.5), and on a grid whose value over
+    delta overflows."""
     rng = np.random.default_rng(41)
     cases = []
     for _ in range(60):
@@ -1428,9 +1501,9 @@ def test_bid_menu_is_the_whole_grid_filter(conservative):
     for sc, grid in cases:
         for i in sc.advertisers:
             for s in sc.graph.keywords:
-                menu = bid_menu(sc, grid, i, s, conservative)
-                assert menu == tuple(whole_grid_menu(sc, grid, i, s, conservative).tolist())
                 v = sc.kw_values[i][s]
+                menu = equilibrium._levels(grid, s, v, conservative).tolist()
+                assert menu == whole_grid_menu(sc, grid, i, s, conservative).tolist()
                 assert equilibrium._menu_rule(grid, s, v, conservative)[1] == len(menu)
                 k = round(min(v / grid.delta, grid.size(s)))
                 on += v > 0.0 and k * grid.delta == v
@@ -1470,7 +1543,7 @@ def test_one_rule_for_the_lowest_grid_bid_that_outranks(delta):
     """_lowest_above, the candidates of _Ladders (a best response against
     one opponent bid o below the value, in one slot, is the lowest menu
     bid that outranks o), the rows of _deviation_menus and, where the
-    menu is buildable, bisection on bid_menu all give the lowest menu bid
+    menu is buildable, bisection on the oracle's menu all give the lowest menu bid
     above x (x = o where the bidder loses the tie, the float below o
     where it wins) that _points_upto defines.  Past about 2^53 grid
     steps neighbouring k give the same float, where a guess from o /
@@ -1489,7 +1562,7 @@ def test_one_rule_for_the_lowest_grid_bid_that_outranks(delta):
             row, _ = best_response(sc, {opponent: {"s": o}}, bidder, grid, conservative)
             assert row == {"s": want}, (o, kept, value, wins)
         if kept < 1 << 16:
-            menu = bid_menu(sc, grid, bidder, "s", conservative)
+            menu = whole_grid_menu(sc, grid, bidder, "s", conservative).tolist()
             k = bisect.bisect_right(menu, x)
             assert (menu[k] if k < len(menu) else None) == want
         by_side[wins].append((o, x, float(kept), value))
@@ -1726,6 +1799,40 @@ def test_bne_regret_of_point_masses_is_the_nash_regret():
             regrets += len(nash)
             nonzero += sum(r > 0.0 for r in nash.values())
     assert regrets >= 3000 and nonzero >= 900
+
+
+def test_bne_regret_rows_hold_no_grid_bid_above_the_value(monkeypatch):
+    """A (type, keyword) row's grid is its points k * delta <= the value,
+    BidGrid.size's rule: at delta 0.1 the values 0.3 and 0.7 lie a float
+    below 3 * 0.1 and 7 * 0.1, the lowest grid bids that outrank an
+    opponent's truthful bid.  A _deviation_menus spy sees every row's
+    grid count n with (n - 1) * delta <= value < n * delta and no grid
+    bid above the value, and the estimate is verify_epsilon_nash's
+    regret of the truthful profile, bit for bit."""
+    values = {"a": {"q1": 0.3, "q2": 0.7}, "b": {"q1": 0.3, "q2": 0.7}}
+    sc = simple_scenario(values, weights=(1.0, 0.5), kappa=2)
+    bayes = BayesScenario(sc.graph, sc.p, sc.pi, sc.weights, sc.kappa,
+                          {i: {q: PointMass(v) for q, v in row.items()} for i, row in values.items()})
+    rows, menus = [], equilibrium._deviation_menus
+
+    def spy(grid, value, played, opp, delta, a, others):
+        bids, row = menus(grid, value, played, opp, delta, a, others)
+        rows.append((grid, value, played, bids, row))
+        return bids, row
+
+    monkeypatch.setattr(equilibrium, "_deviation_menus", spy)
+    truthful = truthful_keyword_strategy(bayes)
+    estimate = estimate_bne_regret(bayes, truthful, 1, 0.1, np.random.default_rng(0),
+                                   n_opponent_draws=1)
+    assert len(rows) == 2
+    for grid, value, played, bids, row in rows:
+        assert ((grid - 1.0) * 0.1 <= value).all() and (value < grid * 0.1).all()
+        on_grid = (bids != value[row]) & (bids != played[row])
+        assert on_grid.any() and (bids[on_grid] <= value[row][on_grid]).all()
+    profile = {i: {sc.graph.keywords[k]: b for k, b in enumerate(row) if b > 0.0}
+               for i, row in zip(sc.advertisers, truthful(sc.value_matrix[None])[0].tolist())}
+    nash = verify_epsilon_nash(sc, profile, make_grid(sc, 0.1), conservative=True)
+    assert {i: e.mean.hex() for i, e in estimate.items()} == {i: r.hex() for i, r in nash.items()}
 
 
 def test_bne_regret_deterministic():
