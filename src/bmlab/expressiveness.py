@@ -18,15 +18,21 @@ sharing), infers positive queries from edit-distance similarity, and
 sweeps (theta, kappa) to tabulate both metrics.  Edit distance has one
 bit-parallel kernel, which packs all of a market's queries into one int
 and runs one pass per keyword over them; a single pair is its
-one-pattern case.
+one-pattern case.  The sweep works on int masks over a market's
+queries: a positive set is a prefix of its advertiser's queries sorted
+by best similarity, and the engine runs once per class structure of a
+set, for the whole sweep.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
+import functools
 import itertools
 import math
 import numbers
+import operator
 import string
 from dataclasses import dataclass
 from pathlib import Path
@@ -148,30 +154,40 @@ def kl_expressiveness(source) -> float:
 
 
 # ------------------------------------------------------------- set cover
-# Queries the same keywords reach are covered together, so a query set is
-# read as its classes of such queries, class j as bit j; a family of class
-# sets is one int with bit T set for each member T.
+# Queries the same keywords reach are covered together: a query's class is
+# the mask of the keywords reaching it (0 when none does).  A query set is
+# read as its classes, the j-th smallest as bit j; a family of class sets
+# is one int with bit T set for each member T.
 
 
-def _trace_masks(graph, queries):
-    """(U, traces): the mask U of the classes of `queries` and the trace
-    of each keyword meeting them, the mask of the classes it reaches.
-    Raises Uncoverable, naming the queries that no keyword reaches."""
-    reach = {}
-    for q in queries:
-        try:
-            reach[q] = graph.query_neighbors(q)
-        except KeyError:    # a query outside the graph
-            reach[q] = ()
-    missing = sorted(q for q, by in reach.items() if not by)
-    if missing:
-        raise Uncoverable(missing)
-    classes = dict.fromkeys(reach.values())
+class _Index:
+    """A graph's queries as bits, built once: bit i is graph.queries[i].
+    reach maps each query to its class, classes lists them by bit, and
+    linked is the mask of the queries some keyword reaches."""
+
+    def __init__(self, graph):
+        s_bit = {s: 1 << j for j, s in enumerate(graph.keywords)}
+        self.reach = {q: sum(s_bit[s] for s in graph.query_neighbors(q))
+                      for q in graph.queries}
+        self.classes = list(self.reach.values())
+        self.linked = sum(1 << i for i, k in enumerate(self.classes) if k)
+        self.n_keywords = len(s_bit)
+
+    def classes_of(self, mask) -> set:
+        """The classes of the queries in mask."""
+        return {self.classes[i] for i in range(mask.bit_length()) if mask >> i & 1}
+
+
+def _traces(classes) -> list:
+    """The trace of each keyword reaching one of `classes`: the mask of
+    the classes it reaches."""
     traces = {}
-    for j, by in enumerate(classes):
-        for s in by:
-            traces[s] = traces.get(s, 0) | 1 << j
-    return (1 << len(classes)) - 1, list(traces.values())
+    for j, k in enumerate(sorted(classes)):
+        while k:
+            low = k & -k
+            traces[low] = traces.get(low, 0) | 1 << j
+            k ^= low
+    return list(traces.values())
 
 
 def min_cover_size(graph, queries) -> int:
@@ -180,7 +196,12 @@ def min_cover_size(graph, queries) -> int:
     uncovered class, so branch on those.  Memory is linear in the answer.
     Queries no keyword reaches raise Uncoverable; then more than
     EXACT_COVER_CANDIDATE_CAP keywords meeting `queries` raise TooLarge."""
-    universe, traces = _trace_masks(graph, frozenset(queries))
+    reach, queries = _Index(graph).reach, frozenset(queries)
+    missing = sorted(q for q in queries if not reach.get(q))
+    if missing:
+        raise Uncoverable(missing)
+    classes = {reach[q] for q in queries}
+    traces = _traces(classes)
     if len(traces) > EXACT_COVER_CANDIDATE_CAP:
         raise TooLarge(f"{len(traces)} cover candidates "
                        f"(exact cap {EXACT_COVER_CANDIDATE_CAP})")
@@ -189,7 +210,7 @@ def min_cover_size(graph, queries) -> int:
         return not left or k > 0 and any(
             covers(left & ~t, k - 1) for t in traces if t & left & -left)
 
-    return next(k for k in itertools.count() if covers(universe, k))
+    return next(k for k in itertools.count() if covers((1 << len(classes)) - 1, k))
 
 
 def _coverable(n, traces):
@@ -211,63 +232,79 @@ def _coverable(n, traces):
         family = grown
 
 
-# ---------------------------------------------------------- query-level alpha
-
-def _alphas(graph, queries, top) -> list:
-    """[(alpha_i, m*) for kappa = 0, 1, ...] of one positive query set, up
-    to kappa = top, or up to the first entry that holds for every larger
-    kappa if that comes sooner.
-
-    m* is the size of the smallest class set missing from the family
-    that kappa traces cover (a smallest failing query set has one query
-    per class); alpha_i = (m* - 1) / |Q_i|, or 1.0 with m* = None once
-    every class is in it.  m* grows by at least 1 per kappa, as a failing
-    set less one query fails with one keyword less.  Empty sets are fully
-    expressive; a query no keyword reaches fails at singletons.
-    """
-    universe = frozenset(queries)
-    n = len(universe)
-    if n == 0:
-        return [(1.0, None)]
-    if n > EXACT_ALPHA_QUERY_CAP:
-        raise TooLarge(f"|Q_i| = {n} (exact alpha cap {EXACT_ALPHA_QUERY_CAP})")
-    if len(graph.keywords) > EXACT_COVER_CANDIDATE_CAP:
-        raise TooLarge(f"{len(graph.keywords)} cover candidates "
-                       f"(exact cap {EXACT_COVER_CANDIDATE_CAP})")
-    try:
-        whole, traces = _trace_masks(graph, universe)
-    except Uncoverable:
-        return [(0.0, 1)]
-    bits = whole.bit_length()
+def _m_stars(bits, traces, top) -> list:
+    """[m* for kappa = 0..top] of `bits` classes and their traces, ending
+    early at None, which holds for every larger kappa.  m* is the size of
+    the smallest class set missing from the family kappa traces cover (a
+    smallest failing query set has one query per class), None once all
+    are in it; it grows by at least 1 per kappa, as a failing set less
+    one query fails with one keyword less."""
     sized = [1]         # sized[k]: the family of class sets of size k
     for i in range(bits):
         sized = [a | b << (1 << i) for a, b in zip(sized + [0], [0] + sized)]
+    whole = (1 << bits) - 1
     out, m_star = [], 0
     for _, family in zip(range(top + 1), _coverable(bits, traces)):
         if family >> whole:
-            return out + [(1.0, None)]
+            return out + [None]
         m_star += 1
         while not sized[m_star] & ~family:
             m_star += 1
-        out.append(((m_star - 1) / n, m_star))
+        out.append(m_star)
     return out
 
 
+# ---------------------------------------------------------- query-level alpha
+
+def _alphas(index, classes, n, top, memo) -> list:
+    """[(alpha_i, m*) for kappa = 0..top] of a positive set of n queries
+    with these classes: alpha_i = (m* - 1) / n, or 1.0 with m* = None.
+    memo maps (class count, sorted traces, top) to _m_stars, which
+    relabeling the classes does not change, so sets of one structure
+    share one run whatever their n.  Empty sets are fully expressive; a
+    query no keyword reaches fails at singletons."""
+    if n == 0:
+        return [(1.0, None)] * (top + 1)
+    if n > EXACT_ALPHA_QUERY_CAP:
+        raise TooLarge(f"|Q_i| = {n} (exact alpha cap {EXACT_ALPHA_QUERY_CAP})")
+    if index.n_keywords > EXACT_COVER_CANDIDATE_CAP:
+        raise TooLarge(f"{index.n_keywords} cover candidates "
+                       f"(exact cap {EXACT_COVER_CANDIDATE_CAP})")
+    if 0 in classes:
+        return [(0.0, 1)] * (top + 1)
+    key = (len(classes), tuple(sorted(set(_traces(classes)))), top)
+    if key not in memo:
+        memo[key] = _m_stars(*key)
+    m_stars = memo[key] + memo[key][-1:] * (top + 1 - len(memo[key]))
+    return [(1.0, None) if m is None else ((m - 1) / n, m) for m in m_stars]
+
+
+def _kappa(kappa, least=0) -> int:
+    """kappa as an int, or ValidationError unless it is an integer >= least."""
+    if not isinstance(kappa, numbers.Real) or kappa % 1:
+        raise ValidationError(f"kappa must be an integer, got {kappa!r}")
+    if kappa < least:
+        raise ValidationError(f"kappa must be >= {least}, got {kappa}")
+    return int(kappa)
+
+
+def _named_alphas(index, queries, top, memo) -> list:
+    """_alphas of a positive set given by query names; a name outside the
+    graph is a query no keyword reaches."""
+    queries = frozenset(queries)
+    return _alphas(index, {index.reach.get(q, 0) for q in queries}, len(queries), top, memo)
+
+
 def advertiser_alpha(graph, queries, kappa):
-    """(alpha_i, m*) for one positive query set: the kappa entry of
-    _alphas."""
-    return _alphas(graph, queries, kappa)[-1]
-
-
-def _system_alpha(known, kappa) -> float:
-    """min over advertisers of alpha_i at kappa, read from the _alphas of
-    their _known entries."""
-    return min((a[min(kappa, len(a) - 1)][0] for a, _ in known), default=1.0)
+    """(alpha_i, m*) for one positive query set at kappa."""
+    kappa = _kappa(kappa)
+    return _named_alphas(_Index(graph), queries, kappa, {})[kappa]
 
 
 def ql_expressiveness(graph, positive_sets, kappa) -> float:
     """System alpha: min over advertisers of advertiser_alpha."""
-    return min((advertiser_alpha(graph, positive_sets[adv], kappa)[0]
+    kappa, index, memo = _kappa(kappa), _Index(graph), {}
+    return min((_named_alphas(index, positive_sets[adv], kappa, memo)[kappa][0]
                 for adv in sorted(positive_sets)), default=1.0)
 
 
@@ -292,6 +329,7 @@ def degree_bound_check(graph, positive_sets, kappa) -> DegreeBoundReport:
     graph (as any auction-derived footprint is); isolated positive
     queries or an edgeless graph fall outside it and report holds=False.
     """
+    kappa = _kappa(kappa)
     alpha = ql_expressiveness(graph, positive_sets, kappa)
     return _degree_report(graph.max_degree(),
                           _max_meeting(graph, positive_sets.values()), kappa, alpha)
@@ -448,48 +486,47 @@ class ExpressivenessTable:
 DEFAULT_THETA_GRID = tuple(round(0.9 - 0.1 * j, 1) for j in range(10))
 
 
-def _positive_sets(corpus, market, thetas):
+def _positive_sets(corpus, market, linked, thetas):
     """Yield (theta, sets, reachable) per theta.  sets maps each advertiser
-    bidding in the market to the queries whose best similarity to its
-    keywords there exceeds theta: a max and a strict compare, the same as
-    any(sim(q, s) > theta).  reachable drops queries with no neighbor.
-    The similarities come in one row per keyword, from one _distances
-    pass over all of the market's queries."""
+    bidding in the market, in name order, to the mask of the queries whose
+    best similarity to its keywords there exceeds theta: a max and a
+    strict compare, the same as any(sim(q, s) > theta).  Each advertiser's
+    queries are sorted by best similarity once, so a positive set is a
+    prefix of that order, its length found by bisection.  reachable is
+    each set & linked.  The similarities come in one row per keyword,
+    from one _distances pass over all of the market's queries."""
     packed = _packed(market.queries)
     rows = {s: _similarities(packed, s) for s in market.keywords}
-    best = {}
+    prefixes = {}       # adv -> (best similarities ascending, prefix masks)
     for adv in sorted(corpus.bids):
         kws = corpus.bids[adv].intersection(market.keywords)
         if kws:
-            best[adv] = [max(col) for col in zip(*(rows[s] for s in kws))]
-    linked = frozenset(q for q in market.queries if market.graph.query_neighbors(q))
+            best = [max(col) for col in zip(*(rows[s] for s in kws))]
+            order = sorted(range(len(best)), key=best.__getitem__, reverse=True)
+            masks = [0]
+            for i in order:
+                masks.append(masks[-1] | 1 << i)
+            prefixes[adv] = (sorted(best), masks)
     for theta in thetas:
-        sets = {adv: frozenset(q for q, b in zip(market.queries, top) if b > theta)
-                for adv, top in best.items()}
+        sets = {adv: masks[len(best) - bisect.bisect_right(best, theta)]
+                for adv, (best, masks) in prefixes.items()}
         yield theta, sets, {adv: pos & linked for adv, pos in sets.items()}
 
 
-def _known(graph, sets, top, memo) -> list:
-    """(_alphas up to top, #keywords meeting the set) of each advertiser's
-    positive set, in advertiser order; memo maps the sets met so far to
-    theirs, so each distinct set is worked out once."""
-    out = []
-    for adv in sorted(sets):
-        pos = sets[adv]
-        if pos not in memo:
-            memo[pos] = (_alphas(graph, pos, top), len(graph.keywords_meeting(pos)))
-        out.append(memo[pos])
-    return out
-
-
-def _add_cells(cells, market, theta, sets, kappas, memo) -> None:
-    """Append one (alpha, beta) per kappa of the grid to its bucket."""
-    known = _known(market.graph, sets, max(kappas), memo)
-    widest = max((m for _, m in known), default=0)
-    for kappa in kappas:
-        kb = math.ceil(10 * kappa / market.size) / 10
-        cells.setdefault((f"{theta:.1f}", f"{kb:.1f}"), []).append(
-            (_system_alpha(known, kappa), _beta(widest, kappa)))
+def _system(index, sets, top, known, memo):
+    """(min over advertisers of alpha_i for kappa = 0..top, the largest
+    number of keywords meeting one set) of positive query masks.  known
+    maps each mask met so far in the market to its alphas and count, and
+    memo holds _alphas' class structures.  Sets are worked out in
+    advertiser order, so the first one out of exact reach names it."""
+    for pos in sets.values():
+        if pos not in known:
+            classes = index.classes_of(pos)
+            known[pos] = ([a for a, _ in _alphas(index, classes, pos.bit_count(), top, memo)],
+                          functools.reduce(operator.or_, classes, 0).bit_count())
+    entries = [known[pos] for pos in set(sets.values())]
+    return ([min(col) for col in zip(*(a for a, _ in entries))] or [1.0] * (top + 1),
+            max((m for _, m in entries), default=0))
 
 
 def expressiveness_sweep(corpus: Corpus, thetas=DEFAULT_THETA_GRID,
@@ -499,12 +536,12 @@ def expressiveness_sweep(corpus: Corpus, thetas=DEFAULT_THETA_GRID,
     positive query set per (advertiser, market, theta).
 
     kappas defaults to 1..size per market; a market adds cells only for
-    the kappas in 1..size, and computes each distinct positive set's
-    alphas, up to the largest of them, and its count of keywords meeting
-    it once.  An empty theta or kappa
-    grid, a theta that is not a real number in [0, 1) or a kappa that is
-    not an integer >= 1 raises ValidationError before any market is
-    extracted.
+    the kappas in 1..size.  Each distinct positive set of a market, a
+    query mask, has its alphas up to the largest of them and its count of
+    keywords meeting it worked out once, and each class structure's m*
+    list once per sweep.  An empty theta or kappa grid, a theta that is
+    not a real number in [0, 1) or a kappa that is not an integer >= 1
+    raises ValidationError before any market is extracted.
     A market where exact alpha is out of reach adds no cells from that
     theta on (earlier cells stay) and is logged in skipped.  The degree
     bound is checked at every theta on the reachable positive sets, as
@@ -522,34 +559,33 @@ def expressiveness_sweep(corpus: Corpus, thetas=DEFAULT_THETA_GRID,
             raise ValidationError(f"theta must be a real number, got {theta!r}")
         if not 0.0 <= theta < 1.0:
             raise ValidationError(f"theta must lie in [0, 1), got {theta}")
-    for kappa in kappas or ():
-        if not isinstance(kappa, numbers.Real) or kappa % 1:
-            raise ValidationError(f"kappa must be an integer, got {kappa!r}")
-        if kappa < 1:
-            raise ValidationError(f"kappa must be >= 1, got {kappa}")
-    cells = {}
+    kappas = kappas and tuple(_kappa(k, 1) for k in kappas)
+    cells, memo = {}, {}
     skipped, degree_rows, degree_skipped = [], [], []
     for market in extract_micro_markets(corpus):
-        grid = [int(k) for k in (kappas or range(1, market.size + 1))
-                if 1 <= k <= market.size]
-        top, memo = max(grid, default=1), {}
+        grid = [(k, f"{math.ceil(10 * k / market.size) / 10:.1f}")
+                for k in (kappas or range(1, market.size + 1)) if k <= market.size]
+        top, known, index = max((k for k, _ in grid), default=1), {}, _Index(market.graph)
         gamma = market.graph.max_degree()
         tabulating = bool(grid)
-        for theta, sets, reachable in _positive_sets(corpus, market, thetas):
+        for theta, sets, reachable in _positive_sets(corpus, market, index.linked, thetas):
             if tabulating:
                 try:
-                    _add_cells(cells, market, theta, sets, grid, memo)
+                    alphas, widest = _system(index, sets, top, known, memo)
                 except TooLarge as exc:
                     skipped.append((market.term, str(exc)))
                     tabulating = False
+                else:
+                    for kappa, kb in grid:
+                        cells.setdefault((f"{theta:.1f}", kb), []).append(
+                            (alphas[kappa], _beta(widest, kappa)))
             try:
-                known = _known(market.graph, reachable, top, memo)
+                alphas, widest = _system(index, reachable, top, known, memo)
             except TooLarge as exc:
                 degree_skipped.append((market.term, str(exc)))
             else:
-                degree_rows.append((market.term, theta, _degree_report(
-                    gamma, max((m for _, m in known), default=0), 1,
-                    _system_alpha(known, 1))))
+                degree_rows.append((market.term, theta,
+                                    _degree_report(gamma, widest, 1, alphas[1])))
     rows = {key: (sum(p[0] for p in pairs) / len(pairs),
                   sum(p[1] for p in pairs) / len(pairs), len(pairs))
             for key, pairs in cells.items()}

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 
 from bmlab.errors import (EmptyStrings, TooLarge, Uncoverable,
                           ValidationError)
-from bmlab.expressiveness import (DEFAULT_THETA_GRID, Corpus,
-                                  _beta, _distances, _packed, _positive_sets,
+from bmlab import expressiveness
+from bmlab.expressiveness import (DEFAULT_THETA_GRID, Corpus, _Index,
+                                  _beta, _distances, _named_alphas, _packed,
+                                  _positive_sets,
                                   advertiser_alpha, containment_graph,
                                   extract_micro_markets, expressiveness_sweep,
                                   kl_expressiveness, levenshtein, load_corpus,
@@ -21,6 +24,10 @@ from bmlab.market import BipartiteGraph
 from helpers import (dp_levenshtein, dp_similarity, exhaustive_min_cover,
                      micro_markets_oracle, positive_queries, simple_scenario,
                      subset_alpha_oracle)
+
+DATA = Path(__file__).parent / "data"
+BENCH = DATA / "corpus_bench"
+GOLDEN = DATA / "golden"
 
 # ----------------------------------------------------------------- strings
 
@@ -347,6 +354,41 @@ def test_alpha_memo_is_per_graph():
         assert advertiser_alpha(split, ["q2", "q3"], kappa=1) == (1.0, None)
 
 
+def test_kappa_must_be_an_integer_at_least_zero():
+    g = containment_graph(["a b", "a c"], ["a", "b"])
+    sets = {"x": {"a b", "a c"}}
+    calls = (lambda k: advertiser_alpha(g, sets["x"], k),
+             lambda k: ql_expressiveness(g, sets, k),
+             lambda k: degree_bound_check(g, sets, k))
+    for call in calls:
+        with pytest.raises(ValidationError, match="kappa must be >= 0, got -1"):
+            call(-1)
+        for kappa in (2.5, "1", None, float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="kappa must be an integer"):
+                call(kappa)
+    assert advertiser_alpha(g, sets["x"], 0) == (0.0, 1)
+    assert advertiser_alpha(g, set(), 0) == (1.0, None)
+    assert ql_expressiveness(g, sets, 0) == 0.0
+    assert degree_bound_check(g, sets, 0).alpha == 0.0
+    assert advertiser_alpha(g, sets["x"], 2.0) == advertiser_alpha(g, sets["x"], 2)
+
+
+def test_one_class_structure_gives_each_set_its_own_size():
+    """{q1, q2} and {q1, q3, q4, q5} both read as two classes, each
+    reached by its own keyword: one m* run serves both, and each alpha
+    divides by its own |Q_i|."""
+    queries = [f"q{j}" for j in range(1, 6)]
+    g = cover_graph({"s1": ["q1"], "s2": ["q2"], "s3": ["q3", "q4", "q5"]}, queries)
+    small, large = ["q1", "q2"], ["q1", "q3", "q4", "q5"]
+    memo = {}
+    got = [_named_alphas(_Index(g), qs, 2, memo) for qs in (small, large)]
+    assert len(memo) == 1
+    assert [a[1] for a in got] == [(1 / 2, 2), (1 / 4, 2)]
+    for qs, alphas in zip((small, large), got):
+        assert alphas == [subset_alpha_oracle(g, qs, k) for k in range(3)]
+    assert ql_expressiveness(g, {"a": small, "b": large}, 1) == 1 / 4
+
+
 def test_ql_expressiveness_min_over_advertisers():
     g = cover_graph({"s1": ["q1", "q2"], "s2": ["q3"], "s3": ["q4"]},
                     [f"q{j}" for j in range(1, 5)])
@@ -656,6 +698,12 @@ def linked_queries(market):
     return [q for q in market.queries if market.graph.query_neighbors(q)]
 
 
+def decoded(market, masks):
+    """Query masks as the sets of market queries they hold."""
+    return {adv: frozenset(q for i, q in enumerate(market.queries) if m >> i & 1)
+            for adv, m in masks.items()}
+
+
 def test_single_pass_positive_sets_match_oracle():
     rng = np.random.default_rng(31)
     seen = {"tie": 0, "no keyword in market": 0, "no neighbor": 0}
@@ -666,16 +714,35 @@ def test_single_pass_positive_sets_match_oracle():
             seen["no neighbor"] += len(linked) < len(market.queries)
             seen["no keyword in market"] += any(
                 not kws & set(market.keywords) for kws in corpus.bids.values())
-            for theta, sets, reachable in _positive_sets(corpus, market,
+            index = _Index(market.graph)
+            assert decoded(market, {"": index.linked}) == {"": frozenset(linked)}
+            for theta, sets, reachable in _positive_sets(corpus, market, index.linked,
                                                          DEFAULT_THETA_GRID):
-                assert sets == oracle_sets(corpus, market, theta, market.queries)
-                assert reachable == oracle_sets(corpus, market, theta, linked)
+                assert list(sets) == sorted(sets) == list(reachable)
+                assert decoded(market, sets) == oracle_sets(corpus, market, theta,
+                                                            market.queries)
+                assert decoded(market, reachable) == oracle_sets(corpus, market, theta,
+                                                                 linked)
                 # a query whose best similarity is theta itself is not positive
                 seen["tie"] += any(
                     max(dp_similarity(q, s) for s in kws & set(market.keywords)) == theta
                     for kws in corpus.bids.values() if kws & set(market.keywords)
                     for q in market.queries)
     assert all(seen.values()), seen
+
+
+def test_positive_sets_follow_any_theta_order():
+    """Bisection on the sorted best similarities serves thetas in any
+    order, repeats included."""
+    rng = np.random.default_rng(47)
+    thetas = (0.3, 0.9, 0.0, 0.55, 0.3, 0.5)
+    for _ in range(40):
+        corpus = random_corpus(rng)
+        for market in extract_micro_markets(corpus):
+            linked = _Index(market.graph).linked
+            for theta, sets, _ in _positive_sets(corpus, market, linked, thetas):
+                assert decoded(market, sets) == oracle_sets(corpus, market, theta,
+                                                            market.queries)
 
 
 def test_sweep_degree_rows_match_oracle():
@@ -727,10 +794,31 @@ def sweep_cells_oracle(corpus, kappas=None):
     return rows, tuple(skipped)
 
 
-def test_sweep_cells_match_oracle():
+def count_engine_runs(monkeypatch):
+    """Spy on _alphas and its engine _m_stars: the structures run, and
+    the _alphas calls that reached a structure, run or remembered."""
+    runs, reached = [], [0]
+    m_stars, alphas = expressiveness._m_stars, expressiveness._alphas
+
+    def run(*key):
+        runs.append(key)
+        return m_stars(*key)
+
+    def spy(index, classes, n, top, memo):
+        out = alphas(index, classes, n, top, memo)
+        reached[0] += bool(classes) and 0 not in classes
+        return out
+
+    monkeypatch.setattr(expressiveness, "_m_stars", run)
+    monkeypatch.setattr(expressiveness, "_alphas", spy)
+    return runs, reached
+
+
+def test_sweep_cells_match_oracle(monkeypatch):
     rng = np.random.default_rng(41)
     corpora = [cap_corpus()] + [random_corpus(rng) for _ in range(60)]
     cells = 0
+    runs, reached = count_engine_runs(monkeypatch)
     for corpus in corpora:
         for kappas in (None, (1, 2, 7)):
             table = expressiveness_sweep(corpus, kappas=kappas)
@@ -741,3 +829,15 @@ def test_sweep_cells_match_oracle():
     assert expressiveness_sweep(corpora[0]).skipped == \
         (("x", "|Q_i| = 26 (exact alpha cap 20)"),)
     assert cells > 1000
+    # structures met again, in this market or another, reuse their m* list
+    assert reached[0] > len(runs) > 0
+
+
+def test_sweep_engine_runs_on_the_benchmark_corpus(monkeypatch):
+    """The bench corpus's distinct positive sets share 108 class
+    structures; the table stays its golden."""
+    runs, reached = count_engine_runs(monkeypatch)
+    table = expressiveness_sweep(load_corpus(BENCH))
+    assert len(runs) == len(set(runs)) == 108
+    assert reached[0] > 108
+    assert table.to_csv() == (GOLDEN / "expressiveness_bench.csv").read_text()
