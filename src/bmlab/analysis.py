@@ -57,10 +57,9 @@ def homogeneity(scenario) -> float:
 
 def homogeneity_batch(market, values) -> np.ndarray:
     """homogeneity of every profile in an (n, |A|, |Q|) value tensor."""
-    col = {q: j for j, q in enumerate(market.graph.queries)}
-    c = np.ones(len(values))
-    for s in market.graph.keywords:
-        nbr = values[:, :, [col[q] for q in market.graph.keyword_neighbors(s)]]
+    graph, c = market.graph, np.ones(len(values))
+    for s in graph.keywords:
+        nbr = values[:, :, [graph.q_index[q] for q in graph.keyword_neighbors(s)]]
         pos = nbr > 0.0
         ratio = (nbr.max(axis=2, initial=0.0)
                  / np.where(pos, nbr, np.inf).min(axis=2, initial=np.inf))

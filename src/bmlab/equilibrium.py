@@ -65,7 +65,6 @@ from .mechanisms import (
     bid_matrix,
     gsp_outcome,
     outranks,
-    padded_weights,
     pbm_expected_welfare,
     pbm_expected_welfare_batch,
     require_finite_bid_tensor,
@@ -402,8 +401,8 @@ class _Keyword:
     scanned, its locally stable vectors, per vector each participant's
     bid index (digits), utility and best utility."""
 
-    def __init__(self, scenario, s, ids, grid, conservative, w_padded):
-        self.scenario, self.s, self.w_padded = scenario, s, w_padded
+    def __init__(self, scenario, s, ids, grid, conservative):
+        self.scenario, self.s = scenario, s
         self.ids = np.array(ids)
         self.levels = [_levels(grid, s, scenario.kw_values[scenario.advertisers[a]][s],
                                conservative) for a in ids]
@@ -417,7 +416,7 @@ class _Keyword:
         for c, q in enumerate(others):
             opp[..., c] = self.levels[q][digits[..., q]]
         sc, a = self.scenario, self.ids[p]
-        slot_w, active, price, _ = gsp_outcome(own, a, opp, self.ids[others], self.w_padded)
+        slot_w, active, price, _ = gsp_outcome(own, a, opp, self.ids[others], sc.w_padded)
         value = sc.kw_values[sc.advertisers[a]][self.s]
         return active, np.where(active, sc.kw_masses[self.s] * slot_w * (value - price), 0.0)
 
@@ -496,18 +495,18 @@ def _scan(scenario, grid, conservative, eps, winner_truthful):
     epsilon eps plus its advertiser's slack, and per advertiser index its
     keywords as (keyword, participant position) pairs.  winner_truthful
     keeps the vectors where each slot winner bids its keyword value."""
-    advs, w_padded = scenario.advertisers, padded_weights(scenario)
+    advs = scenario.advertisers
     parts = [(s, ids) for s in scenario.graph.keywords
              if (ids := [a for a, i in enumerate(advs) if s in scenario.kw_positive[i]])]
     cells = sum(math.prod(_menu_rule(grid, s, scenario.kw_values[advs[a]][s], conservative)[1]
                           for a in ids) for s, ids in parts)
     if cells > _MAX_BUILT:
         raise TooLarge(f"keyword grids hold {cells} cells (cap {_MAX_BUILT})")
-    keywords = [_Keyword(scenario, s, ids, grid, conservative, w_padded) for s, ids in parts]
+    keywords = [_Keyword(scenario, s, ids, grid, conservative) for s, ids in parts]
     mine = [[(j, p) for j, kw in enumerate(keywords) for p, b in enumerate(kw.ids) if b == a]
             for a in range(len(advs))]
     tol = [eps + 2 * (len(m) + 2) * 2.0 ** -53 * (eps + sum(
-        scenario.kw_masses[keywords[j].s] * float(w_padded.max())
+        scenario.kw_masses[keywords[j].s] * float(scenario.w_padded.max())
         * max(scenario.kw_values[advs[a]][keywords[j].s],
               keywords[j].levels[p][-1]) for j, p in m)) for a, m in enumerate(mine)]
     for kw in keywords:
@@ -782,7 +781,6 @@ def estimate_bne_regret(bayes: BayesScenario, strategy: Callable, n_types: int,
     by_name = sorted(range(n_kw), key=keywords.__getitem__)     # keyword columns in name order
     rows = 1 + n_opponent_draws      # a type's own profile, then its opponents'
     mass = np.tile(np.array([bayes.kw_masses[keywords[k]] for k in by_name]), n_types)
-    w_padded = padded_weights(bayes)
     out = {}
     for a, i in enumerate(advertisers):
         others = np.delete(np.arange(n_adv), a)
@@ -807,7 +805,7 @@ def estimate_bne_regret(bayes: BayesScenario, strategy: Callable, n_types: int,
         for lo in range(0, len(menu), step):
             at = row[lo:lo + step]
             slot_w, active, price, _ = gsp_outcome(menu[lo:lo + step], a, opp.take(at, axis=-2),
-                                                   others, w_padded)
+                                                   others, bayes.w_padded)
             u = np.where(active, mass[at] * slot_w * (value[at] - price), 0.0)
             # the draws added in draw order
             np.divide(sum(u[1:], u[0]), n_opponent_draws, out=util[lo:lo + step])

@@ -43,7 +43,7 @@ from .errors import (
     Uncoverable,
     ValidationError,
 )
-from .market import BayesScenario, BipartiteGraph
+from .market import BipartiteGraph
 
 EXACT_COVER_CANDIDATE_CAP = 25
 EXACT_ALPHA_QUERY_CAP = 20
@@ -142,15 +142,10 @@ def _beta(max_meeting, kappa) -> float:
     return min(1.0, kappa / max_meeting) if max_meeting else 1.0
 
 
-def kl_expressiveness(source) -> float:
+def kl_expressiveness(market) -> float:
     """beta: min over advertisers of min(1, kappa / #positive keywords)
-    of a Scenario, or of a BayesScenario, where a query with a value
-    distribution counts as positive."""
-    if isinstance(source, BayesScenario):
-        sets = [source.value_dists[i].keys() for i in source.advertisers]
-    else:
-        sets = [source.valuations.positive_queries(i) for i in source.advertisers]
-    return _beta(_max_meeting(source.graph, sets), source.kappa)
+    of a Scenario or a BayesScenario (its kw_positive)."""
+    return _beta(max(map(len, market.kw_positive.values()), default=0), market.kappa)
 
 
 # ------------------------------------------------------------- set cover
@@ -232,9 +227,10 @@ def _coverable(n, traces):
         family = grown
 
 
-def _m_stars(bits, traces, top) -> list:
-    """[m* for kappa = 0..top] of `bits` classes and their traces, ending
-    early at None, which holds for every larger kappa.  m* is the size of
+def _m_stars(bits, traces) -> list:
+    """[m* for kappa = 0, 1, ...] of `bits` classes and their traces,
+    ending at None, which holds for every larger kappa: the traces cover
+    all classes, so at most len(traces) + 1 families.  m* is the size of
     the smallest class set missing from the family kappa traces cover (a
     smallest failing query set has one query per class), None once all
     are in it; it grows by at least 1 per kappa, as a failing set less
@@ -244,14 +240,13 @@ def _m_stars(bits, traces, top) -> list:
         sized = [a | b << (1 << i) for a, b in zip(sized + [0], [0] + sized)]
     whole = (1 << bits) - 1
     out, m_star = [], 0
-    for _, family in zip(range(top + 1), _coverable(bits, traces)):
+    for family in _coverable(bits, traces):
         if family >> whole:
             return out + [None]
         m_star += 1
         while not sized[m_star] & ~family:
             m_star += 1
         out.append(m_star)
-    return out
 
 
 # ---------------------------------------------------------- query-level alpha
@@ -259,9 +254,9 @@ def _m_stars(bits, traces, top) -> list:
 def _alphas(index, classes, n, top, memo) -> list:
     """[(alpha_i, m*) for kappa = 0..top] of a positive set of n queries
     with these classes: alpha_i = (m* - 1) / n, or 1.0 with m* = None.
-    memo maps (class count, sorted traces, top) to _m_stars, which
-    relabeling the classes does not change, so sets of one structure
-    share one run whatever their n.  Empty sets are fully expressive; a
+    memo maps (class count, sorted traces) to _m_stars, which relabeling
+    the classes does not change, so sets of one structure share one run
+    whatever their n and top.  Empty sets are fully expressive; a
     query no keyword reaches fails at singletons."""
     if n == 0:
         return [(1.0, None)] * (top + 1)
@@ -272,10 +267,10 @@ def _alphas(index, classes, n, top, memo) -> list:
                        f"(exact cap {EXACT_COVER_CANDIDATE_CAP})")
     if 0 in classes:
         return [(0.0, 1)] * (top + 1)
-    key = (len(classes), tuple(sorted(set(_traces(classes)))), top)
+    key = (len(classes), tuple(sorted(set(_traces(classes)))))
     if key not in memo:
         memo[key] = _m_stars(*key)
-    m_stars = memo[key] + memo[key][-1:] * (top + 1 - len(memo[key]))
+    m_stars = (memo[key] + [None] * top)[:top + 1]
     return [(1.0, None) if m is None else ((m - 1) / n, m) for m in m_stars]
 
 

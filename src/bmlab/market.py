@@ -1,6 +1,7 @@
 """Market structure: the query-keyword graph, traffic and matching
-distributions, slot weights, advertiser valuations, and the scenario
-bundle that the mechanisms operate on.
+distributions, slot weights, advertiser valuations, and the one market
+model the mechanisms operate on: Market, whose tables are derived once,
+with known values (Scenario) or value distributions (BayesScenario).
 
 All probability masses are validated to within PROB_TOL; ids are opaque
 strings interned to dense indices in input order (advertisers are kept
@@ -40,7 +41,8 @@ class BipartiteGraph:
     def __init__(self, queries, keywords, edges, strict=True):
         self.queries = tuple(dict.fromkeys(queries))
         self.keywords = tuple(dict.fromkeys(keywords))
-        q_rank = {q: i for i, q in enumerate(self.queries)}
+        # {query: its column in graph order}, the index every value array uses
+        self.q_index = q_rank = {q: i for i, q in enumerate(self.queries)}
         s_rank = {s: j for j, s in enumerate(self.keywords)}
         both = q_rank.keys() & s_rank.keys()
         if strict and both:
@@ -203,14 +205,40 @@ class ValuationProfile:
         return dict(self._values[advertiser])
 
 
-def _keyword_masses(graph, p, pi) -> dict:
-    """Traffic mass of every keyword: sum of P(q)*pi_q(s) over q in N(s)."""
-    return {s: math.fsum(p.mass(q) * pi.mass(q, s) for q in graph.keyword_neighbors(s))
-            for s in graph.keywords}
+class Market:
+    """The market both scenario models share: graph, traffic P(q),
+    matching pi_q(s), slot weights and kappa; a subclass adds the values
+    and names each advertiser's positive queries.  The tables below are
+    derived once, on first use, and every functional reads them."""
+
+    @cached_property
+    def edge_masses(self) -> dict:
+        """{(query, keyword): P(q) * pi_q(s)} over the edges, queries in
+        graph order and each query's keywords in graph order."""
+        return {(q, s): self.p.mass(q) * self.pi.mass(q, s)
+                for q in self.graph.queries for s in self.graph.query_neighbors(q)}
+
+    @cached_property
+    def kw_masses(self) -> dict:
+        """{keyword: traffic mass}, the fsum of its edge masses."""
+        return {s: math.fsum(self.edge_masses[q, s] for q in self.graph.keyword_neighbors(s))
+                for s in self.graph.keywords}
+
+    @cached_property
+    def w_padded(self) -> np.ndarray:
+        """gsp_outcome's w_padded for the market's advertisers: the slot
+        weights of positions 0..|A|, zero past the weight vector."""
+        return np.array([self.weights.weight(k) for k in range(len(self.advertisers) + 1)])
+
+    @cached_property
+    def kw_positive(self) -> dict:
+        """{advertiser: keywords whose neighborhood meets its positive queries}."""
+        return {i: frozenset(self.graph.keywords_meeting(self.positive_queries(i)))
+                for i in self.advertisers}
 
 
 @dataclass(frozen=True)
-class Scenario:
+class Scenario(Market):
     """A fully specified market instance.  Use build_scenario for the
     validated path; direct construction skips cross-checks (used for
     sampled valuation profiles that may not meet the positivity rule).
@@ -228,10 +256,8 @@ class Scenario:
     def advertisers(self):
         return self.valuations.advertisers
 
-    @cached_property
-    def kw_masses(self) -> dict:
-        """{keyword: traffic mass}, see _keyword_masses."""
-        return _keyword_masses(self.graph, self.p, self.pi)
+    def positive_queries(self, advertiser):
+        return self.valuations.positive_queries(advertiser)
 
     @cached_property
     def kw_values(self) -> dict:
@@ -250,29 +276,21 @@ class Scenario:
         return np.array([[self.valuations.value(i, q) for q in self.graph.queries]
                          for i in self.advertisers]).reshape(-1, len(self.graph.queries))
 
-    @cached_property
-    def kw_positive(self) -> dict:
-        """{advertiser: keywords whose neighborhood meets its positive queries}."""
-        return {i: frozenset(self.graph.keywords_meeting(self.valuations.positive_queries(i)))
-                for i in self.advertisers}
-
 
 def keyword_value_tensor(market, values) -> np.ndarray:
     """Keyword values of a value array (..., |Q|) -> (..., |S|), queries
     and keywords in graph order: for each keyword, num += m * v and
-    den += m over its neighbors q in order, m = P(q) * pi_q(s), then
+    den += m over its neighbors q in order, m its edge mass, then
     num / den.  Elementwise, so every entry is the float the scalar loop
     gives (a matrix product would reorder the sums)."""
-    graph = market.graph
-    col = {q: j for j, q in enumerate(graph.queries)}
+    graph, mass = market.graph, market.edge_masses
     out = np.empty(values.shape[:-1] + (len(graph.keywords),))
     for k, s in enumerate(graph.keywords):
         num = np.zeros(values.shape[:-1])
         den = 0.0
         for q in graph.keyword_neighbors(s):
-            m = market.p.mass(q) * market.pi.mass(q, s)
-            num += m * values[..., col[q]]
-            den += m
+            num += mass[q, s] * values[..., graph.q_index[q]]
+            den += mass[q, s]
         if den <= 0.0:
             raise ValidationError(f"keyword {s!r} has zero traffic mass")
         out[..., k] = num / den
@@ -418,17 +436,16 @@ def optimal_welfare_batch(market, values) -> np.ndarray:
     return total
 
 
-class BayesScenario:
+class BayesScenario(Market):
     """Scenario skeleton plus independent per-(advertiser, query) value
-    distributions.  Missing entries mean the value is identically 0."""
+    distributions.  Missing entries mean the value is identically 0; a
+    query with a distribution counts as positive."""
 
     def __init__(self, graph, p, pi, weights, kappa, value_dists):
         self.kappa = _check_skeleton(graph, p, pi, kappa, value_dists)
-        self.graph = graph
-        self.p = p
-        self.pi = pi
-        self.weights = weights
-        self.kw_masses = _keyword_masses(graph, p, pi)
+        if not value_dists:
+            raise ValidationError("a bayes scenario needs at least one advertiser")
+        self.graph, self.p, self.pi, self.weights = graph, p, pi, weights
         self.value_dists = {i: dict(row) for i, row in sorted(value_dists.items())}
         self.advertisers = tuple(self.value_dists)
         for i, row in self.value_dists.items():
@@ -437,7 +454,7 @@ class BayesScenario:
                 if lo < 0.0:
                     raise ValidationError(
                         f"value distribution of {i!r} on {q!r} allows negative values")
-        col = {q: j for j, q in enumerate(graph.queries)}
+        col = graph.q_index
         # {advertiser: ((query, column), ...)} and the (advertiser index,
         # column, distribution) pairs, both in value_dists order
         self._rows = {i: tuple((q, col[q]) for q in row)
@@ -447,6 +464,9 @@ class BayesScenario:
 
     def dist(self, advertiser, query):
         return self.value_dists[advertiser].get(query)
+
+    def positive_queries(self, advertiser):
+        return self.value_dists[advertiser].keys()
 
     def sample_values(self, rng, n) -> np.ndarray:
         """Draw n valuation profiles as an (n, |A|, |Q|) tensor (advertisers

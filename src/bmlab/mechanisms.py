@@ -9,12 +9,13 @@ Bayes-Nash regret estimate's deviation menus.  The full-information
 solvers (best response, the regret check, the dynamics) price the same
 rule on sorted bid ladders in plain Python.  Expected welfare and
 revenue are exact finite sums over (query, keyword, slot) on whole bid
-tensors, each keyword ranked once; welfare adds its terms P(q) * pi_q(s)
-* (click-weighted query values of s's ranking) over the queries and then
-each query's keywords, in graph order.  The dict-profile forms are their
-one-profile case through bid_matrix.  gsp_rank ranks one keyword of a
-dict profile for the seeded round simulator, the Monte-Carlo
-counterpart.
+tensors, each keyword ranked once, read off the market's tables
+(edge_masses, kw_masses, w_padded); welfare adds its terms P(q) *
+pi_q(s) * (click-weighted query values of s's ranking) in edge_masses
+order: the queries, then each query's keywords, in graph order.  The
+dict-profile forms are their one-profile case through bid_matrix.
+gsp_rank ranks one keyword of a dict profile for the seeded round
+simulator, the Monte-Carlo counterpart.
 """
 from __future__ import annotations
 
@@ -278,12 +279,6 @@ def bid_matrix(market, bids) -> np.ndarray:
     return dense
 
 
-def padded_weights(market) -> np.ndarray:
-    """gsp_outcome's w_padded for the market's advertisers: the slot
-    weights of positions 0..|A|, zero past the weight vector."""
-    return np.array([market.weights.weight(k) for k in range(len(market.advertisers) + 1)])
-
-
 def _keyword_auctions(market, bids, reserves=_NO_RESERVE):
     """[(keyword, active, price, rank)] of an (n, |A|, |S|) bid tensor,
     keywords in graph order: per keyword, one gsp_outcome call prices
@@ -295,12 +290,11 @@ def _keyword_auctions(market, bids, reserves=_NO_RESERVE):
     ids = np.arange(n_adv)
     others = np.array([[j for j in range(n_adv) if j != a] for a in range(n_adv)],
                       dtype=np.intp).reshape(n_adv, max(n_adv - 1, 0))
-    w_padded = padded_weights(market)
     out = []
     for k, s in enumerate(market.graph.keywords):
         col = bids[:, :, k]
         _, active, price, rank = gsp_outcome(col, ids[:, None], col[:, others], others,
-                                             w_padded, reserves.get(s, 0.0))
+                                             market.w_padded, reserves.get(s, 0.0))
         out.append((s, active, price, rank))
     return out
 
@@ -321,10 +315,8 @@ def pbm_expected_welfare_batch(market, values, bids) -> np.ndarray:
     keywords and slots of P(q) * pi_q(s) * w_k * (query value of the
     advertiser ranked k on s).  Each keyword is ranked once, and its
     click-weighted query values are computed for all its neighbours; the
-    terms P(q) * pi_q(s) * click sum are then added over the queries and
-    each query's keywords in graph order."""
-    graph = market.graph
-    col = {q: j for j, q in enumerate(graph.queries)}
+    terms (edge mass) * click sum are then added in edge_masses order."""
+    graph, col = market.graph, market.graph.q_index
     clicks = {}     # (query, keyword) -> click-weighted values of the keyword's ranking
     for s, active, _, rank in _keyword_auctions(market, bids):
         nbrs = graph.keyword_neighbors(s)
@@ -334,12 +326,8 @@ def pbm_expected_welfare_batch(market, values, bids) -> np.ndarray:
                                     (len(bids), len(nbrs)))
         clicks.update(((q, s), per_query[:, m]) for m, q in enumerate(nbrs))
     total = np.zeros(len(bids))
-    for q in graph.queries:
-        pq = market.p.mass(q)
-        for s in graph.query_neighbors(q):
-            mqs = market.pi.mass(q, s)
-            if mqs > 0.0:
-                total += pq * mqs * clicks[q, s]
+    for edge, m in market.edge_masses.items():
+        total += m * clicks[edge]
     return total
 
 

@@ -523,7 +523,7 @@ def induced_keyword_distribution(bayes, keyword, n_samples, rng) -> Empirical:
         raise ValidationError("n_samples must be >= 1")
     adv = bayes.advertisers[0]
     nbrs = bayes.graph.keyword_neighbors(keyword)
-    wts = np.array([bayes.p.mass(q) * bayes.pi.mass(q, keyword) for q in nbrs])
+    wts = np.array([bayes.edge_masses[q, keyword] for q in nbrs])
     total = wts.sum()
     if not total > 0.0:
         raise ValidationError(f"keyword {keyword!r} has zero traffic mass")

@@ -506,7 +506,7 @@ def joint_utility(scenario, grid, advertiser=0, conservative=False):
     opponent's rows do not bid on it), with no distinct-bid grid and no
     chunking."""
     from bmlab.equilibrium import strategy_rows
-    from bmlab.mechanisms import gsp_outcome, padded_weights
+    from bmlab.mechanisms import gsp_outcome
 
     advs = scenario.advertisers
     n = len(advs)
@@ -526,7 +526,7 @@ def joint_utility(scenario, grid, advertiser=0, conservative=False):
                    else np.zeros(shape + [0]))
             slot_w, active, price, _ = gsp_outcome(joint_bids(advertiser, s), advertiser, opp,
                                                    np.array(others, dtype=np.intp),
-                                                   padded_weights(scenario))
+                                                   scenario.w_padded)
             value = scenario.kw_values[advs[advertiser]][s]
             acc += np.where(active, scenario.kw_masses[s] * slot_w * (value - price), 0.0)
     return acc
@@ -550,15 +550,13 @@ class _JointScan:
 
     def __init__(self, scenario, grid, conservative):
         from bmlab.equilibrium import strategy_rows
-        from bmlab.mechanisms import padded_weights
-
         advs = scenario.advertisers
         self.pools, self.arrays = zip(*(
             strategy_rows(whole_grid_menus(scenario, grid, i, conservative), scenario.kappa)
             for i in advs))
         self.counts = [len(rows) for rows in self.arrays]
         self.scenario = scenario
-        self.w_padded = padded_weights(scenario)
+        self.w_padded = scenario.w_padded
         self.keywords = []
         for s in scenario.graph.keywords:
             parts = {a: self.pools[a].index(s) for a in range(len(advs)) if s in self.pools[a]}

@@ -468,6 +468,17 @@ def test_non_numeric_distribution_parameter_is_a_validation_error(tmp_path, para
     assert run("revenue", "--scenario", bad, "--samples", 10, "--out", tmp_path) == 2
 
 
+def test_bayes_scenario_without_advertisers_exits_2(tmp_path, capsys):
+    """No value distribution at all is one error line and exit 2, not a
+    traceback, and the run leaves no out directory."""
+    bad = _edited(tmp_path, BAYES, lambda o: o.update(value_dists={}))
+    assert run("revenue", "--scenario", bad, "--samples", 10, "--out", tmp_path / "out") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: a bayes scenario needs at least one advertiser"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("bid", ["abc", None, [1.0]])
 def test_non_numeric_bid_is_a_validation_error(tmp_path, capsys, bid):
     bad = _edited(tmp_path, BIDS, lambda o: o["a"].update(s1=bid))

@@ -834,10 +834,10 @@ def test_sweep_cells_match_oracle(monkeypatch):
 
 
 def test_sweep_engine_runs_on_the_benchmark_corpus(monkeypatch):
-    """The bench corpus's distinct positive sets share 108 class
+    """The bench corpus's distinct positive sets share 61 class
     structures; the table stays its golden."""
     runs, reached = count_engine_runs(monkeypatch)
     table = expressiveness_sweep(load_corpus(BENCH))
-    assert len(runs) == len(set(runs)) == 108
-    assert reached[0] > 108
+    assert len(runs) == len(set(runs)) == 61
+    assert reached[0] > 61
     assert table.to_csv() == (GOLDEN / "expressiveness_bench.csv").read_text()

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,12 +25,15 @@ from bmlab.market import (
     build_scenario,
     keyword_mass,
     keyword_value,
+    keyword_value_tensor,
     optimal_welfare,
     scenario_from_json,
 )
 
 from helpers import (brute_force_optimal_welfare, probing_neighbors, random_scenario,
                      simple_scenario)
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_graph_neighborhoods_and_degree():
@@ -262,6 +266,59 @@ def test_bayes_scenario_sampling_shapes():
     assert 0.0 <= draw["a1"]["q1"] <= 1.0
     sc = bs.to_scenario(draw)
     assert sc.kappa == 1
+
+
+def test_bayes_scenario_needs_an_advertiser():
+    g = BipartiteGraph(["q1"], ["s1"], [("q1", "s1")])
+    with pytest.raises(ValidationError, match="at least one advertiser"):
+        BayesScenario(g, QueryDistribution({"q1": 1.0}), MatchingPolicy({"q1": {"s1": 1.0}}),
+                      SlotWeights([1.0]), 1, {})
+
+
+def test_market_tables_are_read_not_rebuilt(monkeypatch):
+    """Once a market's tables exist, the value, welfare and induced
+    keyword functionals read them: neither mass method is called again."""
+    from bmlab.mechanisms import pbm_expected_welfare_batch
+    from bmlab.reserves import bayes_scenario_from_json, induced_keyword_distribution
+
+    bayes = bayes_scenario_from_json(DATA / "bayes_3x3.json")
+    values = bayes.sample_values(np.random.default_rng(0), 4)
+    bids = keyword_value_tensor(bayes, values)
+
+    markets = (bayes, bayes.to_scenario(bayes.valuations_at(values[0])))
+
+    def functionals():
+        for market in markets:
+            keyword_value_tensor(market, values)
+            pbm_expected_welfare_batch(market, values, bids)
+        for s in bayes.graph.keywords:
+            induced_keyword_distribution(bayes, s, 8, np.random.default_rng(1))
+
+    functionals()
+    calls = []
+    for cls in (QueryDistribution, MatchingPolicy):
+        monkeypatch.setattr(cls, "mass", lambda *args: calls.append(args))
+    functionals()
+    assert calls == []
+
+
+def test_point_mass_bayes_scenario_shares_the_scenario_tables():
+    """A BayesScenario of point masses at a Scenario's values derives the
+    same skeleton tables bit for bit, and the same beta."""
+    from bmlab.expressiveness import kl_expressiveness
+    from bmlab.reserves import PointMass
+
+    for seed in range(20):
+        sc = random_scenario(np.random.default_rng(seed), weights=(1.0, 0.6, 0.2))
+        bs = BayesScenario(sc.graph, sc.p, sc.pi, sc.weights, sc.kappa,
+                           {i: {q: PointMass(v) for q, v in sc.valuations.row(i).items()}
+                            for i in sc.advertisers})
+        assert list(bs.edge_masses.items()) == list(sc.edge_masses.items())
+        assert ({s: m.hex() for s, m in bs.kw_masses.items()}
+                == {s: m.hex() for s, m in sc.kw_masses.items()})
+        assert bs.kw_positive == sc.kw_positive
+        assert np.array_equal(bs.w_padded, sc.w_padded)
+        assert kl_expressiveness(bs) == kl_expressiveness(sc)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

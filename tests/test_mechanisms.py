@@ -20,7 +20,6 @@ from bmlab.mechanisms import (
     gsp_outcome,
     gsp_rank,
     load_bid_profile,
-    padded_weights,
     pbm_expected_revenue,
     pbm_expected_revenue_batch,
     pbm_expected_welfare,
@@ -511,7 +510,7 @@ def _kernel_utility(sc, bids, advertiser, s, reserve):
     ids = np.array([j for j in range(len(advs)) if j != a], dtype=np.intp)
     opp = np.array([bids.get(advs[j], {}).get(s, 0.0) for j in ids])
     slot_w, active, price, _ = gsp_outcome(np.array(bids.get(advertiser, {}).get(s, 0.0)),
-                                           a, opp, ids, padded_weights(sc), reserve)
+                                           a, opp, ids, sc.w_padded, reserve)
     return float(np.where(active, sc.kw_masses[s] * slot_w
                           * (sc.kw_values[advertiser][s] - price), 0.0))
 
